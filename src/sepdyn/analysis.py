@@ -8,46 +8,11 @@ stored trajectories, so one implementation serves all integrators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import prod
 
 import numpy as np
 
 from .propagators import Trajectory
-from .states import tensor_product
-
-
-@dataclass(frozen=True)
-class DiagnosticsSeries:
-    """Named time series sharing one grid."""
-
-    times: np.ndarray
-    series: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        for name, values in self.series.items():
-            arr = np.asarray(values)
-            if arr.shape[0] != times.size:
-                raise ValueError(f"series '{name}' length does not match times")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"series '{name}' contains non-finite values")
-        object.__setattr__(self, "times", times)
-
-
-def _full_state_matrix(traj: Trajectory) -> np.ndarray:
-    """Stack the trajectory's full states as a (n_times, dim) array."""
-    if traj.full_states is not None:
-        return np.stack([s.amplitudes for s in traj.full_states])
-    if traj.component_states is not None:
-        return np.stack([tensor_product(s).amplitudes for s in traj.component_states])
-    raise ValueError("trajectory stores no states")
-
-
-def _trajectory_dims(traj: Trajectory) -> tuple[int, ...]:
-    if traj.full_states is not None:
-        return traj.full_states[0].dims
-    return traj.component_states[0].dims
 
 
 def overlap_series(traj_se: Trajectory, traj_sse: Trajectory) -> np.ndarray:
@@ -55,39 +20,51 @@ def overlap_series(traj_se: Trajectory, traj_sse: Trajectory) -> np.ndarray:
     if traj_se.times.shape != traj_sse.times.shape or \
             np.max(np.abs(traj_se.times - traj_sse.times)) > 1e-12:
         raise ValueError("trajectories are not on the same time grid")
-    left = _full_state_matrix(traj_se)
-    right = _full_state_matrix(traj_sse)
-    return np.einsum("ti,ti->t", left.conj(), right)
+    return np.einsum("ti,ti->t", traj_se.full.conj(), traj_sse.full)
 
 
-def projector_series(traj: Trajectory) -> np.ndarray:
-    """|psi(t)><psi(t)| for every grid point, shape (n_times, dim, dim)."""
-    states = _full_state_matrix(traj)
-    return np.einsum("ti,tj->tij", states, states.conj())
+def _projector_difference_nuclear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise || |a><a| - |b><b| ||_1 for (n, dim) arrays a and b."""
+    delta = a - b
+    b_delta = np.einsum("ti,ti->t", b.conj(), delta)
+    b_sq = np.einsum("ti,ti->t", b.conj(), b).real
+    delta_sq = np.einsum("ti,ti->t", delta.conj(), delta).real
+    gram = np.maximum(b_sq * delta_sq - np.abs(b_delta) ** 2, 0.0)
+    trace = 2.0 * b_delta.real + delta_sq
+    return np.sqrt(trace**2 + 4.0 * gram)
 
 
 def rate_of_change_nuclear(traj: Trajectory, dt: float) -> np.ndarray:
     """Nuclear norm of the finite-difference projector derivative.
 
-    Centered differences in the interior, one-sided at the endpoints.
+    Centered differences in the interior, one-sided at the endpoints. Each
+    difference of two rank-1 projectors has the closed form
+
+        || |a><a| - |b><b| ||_1 = sqrt((|a|^2 - |b|^2)^2 + 4 G),
+        G = |a|^2 |b|^2 - |<a|b>|^2,
+
+    since the difference is Hermitian of rank at most two, with trace
+    |a|^2 - |b|^2 and determinant -G on span{a, b}. G is the Gram
+    determinant of (a, b), which is unchanged by a -> a - b, so it is
+    evaluated as G = |b|^2 |d|^2 - |<b|d>|^2 with d = a - b, clamped at zero,
+    and |a|^2 - |b|^2 as 2 Re<b|d> + |d|^2. Both forms avoid subtracting
+    O(1) quantities whose difference is O(dt). The cost is O(n_times * dim).
     """
-    rhos = projector_series(traj)
-    if rhos.shape[0] < 3:
+    states = traj.full
+    if states.shape[0] < 3:
         raise ValueError("need at least three grid points")
-    derivative = np.empty_like(rhos)
-    derivative[1:-1] = (rhos[2:] - rhos[:-2]) / (2.0 * dt)
-    derivative[0] = (rhos[1] - rhos[0]) / dt
-    derivative[-1] = (rhos[-1] - rhos[-2]) / dt
-    singulars = np.linalg.svd(derivative, compute_uv=False)
-    return singulars.sum(axis=1)
+    rates = np.empty(states.shape[0])
+    rates[1:-1] = _projector_difference_nuclear(states[2:], states[:-2]) / (2.0 * dt)
+    rates[[0, -1]] = _projector_difference_nuclear(states[[1, -1]], states[[0, -2]]) / dt
+    return rates
 
 
 def reduced_density_series(traj: Trajectory, k: int) -> np.ndarray:
     """Partial trace of the projector series onto subsystem k, batched."""
-    dims = _trajectory_dims(traj)
+    dims = traj.dims
     if not 0 <= k < len(dims):
         raise ValueError(f"subsystem index {k} out of range")
-    states = _full_state_matrix(traj)
+    states = traj.full
     before = prod(dims[:k])
     after = prod(dims[k + 1 :])
     shaped = states.reshape(-1, before, dims[k], after)

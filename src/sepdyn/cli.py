@@ -36,7 +36,7 @@ from .propagators import (
     evolve,
     se_evolve,
 )
-from .states import GELL_MANN, ComponentState, Ket, inner, tensor_product
+from .states import GELL_MANN, ComponentState, Ket, tensor_product
 from .reduced import DegenerateStateError
 
 EXIT_OK = 0
@@ -177,14 +177,9 @@ def build_hamiltonian(config: ExperimentConfig) -> HermitianOperator:
     return correlator_hamiltonian(r_party_eta(int(config.r_party)))
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 @dataclass
 class RunResult:
     trajectory: Trajectory
-    component_run: bool
     solver_stats: dict
     blowup: dict | None = None
 
@@ -206,14 +201,8 @@ def _variational_run(config, H, state0) -> RunResult:
             "steps_completed": int(discrete.points.shape[0] - 1),
             "time_reached": float(discrete.times[-1]),
         }
-    components = discrete.component_states()
-    fulls = [tensor_product(s) for s in components]
-    traj = Trajectory(
-        discrete.times, component_states=components, full_states=fulls,
-        diagnostics={"norm": np.array([f.norm() for f in fulls])},
-    )
-    return RunResult(traj, True, {"kind": "newton", "tolerance": variational.NEWTON_TOL},
-                     blowup)
+    traj = Trajectory.from_components(discrete.times, discrete.points, state0.dims)
+    return RunResult(traj, {"kind": "newton", "tolerance": variational.NEWTON_TOL}, blowup)
 
 
 def _bea_run(config, state0) -> RunResult:
@@ -225,29 +214,23 @@ def _bea_run(config, state0) -> RunResult:
     a0, b0 = state0.parts[0].amplitudes, state0.parts[1].amplitudes
     sol = bea.rk_integrate(rhs, (a0, b0), (0.0, float(times[-1])), tol=1e-12,
                            t_eval=times)
-    components = [
-        ComponentState((Ket(row[:2]), Ket(row[2:])), (2, 2)) for row in sol.y_eval
-    ]
-    fulls = [tensor_product(s) for s in components]
-    traj = Trajectory(times, component_states=components, full_states=fulls,
-                      diagnostics={"norm": np.array([f.norm() for f in fulls])})
+    traj = Trajectory.from_components(times, sol.y_eval, state0.dims)
     stats = {"kind": "runge_kutta", "steps": sol.steps, "rejected": sol.rejected,
              "rhs_evals": sol.rhs_evals}
-    return RunResult(traj, True, stats)
+    return RunResult(traj, stats)
 
 
-def execute(config: ExperimentConfig) -> RunResult:
-    H = build_hamiltonian(config)
+def execute(config: ExperimentConfig, H: HermitianOperator) -> RunResult:
     state0 = config._parse_initial_state()
     steps = config.steps()
     if config.integrator == "se_exact":
         traj = se_evolve(H, tensor_product(state0), config.dt, steps)
-        return RunResult(traj, False, {"kind": "eigendecomposition"})
+        return RunResult(traj, {"kind": "eigendecomposition"})
     if config.integrator in ("lie_trotter", "strang"):
         scheme = (SplittingScheme.LIE_TROTTER if config.integrator == "lie_trotter"
                   else SplittingScheme.STRANG)
         traj = evolve(scheme, H, state0, config.dt, steps)
-        return RunResult(traj, True, {"kind": "splitting"})
+        return RunResult(traj, {"kind": "splitting"})
     if config.integrator == "bea_truncation":
         return _bea_run(config, state0)
     return _variational_run(config, H, state0)
@@ -262,14 +245,9 @@ def _diagnostic_columns(config: ExperimentConfig, result: RunResult,
         if name == "norm":
             columns["norm"] = traj.diagnostics["norm"]
         elif name == "abs_overlap":
-            psi0 = (traj.full_states[0] if traj.full_states is not None
-                    else tensor_product(traj.component_states[0]))
-            reference = HermitianPropagator(H).states_on_grid(
-                psi0.amplitudes, traj.times
-            )
-            states = np.stack([s.amplitudes for s in traj.full_states])
+            reference = HermitianPropagator(H).states_on_grid(traj.full[0], traj.times)
             columns["abs_overlap"] = np.abs(
-                np.einsum("ti,ti->t", reference.conj(), states)
+                np.einsum("ti,ti->t", reference.conj(), traj.full)
             )
         elif name == "rate_nucl":
             columns["rate_nucl"] = analysis.rate_of_change_nuclear(traj, traj.dt)
@@ -293,36 +271,32 @@ def _diagnostic_columns(config: ExperimentConfig, result: RunResult,
     return columns
 
 
-def write_csv(path: Path, config: ExperimentConfig, result: RunResult,
-              columns: dict[str, np.ndarray]):
-    traj = result.trajectory
-    headers = ["t"]
-    state_cols: list[np.ndarray] = []
-    if result.component_run:
-        dims = EXPERIMENT_DIMS[config.experiment]
-        comp = np.stack([
-            np.concatenate([p.amplitudes for p in s.parts])
-            for s in traj.component_states
-        ])
-        offset = 0
-        for j, d in enumerate(dims):
-            for i in range(d):
-                headers += [f"re_a{j + 1}_{i}", f"im_a{j + 1}_{i}"]
-                state_cols += [comp[:, offset + i].real, comp[:, offset + i].imag]
-            offset += d
-    else:
-        full = np.stack([s.amplitudes for s in traj.full_states])
-        for i in range(full.shape[1]):
-            headers += [f"re_psi_{i}", f"im_psi_{i}"]
-            state_cols += [full[:, i].real, full[:, i].imag]
-    headers += list(columns)
-    state_cols += [columns[name] for name in columns]
+def write_csv(path: Path, result: RunResult, columns: dict[str, np.ndarray]):
+    """Time, the real and imaginary part of every stored amplitude, then ``columns``.
 
+    Component runs write the stacked components, others the full state. Every
+    value is written as ``format(v, ".17g")``, which round-trips a double.
+    """
+    traj = result.trajectory
+    if traj.components is not None:
+        states = traj.components
+        labels = [f"a{j + 1}_{i}" for j, d in enumerate(traj.dims) for i in range(d)]
+    else:
+        states = traj.full
+        labels = [f"psi_{i}" for i in range(states.shape[1])]
+    headers = ["t"] + [f"{part}_{label}" for label in labels for part in ("re", "im")]
+    headers += list(columns)
+    width = 2 * states.shape[1]
+    table = np.empty((traj.times.size, len(headers)))
+    table[:, 0] = traj.times
+    table[:, 1 : 1 + width : 2] = states.real
+    table[:, 2 : 2 + width : 2] = states.imag
+    for offset, values in enumerate(columns.values(), start=1 + width):
+        table[:, offset] = values
+    row_format = ",".join(["%.17g"] * len(headers)) + "\n"
     with path.open("w", newline="") as handle:
         handle.write(",".join(headers) + "\n")
-        for row_idx, t in enumerate(traj.times):
-            cells = [_fmt(t)] + [_fmt(col[row_idx]) for col in state_cols]
-            handle.write(",".join(cells) + "\n")
+        handle.writelines(row_format % tuple(row) for row in table.tolist())
 
 
 def _conservation_summary(config: ExperimentConfig, result: RunResult) -> dict:
@@ -332,10 +306,8 @@ def _conservation_summary(config: ExperimentConfig, result: RunResult) -> dict:
         "max_abs_norm_drift": float(np.max(np.abs(norms - norms[0]))),
         "final_norm": float(norms[-1]),
     }
-    if config.experiment == "swap" and result.component_run:
-        qs = np.array([
-            inner(s.parts[0], s.parts[1]) for s in traj.component_states
-        ])
+    if config.experiment == "swap" and traj.components is not None:
+        qs = np.einsum("ti,ti->t", traj.components[:, :2].conj(), traj.components[:, 2:])
         summary["max_abs_q_drift"] = float(np.max(np.abs(qs - qs[0])))
     return summary
 
@@ -343,20 +315,21 @@ def _conservation_summary(config: ExperimentConfig, result: RunResult) -> dict:
 def run(config: ExperimentConfig) -> int:
     """Execute one configured run; returns the process exit code."""
     start = time.perf_counter()
+    H = build_hamiltonian(config)
     try:
-        result = execute(config)
+        result = execute(config, H)
     except (variational.NewtonConvergenceError, bea.StepSizeUnderflowError,
             DegenerateStateError) as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return EXIT_SOLVER
-    H = build_hamiltonian(config)
     columns = _diagnostic_columns(config, result, H)
 
     out_prefix = Path(config.out_path)
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = out_prefix.with_suffix(".csv")
-    json_path = out_prefix.with_suffix(".json")
-    write_csv(csv_path, config, result, columns)
+    # Appended, not with_suffix: a dotted stem such as "v0.02" is kept whole.
+    csv_path = out_prefix.with_name(out_prefix.name + ".csv")
+    json_path = out_prefix.with_name(out_prefix.name + ".json")
+    write_csv(csv_path, result, columns)
 
     payload = {
         "config": asdict(config),

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
 from .hamiltonians import HermitianOperator
 from .reduced import partially_reduced
-from .states import ComponentState, FullState, Ket, tensor_product
+from .states import ComponentState, FullState, Ket, tensor_product_rows
 
 EXPM_HERMITIAN_TOL = 1e-10
 
@@ -29,11 +30,18 @@ class SplittingScheme(enum.Enum):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniform-grid time series of states plus scalar diagnostics."""
+    """Uniform-grid time series of states plus scalar diagnostics.
+
+    ``full`` holds one composite-space state per grid time, shape
+    (n_times, prod(dims)). Component runs also keep ``components``, the
+    stacked subsystem kets concat(a_1, ..., a_N), shape (n_times, sum(dims)).
+    Both arrays are stored read-only.
+    """
 
     times: np.ndarray
-    component_states: list[ComponentState] | None = None
-    full_states: list[FullState] | None = None
+    dims: tuple[int, ...] = ()
+    full: np.ndarray | None = None
+    components: np.ndarray | None = None
     diagnostics: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -46,16 +54,34 @@ class Trajectory:
                 raise ValueError("times must be strictly increasing")
             if np.max(np.abs(spacings - spacings[0])) > 1e-9 * max(1.0, abs(spacings[0])):
                 raise ValueError("times must be uniformly spaced")
-        for name, stored in (
-            ("component_states", self.component_states),
-            ("full_states", self.full_states),
-        ):
-            if stored is not None and len(stored) != times.size:
-                raise ValueError(f"{name} length does not match times")
+        dims = tuple(int(d) for d in self.dims)
+        for name, width in (("full", prod(dims)), ("components", sum(dims))):
+            stored = getattr(self, name)
+            if stored is None:
+                continue
+            if not dims:
+                raise ValueError(f"{name} needs the subsystem dims")
+            stored = np.asarray(stored, dtype=complex)
+            if stored.shape != (times.size, width):
+                raise ValueError(
+                    f"{name} has shape {stored.shape}, expected {(times.size, width)}"
+                )
+            if not np.all(np.isfinite(stored)):
+                raise ValueError(f"{name} amplitudes must be finite")
+            stored.setflags(write=False)
+            object.__setattr__(self, name, stored)
         for key, series in self.diagnostics.items():
             if np.asarray(series).shape[0] != times.size:
                 raise ValueError(f"diagnostic '{key}' length does not match times")
         object.__setattr__(self, "times", times)
+        object.__setattr__(self, "dims", dims)
+
+    @classmethod
+    def from_components(cls, times, components: np.ndarray, dims) -> "Trajectory":
+        """A component run: its rows, their tensor products and the full-state norm."""
+        full = tensor_product_rows(components, dims)
+        return cls(times, dims, full=full, components=components,
+                   diagnostics={"norm": np.linalg.norm(full, axis=1)})
 
     @property
     def dt(self) -> float:
@@ -158,7 +184,7 @@ def evolve(scheme: SplittingScheme, H: HermitianOperator, state0: ComponentState
            dt: float, steps: int) -> Trajectory:
     """Iterate a splitting step map and record the trajectory.
 
-    Stores the component states, their tensor-product reconstructions, and
+    Stores the stacked components, their tensor-product reconstructions, and
     the per-step norm of the reconstructed full state.
     """
     if steps < 1:
@@ -166,17 +192,12 @@ def evolve(scheme: SplittingScheme, H: HermitianOperator, state0: ComponentState
     if dt <= 0:
         raise ValueError("dt must be positive")
     step_map = _STEP_MAPS[scheme]
-    components = [state0]
-    fulls = [tensor_product(state0)]
+    rows = [np.concatenate(state0.vectors())]
     state = state0
     for _ in range(steps):
         state = step_map(H, state, dt)
-        components.append(state)
-        fulls.append(tensor_product(state))
-    times = dt * np.arange(steps + 1)
-    norms = np.array([f.norm() for f in fulls])
-    return Trajectory(times, component_states=components, full_states=fulls,
-                      diagnostics={"norm": norms})
+        rows.append(np.concatenate(state.vectors()))
+    return Trajectory.from_components(dt * np.arange(steps + 1), np.stack(rows), state0.dims)
 
 
 def se_evolve(H: HermitianOperator, psi0: FullState, dt: float, steps: int) -> Trajectory:
@@ -188,6 +209,5 @@ def se_evolve(H: HermitianOperator, psi0: FullState, dt: float, steps: int) -> T
     propagator = HermitianPropagator(H)
     times = dt * np.arange(steps + 1)
     grid = propagator.states_on_grid(psi0.amplitudes, times)
-    fulls = [FullState(row, psi0.dims) for row in grid]
-    norms = np.array([f.norm() for f in fulls])
-    return Trajectory(times, full_states=fulls, diagnostics={"norm": norms})
+    return Trajectory(times, psi0.dims, full=grid,
+                      diagnostics={"norm": np.linalg.norm(grid, axis=1)})

@@ -151,6 +151,15 @@ def tensor_product(state: ComponentState) -> FullState:
     return FullState(out, state.dims)
 
 
+def tensor_product_rows(components: np.ndarray, dims) -> np.ndarray:
+    """Row-wise ``tensor_product`` of stacked components, (T, sum(dims)) -> (T, prod(dims))."""
+    bounds = np.cumsum((0,) + tuple(dims))
+    out = components[:, bounds[0] : bounds[1]]
+    for lo, hi in zip(bounds[1:-1], bounds[2:]):
+        out = (out[:, :, None] * components[:, None, lo:hi]).reshape(len(components), -1)
+    return out
+
+
 def inner(x, y) -> complex:
     """Inner product, conjugate-linear in the first argument."""
     xv = x.amplitudes if hasattr(x, "amplitudes") else np.asarray(x, dtype=complex)

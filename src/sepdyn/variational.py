@@ -440,12 +440,6 @@ class DiscreteTrajectory:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "points", points)
 
-    def component_states(self) -> list[ComponentState]:
-        if self.dims is None:
-            raise ValueError("trajectory does not store component runs")
-        layout = ComponentLayout(self.dims)
-        return [layout.to_state(row) for row in self.points]
-
 
 def _run_recursion(Ld: DiscreteLagrangian, x0: np.ndarray, x1: np.ndarray,
                    steps: int, dims, blowup_factor: float | None) -> DiscreteTrajectory:

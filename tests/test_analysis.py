@@ -1,8 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sepdyn.analysis import (
-    DiagnosticsSeries,
     convergence_order,
     overlap_series,
     purity_series,
@@ -11,7 +12,7 @@ from sepdyn.analysis import (
 from sepdyn.exact_swap import SwapInitialData, exact_se_swap, exact_sse_swap
 from sepdyn.hamiltonians import local_sum_hamiltonian, random_hermitian, swap_hamiltonian
 from sepdyn.propagators import SplittingScheme, Trajectory, evolve, se_evolve
-from sepdyn.states import ComponentState, FullState, nuclear_norm, tensor_product
+from sepdyn.states import ComponentState, nuclear_norm, tensor_product
 
 from conftest import random_ket
 from test_reduced import random_local
@@ -27,13 +28,31 @@ def swap_trajectories(fig1_state, dt=0.01, steps=100):
 def exact_trajectories(fig1_state, times):
     """Full-state trajectories built from the closed forms only."""
     data = SwapInitialData(fig1_state.parts[0], fig1_state.parts[1])
-    se_states = [exact_se_swap(data, t) for t in times]
-    sse_states = [tensor_product(exact_sse_swap(data, t)) for t in times]
+    se_states = np.stack([exact_se_swap(data, t).amplitudes for t in times])
+    sse_states = np.stack([tensor_product(exact_sse_swap(data, t)).amplitudes
+                           for t in times])
     dims = (2, 2)
     return (
-        Trajectory(times, full_states=se_states),
-        Trajectory(times, full_states=sse_states),
+        Trajectory(times, dims, full=se_states),
+        Trajectory(times, dims, full=sse_states),
     )
+
+
+def svd_rate_oracle(states, dt):
+    """Nuclear norms of the finite-difference projector derivative by SVD.
+
+    Uses the centred difference inside and one-sided ones at both ends.
+    |a><a| - |b><b| is formed as |d><b| + |b><d| + |d><d| with d = a - b, so
+    the O(dt) difference is not left over from subtracting O(1) projectors.
+    """
+    later = np.concatenate([states[1:2], states[2:], states[-1:]])
+    earlier = np.concatenate([states[:1], states[:-2], states[-2:-1]])
+    spans = np.concatenate([[dt], np.full(len(states) - 2, 2.0 * dt), [dt]])
+    d = later - earlier
+    diff = (np.einsum("ti,tj->tij", d, earlier.conj())
+            + np.einsum("ti,tj->tij", earlier, d.conj())
+            + np.einsum("ti,tj->tij", d, d.conj()))
+    return np.linalg.svd(diff, compute_uv=False).sum(axis=1) / spans
 
 
 class TestOverlapSeries:
@@ -82,8 +101,8 @@ class TestOverlapSeries:
 
 class TestRateOfChangeNuclear:
     def test_constant_trajectory_is_zero(self, rng):
-        psi = FullState(random_ket(rng, 4).amplitudes, (2, 2))
-        traj = Trajectory(0.1 * np.arange(5), full_states=[psi] * 5)
+        psi = random_ket(rng, 4).amplitudes
+        traj = Trajectory(0.1 * np.arange(5), (2, 2), full=np.stack([psi] * 5))
         assert np.allclose(rate_of_change_nuclear(traj, 0.1), 0.0)
 
     def test_matches_commutator_oracle_for_unitary_flow(self, fig1_state):
@@ -94,7 +113,7 @@ class TestRateOfChangeNuclear:
         traj = se_evolve(H, tensor_product(fig1_state), dt, steps)
         rates = rate_of_change_nuclear(traj, dt)
         mid = steps // 2
-        psi = traj.full_states[mid].amplitudes
+        psi = traj.full[mid]
         rho = np.outer(psi, psi.conj())
         commutator = -1j * (H.entries @ rho - rho @ H.entries)
         assert rates[mid] == pytest.approx(nuclear_norm(commutator), abs=5 * dt**2)
@@ -110,20 +129,51 @@ class TestRateOfChangeNuclear:
         H = swap_hamiltonian(2)
         dt, steps = 0.01, 60
         traj = se_evolve(H, tensor_product(fig1_state), dt, steps)
-        phased = [
-            FullState(np.exp(1j * np.sin(t)) * s.amplitudes, s.dims)
-            for t, s in zip(traj.times, traj.full_states)
-        ]
-        traj_phased = Trajectory(traj.times, full_states=phased)
+        phased = np.exp(1j * np.sin(traj.times))[:, None] * traj.full
+        traj_phased = Trajectory(traj.times, traj.dims, full=phased)
         assert np.allclose(
             rate_of_change_nuclear(traj, dt),
             rate_of_change_nuclear(traj_phased, dt),
             atol=1e-10,
         )
 
+    @pytest.mark.parametrize("dim", [4, 27, 32])
+    @pytest.mark.parametrize("dt", [1e-1, 1e-3, 1e-6])
+    def test_closed_form_matches_svd_oracle(self, rng, dim, dt):
+        # Smooth, unnormalized rows: at small dt neighbours nearly coincide.
+        times = dt * np.arange(9)
+        start, velocity, accel = (rng.standard_normal((3, dim))
+                                  + 1j * rng.standard_normal((3, dim)))
+        states = start + times[:, None] * velocity + times[:, None] ** 2 * accel
+        traj = Trajectory(times, (dim,), full=states)
+        rates = rate_of_change_nuclear(traj, dt)
+        expected = svd_rate_oracle(states, dt)
+        assert np.max(np.abs(rates - expected) / expected) <= 1e-10
+
+    def test_closed_form_matches_svd_oracle_on_unrelated_rows(self, rng):
+        states = rng.standard_normal((6, 32)) + 1j * rng.standard_normal((6, 32))
+        traj = Trajectory(0.5 * np.arange(6), (2,) * 5, full=states)
+        expected = svd_rate_oracle(states, 0.5)
+        rates = rate_of_change_nuclear(traj, 0.5)
+        assert np.max(np.abs(rates - expected) / expected) <= 1e-10
+
+    def test_memory_is_linear_in_the_trajectory_size(self, rng):
+        # A (T, D, D) projector stack would take D = 1024 times the limit.
+        n_times, dim = 1001, 1024
+        states = (rng.standard_normal((n_times, dim))
+                  + 1j * rng.standard_normal((n_times, dim)))
+        traj = Trajectory(1e-3 * np.arange(n_times), (2,) * 10, full=states)
+        tracemalloc.start()
+        try:
+            rate_of_change_nuclear(traj, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * n_times * dim * 16
+
     def test_needs_three_points(self, rng):
-        psi = FullState(random_ket(rng, 4).amplitudes, (2, 2))
-        traj = Trajectory(np.array([0.0, 0.1]), full_states=[psi, psi])
+        psi = random_ket(rng, 4).amplitudes
+        traj = Trajectory(np.array([0.0, 0.1]), (2, 2), full=np.stack([psi, psi]))
         with pytest.raises(ValueError):
             rate_of_change_nuclear(traj, 0.1)
 
@@ -135,13 +185,14 @@ class TestPuritySeries:
             assert np.max(np.abs(purity_series(sse, j) - 1.0)) < 1e-10
 
     def test_half_swapped_state_is_maximally_mixed(self):
-        bell_like = FullState(np.array([0, 1, -1j, 0]) / np.sqrt(2), (2, 2))
-        traj = Trajectory(np.array([0.0]), full_states=[bell_like])
+        bell_like = np.array([0, 1, -1j, 0]) / np.sqrt(2)
+        traj = Trajectory(np.array([0.0]), (2, 2), full=bell_like[None, :])
         assert purity_series(traj, 0)[0] == pytest.approx(0.5)
         assert purity_series(traj, 1)[0] == pytest.approx(0.5)
 
     def test_product_basis_state(self, fig1_state):
-        traj = Trajectory(np.array([0.0]), full_states=[tensor_product(fig1_state)])
+        traj = Trajectory(np.array([0.0]), (2, 2),
+                          full=tensor_product(fig1_state).amplitudes[None, :])
         assert purity_series(traj, 0)[0] == pytest.approx(1.0)
 
 
@@ -161,9 +212,7 @@ class TestConvergenceOrder:
         for dt in dts:
             traj = evolve(SplittingScheme.LIE_TROTTER, H, fig1_state, dt,
                           int(round(1.0 / dt)))
-            vec = np.concatenate(
-                [p.amplitudes for p in traj.component_states[-1].parts]
-            )
+            vec = traj.components[-1]
             errors.append(np.linalg.norm(vec - exact_vec))
         assert convergence_order(dts, errors) == pytest.approx(1.0, abs=0.1)
 
@@ -174,13 +223,3 @@ class TestConvergenceOrder:
             convergence_order([0.1, 0.05, -0.01], [1.0, 0.5, 0.1])
         with pytest.raises(ValueError):
             convergence_order([0.1, 0.05, 0.02], [1.0, 0.5, 0.0])
-
-
-class TestDiagnosticsSeries:
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            DiagnosticsSeries(np.arange(3.0), {"x": np.ones(4)})
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            DiagnosticsSeries(np.arange(3.0), {"x": np.array([1.0, np.inf, 0.0])})

@@ -153,7 +153,7 @@ class TestLieTrotterStep:
             flow = HermitianOperator(local.entries, (2,))
             for i in (10, 25, 40):
                 exact = hermitian_expm_apply(flow, dt * i, state.parts[j])
-                num = traj.component_states[i].parts[j].amplitudes
+                num = traj.components[i, 2 * j : 2 * j + 2]
                 p_num = np.outer(num, num.conj())
                 p_exa = np.outer(exact.amplitudes, exact.amplitudes.conj())
                 assert np.max(np.abs(p_num - p_exa)) < 1e-10
@@ -197,7 +197,7 @@ class TestEvolve:
         for i in (0, 500, 1000, 2000):
             exact = exact_sse_swap(data, traj.times[i])
             worst = max(worst, np.max(np.abs(
-                stacked(traj.component_states[i]) - stacked(exact))))
+                traj.components[i] - stacked(exact))))
         assert worst < 5e-3
 
     def test_rejects_zero_steps(self, fig1_state):
@@ -209,8 +209,8 @@ class TestEvolve:
         H = HermitianOperator(np.zeros((4, 4)), (2, 2))
         state = ComponentState((random_ket(rng), random_ket(rng)))
         traj = evolve(SplittingScheme.STRANG, H, state, 0.5, 8)
-        for recorded in traj.component_states:
-            assert np.allclose(stacked(recorded), stacked(state))
+        for recorded in traj.components:
+            assert np.allclose(recorded, stacked(state))
 
     def test_norm_and_transition_amplitude_conserved(self, rng):
         H = swap_hamiltonian(2)
@@ -218,10 +218,10 @@ class TestEvolve:
         state = ComponentState((a, b))
         traj = evolve(SplittingScheme.LIE_TROTTER, H, state, 0.01, 400)
         q0 = inner(a, b)
-        for recorded in traj.component_states[::50]:
-            assert abs(np.linalg.norm(recorded.parts[0].amplitudes) - 1) < 1e-12
-            assert abs(np.linalg.norm(recorded.parts[1].amplitudes) - 1) < 1e-12
-            assert abs(inner(recorded.parts[0], recorded.parts[1]) - q0) < 1e-12
+        for recorded in traj.components[::50]:
+            assert abs(np.linalg.norm(recorded[:2]) - 1) < 1e-12
+            assert abs(np.linalg.norm(recorded[2:]) - 1) < 1e-12
+            assert abs(inner(recorded[:2], recorded[2:]) - q0) < 1e-12
         assert np.max(np.abs(traj.diagnostics["norm"] - 1.0)) < 1e-12
 
     @pytest.mark.parametrize(
@@ -236,7 +236,7 @@ class TestEvolve:
         errors = []
         for dt in dts:
             traj = evolve(scheme, H, fig1_state, dt, int(round(1.0 / dt)))
-            errors.append(np.linalg.norm(stacked(traj.component_states[-1]) - exact))
+            errors.append(np.linalg.norm(traj.components[-1] - exact))
         slope = np.polyfit(np.log(dts), np.log(errors), 1)[0]
         assert abs(slope - order) < 0.1
 
@@ -247,7 +247,7 @@ class TestEvolve:
         traj = evolve(SplittingScheme.STRANG, H, state, 0.3, 20)
         for j, local in enumerate((h1, h2)):
             exact = hermitian_expm_apply(local, 0.3 * 20, state.parts[j])
-            num = traj.component_states[-1].parts[j].amplitudes
+            num = traj.components[-1, 2 * j : 2 * j + 2]
             p_num = np.outer(num, num.conj())
             p_exa = np.outer(exact.amplitudes, exact.amplitudes.conj())
             assert np.max(np.abs(p_num - p_exa)) < 1e-10
@@ -260,8 +260,7 @@ class TestSeEvolve:
         traj = se_evolve(H, psi0, 0.2, 10)
         for i in (0, 3, 10):
             direct = se_flow(H, traj.times[i], psi0)
-            assert np.max(np.abs(traj.full_states[i].amplitudes
-                                 - direct.amplitudes)) < 1e-12
+            assert np.max(np.abs(traj.full[i] - direct.amplitudes)) < 1e-12
 
 
 class TestTrajectoryValidation:
@@ -272,6 +271,24 @@ class TestTrajectoryValidation:
     def test_rejects_decreasing_times(self):
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, -0.1, -0.2]))
+
+    def test_rejects_mismatched_states(self):
+        with pytest.raises(ValueError):
+            Trajectory(np.array([0.0, 0.1]), (2, 2), full=np.ones((3, 4)))
+        with pytest.raises(ValueError):
+            Trajectory(np.array([0.0, 0.1]), (2, 2), components=np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            Trajectory(np.array([0.0, 0.1]), full=np.ones((2, 4)))
+
+    def test_components_imply_full_state(self, rng):
+        rows = np.stack([stacked(ComponentState((random_ket(rng), random_ket(rng))))
+                         for _ in range(3)])
+        traj = Trajectory.from_components(np.arange(3.0), rows, (2, 2))
+        for row, full in zip(rows, traj.full):
+            expected = tensor_product(ComponentState((Ket(row[:2]), Ket(row[2:]))))
+            assert np.array_equal(full, expected.amplitudes)
+        assert np.allclose(traj.diagnostics["norm"], np.linalg.norm(traj.full, axis=1))
+        assert not traj.full.flags.writeable
 
     def test_rejects_mismatched_series(self):
         with pytest.raises(ValueError):

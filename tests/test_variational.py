@@ -80,7 +80,9 @@ class TestSeLagrangian:
         # se_lagrangian consumes HermitianOperator; the type itself enforces
         # symmetry, so only a forged instance can carry a bad matrix.
         L = se_lagrangian(bad)
-        psi = np.array([1.0, 0.0], dtype=complex)
+        # The witness needs weight on both basis states: for [1, 0] the
+        # value is -M[0, 0] = 0. Here it is -conj(psi_0) M[0, 1] psi_1 = -i/2.
+        psi = np.array([1.0, 1j], dtype=complex) / np.sqrt(2.0)
         value = L.evaluate(psi, psi.conj(), 0 * psi, 0 * psi)
         assert abs(value.imag) > 0  # loses the reality property
 
