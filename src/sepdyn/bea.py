@@ -14,9 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import swap_hamiltonian
 from .propagators import SplittingScheme
-from .reduced import contract_reduced
 
 TROTTER_ORDERS = (0, 1, 2)
 STRANG_ORDERS = (0, 2)
@@ -96,38 +94,6 @@ class ModifiedRHS:
         else:
             da, db = strang_modified_rhs(self.truncation_order, self.dt, a, b)
         return np.concatenate([da, db])
-
-
-def modified_hamiltonian(q: complex, dt: float) -> np.ndarray:
-    """Step-size-dependent effective generator behind the sequential scheme.
-
-    A complex combination of the exchange operator and the identity on two
-    qubits, truncated at dt^2; not Hermitian for dt > 0. The transition
-    amplitude enters as a fixed parameter.
-    """
-    mod_q2 = abs(q) ** 2
-    swap = swap_hamiltonian(2).entries
-    coeff = 1.0 - 0.5j * dt + dt**2 / 6.0 * (mod_q2 - 1.0)
-    return coeff * swap + 0.5j * dt * mod_q2 * np.eye(4, dtype=complex)
-
-
-def modified_hamiltonian_sse_rhs(q: complex, dt: float, a: np.ndarray, b: np.ndarray):
-    """Restricted vector field generated by the modified operator.
-
-    The component that the sequential scheme updates first evolves under the
-    reduction of the modified operator itself; the component updated second
-    evolves under the reduction of its adjoint. (The scheme is not symmetric
-    under exchanging the components, and for a non-self-adjoint generator the
-    two Euler-Lagrange equations of the time-dependent pairing are no longer
-    complex conjugates, which is exactly this adjoint split.)
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    h_mod = modified_hamiltonian(q, dt)
-    dims = (a.size, b.size)
-    red_a = contract_reduced(h_mod, [a, b], 0, dims) / np.real(np.vdot(b, b))
-    red_b = contract_reduced(h_mod.conj().T, [a, b], 1, dims) / np.real(np.vdot(a, a))
-    return -1j * (red_a @ a), -1j * (red_b @ b)
 
 
 @dataclass(frozen=True)

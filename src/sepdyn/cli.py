@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -62,6 +63,21 @@ class ConfigError(ValueError):
     """The run configuration is malformed or inconsistent."""
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: bools are ints in Python but not in a config."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A JSON number that is not a bool and is finite as a double."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the double range
+        return False
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -102,35 +118,42 @@ class ExperimentConfig:
                 f"integrator '{self.integrator}' is not available for "
                 f"experiment '{self.experiment}'"
             )
-        if not (isinstance(self.dt, (int, float)) and self.dt > 0):
-            raise ConfigError("dt must be positive")
-        if not (isinstance(self.t_final, (int, float)) and self.t_final > 0):
-            raise ConfigError("t_final must be positive")
+        if not (_is_real(self.dt) and self.dt > 0):
+            raise ConfigError("dt must be a positive number")
+        if not (_is_real(self.t_final) and self.t_final > 0):
+            raise ConfigError("t_final must be a positive number")
         if self.t_final < self.dt:
             raise ConfigError("t_final must be at least dt")
+        if not isinstance(self.out_path, str):
+            raise ConfigError("out_path must be a string")
         if self.integrator.startswith("var_"):
             if self.alpha is None:
                 raise ConfigError("variational runs require 'alpha'")
-            if not 0.0 <= float(self.alpha) <= 1.0:
-                raise ConfigError("alpha must lie in [0, 1]")
-        if self.experiment == "random5" and self.seed is None:
-            raise ConfigError("the random5 experiment requires 'seed'")
+            if not (_is_real(self.alpha) and 0.0 <= self.alpha <= 1.0):
+                raise ConfigError("alpha must be a number in [0, 1]")
+        if self.experiment == "random5":
+            if self.seed is None:
+                raise ConfigError("the random5 experiment requires 'seed'")
+            if not (_is_int(self.seed) and self.seed >= 0):
+                raise ConfigError("seed must be a non-negative integer")
         if self.experiment == "ladder":
-            if self.r_party not in (1, 2, 3):
+            if not (_is_int(self.r_party) and self.r_party in (1, 2, 3)):
                 raise ConfigError("the ladder experiment requires r_party in {1, 2, 3}")
         if self.integrator == "bea_truncation":
             if self.bea_scheme not in ("lie_trotter", "strang"):
                 raise ConfigError("bea_scheme must be 'lie_trotter' or 'strang'")
             orders = bea.TROTTER_ORDERS if self.bea_scheme == "lie_trotter" else bea.STRANG_ORDERS
-            if self.bea_order not in orders:
+            if not (_is_int(self.bea_order) and self.bea_order in orders):
                 raise ConfigError(f"bea_order must be one of {orders} for {self.bea_scheme}")
+        if not isinstance(self.outputs, list):
+            raise ConfigError(f"outputs must be a list drawn from {OUTPUT_NAMES}")
         for name in self.outputs:
             if name not in OUTPUT_NAMES:
                 raise ConfigError(f"unknown output '{name}'; allowed: {OUTPUT_NAMES}")
-        if sorted(self.gellmann_projection) != sorted(set(self.gellmann_projection)) or any(
-            not 0 <= int(i) < 8 for i in self.gellmann_projection
-        ) or len(self.gellmann_projection) != 3:
-            raise ConfigError("gellmann_projection must be three distinct indices in 0..7")
+        picks = self.gellmann_projection
+        if not (isinstance(picks, list) and len(picks) == 3
+                and all(_is_int(i) and 0 <= i < 8 for i in picks) and len(set(picks)) == 3):
+            raise ConfigError("gellmann_projection must be three distinct integers in 0..7")
         self._parse_initial_state()
 
     def _parse_initial_state(self) -> ComponentState:
@@ -145,13 +168,13 @@ class ExperimentConfig:
                 raise ConfigError(f"initial_state[{j}] must have {d} amplitudes")
             amps = []
             for entry in raw_vec:
-                if isinstance(entry, (int, float)):
+                if _is_real(entry):
                     amps.append(complex(entry))
-                elif isinstance(entry, list) and len(entry) == 2:
+                elif isinstance(entry, list) and len(entry) == 2 and all(map(_is_real, entry)):
                     amps.append(complex(entry[0], entry[1]))
                 else:
                     raise ConfigError(
-                        "amplitudes must be numbers or [re, im] pairs"
+                        "amplitudes must be finite numbers or [re, im] pairs"
                     )
             vec = np.asarray(amps)
             if np.linalg.norm(vec) < 1e-12:
@@ -173,8 +196,8 @@ def build_hamiltonian(config: ExperimentConfig) -> HermitianOperator:
     if config.experiment == "swap":
         return swap_hamiltonian(2)
     if config.experiment == "random5":
-        return random_hermitian(5, int(config.seed))
-    return correlator_hamiltonian(r_party_eta(int(config.r_party)))
+        return random_hermitian(5, config.seed)
+    return correlator_hamiltonian(r_party_eta(config.r_party))
 
 
 @dataclass
@@ -202,7 +225,15 @@ def _variational_run(config, H, state0) -> RunResult:
             "time_reached": float(discrete.times[-1]),
         }
     traj = Trajectory.from_components(discrete.times, discrete.points, state0.dims)
-    return RunResult(traj, {"kind": "newton", "tolerance": variational.NEWTON_TOL}, blowup)
+    iterations = discrete.newton_iterations
+    stats = {
+        "kind": "newton",
+        "tolerance": variational.NEWTON_TOL,
+        "newton_solves": int(iterations.size),
+        "newton_iterations": int(iterations.sum()),
+        "max_newton_iterations": int(iterations.max()),
+    }
+    return RunResult(traj, stats, blowup)
 
 
 def _bea_run(config, state0) -> RunResult:
@@ -365,18 +396,34 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
         except json.JSONDecodeError:
             value = text
         target = raw
-        parts = key.split(".")
-        for part in parts[:-1]:
+        *path, leaf = key.split(".")
+        for part in path:
             if isinstance(target, list):
-                target = target[int(part)]
-            else:
+                target = target[_list_index(target, part, key)]
+            elif isinstance(target, dict):
                 target = target.setdefault(part, {})
-        leaf = parts[-1]
+            else:
+                raise ConfigError(f"override '{key}': '{part}' is not inside an object or list")
         if isinstance(target, list):
-            target[int(leaf)] = value
-        else:
+            target[_list_index(target, leaf, key)] = value
+        elif isinstance(target, dict):
             target[leaf] = value
+        else:
+            raise ConfigError(f"override '{key}': '{leaf}' is not inside an object or list")
     return raw
+
+
+def _list_index(items: list, part: str, key: str) -> int:
+    """``part`` of an override path as a valid index into ``items``."""
+    try:
+        index = int(part)
+    except ValueError:
+        raise ConfigError(f"override '{key}': '{part}' is not a list index") from None
+    if not -len(items) <= index < len(items):
+        raise ConfigError(
+            f"override '{key}': index {index} is out of range for a list of {len(items)}"
+        )
+    return index
 
 
 def load_config(path: Path, overrides: list[str]) -> ExperimentConfig:

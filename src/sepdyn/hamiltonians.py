@@ -13,7 +13,7 @@ from math import prod
 
 import numpy as np
 
-HERMITIAN_TOL = 1e-12
+from .states import HERMITIAN_TOL
 
 
 @dataclass(frozen=True)

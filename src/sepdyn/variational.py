@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .hamiltonians import HermitianOperator
-from .states import ComponentState, Ket
+from .states import ComponentState, Ket, kron
 
 NEWTON_TOL = 1e-12
 NEWTON_MAXITER = 50
@@ -49,18 +49,21 @@ class BlowupError(RuntimeError):
 class FirstOrderLagrangian:
     """Scalar function of (psi, psibar, dpsi, dpsibar) with analytic gradients.
 
-    ``gradient`` returns the four holomorphic partial derivatives, one block
-    per argument, in the same order. ``second_blocks``, when provided,
-    returns the 4x4 grid of second-derivative matrices T[i][j] = d(g_i)/d(arg_j)
-    (None for zero blocks); quadratic Lagrangians can supply it so Newton
-    solves get exact Jacobians.
+    ``gradient`` returns the holomorphic partial derivatives in psi and dpsi,
+    (dL/dpsi, dL/d(dpsi)): the only two blocks the discrete stationarity
+    equations and the momentum use. The psibar blocks are their complex
+    conjugates on conjugate-consistent arguments and are never formed.
+    ``second_blocks``, when provided, returns the matching two rows of
+    second-derivative matrices T[i][j] = d(g_i)/d(arg_j), i indexing
+    (dL/dpsi, dL/d(dpsi)) and j the four arguments (None for zero blocks);
+    quadratic Lagrangians can supply it so Newton solves get exact Jacobians.
     """
 
     dim: int
     evaluate: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], complex]
     gradient: Callable[
         [np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        tuple[np.ndarray, np.ndarray],
     ]
     second_blocks: Callable | None = None
 
@@ -77,17 +80,13 @@ def se_lagrangian(H: HermitianOperator) -> FirstOrderLagrangian:
 
     def gradient(psi, psibar, dpsi, dpsibar):
         g_psi = -0.5j * dpsibar - mat.T @ psibar
-        g_psibar = 0.5j * dpsi - mat @ psi
         g_dpsi = 0.5j * psibar
-        g_dpsibar = -0.5j * psi
-        return g_psi, g_psibar, g_dpsi, g_dpsibar
+        return g_psi, g_dpsi
 
     # Quadratic Lagrangian: constant second derivatives.
     blocks = (
         (None, -mat.T, None, -0.5j * eye),
-        (-mat, None, 0.5j * eye, None),
         (None, 0.5j * eye, None, None),
-        (-0.5j * eye, None, None, None),
     )
 
     def second_blocks(psi, psibar, dpsi, dpsibar):
@@ -129,19 +128,12 @@ class ComponentLayout:
         return ComponentState(tuple(Ket(p) for p in self.split(x)), self.dims)
 
 
-def _kron_all(parts) -> np.ndarray:
-    out = parts[0]
-    for p in parts[1:]:
-        out = np.kron(out, p)
-    return out
-
-
 def _product_velocity(parts, velocities) -> np.ndarray:
     """Derivative of a product state: sum over slots of the one-slot velocity."""
     total = None
     for j in range(len(parts)):
         factors = [velocities[j] if i == j else parts[i] for i in range(len(parts))]
-        term = _kron_all(factors)
+        term = kron(factors)
         total = term if total is None else total + term
     return total
 
@@ -162,61 +154,49 @@ def _contract_all_but(g: np.ndarray, vectors, k: int, dims) -> np.ndarray:
 
 
 def separable_lagrangian(L: FirstOrderLagrangian, dims) -> FirstOrderLagrangian:
-    """Pull a Lagrangian on the product space back to stacked component variables."""
+    """Pull a Lagrangian on the product space back to stacked component variables.
+
+    The pulled-back ``gradient`` keeps the two-block contract: it returns
+    (dL/dx, dL/d(xdot)) in the stacked component variables, by the chain rule
+    through the product state and its velocity. ``L`` must be sesquilinear,
+    as ``se_lagrangian`` is: its two blocks read only the barred arguments,
+    so only the barred product state and velocity are formed, and the
+    unbarred components enter only through the contractions.
+    """
     layout = ComponentLayout(tuple(dims))
     if L.dim != prod(layout.dims):
         raise ValueError(f"Lagrangian dimension {L.dim} does not match dims {dims}")
     n = len(layout.dims)
 
-    def assemble(x, xbar, xdot, xbardot):
+    def product_and_velocity(x, xdot):
         parts = layout.split(x)
-        bparts = layout.split(xbar)
-        dparts = layout.split(xdot)
-        bdparts = layout.split(xbardot)
-        psi = _kron_all(parts)
-        psibar = _kron_all(bparts)
-        dpsi = _product_velocity(parts, dparts)
-        dpsibar = _product_velocity(bparts, bdparts)
-        return parts, bparts, dparts, bdparts, psi, psibar, dpsi, dpsibar
+        return kron(parts), _product_velocity(parts, layout.split(xdot))
 
     def evaluate(x, xbar, xdot, xbardot):
-        _, _, _, _, psi, psibar, dpsi, dpsibar = assemble(x, xbar, xdot, xbardot)
+        psi, dpsi = product_and_velocity(x, xdot)
+        psibar, dpsibar = product_and_velocity(xbar, xbardot)
         return L.evaluate(psi, psibar, dpsi, dpsibar)
 
     def gradient(x, xbar, xdot, xbardot):
-        parts, bparts, dparts, bdparts, psi, psibar, dpsi, dpsibar = assemble(
-            x, xbar, xdot, xbardot
-        )
-        g1, g2, g3, g4 = L.gradient(psi, psibar, dpsi, dpsibar)
+        parts = layout.split(x)
+        dparts = layout.split(xdot)
+        psibar, dpsibar = product_and_velocity(xbar, xbardot)
+        # The product space's psi blocks read only the barred arguments.
+        g_psi, g_dpsi = L.gradient(None, psibar, None, dpsibar)
         dims_t = layout.dims
-        gx, gxbar, gxdot, gxbardot = [], [], [], []
+        gx, gxdot = [], []
         for k in range(n):
             # Position gradient: the product state depends on a_k directly, and
             # the velocity sum depends on a_k through every slot j != k.
-            block = _contract_all_but(g1, parts, k, dims_t)
+            block = _contract_all_but(g_psi, parts, k, dims_t)
             for j in range(n):
                 if j == k:
                     continue
                 mixed = [dparts[j] if i == j else parts[i] for i in range(n)]
-                block = block + _contract_all_but(g3, mixed, k, dims_t)
+                block = block + _contract_all_but(g_dpsi, mixed, k, dims_t)
             gx.append(block)
-
-            block = _contract_all_but(g2, bparts, k, dims_t)
-            for j in range(n):
-                if j == k:
-                    continue
-                mixed = [bdparts[j] if i == j else bparts[i] for i in range(n)]
-                block = block + _contract_all_but(g4, mixed, k, dims_t)
-            gxbar.append(block)
-
-            gxdot.append(_contract_all_but(g3, parts, k, dims_t))
-            gxbardot.append(_contract_all_but(g4, bparts, k, dims_t))
-        return (
-            layout.stack(gx),
-            layout.stack(gxbar),
-            layout.stack(gxdot),
-            layout.stack(gxbardot),
-        )
+            gxdot.append(_contract_all_but(g_dpsi, parts, k, dims_t))
+        return layout.stack(gx), layout.stack(gxdot)
 
     return FirstOrderLagrangian(dim=layout.total, evaluate=evaluate, gradient=gradient)
 
@@ -252,28 +232,15 @@ class DiscreteLagrangian:
         c, cbar, v, vbar = self._interior(x, xbar, y, ybar)
         return self.dt * self.base.evaluate(c, cbar, v, vbar)
 
-    def gradients(self, x, xbar, y, ybar):
-        """All four partials (d1, d2, d3, d4) by the chain rule."""
-        c, cbar, v, vbar = self._interior(x, xbar, y, ybar)
-        g1, g2, g3, g4 = self.base.gradient(c, cbar, v, vbar)
-        a, dt = self.alpha, self.dt
-        d1 = dt * a * g1 - g3
-        d2 = dt * a * g2 - g4
-        d3 = dt * (1.0 - a) * g1 + g3
-        d4 = dt * (1.0 - a) * g2 + g4
-        return d1, d2, d3, d4
-
     def d1(self, x, xbar, y, ybar):
-        return self.gradients(x, xbar, y, ybar)[0]
-
-    def d2(self, x, xbar, y, ybar):
-        return self.gradients(x, xbar, y, ybar)[1]
+        """Partial in the first point x, by the chain rule."""
+        g_psi, g_dpsi = self.base.gradient(*self._interior(x, xbar, y, ybar))
+        return self.dt * self.alpha * g_psi - g_dpsi
 
     def d3(self, x, xbar, y, ybar):
-        return self.gradients(x, xbar, y, ybar)[2]
-
-    def d4(self, x, xbar, y, ybar):
-        return self.gradients(x, xbar, y, ybar)[3]
+        """Partial in the second point y, by the chain rule."""
+        g_psi, g_dpsi = self.base.gradient(*self._interior(x, xbar, y, ybar))
+        return self.dt * (1.0 - self.alpha) * g_psi + g_dpsi
 
     def d1_jacobian(self, x, xbar, y, ybar):
         """Holomorphic/antiholomorphic Jacobians of d1 in its third argument.
@@ -293,19 +260,19 @@ class DiscreteLagrangian:
             return zero if entry is None else entry
 
         # Chain rule: dc/dy = (1-a) I, dv/dy = I/dt, bars analogous.
-        dg1_dy = (1.0 - a) * blk(T[0][0]) + blk(T[0][2]) / dt
-        dg1_dybar = (1.0 - a) * blk(T[0][1]) + blk(T[0][3]) / dt
-        dg3_dy = (1.0 - a) * blk(T[2][0]) + blk(T[2][2]) / dt
-        dg3_dybar = (1.0 - a) * blk(T[2][1]) + blk(T[2][3]) / dt
-        j_y = dt * a * dg1_dy - dg3_dy
-        j_ybar = dt * a * dg1_dybar - dg3_dybar
+        dgpsi_dy = (1.0 - a) * blk(T[0][0]) + blk(T[0][2]) / dt
+        dgpsi_dybar = (1.0 - a) * blk(T[0][1]) + blk(T[0][3]) / dt
+        dgdpsi_dy = (1.0 - a) * blk(T[1][0]) + blk(T[1][2]) / dt
+        dgdpsi_dybar = (1.0 - a) * blk(T[1][1]) + blk(T[1][3]) / dt
+        j_y = dt * a * dgpsi_dy - dgdpsi_dy
+        j_ybar = dt * a * dgpsi_dybar - dgdpsi_dybar
         return j_y, j_ybar
 
 
 def velocity_momentum(L: FirstOrderLagrangian, x: np.ndarray) -> np.ndarray:
     """Conjugate momentum dL/d(dpsi) at (x, conj x); position-only for linear L."""
     zero = np.zeros_like(x)
-    return L.gradient(x, np.conj(x), zero, zero)[2]
+    return L.gradient(x, np.conj(x), zero, zero)[1]
 
 
 def _complex_to_real(z: np.ndarray) -> np.ndarray:
@@ -351,8 +318,9 @@ def newton_solve(residual: Callable[[np.ndarray], np.ndarray], guess: np.ndarray
         else:
             jac = np.empty((m, m))
             base = r
+            sqrt_eps = np.sqrt(np.finfo(float).eps)
             for j in range(m):
-                h = np.sqrt(np.finfo(float).eps) * max(1.0, abs(x[j]))
+                h = sqrt_eps * max(1.0, abs(x[j]))
                 bumped = x.copy()
                 bumped[j] += h
                 jac[:, j] = (real_residual(bumped) - base) / h
@@ -370,10 +338,8 @@ def newton_solve(residual: Callable[[np.ndarray], np.ndarray], guess: np.ndarray
 
 
 def _d1_jacobian_callable(Ld: DiscreteLagrangian, x, xbar):
-    if getattr(Ld, "d1_jacobian", None) is None:
-        return None
-    probe = Ld.d1_jacobian(x, xbar, x, xbar)
-    if probe is None:
+    """Exact Jacobian of d1 in y, or None where only forward differences exist."""
+    if not isinstance(Ld, DiscreteLagrangian) or Ld.base.second_blocks is None:
         return None
 
     def jacobian(y):
@@ -382,9 +348,11 @@ def _d1_jacobian_callable(Ld: DiscreteLagrangian, x, xbar):
     return jacobian
 
 
-def initial_step(Ld: DiscreteLagrangian, psi0: np.ndarray,
-                 tol: float = NEWTON_TOL) -> np.ndarray:
-    """First grid point from momentum matching at the initial time."""
+def initial_step(Ld: DiscreteLagrangian, psi0: np.ndarray, tol: float = NEWTON_TOL):
+    """First grid point from momentum matching at the initial time.
+
+    Returns (psi_1, newton_iterations).
+    """
     psi0 = np.asarray(psi0, dtype=complex)
     p0 = velocity_momentum(Ld.base, psi0)
     bar0 = np.conj(psi0)
@@ -392,10 +360,9 @@ def initial_step(Ld: DiscreteLagrangian, psi0: np.ndarray,
     def residual(y):
         return p0 + Ld.d1(psi0, bar0, y, np.conj(y))
 
-    solution, _ = newton_solve(
+    return newton_solve(
         residual, psi0, tol=tol, jacobian=_d1_jacobian_callable(Ld, psi0, bar0)
     )
-    return solution
 
 
 def del_step(Ld: DiscreteLagrangian, psi_prev: np.ndarray, psi_curr: np.ndarray,
@@ -425,12 +392,15 @@ class DiscreteTrajectory:
 
     ``points`` has shape (n_times, dim); for separable runs the rows are
     stacked component vectors and ``dims`` records the subsystem split.
+    ``newton_iterations[i]``, when recorded, is the Newton iteration count
+    of the solve that produced ``points[i + 1]``.
     """
 
     times: np.ndarray
     points: np.ndarray
     dt: float
     dims: tuple[int, ...] | None = None
+    newton_iterations: np.ndarray | None = None
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -439,38 +409,48 @@ class DiscreteTrajectory:
             raise ValueError("points and times disagree in length")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "points", points)
+        if self.newton_iterations is not None:
+            iterations = np.asarray(self.newton_iterations, dtype=int)
+            if iterations.shape != (times.size - 1,):
+                raise ValueError("newton_iterations needs one count per point after the first")
+            object.__setattr__(self, "newton_iterations", iterations)
 
 
-def _run_recursion(Ld: DiscreteLagrangian, x0: np.ndarray, x1: np.ndarray,
-                   steps: int, dims, blowup_factor: float | None) -> DiscreteTrajectory:
-    """Iterate del_step from (x0, x1), optionally watching for blow-up."""
+def _run_recursion(Ld: DiscreteLagrangian, x0: np.ndarray, start, steps: int, dims,
+                   blowup_factor: float | None) -> DiscreteTrajectory:
+    """Iterate del_step from x0 and ``start`` = (x1, its Newton iterations).
+
+    Optionally watches for blow-up.
+    """
     dt = Ld.dt
+    x1, first_iterations = start
     rows = [np.asarray(x0, dtype=complex), np.asarray(x1, dtype=complex)]
+    iterations = [first_iterations]
     reference = float(np.max(np.abs(rows[0])))
 
-    def make_traj(n_rows):
-        times = dt * np.arange(n_rows)
-        return DiscreteTrajectory(times, np.stack(rows[:n_rows]), dt, dims)
+    def make_traj():
+        times = dt * np.arange(len(rows))
+        return DiscreteTrajectory(times, np.stack(rows), dt, dims, np.array(iterations))
 
     for j in range(1, steps):
         guess = 2.0 * rows[-1] - rows[-2]
         try:
-            nxt, _ = del_step(Ld, rows[-2], rows[-1], guess=guess)
+            nxt, used = del_step(Ld, rows[-2], rows[-1], guess=guess)
         except NewtonConvergenceError:
             if blowup_factor is None:
                 raise
             raise BlowupError(
-                f"solver failure at step {j + 1}, treated as blow-up",
-                make_traj(len(rows)),
+                f"solver failure at step {j + 1}, treated as blow-up", make_traj()
             ) from None
         rows.append(nxt)
+        iterations.append(used)
         if blowup_factor is not None:
             if np.max(np.abs(nxt)) > blowup_factor * reference:
                 raise BlowupError(
                     f"amplitude exceeded {blowup_factor}x initial at step {j + 1}",
-                    make_traj(len(rows)),
+                    make_traj(),
                 )
-    return make_traj(len(rows))
+    return make_traj()
 
 
 def integrate_discrete(Ld: DiscreteLagrangian, psi0: np.ndarray, steps: int,
@@ -479,11 +459,7 @@ def integrate_discrete(Ld: DiscreteLagrangian, psi0: np.ndarray, steps: int,
     if steps < 1:
         raise ValueError("steps must be at least 1")
     x0 = np.asarray(psi0, dtype=complex)
-    x1 = initial_step(Ld, x0)
-    if steps == 1:
-        times = Ld.dt * np.arange(2)
-        return DiscreteTrajectory(times, np.stack([x0, x1]), Ld.dt, dims)
-    return _run_recursion(Ld, x0, x1, steps, dims, blowup_factor)
+    return _run_recursion(Ld, x0, initial_step(Ld, x0), steps, dims, blowup_factor)
 
 
 def integrate_restrict_then_discretize(
@@ -517,7 +493,7 @@ class _SubstitutedDiscreteLagrangian:
 
     def _product(self, x):
         parts = self.layout.split(x)
-        return parts, _kron_all(parts)
+        return parts, kron(parts)
 
     def d1(self, x, xbar, y, ybar):
         parts, psi_x = self._product(x)
@@ -560,11 +536,8 @@ def integrate_discretize_then_restrict(
 
     L_sep = separable_lagrangian(L, state0.dims)
     x0 = layout.stack_state(state0)
-    x1 = initial_step(DiscreteLagrangian(L_sep, alpha, dt), x0)
-    if steps == 1:
-        times = dt * np.arange(2)
-        return DiscreteTrajectory(times, np.stack([x0, x1]), dt, state0.dims)
-    return _run_recursion(substituted, x0, x1, steps, state0.dims, blowup_factor)
+    start = initial_step(DiscreteLagrangian(L_sep, alpha, dt), x0)
+    return _run_recursion(substituted, x0, start, steps, state0.dims, blowup_factor)
 
 
 def substituted_del_step(H: HermitianOperator, alpha: float, dt: float,

@@ -1,8 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
-from sepdyn import cli
+from sepdyn import cli, variational
 from sepdyn.propagators import Trajectory
 
 SWAP_STATE = [[1.0, 0.0], [0.6, [0.0, 0.8]]]
@@ -75,3 +76,85 @@ class TestWriteCsv:
             assert row == [format(float(v), ".17g") for v in expected]
         assert rows[1][3:5] == ["-0", "0"]
         assert rows[1][6] == "4.9406564584124654e-324"
+
+
+def run_with(tmp_path, capsys, overrides=(), **fields):
+    config = {**swap_config(tmp_path / "out" / "run", 0.02), **fields}
+    path = tmp_path / "run.config.json"
+    path.write_text(json.dumps(config))
+    argv = ["run", "--config", str(path)]
+    for item in overrides:
+        argv += ["--override", item]
+    code = cli.main(argv)
+    return code, capsys.readouterr().err
+
+
+FIVE_QUBITS = [[1.0, 0.0]] * 5
+THREE_QUTRITS = [[1.0, 0.0, 0.0]] * 3
+BEA = {"integrator": "bea_truncation", "bea_scheme": "lie_trotter"}
+
+
+class TestConfigErrors:
+    def assert_config_error(self, tmp_path, capsys, overrides=(), **fields):
+        code, err = run_with(tmp_path, capsys, overrides, **fields)
+        assert code == cli.EXIT_CONFIG
+        assert "config error" in err
+        assert not (tmp_path / "out").exists()
+        return err
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"gellmann_projection": ["a", 1, 2]}, "gellmann_projection"),
+        ({"gellmann_projection": [0, 1.5, 2]}, "gellmann_projection"),
+        ({"gellmann_projection": [0, True, 2]}, "gellmann_projection"),
+        # t_final above 1 so dt=true is not rejected for t_final < dt instead.
+        ({"dt": True, "t_final": 2.0}, "dt must be a positive number"),
+        ({"t_final": True}, "t_final"),
+        ({"t_final": float("inf")}, "t_final"),
+        ({"integrator": "var_restrict_first", "alpha": True}, "alpha"),
+        ({"integrator": "var_restrict_first", "alpha": "half"}, "alpha"),
+        ({"experiment": "random5", "initial_state": FIVE_QUBITS, "seed": 1.5}, "seed"),
+        ({"experiment": "random5", "initial_state": FIVE_QUBITS, "seed": True}, "seed"),
+        ({"experiment": "ladder", "initial_state": THREE_QUTRITS, "r_party": True},
+         "r_party"),
+        ({**BEA, "bea_order": True}, "bea_order"),
+        ({"initial_state": [[True, 0.0], [0.0, 1.0]]}, "amplitudes"),
+        ({"initial_state": [[["a", 0.0], 0.0], [0.0, 1.0]]}, "amplitudes"),
+        ({"outputs": 5}, "outputs"),
+        ({"out_path": 5}, "out_path"),
+    ])
+    def test_malformed_field(self, tmp_path, capsys, fields, message):
+        assert message in self.assert_config_error(tmp_path, capsys, **fields)
+
+    @pytest.mark.parametrize("override, message", [
+        ("initial_state.5.0=1", "out of range"),
+        ("initial_state.x.0=1", "not a list index"),
+        ("initial_state.0.9=1", "out of range"),
+        ("dt.x=1", "not inside an object or list"),
+    ])
+    def test_malformed_override(self, tmp_path, capsys, override, message):
+        assert message in self.assert_config_error(tmp_path, capsys, [override])
+
+    def test_valid_override_still_applies(self, tmp_path, capsys):
+        code, _ = run_with(tmp_path, capsys, ["initial_state.1.0=0.8", "dt=0.05"])
+        assert code == cli.EXIT_OK
+        record = json.loads((tmp_path / "out" / "run.json").read_text())
+        assert record["config"]["dt"] == 0.05
+        assert record["config"]["initial_state"][1][0] == 0.8
+
+
+class TestNewtonRecord:
+    def test_solver_block_matches_the_trajectory(self, tmp_path, capsys):
+        code, _ = run_with(tmp_path, capsys, integrator="var_restrict_first", alpha=0.5)
+        assert code == cli.EXIT_OK
+        solver = json.loads((tmp_path / "out" / "run.json").read_text())["solver"]
+        config = cli.ExperimentConfig.from_dict(
+            {**swap_config(tmp_path / "unused", 0.02),
+             "integrator": "var_restrict_first", "alpha": 0.5})
+        state0 = config._parse_initial_state()
+        discrete = variational.integrate_restrict_then_discretize(
+            cli.build_hamiltonian(config), 0.5, 0.02, config.steps(), state0,
+            blowup_factor=cli.BLOWUP_FACTOR)
+        counts = discrete.newton_iterations
+        assert solver["newton_solves"] == config.steps() == counts.size
+        assert solver["newton_iterations"] == int(counts.sum())
+        assert solver["max_newton_iterations"] == int(counts.max())

@@ -15,6 +15,7 @@ from sepdyn.states import (
     nuclear_norm,
     partial_trace,
     tensor_product,
+    tensor_product_rows,
 )
 
 from conftest import random_ket, random_unitary
@@ -68,6 +69,24 @@ class TestTensorProduct:
         expected[0] = 1.0
         assert full.amplitudes.shape == (27,)
         assert np.allclose(full.amplitudes, expected)
+
+    def test_equals_chained_np_kron_bit_for_bit(self, rng):
+        for dims in [(2, 2), (2, 3, 2), (3, 3, 3), (2,) * 5]:
+            parts = [random_ket(rng, d, normalize=False) for d in dims]
+            expected = parts[0].amplitudes
+            for part in parts[1:]:
+                expected = np.kron(expected, part.amplitudes)
+            assert np.array_equal(tensor_product(ComponentState(tuple(parts))).amplitudes,
+                                  expected)
+
+    def test_rows_equal_np_kron_per_row_bit_for_bit(self, rng):
+        dims = (2, 3, 2)
+        components = (rng.standard_normal((6, sum(dims)))
+                      + 1j * rng.standard_normal((6, sum(dims))))
+        full = tensor_product_rows(components, dims)
+        for row, stacked in zip(full, components):
+            a, b, c = np.split(stacked, np.cumsum(dims)[:-1])
+            assert np.array_equal(row, np.kron(np.kron(a, b), c))
 
     @given(a=unit_qubit, b=unit_qubit)
     @settings(max_examples=50, deadline=None)

@@ -9,6 +9,7 @@ from sepdyn.variational import (
     BlowupError,
     ComponentLayout,
     DiscreteLagrangian,
+    DiscreteTrajectory,
     FirstOrderLagrangian,
     NewtonConvergenceError,
     del_step,
@@ -22,6 +23,7 @@ from sepdyn.variational import (
     substituted_del_step,
     velocity_momentum,
 )
+from sepdyn.variational import _SubstitutedDiscreteLagrangian
 
 from conftest import random_ket
 from test_reduced import random_local
@@ -33,18 +35,19 @@ def random_args(rng, dim, count=4):
 
 
 def fd_gradient_check(L, rng, dim, points=10, h=1e-6, rel_tol=1e-6):
-    """Central finite differences against the analytic gradient blocks."""
+    """Central finite differences against the analytic (psi, dpsi) gradient blocks."""
     worst = 0.0
     for _ in range(points):
         args = random_args(rng, dim)
         grads = L.gradient(*args)
-        block = int(rng.integers(0, 4))
+        block = int(rng.integers(0, 2))
+        arg = 2 * block  # psi is argument 0, dpsi argument 2
         comp = int(rng.integers(0, dim))
         for delta in (h, 1j * h):
             plus = [a.copy() for a in args]
-            plus[block][comp] += delta
+            plus[arg][comp] += delta
             minus = [a.copy() for a in args]
-            minus[block][comp] -= delta
+            minus[arg][comp] -= delta
             fd = (L.evaluate(*plus) - L.evaluate(*minus)) / (2 * delta)
             scale = max(1.0, abs(grads[block][comp]))
             worst = max(worst, abs(fd - grads[block][comp]) / scale)
@@ -143,18 +146,136 @@ class TestDiscreteLagrangian:
         h = 1e-6
         for _ in range(10):
             args = random_args(rng, 4)
-            grads = Ld.gradients(*args)
-            block = int(rng.integers(0, 4))
+            grads = (Ld.d1(*args), Ld.d3(*args))
+            block = int(rng.integers(0, 2))
+            arg = 2 * block  # x is argument 0, y argument 2
             comp = int(rng.integers(0, 4))
             for delta in (h, 1j * h):
                 plus = [a.copy() for a in args]
-                plus[block][comp] += delta
+                plus[arg][comp] += delta
                 minus = [a.copy() for a in args]
-                minus[block][comp] -= delta
+                minus[arg][comp] -= delta
                 fd = (Ld.value(*plus) - Ld.value(*minus)) / (2 * delta)
                 assert abs(fd - grads[block][comp]) < 1e-6 * max(
                     1.0, abs(grads[block][comp])
                 )
+
+
+def kron_all(parts):
+    out = parts[0]
+    for p in parts[1:]:
+        out = np.kron(out, p)
+    return out
+
+
+def contract_all_but(g, vectors, k, dims):
+    operands = [g.reshape(dims), list(range(len(dims)))]
+    for j, vec in enumerate(vectors):
+        if j != k:
+            operands.extend([vec, [j]])
+    return np.einsum(*operands, [k])
+
+
+def reference_se_gradient(mat, psi, psibar, dpsi, dpsibar):
+    """All four holomorphic partials of the Schroedinger Lagrangian."""
+    return (-0.5j * dpsibar - mat.T @ psibar, 0.5j * dpsi - mat @ psi,
+            0.5j * psibar, -0.5j * psi)
+
+
+def reference_separable_gradient(mat, dims, x, xbar, xdot, xbardot):
+    """The pulled-back gradient of the full chain rule, built with np.kron.
+
+    Forms every product state and all four product-space blocks, then keeps
+    the component blocks in x and xdot, in the same summation order as the
+    package.
+    """
+    layout = ComponentLayout(dims)
+    parts, bparts = layout.split(x), layout.split(xbar)
+    dparts, bdparts = layout.split(xdot), layout.split(xbardot)
+
+    def velocity(ps, vs):
+        total = None
+        for j in range(len(ps)):
+            term = kron_all([vs[j] if i == j else ps[i] for i in range(len(ps))])
+            total = term if total is None else total + term
+        return total
+
+    g1, _, g3, _ = reference_se_gradient(
+        mat, kron_all(parts), kron_all(bparts), velocity(parts, dparts),
+        velocity(bparts, bdparts))
+    n = len(dims)
+    gx, gxdot = [], []
+    for k in range(n):
+        block = contract_all_but(g1, parts, k, dims)
+        for j in range(n):
+            if j != k:
+                mixed = [dparts[j] if i == j else parts[i] for i in range(n)]
+                block = block + contract_all_but(g3, mixed, k, dims)
+        gx.append(block)
+        gxdot.append(contract_all_but(g3, parts, k, dims))
+    return np.concatenate(gx), np.concatenate(gxdot)
+
+
+def reference_discrete_partials(gradient, alpha, dt, x, xbar, y, ybar):
+    """(d1, d3) of the quadrature by the chain rule through the interior point."""
+    c = alpha * x + (1.0 - alpha) * y
+    cbar = alpha * xbar + (1.0 - alpha) * ybar
+    g1, g3 = gradient(c, cbar, (y - x) / dt, (ybar - xbar) / dt)
+    return dt * alpha * g1 - g3, dt * (1.0 - alpha) * g1 + g3
+
+
+def bit_identity_cases(rng):
+    three = local_sum_hamiltonian([random_local(rng) for _ in range(3)], (2, 2, 2))
+    return [(swap_hamiltonian(2), (2, 2)), (three, (2, 2, 2))]
+
+
+class TestResidualBitIdentity:
+    """d1/d3 equal a np.kron, four-block reference of the chain rule exactly."""
+
+    STEPS = [(0.5, 0.01), (0.3, 0.1)]
+
+    def test_restrict_first_partials(self, rng):
+        for H, dims in bit_identity_cases(rng):
+            mat = H.entries
+
+            def gradient(c, cbar, v, vbar):
+                return reference_separable_gradient(mat, dims, c, cbar, v, vbar)
+
+            for alpha, dt in self.STEPS:
+                Ld = DiscreteLagrangian(
+                    separable_lagrangian(se_lagrangian(H), dims), alpha, dt)
+                for _ in range(5):
+                    x, y = random_args(rng, sum(dims), count=2)
+                    args = (x, np.conj(x), y, np.conj(y))
+                    d1, d3 = reference_discrete_partials(gradient, alpha, dt, *args)
+                    assert np.array_equal(Ld.d1(*args), d1)
+                    assert np.array_equal(Ld.d3(*args), d3)
+
+    def test_discretize_first_partials(self, rng):
+        for H, dims in bit_identity_cases(rng):
+            mat = H.entries
+
+            def gradient(c, cbar, v, vbar):
+                g1, _, g3, _ = reference_se_gradient(mat, c, cbar, v, vbar)
+                return g1, g3
+
+            layout = ComponentLayout(dims)
+            for alpha, dt in self.STEPS:
+                substituted = _SubstitutedDiscreteLagrangian(
+                    DiscreteLagrangian(se_lagrangian(H), alpha, dt), dims)
+                for _ in range(5):
+                    x, y = random_args(rng, sum(dims), count=2)
+                    parts_x, parts_y = layout.split(x), layout.split(y)
+                    psi_x, psi_y = kron_all(parts_x), kron_all(parts_y)
+                    full_d1, full_d3 = reference_discrete_partials(
+                        gradient, alpha, dt, psi_x, np.conj(psi_x), psi_y, np.conj(psi_y))
+                    d1 = np.concatenate([contract_all_but(full_d1, parts_x, k, dims)
+                                         for k in range(len(dims))])
+                    d3 = np.concatenate([contract_all_but(full_d3, parts_y, k, dims)
+                                         for k in range(len(dims))])
+                    args = (x, np.conj(x), y, np.conj(y))
+                    assert np.array_equal(substituted.d1(*args), d1)
+                    assert np.array_equal(substituted.d3(*args), d3)
 
 
 class TestInitialStep:
@@ -162,7 +283,8 @@ class TestInitialStep:
         H0 = HermitianOperator(np.zeros((4, 4)), (2, 2))
         Ld = DiscreteLagrangian(se_lagrangian(H0), 0.5, 0.1)
         psi0 = random_args(rng, 4, count=1)[0]
-        assert np.allclose(initial_step(Ld, psi0), psi0)
+        psi1, _ = initial_step(Ld, psi0)
+        assert np.allclose(psi1, psi0)
 
     def test_midpoint_start_is_third_order_accurate(self, rng):
         H = swap_hamiltonian(2)
@@ -170,7 +292,7 @@ class TestInitialStep:
         psi0 = random_ket(rng, 4).amplitudes
         ratios = []
         for dt in (0.1, 0.05, 0.025):
-            psi1 = initial_step(DiscreteLagrangian(L, 0.5, dt), psi0)
+            psi1, _ = initial_step(DiscreteLagrangian(L, 0.5, dt), psi0)
             exact = hermitian_expm_apply(H, dt, Ket(psi0)).amplitudes
             ratios.append(np.linalg.norm(psi1 - exact) / dt**3)
         assert max(ratios) / min(ratios) < 1.5
@@ -178,7 +300,7 @@ class TestInitialStep:
     def test_residual_below_tolerance(self, rng):
         Ld = DiscreteLagrangian(se_lagrangian(swap_hamiltonian(2)), 0.5, 0.1)
         psi0 = random_ket(rng, 4).amplitudes
-        psi1 = initial_step(Ld, psi0)
+        psi1, _ = initial_step(Ld, psi0)
         residual = velocity_momentum(Ld.base, psi0) + Ld.d1(
             psi0, np.conj(psi0), psi1, np.conj(psi1)
         )
@@ -189,7 +311,7 @@ class TestDelStep:
     def test_affine_system_converges_in_one_iteration(self, rng):
         Ld = DiscreteLagrangian(se_lagrangian(swap_hamiltonian(2)), 0.5, 0.05)
         psi0 = random_ket(rng, 4).amplitudes
-        psi1 = initial_step(Ld, psi0)
+        psi1, _ = initial_step(Ld, psi0)
         nxt, iterations = del_step(Ld, psi0, psi1)
         assert iterations == 1
         residual = Ld.d1(psi1, np.conj(psi1), nxt, np.conj(nxt)) + Ld.d3(
@@ -221,6 +343,46 @@ class TestDelStep:
         with pytest.raises(NewtonConvergenceError) as info:
             newton_solve(impossible, np.array([1.0 + 0j]), maxiter=8)
         assert info.value.residual > 0
+
+
+class TestNewtonStatistics:
+    def direct_counts(self, Ld, x0, steps):
+        x1, first = initial_step(Ld, x0)
+        rows, counts = [x0, x1], [first]
+        for _ in range(1, steps):
+            nxt, used = del_step(Ld, rows[-2], rows[-1], guess=2.0 * rows[-1] - rows[-2])
+            rows.append(nxt)
+            counts.append(used)
+        return np.stack(rows), counts
+
+    def test_counts_match_a_direct_del_step_loop(self, fig1_state):
+        H = swap_hamiltonian(2)
+        traj = integrate_restrict_then_discretize(H, 0.5, 0.05, 40, fig1_state)
+        Ld = DiscreteLagrangian(separable_lagrangian(se_lagrangian(H), (2, 2)), 0.5, 0.05)
+        rows, counts = self.direct_counts(Ld, stack_state(fig1_state), 40)
+        assert np.array_equal(traj.points, rows)
+        assert traj.newton_iterations.tolist() == counts
+        assert min(counts) >= 1
+
+    def test_single_step_run_records_the_start(self, rng):
+        Ld = DiscreteLagrangian(se_lagrangian(swap_hamiltonian(2)), 0.5, 0.1)
+        psi0 = random_ket(rng, 4).amplitudes
+        traj = integrate_discrete(Ld, psi0, 1)
+        assert traj.points.shape[0] == 2
+        assert traj.newton_iterations.tolist() == [initial_step(Ld, psi0)[1]]
+
+    def test_blowup_partial_carries_one_count_per_step(self, fig1_state):
+        with pytest.raises(BlowupError) as info:
+            integrate_discretize_then_restrict(swap_hamiltonian(2), 0.5, 0.1, 300,
+                                               fig1_state, blowup_factor=2.0)
+        partial = info.value.partial
+        assert partial.newton_iterations.shape == (partial.points.shape[0] - 1,)
+        assert np.all(partial.newton_iterations >= 1)
+
+    def test_count_length_is_validated(self):
+        with pytest.raises(ValueError):
+            DiscreteTrajectory(np.arange(3.0), np.zeros((3, 2)), 1.0,
+                               newton_iterations=np.ones(3))
 
 
 class TestFullStateIntegration:
