@@ -10,14 +10,10 @@ __version__ = "0.1.0"
 
 from .states import (
     ComponentState,
-    DensityMatrix,
     FullState,
     Ket,
-    bloch_vector,
-    gellmann_vector,
     inner,
     nuclear_norm,
-    partial_trace,
     tensor_product,
 )
 from .hamiltonians import (
@@ -38,7 +34,6 @@ from .propagators import (
     hermitian_expm_apply,
     lie_trotter_step,
     se_evolve,
-    se_flow,
     sse_component_flow,
     strang_step,
 )
@@ -53,19 +48,16 @@ __all__ = [
     "ComponentState",
     "CouplingTensor",
     "DegenerateStateError",
-    "DensityMatrix",
     "FullState",
     "HermitianOperator",
     "Ket",
     "SplittingScheme",
     "SwapInitialData",
     "Trajectory",
-    "bloch_vector",
     "correlator_hamiltonian",
     "evolve",
     "exact_se_swap",
     "exact_sse_swap",
-    "gellmann_vector",
     "hermitian_expm_apply",
     "inner",
     "ladder_operators",
@@ -73,12 +65,10 @@ __all__ = [
     "lie_trotter_swap_closed_form",
     "local_sum_hamiltonian",
     "nuclear_norm",
-    "partial_trace",
     "partially_reduced",
     "r_party_eta",
     "random_hermitian",
     "se_evolve",
-    "se_flow",
     "sse_component_flow",
     "strang_step",
     "swap_hamiltonian",

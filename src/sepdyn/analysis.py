@@ -1,7 +1,8 @@
 """Cross-trajectory diagnostics.
 
 Overlap between restricted and unrestricted runs, finite-difference rate of
-change of the state projector in nuclear norm, per-subsystem purity, and a
+change of the state projector in nuclear norm, the reduced density matrices
+of each subsystem with their purity and (generalized) Bloch vector, and a
 log-log slope estimator for convergence studies. Everything here works on
 stored trajectories, so one implementation serves all integrators.
 """
@@ -13,6 +14,24 @@ from math import prod
 import numpy as np
 
 from .propagators import Trajectory
+
+# Traceless Hermitian generators of SU(3), in the standard order: the three
+# symmetric off-diagonal pairs interleaved with their antisymmetric partners
+# on (0,1), (0,2), (1,2), then the two diagonal generators.
+GELL_MANN = np.array(
+    [
+        [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+        [[0, -1j, 0], [1j, 0, 0], [0, 0, 0]],
+        [[1, 0, 0], [0, -1, 0], [0, 0, 0]],
+        [[0, 0, 1], [0, 0, 0], [1, 0, 0]],
+        [[0, 0, -1j], [0, 0, 0], [1j, 0, 0]],
+        [[0, 0, 0], [0, 0, 1], [0, 1, 0]],
+        [[0, 0, 0], [0, 0, -1j], [0, 1j, 0]],
+        np.diag([1.0, 1.0, -2.0]) / np.sqrt(3.0),
+    ],
+    dtype=complex,
+)
+GELL_MANN.setflags(write=False)
 
 
 def overlap_series(traj_se: Trajectory, traj_sse: Trajectory) -> np.ndarray:
@@ -75,6 +94,22 @@ def purity_series(traj: Trajectory, k: int) -> np.ndarray:
     """tr(rho_k(t)^2) for subsystem k along the trajectory."""
     rhos = reduced_density_series(traj, k)
     return np.real(np.einsum("tij,tji->t", rhos, rhos))
+
+
+def bloch_series(traj: Trajectory, k: int) -> np.ndarray:
+    """Bloch vector of subsystem k along the trajectory, from its reduced density.
+
+    (n_times, 3) Cartesian coordinates for a qubit, (n_times, 8) components
+    tr(rho G_i) over ``GELL_MANN`` for a qutrit; other dimensions raise.
+    """
+    rhos = reduced_density_series(traj, k)
+    d = traj.dims[k]
+    if d == 2:
+        return np.stack([2.0 * rhos[:, 0, 1].real, 2.0 * rhos[:, 1, 0].imag,
+                         (rhos[:, 0, 0] - rhos[:, 1, 1]).real], axis=1)
+    if d == 3:
+        return np.real(np.einsum("tij,kji->tk", rhos, GELL_MANN))
+    raise ValueError(f"subsystem {k} has dimension {d}; Bloch vectors need 2 or 3")
 
 
 def convergence_order(dts, errors) -> float:

@@ -53,7 +53,9 @@ def strang_modified_rhs(order: int, dt: float, a: np.ndarray, b: np.ndarray):
     """Right-hand sides of the palindromic-splitting modified equations.
 
     The series contains no odd powers of dt; order 2 adds the quadratic
-    corrections with coefficients 1/24 and 1/8.
+    corrections with coefficients 1/24 and 1/8. The two components take the
+    roles ``propagators.strang_step`` gives them: b (component 1) is
+    half-stepped on both sides of the full step on a (component 0).
     """
     if order not in STRANG_ORDERS:
         raise ValueError(f"truncation order must be one of {STRANG_ORDERS}")
@@ -62,12 +64,12 @@ def strang_modified_rhs(order: int, dt: float, a: np.ndarray, b: np.ndarray):
     q = np.vdot(a, b)
     mod_q2 = abs(q) ** 2
     second = 1.0 if order >= 2 else 0.0
-    da = -1j * ((1.0 - dt**2 / 24.0 * (1.0 + 2.0 * mod_q2) * second)
+    da = -1j * ((1.0 - dt**2 / 24.0 * (1.0 - 4.0 * mod_q2) * second)
                 * (b * np.vdot(b, a))
-                + 0.125 * dt**2 * mod_q2 * second * a)
-    db = -1j * ((1.0 - dt**2 / 24.0 * (1.0 - 4.0 * mod_q2) * second)
+                - 0.125 * dt**2 * mod_q2 * second * a)
+    db = -1j * ((1.0 - dt**2 / 24.0 * (1.0 + 2.0 * mod_q2) * second)
                 * (a * np.vdot(a, b))
-                - 0.125 * dt**2 * mod_q2 * second * b)
+                + 0.125 * dt**2 * mod_q2 * second * b)
     return da, db
 
 

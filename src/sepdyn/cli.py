@@ -37,7 +37,7 @@ from .propagators import (
     evolve,
     se_evolve,
 )
-from .states import GELL_MANN, ComponentState, Ket, tensor_product
+from .states import ComponentState, Ket, tensor_product
 from .reduced import DegenerateStateError
 
 EXIT_OK = 0
@@ -57,6 +57,7 @@ INTEGRATORS = (
 OUTPUT_NAMES = ("norm", "abs_overlap", "rate_nucl", "bloch", "purity")
 EXPERIMENT_DIMS = {"swap": (2, 2), "random5": (2,) * 5, "ladder": (3, 3, 3)}
 BLOWUP_FACTOR = 2.0
+MAX_STEPS = 10**6
 
 
 class ConfigError(ValueError):
@@ -124,6 +125,8 @@ class ExperimentConfig:
             raise ConfigError("t_final must be a positive number")
         if self.t_final < self.dt:
             raise ConfigError("t_final must be at least dt")
+        if not (math.isfinite(self.t_final / self.dt) and self.steps() <= MAX_STEPS):
+            raise ConfigError(f"t_final / dt asks for more than {MAX_STEPS} steps")
         if not isinstance(self.out_path, str):
             raise ConfigError("out_path must be a string")
         if self.integrator.startswith("var_"):
@@ -239,7 +242,7 @@ def _variational_run(config, H, state0) -> RunResult:
 def _bea_run(config, state0) -> RunResult:
     scheme = (SplittingScheme.LIE_TROTTER if config.bea_scheme == "lie_trotter"
               else SplittingScheme.STRANG)
-    rhs = bea.ModifiedRHS(scheme, int(config.bea_order), config.dt)
+    rhs = bea.ModifiedRHS(scheme, config.bea_order, config.dt)
     steps = config.steps()
     times = config.dt * np.arange(steps + 1)
     a0, b0 = state0.parts[0].amplitudes, state0.parts[1].amplitudes
@@ -270,35 +273,26 @@ def execute(config: ExperimentConfig, H: HermitianOperator) -> RunResult:
 def _diagnostic_columns(config: ExperimentConfig, result: RunResult,
                         H: HermitianOperator) -> dict[str, np.ndarray]:
     traj = result.trajectory
-    dims = EXPERIMENT_DIMS[config.experiment]
     columns: dict[str, np.ndarray] = {}
     for name in config.outputs:
         if name == "norm":
             columns["norm"] = traj.diagnostics["norm"]
         elif name == "abs_overlap":
             reference = HermitianPropagator(H).states_on_grid(traj.full[0], traj.times)
-            columns["abs_overlap"] = np.abs(
-                np.einsum("ti,ti->t", reference.conj(), traj.full)
-            )
+            columns["abs_overlap"] = np.abs(analysis.overlap_series(
+                Trajectory(traj.times, traj.dims, full=reference), traj))
         elif name == "rate_nucl":
             columns["rate_nucl"] = analysis.rate_of_change_nuclear(traj, traj.dt)
         elif name == "purity":
-            for j in range(len(dims)):
+            for j in range(len(traj.dims)):
                 columns[f"purity{j + 1}"] = analysis.purity_series(traj, j)
         elif name == "bloch":
-            for j, d in enumerate(dims):
-                rhos = analysis.reduced_density_series(traj, j)
-                if d == 2:
-                    columns[f"bloch_x{j + 1}"] = 2.0 * rhos[:, 0, 1].real
-                    columns[f"bloch_y{j + 1}"] = 2.0 * rhos[:, 1, 0].imag
-                    columns[f"bloch_z{j + 1}"] = (rhos[:, 0, 0] - rhos[:, 1, 1]).real
-                else:
-                    # Qutrits: project the 8-component generalized vector onto
-                    # the three configured generators.
-                    picks = [int(i) for i in config.gellmann_projection]
-                    gm = np.real(np.einsum("tij,kji->tk", rhos, GELL_MANN))
-                    for axis, idx in zip(("x", "y", "z"), picks):
-                        columns[f"bloch_{axis}{j + 1}"] = gm[:, idx]
+            for j, d in enumerate(traj.dims):
+                # Qutrits keep the three configured Gell-Mann components.
+                picks = (0, 1, 2) if d == 2 else config.gellmann_projection
+                vectors = analysis.bloch_series(traj, j)
+                for axis, idx in zip("xyz", picks):
+                    columns[f"bloch_{axis}{j + 1}"] = vectors[:, idx]
     return columns
 
 
@@ -437,6 +431,24 @@ def load_config(path: Path, overrides: list[str]) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
+def _output_clash(files: list[str], overrides: tuple[str, ...]) -> str | None:
+    """A message naming two configs that write the same output prefix, or None.
+
+    Configs that fail to load are skipped here; their own run reports them.
+    """
+    owners: dict[Path, str] = {}
+    for path_str in files:
+        try:
+            config = load_config(Path(path_str), list(overrides))
+        except ConfigError:
+            continue
+        prefix = Path(config.out_path).resolve()
+        if prefix in owners:
+            return f"{owners[prefix]} and {path_str} both write to {prefix}"
+        owners[prefix] = path_str
+    return None
+
+
 def _run_file(path_str: str, overrides: tuple[str, ...] = ()) -> int:
     try:
         config = load_config(Path(path_str), list(overrides))
@@ -524,6 +536,10 @@ def main(argv=None) -> int:
         files = sorted(str(p) for p in config_path.glob("*.json"))
         if not files:
             print(f"no .json configs in {config_path}", file=sys.stderr)
+            return EXIT_CONFIG
+        clash = _output_clash(files, tuple(args.override))
+        if clash is not None:
+            print(f"config error: {clash}", file=sys.stderr)
             return EXIT_CONFIG
         if args.jobs > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:

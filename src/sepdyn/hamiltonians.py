@@ -1,14 +1,15 @@
 """Hamiltonian constructors: exchange, seeded random, local sums, correlators.
 
 Operators are dense complex matrices wrapped in :class:`HermitianOperator`,
-which records the subsystem dimensions the operator acts on and enforces
-Hermitian symmetry at construction.
+which records the subsystem dimensions the operator acts on, enforces
+Hermitian symmetry at construction and keeps its eigendecomposition once
+computed.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -38,9 +39,13 @@ class HermitianOperator:
         object.__setattr__(self, "entries", mat)
         object.__setattr__(self, "dims", dims)
 
-    @property
-    def side(self) -> int:
-        return self.entries.shape[0]
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues and eigenvectors of the matrix, from one ``eigh`` on first use."""
+        evals, evecs = np.linalg.eigh(self.entries)
+        evals.setflags(write=False)
+        evecs.setflags(write=False)
+        return evals, evecs
 
 
 @dataclass(frozen=True)
@@ -161,17 +166,3 @@ def correlator_hamiltonian(eta: CouplingTensor) -> HermitianOperator:
                 lower_term = np.kron(np.kron(minus_pow[k1], minus_pow[k2]), minus_pow[k3])
                 total += coeff * raise_term + np.conj(coeff) * lower_term
     return HermitianOperator(total, (3, 3, 3))
-
-
-def operator_to_json(op: HermitianOperator) -> str:
-    """Serialize an operator as JSON: dims plus rows of [re, im] pairs."""
-    rows = [[[float(z.real), float(z.imag)] for z in row] for row in op.entries]
-    return json.dumps({"dims": list(op.dims), "matrix": rows})
-
-
-def operator_from_json(text: str) -> HermitianOperator:
-    """Inverse of :func:`operator_to_json`."""
-    data = json.loads(text)
-    rows = data["matrix"]
-    mat = np.array([[complex(re, im) for re, im in row] for row in rows])
-    return HermitianOperator(mat, tuple(data["dims"]))

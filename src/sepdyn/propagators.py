@@ -1,8 +1,10 @@
 """Exact flows and splitting integrators for the restricted dynamics.
 
-The unrestricted flow is a matrix exponential evaluated through the
-eigendecomposition of the (Hermitian) Hamiltonian. The restricted equations
-are integrated by composing the exactly-solvable one-component flows:
+Every exp(-i t H) in the package, unrestricted or of a one-component
+reduced operator, is one :class:`HermitianPropagator` built on the
+eigendecomposition that the operator computes once and keeps. The
+restricted equations are integrated by composing the exactly-solvable
+one-component flows:
 sequentially for the first-order scheme, palindromically for the
 second-order one. Every sub-step is norm preserving, so the reconstructed
 product state keeps its norm to machine precision.
@@ -19,8 +21,6 @@ import numpy as np
 from .hamiltonians import HermitianOperator
 from .reduced import partially_reduced
 from .states import ComponentState, FullState, Ket, tensor_product_rows
-
-EXPM_HERMITIAN_TOL = 1e-10
 
 
 class SplittingScheme(enum.Enum):
@@ -88,33 +88,11 @@ class Trajectory:
         return float(self.times[1] - self.times[0]) if self.times.size > 1 else 0.0
 
 
-def _check_hermitian(matrix: np.ndarray):
-    if np.max(np.abs(matrix - matrix.conj().T)) > EXPM_HERMITIAN_TOL:
-        raise ValueError("matrix exponential input is not Hermitian to 1e-10")
-
-
-def hermitian_expm_apply(H: HermitianOperator, t: float, v):
-    """Apply exp(-i t H) to a state via the eigendecomposition of H."""
-    _check_hermitian(H.entries)
-    vec = v.amplitudes if hasattr(v, "amplitudes") else np.asarray(v, dtype=complex)
-    if vec.size != H.side:
-        raise ValueError(f"state length {vec.size} does not match operator side {H.side}")
-    evals, evecs = np.linalg.eigh(H.entries)
-    out = evecs @ (np.exp(-1j * t * evals) * (evecs.conj().T @ vec))
-    if isinstance(v, Ket):
-        return Ket(out)
-    if isinstance(v, FullState):
-        return FullState(out, v.dims)
-    return out
-
-
 class HermitianPropagator:
-    """Reusable exp(-i t H) built on a single eigendecomposition of H."""
+    """exp(-i t H) from the eigendecomposition of H, which H computes only once."""
 
     def __init__(self, H: HermitianOperator):
-        _check_hermitian(H.entries)
-        self.dims = H.dims
-        self.evals, self.evecs = np.linalg.eigh(H.entries)
+        self.evals, self.evecs = H.spectrum
 
     def apply(self, t: float, vec: np.ndarray) -> np.ndarray:
         return self.evecs @ (np.exp(-1j * t * self.evals) * (self.evecs.conj().T @ vec))
@@ -126,15 +104,15 @@ class HermitianPropagator:
         return (phases * coeffs) @ self.evecs.T
 
 
-def se_flow(H: HermitianOperator, t: float, psi0: FullState) -> FullState:
-    """Unrestricted propagation of the full state by exp(-i t H)."""
-    return hermitian_expm_apply(H, t, psi0)
+def hermitian_expm_apply(H: HermitianOperator, t: float, vec: np.ndarray) -> np.ndarray:
+    """exp(-i t H) applied to an amplitude vector."""
+    return HermitianPropagator(H).apply(t, vec)
 
 
 def sse_component_flow(H: HermitianOperator, state: ComponentState, k: int, t: float) -> Ket:
     """Flow of the k-th restricted equation with the other components frozen."""
     reduced = partially_reduced(H, state, k)
-    return hermitian_expm_apply(reduced, t, state.parts[k])
+    return Ket(hermitian_expm_apply(reduced, t, state.parts[k].amplitudes))
 
 
 def _substep(H: HermitianOperator, parts: list[Ket], dims, k: int, t: float) -> Ket:

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .hamiltonians import HermitianOperator
-from .states import ComponentState, Ket, kron
+from .states import ComponentState, kron, split_components
 
 NEWTON_TOL = 1e-12
 NEWTON_MAXITER = 50
@@ -97,37 +97,6 @@ def se_lagrangian(H: HermitianOperator) -> FirstOrderLagrangian:
     )
 
 
-@dataclass(frozen=True)
-class ComponentLayout:
-    """Slicing of stacked component vectors x = concat(a_1, ..., a_N)."""
-
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-
-    @property
-    def total(self) -> int:
-        return sum(self.dims)
-
-    def split(self, x: np.ndarray) -> list[np.ndarray]:
-        parts = []
-        offset = 0
-        for d in self.dims:
-            parts.append(x[offset : offset + d])
-            offset += d
-        return parts
-
-    def stack(self, parts) -> np.ndarray:
-        return np.concatenate([np.asarray(p, dtype=complex) for p in parts])
-
-    def stack_state(self, state: ComponentState) -> np.ndarray:
-        return self.stack(state.vectors())
-
-    def to_state(self, x: np.ndarray) -> ComponentState:
-        return ComponentState(tuple(Ket(p) for p in self.split(x)), self.dims)
-
-
 def _product_velocity(parts, velocities) -> np.ndarray:
     """Derivative of a product state: sum over slots of the one-slot velocity."""
     total = None
@@ -163,14 +132,14 @@ def separable_lagrangian(L: FirstOrderLagrangian, dims) -> FirstOrderLagrangian:
     so only the barred product state and velocity are formed, and the
     unbarred components enter only through the contractions.
     """
-    layout = ComponentLayout(tuple(dims))
-    if L.dim != prod(layout.dims):
+    dims = tuple(dims)
+    if L.dim != prod(dims):
         raise ValueError(f"Lagrangian dimension {L.dim} does not match dims {dims}")
-    n = len(layout.dims)
+    n = len(dims)
 
     def product_and_velocity(x, xdot):
-        parts = layout.split(x)
-        return kron(parts), _product_velocity(parts, layout.split(xdot))
+        parts = split_components(x, dims)
+        return kron(parts), _product_velocity(parts, split_components(xdot, dims))
 
     def evaluate(x, xbar, xdot, xbardot):
         psi, dpsi = product_and_velocity(x, xdot)
@@ -178,27 +147,26 @@ def separable_lagrangian(L: FirstOrderLagrangian, dims) -> FirstOrderLagrangian:
         return L.evaluate(psi, psibar, dpsi, dpsibar)
 
     def gradient(x, xbar, xdot, xbardot):
-        parts = layout.split(x)
-        dparts = layout.split(xdot)
+        parts = split_components(x, dims)
+        dparts = split_components(xdot, dims)
         psibar, dpsibar = product_and_velocity(xbar, xbardot)
         # The product space's psi blocks read only the barred arguments.
         g_psi, g_dpsi = L.gradient(None, psibar, None, dpsibar)
-        dims_t = layout.dims
         gx, gxdot = [], []
         for k in range(n):
             # Position gradient: the product state depends on a_k directly, and
             # the velocity sum depends on a_k through every slot j != k.
-            block = _contract_all_but(g_psi, parts, k, dims_t)
+            block = _contract_all_but(g_psi, parts, k, dims)
             for j in range(n):
                 if j == k:
                     continue
                 mixed = [dparts[j] if i == j else parts[i] for i in range(n)]
-                block = block + _contract_all_but(g_dpsi, mixed, k, dims_t)
+                block = block + _contract_all_but(g_dpsi, mixed, k, dims)
             gx.append(block)
-            gxdot.append(_contract_all_but(g_dpsi, parts, k, dims_t))
-        return layout.stack(gx), layout.stack(gxdot)
+            gxdot.append(_contract_all_but(g_dpsi, parts, k, dims))
+        return np.concatenate(gx), np.concatenate(gxdot)
 
-    return FirstOrderLagrangian(dim=layout.total, evaluate=evaluate, gradient=gradient)
+    return FirstOrderLagrangian(dim=sum(dims), evaluate=evaluate, gradient=gradient)
 
 
 @dataclass(frozen=True)
@@ -467,11 +435,10 @@ def integrate_restrict_then_discretize(
     state0: ComponentState, blowup_factor: float | None = None,
 ) -> DiscreteTrajectory:
     """Restrict first: discretize the component-variable Lagrangian."""
-    layout = ComponentLayout(state0.dims)
     L_sep = separable_lagrangian(se_lagrangian(H), state0.dims)
     Ld = DiscreteLagrangian(L_sep, alpha, dt)
     return integrate_discrete(
-        Ld, layout.stack_state(state0), steps, dims=state0.dims,
+        Ld, np.concatenate(state0.vectors()), steps, dims=state0.dims,
         blowup_factor=blowup_factor,
     )
 
@@ -488,32 +455,23 @@ class _SubstitutedDiscreteLagrangian:
 
     def __init__(self, Ld_full: DiscreteLagrangian, dims):
         self.full = Ld_full
-        self.layout = ComponentLayout(tuple(dims))
+        self.dims = tuple(dims)
         self.dt = Ld_full.dt
 
-    def _product(self, x):
-        parts = self.layout.split(x)
-        return parts, kron(parts)
+    def _pulled_back(self, full_partial, x, y, slot: int):
+        """A full-space partial at the product states of x and y, by the chain
+        rule in the components of x (slot 0) or of y (slot 1)."""
+        parts = (split_components(x, self.dims), split_components(y, self.dims))
+        psi_x, psi_y = kron(parts[0]), kron(parts[1])
+        full_grad = full_partial(psi_x, np.conj(psi_x), psi_y, np.conj(psi_y))
+        return np.concatenate([_contract_all_but(full_grad, parts[slot], k, self.dims)
+                               for k in range(len(self.dims))])
 
     def d1(self, x, xbar, y, ybar):
-        parts, psi_x = self._product(x)
-        _, psi_y = self._product(y)
-        full_grad = self.full.d1(psi_x, np.conj(psi_x), psi_y, np.conj(psi_y))
-        dims = self.layout.dims
-        blocks = [
-            _contract_all_but(full_grad, parts, k, dims) for k in range(len(dims))
-        ]
-        return self.layout.stack(blocks)
+        return self._pulled_back(self.full.d1, x, y, 0)
 
     def d3(self, x, xbar, y, ybar):
-        _, psi_x = self._product(x)
-        parts_y, psi_y = self._product(y)
-        full_grad = self.full.d3(psi_x, np.conj(psi_x), psi_y, np.conj(psi_y))
-        dims = self.layout.dims
-        blocks = [
-            _contract_all_but(full_grad, parts_y, k, dims) for k in range(len(dims))
-        ]
-        return self.layout.stack(blocks)
+        return self._pulled_back(self.full.d3, x, y, 1)
 
 
 def integrate_discretize_then_restrict(
@@ -529,13 +487,12 @@ def integrate_discretize_then_restrict(
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    layout = ComponentLayout(state0.dims)
     L = se_lagrangian(H)
     Ld_full = DiscreteLagrangian(L, alpha, dt)
     substituted = _SubstitutedDiscreteLagrangian(Ld_full, state0.dims)
 
     L_sep = separable_lagrangian(L, state0.dims)
-    x0 = layout.stack_state(state0)
+    x0 = np.concatenate(state0.vectors())
     start = initial_step(DiscreteLagrangian(L_sep, alpha, dt), x0)
     return _run_recursion(substituted, x0, start, steps, state0.dims, blowup_factor)
 

@@ -158,3 +158,112 @@ class TestNewtonRecord:
         assert solver["newton_solves"] == config.steps() == counts.size
         assert solver["newton_iterations"] == int(counts.sum())
         assert solver["max_newton_iterations"] == int(counts.max())
+
+
+class TestRunGuards:
+    def write_configs(self, directory, out_paths):
+        directory.mkdir()
+        for name, out_path in zip("ab", out_paths):
+            (directory / f"{name}.json").write_text(json.dumps(swap_config(out_path, 0.02)))
+
+    def test_duplicate_output_prefix_is_rejected_before_any_run(self, tmp_path, capsys):
+        self.write_configs(tmp_path / "configs", [tmp_path / "out" / "run"] * 2)
+        code = cli.main(["run", "--config", str(tmp_path / "configs")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert "a.json" in err and "b.json" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_prefixes_are_compared_after_resolving(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        self.write_configs(tmp_path / "configs", ["out/run", tmp_path / "out" / "sub" / ".." / "run"])
+        assert cli.main(["run", "--config", "configs", "--jobs", "2"]) == cli.EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    def test_distinct_prefixes_all_run(self, tmp_path, capsys):
+        self.write_configs(tmp_path / "configs", [tmp_path / "out" / "a", tmp_path / "out" / "b"])
+        assert cli.main(["run", "--config", str(tmp_path / "configs")]) == cli.EXIT_OK
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "a.csv", "a.json", "b.csv", "b.json",
+        ]
+
+    @pytest.mark.parametrize("dt, t_final", [(1e-300, 1.0), (5e-324, 1.0), (1e-6, 1.000002)])
+    def test_step_count_is_capped_before_running(self, tmp_path, capsys, monkeypatch, dt,
+                                                 t_final):
+        def execute(*args):
+            pytest.fail("execute must not run for an over-long config")
+
+        monkeypatch.setattr(cli, "execute", execute)
+        code, err = run_with(tmp_path, capsys, dt=dt, t_final=t_final)
+        assert code == cli.EXIT_CONFIG
+        assert f"more than {cli.MAX_STEPS} steps" in err
+
+    def test_step_cap_admits_max_steps(self, tmp_path):
+        config = cli.ExperimentConfig.from_dict(
+            {**swap_config(tmp_path / "run", 1e-6), "t_final": 1.0})
+        assert config.steps() == cli.MAX_STEPS
+
+
+def csv_columns(path) -> dict[str, np.ndarray]:
+    header, *rows = read_rows(path)
+    return dict(zip(header, np.array(rows, dtype=float).T))
+
+
+def component_kets(columns, dims) -> list[np.ndarray]:
+    """Per subsystem, the (T, d) normalised component kets of a component run."""
+    kets = []
+    for j, d in enumerate(dims):
+        ket = np.stack([columns[f"re_a{j + 1}_{i}"] + 1j * columns[f"im_a{j + 1}_{i}"]
+                        for i in range(d)], axis=1)
+        kets.append(ket / np.linalg.norm(ket, axis=1, keepdims=True))
+    return kets
+
+
+class TestDiagnosticColumns:
+    def run_columns(self, tmp_path, capsys, **fields):
+        code, _ = run_with(tmp_path, capsys, **fields)
+        assert code == cli.EXIT_OK
+        return csv_columns(tmp_path / "out" / "run.csv")
+
+    def test_qubit_bloch_columns_match_component_kets(self, tmp_path, capsys):
+        columns = self.run_columns(tmp_path, capsys, integrator="strang", t_final=0.4,
+                                   outputs=["bloch"])
+        for j, a in enumerate(component_kets(columns, (2, 2)), start=1):
+            rho01 = a[:, 0] * a[:, 1].conj()
+            assert np.max(np.abs(columns[f"bloch_x{j}"] - 2 * rho01.real)) < 1e-12
+            assert np.max(np.abs(columns[f"bloch_y{j}"] + 2 * rho01.imag)) < 1e-12
+            z = np.abs(a[:, 0]) ** 2 - np.abs(a[:, 1]) ** 2
+            assert np.max(np.abs(columns[f"bloch_z{j}"] - z)) < 1e-12
+
+    def test_qutrit_columns_follow_gellmann_projection(self, tmp_path, capsys):
+        state = [[0.6, 0.0, [0.0, 0.8]], [[0.5, 0.5], 0.5, -0.5], [0.0, 1.0, 0.0]]
+        columns = self.run_columns(
+            tmp_path, capsys, experiment="ladder", r_party=2, integrator="lie_trotter",
+            t_final=0.2, initial_state=state, outputs=["bloch"],
+            gellmann_projection=[7, 3, 0])
+        for j, a in enumerate(component_kets(columns, (3, 3, 3)), start=1):
+            rho = a[:, :, None] * a[:, None, :].conj()
+            expected = {  # tr(rho G_i) for G_7 (lambda_8), G_3 (lambda_4), G_0 (lambda_1)
+                "x": (rho[:, 0, 0] + rho[:, 1, 1] - 2 * rho[:, 2, 2]).real / np.sqrt(3),
+                "y": 2 * rho[:, 0, 2].real,
+                "z": 2 * rho[:, 0, 1].real,
+            }
+            for axis, values in expected.items():
+                assert np.max(np.abs(columns[f"bloch_{axis}{j}"] - values)) < 1e-12
+
+    def test_se_exact_overlap_is_one(self, tmp_path, capsys):
+        columns = self.run_columns(tmp_path, capsys, t_final=1.0,
+                                   outputs=["abs_overlap", "bloch"])
+        assert np.max(np.abs(columns["abs_overlap"] - 1.0)) < 1e-12
+
+    def test_se_exact_overlap_decomposes_h_once(self, tmp_path, capsys, monkeypatch):
+        eigh = np.linalg.eigh
+        sides = []
+
+        def counting(matrix):
+            sides.append(matrix.shape[0])
+            return eigh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        self.run_columns(tmp_path, capsys, outputs=["abs_overlap"])
+        assert sides == [4]

@@ -7,8 +7,6 @@ from sepdyn.hamiltonians import (
     correlator_hamiltonian,
     ladder_operators,
     local_sum_hamiltonian,
-    operator_from_json,
-    operator_to_json,
     r_party_eta,
     random_hermitian,
     swap_hamiltonian,
@@ -192,21 +190,3 @@ class TestCorrelatorHamiltonian:
             rows = np.nonzero(np.abs(H[:, col]) > 1e-14)[0]
             for row in rows:
                 assert abs(digit_sums[row] - digit_sums[col]) == r
-
-
-class TestJsonRoundTrip:
-    def test_round_trip_preserves_operator(self):
-        H = random_hermitian(2, seed=9)
-        text = operator_to_json(H)
-        back = operator_from_json(text)
-        assert back.dims == H.dims
-        assert np.array_equal(back.entries, H.entries)
-
-    def test_format_is_re_im_pairs(self):
-        import json
-
-        H = swap_hamiltonian(2)
-        data = json.loads(operator_to_json(H))
-        assert data["dims"] == [2, 2]
-        assert data["matrix"][0][0] == [1.0, 0.0]
-        assert all(len(cell) == 2 for row in data["matrix"] for cell in row)

@@ -3,17 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sepdyn.analysis import GELL_MANN, bloch_series, reduced_density_series
+from sepdyn.propagators import Trajectory
 from sepdyn.states import (
     ComponentState,
-    DensityMatrix,
     FullState,
-    GELL_MANN,
     Ket,
-    bloch_vector,
-    gellmann_vector,
     inner,
     nuclear_norm,
-    partial_trace,
+    split_components,
     tensor_product,
     tensor_product_rows,
 )
@@ -23,6 +21,19 @@ from conftest import random_ket, random_unitary
 
 def ket(*amps):
     return Ket(np.asarray(amps, dtype=complex))
+
+
+def one_point(psi, dims) -> Trajectory:
+    """A one-time trajectory holding the full state ``psi``."""
+    return Trajectory(np.zeros(1), dims, full=np.asarray(psi, dtype=complex)[None, :])
+
+
+def reduced_density(psi, k, dims) -> np.ndarray:
+    return reduced_density_series(one_point(psi, dims), k)[0]
+
+
+def bloch(psi, k, dims) -> np.ndarray:
+    return bloch_series(one_point(psi, dims), k)[0]
 
 
 unit_qubit = st.builds(
@@ -98,11 +109,24 @@ class TestTensorProduct:
     def test_partial_trace_recovers_factors(self, rng):
         parts = [random_ket(rng), random_ket(rng, 3), random_ket(rng)]
         state = ComponentState(tuple(parts), (2, 3, 2))
-        rho = DensityMatrix.from_state(tensor_product(state))
+        psi = tensor_product(state).amplitudes
         for k, part in enumerate(parts):
-            reduced = partial_trace(rho, k, (2, 3, 2))
+            reduced = reduced_density(psi, k, (2, 3, 2))
             expected = np.outer(part.amplitudes, part.amplitudes.conj())
-            assert np.max(np.abs(reduced.entries - expected)) < 1e-10
+            assert np.max(np.abs(reduced - expected)) < 1e-10
+
+
+class TestSplitComponents:
+    def test_views_each_block(self, rng):
+        dims = (2, 3, 2)
+        x = rng.standard_normal(sum(dims)) + 1j * rng.standard_normal(sum(dims))
+        parts = split_components(x, dims)
+        assert [p.shape for p in parts] == [(2,), (3,), (2,)]
+        assert all(np.shares_memory(p, x) for p in parts)
+        assert np.array_equal(np.concatenate(parts), x)
+        rows = np.stack([x, 2 * x])
+        for part, row_part in zip(parts, split_components(rows, dims)):
+            assert np.array_equal(row_part, np.stack([part, 2 * part]))
 
 
 class TestInner:
@@ -126,70 +150,65 @@ class TestInner:
 
 class TestPartialTrace:
     def test_product_state_keep_first(self):
-        rho = DensityMatrix(np.kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
-        reduced = partial_trace(rho, 0, (2, 2))
-        assert np.allclose(reduced.entries, np.diag([1.0, 0.0]))
+        psi = np.kron([1.0, 0.0], [0.0, 1.0])
+        reduced = reduced_density(psi, 0, (2, 2))
+        assert np.allclose(reduced, np.diag([1.0, 0.0]))
 
     def test_half_swapped_pair_is_maximally_mixed(self):
         # (|01> - i|10>)/sqrt(2): tracing the partner leaves no coherence.
         psi = np.array([0, 1, -1j, 0]) / np.sqrt(2)
-        rho = DensityMatrix.from_state(psi)
-        reduced = partial_trace(rho, 0, (2, 2))
-        assert np.max(np.abs(reduced.entries - np.eye(2) / 2)) < 1e-12
+        reduced = reduced_density(psi, 0, (2, 2))
+        assert np.max(np.abs(reduced - np.eye(2) / 2)) < 1e-12
 
     def test_keep_second_of_product(self, rng):
         a, b = random_ket(rng), random_ket(rng)
-        rho = DensityMatrix.from_state(
-            tensor_product(ComponentState((a, b)))
-        )
-        reduced = partial_trace(rho, 1, (2, 2))
-        assert reduced.trace() == pytest.approx(1.0, abs=1e-12)
-        evals = np.linalg.eigvalsh(reduced.entries)
+        psi = tensor_product(ComponentState((a, b))).amplitudes
+        reduced = reduced_density(psi, 1, (2, 2))
+        assert np.trace(reduced).real == pytest.approx(1.0, abs=1e-12)
+        evals = np.linalg.eigvalsh(reduced)
         assert evals[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_bad_keep_index(self):
-        rho = DensityMatrix(np.eye(4) / 4)
         with pytest.raises(ValueError):
-            partial_trace(rho, 2, (2, 2))
+            reduced_density(np.full(4, 0.5), 2, (2, 2))
 
 
 class TestBlochVector:
     def test_basis_states(self):
-        assert bloch_vector(DensityMatrix(np.diag([1.0, 0.0]))) == pytest.approx((0, 0, 1))
-        assert bloch_vector(DensityMatrix(np.eye(2) / 2)) == pytest.approx((0, 0, 0))
+        assert bloch(np.kron([1.0, 0.0], [1.0, 0.0]), 0, (2, 2)) == pytest.approx((0, 0, 1))
+        bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
+        assert bloch(bell, 0, (2, 2)) == pytest.approx((0, 0, 0))
 
     def test_plus_state(self):
-        rho = DensityMatrix(np.full((2, 2), 0.5))
-        assert bloch_vector(rho) == pytest.approx((1, 0, 0))
+        psi = np.kron(np.array([1.0, 1.0]) / np.sqrt(2), [1.0, 0.0])
+        assert bloch(psi, 0, (2, 2)) == pytest.approx((1, 0, 0))
 
     def test_wrong_shape(self):
         with pytest.raises(ValueError):
-            bloch_vector(DensityMatrix(np.eye(3) / 3))
+            bloch(np.full(8, 1 / np.sqrt(8)), 0, (4, 2))
 
     @given(v=unit_qubit)
     @settings(max_examples=50, deadline=None)
     def test_unit_norm_iff_pure(self, v):
-        pure = DensityMatrix.from_state(v)
-        assert np.linalg.norm(bloch_vector(pure)) == pytest.approx(1.0, abs=1e-10)
-        mixed = DensityMatrix(0.6 * pure.entries + 0.4 * np.eye(2) / 2)
-        purity = np.trace(mixed.entries @ mixed.entries).real
+        pure = np.kron(v, [1.0, 0.0])
+        assert np.linalg.norm(bloch(pure, 0, (2, 2))) == pytest.approx(1.0, abs=1e-10)
+        # A purification of 0.6 |v><v| + 0.4 I/2 = 0.8 |v><v| + 0.2 |w><w|.
+        w = np.array([-np.conj(v[1]), np.conj(v[0])])
+        mixed = np.sqrt(0.8) * np.kron(v, [1.0, 0.0]) + np.sqrt(0.2) * np.kron(w, [0.0, 1.0])
+        rho = reduced_density(mixed, 0, (2, 2))
+        purity = np.trace(rho @ rho).real
         assert purity < 1 - 1e-3
-        assert np.linalg.norm(bloch_vector(mixed)) < 1 - 1e-3
+        assert np.linalg.norm(bloch(mixed, 0, (2, 2))) < 1 - 1e-3
 
 
 class TestGellmannVector:
     def test_maximally_mixed_is_origin(self):
-        assert np.allclose(gellmann_vector(DensityMatrix(np.eye(3) / 3)), 0.0)
+        psi = np.eye(3).reshape(9) / np.sqrt(3)  # sum_i |ii> / sqrt(3)
+        assert np.allclose(bloch(psi, 0, (3, 3)), 0.0)
 
     def test_basis_state_norm(self):
-        vec = gellmann_vector(DensityMatrix(np.diag([1.0, 0.0, 0.0])))
+        vec = bloch(np.kron([1.0, 0.0, 0.0], [1.0, 0.0]), 0, (3, 2))
         assert np.linalg.norm(vec) == pytest.approx(np.sqrt(4 / 3))
-
-    def test_non_hermitian_rejected(self):
-        bad = np.eye(3, dtype=complex)
-        bad[0, 1] = 1.0
-        with pytest.raises(ValueError):
-            gellmann_vector(DensityMatrix(bad))
 
     def test_generators_traceless_hermitian(self):
         for g in GELL_MANN:
@@ -225,14 +244,12 @@ class TestNuclearNorm:
 
 
 class TestDensityMatrixValidation:
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex))
-
-    def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(np.diag([1.5, -0.5]))
+    """The reduced density matrices the package forms are valid density matrices."""
 
     def test_unit_trace_for_normalized_states(self, rng):
-        rho = DensityMatrix.from_state(random_ket(rng, 4))
-        assert rho.trace() == pytest.approx(1.0, abs=1e-10)
+        psi = random_ket(rng, 4).amplitudes
+        for k in (0, 1):
+            rho = reduced_density(psi, k, (2, 2))
+            assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
+            assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+            assert np.min(np.linalg.eigvalsh(rho)) > -1e-12
