@@ -4,7 +4,9 @@ Overlap between restricted and unrestricted runs, finite-difference rate of
 change of the state projector in nuclear norm, the reduced density matrices
 of each subsystem with their purity and (generalized) Bloch vector, and a
 log-log slope estimator for convergence studies. Everything here works on
-stored trajectories, so one implementation serves all integrators.
+stored trajectories, so one implementation serves all integrators. Purity
+and Bloch vectors are functions of one subsystem's reduced-density stack,
+so a caller that wants both forms the stack once.
 """
 
 from __future__ import annotations
@@ -90,26 +92,24 @@ def reduced_density_series(traj: Trajectory, k: int) -> np.ndarray:
     return np.einsum("tamb,tanb->tmn", shaped, shaped.conj())
 
 
-def purity_series(traj: Trajectory, k: int) -> np.ndarray:
-    """tr(rho_k(t)^2) for subsystem k along the trajectory."""
-    rhos = reduced_density_series(traj, k)
+def purity_series(rhos: np.ndarray) -> np.ndarray:
+    """tr(rho(t)^2) of a (n_times, d, d) stack of reduced density matrices."""
     return np.real(np.einsum("tij,tji->t", rhos, rhos))
 
 
-def bloch_series(traj: Trajectory, k: int) -> np.ndarray:
-    """Bloch vector of subsystem k along the trajectory, from its reduced density.
+def bloch_series(rhos: np.ndarray) -> np.ndarray:
+    """Bloch vectors of a (n_times, d, d) stack of reduced density matrices.
 
     (n_times, 3) Cartesian coordinates for a qubit, (n_times, 8) components
     tr(rho G_i) over ``GELL_MANN`` for a qutrit; other dimensions raise.
     """
-    rhos = reduced_density_series(traj, k)
-    d = traj.dims[k]
+    d = rhos.shape[-1]
     if d == 2:
         return np.stack([2.0 * rhos[:, 0, 1].real, 2.0 * rhos[:, 1, 0].imag,
                          (rhos[:, 0, 0] - rhos[:, 1, 1]).real], axis=1)
     if d == 3:
         return np.real(np.einsum("tij,kji->tk", rhos, GELL_MANN))
-    raise ValueError(f"subsystem {k} has dimension {d}; Bloch vectors need 2 or 3")
+    raise ValueError(f"reduced densities of dimension {d}; Bloch vectors need 2 or 3")
 
 
 def convergence_order(dts, errors) -> float:

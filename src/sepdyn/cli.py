@@ -274,6 +274,7 @@ def _diagnostic_columns(config: ExperimentConfig, result: RunResult,
                         H: HermitianOperator) -> dict[str, np.ndarray]:
     traj = result.trajectory
     columns: dict[str, np.ndarray] = {}
+    rhos = None
     for name in config.outputs:
         if name == "norm":
             columns["norm"] = traj.diagnostics["norm"]
@@ -283,14 +284,17 @@ def _diagnostic_columns(config: ExperimentConfig, result: RunResult,
                 Trajectory(traj.times, traj.dims, full=reference), traj))
         elif name == "rate_nucl":
             columns["rate_nucl"] = analysis.rate_of_change_nuclear(traj, traj.dt)
-        elif name == "purity":
-            for j in range(len(traj.dims)):
-                columns[f"purity{j + 1}"] = analysis.purity_series(traj, j)
-        elif name == "bloch":
-            for j, d in enumerate(traj.dims):
+        elif name in ("purity", "bloch"):
+            if rhos is None:  # each subsystem's reduced densities, formed once for both
+                rhos = [analysis.reduced_density_series(traj, j)
+                        for j in range(len(traj.dims))]
+            for j, (d, rho) in enumerate(zip(traj.dims, rhos)):
+                if name == "purity":
+                    columns[f"purity{j + 1}"] = analysis.purity_series(rho)
+                    continue
                 # Qutrits keep the three configured Gell-Mann components.
                 picks = (0, 1, 2) if d == 2 else config.gellmann_projection
-                vectors = analysis.bloch_series(traj, j)
+                vectors = analysis.bloch_series(rho)
                 for axis, idx in zip("xyz", picks):
                     columns[f"bloch_{axis}{j + 1}"] = vectors[:, idx]
     return columns

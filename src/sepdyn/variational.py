@@ -11,7 +11,10 @@ produce different schemes.
 
 All Newton solves treat the unknown's real and imaginary parts as
 independent, since the stationarity equations couple a point to its complex
-conjugate.
+conjugate. Residuals, and the gradients and partials they are built from,
+accept a stack of points on leading axes and act row by row, each row equal
+bit for bit to the one-point call; a forward-difference Jacobian is then one
+residual call on all bumped points.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ class FirstOrderLagrangian:
     (dL/dpsi, dL/d(dpsi)): the only two blocks the discrete stationarity
     equations and the momentum use. The psibar blocks are their complex
     conjugates on conjugate-consistent arguments and are never formed.
+    ``gradient`` also takes stacks of points on leading axes, row by row.
     ``second_blocks``, when provided, returns the matching two rows of
     second-derivative matrices T[i][j] = d(g_i)/d(arg_j), i indexing
     (dL/dpsi, dL/d(dpsi)) and j the four arguments (None for zero blocks);
@@ -79,7 +83,10 @@ def se_lagrangian(H: HermitianOperator) -> FirstOrderLagrangian:
         return complex(kinetic - psibar @ (mat @ psi))
 
     def gradient(psi, psibar, dpsi, dpsibar):
-        g_psi = -0.5j * dpsibar - mat.T @ psibar
+        # One matrix-vector product per row: a stacked psibar @ mat would run
+        # as one matrix-matrix product, whose rounding differs from the
+        # one-point call at larger dimensions.
+        g_psi = -0.5j * dpsibar - (mat.T @ psibar[..., None])[..., 0]
         g_dpsi = 0.5j * psibar
         return g_psi, g_dpsi
 
@@ -111,15 +118,16 @@ def _contract_all_but(g: np.ndarray, vectors, k: int, dims) -> np.ndarray:
     """Contract g (a flattened product tensor) with vectors on every slot but k.
 
     Plain dot products, no conjugation: this is the transpose of the linear
-    slot-k embedding map, as needed for holomorphic chain rules.
+    slot-k embedding map, as needed for holomorphic chain rules. Leading axes
+    of g and of the vectors are stack axes and broadcast.
     """
     n = len(dims)
-    operands = [g.reshape(dims), list(range(n))]
+    operands = [g.reshape(g.shape[:-1] + tuple(dims)), [Ellipsis, *range(n)]]
     for j in range(n):
         if j == k:
             continue
-        operands.extend([vectors[j], [j]])
-    return np.einsum(*operands, [k])
+        operands.extend([vectors[j], [Ellipsis, j]])
+    return np.einsum(*operands, [Ellipsis, k])
 
 
 def separable_lagrangian(L: FirstOrderLagrangian, dims) -> FirstOrderLagrangian:
@@ -164,7 +172,7 @@ def separable_lagrangian(L: FirstOrderLagrangian, dims) -> FirstOrderLagrangian:
                 block = block + _contract_all_but(g_dpsi, mixed, k, dims)
             gx.append(block)
             gxdot.append(_contract_all_but(g_dpsi, parts, k, dims))
-        return np.concatenate(gx), np.concatenate(gxdot)
+        return np.concatenate(gx, axis=-1), np.concatenate(gxdot, axis=-1)
 
     return FirstOrderLagrangian(dim=sum(dims), evaluate=evaluate, gradient=gradient)
 
@@ -244,12 +252,12 @@ def velocity_momentum(L: FirstOrderLagrangian, x: np.ndarray) -> np.ndarray:
 
 
 def _complex_to_real(z: np.ndarray) -> np.ndarray:
-    return np.concatenate([z.real, z.imag])
+    return np.concatenate([z.real, z.imag], axis=-1)
 
 
 def _real_to_complex(r: np.ndarray) -> np.ndarray:
-    half = r.size // 2
-    return r[:half] + 1j * r[half:]
+    half = r.shape[-1] // 2
+    return r[..., :half] + 1j * r[..., half:]
 
 
 def _real_jacobian_from_complex(j_y: np.ndarray, j_ybar: np.ndarray) -> np.ndarray:
@@ -259,17 +267,42 @@ def _real_jacobian_from_complex(j_y: np.ndarray, j_ybar: np.ndarray) -> np.ndarr
     return np.block([[d_u.real, d_w.real], [d_u.imag, d_w.imag]])
 
 
+def _forward_difference_jacobian(residual: Callable[[np.ndarray], np.ndarray],
+                                 x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Real-split forward-difference Jacobian of ``residual`` at the real point x.
+
+    ``r`` is the real-split residual at x. Column j is (F(x + h_j e_j) - r) / h_j
+    with h_j = sqrt(eps) * max(1, |x_j|); all bumped points go through one
+    stacked residual call, whose shape is checked.
+    """
+    m = x.size
+    h = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(x))
+    # Row j of ``bumped`` is x + h_j e_j, so row j of the result is column j.
+    bumped = np.repeat(x[None, :], m, axis=0)
+    diagonal = np.arange(m)
+    bumped[diagonal, diagonal] += h
+    values = residual(_real_to_complex(bumped))
+    if values.shape != (m, m // 2):
+        raise ValueError(
+            f"residual mapped a stack of shape {(m, m // 2)} to shape "
+            f"{values.shape}; it must return one row per point"
+        )
+    return ((_complex_to_real(values) - r) / h[:, None]).T
+
+
 def newton_solve(residual: Callable[[np.ndarray], np.ndarray], guess: np.ndarray,
                  tol: float = NEWTON_TOL, maxiter: int = NEWTON_MAXITER,
                  jacobian: Callable | None = None):
     """Newton iteration on a complex residual with real/imaginary splitting.
 
+    ``residual`` maps one complex point of shape (n,) to shape (n,), and an
+    (m, n) stack of points to (m, n), each row equal to the one-point call.
     ``jacobian``, when given, maps the complex iterate to the pair
     (dF/dy, dF/dybar); otherwise the real-split Jacobian is assembled by
-    forward differences of the residual. Updates are solved in the
-    least-squares sense, which also covers rank-deficient systems (the
-    product-state substitution leaves a rescaling direction unconstrained).
-    Returns (solution, iterations).
+    forward differences, all 2n bumped points in one stacked residual call.
+    Updates are solved in the least-squares sense, which also covers
+    rank-deficient systems (the product-state substitution leaves a
+    rescaling direction unconstrained). Returns (solution, iterations).
     """
 
     def real_residual(r_vec):
@@ -279,19 +312,11 @@ def newton_solve(residual: Callable[[np.ndarray], np.ndarray], guess: np.ndarray
     r = real_residual(x)
     if np.linalg.norm(r) <= tol:
         return _real_to_complex(x), 0
-    m = x.size
     for iteration in range(1, maxiter + 1):
         if jacobian is not None:
             jac = _real_jacobian_from_complex(*jacobian(_real_to_complex(x)))
         else:
-            jac = np.empty((m, m))
-            base = r
-            sqrt_eps = np.sqrt(np.finfo(float).eps)
-            for j in range(m):
-                h = sqrt_eps * max(1.0, abs(x[j]))
-                bumped = x.copy()
-                bumped[j] += h
-                jac[:, j] = (real_residual(bumped) - base) / h
+            jac = _forward_difference_jacobian(residual, x, r)
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         x = x + step
         r = real_residual(x)
@@ -465,7 +490,7 @@ class _SubstitutedDiscreteLagrangian:
         psi_x, psi_y = kron(parts[0]), kron(parts[1])
         full_grad = full_partial(psi_x, np.conj(psi_x), psi_y, np.conj(psi_y))
         return np.concatenate([_contract_all_but(full_grad, parts[slot], k, self.dims)
-                               for k in range(len(self.dims))])
+                               for k in range(len(self.dims))], axis=-1)
 
     def d1(self, x, xbar, y, ybar):
         return self._pulled_back(self.full.d1, x, y, 0)

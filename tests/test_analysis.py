@@ -8,6 +8,7 @@ from sepdyn.analysis import (
     overlap_series,
     purity_series,
     rate_of_change_nuclear,
+    reduced_density_series,
 )
 from sepdyn.exact_swap import SwapInitialData, exact_se_swap, exact_sse_swap
 from sepdyn.hamiltonians import local_sum_hamiltonian, random_hermitian, swap_hamiltonian
@@ -182,18 +183,18 @@ class TestPuritySeries:
     def test_restricted_run_has_pure_marginals(self, fig1_state):
         _, sse = swap_trajectories(fig1_state, steps=200)
         for j in range(2):
-            assert np.max(np.abs(purity_series(sse, j) - 1.0)) < 1e-10
+            assert np.max(np.abs(purity_series(reduced_density_series(sse, j)) - 1.0)) < 1e-10
 
     def test_half_swapped_state_is_maximally_mixed(self):
         bell_like = np.array([0, 1, -1j, 0]) / np.sqrt(2)
         traj = Trajectory(np.array([0.0]), (2, 2), full=bell_like[None, :])
-        assert purity_series(traj, 0)[0] == pytest.approx(0.5)
-        assert purity_series(traj, 1)[0] == pytest.approx(0.5)
+        assert purity_series(reduced_density_series(traj, 0))[0] == pytest.approx(0.5)
+        assert purity_series(reduced_density_series(traj, 1))[0] == pytest.approx(0.5)
 
     def test_product_basis_state(self, fig1_state):
         traj = Trajectory(np.array([0.0]), (2, 2),
                           full=tensor_product(fig1_state).amplitudes[None, :])
-        assert purity_series(traj, 0)[0] == pytest.approx(1.0)
+        assert purity_series(reduced_density_series(traj, 0))[0] == pytest.approx(1.0)
 
 
 class TestConvergenceOrder:

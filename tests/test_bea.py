@@ -65,3 +65,22 @@ class TestTruncationOrder:
                                        tol=1e-13, t_eval=traj.times[-1:])
                 errors.append(np.linalg.norm(traj.components[-1] - sol.y_eval[0]))
             assert abs(convergence_order(self.DTS, errors) - slope) < 0.1
+
+
+class TestAgainstScipy:
+    """rk_integrate against scipy's DOP853, an independent eighth-order solver."""
+
+    @pytest.mark.parametrize("scheme", [LIE_TROTTER, STRANG])
+    def test_order_two_truncation(self, rng, scheme):
+        integrate = pytest.importorskip("scipy.integrate")
+        rhs = bea.ModifiedRHS(scheme, 2, 0.2)
+        times = np.linspace(0.0, 3.0, 31)
+        for _ in range(3):
+            a, b = random_ket(rng), random_ket(rng)
+            ours = bea.rk_integrate(rhs, (a.amplitudes, b.amplitudes), (0.0, 3.0),
+                                    tol=1e-12, t_eval=times)
+            reference = integrate.solve_ivp(
+                rhs, (0.0, 3.0), stacked(ComponentState((a, b))), method="DOP853",
+                rtol=1e-12, atol=1e-12, t_eval=times)
+            assert reference.success
+            assert np.max(np.abs(ours.y_eval - reference.y.T)) <= 1e-11

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from sepdyn import cli, variational
+from sepdyn import analysis, cli, variational
 from sepdyn.propagators import Trajectory
 
 SWAP_STATE = [[1.0, 0.0], [0.6, [0.0, 0.8]]]
+# |0> on the first qubit, the equal superposition on the second.
+FIG1_STATE = [[1.0, 0.0], [2**-0.5, 2**-0.5]]
 
 
 def swap_config(out_path, dt):
@@ -204,6 +206,62 @@ class TestRunGuards:
         assert config.steps() == cli.MAX_STEPS
 
 
+class TestExitCodesEndToEnd:
+    """One config directory holding an ok run, a blow-up and a solver failure."""
+
+    CONFIGS = {
+        "a_ok": {"integrator": "strang"},
+        # Discretize-first on the exchange system blows up within 30 steps.
+        "b_blowup": {"integrator": "var_discretize_first", "alpha": 0.5, "dt": 0.1,
+                     "t_final": 3.0, "initial_state": FIG1_STATE},
+        "c_solver": {"experiment": "ladder", "r_party": 2,
+                     "integrator": "var_restrict_first", "alpha": 0.5,
+                     "initial_state": THREE_QUTRITS},
+    }
+
+    def test_codes_outputs_and_rerun(self, tmp_path, capsys, monkeypatch):
+        configs = tmp_path / "configs"
+        configs.mkdir()
+        out = tmp_path / "out"
+        for name, fields in self.CONFIGS.items():
+            config = {**swap_config(out / name, 0.02), "t_final": 0.2, **fields}
+            (configs / f"{name}.json").write_text(json.dumps(config))
+
+        solve = variational.newton_solve
+
+        def failing_on_ladder(residual, guess, **kwargs):
+            # The ladder's stacked components have nine amplitudes.
+            if np.size(guess) == 9:
+                raise variational.NewtonConvergenceError("forced failure", 1.0)
+            return solve(residual, guess, **kwargs)
+
+        monkeypatch.setattr(variational, "newton_solve", failing_on_ladder)
+        codes = []
+        run_file = cli._run_file
+
+        def recording(path, overrides=()):
+            codes.append(run_file(path, overrides))
+            return codes[-1]
+
+        monkeypatch.setattr(cli, "_run_file", recording)
+
+        assert cli.main(["run", "--config", str(configs)]) == cli.EXIT_BLOWUP
+        assert codes == [cli.EXIT_OK, cli.EXIT_BLOWUP, cli.EXIT_SOLVER]
+        assert "solver failure: forced failure" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == [
+            "a_ok.csv", "a_ok.json", "b_blowup.csv", "b_blowup.json",
+        ]
+        assert "blowup" not in json.loads((out / "a_ok.json").read_text())
+        record = json.loads((out / "b_blowup.json").read_text())
+        steps = record["blowup"]["steps_completed"]
+        assert steps < 30  # a partial run of the 30 configured steps
+        assert record["rows_written"] == steps + 1 == len(read_rows(out / "b_blowup.csv")) - 1
+
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert cli.main(["run", "--config", str(configs)]) == cli.EXIT_BLOWUP
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+
 def csv_columns(path) -> dict[str, np.ndarray]:
     header, *rows = read_rows(path)
     return dict(zip(header, np.array(rows, dtype=float).T))
@@ -250,6 +308,23 @@ class TestDiagnosticColumns:
             }
             for axis, values in expected.items():
                 assert np.max(np.abs(columns[f"bloch_{axis}{j}"] - values)) < 1e-12
+
+    def test_reduced_densities_formed_once_per_subsystem(self, tmp_path, capsys,
+                                                         monkeypatch):
+        formed = []
+        reduced_density_series = analysis.reduced_density_series
+
+        def counting(traj, k):
+            formed.append(k)
+            return reduced_density_series(traj, k)
+
+        monkeypatch.setattr(analysis, "reduced_density_series", counting)
+        columns = self.run_columns(
+            tmp_path, capsys, experiment="ladder", r_party=2, integrator="lie_trotter",
+            t_final=0.2, initial_state=THREE_QUTRITS, outputs=["bloch", "purity"])
+        assert formed == [0, 1, 2]
+        assert [name for name in columns if name.startswith("purity")] == [
+            "purity1", "purity2", "purity3"]
 
     def test_se_exact_overlap_is_one(self, tmp_path, capsys):
         columns = self.run_columns(tmp_path, capsys, t_final=1.0,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepdyn.exact_swap import (
     SwapInitialData,
@@ -9,7 +11,7 @@ from sepdyn.exact_swap import (
 )
 from sepdyn.hamiltonians import swap_hamiltonian
 from sepdyn.propagators import hermitian_expm_apply
-from sepdyn.states import Ket, inner, tensor_product
+from sepdyn.states import ComponentState, Ket, inner, tensor_product
 
 from conftest import random_ket
 
@@ -128,3 +130,20 @@ class TestLieTrotterClosedForm:
             ratios.append(dev / dt**2)
         assert max(ratios) < 10.0
         assert max(ratios) / min(ratios) < 10.0
+
+
+class TestExactSseInvariants:
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]),
+           t=st.floats(-20.0, 20.0))
+    @settings(max_examples=60, deadline=None)
+    def test_keeps_the_energy(self, seed, d, t):
+        rng = np.random.default_rng(seed)
+        data = SwapInitialData(random_ket(rng, d), random_ket(rng, d))
+        mat = swap_hamiltonian(d).entries
+
+        def energy(state):
+            psi = tensor_product(state).amplitudes
+            return np.vdot(psi, mat @ psi).real
+
+        start = energy(ComponentState((data.a0, data.b0)))
+        assert energy(exact_sse_swap(data, t)) == pytest.approx(start, abs=1e-12)

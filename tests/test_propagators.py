@@ -1,5 +1,9 @@
+from math import prod
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepdyn.exact_swap import SwapInitialData, exact_sse_swap, lie_trotter_swap_closed_form
 from sepdyn.hamiltonians import (
@@ -306,3 +310,23 @@ class TestTrajectoryValidation:
     def test_rejects_mismatched_series(self):
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 0.1]), diagnostics={"norm": np.ones(3)})
+
+
+class TestSplittingInvariants:
+    """Every sub-step is a unitary flow of one component, so a splitting step
+    keeps each component's norm, whatever H couples them."""
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           dims=st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 2, 2)]),
+           dt=st.floats(1e-3, 2.0),
+           step=st.sampled_from([lie_trotter_step, strang_step]))
+    @settings(max_examples=60, deadline=None)
+    def test_each_component_keeps_its_norm(self, seed, dims, dt, step):
+        rng = np.random.default_rng(seed)
+        dim = prod(dims)
+        mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        H = HermitianOperator(mat + mat.conj().T, dims)
+        state = ComponentState(tuple(random_ket(rng, d, normalize=False) for d in dims))
+        after = step(H, state, dt)
+        for before_part, after_part in zip(state.parts, after.parts):
+            assert after_part.norm() == pytest.approx(before_part.norm(), rel=1e-12)

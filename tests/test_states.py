@@ -33,7 +33,7 @@ def reduced_density(psi, k, dims) -> np.ndarray:
 
 
 def bloch(psi, k, dims) -> np.ndarray:
-    return bloch_series(one_point(psi, dims), k)[0]
+    return bloch_series(reduced_density_series(one_point(psi, dims), k))[0]
 
 
 unit_qubit = st.builds(

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
+from sepdyn import variational
 from sepdyn.exact_swap import SwapInitialData, exact_sse_swap
-from sepdyn.hamiltonians import HermitianOperator, local_sum_hamiltonian, swap_hamiltonian
+from sepdyn.hamiltonians import (
+    HermitianOperator,
+    correlator_hamiltonian,
+    local_sum_hamiltonian,
+    r_party_eta,
+    random_hermitian,
+    swap_hamiltonian,
+)
 from sepdyn.propagators import hermitian_expm_apply
 from sepdyn.states import ComponentState, Ket, split_components
 from sepdyn.variational import (
@@ -22,7 +30,7 @@ from sepdyn.variational import (
     substituted_del_step,
     velocity_momentum,
 )
-from sepdyn.variational import _SubstitutedDiscreteLagrangian
+from sepdyn.variational import _SubstitutedDiscreteLagrangian, _forward_difference_jacobian
 
 from conftest import random_ket
 from test_reduced import random_local
@@ -279,6 +287,99 @@ class TestResidualBitIdentity:
                     assert np.array_equal(substituted.d3(*args), d3)
 
 
+def per_column_jacobian(residual, x, r):
+    """Forward-difference Jacobian one residual call per column, as a reference."""
+    m = x.size
+    jac = np.empty((m, m))
+    sqrt_eps = np.sqrt(np.finfo(float).eps)
+    for j in range(m):
+        h = sqrt_eps * max(1.0, abs(x[j]))
+        bumped = x.copy()
+        bumped[j] += h
+        values = residual(bumped[: m // 2] + 1j * bumped[m // 2 :])
+        jac[:, j] = (np.concatenate([values.real, values.imag]) - r) / h
+    return jac
+
+
+def stacking_cases():
+    """The experiment systems: swap, a seeded random five-qubit H, the qutrit ladder."""
+    return [
+        (swap_hamiltonian(2), (2, 2)),
+        (random_hermitian(5, 7), (2,) * 5),
+        (correlator_hamiltonian(r_party_eta(2)), (3, 3, 3)),
+    ]
+
+
+def random_product_point(rng, dims):
+    return np.concatenate([random_ket(rng, d).amplitudes for d in dims])
+
+
+class TestStackedResiduals:
+    """Stacked residual calls equal one-point calls row by row, bit for bit, so the
+    one-call Jacobian equals the column-by-column one exactly."""
+
+    ALPHA, DT = 0.5, 0.02
+
+    def orderings(self, H, dims):
+        L = se_lagrangian(H)
+        restrict_first = DiscreteLagrangian(separable_lagrangian(L, dims), self.ALPHA,
+                                            self.DT)
+        discretize_first = _SubstitutedDiscreteLagrangian(
+            DiscreteLagrangian(L, self.ALPHA, self.DT), dims)
+        return restrict_first, discretize_first
+
+    def test_partials_row_by_row(self, rng):
+        for H, dims in stacking_cases():
+            for Ld in self.orderings(H, dims):
+                x = random_product_point(rng, dims)
+                stack = np.stack([random_product_point(rng, dims) for _ in range(6)])
+                d1 = Ld.d1(x, np.conj(x), stack, np.conj(stack))
+                d3 = Ld.d3(stack, np.conj(stack), x, np.conj(x))
+                assert d1.shape == d3.shape == stack.shape
+                for row, y in enumerate(stack):
+                    assert np.array_equal(d1[row], Ld.d1(x, np.conj(x), y, np.conj(y)))
+                    assert np.array_equal(d3[row], Ld.d3(y, np.conj(y), x, np.conj(x)))
+
+    def captured_residual(self, monkeypatch, solve):
+        """The residual ``solve`` hands to newton_solve, and its guess."""
+        seen = {}
+
+        def capture(residual, guess, **kwargs):
+            seen.update(residual=residual, guess=np.asarray(guess, dtype=complex))
+            return seen["guess"], 0
+
+        monkeypatch.setattr(variational, "newton_solve", capture)
+        solve()
+        monkeypatch.undo()
+        return seen["residual"], seen["guess"]
+
+    def test_jacobian_equals_the_per_column_loop(self, rng, monkeypatch):
+        for H, dims in stacking_cases():
+            restrict_first, discretize_first = self.orderings(H, dims)
+            x_prev = random_product_point(rng, dims)
+            x_curr = x_prev + 0.01 * random_product_point(rng, dims)
+            solves = [
+                lambda: initial_step(restrict_first, x_prev),
+                lambda: del_step(restrict_first, x_prev, x_curr),
+                lambda: del_step(discretize_first, x_prev, x_curr),
+            ]
+            for solve in solves:
+                residual, guess = self.captured_residual(monkeypatch, solve)
+                for point in (guess, guess + 0.01 * random_product_point(rng, dims)):
+                    x = np.concatenate([point.real, point.imag])
+                    values = residual(point)
+                    r = np.concatenate([values.real, values.imag])
+                    assert np.array_equal(_forward_difference_jacobian(residual, x, r),
+                                          per_column_jacobian(residual, x, r))
+
+    def test_newton_rejects_a_residual_that_ignores_the_stack(self):
+        def first_row_only(y):
+            return np.atleast_2d(y)[0] ** 2 - 1.0
+
+        with pytest.raises(ValueError, match=r"to shape \(2,\)"):
+            newton_solve(first_row_only, np.array([2.0 + 0j, 0.5 + 0j]))
+
+
 class TestInitialStep:
     def test_free_evolution_keeps_the_point(self, rng):
         H0 = HermitianOperator(np.zeros((4, 4)), (2, 2))
@@ -339,7 +440,7 @@ class TestDelStep:
 
     def test_newton_reports_nonconvergence(self):
         def impossible(y):
-            return np.array([abs(y[0]) ** 2 + 1.0], dtype=complex)
+            return (np.abs(y[..., :1]) ** 2 + 1.0).astype(complex)
 
         with pytest.raises(NewtonConvergenceError) as info:
             newton_solve(impossible, np.array([1.0 + 0j]), maxiter=8)
