@@ -1,13 +1,17 @@
 """Exact flows and splitting integrators for the restricted dynamics.
 
 Every exp(-i t H) in the package, unrestricted or of a one-component
-reduced operator, is one :class:`HermitianPropagator` built on the
-eigendecomposition that the operator computes once and keeps. The
-restricted equations are integrated by composing the exactly-solvable
-one-component flows:
-sequentially for the first-order scheme, palindromically for the
-second-order one. Every sub-step is norm preserving, so the reconstructed
-product state keeps its norm to machine precision.
+reduced operator, is ``spectral_apply`` on an eigendecomposition: the one a
+:class:`HermitianOperator` computes once and keeps, which
+:class:`HermitianPropagator` reads, or the ``eigh`` of a reduced matrix in
+a splitting sub-step. The restricted equations are integrated by composing
+the exactly-solvable one-component flows: sequentially for the first-order
+scheme, palindromically for the second-order one. The step maps work on
+plain stacked (sum(dims),) component arrays laid out by ``H.dims``;
+``evolve`` validates the operator, the initial state and the step size
+once, at the API boundary, and no sub-step builds a state or operator
+object. Every sub-step is norm preserving, so the reconstructed product
+state keeps its norm to machine precision.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from math import prod
 import numpy as np
 
 from .hamiltonians import HermitianOperator
-from .reduced import partially_reduced
-from .states import ComponentState, FullState, Ket, tensor_product_rows
+from .reduced import contract_reduced
+from .states import ComponentState, FullState, split_components, tensor_product_rows
 
 
 class SplittingScheme(enum.Enum):
@@ -88,6 +92,12 @@ class Trajectory:
         return float(self.times[1] - self.times[0]) if self.times.size > 1 else 0.0
 
 
+def spectral_apply(evals: np.ndarray, evecs: np.ndarray, t: float,
+                   vec: np.ndarray) -> np.ndarray:
+    """exp(-i t H) vec for H = evecs diag(evals) evecs^H."""
+    return evecs @ (np.exp(-1j * t * evals) * (evecs.conj().T @ vec))
+
+
 class HermitianPropagator:
     """exp(-i t H) from the eigendecomposition of H, which H computes only once."""
 
@@ -95,7 +105,7 @@ class HermitianPropagator:
         self.evals, self.evecs = H.spectrum
 
     def apply(self, t: float, vec: np.ndarray) -> np.ndarray:
-        return self.evecs @ (np.exp(-1j * t * self.evals) * (self.evecs.conj().T @ vec))
+        return spectral_apply(self.evals, self.evecs, t, vec)
 
     def states_on_grid(self, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
         """All exp(-i t H) psi0 for t in times, as a (len(times), dim) array."""
@@ -109,47 +119,49 @@ def hermitian_expm_apply(H: HermitianOperator, t: float, vec: np.ndarray) -> np.
     return HermitianPropagator(H).apply(t, vec)
 
 
-def sse_component_flow(H: HermitianOperator, state: ComponentState, k: int, t: float) -> Ket:
-    """Flow of the k-th restricted equation with the other components frozen."""
-    reduced = partially_reduced(H, state, k)
-    return Ket(hermitian_expm_apply(reduced, t, state.parts[k].amplitudes))
+def sse_component_flow(H: HermitianOperator, x: np.ndarray, k: int, t: float) -> np.ndarray:
+    """Flow of the k-th restricted equation with the other components frozen.
+
+    ``x`` is the stacked components concat(a_0, ..., a_{N-1}) laid out by
+    ``H.dims``; returns a new stacked array whose block k is flowed by t.
+    """
+    dims = H.dims
+    parts = split_components(x, dims)
+    evals, evecs = np.linalg.eigh(contract_reduced(H.entries, parts, k, dims))
+    out = x.astype(complex)
+    offset = sum(dims[:k])
+    out[offset : offset + dims[k]] = spectral_apply(evals, evecs, t, parts[k])
+    return out
 
 
-def _substep(H: HermitianOperator, parts: list[Ket], dims, k: int, t: float) -> Ket:
-    state = ComponentState(tuple(parts), dims)
-    return sse_component_flow(H, state, k, t)
-
-
-def lie_trotter_step(H: HermitianOperator, state: ComponentState, dt: float) -> ComponentState:
-    """One first-order splitting step: update components one at a time.
+def lie_trotter_step(H: HermitianOperator, x: np.ndarray, dt: float) -> np.ndarray:
+    """One first-order splitting step on stacked components: one component at a time.
 
     Component l sees components 0..l-1 already updated and l+1..N-1 still at
     their previous values.
     """
-    parts = list(state.parts)
-    for l in range(len(parts)):
-        parts[l] = _substep(H, parts, state.dims, l, dt)
-    return ComponentState(tuple(parts), state.dims)
+    for l in range(len(H.dims)):
+        x = sse_component_flow(H, x, l, dt)
+    return x
 
 
-def strang_step(H: HermitianOperator, state: ComponentState, dt: float) -> ComponentState:
-    """One palindromic second-order splitting step.
+def strang_step(H: HermitianOperator, x: np.ndarray, dt: float) -> np.ndarray:
+    """One palindromic second-order splitting step on stacked components.
 
     For two components the composition is: half-step on component 1, full
     step on component 0, half-step on component 1. For more components:
     half-steps on 0..N-2 ascending, a full step on N-1, then half-steps on
     N-2..0 descending. Every sub-step sees the most recently updated context.
     """
-    n = len(state.parts)
+    n = len(H.dims)
     if n == 2:
         sequence = [(1, 0.5 * dt), (0, dt), (1, 0.5 * dt)]
     else:
         ascending = [(l, 0.5 * dt) for l in range(n - 1)]
         sequence = ascending + [(n - 1, dt)] + ascending[::-1]
-    parts = list(state.parts)
     for l, tau in sequence:
-        parts[l] = _substep(H, parts, state.dims, l, tau)
-    return ComponentState(tuple(parts), state.dims)
+        x = sse_component_flow(H, x, l, tau)
+    return x
 
 
 _STEP_MAPS = {
@@ -162,20 +174,23 @@ def evolve(scheme: SplittingScheme, H: HermitianOperator, state0: ComponentState
            dt: float, steps: int) -> Trajectory:
     """Iterate a splitting step map and record the trajectory.
 
-    Stores the stacked components, their tensor-product reconstructions, and
-    the per-step norm of the reconstructed full state.
+    The operator, the state, ``dt`` and ``steps`` are checked here, once;
+    the step maps then run on plain stacked arrays. Stores the stacked
+    components, their tensor-product reconstructions, and the per-step norm
+    of the reconstructed full state.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if H.dims != state0.dims:
+        raise ValueError(f"operator dims {H.dims} do not match state dims {state0.dims}")
     step_map = _STEP_MAPS[scheme]
-    rows = [np.concatenate(state0.vectors())]
-    state = state0
-    for _ in range(steps):
-        state = step_map(H, state, dt)
-        rows.append(np.concatenate(state.vectors()))
-    return Trajectory.from_components(dt * np.arange(steps + 1), np.stack(rows), state0.dims)
+    rows = np.empty((steps + 1, sum(state0.dims)), dtype=complex)
+    rows[0] = x = np.concatenate(state0.vectors())
+    for i in range(1, steps + 1):
+        x = rows[i] = step_map(H, x, dt)
+    return Trajectory.from_components(dt * np.arange(steps + 1), rows, state0.dims)
 
 
 def se_evolve(H: HermitianOperator, psi0: FullState, dt: float, steps: int) -> Trajectory:

@@ -1,8 +1,13 @@
 """Partial reduction of a full Hamiltonian against component context states.
 
-Reduction contracts the full operator with the bra/ket of every subsystem
-except the one kept, then divides by the squared norms of the contracted
-states, so unnormalized contexts give the same result as normalized ones.
+Reduction sandwiches the full operator between embeddings of subsystem k:
+E is the (D, d_k) matrix whose i-th column is the product state with e_i in
+slot k and the context states everywhere else, and the reduced operator is
+E^H (H E), two small GEMMs. Dividing by the squared norms of the contexts
+makes unnormalized contexts give the same result as normalized ones.
+``contract_reduced`` is the one kernel, on plain arrays; the splitting step
+maps call it directly and ``partially_reduced`` wraps it for validated
+operators and states.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hamiltonians import HermitianOperator
-from .states import ComponentState
+from .states import ComponentState, kron
 
 DEGENERATE_NORM_TOL = 1e-14
 
@@ -21,20 +26,29 @@ class DegenerateStateError(ValueError):
 
 def contract_reduced(matrix: np.ndarray, vectors: list[np.ndarray], keep: int,
                      dims: tuple[int, ...]) -> np.ndarray:
-    """Raw reduction kernel without Hermiticity checks or normalization.
+    """Hermitian dims[keep]-square operator that ``matrix`` induces on subsystem ``keep``.
 
-    Contracts row axis j with conj(vectors[j]) and column axis j with
-    vectors[j] for every j != keep, returning a dims[keep]-square matrix.
+    ``vectors`` holds one amplitude vector per subsystem; entry ``keep`` is
+    not read. Returns E^H (matrix E) divided by the product of the context
+    norms², symmetrized against rounding skew, where E is the (D, d_keep)
+    embedding with columns kron(v_0, ..., e_i, ..., v_{N-1}). Raises
+    DegenerateStateError for a context of norm below 1e-14.
     """
-    n = len(dims)
-    tensor = matrix.reshape(dims + dims)
-    operands = [tensor, list(range(2 * n))]
-    for j in range(n):
+    denom = 1.0
+    factors = []
+    for j, vec in enumerate(vectors):
         if j == keep:
+            factors.append(np.eye(dims[keep]))
             continue
-        operands.extend([np.conj(vectors[j]), [j]])
-        operands.extend([vectors[j], [n + j]])
-    return np.einsum(*operands, [keep, n + keep])
+        nrm2 = np.vdot(vec, vec).real
+        if nrm2 < DEGENERATE_NORM_TOL**2:
+            raise DegenerateStateError(f"context state {j} has norm below 1e-14")
+        denom *= nrm2
+        factors.append(vec)
+    # Row i of kron(..., eye, ...) is column i of E.
+    embed_rows = kron(factors)
+    reduced = embed_rows.conj() @ (matrix @ embed_rows.T)
+    return (reduced + reduced.conj().T) * (0.5 / denom)
 
 
 def partially_reduced(H: HermitianOperator, state: ComponentState, k: int) -> HermitianOperator:
@@ -45,16 +59,4 @@ def partially_reduced(H: HermitianOperator, state: ComponentState, k: int) -> He
     n = len(dims)
     if not 0 <= k < n:
         raise ValueError(f"subsystem index {k} out of range for {n} subsystems")
-    vectors = state.vectors()
-    denom = 1.0
-    for j, vec in enumerate(vectors):
-        if j == k:
-            continue
-        nrm2 = float(np.real(np.vdot(vec, vec)))
-        if nrm2 < DEGENERATE_NORM_TOL**2:
-            raise DegenerateStateError(f"context state {j} has norm below 1e-14")
-        denom *= nrm2
-    reduced = contract_reduced(H.entries, vectors, k, dims) / denom
-    # Symmetrize away the contraction's floating-point skew before validating.
-    reduced = 0.5 * (reduced + reduced.conj().T)
-    return HermitianOperator(reduced, (dims[k],))
+    return HermitianOperator(contract_reduced(H.entries, state.vectors(), k, dims), (dims[k],))

@@ -1,18 +1,22 @@
-from math import prod
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sepdyn import propagators
 from sepdyn.exact_swap import SwapInitialData, exact_sse_swap, lie_trotter_swap_closed_form
 from sepdyn.hamiltonians import (
     HermitianOperator,
+    correlator_hamiltonian,
     local_sum_hamiltonian,
+    r_party_eta,
     random_hermitian,
     swap_hamiltonian,
 )
 from sepdyn.propagators import (
+    HermitianPropagator,
     SplittingScheme,
     Trajectory,
     evolve,
@@ -22,16 +26,28 @@ from sepdyn.propagators import (
     sse_component_flow,
     strang_step,
 )
-from sepdyn.states import ComponentState, FullState, Ket, inner, tensor_product
+from sepdyn.reduced import DegenerateStateError, partially_reduced
+from sepdyn.states import (
+    ComponentState,
+    FullState,
+    Ket,
+    inner,
+    split_components,
+    tensor_product,
+)
 
 from conftest import random_ket
-from test_reduced import random_local
+from test_reduced import random_hermitian_matrix, random_local
 
 SIGMA_Z = HermitianOperator(np.diag([1.0, -1.0]), (2,))
 
 
 def stacked(state: ComponentState) -> np.ndarray:
     return np.concatenate([p.amplitudes for p in state.parts])
+
+
+def random_hermitian_on(rng, dims) -> HermitianOperator:
+    return HermitianOperator(random_hermitian_matrix(rng, dims), dims)
 
 
 class TestHermitianExpmApply:
@@ -116,30 +132,31 @@ class TestSseComponentFlow:
     def test_swap_matches_single_update_formula(self, rng):
         H = swap_hamiltonian(2)
         a, b = random_ket(rng), random_ket(rng)
-        state = ComponentState((a, b))
+        x = stacked(ComponentState((a, b)))
         t = 0.21
-        out = sse_component_flow(H, state, 0, t)
+        out = sse_component_flow(H, x, 0, t)
         q_conj = inner(b, a)
         expected = a.amplitudes + q_conj * (np.exp(-1j * t) - 1.0) * b.amplitudes
-        assert np.max(np.abs(out.amplitudes - expected)) < 1e-13
+        assert np.max(np.abs(out[:2] - expected)) < 1e-13
+        assert np.array_equal(out[2:], b.amplitudes)
 
     def test_zero_time(self, rng):
         H = random_hermitian(2, seed=1)
-        state = ComponentState((random_ket(rng), random_ket(rng)))
-        out = sse_component_flow(H, state, 1, 0.0)
-        assert np.allclose(out.amplitudes, state.parts[1].amplitudes)
+        x = stacked(ComponentState((random_ket(rng), random_ket(rng))))
+        out = sse_component_flow(H, x, 1, 0.0)
+        assert np.allclose(out[2:], x[2:])
 
     def test_local_sum_gives_shifted_local_flow(self, rng):
         h1, h2 = random_local(rng), random_local(rng)
         H = local_sum_hamiltonian([h1, h2], (2, 2))
         a, b = random_ket(rng), random_ket(rng)
-        state = ComponentState((a, b))
+        x = stacked(ComponentState((a, b)))
         t = 0.8
-        out = sse_component_flow(H, state, 0, t)
+        out = sse_component_flow(H, x, 0, t)
         shift = np.real(np.vdot(b.amplitudes, h2.entries @ b.amplitudes))
         shifted = HermitianOperator(h1.entries + shift * np.eye(2), (2,))
         expected = hermitian_expm_apply(shifted, t, a.amplitudes)
-        assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
+        assert np.max(np.abs(out[:2] - expected)) < 1e-12
 
 
 class TestLieTrotterStep:
@@ -147,17 +164,16 @@ class TestLieTrotterStep:
         H = swap_hamiltonian(2)
         for _ in range(50):
             a, b = random_ket(rng), random_ket(rng)
-            state = ComponentState((a, b))
-            stepped = lie_trotter_step(H, state, 0.05)
+            stepped = lie_trotter_step(H, stacked(ComponentState((a, b))), 0.05)
             closed = lie_trotter_swap_closed_form(a, b, 0.05)
-            assert np.max(np.abs(stacked(stepped) - stacked(closed))) < 1e-12
+            assert np.max(np.abs(stepped - stacked(closed))) < 1e-12
 
     def test_small_step_is_near_identity(self, rng):
         H = random_hermitian(2, seed=12)
-        state = ComponentState((random_ket(rng), random_ket(rng)))
+        x = stacked(ComponentState((random_ket(rng), random_ket(rng))))
         for dt in (1e-3, 1e-4):
-            stepped = lie_trotter_step(H, state, dt)
-            assert np.max(np.abs(stacked(stepped) - stacked(state))) < 10 * dt
+            stepped = lie_trotter_step(H, x, dt)
+            assert np.max(np.abs(stepped - x)) < 10 * dt
 
     def test_exact_for_decoupled_hamiltonian(self, rng):
         h1, h2 = random_local(rng), random_local(rng)
@@ -183,25 +199,40 @@ class TestStrangStep:
         errors = []
         dts = [0.2, 0.1, 0.05]
         for dt in dts:
-            stepped = strang_step(H, fig1_state, dt)
+            stepped = strang_step(H, stacked(fig1_state), dt)
             exact = exact_sse_swap(data, dt)
-            errors.append(np.max(np.abs(stacked(stepped) - stacked(exact))))
+            errors.append(np.max(np.abs(stepped - stacked(exact))))
         slopes = np.diff(np.log(errors)) / np.diff(np.log(dts))
         assert np.all(np.abs(slopes - 3.0) < 0.2)
 
     def test_zero_step_is_identity(self, rng):
         H = random_hermitian(2, seed=3)
-        state = ComponentState((random_ket(rng), random_ket(rng)))
-        stepped = strang_step(H, state, 0.0)
-        assert np.allclose(stacked(stepped), stacked(state))
+        x = stacked(ComponentState((random_ket(rng), random_ket(rng))))
+        stepped = strang_step(H, x, 0.0)
+        assert np.allclose(stepped, x)
 
     @pytest.mark.parametrize("n_parts", [2, 3])
-    def test_adjoint_symmetry(self, rng, n_parts):
-        H = random_hermitian(n_parts, seed=9)
-        state = ComponentState(tuple(random_ket(rng) for _ in range(n_parts)))
-        forward = strang_step(H, state, 0.3)
-        back = strang_step(H, forward, -0.3)
-        assert np.max(np.abs(stacked(back) - stacked(state))) < 1e-10
+    @given(h_seed=st.integers(0, 2**32 - 1), ket_seed=st.integers(0, 2**32 - 1),
+           dim_choices=st.lists(st.sampled_from([2, 3]), min_size=3, max_size=3),
+           dt=st.floats(-2.0, 2.0))
+    @example(h_seed=9, ket_seed=1234, dim_choices=[2, 2, 2], dt=0.3)
+    @settings(max_examples=40, deadline=None)
+    def test_adjoint_symmetry(self, n_parts, h_seed, ket_seed, dim_choices, dt):
+        """The palindromic step is reversible: stepping by dt, then by -dt, is the identity.
+
+        The explicit example is the fixed qubit case, random_hermitian(n_parts,
+        seed=9) acting on normalized kets from default_rng(1234).
+        """
+        dims = tuple(dim_choices[:n_parts])
+        if set(dims) == {2}:
+            H = random_hermitian(n_parts, seed=h_seed)
+        else:
+            H = random_hermitian_on(np.random.default_rng(h_seed), dims)
+        rng = np.random.default_rng(ket_seed)
+        x = stacked(ComponentState(tuple(random_ket(rng, d) for d in dims)))
+        forward = strang_step(H, x, dt)
+        back = strang_step(H, forward, -dt)
+        assert np.max(np.abs(back - x)) < 1e-10
 
 
 class TestEvolve:
@@ -270,6 +301,86 @@ class TestEvolve:
             assert np.max(np.abs(p_num - p_exa)) < 1e-10
 
 
+def object_path_rows(scheme, H, state0, dt, steps) -> np.ndarray:
+    """Reference trajectory of stacked components built from validated objects.
+
+    Every sub-step rebuilds a ComponentState, reduces H with
+    ``partially_reduced`` and applies ``HermitianPropagator`` to a Ket, in
+    the splitting order each scheme documents.
+    """
+    n = state0.n_parts
+    if scheme is SplittingScheme.LIE_TROTTER:
+        sequence = [(l, dt) for l in range(n)]
+    elif n == 2:
+        sequence = [(1, 0.5 * dt), (0, dt), (1, 0.5 * dt)]
+    else:
+        ascending = [(l, 0.5 * dt) for l in range(n - 1)]
+        sequence = ascending + [(n - 1, dt)] + ascending[::-1]
+    parts = list(state0.parts)
+    rows = [stacked(state0)]
+    for _ in range(steps):
+        for l, tau in sequence:
+            reduced = partially_reduced(H, ComponentState(tuple(parts), state0.dims), l)
+            parts[l] = Ket(HermitianPropagator(reduced).apply(tau, parts[l].amplitudes))
+        rows.append(stacked(ComponentState(tuple(parts), state0.dims)))
+    return np.stack(rows)
+
+
+SYSTEMS = {
+    "swap": lambda: swap_hamiltonian(2),
+    "random5": lambda: random_hermitian(5, seed=21),
+    "ladder": lambda: correlator_hamiltonian(r_party_eta(2)),
+}
+
+
+class TestArrayCore:
+    """``evolve`` runs the step maps on plain arrays, checking its inputs once."""
+
+    @pytest.mark.parametrize("scheme", list(SplittingScheme))
+    @pytest.mark.parametrize("system", list(SYSTEMS))
+    def test_matches_object_path_at_every_step(self, rng, system, scheme):
+        H = SYSTEMS[system]()
+        state = ComponentState(tuple(random_ket(rng, d) for d in H.dims), H.dims)
+        dt, steps = 0.05, 40
+        traj = evolve(scheme, H, state, dt, steps)
+        reference = object_path_rows(scheme, H, state, dt, steps)
+        assert np.max(np.abs(traj.components - reference)) < 1e-12
+
+    @pytest.mark.parametrize("scheme", list(SplittingScheme))
+    def test_dims_mismatch_rejected_before_any_step(self, rng, monkeypatch, scheme):
+        calls = []
+        monkeypatch.setitem(propagators._STEP_MAPS, scheme,
+                            lambda *args: calls.append(args))
+        H = random_hermitian_on(rng, (2, 3))
+        state = ComponentState((random_ket(rng, 3), random_ket(rng, 2)))
+        with pytest.raises(ValueError, match="do not match"):
+            evolve(scheme, H, state, 0.1, 5)
+        assert calls == []
+
+    @pytest.mark.parametrize("scheme", list(SplittingScheme))
+    def test_zero_norm_component_rejected(self, rng, scheme):
+        H = random_hermitian(2, seed=4)
+        state = ComponentState((random_ket(rng), Ket(np.zeros(2, dtype=complex))))
+        with pytest.raises(DegenerateStateError):
+            evolve(scheme, H, state, 0.1, 5)
+
+    def test_builds_no_objects_per_step(self, rng, monkeypatch):
+        H = random_hermitian(5, seed=21)
+        state = ComponentState(tuple(random_ket(rng) for _ in H.dims))
+        counts = Counter()
+        for cls in (Ket, ComponentState, HermitianOperator):
+            def counting(self, _validate=cls.__post_init__, _name=cls.__name__):
+                counts[_name] += 1
+                _validate(self)
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        built = {}
+        for steps in (10, 50):
+            counts.clear()
+            evolve(SplittingScheme.STRANG, H, state, 0.01, steps)
+            built[steps] = dict(counts)
+        assert built[10] == built[50]
+
+
 class TestSeEvolve:
     def test_grid_matches_pointwise_flow(self, rng):
         H = random_hermitian(2, seed=13)
@@ -323,10 +434,8 @@ class TestSplittingInvariants:
     @settings(max_examples=60, deadline=None)
     def test_each_component_keeps_its_norm(self, seed, dims, dt, step):
         rng = np.random.default_rng(seed)
-        dim = prod(dims)
-        mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        H = HermitianOperator(mat + mat.conj().T, dims)
+        H = random_hermitian_on(rng, dims)
         state = ComponentState(tuple(random_ket(rng, d, normalize=False) for d in dims))
-        after = step(H, state, dt)
-        for before_part, after_part in zip(state.parts, after.parts):
-            assert after_part.norm() == pytest.approx(before_part.norm(), rel=1e-12)
+        after = step(H, stacked(state), dt)
+        for before_part, after_part in zip(state.parts, split_components(after, dims)):
+            assert np.linalg.norm(after_part) == pytest.approx(before_part.norm(), rel=1e-12)

@@ -7,7 +7,7 @@ from sepdyn.hamiltonians import (
     random_hermitian,
     swap_hamiltonian,
 )
-from sepdyn.reduced import DegenerateStateError, partially_reduced
+from sepdyn.reduced import DegenerateStateError, contract_reduced, partially_reduced
 from sepdyn.states import ComponentState, Ket
 
 from conftest import random_ket
@@ -21,9 +21,9 @@ def random_local(rng, d=2):
 def embedding_oracle(H, state, k):
     """Reduce via explicit rectangular embedding matrices.
 
-    Independent of the einsum contraction used by the implementation: builds
-    the linear map x -> a_1 x ... x x x ... x a_N column by column and
-    sandwiches the full operator.
+    Independent of the implementation's broadcast construction: builds the
+    linear map x -> a_1 x ... x x x ... x a_N column by column with np.kron
+    and sandwiches the full operator.
     """
     dims = state.dims
     d_k = dims[k]
@@ -43,6 +43,29 @@ def embedding_oracle(H, state, k):
         if j != k:
             denom *= np.linalg.norm(part.amplitudes) ** 2
     return embed.conj().T @ H.entries @ embed / denom
+
+
+def random_hermitian_matrix(rng, dims):
+    side = int(np.prod(dims))
+    mat = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    return mat + mat.conj().T
+
+
+def einsum_reduction(matrix, vectors, keep, dims):
+    """The reduction as one many-operand einsum, divided by the context norms².
+
+    Contracts row axis j with conj(vectors[j]) and column axis j with
+    vectors[j] for every j != keep: an oracle for the embedding GEMMs.
+    """
+    n = len(dims)
+    operands = [matrix.reshape(dims + dims), list(range(2 * n))]
+    denom = 1.0
+    for j in range(n):
+        if j == keep:
+            continue
+        operands.extend([np.conj(vectors[j]), [j], vectors[j], [n + j]])
+        denom *= np.real(np.vdot(vectors[j], vectors[j]))
+    return np.einsum(*operands, [keep, n + keep]) / denom
 
 
 class TestSwapReduction:
@@ -126,3 +149,27 @@ class TestReductionProperties:
         parts = tuple(random_ket(rng, 3) for _ in range(2))
         with pytest.raises(ValueError):
             partially_reduced(H, ComponentState(parts, (3, 3)), 0)
+
+
+class TestContractReducedKernel:
+    """The array kernel the step maps call, against the einsum oracle."""
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 3, 3),
+                                      (2,) * 5])
+    def test_matches_einsum_oracle_for_every_subsystem(self, rng, dims):
+        matrix = random_hermitian_matrix(rng, dims)
+        # Unnormalized contexts, with norms spread over a decade either way.
+        vectors = [rng.uniform(0.1, 10.0) * random_ket(rng, d, normalize=False).amplitudes
+                   for d in dims]
+        for k in range(len(dims)):
+            kernel = contract_reduced(matrix, vectors, k, dims)
+            oracle = einsum_reduction(matrix, vectors, k, dims)
+            assert kernel.shape == (dims[k], dims[k])
+            assert np.max(np.abs(kernel - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+            assert np.array_equal(kernel, kernel.conj().T)
+
+    def test_zero_context_rejected(self, rng):
+        matrix = random_hermitian_matrix(rng, (2, 3))
+        vectors = [random_ket(rng).amplitudes, np.zeros(3, dtype=complex)]
+        with pytest.raises(DegenerateStateError):
+            contract_reduced(matrix, vectors, 0, (2, 3))
