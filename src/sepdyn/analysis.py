@@ -58,7 +58,8 @@ def _projector_difference_nuclear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def rate_of_change_nuclear(traj: Trajectory, dt: float) -> np.ndarray:
     """Nuclear norm of the finite-difference projector derivative.
 
-    Centered differences in the interior, one-sided at the endpoints. Each
+    Centered differences in the interior, one-sided at the endpoints (on
+    two grid points both rows get the same one-sided difference). Each
     difference of two rank-1 projectors has the closed form
 
         || |a><a| - |b><b| ||_1 = sqrt((|a|^2 - |b|^2)^2 + 4 G),
@@ -72,8 +73,8 @@ def rate_of_change_nuclear(traj: Trajectory, dt: float) -> np.ndarray:
     O(1) quantities whose difference is O(dt). The cost is O(n_times * dim).
     """
     states = traj.full
-    if states.shape[0] < 3:
-        raise ValueError("need at least three grid points")
+    if states.shape[0] < 2:
+        raise ValueError("need at least two grid points")
     rates = np.empty(states.shape[0])
     rates[1:-1] = _projector_difference_nuclear(states[2:], states[:-2]) / (2.0 * dt)
     rates[[0, -1]] = _projector_difference_nuclear(states[[1, -1]], states[[0, -2]]) / dt

@@ -3,9 +3,12 @@ system, and an adaptive Runge-Kutta solver for their truncations.
 
 The modified right-hand sides are formal power series in the step size; the
 truncation order selects how many correction terms beyond the restricted
-equations are kept. Truncations are solved with an embedded Dormand-Prince
-5(4) pair so the reference solutions sit far below the deviations being
-measured.
+equations are kept. ``ModifiedRHS`` checks the order once, when it is
+built; the right-hand sides it calls then run unchecked on views of the
+stacked state, since the solver calls them seven times per step.
+Truncations are solved with an embedded Dormand-Prince 5(4) pair so the
+reference solutions sit far below the deviations being measured; the
+solver returns the requested samples and its step statistics only.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ class StepSizeUnderflowError(RuntimeError):
     """The adaptive controller drove the step size below 1e-14."""
 
 
-def trotter_modified_rhs(order: int, dt: float, a: np.ndarray, b: np.ndarray):
+def _trotter_rhs(order: int, dt: float, a: np.ndarray, b: np.ndarray):
     """Right-hand sides of the sequential-splitting modified equations.
 
     Order 0 reproduces the restricted equations; order 1 adds the
@@ -33,10 +36,6 @@ def trotter_modified_rhs(order: int, dt: float, a: np.ndarray, b: np.ndarray):
     the two components; order 2 adds the shared second-order projector
     term. The transition amplitude q is evaluated at the current state.
     """
-    if order not in TROTTER_ORDERS:
-        raise ValueError(f"truncation order must be one of {TROTTER_ORDERS}")
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
     q = np.vdot(a, b)
     mod_q2 = abs(q) ** 2
     first = 1.0 if order >= 1 else 0.0
@@ -49,7 +48,7 @@ def trotter_modified_rhs(order: int, dt: float, a: np.ndarray, b: np.ndarray):
     return da, db
 
 
-def strang_modified_rhs(order: int, dt: float, a: np.ndarray, b: np.ndarray):
+def _strang_rhs(order: int, dt: float, a: np.ndarray, b: np.ndarray):
     """Right-hand sides of the palindromic-splitting modified equations.
 
     The series contains no odd powers of dt; order 2 adds the quadratic
@@ -57,10 +56,6 @@ def strang_modified_rhs(order: int, dt: float, a: np.ndarray, b: np.ndarray):
     roles ``propagators.strang_step`` gives them: b (component 1) is
     half-stepped on both sides of the full step on a (component 0).
     """
-    if order not in STRANG_ORDERS:
-        raise ValueError(f"truncation order must be one of {STRANG_ORDERS}")
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
     q = np.vdot(a, b)
     mod_q2 = abs(q) ** 2
     second = 1.0 if order >= 2 else 0.0
@@ -75,7 +70,7 @@ def strang_modified_rhs(order: int, dt: float, a: np.ndarray, b: np.ndarray):
 
 @dataclass(frozen=True)
 class ModifiedRHS:
-    """Callable modified vector field on the stacked pair y = [a; b]."""
+    """Callable modified vector field on the stacked complex pair y = [a; b]."""
 
     scheme: SplittingScheme
     truncation_order: int
@@ -92,29 +87,24 @@ class ModifiedRHS:
         half = y.size // 2
         a, b = y[:half], y[half:]
         if self.scheme is SplittingScheme.LIE_TROTTER:
-            da, db = trotter_modified_rhs(self.truncation_order, self.dt, a, b)
+            da, db = _trotter_rhs(self.truncation_order, self.dt, a, b)
         else:
-            da, db = strang_modified_rhs(self.truncation_order, self.dt, a, b)
+            da, db = _strang_rhs(self.truncation_order, self.dt, a, b)
         return np.concatenate([da, db])
 
 
 @dataclass(frozen=True)
 class OdeSolution:
-    """Accepted solver grid, interpolated samples, and step statistics."""
+    """Samples at the requested times, and step statistics."""
 
-    times: np.ndarray
-    states: np.ndarray
-    t_eval: np.ndarray | None
-    y_eval: np.ndarray | None
+    y_eval: np.ndarray
     steps: int
     rejected: int
     rhs_evals: int
 
     def __post_init__(self):
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("solver times must be increasing")
-        if not np.all(np.isfinite(self.states)):
-            raise ValueError("solver states must be finite")
+        if not np.all(np.isfinite(self.y_eval)):
+            raise ValueError("solver samples must be finite")
 
 
 # Dormand-Prince 5(4) tableau.
@@ -140,13 +130,13 @@ def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, tol: float) -> 
     return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
 
 
-def _initial_step(f, t0, y0, f0, tol, direction=1.0):
+def _initial_step(f, t0, y0, f0, tol):
     scale = tol + tol * np.abs(y0)
     d0 = np.sqrt(np.mean(np.abs(y0 / scale) ** 2))
     d1 = np.sqrt(np.mean(np.abs(f0 / scale) ** 2))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    y1 = y0 + direction * h0 * f0
-    f1 = f(t0 + direction * h0, y1)
+    y1 = y0 + h0 * f0
+    f1 = f(t0 + h0, y1)
     d2 = np.sqrt(np.mean(np.abs((f1 - f0) / scale) ** 2)) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -156,14 +146,15 @@ def _initial_step(f, t0, y0, f0, tol, direction=1.0):
 
 
 def rk_integrate(rhs, y0, t_span: tuple[float, float], tol: float,
-                 t_eval=None, max_step: float | None = None) -> OdeSolution:
+                 t_eval) -> OdeSolution:
     """Adaptive embedded Runge-Kutta 5(4) integration with PI step control.
 
     ``rhs`` is any callable f(t, y) -> dy on complex vectors; pairs such as
-    (a, b) are passed stacked. Samples requested through ``t_eval`` are
-    filled by piecewise cubic Hermite interpolation on the accepted steps,
-    which is fourth-order accurate; the step size is capped so that the
-    interpolation remainder stays at the level of ``tol``.
+    (a, b) are passed stacked. The samples at ``t_eval``, non-decreasing
+    times inside ``t_span``, are filled by piecewise cubic Hermite
+    interpolation on the accepted steps, which is fourth-order accurate;
+    the step size is capped so that the interpolation remainder stays at
+    the level of ``tol``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -176,21 +167,16 @@ def rk_integrate(rhs, y0, t_span: tuple[float, float], tol: float,
 
     # Cubic Hermite remainder is h^4 |y''''| / 384; keep it at the tolerance
     # assuming order-one derivatives, as for the unit-scale fields here.
-    interp_cap = (384.0 * tol) ** 0.25
-    h_cap = min(max_step, interp_cap) if max_step is not None else interp_cap
-    h_cap = min(h_cap, t1 - t0)
+    h_cap = min((384.0 * tol) ** 0.25, t1 - t0)
 
-    t_eval = None if t_eval is None else np.asarray(t_eval, dtype=float)
-    if t_eval is not None:
-        if np.any(t_eval < t0 - 1e-12) or np.any(t_eval > t1 + 1e-12):
-            raise ValueError("t_eval must lie inside t_span")
-        y_eval = np.empty((t_eval.size, y.size), dtype=complex)
-        eval_cursor = 0
-    else:
-        y_eval = None
+    t_eval = np.asarray(t_eval, dtype=float)
+    if np.any(t_eval < t0 - 1e-12) or np.any(t_eval > t1 + 1e-12):
+        raise ValueError("t_eval must lie inside t_span")
+    if np.any(np.diff(t_eval) < 0):
+        raise ValueError("t_eval must be non-decreasing")
+    y_eval = np.empty((t_eval.size, y.size), dtype=complex)
+    eval_cursor = 0
 
-    times = [t0]
-    states = [y.copy()]
     t = t0
     f_first = rhs(t, y)
     rhs_evals = 1
@@ -216,21 +202,18 @@ def rk_integrate(rhs, y0, t_span: tuple[float, float], tol: float,
 
         if err <= 1.0:
             t_new = t + h
-            if y_eval is not None:
-                # Fill every requested sample inside the accepted interval.
-                while eval_cursor < t_eval.size and t_eval[eval_cursor] <= t_new + 1e-14:
-                    theta = np.clip((t_eval[eval_cursor] - t) / h, 0.0, 1.0)
-                    h00 = 2 * theta**3 - 3 * theta**2 + 1
-                    h10 = theta**3 - 2 * theta**2 + theta
-                    h01 = -2 * theta**3 + 3 * theta**2
-                    h11 = theta**3 - theta**2
-                    y_eval[eval_cursor] = (
-                        h00 * y + h10 * h * k[0] + h01 * y_new + h11 * h * k[6]
-                    )
-                    eval_cursor += 1
+            # Fill every requested sample inside the accepted interval.
+            while eval_cursor < t_eval.size and t_eval[eval_cursor] <= t_new + 1e-14:
+                theta = np.clip((t_eval[eval_cursor] - t) / h, 0.0, 1.0)
+                h00 = 2 * theta**3 - 3 * theta**2 + 1
+                h10 = theta**3 - 2 * theta**2 + theta
+                h01 = -2 * theta**3 + 3 * theta**2
+                h11 = theta**3 - theta**2
+                y_eval[eval_cursor] = (
+                    h00 * y + h10 * h * k[0] + h01 * y_new + h11 * h * k[6]
+                )
+                eval_cursor += 1
             t, y = t_new, y_new
-            times.append(t)
-            states.append(y.copy())
             steps += 1
             k[0] = k[6]  # first-same-as-last
             factor = 0.9 * err ** -0.14 * err_prev**0.08 if err > 0 else 5.0
@@ -241,14 +224,5 @@ def rk_integrate(rhs, y0, t_span: tuple[float, float], tol: float,
             factor = min(factor, 1.0)
         h = h * float(np.clip(factor, 0.2, 5.0))
 
-    if y_eval is not None and eval_cursor < t_eval.size:
-        y_eval[eval_cursor:] = y  # samples at the right endpoint
-    return OdeSolution(
-        times=np.asarray(times),
-        states=np.stack(states),
-        t_eval=t_eval,
-        y_eval=y_eval,
-        steps=steps,
-        rejected=rejected,
-        rhs_evals=rhs_evals,
-    )
+    y_eval[eval_cursor:] = y  # samples at the right endpoint
+    return OdeSolution(y_eval, steps, rejected, rhs_evals)

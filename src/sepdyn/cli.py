@@ -5,8 +5,14 @@ seeded random five-qubit, three-qutrit correlator) and one integrator, then
 writes the trajectory as CSV plus a diagnostics JSON. Runs are byte-for-byte
 reproducible for a fixed config, including the random seed.
 
+``sepdyn run`` loads and validates each config once, before any run (a
+single file is a directory of one); the output-prefix clash check and the
+runs share those configs, and one that fails to load exits 2 while the
+others still run. ``--jobs`` starts at most one worker per config and CPU.
+
 Exit codes: 0 success, 2 config validation error, 3 solver failure,
-4 variational blow-up (partial output retained).
+4 variational blow-up (partial output retained); a directory exits with the
+largest code of its configs.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import argparse
 import concurrent.futures
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -240,9 +247,7 @@ def _variational_run(config, H, state0) -> RunResult:
 
 
 def _bea_run(config, state0) -> RunResult:
-    scheme = (SplittingScheme.LIE_TROTTER if config.bea_scheme == "lie_trotter"
-              else SplittingScheme.STRANG)
-    rhs = bea.ModifiedRHS(scheme, config.bea_order, config.dt)
+    rhs = bea.ModifiedRHS(SplittingScheme(config.bea_scheme), config.bea_order, config.dt)
     steps = config.steps()
     times = config.dt * np.arange(steps + 1)
     a0, b0 = state0.parts[0].amplitudes, state0.parts[1].amplitudes
@@ -261,9 +266,7 @@ def execute(config: ExperimentConfig, H: HermitianOperator) -> RunResult:
         traj = se_evolve(H, tensor_product(state0), config.dt, steps)
         return RunResult(traj, {"kind": "eigendecomposition"})
     if config.integrator in ("lie_trotter", "strang"):
-        scheme = (SplittingScheme.LIE_TROTTER if config.integrator == "lie_trotter"
-                  else SplittingScheme.STRANG)
-        traj = evolve(scheme, H, state0, config.dt, steps)
+        traj = evolve(SplittingScheme(config.integrator), H, state0, config.dt, steps)
         return RunResult(traj, {"kind": "splitting"})
     if config.integrator == "bea_truncation":
         return _bea_run(config, state0)
@@ -277,7 +280,7 @@ def _diagnostic_columns(config: ExperimentConfig, result: RunResult,
     rhos = None
     for name in config.outputs:
         if name == "norm":
-            columns["norm"] = traj.diagnostics["norm"]
+            columns["norm"] = traj.norm
         elif name == "abs_overlap":
             reference = HermitianPropagator(H).states_on_grid(traj.full[0], traj.times)
             columns["abs_overlap"] = np.abs(analysis.overlap_series(
@@ -330,7 +333,7 @@ def write_csv(path: Path, result: RunResult, columns: dict[str, np.ndarray]):
 
 def _conservation_summary(config: ExperimentConfig, result: RunResult) -> dict:
     traj = result.trajectory
-    norms = traj.diagnostics["norm"]
+    norms = traj.norm
     summary = {
         "max_abs_norm_drift": float(np.max(np.abs(norms - norms[0]))),
         "final_norm": float(norms[-1]),
@@ -373,7 +376,7 @@ def run(config: ExperimentConfig) -> int:
         handle.write("\n")
 
     elapsed = time.perf_counter() - start
-    norms = result.trajectory.diagnostics["norm"]
+    norms = result.trajectory.norm
     status = "blow-up" if result.blowup else "ok"
     print(
         f"{config.experiment}/{config.integrator}: {status}, "
@@ -435,29 +438,35 @@ def load_config(path: Path, overrides: list[str]) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
-def _output_clash(files: list[str], overrides: tuple[str, ...]) -> str | None:
+def _load_or_error(path: Path, overrides: list[str]) -> ExperimentConfig | ConfigError:
+    """The loaded config, or the error its run reports."""
+    try:
+        return load_config(path, overrides)
+    except ConfigError as err:
+        return err
+
+
+def _output_clash(files: list[Path],
+                  loaded: list[ExperimentConfig | ConfigError]) -> str | None:
     """A message naming two configs that write the same output prefix, or None.
 
-    Configs that fail to load are skipped here; their own run reports them.
+    Configs that failed to load are skipped here; their own run reports them.
     """
-    owners: dict[Path, str] = {}
-    for path_str in files:
-        try:
-            config = load_config(Path(path_str), list(overrides))
-        except ConfigError:
+    owners: dict[Path, Path] = {}
+    for path, config in zip(files, loaded):
+        if isinstance(config, ConfigError):
             continue
         prefix = Path(config.out_path).resolve()
         if prefix in owners:
-            return f"{owners[prefix]} and {path_str} both write to {prefix}"
-        owners[prefix] = path_str
+            return f"{owners[prefix]} and {path} both write to {prefix}"
+        owners[prefix] = path
     return None
 
 
-def _run_file(path_str: str, overrides: tuple[str, ...] = ()) -> int:
-    try:
-        config = load_config(Path(path_str), list(overrides))
-    except ConfigError as err:
-        print(f"config error in {path_str}: {err}", file=sys.stderr)
+def _run_file(path: Path, config: ExperimentConfig | ConfigError) -> int:
+    """Run one loaded config, or report the error it failed to load with."""
+    if isinstance(config, ConfigError):
+        print(f"config error in {path}: {config}", file=sys.stderr)
         return EXIT_CONFIG
     return run(config)
 
@@ -536,23 +545,23 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     config_path = Path(args.config)
-    if config_path.is_dir():
-        files = sorted(str(p) for p in config_path.glob("*.json"))
-        if not files:
-            print(f"no .json configs in {config_path}", file=sys.stderr)
-            return EXIT_CONFIG
-        clash = _output_clash(files, tuple(args.override))
-        if clash is not None:
-            print(f"config error: {clash}", file=sys.stderr)
-            return EXIT_CONFIG
-        if args.jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                codes = list(pool.map(_run_file, files,
-                                      [tuple(args.override)] * len(files)))
-        else:
-            codes = [_run_file(f, tuple(args.override)) for f in files]
-        return max(codes)
-    return _run_file(str(config_path), tuple(args.override))
+    files = sorted(config_path.glob("*.json")) if config_path.is_dir() else [config_path]
+    if not files:
+        print(f"no .json configs in {config_path}", file=sys.stderr)
+        return EXIT_CONFIG
+    loaded = [_load_or_error(path, args.override) for path in files]
+    clash = _output_clash(files, loaded)
+    if clash is not None:
+        print(f"config error: {clash}", file=sys.stderr)
+        return EXIT_CONFIG
+    # The pool starts every worker at once, so never more than can be busy.
+    workers = min(args.jobs, len(files), os.cpu_count() or 1)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            codes = list(pool.map(_run_file, files, loaded))
+    else:
+        codes = [_run_file(path, config) for path, config in zip(files, loaded)]
+    return max(codes)
 
 
 def entrypoint():

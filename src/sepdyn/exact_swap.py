@@ -6,7 +6,7 @@ of them: nothing here touches the splitting or variational code paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,11 +18,11 @@ ORTHOGONAL_Q_TOL = 1e-14
 
 @dataclass(frozen=True)
 class SwapInitialData:
-    """Normalized initial pair (a0, b0) with the cached transition amplitude."""
+    """Normalized initial pair (a0, b0) and its transition amplitude q = <a0|b0>."""
 
     a0: Ket
     b0: Ket
-    q: complex = None
+    q: complex = field(init=False)
 
     def __post_init__(self):
         a0 = self.a0 if isinstance(self.a0, Ket) else Ket(np.asarray(self.a0))
@@ -32,12 +32,9 @@ class SwapInitialData:
         for name, ket in (("a0", a0), ("b0", b0)):
             if abs(ket.norm() - 1.0) > NORMALIZATION_TOL:
                 raise ValueError(f"{name} must be normalized to 1e-12")
-        q = inner(a0, b0)
-        if self.q is not None and abs(q - complex(self.q)) > 1e-14:
-            raise ValueError("cached q does not match <a0|b0>")
         object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "b0", b0)
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", inner(a0, b0))
 
 
 def exact_se_swap(data: SwapInitialData, t: float) -> FullState:

@@ -17,7 +17,8 @@ state keeps its norm to machine precision.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -34,19 +35,19 @@ class SplittingScheme(enum.Enum):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniform-grid time series of states plus scalar diagnostics.
+    """Uniform-grid time series of states.
 
     ``full`` holds one composite-space state per grid time, shape
     (n_times, prod(dims)). Component runs also keep ``components``, the
     stacked subsystem kets concat(a_1, ..., a_N), shape (n_times, sum(dims)).
-    Both arrays are stored read-only.
+    Both arrays are stored read-only; ``norm`` is the full state's norm per
+    grid time, computed on first use.
     """
 
     times: np.ndarray
     dims: tuple[int, ...] = ()
     full: np.ndarray | None = None
     components: np.ndarray | None = None
-    diagnostics: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -74,18 +75,18 @@ class Trajectory:
                 raise ValueError(f"{name} amplitudes must be finite")
             stored.setflags(write=False)
             object.__setattr__(self, name, stored)
-        for key, series in self.diagnostics.items():
-            if np.asarray(series).shape[0] != times.size:
-                raise ValueError(f"diagnostic '{key}' length does not match times")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "dims", dims)
 
     @classmethod
     def from_components(cls, times, components: np.ndarray, dims) -> "Trajectory":
-        """A component run: its rows, their tensor products and the full-state norm."""
-        full = tensor_product_rows(components, dims)
-        return cls(times, dims, full=full, components=components,
-                   diagnostics={"norm": np.linalg.norm(full, axis=1)})
+        """A component run: its rows and their tensor products."""
+        return cls(times, dims, full=tensor_product_rows(components, dims),
+                   components=components)
+
+    @cached_property
+    def norm(self) -> np.ndarray:
+        return np.linalg.norm(self.full, axis=1)
 
     @property
     def dt(self) -> float:
@@ -176,8 +177,7 @@ def evolve(scheme: SplittingScheme, H: HermitianOperator, state0: ComponentState
 
     The operator, the state, ``dt`` and ``steps`` are checked here, once;
     the step maps then run on plain stacked arrays. Stores the stacked
-    components, their tensor-product reconstructions, and the per-step norm
-    of the reconstructed full state.
+    components and their tensor-product reconstructions.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -202,5 +202,4 @@ def se_evolve(H: HermitianOperator, psi0: FullState, dt: float, steps: int) -> T
     propagator = HermitianPropagator(H)
     times = dt * np.arange(steps + 1)
     grid = propagator.states_on_grid(psi0.amplitudes, times)
-    return Trajectory(times, psi0.dims, full=grid,
-                      diagnostics={"norm": np.linalg.norm(grid, axis=1)})
+    return Trajectory(times, psi0.dims, full=grid)

@@ -291,8 +291,7 @@ def _forward_difference_jacobian(residual: Callable[[np.ndarray], np.ndarray],
 
 
 def newton_solve(residual: Callable[[np.ndarray], np.ndarray], guess: np.ndarray,
-                 tol: float = NEWTON_TOL, maxiter: int = NEWTON_MAXITER,
-                 jacobian: Callable | None = None):
+                 maxiter: int = NEWTON_MAXITER, jacobian: Callable | None = None):
     """Newton iteration on a complex residual with real/imaginary splitting.
 
     ``residual`` maps one complex point of shape (n,) to shape (n,), and an
@@ -302,7 +301,8 @@ def newton_solve(residual: Callable[[np.ndarray], np.ndarray], guess: np.ndarray
     forward differences, all 2n bumped points in one stacked residual call.
     Updates are solved in the least-squares sense, which also covers
     rank-deficient systems (the product-state substitution leaves a
-    rescaling direction unconstrained). Returns (solution, iterations).
+    rescaling direction unconstrained). Converged means a real-split
+    residual norm of at most ``NEWTON_TOL``. Returns (solution, iterations).
     """
 
     def real_residual(r_vec):
@@ -310,7 +310,7 @@ def newton_solve(residual: Callable[[np.ndarray], np.ndarray], guess: np.ndarray
 
     x = _complex_to_real(np.asarray(guess, dtype=complex))
     r = real_residual(x)
-    if np.linalg.norm(r) <= tol:
+    if np.linalg.norm(r) <= NEWTON_TOL:
         return _real_to_complex(x), 0
     for iteration in range(1, maxiter + 1):
         if jacobian is not None:
@@ -323,10 +323,10 @@ def newton_solve(residual: Callable[[np.ndarray], np.ndarray], guess: np.ndarray
         res_norm = float(np.linalg.norm(r))
         if not np.isfinite(res_norm):
             raise NewtonConvergenceError("Newton residual became non-finite", res_norm)
-        if res_norm <= tol:
+        if res_norm <= NEWTON_TOL:
             return _real_to_complex(x), iteration
     raise NewtonConvergenceError(
-        f"Newton did not reach {tol} in {maxiter} iterations", res_norm
+        f"Newton did not reach {NEWTON_TOL} in {maxiter} iterations", res_norm
     )
 
 
@@ -341,7 +341,7 @@ def _d1_jacobian_callable(Ld: DiscreteLagrangian, x, xbar):
     return jacobian
 
 
-def initial_step(Ld: DiscreteLagrangian, psi0: np.ndarray, tol: float = NEWTON_TOL):
+def initial_step(Ld: DiscreteLagrangian, psi0: np.ndarray):
     """First grid point from momentum matching at the initial time.
 
     Returns (psi_1, newton_iterations).
@@ -353,13 +353,11 @@ def initial_step(Ld: DiscreteLagrangian, psi0: np.ndarray, tol: float = NEWTON_T
     def residual(y):
         return p0 + Ld.d1(psi0, bar0, y, np.conj(y))
 
-    return newton_solve(
-        residual, psi0, tol=tol, jacobian=_d1_jacobian_callable(Ld, psi0, bar0)
-    )
+    return newton_solve(residual, psi0, jacobian=_d1_jacobian_callable(Ld, psi0, bar0))
 
 
 def del_step(Ld: DiscreteLagrangian, psi_prev: np.ndarray, psi_curr: np.ndarray,
-             guess: np.ndarray | None = None, tol: float = NEWTON_TOL):
+             guess: np.ndarray | None = None):
     """Advance the two-term discrete stationarity recursion by one point.
 
     Returns (psi_next, newton_iterations).
@@ -375,7 +373,7 @@ def del_step(Ld: DiscreteLagrangian, psi_prev: np.ndarray, psi_curr: np.ndarray,
     if guess is None:
         guess = psi_curr
     return newton_solve(
-        residual, guess, tol=tol, jacobian=_d1_jacobian_callable(Ld, psi_curr, bar_curr)
+        residual, guess, jacobian=_d1_jacobian_callable(Ld, psi_curr, bar_curr)
     )
 
 
@@ -523,8 +521,7 @@ def integrate_discretize_then_restrict(
 
 
 def substituted_del_step(H: HermitianOperator, alpha: float, dt: float,
-                         x_prev: np.ndarray, x_curr: np.ndarray, dims,
-                         tol: float = NEWTON_TOL):
+                         x_prev: np.ndarray, x_curr: np.ndarray, dims):
     """One step of the discretize-first recursion from explicit grid points.
 
     Returns (x_next, newton_iterations); useful for comparing the two
@@ -533,4 +530,4 @@ def substituted_del_step(H: HermitianOperator, alpha: float, dt: float,
     substituted = _SubstitutedDiscreteLagrangian(
         DiscreteLagrangian(se_lagrangian(H), alpha, dt), dims
     )
-    return del_step(substituted, x_prev, x_curr, guess=np.asarray(x_curr), tol=tol)
+    return del_step(substituted, x_prev, x_curr, guess=np.asarray(x_curr))

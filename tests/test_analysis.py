@@ -172,11 +172,18 @@ class TestRateOfChangeNuclear:
             tracemalloc.stop()
         assert peak < 20 * n_times * dim * 16
 
-    def test_needs_three_points(self, rng):
+    def test_needs_two_points(self, rng):
         psi = random_ket(rng, 4).amplitudes
-        traj = Trajectory(np.array([0.0, 0.1]), (2, 2), full=np.stack([psi, psi]))
+        traj = Trajectory(np.array([0.0]), (2, 2), full=psi[None, :])
         with pytest.raises(ValueError):
             rate_of_change_nuclear(traj, 0.1)
+
+    def test_two_points_give_the_one_sided_difference_at_both(self, rng):
+        psi0, psi1 = random_ket(rng, 4).amplitudes, random_ket(rng, 4).amplitudes
+        traj = Trajectory(np.array([0.0, 0.1]), (2, 2), full=np.stack([psi0, psi1]))
+        expected = nuclear_norm(np.outer(psi1, psi1.conj())
+                                - np.outer(psi0, psi0.conj())) / 0.1
+        assert rate_of_change_nuclear(traj, 0.1) == pytest.approx([expected] * 2, rel=1e-12)
 
 
 class TestPuritySeries:

@@ -84,3 +84,15 @@ class TestAgainstScipy:
                 rtol=1e-12, atol=1e-12, t_eval=times)
             assert reference.success
             assert np.max(np.abs(ours.y_eval - reference.y.T)) <= 1e-11
+
+
+class TestRkIntegrateInputs:
+    def test_rejects_decreasing_sample_times(self, rng):
+        a, b = random_ket(rng), random_ket(rng)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            bea.rk_integrate(bea.ModifiedRHS(LIE_TROTTER, 0, 0.1), (a.amplitudes, b.amplitudes),
+                             (0.0, 2.0), tol=1e-12, t_eval=[1.5, 0.5])
+
+    def test_rejects_non_finite_samples(self):
+        with pytest.raises(ValueError, match="finite"):
+            bea.OdeSolution(np.array([[np.nan + 0j]]), steps=1, rejected=0, rhs_evals=8)

@@ -206,6 +206,147 @@ class TestRunGuards:
         assert config.steps() == cli.MAX_STEPS
 
 
+class TestConfigPass:
+    """``run --config DIR`` loads each config once and forks no idle workers."""
+
+    def write_configs(self, directory, count):
+        directory.mkdir()
+        for i in range(count):
+            config = swap_config(directory.parent / "out" / f"run{i}", 0.05)
+            (directory / f"c{i}.json").write_text(json.dumps(config))
+
+    def test_each_config_is_loaded_once(self, tmp_path, capsys, monkeypatch):
+        loads = []
+        load_config = cli.load_config
+
+        def counting(path, overrides):
+            loads.append(path.name)
+            return load_config(path, overrides)
+
+        monkeypatch.setattr(cli, "load_config", counting)
+        self.write_configs(tmp_path / "configs", 3)
+        assert cli.main(["run", "--config", str(tmp_path / "configs")]) == cli.EXIT_OK
+        assert loads == ["c0.json", "c1.json", "c2.json"]
+
+    def test_a_bad_config_exits_2_while_the_others_run(self, tmp_path, capsys):
+        self.write_configs(tmp_path / "configs", 2)
+        (tmp_path / "configs" / "c2.json").write_text("{")
+        assert cli.main(["run", "--config", str(tmp_path / "configs")]) == cli.EXIT_CONFIG
+        assert "config error in" in capsys.readouterr().err
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "run0.csv", "run0.json", "run1.csv", "run1.json",
+        ]
+
+    @pytest.mark.parametrize("jobs, cpus, workers", [
+        (1000, 64, 3),   # no more workers than configs
+        (8, 2, 2),       # no more workers than CPUs
+        (2, 64, 2),      # as many as asked for when both allow it
+        (1, 64, None),   # one job runs in this process, without a pool
+    ])
+    def test_workers_are_capped(self, tmp_path, capsys, monkeypatch, jobs, cpus, workers):
+        started = []
+
+        class InlineExecutor:
+            """Records the pool size and runs the work here, starting no process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        self.write_configs(tmp_path / "configs", 3)
+        argv = ["run", "--config", str(tmp_path / "configs"), "--jobs", str(jobs)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert started == ([] if workers is None else [workers])
+        assert len(list((tmp_path / "out").iterdir())) == 6
+
+    def test_one_step_run_writes_rate_of_change(self, tmp_path, capsys):
+        code, _ = run_with(tmp_path, capsys, integrator="strang", dt=0.1, t_final=0.1,
+                           outputs=["rate_nucl"])
+        assert code == cli.EXIT_OK
+        columns = csv_columns(tmp_path / "out" / "run.csv")
+        assert columns["t"].tolist() == [0.0, 0.1]
+        assert columns["rate_nucl"][0] == columns["rate_nucl"][1] > 0
+
+
+class TestList:
+    def listing(self, capsys):
+        assert cli.main(["list", "--json"]) == cli.EXIT_OK
+        return json.loads(capsys.readouterr().out)
+
+    def minimal_config(self, listing, experiment, integrator, tmp_path):
+        """A config holding exactly the listed required fields, optional ones left out."""
+        fields = listing["required_fields"]
+        names = (fields["common"] + fields["per_experiment"][experiment]
+                 + fields["per_integrator"].get(integrator, []))
+        config = {"experiment": experiment, "integrator": integrator, "dt": 0.05,
+                  "t_final": 0.1, "out_path": str(tmp_path / "out" / "run")}
+        values = {"seed": 3, "r_party": 2, "alpha": 0.5, "bea_order": 0}
+        for name in names:
+            # The common "initial_state" is sized by its per-experiment entry.
+            if name.endswith("(optional)") or name in config or name == "initial_state":
+                continue
+            if name.startswith("initial_state"):
+                # e.g. "initial_state (5 qubits)": that many basis states |0>.
+                count, kind = name[name.index("(") + 1 : -1].split()
+                d = {"qubits": 2, "qutrits": 3}[kind]
+                config["initial_state"] = [[1.0] + [0.0] * (d - 1)] * int(count)
+            else:
+                config[name] = values[name]
+        return config
+
+    def test_json_agrees_with_compatible(self, capsys):
+        listing = self.listing(capsys)
+        assert listing["experiments"] == list(cli.EXPERIMENTS)
+        assert listing["integrators"] == list(cli.INTEGRATORS)
+        assert listing["compatibility"] == {
+            exp: [integ for integ in cli.INTEGRATORS if cli.compatible(exp, integ)]
+            for exp in cli.EXPERIMENTS
+        }
+
+    def test_listed_fields_make_a_valid_config_for_each_compatible_pair(self, tmp_path,
+                                                                          capsys):
+        listing = self.listing(capsys)
+        for exp, integrators in listing["compatibility"].items():
+            for integ in integrators:
+                config = self.minimal_config(listing, exp, integ, tmp_path)
+                assert cli.ExperimentConfig.from_dict(config).experiment == exp
+
+    def test_each_specific_field_is_required(self, tmp_path, capsys):
+        listing = self.listing(capsys)
+        fields = listing["required_fields"]
+        cases = [(exp, integ, name)
+                 for exp, integrators in listing["compatibility"].items()
+                 for integ in integrators
+                 for name in (fields["per_experiment"][exp]
+                              + fields["per_integrator"].get(integ, []))
+                 if name in ("seed", "r_party", "alpha", "bea_order")]
+        assert {name for *_, name in cases} == {"seed", "r_party", "alpha", "bea_order"}
+        path = tmp_path / "run.config.json"
+        for exp, integ, name in cases:
+            config = self.minimal_config(listing, exp, integ, tmp_path)
+            del config[name]
+            path.write_text(json.dumps(config))
+            assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG, (exp, integ)
+            assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_text_listing_names_every_pair(self, capsys):
+        assert cli.main(["list"]) == cli.EXIT_OK
+        text = capsys.readouterr().out
+        for name in cli.EXPERIMENTS + cli.INTEGRATORS:
+            assert name in text
+
+
 class TestExitCodesEndToEnd:
     """One config directory holding an ok run, a blow-up and a solver failure."""
 
@@ -239,8 +380,8 @@ class TestExitCodesEndToEnd:
         codes = []
         run_file = cli._run_file
 
-        def recording(path, overrides=()):
-            codes.append(run_file(path, overrides))
+        def recording(path, config):
+            codes.append(run_file(path, config))
             return codes[-1]
 
         monkeypatch.setattr(cli, "_run_file", recording)

@@ -25,10 +25,6 @@ class TestSwapInitialData:
         with pytest.raises(ValueError):
             SwapInitialData(Ket(np.array([2.0, 0.0])), Ket(np.array([1.0, 0.0])))
 
-    def test_rejects_wrong_cached_q(self, fig1_state):
-        with pytest.raises(ValueError):
-            SwapInitialData(fig1_state.parts[0], fig1_state.parts[1], q=0.25)
-
 
 class TestExactSeSwap:
     def test_initial_time(self, fig1_state):

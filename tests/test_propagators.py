@@ -270,7 +270,7 @@ class TestEvolve:
             assert abs(np.linalg.norm(recorded[:2]) - 1) < 1e-12
             assert abs(np.linalg.norm(recorded[2:]) - 1) < 1e-12
             assert abs(inner(recorded[:2], recorded[2:]) - q0) < 1e-12
-        assert np.max(np.abs(traj.diagnostics["norm"] - 1.0)) < 1e-12
+        assert np.max(np.abs(traj.norm - 1.0)) < 1e-12
 
     @pytest.mark.parametrize(
         "scheme,order",
@@ -415,12 +415,8 @@ class TestTrajectoryValidation:
         for row, full in zip(rows, traj.full):
             expected = tensor_product(ComponentState((Ket(row[:2]), Ket(row[2:]))))
             assert np.array_equal(full, expected.amplitudes)
-        assert np.allclose(traj.diagnostics["norm"], np.linalg.norm(traj.full, axis=1))
+        assert np.allclose(traj.norm, np.linalg.norm(traj.full, axis=1))
         assert not traj.full.flags.writeable
-
-    def test_rejects_mismatched_series(self):
-        with pytest.raises(ValueError):
-            Trajectory(np.array([0.0, 0.1]), diagnostics={"norm": np.ones(3)})
 
 
 class TestSplittingInvariants:
