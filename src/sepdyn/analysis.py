@@ -55,12 +55,13 @@ def _projector_difference_nuclear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(trace**2 + 4.0 * gram)
 
 
-def rate_of_change_nuclear(traj: Trajectory, dt: float) -> np.ndarray:
+def rate_of_change_nuclear(traj: Trajectory) -> np.ndarray:
     """Nuclear norm of the finite-difference projector derivative.
 
-    Centered differences in the interior, one-sided at the endpoints (on
-    two grid points both rows get the same one-sided difference). Each
-    difference of two rank-1 projectors has the closed form
+    Differences over the trajectory's own grid spacing ``traj.dt``,
+    centered in the interior and one-sided at the endpoints (on two grid
+    points both rows get the same one-sided difference). Each difference of
+    two rank-1 projectors has the closed form
 
         || |a><a| - |b><b| ||_1 = sqrt((|a|^2 - |b|^2)^2 + 4 G),
         G = |a|^2 |b|^2 - |<a|b>|^2,
@@ -75,6 +76,7 @@ def rate_of_change_nuclear(traj: Trajectory, dt: float) -> np.ndarray:
     states = traj.full
     if states.shape[0] < 2:
         raise ValueError("need at least two grid points")
+    dt = traj.dt
     rates = np.empty(states.shape[0])
     rates[1:-1] = _projector_difference_nuclear(states[2:], states[:-2]) / (2.0 * dt)
     rates[[0, -1]] = _projector_difference_nuclear(states[[1, -1]], states[[0, -2]]) / dt

@@ -8,11 +8,13 @@ built; the right-hand sides it calls then run unchecked on views of the
 stacked state, since the solver calls them seven times per step.
 Truncations are solved with an embedded Dormand-Prince 5(4) pair so the
 reference solutions sit far below the deviations being measured; the
-solver returns the requested samples and its step statistics only.
+solver takes the stacked state [a; b] and returns the requested samples
+and its step statistics only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +27,7 @@ STEP_UNDERFLOW = 1e-14
 
 
 class StepSizeUnderflowError(RuntimeError):
-    """The adaptive controller drove the step size below 1e-14."""
+    """A step size below 1e-14, or a step size or error estimate that is not finite."""
 
 
 def _trotter_rhs(order: int, dt: float, a: np.ndarray, b: np.ndarray):
@@ -145,25 +147,24 @@ def _initial_step(f, t0, y0, f0, tol):
     return min(100 * h0, h1)
 
 
-def rk_integrate(rhs, y0, t_span: tuple[float, float], tol: float,
+# Overflow and NaN raise StepSizeUnderflowError below, not numpy warnings.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def rk_integrate(rhs, y0: np.ndarray, t_span: tuple[float, float], tol: float,
                  t_eval) -> OdeSolution:
     """Adaptive embedded Runge-Kutta 5(4) integration with PI step control.
 
-    ``rhs`` is any callable f(t, y) -> dy on complex vectors; pairs such as
-    (a, b) are passed stacked. The samples at ``t_eval``, non-decreasing
-    times inside ``t_span``, are filled by piecewise cubic Hermite
-    interpolation on the accepted steps, which is fourth-order accurate;
-    the step size is capped so that the interpolation remainder stays at
-    the level of ``tol``.
+    ``rhs`` is any callable f(t, y) -> dy on complex vectors such as ``y0``.
+    The samples at ``t_eval``, non-decreasing times inside ``t_span``, are
+    filled by piecewise cubic Hermite interpolation on the accepted steps,
+    which is fourth-order accurate; the step size is capped so that the
+    interpolation remainder stays at the level of ``tol``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 <= t0:
         raise ValueError("t_span must be increasing")
-    if isinstance(y0, tuple):
-        y0 = np.concatenate([np.asarray(p, dtype=complex) for p in y0])
-    y = np.asarray(y0, dtype=complex).copy()
+    y = np.asarray(y0, dtype=complex)
 
     # Cubic Hermite remainder is h^4 |y''''| / 384; keep it at the tolerance
     # assuming order-one derivatives, as for the unit-scale fields here.
@@ -190,7 +191,7 @@ def rk_integrate(rhs, y0, t_span: tuple[float, float], tol: float,
 
     while t < t1 - 1e-14:
         h = min(h, h_cap, t1 - t)
-        if h < STEP_UNDERFLOW:
+        if not h >= STEP_UNDERFLOW:  # also true for a NaN step
             raise StepSizeUnderflowError(f"step size underflow at t={t}")
         for i in range(1, 7):
             yi = y + h * (_DP_A[i] @ k[:i])
@@ -199,6 +200,8 @@ def rk_integrate(rhs, y0, t_span: tuple[float, float], tol: float,
         y_new = y + h * (_DP_B @ k)
         err_vec = h * (_DP_E @ k)
         err = _error_norm(err_vec, y, y_new, tol)
+        if not math.isfinite(err):
+            raise StepSizeUnderflowError(f"non-finite error estimate at t={t}")
 
         if err <= 1.0:
             t_new = t + h

@@ -6,9 +6,11 @@ writes the trajectory as CSV plus a diagnostics JSON. Runs are byte-for-byte
 reproducible for a fixed config, including the random seed.
 
 ``sepdyn run`` loads and validates each config once, before any run (a
-single file is a directory of one); the output-prefix clash check and the
-runs share those configs, and one that fails to load exits 2 while the
-others still run. ``--jobs`` starts at most one worker per config and CPU.
+single file is a directory of one), parsing the initial state into the
+``ComponentState`` the run starts from; the output-prefix clash check and
+the runs share those configs, and one that fails to load, or whose output
+directory cannot be made, exits 2 while the others still run. ``--jobs``
+starts at most one worker per config and CPU.
 
 Exit codes: 0 success, 2 config validation error, 3 solver failure,
 4 variational blow-up (partial output retained); a directory exits with the
@@ -25,6 +27,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +139,8 @@ class ExperimentConfig:
             raise ConfigError(f"t_final / dt asks for more than {MAX_STEPS} steps")
         if not isinstance(self.out_path, str):
             raise ConfigError("out_path must be a string")
+        if not Path(self.out_path).name:
+            raise ConfigError("out_path must end in a file name")
         if self.integrator.startswith("var_"):
             if self.alpha is None:
                 raise ConfigError("variational runs require 'alpha'")
@@ -164,15 +169,18 @@ class ExperimentConfig:
         if not (isinstance(picks, list) and len(picks) == 3
                 and all(_is_int(i) and 0 <= i < 8 for i in picks) and len(set(picks)) == 3):
             raise ConfigError("gellmann_projection must be three distinct integers in 0..7")
-        self._parse_initial_state()
+        self.initial_components  # parsed once here; the run reads the cached state
 
-    def _parse_initial_state(self) -> ComponentState:
+    @cached_property
+    def initial_components(self) -> ComponentState:
+        """The one parse of ``initial_state``; not a field, so not in ``asdict``."""
         dims = EXPERIMENT_DIMS[self.experiment]
         if not isinstance(self.initial_state, list) or len(self.initial_state) != len(dims):
             raise ConfigError(
                 f"initial_state must list {len(dims)} subsystem amplitude vectors"
             )
         kets = []
+        norm2 = 1.0  # the product state's norm²
         for j, (raw_vec, d) in enumerate(zip(self.initial_state, dims)):
             if not isinstance(raw_vec, list) or len(raw_vec) != d:
                 raise ConfigError(f"initial_state[{j}] must have {d} amplitudes")
@@ -186,11 +194,15 @@ class ExperimentConfig:
                     raise ConfigError(
                         "amplitudes must be finite numbers or [re, im] pairs"
                     )
-            vec = np.asarray(amps)
-            if np.linalg.norm(vec) < 1e-12:
+            norm = math.hypot(*map(abs, amps))  # scaled, so it does not overflow
+            if norm < 1e-12:
                 raise ConfigError(f"initial_state[{j}] has zero norm")
-            kets.append(Ket(vec))
-        return ComponentState(tuple(kets), dims)
+            norm2 *= norm * norm
+            kets.append(Ket(np.asarray(amps)))
+        if not math.isfinite(norm2):  # every integrator would meet inf or NaN
+            raise ConfigError("initial_state is too large: its product state's norm² "
+                              "overflows a double")
+        return ComponentState(tuple(kets))
 
     def steps(self) -> int:
         return int(np.floor(self.t_final / self.dt + 1e-9))
@@ -250,9 +262,8 @@ def _bea_run(config, state0) -> RunResult:
     rhs = bea.ModifiedRHS(SplittingScheme(config.bea_scheme), config.bea_order, config.dt)
     steps = config.steps()
     times = config.dt * np.arange(steps + 1)
-    a0, b0 = state0.parts[0].amplitudes, state0.parts[1].amplitudes
-    sol = bea.rk_integrate(rhs, (a0, b0), (0.0, float(times[-1])), tol=1e-12,
-                           t_eval=times)
+    sol = bea.rk_integrate(rhs, np.concatenate(state0.vectors()), (0.0, float(times[-1])),
+                           tol=1e-12, t_eval=times)
     traj = Trajectory.from_components(times, sol.y_eval, state0.dims)
     stats = {"kind": "runge_kutta", "steps": sol.steps, "rejected": sol.rejected,
              "rhs_evals": sol.rhs_evals}
@@ -260,7 +271,7 @@ def _bea_run(config, state0) -> RunResult:
 
 
 def execute(config: ExperimentConfig, H: HermitianOperator) -> RunResult:
-    state0 = config._parse_initial_state()
+    state0 = config.initial_components
     steps = config.steps()
     if config.integrator == "se_exact":
         traj = se_evolve(H, tensor_product(state0), config.dt, steps)
@@ -286,7 +297,7 @@ def _diagnostic_columns(config: ExperimentConfig, result: RunResult,
             columns["abs_overlap"] = np.abs(analysis.overlap_series(
                 Trajectory(traj.times, traj.dims, full=reference), traj))
         elif name == "rate_nucl":
-            columns["rate_nucl"] = analysis.rate_of_change_nuclear(traj, traj.dt)
+            columns["rate_nucl"] = analysis.rate_of_change_nuclear(traj)
         elif name in ("purity", "bloch"):
             if rhos is None:  # each subsystem's reduced densities, formed once for both
                 rhos = [analysis.reduced_density_series(traj, j)
@@ -347,6 +358,12 @@ def _conservation_summary(config: ExperimentConfig, result: RunResult) -> dict:
 def run(config: ExperimentConfig) -> int:
     """Execute one configured run; returns the process exit code."""
     start = time.perf_counter()
+    out_prefix = Path(config.out_path)
+    try:
+        out_prefix.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as err:  # a component of the path is an existing file
+        print(f"config error: cannot make the directory of out_path: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     H = build_hamiltonian(config)
     try:
         result = execute(config, H)
@@ -356,8 +373,6 @@ def run(config: ExperimentConfig) -> int:
         return EXIT_SOLVER
     columns = _diagnostic_columns(config, result, H)
 
-    out_prefix = Path(config.out_path)
-    out_prefix.parent.mkdir(parents=True, exist_ok=True)
     # Appended, not with_suffix: a dotted stem such as "v0.02" is kept whole.
     csv_path = out_prefix.with_name(out_prefix.name + ".csv")
     json_path = out_prefix.with_name(out_prefix.name + ".json")

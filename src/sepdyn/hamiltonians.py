@@ -101,16 +101,15 @@ def random_hermitian(n_qubits: int, seed: int) -> HermitianOperator:
     return HermitianOperator(mat, (2,) * n_qubits)
 
 
-def local_sum_hamiltonian(locals_: list[HermitianOperator], dims) -> HermitianOperator:
-    """Sum of one-subsystem operators embedded with identities elsewhere."""
-    dims = tuple(int(d) for d in dims)
-    if len(locals_) != len(dims):
-        raise ValueError("need one local operator per subsystem")
+def local_sum_hamiltonian(locals_: list[HermitianOperator]) -> HermitianOperator:
+    """Sum of one-subsystem operators embedded with identities elsewhere.
+
+    Operator j acts on subsystem j, whose dimension is the operator's side.
+    """
+    dims = tuple(op.entries.shape[0] for op in locals_)
     side = prod(dims)
     total = np.zeros((side, side), dtype=complex)
     for j, op in enumerate(locals_):
-        if op.entries.shape != (dims[j], dims[j]):
-            raise ValueError(f"local operator {j} does not act on dimension {dims[j]}")
         term = np.eye(1, dtype=complex)
         for i, d in enumerate(dims):
             factor = op.entries if i == j else np.eye(d, dtype=complex)

@@ -1,17 +1,18 @@
 """Exact flows and splitting integrators for the restricted dynamics.
 
 Every exp(-i t H) in the package, unrestricted or of a one-component
-reduced operator, is ``spectral_apply`` on an eigendecomposition: the one a
-:class:`HermitianOperator` computes once and keeps, which
-:class:`HermitianPropagator` reads, or the ``eigh`` of a reduced matrix in
-a splitting sub-step. The restricted equations are integrated by composing
-the exactly-solvable one-component flows: sequentially for the first-order
-scheme, palindromically for the second-order one. The step maps work on
-plain stacked (sum(dims),) component arrays laid out by ``H.dims``;
-``evolve`` validates the operator, the initial state and the step size
-once, at the API boundary, and no sub-step builds a state or operator
-object. Every sub-step is norm preserving, so the reconstructed product
-state keeps its norm to machine precision.
+reduced operator, is ``spectral_apply`` (``HermitianPropagator`` for a
+whole time grid) on an eigendecomposition: the one a
+:class:`HermitianOperator` computes once and keeps, or the ``eigh`` of a
+reduced matrix in a splitting sub-step. The restricted equations are
+integrated by composing the exactly-solvable one-component flows:
+sequentially for the first-order scheme, palindromically for the
+second-order one. The step maps work on plain stacked (sum(dims),)
+component arrays laid out by ``H.dims``; ``evolve`` validates the
+operator, the initial state and the step size once, at the API boundary,
+and no sub-step builds a state or operator object. Every sub-step is norm
+preserving, so the reconstructed product state keeps its norm to machine
+precision.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class Trajectory:
     """
 
     times: np.ndarray
-    dims: tuple[int, ...] = ()
+    dims: tuple[int, ...]
     full: np.ndarray | None = None
     components: np.ndarray | None = None
 
@@ -64,8 +65,6 @@ class Trajectory:
             stored = getattr(self, name)
             if stored is None:
                 continue
-            if not dims:
-                raise ValueError(f"{name} needs the subsystem dims")
             stored = np.asarray(stored, dtype=complex)
             if stored.shape != (times.size, width):
                 raise ValueError(
@@ -100,13 +99,10 @@ def spectral_apply(evals: np.ndarray, evecs: np.ndarray, t: float,
 
 
 class HermitianPropagator:
-    """exp(-i t H) from the eigendecomposition of H, which H computes only once."""
+    """exp(-i t H) psi0 on a time grid, from the eigendecomposition H computes once."""
 
     def __init__(self, H: HermitianOperator):
         self.evals, self.evecs = H.spectrum
-
-    def apply(self, t: float, vec: np.ndarray) -> np.ndarray:
-        return spectral_apply(self.evals, self.evecs, t, vec)
 
     def states_on_grid(self, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
         """All exp(-i t H) psi0 for t in times, as a (len(times), dim) array."""
@@ -117,7 +113,7 @@ class HermitianPropagator:
 
 def hermitian_expm_apply(H: HermitianOperator, t: float, vec: np.ndarray) -> np.ndarray:
     """exp(-i t H) applied to an amplitude vector."""
-    return HermitianPropagator(H).apply(t, vec)
+    return spectral_apply(*H.spectrum, t, vec)
 
 
 def sse_component_flow(H: HermitianOperator, x: np.ndarray, k: int, t: float) -> np.ndarray:
@@ -128,7 +124,7 @@ def sse_component_flow(H: HermitianOperator, x: np.ndarray, k: int, t: float) ->
     """
     dims = H.dims
     parts = split_components(x, dims)
-    evals, evecs = np.linalg.eigh(contract_reduced(H.entries, parts, k, dims))
+    evals, evecs = np.linalg.eigh(contract_reduced(H.entries, parts, k))
     out = x.astype(complex)
     offset = sum(dims[:k])
     out[offset : offset + dims[k]] = spectral_apply(evals, evecs, t, parts[k])

@@ -50,25 +50,19 @@ class Ket:
 
 @dataclass(frozen=True)
 class ComponentState:
-    """An ordered tuple of subsystem kets, one per tensor factor."""
+    """An ordered tuple of subsystem kets, one per tensor factor, and their dims."""
 
     parts: tuple[Ket, ...]
-    dims: tuple[int, ...] = field(default=())
+    dims: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         parts = tuple(
             p if isinstance(p, Ket) else Ket(np.asarray(p)) for p in self.parts
         )
-        dims = tuple(int(d) for d in self.dims) if self.dims else tuple(p.dim for p in parts)
         if len(parts) < 2:
             raise ValueError("a component state needs at least two factors")
-        if len(dims) != len(parts):
-            raise ValueError("dims and parts disagree in length")
-        for j, (part, d) in enumerate(zip(parts, dims)):
-            if part.dim != d:
-                raise ValueError(f"part {j} has dimension {part.dim}, expected {d}")
         object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dims", tuple(p.dim for p in parts))
 
     @property
     def n_parts(self) -> int:

@@ -114,19 +114,21 @@ def _product_velocity(parts, velocities) -> np.ndarray:
     return total
 
 
-def _contract_all_but(g: np.ndarray, vectors, k: int, dims) -> np.ndarray:
+def _contract_all_but(g: np.ndarray, vectors, k: int) -> np.ndarray:
     """Contract g (a flattened product tensor) with vectors on every slot but k.
 
-    Plain dot products, no conjugation: this is the transpose of the linear
+    The vectors' last axes give the slot sizes (entry k is read for its size
+    only). Plain dot products, no conjugation: the transpose of the linear
     slot-k embedding map, as needed for holomorphic chain rules. Leading axes
     of g and of the vectors are stack axes and broadcast.
     """
-    n = len(dims)
-    operands = [g.reshape(g.shape[:-1] + tuple(dims)), [Ellipsis, *range(n)]]
-    for j in range(n):
-        if j == k:
-            continue
-        operands.extend([vectors[j], [Ellipsis, j]])
+    shape = g.shape[:-1]
+    operands = [None, [Ellipsis, *range(len(vectors))]]
+    for j, vec in enumerate(vectors):
+        shape += vec.shape[-1:]
+        if j != k:
+            operands += [vec, [Ellipsis, j]]
+    operands[0] = g.reshape(shape)
     return np.einsum(*operands, [Ellipsis, k])
 
 
@@ -164,14 +166,14 @@ def separable_lagrangian(L: FirstOrderLagrangian, dims) -> FirstOrderLagrangian:
         for k in range(n):
             # Position gradient: the product state depends on a_k directly, and
             # the velocity sum depends on a_k through every slot j != k.
-            block = _contract_all_but(g_psi, parts, k, dims)
+            block = _contract_all_but(g_psi, parts, k)
             for j in range(n):
                 if j == k:
                     continue
                 mixed = [dparts[j] if i == j else parts[i] for i in range(n)]
-                block = block + _contract_all_but(g_dpsi, mixed, k, dims)
+                block = block + _contract_all_but(g_dpsi, mixed, k)
             gx.append(block)
-            gxdot.append(_contract_all_but(g_dpsi, parts, k, dims))
+            gxdot.append(_contract_all_but(g_dpsi, parts, k))
         return np.concatenate(gx, axis=-1), np.concatenate(gxdot, axis=-1)
 
     return FirstOrderLagrangian(dim=sum(dims), evaluate=evaluate, gradient=gradient)
@@ -291,7 +293,7 @@ def _forward_difference_jacobian(residual: Callable[[np.ndarray], np.ndarray],
 
 
 def newton_solve(residual: Callable[[np.ndarray], np.ndarray], guess: np.ndarray,
-                 maxiter: int = NEWTON_MAXITER, jacobian: Callable | None = None):
+                 jacobian: Callable | None = None):
     """Newton iteration on a complex residual with real/imaginary splitting.
 
     ``residual`` maps one complex point of shape (n,) to shape (n,), and an
@@ -302,7 +304,8 @@ def newton_solve(residual: Callable[[np.ndarray], np.ndarray], guess: np.ndarray
     Updates are solved in the least-squares sense, which also covers
     rank-deficient systems (the product-state substitution leaves a
     rescaling direction unconstrained). Converged means a real-split
-    residual norm of at most ``NEWTON_TOL``. Returns (solution, iterations).
+    residual norm of at most ``NEWTON_TOL`` within ``NEWTON_MAXITER``
+    iterations. Returns (solution, iterations).
     """
 
     def real_residual(r_vec):
@@ -312,7 +315,7 @@ def newton_solve(residual: Callable[[np.ndarray], np.ndarray], guess: np.ndarray
     r = real_residual(x)
     if np.linalg.norm(r) <= NEWTON_TOL:
         return _real_to_complex(x), 0
-    for iteration in range(1, maxiter + 1):
+    for iteration in range(1, NEWTON_MAXITER + 1):
         if jacobian is not None:
             jac = _real_jacobian_from_complex(*jacobian(_real_to_complex(x)))
         else:
@@ -326,7 +329,7 @@ def newton_solve(residual: Callable[[np.ndarray], np.ndarray], guess: np.ndarray
         if res_norm <= NEWTON_TOL:
             return _real_to_complex(x), iteration
     raise NewtonConvergenceError(
-        f"Newton did not reach {NEWTON_TOL} in {maxiter} iterations", res_norm
+        f"Newton did not reach {NEWTON_TOL} in {NEWTON_MAXITER} iterations", res_norm
     )
 
 
@@ -382,15 +385,12 @@ class DiscreteTrajectory:
     """Points of a discrete variational run on a uniform grid.
 
     ``points`` has shape (n_times, dim); for separable runs the rows are
-    stacked component vectors and ``dims`` records the subsystem split.
-    ``newton_iterations[i]``, when recorded, is the Newton iteration count
-    of the solve that produced ``points[i + 1]``.
+    stacked component vectors. ``newton_iterations[i]``, when recorded, is
+    the Newton iteration count of the solve that produced ``points[i + 1]``.
     """
 
     times: np.ndarray
     points: np.ndarray
-    dt: float
-    dims: tuple[int, ...] | None = None
     newton_iterations: np.ndarray | None = None
 
     def __post_init__(self):
@@ -407,7 +407,7 @@ class DiscreteTrajectory:
             object.__setattr__(self, "newton_iterations", iterations)
 
 
-def _run_recursion(Ld: DiscreteLagrangian, x0: np.ndarray, start, steps: int, dims,
+def _run_recursion(Ld: DiscreteLagrangian, x0: np.ndarray, start, steps: int,
                    blowup_factor: float | None) -> DiscreteTrajectory:
     """Iterate del_step from x0 and ``start`` = (x1, its Newton iterations).
 
@@ -421,7 +421,7 @@ def _run_recursion(Ld: DiscreteLagrangian, x0: np.ndarray, start, steps: int, di
 
     def make_traj():
         times = dt * np.arange(len(rows))
-        return DiscreteTrajectory(times, np.stack(rows), dt, dims, np.array(iterations))
+        return DiscreteTrajectory(times, np.stack(rows), np.array(iterations))
 
     for j in range(1, steps):
         guess = 2.0 * rows[-1] - rows[-2]
@@ -445,12 +445,12 @@ def _run_recursion(Ld: DiscreteLagrangian, x0: np.ndarray, start, steps: int, di
 
 
 def integrate_discrete(Ld: DiscreteLagrangian, psi0: np.ndarray, steps: int,
-                       dims=None, blowup_factor: float | None = None) -> DiscreteTrajectory:
+                       blowup_factor: float | None = None) -> DiscreteTrajectory:
     """Momentum-matching start followed by the stationarity recursion."""
     if steps < 1:
         raise ValueError("steps must be at least 1")
     x0 = np.asarray(psi0, dtype=complex)
-    return _run_recursion(Ld, x0, initial_step(Ld, x0), steps, dims, blowup_factor)
+    return _run_recursion(Ld, x0, initial_step(Ld, x0), steps, blowup_factor)
 
 
 def integrate_restrict_then_discretize(
@@ -461,8 +461,7 @@ def integrate_restrict_then_discretize(
     L_sep = separable_lagrangian(se_lagrangian(H), state0.dims)
     Ld = DiscreteLagrangian(L_sep, alpha, dt)
     return integrate_discrete(
-        Ld, np.concatenate(state0.vectors()), steps, dims=state0.dims,
-        blowup_factor=blowup_factor,
+        Ld, np.concatenate(state0.vectors()), steps, blowup_factor=blowup_factor
     )
 
 
@@ -487,7 +486,7 @@ class _SubstitutedDiscreteLagrangian:
         parts = (split_components(x, self.dims), split_components(y, self.dims))
         psi_x, psi_y = kron(parts[0]), kron(parts[1])
         full_grad = full_partial(psi_x, np.conj(psi_x), psi_y, np.conj(psi_y))
-        return np.concatenate([_contract_all_but(full_grad, parts[slot], k, self.dims)
+        return np.concatenate([_contract_all_but(full_grad, parts[slot], k)
                                for k in range(len(self.dims))], axis=-1)
 
     def d1(self, x, xbar, y, ybar):
@@ -517,17 +516,5 @@ def integrate_discretize_then_restrict(
     L_sep = separable_lagrangian(L, state0.dims)
     x0 = np.concatenate(state0.vectors())
     start = initial_step(DiscreteLagrangian(L_sep, alpha, dt), x0)
-    return _run_recursion(substituted, x0, start, steps, state0.dims, blowup_factor)
+    return _run_recursion(substituted, x0, start, steps, blowup_factor)
 
-
-def substituted_del_step(H: HermitianOperator, alpha: float, dt: float,
-                         x_prev: np.ndarray, x_curr: np.ndarray, dims):
-    """One step of the discretize-first recursion from explicit grid points.
-
-    Returns (x_next, newton_iterations); useful for comparing the two
-    orderings from identical inputs.
-    """
-    substituted = _SubstitutedDiscreteLagrangian(
-        DiscreteLagrangian(se_lagrangian(H), alpha, dt), dims
-    )
-    return del_step(substituted, x_prev, x_curr, guess=np.asarray(x_curr))

@@ -78,7 +78,7 @@ class TestOverlapSeries:
         )
 
     def test_decoupled_hamiltonian_keeps_unit_modulus(self, rng):
-        H = local_sum_hamiltonian([random_local(rng), random_local(rng)], (2, 2))
+        H = local_sum_hamiltonian([random_local(rng), random_local(rng)])
         state = ComponentState((random_ket(rng), random_ket(rng)))
         sse = evolve(SplittingScheme.LIE_TROTTER, H, state, 0.05, 80)
         se = se_evolve(H, tensor_product(state), 0.05, 80)
@@ -104,7 +104,7 @@ class TestRateOfChangeNuclear:
     def test_constant_trajectory_is_zero(self, rng):
         psi = random_ket(rng, 4).amplitudes
         traj = Trajectory(0.1 * np.arange(5), (2, 2), full=np.stack([psi] * 5))
-        assert np.allclose(rate_of_change_nuclear(traj, 0.1), 0.0)
+        assert np.allclose(rate_of_change_nuclear(traj), 0.0)
 
     def test_matches_commutator_oracle_for_unitary_flow(self, fig1_state):
         # d rho / dt = -i [H, rho], evaluated exactly and compared to the
@@ -112,7 +112,7 @@ class TestRateOfChangeNuclear:
         H = swap_hamiltonian(2)
         dt, steps = 0.002, 500
         traj = se_evolve(H, tensor_product(fig1_state), dt, steps)
-        rates = rate_of_change_nuclear(traj, dt)
+        rates = rate_of_change_nuclear(traj)
         mid = steps // 2
         psi = traj.full[mid]
         rho = np.outer(psi, psi.conj())
@@ -122,7 +122,7 @@ class TestRateOfChangeNuclear:
     def test_time_independent_along_unitary_orbit(self, fig1_state):
         H = swap_hamiltonian(2)
         traj = se_evolve(H, tensor_product(fig1_state), 0.002, 400)
-        rates = rate_of_change_nuclear(traj, 0.002)
+        rates = rate_of_change_nuclear(traj)
         interior = rates[1:-1]
         assert np.max(interior) - np.min(interior) < 5 * 0.002**2
 
@@ -133,8 +133,8 @@ class TestRateOfChangeNuclear:
         phased = np.exp(1j * np.sin(traj.times))[:, None] * traj.full
         traj_phased = Trajectory(traj.times, traj.dims, full=phased)
         assert np.allclose(
-            rate_of_change_nuclear(traj, dt),
-            rate_of_change_nuclear(traj_phased, dt),
+            rate_of_change_nuclear(traj),
+            rate_of_change_nuclear(traj_phased),
             atol=1e-10,
         )
 
@@ -147,7 +147,7 @@ class TestRateOfChangeNuclear:
                                   + 1j * rng.standard_normal((3, dim)))
         states = start + times[:, None] * velocity + times[:, None] ** 2 * accel
         traj = Trajectory(times, (dim,), full=states)
-        rates = rate_of_change_nuclear(traj, dt)
+        rates = rate_of_change_nuclear(traj)
         expected = svd_rate_oracle(states, dt)
         assert np.max(np.abs(rates - expected) / expected) <= 1e-10
 
@@ -155,7 +155,7 @@ class TestRateOfChangeNuclear:
         states = rng.standard_normal((6, 32)) + 1j * rng.standard_normal((6, 32))
         traj = Trajectory(0.5 * np.arange(6), (2,) * 5, full=states)
         expected = svd_rate_oracle(states, 0.5)
-        rates = rate_of_change_nuclear(traj, 0.5)
+        rates = rate_of_change_nuclear(traj)
         assert np.max(np.abs(rates - expected) / expected) <= 1e-10
 
     def test_memory_is_linear_in_the_trajectory_size(self, rng):
@@ -166,7 +166,7 @@ class TestRateOfChangeNuclear:
         traj = Trajectory(1e-3 * np.arange(n_times), (2,) * 10, full=states)
         tracemalloc.start()
         try:
-            rate_of_change_nuclear(traj, 1e-3)
+            rate_of_change_nuclear(traj)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -176,14 +176,14 @@ class TestRateOfChangeNuclear:
         psi = random_ket(rng, 4).amplitudes
         traj = Trajectory(np.array([0.0]), (2, 2), full=psi[None, :])
         with pytest.raises(ValueError):
-            rate_of_change_nuclear(traj, 0.1)
+            rate_of_change_nuclear(traj)
 
     def test_two_points_give_the_one_sided_difference_at_both(self, rng):
         psi0, psi1 = random_ket(rng, 4).amplitudes, random_ket(rng, 4).amplitudes
         traj = Trajectory(np.array([0.0, 0.1]), (2, 2), full=np.stack([psi0, psi1]))
         expected = nuclear_norm(np.outer(psi1, psi1.conj())
                                 - np.outer(psi0, psi0.conj())) / 0.1
-        assert rate_of_change_nuclear(traj, 0.1) == pytest.approx([expected] * 2, rel=1e-12)
+        assert rate_of_change_nuclear(traj) == pytest.approx([expected] * 2, rel=1e-12)
 
 
 class TestPuritySeries:

@@ -31,7 +31,7 @@ class TestModifiedRHS:
             a, b = random_ket(rng), random_ket(rng)
             data = SwapInitialData(a, b)
             sol = bea.rk_integrate(bea.ModifiedRHS(scheme, 0, 0.1),
-                                   (a.amplitudes, b.amplitudes), (0.0, 2.0),
+                                   np.concatenate([a.amplitudes, b.amplitudes]), (0.0, 2.0),
                                    tol=1e-12, t_eval=times)
             exact = np.stack([stacked(exact_sse_swap(data, t)) for t in times])
             assert np.max(np.abs(sol.y_eval - exact)) <= 1e-12
@@ -61,8 +61,9 @@ class TestTruncationOrder:
                 steps = int(round(1.0 / dt))
                 traj = evolve(scheme, H, ComponentState((a, b)), dt, steps)
                 sol = bea.rk_integrate(bea.ModifiedRHS(scheme, order, dt),
-                                       (a.amplitudes, b.amplitudes), (0.0, traj.times[-1]),
-                                       tol=1e-13, t_eval=traj.times[-1:])
+                                       np.concatenate([a.amplitudes, b.amplitudes]),
+                                       (0.0, traj.times[-1]), tol=1e-13,
+                                       t_eval=traj.times[-1:])
                 errors.append(np.linalg.norm(traj.components[-1] - sol.y_eval[0]))
             assert abs(convergence_order(self.DTS, errors) - slope) < 0.1
 
@@ -77,8 +78,8 @@ class TestAgainstScipy:
         times = np.linspace(0.0, 3.0, 31)
         for _ in range(3):
             a, b = random_ket(rng), random_ket(rng)
-            ours = bea.rk_integrate(rhs, (a.amplitudes, b.amplitudes), (0.0, 3.0),
-                                    tol=1e-12, t_eval=times)
+            ours = bea.rk_integrate(rhs, np.concatenate([a.amplitudes, b.amplitudes]),
+                                    (0.0, 3.0), tol=1e-12, t_eval=times)
             reference = integrate.solve_ivp(
                 rhs, (0.0, 3.0), stacked(ComponentState((a, b))), method="DOP853",
                 rtol=1e-12, atol=1e-12, t_eval=times)
@@ -90,8 +91,26 @@ class TestRkIntegrateInputs:
     def test_rejects_decreasing_sample_times(self, rng):
         a, b = random_ket(rng), random_ket(rng)
         with pytest.raises(ValueError, match="non-decreasing"):
-            bea.rk_integrate(bea.ModifiedRHS(LIE_TROTTER, 0, 0.1), (a.amplitudes, b.amplitudes),
-                             (0.0, 2.0), tol=1e-12, t_eval=[1.5, 0.5])
+            bea.rk_integrate(bea.ModifiedRHS(LIE_TROTTER, 0, 0.1),
+                             np.concatenate([a.amplitudes, b.amplitudes]), (0.0, 2.0),
+                             tol=1e-12, t_eval=[1.5, 0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_field_stops_the_solver(self, bad):
+        # A NaN step size neither advances t nor compares below the underflow
+        # bound; the call budget turns a solver that loops on it into a failure.
+        calls = 0
+
+        def rhs(t, y):
+            nonlocal calls
+            calls += 1
+            if calls > 10_000:
+                raise RuntimeError("rk_integrate kept calling a non-finite field")
+            return np.full_like(y, bad)
+
+        y0 = np.array([1.0, 0.0, 0.6, 0.8], dtype=complex)
+        with pytest.raises(bea.StepSizeUnderflowError):
+            bea.rk_integrate(rhs, y0, (0.0, 0.3), tol=1e-12, t_eval=[0.0, 0.1, 0.2, 0.3])
 
     def test_rejects_non_finite_samples(self):
         with pytest.raises(ValueError, match="finite"):

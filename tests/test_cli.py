@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sepdyn import analysis, cli, variational
+from sepdyn import analysis, cli, states, variational
 from sepdyn.propagators import Trajectory
 
 SWAP_STATE = [[1.0, 0.0], [0.6, [0.0, 0.8]]]
@@ -152,7 +152,7 @@ class TestNewtonRecord:
         config = cli.ExperimentConfig.from_dict(
             {**swap_config(tmp_path / "unused", 0.02),
              "integrator": "var_restrict_first", "alpha": 0.5})
-        state0 = config._parse_initial_state()
+        state0 = config.initial_components
         discrete = variational.integrate_restrict_then_discretize(
             cli.build_hamiltonian(config), 0.5, 0.02, config.steps(), state0,
             blowup_factor=cli.BLOWUP_FACTOR)
@@ -204,6 +204,66 @@ class TestRunGuards:
         config = cli.ExperimentConfig.from_dict(
             {**swap_config(tmp_path / "run", 1e-6), "t_final": 1.0})
         assert config.steps() == cli.MAX_STEPS
+
+
+class TestFiniteProbes:
+    """Finite but extreme configs end with one line on stderr and exit 2 or 3."""
+
+    @pytest.mark.filterwarnings("error")  # a numpy warning would be a second line
+    @pytest.mark.parametrize("fields, code, message", [
+        # The modified field overflows here, and the RK step size becomes NaN.
+        ({**BEA, "bea_order": 2, "initial_state": [[1e150, 0], [0.6, 0.8]]},
+         cli.EXIT_SOLVER, "step size underflow"),
+        ({**BEA, "bea_order": 2, "initial_state": [[1e200, 0], [0.6, 0.8]]},
+         cli.EXIT_CONFIG, "too large"),
+        # Product states whose norm² overflows.
+        ({"integrator": "strang", "initial_state": [[1e200, 0], [0.6, 0.8]]},
+         cli.EXIT_CONFIG, "too large"),
+        ({"integrator": "var_discretize_first", "alpha": 0.5,
+          "initial_state": [[1e200, 0], [0.6, 0.8]]}, cli.EXIT_CONFIG, "too large"),
+        ({"experiment": "ladder", "integrator": "strang", "r_party": 2,
+          "initial_state": [[1e100, 0, 0], [1e100, 1, 0], [1, 0, 1]]},
+         cli.EXIT_CONFIG, "too large"),
+        ({"initial_state": [[1e150, 0], [1e150, 0.8]]}, cli.EXIT_CONFIG, "too large"),
+        # An out_path without a file name.
+        ({"out_path": ""}, cli.EXIT_CONFIG, "out_path"),
+        ({"out_path": "."}, cli.EXIT_CONFIG, "out_path"),
+        ({"out_path": "/"}, cli.EXIT_CONFIG, "out_path"),
+    ])
+    def test_exits_with_one_line(self, tmp_path, capsys, fields, code, message):
+        got, err = run_with(tmp_path, capsys, dt=0.1, t_final=0.3, **fields)
+        assert got == code
+        assert message in err
+        assert len(err.strip().splitlines()) == 1
+        assert list((tmp_path / "out").glob("run.*")) == []
+
+    def test_out_path_through_a_file(self, tmp_path, capsys):
+        (tmp_path / "afile").write_text("")
+        code, err = run_with(tmp_path, capsys, out_path=str(tmp_path / "afile" / "x"))
+        assert code == cli.EXIT_CONFIG
+        assert "config error" in err and "out_path" in err
+        assert len(err.strip().splitlines()) == 1
+
+
+class TestInitialStateParse:
+    @pytest.mark.parametrize("fields", [
+        {},
+        {"integrator": "strang"},
+        {"integrator": "var_discretize_first", "alpha": 0.5},
+        {**BEA, "bea_order": 2},
+    ], ids=["se_exact", "strang", "var_discretize_first", "bea_truncation"])
+    def test_a_run_builds_one_component_state(self, tmp_path, capsys, monkeypatch, fields):
+        builds = []
+        post_init = states.ComponentState.__post_init__
+
+        def counting(state):
+            builds.append(state)
+            post_init(state)
+
+        monkeypatch.setattr(states.ComponentState, "__post_init__", counting)
+        code, _ = run_with(tmp_path, capsys, **fields)
+        assert code == cli.EXIT_OK
+        assert len(builds) == 1
 
 
 class TestConfigPass:

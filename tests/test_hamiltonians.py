@@ -94,24 +94,20 @@ class TestRandomHermitian:
 class TestLocalSum:
     def test_pair_of_sigma_z(self):
         op = HermitianOperator(SIGMA_Z, (2,))
-        H = local_sum_hamiltonian([op, op], (2, 2))
+        H = local_sum_hamiltonian([op, op])
+        assert H.dims == (2, 2)
         assert np.allclose(H.entries, np.diag([2.0, 0.0, 0.0, -2.0]))
 
     def test_all_zero(self):
         zero = HermitianOperator(np.zeros((2, 2)), (2,))
-        H = local_sum_hamiltonian([zero, zero], (2, 2))
+        H = local_sum_hamiltonian([zero, zero])
         assert np.allclose(H.entries, 0.0)
 
     def test_identity_plus_zero(self):
         eye = HermitianOperator(np.eye(2), (2,))
         zero = HermitianOperator(np.zeros((2, 2)), (2,))
-        H = local_sum_hamiltonian([eye, zero], (2, 2))
+        H = local_sum_hamiltonian([eye, zero])
         assert np.allclose(H.entries, np.eye(4))
-
-    def test_dimension_mismatch(self):
-        op = HermitianOperator(np.eye(3), (3,))
-        with pytest.raises(ValueError):
-            local_sum_hamiltonian([op, op], (2, 2))
 
 
 class TestLadderOperators:

@@ -84,7 +84,7 @@ class TestSwapReduction:
 class TestLocalSumReduction:
     def test_partner_contributes_identity_shift(self, rng):
         h1, h2 = random_local(rng), random_local(rng)
-        H = local_sum_hamiltonian([h1, h2], (2, 2))
+        H = local_sum_hamiltonian([h1, h2])
         a, b = random_ket(rng), random_ket(rng)
         state = ComponentState((a, b))
         reduced = partially_reduced(H, state, 0)
@@ -99,7 +99,7 @@ class TestIdentityReduction:
         dims = (2, 3, 2)
         H = HermitianOperator(np.eye(12), dims)
         parts = tuple(random_ket(rng, d) for d in dims)
-        reduced = partially_reduced(H, ComponentState(parts, dims), k)
+        reduced = partially_reduced(H, ComponentState(parts), k)
         assert np.max(np.abs(reduced.entries - np.eye(dims[k]))) < 1e-12
 
 
@@ -107,7 +107,7 @@ class TestReductionProperties:
     def test_matches_embedding_oracle_three_parties(self, rng):
         H = random_hermitian(3, seed=17)
         parts = tuple(random_ket(rng) for _ in range(3))
-        state = ComponentState(parts, (2, 2, 2))
+        state = ComponentState(parts)
         for k in range(3):
             reduced = partially_reduced(H, state, k)
             oracle = embedding_oracle(H, state, k)
@@ -148,7 +148,7 @@ class TestReductionProperties:
         H = random_hermitian(2, seed=4)
         parts = tuple(random_ket(rng, 3) for _ in range(2))
         with pytest.raises(ValueError):
-            partially_reduced(H, ComponentState(parts, (3, 3)), 0)
+            partially_reduced(H, ComponentState(parts), 0)
 
 
 class TestContractReducedKernel:
@@ -162,7 +162,7 @@ class TestContractReducedKernel:
         vectors = [rng.uniform(0.1, 10.0) * random_ket(rng, d, normalize=False).amplitudes
                    for d in dims]
         for k in range(len(dims)):
-            kernel = contract_reduced(matrix, vectors, k, dims)
+            kernel = contract_reduced(matrix, vectors, k)
             oracle = einsum_reduction(matrix, vectors, k, dims)
             assert kernel.shape == (dims[k], dims[k])
             assert np.max(np.abs(kernel - oracle)) <= 1e-13 * np.max(np.abs(oracle))
@@ -172,4 +172,4 @@ class TestContractReducedKernel:
         matrix = random_hermitian_matrix(rng, (2, 3))
         vectors = [random_ket(rng).amplitudes, np.zeros(3, dtype=complex)]
         with pytest.raises(DegenerateStateError):
-            contract_reduced(matrix, vectors, 0, (2, 3))
+            contract_reduced(matrix, vectors, 0)

@@ -52,10 +52,6 @@ class TestKetValidation:
         with pytest.raises(ValueError):
             Ket(np.array([np.nan, 0.0]))
 
-    def test_component_state_checks_dims(self):
-        with pytest.raises(ValueError):
-            ComponentState((ket(1, 0), ket(0, 1)), dims=(2, 3))
-
     def test_full_state_length_must_match_dims(self):
         with pytest.raises(ValueError):
             FullState(np.zeros(3, dtype=complex), (2, 2))
@@ -108,7 +104,8 @@ class TestTensorProduct:
 
     def test_partial_trace_recovers_factors(self, rng):
         parts = [random_ket(rng), random_ket(rng, 3), random_ket(rng)]
-        state = ComponentState(tuple(parts), (2, 3, 2))
+        state = ComponentState(tuple(parts))
+        assert state.dims == (2, 3, 2)
         psi = tensor_product(state).amplitudes
         for k, part in enumerate(parts):
             reduced = reduced_density(psi, k, (2, 3, 2))
