@@ -371,7 +371,14 @@ def run(config: ExperimentConfig) -> int:
             DegenerateStateError) as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return EXIT_SOLVER
-    columns = _diagnostic_columns(config, result, H)
+    # A state of finite norm² can still overflow a diagnostic of order norm⁴;
+    # such a column is reported below, so numpy's warning would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns = _diagnostic_columns(config, result, H)
+    for name, values in columns.items():
+        if not np.all(np.isfinite(values)):
+            print(f"solver failure: diagnostic column '{name}' is not finite", file=sys.stderr)
+            return EXIT_SOLVER
 
     # Appended, not with_suffix: a dotted stem such as "v0.02" is kept whole.
     csv_path = out_prefix.with_name(out_prefix.name + ".csv")

@@ -19,7 +19,12 @@ from .states import HERMITIAN_TOL
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """Dense Hermitian matrix on a tensor product of subsystems."""
+    """Dense Hermitian matrix on a tensor product of subsystems.
+
+    Two views are computed on first use and kept, read-only: ``spectrum``,
+    the eigendecomposition, and ``slot_blocks``, the per-subsystem blocks
+    that ``reduced.contract_reduced`` reduces against context states.
+    """
 
     entries: np.ndarray
     dims: tuple[int, ...]
@@ -46,6 +51,28 @@ class HermitianOperator:
         evals.setflags(write=False)
         evecs.setflags(write=False)
         return evals, evecs
+
+    @cached_property
+    def slot_blocks(self) -> tuple[np.ndarray, ...]:
+        """One block per subsystem k, built on first use.
+
+        Block k is the (dims + dims) tensor with slot k leading, then the
+        other slots in order, on both the ket and the bra side, reshaped to
+        (d_k m d_k, m) with m = D / d_k: entry ((i, r, j), s) is
+        <e_i ⊗ r| H |e_j ⊗ s> for context basis states r and s.
+        """
+        dims = self.dims
+        n = len(dims)
+        tensor = self.entries.reshape(dims + dims)
+        side = self.entries.shape[0]
+        blocks = []
+        for k, d in enumerate(dims):
+            others = [j for j in range(n) if j != k]
+            axes = [k, *others, n + k, *(n + j for j in others)]
+            block = tensor.transpose(axes).reshape(d * side, side // d)
+            block.setflags(write=False)
+            blocks.append(block)
+        return tuple(blocks)
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,13 @@ reduced matrix in a splitting sub-step. The restricted equations are
 integrated by composing the exactly-solvable one-component flows:
 sequentially for the first-order scheme, palindromically for the
 second-order one. The step maps work on plain stacked (sum(dims),)
-component arrays laid out by ``H.dims``; ``evolve`` validates the
-operator, the initial state and the step size once, at the API boundary,
-and no sub-step builds a state or operator object. Every sub-step is norm
-preserving, so the reconstructed product state keeps its norm to machine
-precision.
+component arrays laid out by ``H.dims``; each sub-step reduces H through
+its slot block (``H.slot_blocks``, prepared once per operator) and builds
+no state or operator object. ``evolve`` validates the operator, the initial
+state, every component's norm as a context, and the step size once, at the
+API boundary. Every sub-step is norm preserving per component, so no
+context norm falls below that check later, and the reconstructed product
+state keeps its norm to machine precision.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from math import prod
 import numpy as np
 
 from .hamiltonians import HermitianOperator
-from .reduced import contract_reduced
+from .reduced import check_contexts, contract_reduced
 from .states import ComponentState, FullState, split_components, tensor_product_rows
 
 
@@ -120,11 +122,12 @@ def sse_component_flow(H: HermitianOperator, x: np.ndarray, k: int, t: float) ->
     """Flow of the k-th restricted equation with the other components frozen.
 
     ``x`` is the stacked components concat(a_0, ..., a_{N-1}) laid out by
-    ``H.dims``; returns a new stacked array whose block k is flowed by t.
+    ``H.dims``; returns a new stacked array whose block k is flowed by t
+    under the operator that ``H.slot_blocks[k]`` reduces to.
     """
     dims = H.dims
     parts = split_components(x, dims)
-    evals, evecs = np.linalg.eigh(contract_reduced(H.entries, parts, k))
+    evals, evecs = np.linalg.eigh(contract_reduced(H.slot_blocks[k], parts, k))
     out = x.astype(complex)
     offset = sum(dims[:k])
     out[offset : offset + dims[k]] = spectral_apply(evals, evecs, t, parts[k])
@@ -171,9 +174,9 @@ def evolve(scheme: SplittingScheme, H: HermitianOperator, state0: ComponentState
            dt: float, steps: int) -> Trajectory:
     """Iterate a splitting step map and record the trajectory.
 
-    The operator, the state, ``dt`` and ``steps`` are checked here, once;
-    the step maps then run on plain stacked arrays. Stores the stacked
-    components and their tensor-product reconstructions.
+    The operator, the state and its context norms, ``dt`` and ``steps``
+    are checked here, once; the step maps then run on plain stacked arrays.
+    Stores the stacked components and their tensor-product reconstructions.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -181,6 +184,7 @@ def evolve(scheme: SplittingScheme, H: HermitianOperator, state0: ComponentState
         raise ValueError("dt must be positive")
     if H.dims != state0.dims:
         raise ValueError(f"operator dims {H.dims} do not match state dims {state0.dims}")
+    check_contexts(state0.vectors())
     step_map = _STEP_MAPS[scheme]
     rows = np.empty((steps + 1, sum(state0.dims)), dtype=complex)
     rows[0] = x = np.concatenate(state0.vectors())

@@ -444,6 +444,8 @@ def _run_recursion(Ld: DiscreteLagrangian, x0: np.ndarray, start, steps: int,
     return make_traj()
 
 
+# Overflow ends a run as a non-finite Newton residual, not as a numpy warning.
+@np.errstate(over="ignore", invalid="ignore")
 def integrate_discrete(Ld: DiscreteLagrangian, psi0: np.ndarray, steps: int,
                        blowup_factor: float | None = None) -> DiscreteTrajectory:
     """Momentum-matching start followed by the stationarity recursion."""
@@ -496,6 +498,7 @@ class _SubstitutedDiscreteLagrangian:
         return self._pulled_back(self.full.d3, x, y, 1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def integrate_discretize_then_restrict(
     H: HermitianOperator, alpha: float, dt: float, steps: int,
     state0: ComponentState, blowup_factor: float | None = None,

@@ -229,6 +229,19 @@ class TestFiniteProbes:
         ({"out_path": ""}, cli.EXIT_CONFIG, "out_path"),
         ({"out_path": "."}, cli.EXIT_CONFIG, "out_path"),
         ({"out_path": "/"}, cli.EXIT_CONFIG, "out_path"),
+        # Finite norm², but the diagnostics are of order norm⁴ and overflow.
+        ({"initial_state": [[1e150, 0], [0.6, 0.8]], "outputs": list(cli.OUTPUT_NAMES)},
+         cli.EXIT_SOLVER, "diagnostic column 'rate_nucl' is not finite"),
+        ({"integrator": "strang", "initial_state": [[1e150, 0], [0.6, 0.8]],
+          "outputs": list(cli.OUTPUT_NAMES)},
+         cli.EXIT_SOLVER, "diagnostic column 'rate_nucl' is not finite"),
+        ({"initial_state": [[1e150, 0], [0.6, 0.8]], "outputs": ["norm", "purity"]},
+         cli.EXIT_SOLVER, "diagnostic column 'purity1' is not finite"),
+        # The Newton residual overflows.
+        ({"integrator": "var_restrict_first", "alpha": 0.5,
+          "initial_state": [[1e150, 0], [0.6, 0.8]]}, cli.EXIT_SOLVER, "non-finite"),
+        ({"integrator": "var_discretize_first", "alpha": 0.5,
+          "initial_state": [[1e150, 0], [0.6, 0.8]]}, cli.EXIT_SOLVER, "non-finite"),
     ])
     def test_exits_with_one_line(self, tmp_path, capsys, fields, code, message):
         got, err = run_with(tmp_path, capsys, dt=0.1, t_final=0.3, **fields)

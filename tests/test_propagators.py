@@ -325,6 +325,16 @@ def object_path_rows(scheme, H, state0, dt, steps) -> np.ndarray:
     return np.stack(rows)
 
 
+def at_offset(arr: np.ndarray, offset: int) -> np.ndarray:
+    """A copy of ``arr`` that starts ``offset`` bytes past a 64-byte boundary."""
+    buf = np.empty(arr.nbytes + 128, dtype=np.uint8)
+    start = -buf.ctypes.data % 64 + offset
+    out = buf[start : start + arr.nbytes].view(arr.dtype).reshape(arr.shape)
+    out[...] = arr
+    assert out.ctypes.data % 64 == offset
+    return out
+
+
 SYSTEMS = {
     "swap": lambda: swap_hamiltonian(2),
     "random5": lambda: random_hermitian(5, seed=21),
@@ -357,11 +367,81 @@ class TestArrayCore:
         assert calls == []
 
     @pytest.mark.parametrize("scheme", list(SplittingScheme))
-    def test_zero_norm_component_rejected(self, rng, scheme):
+    def test_zero_norm_component_rejected(self, rng, monkeypatch, scheme):
+        calls = []
+        monkeypatch.setitem(propagators._STEP_MAPS, scheme,
+                            lambda *args: calls.append(args))
         H = random_hermitian(2, seed=4)
         state = ComponentState((random_ket(rng), Ket(np.zeros(2, dtype=complex))))
-        with pytest.raises(DegenerateStateError):
+        with pytest.raises(DegenerateStateError, match="context state 1"):
             evolve(scheme, H, state, 0.1, 5)
+        assert calls == []
+
+    @pytest.mark.parametrize("step", [lie_trotter_step, strang_step])
+    @pytest.mark.parametrize("zero", [0, 1, 2])
+    def test_step_maps_raise_on_a_zero_context(self, rng, step, zero):
+        """The kernel rejects |c|² = 0 itself, so a step map never returns NaN."""
+        dims = (2, 3, 2)
+        H = random_hermitian_on(rng, dims)
+        parts = [random_ket(rng, d).amplitudes for d in dims]
+        parts[zero] = np.zeros(dims[zero], dtype=complex)
+        with pytest.raises(DegenerateStateError):
+            step(H, np.concatenate(parts), 0.1)
+
+    @pytest.mark.parametrize("scheme", list(SplittingScheme))
+    def test_small_contexts_are_not_degenerate(self, rng, scheme):
+        """Contexts of norm 1e-10 pass the check, though |c|² is 1e-40 for three parts.
+
+        The reduction does not depend on the contexts' scale, so the run is
+        the unit-norm run scaled by 1e-10.
+        """
+        H = correlator_hamiltonian(r_party_eta(2))
+        unit = ComponentState(tuple(random_ket(rng, 3) for _ in range(3)))
+        small = ComponentState(tuple(Ket(1e-10 * p.amplitudes) for p in unit.parts))
+        reference = evolve(scheme, H, unit, 0.1, 10).components
+        scaled = evolve(scheme, H, small, 0.1, 10).components
+        assert np.max(np.abs(1e10 * scaled - reference)) < 1e-12
+
+    @pytest.mark.parametrize("step, per_step", [(lie_trotter_step, lambda n: n),
+                                                (strang_step, lambda n: 2 * n - 1)],
+                             ids=["lie_trotter", "strang"])
+    @pytest.mark.parametrize("system", list(SYSTEMS))
+    def test_one_reduction_per_sub_step(self, rng, monkeypatch, step, per_step, system):
+        """One step reduces H n times (Lie-Trotter) or 2n - 1 times (Strang).
+
+        Counted where ``propagators`` looks the kernel up, as a tracer would.
+        """
+        calls = []
+
+        def counting(*args, _kernel=propagators.contract_reduced):
+            calls.append(args[2])
+            return _kernel(*args)
+
+        monkeypatch.setattr(propagators, "contract_reduced", counting)
+        H = SYSTEMS[system]()
+        x = np.concatenate([random_ket(rng, d).amplitudes for d in H.dims])
+        step(H, x, 0.05)
+        assert len(calls) == per_step(len(H.dims))
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 2), (3, 3, 3), (2,) * 5])
+    def test_sub_step_bits_do_not_depend_on_alignment(self, rng, dims):
+        """A sub-step gives the same bits for operands at every 8-byte offset.
+
+        The slot blocks and the stacked components are copied into buffers
+        at byte offsets 0, 8, ..., 56; a kernel whose rounding followed the
+        alignment of its operands would fail here.
+        """
+        H = random_hermitian_on(rng, dims)
+        x = np.concatenate([random_ket(rng, d, normalize=False).amplitudes for d in dims])
+        reference = [sse_component_flow(H, x, k, 0.3) for k in range(len(dims))]
+        blocks = H.slot_blocks
+        for offset in range(0, 64, 8):
+            shifted = HermitianOperator(H.entries, dims)
+            shifted.__dict__["slot_blocks"] = tuple(at_offset(b, offset) for b in blocks)
+            moved = at_offset(x, offset)
+            for k in range(len(dims)):
+                out = sse_component_flow(shifted, moved, k, 0.3)
+                assert out.tobytes() == reference[k].tobytes()
 
     def test_builds_no_objects_per_step(self, rng, monkeypatch):
         H = random_hermitian(5, seed=21)

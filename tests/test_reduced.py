@@ -141,8 +141,10 @@ class TestReductionProperties:
         H = random_hermitian(2, seed=4)
         a = random_ket(rng)
         zero = Ket(np.zeros(2, dtype=complex))
-        with pytest.raises(DegenerateStateError):
+        with pytest.raises(DegenerateStateError, match="context state 1"):
             partially_reduced(H, ComponentState((a, zero)), 0)
+        # The reduced subsystem's own vector is not a context.
+        assert partially_reduced(H, ComponentState((a, zero)), 1).dims == (2,)
 
     def test_dims_mismatch_rejected(self, rng):
         H = random_hermitian(2, seed=4)
@@ -152,24 +154,76 @@ class TestReductionProperties:
 
 
 class TestContractReducedKernel:
-    """The array kernel the step maps call, against the einsum oracle."""
+    """The array kernel the step maps call, on H's slot blocks, against the einsum oracle."""
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 3, 3),
-                                      (2,) * 5])
+                                      (2,) * 5, (2, 3, 2), (3, 2, 2), (4, 2, 3)])
     def test_matches_einsum_oracle_for_every_subsystem(self, rng, dims):
         matrix = random_hermitian_matrix(rng, dims)
+        H = HermitianOperator(matrix, dims)
         # Unnormalized contexts, with norms spread over a decade either way.
         vectors = [rng.uniform(0.1, 10.0) * random_ket(rng, d, normalize=False).amplitudes
                    for d in dims]
         for k in range(len(dims)):
-            kernel = contract_reduced(matrix, vectors, k)
+            kernel = contract_reduced(H.slot_blocks[k], vectors, k)
             oracle = einsum_reduction(matrix, vectors, k, dims)
             assert kernel.shape == (dims[k], dims[k])
             assert np.max(np.abs(kernel - oracle)) <= 1e-13 * np.max(np.abs(oracle))
             assert np.array_equal(kernel, kernel.conj().T)
 
     def test_zero_context_rejected(self, rng):
-        matrix = random_hermitian_matrix(rng, (2, 3))
+        H = HermitianOperator(random_hermitian_matrix(rng, (2, 3)), (2, 3))
         vectors = [random_ket(rng).amplitudes, np.zeros(3, dtype=complex)]
         with pytest.raises(DegenerateStateError):
-            contract_reduced(matrix, vectors, 0)
+            contract_reduced(H.slot_blocks[0], vectors, 0)
+
+    @pytest.mark.parametrize("dims, zero", [((2, 3, 2), 1), ((3, 2, 2), 0), ((4, 2, 3), 2)])
+    def test_zero_context_rejected_in_any_slot(self, rng, dims, zero):
+        H = HermitianOperator(random_hermitian_matrix(rng, dims), dims)
+        vectors = [random_ket(rng, d).amplitudes for d in dims]
+        vectors[zero] = np.zeros(dims[zero], dtype=complex)
+        for k in range(len(dims)):
+            if k != zero:
+                with pytest.raises(DegenerateStateError):
+                    contract_reduced(H.slot_blocks[k], vectors, k)
+
+
+def basis_product(dims, k, a, context):
+    """e_a in slot k and the basis states ``context`` in the other slots, by np.kron."""
+    slots = list(context)
+    slots.insert(k, a)
+    vec = np.ones(1)
+    for d, i in zip(dims, slots):
+        vec = np.kron(vec, np.eye(d)[i])
+    return vec
+
+
+class TestSlotBlocks:
+    def test_built_once_and_read_only(self, rng):
+        dims = (2, 3, 2)
+        H = HermitianOperator(random_hermitian_matrix(rng, dims), dims)
+        blocks = H.slot_blocks
+        assert H.slot_blocks is blocks
+        assert isinstance(blocks, tuple) and len(blocks) == len(dims)
+        for block in blocks:
+            assert not block.flags.writeable
+            with pytest.raises(ValueError):
+                block[0, 0] = 1.0
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 2), (3, 2, 2), (4, 2, 3)])
+    def test_entries_are_matrix_elements_between_product_states(self, rng, dims):
+        """Entry ((a, r, b), s) of block k is <e_a ⊗ r| H |e_b ⊗ s>."""
+        H = HermitianOperator(random_hermitian_matrix(rng, dims), dims)
+        for k, d in enumerate(dims):
+            others = dims[:k] + dims[k + 1 :]
+            m = int(np.prod(others))
+            contexts = [np.unravel_index(r, others) for r in range(m)]
+            expected = np.empty((d, m, d, m), dtype=complex)
+            for a in range(d):
+                for r, ctx_r in enumerate(contexts):
+                    bra = basis_product(dims, k, a, ctx_r)
+                    for b in range(d):
+                        for s, ctx_s in enumerate(contexts):
+                            ket = basis_product(dims, k, b, ctx_s)
+                            expected[a, r, b, s] = bra @ H.entries @ ket
+            assert np.array_equal(H.slot_blocks[k], expected.reshape(d * m * d, m))
