@@ -42,6 +42,7 @@ from .hamiltonians import (
 )
 from .propagators import (
     HermitianPropagator,
+    NonFiniteStateError,
     SplittingScheme,
     Trajectory,
     evolve,
@@ -368,7 +369,7 @@ def run(config: ExperimentConfig) -> int:
     try:
         result = execute(config, H)
     except (variational.NewtonConvergenceError, bea.StepSizeUnderflowError,
-            DegenerateStateError) as err:
+            DegenerateStateError, NonFiniteStateError) as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return EXIT_SOLVER
     # A state of finite norm² can still overflow a diagnostic of order norm⁴;

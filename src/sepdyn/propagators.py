@@ -14,7 +14,8 @@ no state or operator object. ``evolve`` validates the operator, the initial
 state, every component's norm as a context, and the step size once, at the
 API boundary. Every sub-step is norm preserving per component, so no
 context norm falls below that check later, and the reconstructed product
-state keeps its norm to machine precision.
+state keeps its norm to machine precision. The reduction is of order ‖H‖
+norm², so a finite norm² can still overflow; ``evolve`` tests the run once.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ import numpy as np
 from .hamiltonians import HermitianOperator
 from .reduced import check_contexts, contract_reduced
 from .states import ComponentState, FullState, split_components, tensor_product_rows
+
+
+class NonFiniteStateError(ArithmeticError):
+    """A splitting run produced inf or NaN components (the reduction overflowed)."""
 
 
 class SplittingScheme(enum.Enum):
@@ -177,6 +182,7 @@ def evolve(scheme: SplittingScheme, H: HermitianOperator, state0: ComponentState
     The operator, the state and its context norms, ``dt`` and ``steps``
     are checked here, once; the step maps then run on plain stacked arrays.
     Stores the stacked components and their tensor-product reconstructions.
+    An overflow is reported after the last step, as ``NonFiniteStateError``.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -188,8 +194,12 @@ def evolve(scheme: SplittingScheme, H: HermitianOperator, state0: ComponentState
     step_map = _STEP_MAPS[scheme]
     rows = np.empty((steps + 1, sum(state0.dims)), dtype=complex)
     rows[0] = x = np.concatenate(state0.vectors())
-    for i in range(1, steps + 1):
-        x = rows[i] = step_map(H, x, dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, steps + 1):
+            x = rows[i] = step_map(H, x, dt)
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise NonFiniteStateError(f"splitting step {finite.argmin()} produced a non-finite state")
     return Trajectory.from_components(dt * np.arange(steps + 1), rows, state0.dims)
 
 

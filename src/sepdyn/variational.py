@@ -7,14 +7,15 @@ because the Lagrangian is degenerate: the momentum depends on positions
 only). Restricting to product states can happen before discretization, by
 pulling the Lagrangian back to the component variables, or after, by
 substituting product states into the discrete action. The two orderings
-produce different schemes.
+produce different schemes, both run by one routine: start, then recursion.
 
-All Newton solves treat the unknown's real and imaginary parts as
-independent, since the stationarity equations couple a point to its complex
-conjugate. Residuals, and the gradients and partials they are built from,
-accept a stack of points on leading axes and act row by row, each row equal
-bit for bit to the one-point call; a forward-difference Jacobian is then one
-residual call on all bumped points.
+There is one Newton path: real and imaginary parts of the unknown are
+independent (the stationarity equations couple a point to its conjugate),
+and the Jacobian is taken by forward differences. Residuals, and the
+gradients and partials they are built from, accept a stack of points on
+leading axes and act row by row, each row equal bit for bit to the
+one-point call; a forward-difference Jacobian is then one residual call on
+all bumped points.
 """
 
 from __future__ import annotations
@@ -57,10 +58,7 @@ class FirstOrderLagrangian:
     equations and the momentum use. The psibar blocks are their complex
     conjugates on conjugate-consistent arguments and are never formed.
     ``gradient`` also takes stacks of points on leading axes, row by row.
-    ``second_blocks``, when provided, returns the matching two rows of
-    second-derivative matrices T[i][j] = d(g_i)/d(arg_j), i indexing
-    (dL/dpsi, dL/d(dpsi)) and j the four arguments (None for zero blocks);
-    quadratic Lagrangians can supply it so Newton solves get exact Jacobians.
+    There are no second derivatives: Newton differences the residuals.
     """
 
     dim: int
@@ -69,14 +67,11 @@ class FirstOrderLagrangian:
         [np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         tuple[np.ndarray, np.ndarray],
     ]
-    second_blocks: Callable | None = None
 
 
 def se_lagrangian(H: HermitianOperator) -> FirstOrderLagrangian:
     """The velocity-linear Lagrangian whose stationary curves solve i dpsi = H psi."""
     mat = H.entries
-    dim = mat.shape[0]
-    eye = np.eye(dim, dtype=complex)
 
     def evaluate(psi, psibar, dpsi, dpsibar):
         kinetic = 0.5j * (psibar @ dpsi - dpsibar @ psi)
@@ -90,18 +85,7 @@ def se_lagrangian(H: HermitianOperator) -> FirstOrderLagrangian:
         g_dpsi = 0.5j * psibar
         return g_psi, g_dpsi
 
-    # Quadratic Lagrangian: constant second derivatives.
-    blocks = (
-        (None, -mat.T, None, -0.5j * eye),
-        (None, 0.5j * eye, None, None),
-    )
-
-    def second_blocks(psi, psibar, dpsi, dpsibar):
-        return blocks
-
-    return FirstOrderLagrangian(
-        dim=dim, evaluate=evaluate, gradient=gradient, second_blocks=second_blocks
-    )
+    return FirstOrderLagrangian(dim=mat.shape[0], evaluate=evaluate, gradient=gradient)
 
 
 def _product_velocity(parts, velocities) -> np.ndarray:
@@ -220,32 +204,6 @@ class DiscreteLagrangian:
         g_psi, g_dpsi = self.base.gradient(*self._interior(x, xbar, y, ybar))
         return self.dt * (1.0 - self.alpha) * g_psi + g_dpsi
 
-    def d1_jacobian(self, x, xbar, y, ybar):
-        """Holomorphic/antiholomorphic Jacobians of d1 in its third argument.
-
-        Returns (d(d1)/dy, d(d1)/dybar) when the base Lagrangian supplies
-        second derivatives, else None.
-        """
-        if self.base.second_blocks is None:
-            return None
-        c, cbar, v, vbar = self._interior(x, xbar, y, ybar)
-        T = self.base.second_blocks(c, cbar, v, vbar)
-        a, dt = self.alpha, self.dt
-        dim = y.size
-        zero = np.zeros((dim, dim), dtype=complex)
-
-        def blk(entry):
-            return zero if entry is None else entry
-
-        # Chain rule: dc/dy = (1-a) I, dv/dy = I/dt, bars analogous.
-        dgpsi_dy = (1.0 - a) * blk(T[0][0]) + blk(T[0][2]) / dt
-        dgpsi_dybar = (1.0 - a) * blk(T[0][1]) + blk(T[0][3]) / dt
-        dgdpsi_dy = (1.0 - a) * blk(T[1][0]) + blk(T[1][2]) / dt
-        dgdpsi_dybar = (1.0 - a) * blk(T[1][1]) + blk(T[1][3]) / dt
-        j_y = dt * a * dgpsi_dy - dgdpsi_dy
-        j_ybar = dt * a * dgpsi_dybar - dgdpsi_dybar
-        return j_y, j_ybar
-
 
 def velocity_momentum(L: FirstOrderLagrangian, x: np.ndarray) -> np.ndarray:
     """Conjugate momentum dL/d(dpsi) at (x, conj x); position-only for linear L."""
@@ -260,13 +218,6 @@ def _complex_to_real(z: np.ndarray) -> np.ndarray:
 def _real_to_complex(r: np.ndarray) -> np.ndarray:
     half = r.shape[-1] // 2
     return r[..., :half] + 1j * r[..., half:]
-
-
-def _real_jacobian_from_complex(j_y: np.ndarray, j_ybar: np.ndarray) -> np.ndarray:
-    """Real-split Jacobian of F(y, conj y) from its two complex Jacobians."""
-    d_u = j_y + j_ybar          # derivative along the real part
-    d_w = 1j * (j_y - j_ybar)   # derivative along the imaginary part
-    return np.block([[d_u.real, d_w.real], [d_u.imag, d_w.imag]])
 
 
 def _forward_difference_jacobian(residual: Callable[[np.ndarray], np.ndarray],
@@ -292,20 +243,18 @@ def _forward_difference_jacobian(residual: Callable[[np.ndarray], np.ndarray],
     return ((_complex_to_real(values) - r) / h[:, None]).T
 
 
-def newton_solve(residual: Callable[[np.ndarray], np.ndarray], guess: np.ndarray,
-                 jacobian: Callable | None = None):
+def newton_solve(residual: Callable[[np.ndarray], np.ndarray], guess: np.ndarray):
     """Newton iteration on a complex residual with real/imaginary splitting.
 
     ``residual`` maps one complex point of shape (n,) to shape (n,), and an
     (m, n) stack of points to (m, n), each row equal to the one-point call.
-    ``jacobian``, when given, maps the complex iterate to the pair
-    (dF/dy, dF/dybar); otherwise the real-split Jacobian is assembled by
-    forward differences, all 2n bumped points in one stacked residual call.
-    Updates are solved in the least-squares sense, which also covers
-    rank-deficient systems (the product-state substitution leaves a
-    rescaling direction unconstrained). Converged means a real-split
-    residual norm of at most ``NEWTON_TOL`` within ``NEWTON_MAXITER``
-    iterations. Returns (solution, iterations).
+    The Jacobian is always ``_forward_difference_jacobian``. Updates are
+    solved in the least-squares sense, which also covers rank-deficient
+    systems (the product-state substitution leaves a rescaling direction
+    unconstrained). Returns (solution, iterations) once the real-split
+    residual norm is at most ``NEWTON_TOL``; a non-finite residual, an
+    unsolvable update or ``NEWTON_MAXITER`` iterations raise
+    ``NewtonConvergenceError``.
     """
 
     def real_residual(r_vec):
@@ -313,35 +262,25 @@ def newton_solve(residual: Callable[[np.ndarray], np.ndarray], guess: np.ndarray
 
     x = _complex_to_real(np.asarray(guess, dtype=complex))
     r = real_residual(x)
-    if np.linalg.norm(r) <= NEWTON_TOL:
-        return _real_to_complex(x), 0
-    for iteration in range(1, NEWTON_MAXITER + 1):
-        if jacobian is not None:
-            jac = _real_jacobian_from_complex(*jacobian(_real_to_complex(x)))
-        else:
-            jac = _forward_difference_jacobian(residual, x, r)
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        x = x + step
-        r = real_residual(x)
+    iteration = 0
+    while True:
         res_norm = float(np.linalg.norm(r))
         if not np.isfinite(res_norm):
             raise NewtonConvergenceError("Newton residual became non-finite", res_norm)
         if res_norm <= NEWTON_TOL:
             return _real_to_complex(x), iteration
-    raise NewtonConvergenceError(
-        f"Newton did not reach {NEWTON_TOL} in {NEWTON_MAXITER} iterations", res_norm
-    )
-
-
-def _d1_jacobian_callable(Ld: DiscreteLagrangian, x, xbar):
-    """Exact Jacobian of d1 in y, or None where only forward differences exist."""
-    if not isinstance(Ld, DiscreteLagrangian) or Ld.base.second_blocks is None:
-        return None
-
-    def jacobian(y):
-        return Ld.d1_jacobian(x, xbar, y, np.conj(y))
-
-    return jacobian
+        if iteration == NEWTON_MAXITER:
+            raise NewtonConvergenceError(
+                f"Newton did not reach {NEWTON_TOL} in {NEWTON_MAXITER} iterations", res_norm
+            )
+        jac = _forward_difference_jacobian(residual, x, r)
+        try:
+            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        except np.linalg.LinAlgError as err:  # raised for a Jacobian with inf or NaN
+            raise NewtonConvergenceError(f"Newton update failed: {err}", res_norm) from None
+        x = x + step
+        r = real_residual(x)
+        iteration += 1
 
 
 def initial_step(Ld: DiscreteLagrangian, psi0: np.ndarray):
@@ -356,7 +295,7 @@ def initial_step(Ld: DiscreteLagrangian, psi0: np.ndarray):
     def residual(y):
         return p0 + Ld.d1(psi0, bar0, y, np.conj(y))
 
-    return newton_solve(residual, psi0, jacobian=_d1_jacobian_callable(Ld, psi0, bar0))
+    return newton_solve(residual, psi0)
 
 
 def del_step(Ld: DiscreteLagrangian, psi_prev: np.ndarray, psi_curr: np.ndarray,
@@ -373,11 +312,7 @@ def del_step(Ld: DiscreteLagrangian, psi_prev: np.ndarray, psi_curr: np.ndarray,
     def residual(y):
         return Ld.d1(psi_curr, bar_curr, y, np.conj(y)) + tail
 
-    if guess is None:
-        guess = psi_curr
-    return newton_solve(
-        residual, guess, jacobian=_d1_jacobian_callable(Ld, psi_curr, bar_curr)
-    )
+    return newton_solve(residual, psi_curr if guess is None else guess)
 
 
 @dataclass(frozen=True)
@@ -385,42 +320,46 @@ class DiscreteTrajectory:
     """Points of a discrete variational run on a uniform grid.
 
     ``points`` has shape (n_times, dim); for separable runs the rows are
-    stacked component vectors. ``newton_iterations[i]``, when recorded, is
-    the Newton iteration count of the solve that produced ``points[i + 1]``.
+    stacked component vectors. ``newton_iterations[i]`` is the Newton
+    iteration count of the solve that produced ``points[i + 1]``.
     """
 
     times: np.ndarray
     points: np.ndarray
-    newton_iterations: np.ndarray | None = None
+    newton_iterations: np.ndarray
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         points = np.asarray(self.points, dtype=complex)
+        iterations = np.asarray(self.newton_iterations, dtype=int)
         if points.shape[0] != times.size:
             raise ValueError("points and times disagree in length")
+        if iterations.shape != (times.size - 1,):
+            raise ValueError("newton_iterations needs one count per point after the first")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "points", points)
-        if self.newton_iterations is not None:
-            iterations = np.asarray(self.newton_iterations, dtype=int)
-            if iterations.shape != (times.size - 1,):
-                raise ValueError("newton_iterations needs one count per point after the first")
-            object.__setattr__(self, "newton_iterations", iterations)
+        object.__setattr__(self, "newton_iterations", iterations)
 
 
-def _run_recursion(Ld: DiscreteLagrangian, x0: np.ndarray, start, steps: int,
+# Overflow ends a run as a Newton failure, not as a numpy warning.
+@np.errstate(over="ignore", invalid="ignore")
+def _run_recursion(start_Ld: DiscreteLagrangian, Ld, x0: np.ndarray, steps: int,
                    blowup_factor: float | None) -> DiscreteTrajectory:
-    """Iterate del_step from x0 and ``start`` = (x1, its Newton iterations).
+    """The one run loop: momentum matching on ``start_Ld``, then del_step on ``Ld``.
 
-    Optionally watches for blow-up.
+    With ``blowup_factor``, a failed del_step, or an amplitude above that
+    factor times the initial largest one, ends the run as a blow-up.
     """
-    dt = Ld.dt
-    x1, first_iterations = start
-    rows = [np.asarray(x0, dtype=complex), np.asarray(x1, dtype=complex)]
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    x0 = np.asarray(x0, dtype=complex)
+    x1, first_iterations = initial_step(start_Ld, x0)
+    rows = [x0, x1]
     iterations = [first_iterations]
-    reference = float(np.max(np.abs(rows[0])))
+    reference = float(np.max(np.abs(x0)))
 
     def make_traj():
-        times = dt * np.arange(len(rows))
+        times = start_Ld.dt * np.arange(len(rows))
         return DiscreteTrajectory(times, np.stack(rows), np.array(iterations))
 
     for j in range(1, steps):
@@ -435,24 +374,25 @@ def _run_recursion(Ld: DiscreteLagrangian, x0: np.ndarray, start, steps: int,
             ) from None
         rows.append(nxt)
         iterations.append(used)
-        if blowup_factor is not None:
-            if np.max(np.abs(nxt)) > blowup_factor * reference:
-                raise BlowupError(
-                    f"amplitude exceeded {blowup_factor}x initial at step {j + 1}",
-                    make_traj(),
-                )
+        if blowup_factor is not None and np.max(np.abs(nxt)) > blowup_factor * reference:
+            raise BlowupError(
+                f"amplitude exceeded {blowup_factor}x initial at step {j + 1}", make_traj()
+            )
     return make_traj()
 
 
-# Overflow ends a run as a non-finite Newton residual, not as a numpy warning.
-@np.errstate(over="ignore", invalid="ignore")
 def integrate_discrete(Ld: DiscreteLagrangian, psi0: np.ndarray, steps: int,
                        blowup_factor: float | None = None) -> DiscreteTrajectory:
     """Momentum-matching start followed by the stationarity recursion."""
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    x0 = np.asarray(psi0, dtype=complex)
-    return _run_recursion(Ld, x0, initial_step(Ld, x0), steps, blowup_factor)
+    return _run_recursion(Ld, Ld, psi0, steps, blowup_factor)
+
+
+def _restricted(H: HermitianOperator, alpha: float, dt: float, state0: ComponentState):
+    """H's Lagrangian and its restrict-first discretization, after checking dims."""
+    if H.dims != state0.dims:
+        raise ValueError(f"operator dims {H.dims} do not match state dims {state0.dims}")
+    L = se_lagrangian(H)
+    return L, DiscreteLagrangian(separable_lagrangian(L, state0.dims), alpha, dt)
 
 
 def integrate_restrict_then_discretize(
@@ -460,11 +400,8 @@ def integrate_restrict_then_discretize(
     state0: ComponentState, blowup_factor: float | None = None,
 ) -> DiscreteTrajectory:
     """Restrict first: discretize the component-variable Lagrangian."""
-    L_sep = separable_lagrangian(se_lagrangian(H), state0.dims)
-    Ld = DiscreteLagrangian(L_sep, alpha, dt)
-    return integrate_discrete(
-        Ld, np.concatenate(state0.vectors()), steps, blowup_factor=blowup_factor
-    )
+    _, Ld = _restricted(H, alpha, dt, state0)
+    return _run_recursion(Ld, Ld, np.concatenate(state0.vectors()), steps, blowup_factor)
 
 
 class _SubstitutedDiscreteLagrangian:
@@ -480,7 +417,6 @@ class _SubstitutedDiscreteLagrangian:
     def __init__(self, Ld_full: DiscreteLagrangian, dims):
         self.full = Ld_full
         self.dims = tuple(dims)
-        self.dt = Ld_full.dt
 
     def _pulled_back(self, full_partial, x, y, slot: int):
         """A full-space partial at the product states of x and y, by the chain
@@ -498,7 +434,6 @@ class _SubstitutedDiscreteLagrangian:
         return self._pulled_back(self.full.d3, x, y, 1)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def integrate_discretize_then_restrict(
     H: HermitianOperator, alpha: float, dt: float, steps: int,
     state0: ComponentState, blowup_factor: float | None = None,
@@ -510,14 +445,7 @@ def integrate_discretize_then_restrict(
     (the unknown appears only through its tensor product), so a shared,
     consistent start keeps the comparison between the orderings clean.
     """
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    L = se_lagrangian(H)
-    Ld_full = DiscreteLagrangian(L, alpha, dt)
-    substituted = _SubstitutedDiscreteLagrangian(Ld_full, state0.dims)
-
-    L_sep = separable_lagrangian(L, state0.dims)
-    x0 = np.concatenate(state0.vectors())
-    start = initial_step(DiscreteLagrangian(L_sep, alpha, dt), x0)
-    return _run_recursion(substituted, x0, start, steps, blowup_factor)
-
+    L, start = _restricted(H, alpha, dt, state0)
+    substituted = _SubstitutedDiscreteLagrangian(DiscreteLagrangian(L, alpha, dt), state0.dims)
+    return _run_recursion(start, substituted, np.concatenate(state0.vectors()), steps,
+                          blowup_factor)

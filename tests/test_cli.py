@@ -94,6 +94,9 @@ def run_with(tmp_path, capsys, overrides=(), **fields):
 FIVE_QUBITS = [[1.0, 0.0]] * 5
 THREE_QUTRITS = [[1.0, 0.0, 0.0]] * 3
 BEA = {"integrator": "bea_truncation", "bea_scheme": "lie_trotter"}
+RANDOM5_SEED3 = {"experiment": "random5", "seed": 3}
+# Product norm² 1e308, just inside the double range.
+BIG_FIVE_QUBITS = [[1e154, 0], [0.6, 0.8], [1, 0], [0, 1], [1, 0]]
 
 
 class TestConfigErrors:
@@ -242,6 +245,20 @@ class TestFiniteProbes:
           "initial_state": [[1e150, 0], [0.6, 0.8]]}, cli.EXIT_SOLVER, "non-finite"),
         ({"integrator": "var_discretize_first", "alpha": 0.5,
           "initial_state": [[1e150, 0], [0.6, 0.8]]}, cli.EXIT_SOLVER, "non-finite"),
+        # norm² 1e308: the first Newton residual overflows.
+        ({**RANDOM5_SEED3, "integrator": "var_restrict_first", "alpha": 0.5,
+          "initial_state": BIG_FIVE_QUBITS}, cli.EXIT_SOLVER, "non-finite"),
+        ({**RANDOM5_SEED3, "integrator": "var_discretize_first", "alpha": 0.5,
+          "initial_state": BIG_FIVE_QUBITS}, cli.EXIT_SOLVER, "non-finite"),
+        # The splitting reduction c^H H c is of order ‖H‖ norm² and overflows.
+        ({"integrator": "strang", "initial_state": [[1.2e154, 0], [0.6, 0.8]]},
+         cli.EXIT_SOLVER, "splitting step 1 produced a non-finite state"),
+        ({"integrator": "lie_trotter", "initial_state": [[1.2e154, 0], [0.6, 0.8]]},
+         cli.EXIT_SOLVER, "splitting step 1 produced a non-finite state"),
+        ({**RANDOM5_SEED3, "integrator": "strang", "initial_state": BIG_FIVE_QUBITS},
+         cli.EXIT_SOLVER, "splitting step 1 produced a non-finite state"),
+        ({**RANDOM5_SEED3, "integrator": "lie_trotter", "initial_state": BIG_FIVE_QUBITS},
+         cli.EXIT_SOLVER, "splitting step 1 produced a non-finite state"),
     ])
     def test_exits_with_one_line(self, tmp_path, capsys, fields, code, message):
         got, err = run_with(tmp_path, capsys, dt=0.1, t_final=0.3, **fields)

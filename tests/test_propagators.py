@@ -16,6 +16,7 @@ from sepdyn.hamiltonians import (
     swap_hamiltonian,
 )
 from sepdyn.propagators import (
+    NonFiniteStateError,
     SplittingScheme,
     Trajectory,
     evolve,
@@ -376,6 +377,31 @@ class TestArrayCore:
         with pytest.raises(DegenerateStateError, match="context state 1"):
             evolve(scheme, H, state, 0.1, 5)
         assert calls == []
+
+    @pytest.mark.filterwarnings("error")  # the overflow raises no numpy warning
+    @pytest.mark.parametrize("scheme", list(SplittingScheme))
+    @pytest.mark.parametrize("system, big", [
+        ("swap", [[1.2e154, 0.0], [0.6, 0.8]]),
+        ("random5", [[1e154, 0.0], [0.6, 0.8], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]),
+    ])
+    def test_overflow_is_reported_once_after_the_run(self, monkeypatch, scheme, system, big):
+        """norm² below the double range, yet c^H H c, of order ‖H‖ norm², overflows.
+
+        Every step still runs: the run is tested for non-finite values once.
+        """
+        H = swap_hamiltonian(2) if system == "swap" else random_hermitian(5, seed=3)
+        state = ComponentState(tuple(Ket(np.array(v, dtype=complex)) for v in big))
+        step_map = propagators._STEP_MAPS[scheme]
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return step_map(*args)
+
+        monkeypatch.setitem(propagators._STEP_MAPS, scheme, counted)
+        with pytest.raises(NonFiniteStateError, match="splitting step 1 "):
+            evolve(scheme, H, state, 0.1, 3)
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("step", [lie_trotter_step, strang_step])
     @pytest.mark.parametrize("zero", [0, 1, 2])

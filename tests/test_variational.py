@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -313,6 +315,20 @@ def random_product_point(rng, dims):
     return np.concatenate([random_ket(rng, d).amplitudes for d in dims])
 
 
+def captured_residual(monkeypatch, solve):
+    """The residual ``solve`` hands to newton_solve, and its guess."""
+    seen = {}
+
+    def capture(residual, guess):
+        seen.update(residual=residual, guess=np.asarray(guess, dtype=complex))
+        return seen["guess"], 0
+
+    monkeypatch.setattr(variational, "newton_solve", capture)
+    solve()
+    monkeypatch.undo()
+    return seen["residual"], seen["guess"]
+
+
 class TestStackedResiduals:
     """Stacked residual calls equal one-point calls row by row, bit for bit, so the
     one-call Jacobian equals the column-by-column one exactly."""
@@ -339,19 +355,6 @@ class TestStackedResiduals:
                     assert np.array_equal(d1[row], Ld.d1(x, np.conj(x), y, np.conj(y)))
                     assert np.array_equal(d3[row], Ld.d3(y, np.conj(y), x, np.conj(x)))
 
-    def captured_residual(self, monkeypatch, solve):
-        """The residual ``solve`` hands to newton_solve, and its guess."""
-        seen = {}
-
-        def capture(residual, guess, **kwargs):
-            seen.update(residual=residual, guess=np.asarray(guess, dtype=complex))
-            return seen["guess"], 0
-
-        monkeypatch.setattr(variational, "newton_solve", capture)
-        solve()
-        monkeypatch.undo()
-        return seen["residual"], seen["guess"]
-
     def test_jacobian_equals_the_per_column_loop(self, rng, monkeypatch):
         for H, dims in stacking_cases():
             restrict_first, discretize_first = self.orderings(H, dims)
@@ -363,7 +366,7 @@ class TestStackedResiduals:
                 lambda: del_step(discretize_first, x_prev, x_curr),
             ]
             for solve in solves:
-                residual, guess = self.captured_residual(monkeypatch, solve)
+                residual, guess = captured_residual(monkeypatch, solve)
                 for point in (guess, guess + 0.01 * random_product_point(rng, dims)):
                     x = np.concatenate([point.real, point.imag])
                     values = residual(point)
@@ -409,16 +412,34 @@ class TestInitialStep:
 
 
 class TestDelStep:
-    def test_affine_system_converges_in_one_iteration(self, rng):
-        Ld = DiscreteLagrangian(se_lagrangian(swap_hamiltonian(2)), 0.5, 0.05)
-        psi0 = random_ket(rng, 4).amplitudes
-        psi1, _ = initial_step(Ld, psi0)
-        nxt, iterations = del_step(Ld, psi0, psi1)
-        assert iterations == 1
-        residual = Ld.d1(psi1, np.conj(psi1), nxt, np.conj(nxt)) + Ld.d3(
-            psi0, np.conj(psi0), psi1, np.conj(psi1)
-        )
-        assert np.linalg.norm(residual) < 1e-12
+    def test_affine_system_matches_the_closed_form_jacobian(self, rng, monkeypatch):
+        dt = 0.05
+        # random_hermitian has complex entries, so H^T differs from H there.
+        for H, alpha in [(swap_hamiltonian(2), 0.5), (random_hermitian(2, 11), 0.5),
+                         (random_hermitian(2, 11), 0.3)]:
+            Ld = DiscreteLagrangian(se_lagrangian(H), alpha, dt)
+            psi0 = random_ket(rng, 4).amplitudes
+            psi1, _ = initial_step(Ld, psi0)
+            # The full-space residual d1(psi1, y) + d3(psi0, psi1) reads y only
+            # through conj(y), in c = alpha psi1 + (1 - alpha) y and
+            # v = (y - psi1)/dt, so it is affine with the constant
+            # conj(y)-Jacobian J. With y = u + iw its real split is
+            # [[Re J, Im J], [Im J, -Re J]].
+            J = -0.5j * np.eye(4) - alpha * (1.0 - alpha) * dt * H.entries.T
+            exact = np.block([[J.real, J.imag], [J.imag, -J.real]])
+            residual, guess = captured_residual(monkeypatch, lambda: del_step(Ld, psi0, psi1))
+            for point in (guess, guess + 0.1 * random_ket(rng, 4).amplitudes):
+                x = np.concatenate([point.real, point.imag])
+                values = residual(point)
+                jac = _forward_difference_jacobian(
+                    residual, x, np.concatenate([values.real, values.imag]))
+                assert np.max(np.abs(jac - exact)) <= 1e-6 * np.max(np.abs(exact))
+            nxt, iterations = del_step(Ld, psi0, psi1)
+            assert 1 <= iterations <= 2
+            residual = Ld.d1(psi1, np.conj(psi1), nxt, np.conj(nxt)) + Ld.d3(
+                psi0, np.conj(psi0), psi1, np.conj(psi1)
+            )
+            assert np.linalg.norm(residual) < 1e-12
 
     def test_two_term_recursion_reproduces_trajectory(self, rng):
         Ld = DiscreteLagrangian(se_lagrangian(swap_hamiltonian(2)), 0.5, 0.1)
@@ -444,6 +465,28 @@ class TestDelStep:
         with pytest.raises(NewtonConvergenceError) as info:
             newton_solve(impossible, np.array([1.0 + 0j]))
         assert info.value.residual > 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_first_residual_stops_before_a_jacobian(self):
+        calls = []
+
+        def overflowing(y):
+            calls.append(np.shape(y))
+            return np.full(np.shape(y), np.nan, dtype=complex)
+
+        with pytest.raises(NewtonConvergenceError, match="non-finite"):
+            newton_solve(overflowing, np.array([1.0 + 0j, 2.0 + 0j]))
+        assert calls == [(2,)]
+
+    def test_non_finite_jacobian_is_a_convergence_failure(self):
+        # Finite at the guess, infinite at every bumped point: lstsq cannot
+        # solve for the update and raises LinAlgError.
+        def steep(y):
+            return np.full(np.shape(y), np.inf if np.ndim(y) == 2 else 1.0, dtype=complex)
+
+        with pytest.raises(NewtonConvergenceError, match="Newton update failed") as info:
+            newton_solve(steep, np.array([1.0 + 0j, 2.0 + 0j]))
+        assert info.value.residual == pytest.approx(np.sqrt(2.0))
 
 
 class TestNewtonStatistics:
@@ -483,6 +526,47 @@ class TestNewtonStatistics:
     def test_count_length_is_validated(self):
         with pytest.raises(ValueError):
             DiscreteTrajectory(np.arange(3.0), np.zeros((3, 2)), newton_iterations=np.ones(3))
+
+
+class TestEntryPoints:
+    """The three integrate_* functions share one run loop and its checks."""
+
+    @staticmethod
+    def entry_points(steps):
+        H = swap_hamiltonian(2)
+        state0 = ComponentState((Ket(np.array([1.0, 0.0])), Ket(np.array([0.6, 0.8]))))
+        Ld = DiscreteLagrangian(se_lagrangian(H), 0.5, 0.1)
+        return {
+            "integrate_discrete": lambda: integrate_discrete(
+                Ld, np.kron([1.0, 0.0], [0.6, 0.8]), steps),
+            "restrict_first": lambda: integrate_restrict_then_discretize(
+                H, 0.5, 0.1, steps, state0),
+            "discretize_first": lambda: integrate_discretize_then_restrict(
+                H, 0.5, 0.1, steps, state0),
+        }
+
+    @pytest.mark.parametrize("name", ["integrate_discrete", "restrict_first",
+                                      "discretize_first"])
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_steps_below_one_rejected_before_any_solve(self, monkeypatch, name, steps):
+        def no_solve(residual, guess):
+            raise AssertionError("a Newton solve ran")
+
+        monkeypatch.setattr(variational, "newton_solve", no_solve)
+        with pytest.raises(ValueError, match="steps must be at least 1"):
+            self.entry_points(steps)[name]()
+
+    @pytest.mark.parametrize("run", [integrate_restrict_then_discretize,
+                                     integrate_discretize_then_restrict],
+                             ids=["restrict_first", "discretize_first"])
+    def test_operator_and_state_layouts_must_agree(self, rng, run):
+        # Equal total dimension, different tensor layout.
+        mat = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        H = HermitianOperator(mat + mat.conj().T, (2, 4))
+        state0 = ComponentState((random_ket(rng, 4), random_ket(rng, 2)))
+        with pytest.raises(ValueError, match=re.escape(
+                "operator dims (2, 4) do not match state dims (4, 2)")):
+            run(H, 0.5, 0.1, 3, state0)
 
 
 class TestFullStateIntegration:
