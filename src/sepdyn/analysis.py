@@ -37,9 +37,8 @@ GELL_MANN.setflags(write=False)
 
 
 def overlap_series(traj_se: Trajectory, traj_sse: Trajectory) -> np.ndarray:
-    """Pointwise inner product <psi_se(t)|psi_sse(t)> on a shared grid."""
-    if traj_se.times.shape != traj_sse.times.shape or \
-            np.max(np.abs(traj_se.times - traj_sse.times)) > 1e-12:
+    """Pointwise inner product <psi_se(t)|psi_sse(t)> on a grid of shared dt and length."""
+    if traj_se.dt != traj_sse.dt or len(traj_se.full) != len(traj_sse.full):
         raise ValueError("trajectories are not on the same time grid")
     return np.einsum("ti,ti->t", traj_se.full.conj(), traj_sse.full)
 

@@ -8,8 +8,8 @@ built; the right-hand sides it calls then run unchecked on views of the
 stacked state, since the solver calls them seven times per step.
 Truncations are solved with an embedded Dormand-Prince 5(4) pair so the
 reference solutions sit far below the deviations being measured; the
-solver takes the stacked state [a; b] and returns the requested samples
-and its step statistics only.
+solver takes the stacked state [a; b], a step dt and a step count, and
+returns the samples on the grid t_i = i * dt and its step statistics only.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagators import SplittingScheme
+from .propagators import SplittingScheme, check_grid
 
 TROTTER_ORDERS = (0, 1, 2)
 STRANG_ORDERS = (0, 2)
@@ -97,7 +97,7 @@ class ModifiedRHS:
 
 @dataclass(frozen=True)
 class OdeSolution:
-    """Samples at the requested times, and step statistics."""
+    """Samples on the grid t_i = i * dt, and step statistics."""
 
     y_eval: np.ndarray
     steps: int
@@ -149,41 +149,34 @@ def _initial_step(f, t0, y0, f0, tol):
 
 # Overflow and NaN raise StepSizeUnderflowError below, not numpy warnings.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def rk_integrate(rhs, y0: np.ndarray, t_span: tuple[float, float], tol: float,
-                 t_eval) -> OdeSolution:
+def rk_integrate(rhs, y0: np.ndarray, dt: float, steps: int, tol: float) -> OdeSolution:
     """Adaptive embedded Runge-Kutta 5(4) integration with PI step control.
 
     ``rhs`` is any callable f(t, y) -> dy on complex vectors such as ``y0``.
-    The samples at ``t_eval``, non-decreasing times inside ``t_span``, are
-    filled by piecewise cubic Hermite interpolation on the accepted steps,
-    which is fourth-order accurate; the step size is capped so that the
-    interpolation remainder stays at the level of ``tol``.
+    The run starts at t = 0 and samples the grid t_i = i * dt, i = 0..steps.
+    The samples are filled by piecewise cubic Hermite interpolation on the
+    accepted steps, which is fourth-order accurate; the step size is capped
+    so that the interpolation remainder stays at the level of ``tol``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if t1 <= t0:
-        raise ValueError("t_span must be increasing")
+    check_grid(dt, steps)
+    t, t1 = 0.0, dt * steps
     y = np.asarray(y0, dtype=complex)
 
     # Cubic Hermite remainder is h^4 |y''''| / 384; keep it at the tolerance
     # assuming order-one derivatives, as for the unit-scale fields here.
-    h_cap = min((384.0 * tol) ** 0.25, t1 - t0)
+    h_cap = min((384.0 * tol) ** 0.25, t1)
 
-    t_eval = np.asarray(t_eval, dtype=float)
-    if np.any(t_eval < t0 - 1e-12) or np.any(t_eval > t1 + 1e-12):
-        raise ValueError("t_eval must lie inside t_span")
-    if np.any(np.diff(t_eval) < 0):
-        raise ValueError("t_eval must be non-decreasing")
+    t_eval = dt * np.arange(steps + 1)
     y_eval = np.empty((t_eval.size, y.size), dtype=complex)
     eval_cursor = 0
 
-    t = t0
     f_first = rhs(t, y)
     rhs_evals = 1
     h = min(_initial_step(rhs, t, y, f_first, tol), h_cap)
     rhs_evals += 1
-    steps = 0
+    accepted = 0
     rejected = 0
     err_prev = 1.0
     k = np.empty((7, y.size), dtype=complex)
@@ -217,7 +210,7 @@ def rk_integrate(rhs, y0: np.ndarray, t_span: tuple[float, float], tol: float,
                 )
                 eval_cursor += 1
             t, y = t_new, y_new
-            steps += 1
+            accepted += 1
             k[0] = k[6]  # first-same-as-last
             factor = 0.9 * err ** -0.14 * err_prev**0.08 if err > 0 else 5.0
             err_prev = max(err, 1e-10)
@@ -228,4 +221,4 @@ def rk_integrate(rhs, y0: np.ndarray, t_span: tuple[float, float], tol: float,
         h = h * float(np.clip(factor, 0.2, 5.0))
 
     y_eval[eval_cursor:] = y  # samples at the right endpoint
-    return OdeSolution(y_eval, steps, rejected, rhs_evals)
+    return OdeSolution(y_eval, accepted, rejected, rhs_evals)

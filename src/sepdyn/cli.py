@@ -247,7 +247,7 @@ def _variational_run(config, H, state0) -> RunResult:
             "steps_completed": int(discrete.points.shape[0] - 1),
             "time_reached": float(discrete.times[-1]),
         }
-    traj = Trajectory.from_components(discrete.times, discrete.points, state0.dims)
+    traj = Trajectory.from_components(discrete.dt, discrete.points, state0.dims)
     iterations = discrete.newton_iterations
     stats = {
         "kind": "newton",
@@ -261,11 +261,9 @@ def _variational_run(config, H, state0) -> RunResult:
 
 def _bea_run(config, state0) -> RunResult:
     rhs = bea.ModifiedRHS(SplittingScheme(config.bea_scheme), config.bea_order, config.dt)
-    steps = config.steps()
-    times = config.dt * np.arange(steps + 1)
-    sol = bea.rk_integrate(rhs, np.concatenate(state0.vectors()), (0.0, float(times[-1])),
-                           tol=1e-12, t_eval=times)
-    traj = Trajectory.from_components(times, sol.y_eval, state0.dims)
+    sol = bea.rk_integrate(rhs, np.concatenate(state0.vectors()), config.dt, config.steps(),
+                           tol=1e-12)
+    traj = Trajectory.from_components(config.dt, sol.y_eval, state0.dims)
     stats = {"kind": "runge_kutta", "steps": sol.steps, "rejected": sol.rejected,
              "rhs_evals": sol.rhs_evals}
     return RunResult(traj, stats)
@@ -296,7 +294,7 @@ def _diagnostic_columns(config: ExperimentConfig, result: RunResult,
         elif name == "abs_overlap":
             reference = HermitianPropagator(H).states_on_grid(traj.full[0], traj.times)
             columns["abs_overlap"] = np.abs(analysis.overlap_series(
-                Trajectory(traj.times, traj.dims, full=reference), traj))
+                Trajectory(traj.dt, traj.dims, full=reference), traj))
         elif name == "rate_nucl":
             columns["rate_nucl"] = analysis.rate_of_change_nuclear(traj)
         elif name in ("purity", "bloch"):
@@ -471,18 +469,24 @@ def _load_or_error(path: Path, overrides: list[str]) -> ExperimentConfig | Confi
 
 def _output_clash(files: list[Path],
                   loaded: list[ExperimentConfig | ConfigError]) -> str | None:
-    """A message naming two configs that write the same output prefix, or None.
+    """A message naming two configs that write one output prefix, or an output over a config.
 
-    Configs that failed to load are skipped here; their own run reports them.
+    Configs that failed to load are checked only as files; their own run reports them.
     """
+    inputs = {path.resolve(): path for path in files}
     owners: dict[Path, Path] = {}
     for path, config in zip(files, loaded):
         if isinstance(config, ConfigError):
             continue
-        prefix = Path(config.out_path).resolve()
+        out = Path(config.out_path)
+        prefix = out.resolve()
         if prefix in owners:
             return f"{owners[prefix]} and {path} both write to {prefix}"
         owners[prefix] = path
+        for suffix in (".csv", ".json"):
+            output = out.with_name(out.name + suffix).resolve()
+            if output in inputs:
+                return f"{path} would write its output over the config {inputs[output]}"
     return None
 
 

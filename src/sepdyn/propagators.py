@@ -15,7 +15,8 @@ state, every component's norm as a context, and the step size once, at the
 API boundary. Every sub-step is norm preserving per component, so no
 context norm falls below that check later, and the reconstructed product
 state keeps its norm to machine precision. The reduction is of order ‖H‖
-norm², so a finite norm² can still overflow; ``evolve`` tests the run once.
+norm², so a finite norm² can still overflow; ``evolve`` tests the rows
+every ``FINITE_CHECK_STEPS`` steps.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ from .reduced import check_contexts, contract_reduced
 from .states import ComponentState, FullState, split_components, tensor_product_rows
 
 
+FINITE_CHECK_STEPS = 256  # steps between finiteness tests of a splitting run
+
+
 class NonFiniteStateError(ArithmeticError):
     """A splitting run produced inf or NaN components (the reduction overflowed)."""
 
@@ -41,62 +45,65 @@ class SplittingScheme(enum.Enum):
     STRANG = "strang"
 
 
+def check_grid(dt: float, steps: int):
+    """The one check of a run's grid t_i = i * dt, i = 0..steps."""
+    if not 0 < dt < np.inf:
+        raise ValueError("dt must be finite and positive")
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniform-grid time series of states.
+    """Time series of states on the uniform grid t_i = i * dt.
 
     ``full`` holds one composite-space state per grid time, shape
     (n_times, prod(dims)). Component runs also keep ``components``, the
     stacked subsystem kets concat(a_1, ..., a_N), shape (n_times, sum(dims)).
-    Both arrays are stored read-only; ``norm`` is the full state's norm per
-    grid time, computed on first use.
+    Either may be omitted, not both. Both are stored read-only; ``times`` and
+    ``norm``, the full state's norm per time, are derived on first use.
     """
 
-    times: np.ndarray
+    dt: float
     dims: tuple[int, ...]
     full: np.ndarray | None = None
     components: np.ndarray | None = None
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        if times.ndim != 1 or times.size < 1:
-            raise ValueError("times must be a non-empty 1-d array")
-        if times.size > 1:
-            spacings = np.diff(times)
-            if np.any(spacings <= 0):
-                raise ValueError("times must be strictly increasing")
-            if np.max(np.abs(spacings - spacings[0])) > 1e-9 * max(1.0, abs(spacings[0])):
-                raise ValueError("times must be uniformly spaced")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be finite and positive")
+        if self.full is None and self.components is None:
+            raise ValueError("a trajectory needs full or components")
         dims = tuple(int(d) for d in self.dims)
+        rows = len(self.full if self.full is not None else self.components)
         for name, width in (("full", prod(dims)), ("components", sum(dims))):
             stored = getattr(self, name)
             if stored is None:
                 continue
             stored = np.asarray(stored, dtype=complex)
-            if stored.shape != (times.size, width):
-                raise ValueError(
-                    f"{name} has shape {stored.shape}, expected {(times.size, width)}"
-                )
+            if stored.shape != (rows, width):
+                raise ValueError(f"{name} has shape {stored.shape}, expected {(rows, width)}")
             if not np.all(np.isfinite(stored)):
                 raise ValueError(f"{name} amplitudes must be finite")
             stored.setflags(write=False)
             object.__setattr__(self, name, stored)
-        object.__setattr__(self, "times", times)
         object.__setattr__(self, "dims", dims)
 
     @classmethod
-    def from_components(cls, times, components: np.ndarray, dims) -> "Trajectory":
+    def from_components(cls, dt: float, components: np.ndarray, dims) -> "Trajectory":
         """A component run: its rows and their tensor products."""
-        return cls(times, dims, full=tensor_product_rows(components, dims),
+        return cls(dt, dims, full=tensor_product_rows(components, dims),
                    components=components)
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        times = self.dt * np.arange(len(self.full if self.full is not None else self.components))
+        times.setflags(write=False)
+        return times
 
     @cached_property
     def norm(self) -> np.ndarray:
         return np.linalg.norm(self.full, axis=1)
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0]) if self.times.size > 1 else 0.0
 
 
 def spectral_apply(evals: np.ndarray, evecs: np.ndarray, t: float,
@@ -182,12 +189,10 @@ def evolve(scheme: SplittingScheme, H: HermitianOperator, state0: ComponentState
     The operator, the state and its context norms, ``dt`` and ``steps``
     are checked here, once; the step maps then run on plain stacked arrays.
     Stores the stacked components and their tensor-product reconstructions.
-    An overflow is reported after the last step, as ``NonFiniteStateError``.
+    An overflow ends the run within ``FINITE_CHECK_STEPS`` steps, as
+    ``NonFiniteStateError`` naming the first non-finite step.
     """
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    check_grid(dt, steps)
     if H.dims != state0.dims:
         raise ValueError(f"operator dims {H.dims} do not match state dims {state0.dims}")
     check_contexts(state0.vectors())
@@ -195,21 +200,19 @@ def evolve(scheme: SplittingScheme, H: HermitianOperator, state0: ComponentState
     rows = np.empty((steps + 1, sum(state0.dims)), dtype=complex)
     rows[0] = x = np.concatenate(state0.vectors())
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, steps + 1):
-            x = rows[i] = step_map(H, x, dt)
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        raise NonFiniteStateError(f"splitting step {finite.argmin()} produced a non-finite state")
-    return Trajectory.from_components(dt * np.arange(steps + 1), rows, state0.dims)
+        for start in range(1, steps + 1, FINITE_CHECK_STEPS):
+            stop = min(start + FINITE_CHECK_STEPS, steps + 1)
+            for i in range(start, stop):
+                x = rows[i] = step_map(H, x, dt)
+            finite = np.isfinite(rows[start:stop]).all(axis=1)
+            if not finite.all():
+                raise NonFiniteStateError(
+                    f"splitting step {start + finite.argmin()} produced a non-finite state")
+    return Trajectory.from_components(dt, rows, state0.dims)
 
 
 def se_evolve(H: HermitianOperator, psi0: FullState, dt: float, steps: int) -> Trajectory:
     """Unrestricted trajectory on a uniform grid, decomposing H only once."""
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    propagator = HermitianPropagator(H)
-    times = dt * np.arange(steps + 1)
-    grid = propagator.states_on_grid(psi0.amplitudes, times)
-    return Trajectory(times, psi0.dims, full=grid)
+    check_grid(dt, steps)
+    grid = HermitianPropagator(H).states_on_grid(psi0.amplitudes, dt * np.arange(steps + 1))
+    return Trajectory(dt, psi0.dims, full=grid)

@@ -21,12 +21,14 @@ all bumped points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 from typing import Callable
 
 import numpy as np
 
 from .hamiltonians import HermitianOperator
+from .propagators import check_grid
 from .states import ComponentState, kron, split_components
 
 NEWTON_TOL = 1e-12
@@ -252,8 +254,8 @@ def newton_solve(residual: Callable[[np.ndarray], np.ndarray], guess: np.ndarray
     solved in the least-squares sense, which also covers rank-deficient
     systems (the product-state substitution leaves a rescaling direction
     unconstrained). Returns (solution, iterations) once the real-split
-    residual norm is at most ``NEWTON_TOL``; a non-finite residual, an
-    unsolvable update or ``NEWTON_MAXITER`` iterations raise
+    residual norm is at most ``NEWTON_TOL``; a non-finite residual or
+    Jacobian, an unsolvable update or ``NEWTON_MAXITER`` iterations raise
     ``NewtonConvergenceError``.
     """
 
@@ -274,9 +276,11 @@ def newton_solve(residual: Callable[[np.ndarray], np.ndarray], guess: np.ndarray
                 f"Newton did not reach {NEWTON_TOL} in {NEWTON_MAXITER} iterations", res_norm
             )
         jac = _forward_difference_jacobian(residual, x, r)
+        if not np.isfinite(jac).all():  # LAPACK would print to stdout before failing
+            raise NewtonConvergenceError("Newton Jacobian became non-finite", res_norm)
         try:
             step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        except np.linalg.LinAlgError as err:  # raised for a Jacobian with inf or NaN
+        except np.linalg.LinAlgError as err:  # an SVD that does not converge
             raise NewtonConvergenceError(f"Newton update failed: {err}", res_norm) from None
         x = x + step
         r = real_residual(x)
@@ -317,28 +321,26 @@ def del_step(Ld: DiscreteLagrangian, psi_prev: np.ndarray, psi_curr: np.ndarray,
 
 @dataclass(frozen=True)
 class DiscreteTrajectory:
-    """Points of a discrete variational run on a uniform grid.
+    """Points of a discrete variational run on the uniform grid t_i = i * dt.
 
     ``points`` has shape (n_times, dim); for separable runs the rows are
     stacked component vectors. ``newton_iterations[i]`` is the Newton
     iteration count of the solve that produced ``points[i + 1]``.
     """
 
-    times: np.ndarray
+    dt: float
     points: np.ndarray
     newton_iterations: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        points = np.asarray(self.points, dtype=complex)
-        iterations = np.asarray(self.newton_iterations, dtype=int)
-        if points.shape[0] != times.size:
-            raise ValueError("points and times disagree in length")
-        if iterations.shape != (times.size - 1,):
+        if np.shape(self.newton_iterations) != (len(self.points) - 1,):
             raise ValueError("newton_iterations needs one count per point after the first")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "newton_iterations", iterations)
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        times = self.dt * np.arange(len(self.points))
+        times.setflags(write=False)
+        return times
 
 
 # Overflow ends a run as a Newton failure, not as a numpy warning.
@@ -350,8 +352,7 @@ def _run_recursion(start_Ld: DiscreteLagrangian, Ld, x0: np.ndarray, steps: int,
     With ``blowup_factor``, a failed del_step, or an amplitude above that
     factor times the initial largest one, ends the run as a blow-up.
     """
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
+    check_grid(start_Ld.dt, steps)
     x0 = np.asarray(x0, dtype=complex)
     x1, first_iterations = initial_step(start_Ld, x0)
     rows = [x0, x1]
@@ -359,8 +360,7 @@ def _run_recursion(start_Ld: DiscreteLagrangian, Ld, x0: np.ndarray, steps: int,
     reference = float(np.max(np.abs(x0)))
 
     def make_traj():
-        times = start_Ld.dt * np.arange(len(rows))
-        return DiscreteTrajectory(times, np.stack(rows), np.array(iterations))
+        return DiscreteTrajectory(start_Ld.dt, np.stack(rows), np.array(iterations))
 
     for j in range(1, steps):
         guess = 2.0 * rows[-1] - rows[-2]

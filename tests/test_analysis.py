@@ -26,16 +26,17 @@ def swap_trajectories(fig1_state, dt=0.01, steps=100):
     return se, sse
 
 
-def exact_trajectories(fig1_state, times):
+def exact_trajectories(fig1_state, dt, steps):
     """Full-state trajectories built from the closed forms only."""
+    times = dt * np.arange(steps + 1)
     data = SwapInitialData(fig1_state.parts[0], fig1_state.parts[1])
     se_states = np.stack([exact_se_swap(data, t).amplitudes for t in times])
     sse_states = np.stack([tensor_product(exact_sse_swap(data, t)).amplitudes
                            for t in times])
     dims = (2, 2)
     return (
-        Trajectory(times, dims, full=se_states),
-        Trajectory(times, dims, full=sse_states),
+        Trajectory(dt, dims, full=se_states),
+        Trajectory(dt, dims, full=sse_states),
     )
 
 
@@ -65,8 +66,7 @@ class TestOverlapSeries:
     def test_closed_form_value_at_unit_time(self, fig1_state):
         # Hand-derived scalar: with theta = |q| t,
         #   cos(t) (cos th - i|q| sin th)^2 + i sin(t) (|q| cos th - i sin th)^2.
-        times = np.linspace(0.0, 1.0, 101)
-        se, sse = exact_trajectories(fig1_state, times)
+        se, sse = exact_trajectories(fig1_state, 0.01, 100)
         overlap = overlap_series(se, sse)
         q = 1 / np.sqrt(2)
         theta = q * 1.0
@@ -103,7 +103,7 @@ class TestOverlapSeries:
 class TestRateOfChangeNuclear:
     def test_constant_trajectory_is_zero(self, rng):
         psi = random_ket(rng, 4).amplitudes
-        traj = Trajectory(0.1 * np.arange(5), (2, 2), full=np.stack([psi] * 5))
+        traj = Trajectory(0.1, (2, 2), full=np.stack([psi] * 5))
         assert np.allclose(rate_of_change_nuclear(traj), 0.0)
 
     def test_matches_commutator_oracle_for_unitary_flow(self, fig1_state):
@@ -131,7 +131,7 @@ class TestRateOfChangeNuclear:
         dt, steps = 0.01, 60
         traj = se_evolve(H, tensor_product(fig1_state), dt, steps)
         phased = np.exp(1j * np.sin(traj.times))[:, None] * traj.full
-        traj_phased = Trajectory(traj.times, traj.dims, full=phased)
+        traj_phased = Trajectory(traj.dt, traj.dims, full=phased)
         assert np.allclose(
             rate_of_change_nuclear(traj),
             rate_of_change_nuclear(traj_phased),
@@ -146,14 +146,14 @@ class TestRateOfChangeNuclear:
         start, velocity, accel = (rng.standard_normal((3, dim))
                                   + 1j * rng.standard_normal((3, dim)))
         states = start + times[:, None] * velocity + times[:, None] ** 2 * accel
-        traj = Trajectory(times, (dim,), full=states)
+        traj = Trajectory(dt, (dim,), full=states)
         rates = rate_of_change_nuclear(traj)
         expected = svd_rate_oracle(states, dt)
         assert np.max(np.abs(rates - expected) / expected) <= 1e-10
 
     def test_closed_form_matches_svd_oracle_on_unrelated_rows(self, rng):
         states = rng.standard_normal((6, 32)) + 1j * rng.standard_normal((6, 32))
-        traj = Trajectory(0.5 * np.arange(6), (2,) * 5, full=states)
+        traj = Trajectory(0.5, (2,) * 5, full=states)
         expected = svd_rate_oracle(states, 0.5)
         rates = rate_of_change_nuclear(traj)
         assert np.max(np.abs(rates - expected) / expected) <= 1e-10
@@ -163,7 +163,7 @@ class TestRateOfChangeNuclear:
         n_times, dim = 1001, 1024
         states = (rng.standard_normal((n_times, dim))
                   + 1j * rng.standard_normal((n_times, dim)))
-        traj = Trajectory(1e-3 * np.arange(n_times), (2,) * 10, full=states)
+        traj = Trajectory(1e-3, (2,) * 10, full=states)
         tracemalloc.start()
         try:
             rate_of_change_nuclear(traj)
@@ -174,13 +174,13 @@ class TestRateOfChangeNuclear:
 
     def test_needs_two_points(self, rng):
         psi = random_ket(rng, 4).amplitudes
-        traj = Trajectory(np.array([0.0]), (2, 2), full=psi[None, :])
+        traj = Trajectory(0.1, (2, 2), full=psi[None, :])
         with pytest.raises(ValueError):
             rate_of_change_nuclear(traj)
 
     def test_two_points_give_the_one_sided_difference_at_both(self, rng):
         psi0, psi1 = random_ket(rng, 4).amplitudes, random_ket(rng, 4).amplitudes
-        traj = Trajectory(np.array([0.0, 0.1]), (2, 2), full=np.stack([psi0, psi1]))
+        traj = Trajectory(0.1, (2, 2), full=np.stack([psi0, psi1]))
         expected = nuclear_norm(np.outer(psi1, psi1.conj())
                                 - np.outer(psi0, psi0.conj())) / 0.1
         assert rate_of_change_nuclear(traj) == pytest.approx([expected] * 2, rel=1e-12)
@@ -194,12 +194,12 @@ class TestPuritySeries:
 
     def test_half_swapped_state_is_maximally_mixed(self):
         bell_like = np.array([0, 1, -1j, 0]) / np.sqrt(2)
-        traj = Trajectory(np.array([0.0]), (2, 2), full=bell_like[None, :])
+        traj = Trajectory(0.1, (2, 2), full=bell_like[None, :])
         assert purity_series(reduced_density_series(traj, 0))[0] == pytest.approx(0.5)
         assert purity_series(reduced_density_series(traj, 1))[0] == pytest.approx(0.5)
 
     def test_product_basis_state(self, fig1_state):
-        traj = Trajectory(np.array([0.0]), (2, 2),
+        traj = Trajectory(0.1, (2, 2),
                           full=tensor_product(fig1_state).amplitudes[None, :])
         assert purity_series(reduced_density_series(traj, 0))[0] == pytest.approx(1.0)
 

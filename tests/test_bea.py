@@ -26,13 +26,13 @@ class TestModifiedRHS:
 
     @pytest.mark.parametrize("scheme", [LIE_TROTTER, STRANG])
     def test_order_zero_is_the_restricted_swap_flow(self, rng, scheme):
-        times = np.linspace(0.0, 2.0, 21)
+        times = 0.1 * np.arange(21)
         for _ in range(3):
             a, b = random_ket(rng), random_ket(rng)
             data = SwapInitialData(a, b)
             sol = bea.rk_integrate(bea.ModifiedRHS(scheme, 0, 0.1),
-                                   np.concatenate([a.amplitudes, b.amplitudes]), (0.0, 2.0),
-                                   tol=1e-12, t_eval=times)
+                                   np.concatenate([a.amplitudes, b.amplitudes]), 0.1, 20,
+                                   tol=1e-12)
             exact = np.stack([stacked(exact_sse_swap(data, t)) for t in times])
             assert np.max(np.abs(sol.y_eval - exact)) <= 1e-12
 
@@ -62,9 +62,8 @@ class TestTruncationOrder:
                 traj = evolve(scheme, H, ComponentState((a, b)), dt, steps)
                 sol = bea.rk_integrate(bea.ModifiedRHS(scheme, order, dt),
                                        np.concatenate([a.amplitudes, b.amplitudes]),
-                                       (0.0, traj.times[-1]), tol=1e-13,
-                                       t_eval=traj.times[-1:])
-                errors.append(np.linalg.norm(traj.components[-1] - sol.y_eval[0]))
+                                       dt, steps, tol=1e-13)
+                errors.append(np.linalg.norm(traj.components[-1] - sol.y_eval[-1]))
             assert abs(convergence_order(self.DTS, errors) - slope) < 0.1
 
 
@@ -75,25 +74,41 @@ class TestAgainstScipy:
     def test_order_two_truncation(self, rng, scheme):
         integrate = pytest.importorskip("scipy.integrate")
         rhs = bea.ModifiedRHS(scheme, 2, 0.2)
-        times = np.linspace(0.0, 3.0, 31)
+        times = 0.1 * np.arange(31)
         for _ in range(3):
             a, b = random_ket(rng), random_ket(rng)
             ours = bea.rk_integrate(rhs, np.concatenate([a.amplitudes, b.amplitudes]),
-                                    (0.0, 3.0), tol=1e-12, t_eval=times)
+                                    0.1, 30, tol=1e-12)
             reference = integrate.solve_ivp(
-                rhs, (0.0, 3.0), stacked(ComponentState((a, b))), method="DOP853",
+                rhs, (0.0, times[-1]), stacked(ComponentState((a, b))), method="DOP853",
                 rtol=1e-12, atol=1e-12, t_eval=times)
             assert reference.success
             assert np.max(np.abs(ours.y_eval - reference.y.T)) <= 1e-11
 
 
 class TestRkIntegrateInputs:
-    def test_rejects_decreasing_sample_times(self, rng):
-        a, b = random_ket(rng), random_ket(rng)
-        with pytest.raises(ValueError, match="non-decreasing"):
-            bea.rk_integrate(bea.ModifiedRHS(LIE_TROTTER, 0, 0.1),
-                             np.concatenate([a.amplitudes, b.amplitudes]), (0.0, 2.0),
-                             tol=1e-12, t_eval=[1.5, 0.5])
+    @pytest.mark.parametrize("dt, steps, message", [
+        (0.0, 10, "dt must be finite and positive"),
+        (-0.1, 10, "dt must be finite and positive"),
+        (np.nan, 10, "dt must be finite and positive"),
+        (np.inf, 10, "dt must be finite and positive"),
+        (0.1, 0, "steps must be at least 1"),
+        (0.1, -2, "steps must be at least 1"),
+    ])
+    def test_rejects_a_grid_without_steps(self, dt, steps, message):
+        def rhs(t, y):
+            raise AssertionError("the field was called before the grid was checked")
+
+        with pytest.raises(ValueError, match=message):
+            bea.rk_integrate(rhs, np.array([1.0, 0.0, 0.6, 0.8], dtype=complex), dt, steps,
+                             tol=1e-12)
+
+    def test_samples_the_grid_of_dt_and_steps(self):
+        # y' = -i y from y(0) = 1: every sample is exp(-i t_i) at t_i = i * dt.
+        sol = bea.rk_integrate(lambda t, y: -1j * y, np.array([1.0 + 0j]), 0.25, 7,
+                               tol=1e-12)
+        assert sol.y_eval.shape == (8, 1)
+        assert np.max(np.abs(sol.y_eval[:, 0] - np.exp(-1j * 0.25 * np.arange(8)))) < 1e-11
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_field_stops_the_solver(self, bad):
@@ -110,7 +125,7 @@ class TestRkIntegrateInputs:
 
         y0 = np.array([1.0, 0.0, 0.6, 0.8], dtype=complex)
         with pytest.raises(bea.StepSizeUnderflowError):
-            bea.rk_integrate(rhs, y0, (0.0, 0.3), tol=1e-12, t_eval=[0.0, 0.1, 0.2, 0.3])
+            bea.rk_integrate(rhs, y0, 0.1, 3, tol=1e-12)
 
     def test_rejects_non_finite_samples(self):
         with pytest.raises(ValueError, match="finite"):

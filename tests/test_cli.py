@@ -42,6 +42,46 @@ class TestOutputPaths:
         assert len(read_rows(out / "v0.01.csv")) == 1 + 11
         assert json.loads((out / "v0.01.json").read_text())["config"]["dt"] == 0.01
 
+    @pytest.mark.parametrize("config_name, config_arg, out_path", [
+        ("a.json", "cfg", "cfg/a"),              # a directory run: its own record
+        ("a.json", "cfg/a.json", "cfg/a"),       # a single file
+        ("a.csv", "cfg/a.csv", "cfg/a"),         # a single file its CSV would replace
+        ("a.json", "cfg", "cfg/../cfg/a"),       # the same file by another path
+    ])
+    def test_an_output_never_replaces_its_own_config(self, tmp_path, capsys, monkeypatch,
+                                                     config_name, config_arg, out_path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg").mkdir()
+        text = json.dumps(swap_config(out_path, 0.05))
+        (tmp_path / "cfg" / config_name).write_text(text)
+        assert cli.main(["run", "--config", config_arg]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "over the config" in err
+        assert (tmp_path / "cfg" / config_name).read_text() == text
+        assert [p.name for p in (tmp_path / "cfg").iterdir()] == [config_name]
+
+    def test_two_configs_never_share_an_output_prefix(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg").mkdir()
+        for name, out_path in (("a.json", "out/x"), ("b.json", "out/../out/x")):
+            (tmp_path / "cfg" / name).write_text(json.dumps(swap_config(out_path, 0.05)))
+        assert cli.main(["run", "--config", "cfg"]) == cli.EXIT_CONFIG
+        assert "cfg/a.json and cfg/b.json both write to" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_an_output_never_replaces_another_config(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg").mkdir()
+        texts = {"a.json": json.dumps(swap_config("out/a", 0.05)),
+                 "b.json": json.dumps(swap_config("cfg/a", 0.05))}
+        for name, text in texts.items():
+            (tmp_path / "cfg" / name).write_text(text)
+        assert cli.main(["run", "--config", "cfg"]) == cli.EXIT_CONFIG
+        assert "cfg/b.json would write its output over the config cfg/a.json" in \
+            capsys.readouterr().err
+        assert {p.name: p.read_text() for p in (tmp_path / "cfg").iterdir()} == texts
+        assert not (tmp_path / "out").exists()  # no run started
+
 
 class TestWriteCsv:
     SPECIAL = [-0.0, 5e-324, 1e300, 1.0 / 3.0, -2.5e-17, 0.1]
@@ -49,7 +89,7 @@ class TestWriteCsv:
     def test_full_state_cells_match_per_value_format(self, tmp_path):
         values = np.array(self.SPECIAL)
         full = np.stack([values[:4] + 1j * values[2:], values[2:] - 1j * values[:4]])
-        traj = Trajectory(np.array([0.0, 0.1]), (2, 2), full=full)
+        traj = Trajectory(0.1, (2, 2), full=full)
         columns = {"norm": values[:2], "rate_nucl": values[-2:]}
         path = tmp_path / "run.csv"
         cli.write_csv(path, cli.RunResult(traj, {}), columns)
@@ -65,7 +105,7 @@ class TestWriteCsv:
 
     def test_component_rows_are_written_per_subsystem(self, tmp_path):
         components = np.array([[1.0, -0.0, 5e-324j, 1e300], [0.5, 0.5j, -0.25, 0.75]])
-        traj = Trajectory(np.array([0.0, 0.5]), (2, 2), components=components)
+        traj = Trajectory(0.5, (2, 2), components=components)
         path = tmp_path / "run.csv"
         cli.write_csv(path, cli.RunResult(traj, {}), {})
         rows = read_rows(path)

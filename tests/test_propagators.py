@@ -387,7 +387,8 @@ class TestArrayCore:
     def test_overflow_is_reported_once_after_the_run(self, monkeypatch, scheme, system, big):
         """norm² below the double range, yet c^H H c, of order ‖H‖ norm², overflows.
 
-        Every step still runs: the run is tested for non-finite values once.
+        A run shorter than ``FINITE_CHECK_STEPS`` runs every step and is
+        tested for non-finite values once, at its end.
         """
         H = swap_hamiltonian(2) if system == "swap" else random_hermitian(5, seed=3)
         state = ComponentState(tuple(Ket(np.array(v, dtype=complex)) for v in big))
@@ -402,6 +403,42 @@ class TestArrayCore:
         with pytest.raises(NonFiniteStateError, match="splitting step 1 "):
             evolve(scheme, H, state, 0.1, 3)
         assert len(calls) == 3
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scheme", list(SplittingScheme))
+    def test_overflow_stops_a_long_run_at_the_next_check(self, monkeypatch, scheme):
+        """random5 overflows in step 1; the run stops at the first block's test
+        instead of taking all 2000 steps on NaN, and still names step 1."""
+        big = [[1e154, 0.0], [0.6, 0.8], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+        state = ComponentState(tuple(Ket(np.array(v, dtype=complex)) for v in big))
+        step_map = propagators._STEP_MAPS[scheme]
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return step_map(*args)
+
+        monkeypatch.setitem(propagators._STEP_MAPS, scheme, counted)
+        with pytest.raises(NonFiniteStateError, match="splitting step 1 "):
+            evolve(scheme, random_hermitian(5, seed=3), state, 0.001, 2000)
+        assert len(calls) == propagators.FINITE_CHECK_STEPS == 256
+
+    @pytest.mark.parametrize("steps", [255, 256, 257, 600])
+    def test_overflow_after_the_first_block_names_its_step(self, monkeypatch, fig1_state,
+                                                           steps):
+        """A state that turns non-finite in a later block is caught in that block."""
+        step_map = propagators._STEP_MAPS[SplittingScheme.LIE_TROTTER]
+        calls = []
+
+        def poisoned(H, x, dt):
+            calls.append(None)
+            return x * np.nan if len(calls) >= steps - 1 else step_map(H, x, dt)
+
+        monkeypatch.setitem(propagators._STEP_MAPS, SplittingScheme.LIE_TROTTER, poisoned)
+        with pytest.raises(NonFiniteStateError, match=f"splitting step {steps - 1} "):
+            evolve(SplittingScheme.LIE_TROTTER, swap_hamiltonian(2), fig1_state, 0.01, steps)
+        block = propagators.FINITE_CHECK_STEPS
+        assert len(calls) == min(steps, -(-(steps - 1) // block) * block)
 
     @pytest.mark.parametrize("step", [lie_trotter_step, strang_step])
     @pytest.mark.parametrize("zero", [0, 1, 2])
@@ -497,24 +534,46 @@ class TestSeEvolve:
 
 
 class TestTrajectoryValidation:
-    def test_rejects_non_uniform_times(self):
-        with pytest.raises(ValueError):
-            Trajectory(np.array([0.0, 0.1, 0.3]), (2, 2))
+    @pytest.mark.parametrize("dt", [0.0, -0.1, np.nan, np.inf])
+    def test_rejects_a_step_that_is_not_finite_and_positive(self, dt):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            Trajectory(dt, (2, 2), full=np.ones((2, 4)))
 
-    def test_rejects_decreasing_times(self):
-        with pytest.raises(ValueError):
-            Trajectory(np.array([0.0, -0.1, -0.2]), (2, 2))
+    def test_needs_full_or_components(self):
+        with pytest.raises(ValueError, match="needs full or components"):
+            Trajectory(0.1, (2, 2))
+
+    def test_rejects_row_counts_that_disagree(self):
+        with pytest.raises(ValueError, match="components has shape"):
+            Trajectory(0.1, (2, 2), full=np.ones((3, 4)), components=np.ones((2, 4)))
 
     def test_rejects_mismatched_states(self):
         with pytest.raises(ValueError):
-            Trajectory(np.array([0.0, 0.1]), (2, 2), full=np.ones((3, 4)))
+            Trajectory(0.1, (2, 2), full=np.ones((2, 3)))
         with pytest.raises(ValueError):
-            Trajectory(np.array([0.0, 0.1]), (2, 2), components=np.ones((2, 3)))
+            Trajectory(0.1, (2, 2), components=np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            Trajectory(0.1, (2, 2), full=np.ones(4))
+
+    @pytest.mark.parametrize("dt, rows", [(0.1, 1), (0.01, 101), (0.37, 6)])
+    def test_times_are_derived_and_read_only(self, dt, rows):
+        traj = Trajectory(dt, (2, 2), components=np.ones((rows, 4)))
+        assert np.array_equal(traj.times, dt * np.arange(rows))
+        assert not traj.times.flags.writeable
+        with pytest.raises(ValueError):
+            traj.times[0] = 1.0
+
+    def test_runs_keep_the_grid_they_were_given(self, fig1_state):
+        H = swap_hamiltonian(2)
+        for traj in (evolve(SplittingScheme.STRANG, H, fig1_state, 0.1, 7),
+                     se_evolve(H, tensor_product(fig1_state), 0.1, 7)):
+            assert traj.dt == 0.1
+            assert np.array_equal(traj.times, 0.1 * np.arange(8))
 
     def test_components_imply_full_state(self, rng):
         rows = np.stack([stacked(ComponentState((random_ket(rng), random_ket(rng))))
                          for _ in range(3)])
-        traj = Trajectory.from_components(np.arange(3.0), rows, (2, 2))
+        traj = Trajectory.from_components(1.0, rows, (2, 2))
         for row, full in zip(rows, traj.full):
             expected = tensor_product(ComponentState((Ket(row[:2]), Ket(row[2:]))))
             assert np.array_equal(full, expected.amplitudes)

@@ -25,7 +25,7 @@ def ket(*amps):
 
 def one_point(psi, dims) -> Trajectory:
     """A one-time trajectory holding the full state ``psi``."""
-    return Trajectory(np.zeros(1), dims, full=np.asarray(psi, dtype=complex)[None, :])
+    return Trajectory(1.0, dims, full=np.asarray(psi, dtype=complex)[None, :])
 
 
 def reduced_density(psi, k, dims) -> np.ndarray:

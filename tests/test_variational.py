@@ -478,15 +478,24 @@ class TestDelStep:
             newton_solve(overflowing, np.array([1.0 + 0j, 2.0 + 0j]))
         assert calls == [(2,)]
 
-    def test_non_finite_jacobian_is_a_convergence_failure(self):
-        # Finite at the guess, infinite at every bumped point: lstsq cannot
-        # solve for the update and raises LinAlgError.
+    def test_non_finite_jacobian_is_a_convergence_failure(self, capfd):
+        # Finite at the guess, infinite at every bumped point: handed to
+        # lstsq, such a Jacobian makes LAPACK print to fd 1 before it fails.
         def steep(y):
             return np.full(np.shape(y), np.inf if np.ndim(y) == 2 else 1.0, dtype=complex)
 
-        with pytest.raises(NewtonConvergenceError, match="Newton update failed") as info:
+        with pytest.raises(NewtonConvergenceError, match="Jacobian became non-finite") as info:
             newton_solve(steep, np.array([1.0 + 0j, 2.0 + 0j]))
         assert info.value.residual == pytest.approx(np.sqrt(2.0))
+        assert capfd.readouterr().out == ""
+
+    def test_failed_update_is_a_convergence_failure(self, monkeypatch):
+        def no_update(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_update)
+        with pytest.raises(NewtonConvergenceError, match="Newton update failed: SVD"):
+            newton_solve(lambda y: y - 1.0, np.array([0.5 + 0j]))
 
 
 class TestNewtonStatistics:
@@ -525,7 +534,13 @@ class TestNewtonStatistics:
 
     def test_count_length_is_validated(self):
         with pytest.raises(ValueError):
-            DiscreteTrajectory(np.arange(3.0), np.zeros((3, 2)), newton_iterations=np.ones(3))
+            DiscreteTrajectory(1.0, np.zeros((3, 2)), newton_iterations=np.ones(3))
+
+    def test_times_are_derived_and_read_only(self, fig1_state):
+        traj = integrate_restrict_then_discretize(swap_hamiltonian(2), 0.5, 0.05, 12, fig1_state)
+        assert traj.dt == 0.05
+        assert np.array_equal(traj.times, 0.05 * np.arange(13))
+        assert not traj.times.flags.writeable
 
 
 class TestEntryPoints:
