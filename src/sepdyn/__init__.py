@@ -17,12 +17,10 @@ from .states import (
     tensor_product,
 )
 from .hamiltonians import (
-    CouplingTensor,
     HermitianOperator,
     correlator_hamiltonian,
     ladder_operators,
     local_sum_hamiltonian,
-    r_party_eta,
     random_hermitian,
     swap_hamiltonian,
 )
@@ -46,7 +44,6 @@ from .exact_swap import (
 
 __all__ = [
     "ComponentState",
-    "CouplingTensor",
     "DegenerateStateError",
     "FullState",
     "HermitianOperator",
@@ -66,7 +63,6 @@ __all__ = [
     "local_sum_hamiltonian",
     "nuclear_norm",
     "partially_reduced",
-    "r_party_eta",
     "random_hermitian",
     "se_evolve",
     "sse_component_flow",

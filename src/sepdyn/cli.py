@@ -33,10 +33,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, bea, variational
+from .exact_swap import SwapInitialData
 from .hamiltonians import (
     HermitianOperator,
     correlator_hamiltonian,
-    r_party_eta,
     random_hermitian,
     swap_hamiltonian,
 )
@@ -171,6 +171,11 @@ class ExperimentConfig:
                 and all(_is_int(i) and 0 <= i < 8 for i in picks) and len(set(picks)) == 3):
             raise ConfigError("gellmann_projection must be three distinct integers in 0..7")
         self.initial_components  # parsed once here; the run reads the cached state
+        if self.integrator == "bea_truncation":  # the modified series assume unit norms
+            try:
+                SwapInitialData(*self.initial_components.parts)
+            except ValueError as err:
+                raise ConfigError(f"bea_truncation needs unit-norm components: {err}") from None
 
     @cached_property
     def initial_components(self) -> ComponentState:
@@ -220,7 +225,7 @@ def build_hamiltonian(config: ExperimentConfig) -> HermitianOperator:
         return swap_hamiltonian(2)
     if config.experiment == "random5":
         return random_hermitian(5, config.seed)
-    return correlator_hamiltonian(r_party_eta(config.r_party))
+    return correlator_hamiltonian(config.r_party)
 
 
 @dataclass
@@ -261,8 +266,7 @@ def _variational_run(config, H, state0) -> RunResult:
 
 def _bea_run(config, state0) -> RunResult:
     rhs = bea.ModifiedRHS(SplittingScheme(config.bea_scheme), config.bea_order, config.dt)
-    sol = bea.rk_integrate(rhs, np.concatenate(state0.vectors()), config.dt, config.steps(),
-                           tol=1e-12)
+    sol = bea.rk_integrate(rhs, np.concatenate(state0.vectors()), config.dt, config.steps())
     traj = Trajectory.from_components(config.dt, sol.y_eval, state0.dims)
     stats = {"kind": "runge_kutta", "steps": sol.steps, "rejected": sol.rejected,
              "rhs_evals": sol.rhs_evals}

@@ -1,15 +1,18 @@
-"""Hamiltonian constructors: exchange, seeded random, local sums, correlators.
+"""Hamiltonian constructors: exchange, seeded random, local sums, r-party correlators.
 
 Operators are dense complex matrices wrapped in :class:`HermitianOperator`,
 which records the subsystem dimensions the operator acts on, enforces
 Hermitian symmetry at construction and keeps its eigendecomposition once
-computed.
+computed; ``check_dims`` is the one test that an operator and a state act
+on the same subsystems. The three-qutrit correlator takes the number of
+coupled parties r, the only coupling the experiments use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from math import prod
 
 import numpy as np
@@ -75,21 +78,10 @@ class HermitianOperator:
         return tuple(blocks)
 
 
-@dataclass(frozen=True)
-class CouplingTensor:
-    """Complex coupling strengths indexed by (k1, k2, k3) in {0, 1}^3."""
-
-    eta: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.eta, dtype=complex)
-        if arr.shape != (2, 2, 2):
-            raise ValueError(f"eta must have shape (2, 2, 2), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("eta entries must be finite")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "eta", arr)
+def check_dims(H: HermitianOperator, dims: tuple[int, ...]):
+    """Raise ValueError unless H acts on subsystems of exactly ``dims``."""
+    if H.dims != dims:
+        raise ValueError(f"operator dims {H.dims} do not match state dims {dims}")
 
 
 def swap_hamiltonian(d: int) -> HermitianOperator:
@@ -157,38 +149,23 @@ def ladder_operators() -> tuple[np.ndarray, np.ndarray]:
     return j_plus, j_plus.conj().T
 
 
-def r_party_eta(r: int) -> CouplingTensor:
-    """Coupling tensor that is 1 exactly where k1 + k2 + k3 == r."""
-    if r not in (0, 1, 2, 3):
-        raise ValueError("r must be in {0, 1, 2, 3}")
-    eta = np.zeros((2, 2, 2), dtype=complex)
-    for k1 in range(2):
-        for k2 in range(2):
-            for k3 in range(2):
-                if k1 + k2 + k3 == r:
-                    eta[k1, k2, k3] = 1.0
-    return CouplingTensor(eta)
+def correlator_hamiltonian(r_party: int) -> HermitianOperator:
+    """Three-qutrit r-party correlator built from the spin-1 ladder operators.
 
-
-def correlator_hamiltonian(eta: CouplingTensor) -> HermitianOperator:
-    """Three-qutrit correlator built from powers of the spin-1 ladder operators.
-
-    Sums eta[k] * (J+^k1 x J+^k2 x J+^k3) plus the conjugate term with J- in
-    place of J+; exponent 0 contributes the identity, so eta[0,0,0] enters both
-    sums and yields 2*Re(eta[0,0,0]) times the identity.
+    Sums J+^k1 x J+^k2 x J+^k3 plus its adjoint, with J- in place of J+, over
+    the exponents k in {0, 1}^3 with k1 + k2 + k3 == r_party; exponent 0
+    contributes the identity, so each term couples exactly r_party qutrits.
     """
+    if r_party not in (1, 2, 3):
+        raise ValueError("r_party must be in {1, 2, 3}")
     j_plus, j_minus = ladder_operators()
     eye = np.eye(3, dtype=complex)
     plus_pow = [eye, j_plus]
     minus_pow = [eye, j_minus]
     total = np.zeros((27, 27), dtype=complex)
-    for k1 in range(2):
-        for k2 in range(2):
-            for k3 in range(2):
-                coeff = eta.eta[k1, k2, k3]
-                if coeff == 0:
-                    continue
-                raise_term = np.kron(np.kron(plus_pow[k1], plus_pow[k2]), plus_pow[k3])
-                lower_term = np.kron(np.kron(minus_pow[k1], minus_pow[k2]), minus_pow[k3])
-                total += coeff * raise_term + np.conj(coeff) * lower_term
+    for k1, k2, k3 in product((0, 1), repeat=3):
+        if k1 + k2 + k3 == r_party:
+            raise_term = np.kron(np.kron(plus_pow[k1], plus_pow[k2]), plus_pow[k3])
+            lower_term = np.kron(np.kron(minus_pow[k1], minus_pow[k2]), minus_pow[k3])
+            total += raise_term + lower_term
     return HermitianOperator(total, (3, 3, 3))

@@ -28,7 +28,7 @@ from math import prod
 
 import numpy as np
 
-from .hamiltonians import HermitianOperator
+from .hamiltonians import HermitianOperator, check_dims
 from .reduced import check_contexts, contract_reduced
 from .states import ComponentState, FullState, split_components, tensor_product_rows
 
@@ -193,8 +193,7 @@ def evolve(scheme: SplittingScheme, H: HermitianOperator, state0: ComponentState
     ``NonFiniteStateError`` naming the first non-finite step.
     """
     check_grid(dt, steps)
-    if H.dims != state0.dims:
-        raise ValueError(f"operator dims {H.dims} do not match state dims {state0.dims}")
+    check_dims(H, state0.dims)
     check_contexts(state0.vectors())
     step_map = _STEP_MAPS[scheme]
     rows = np.empty((steps + 1, sum(state0.dims)), dtype=complex)
@@ -214,5 +213,6 @@ def evolve(scheme: SplittingScheme, H: HermitianOperator, state0: ComponentState
 def se_evolve(H: HermitianOperator, psi0: FullState, dt: float, steps: int) -> Trajectory:
     """Unrestricted trajectory on a uniform grid, decomposing H only once."""
     check_grid(dt, steps)
+    check_dims(H, psi0.dims)
     grid = HermitianPropagator(H).states_on_grid(psi0.amplitudes, dt * np.arange(steps + 1))
     return Trajectory(dt, psi0.dims, full=grid)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hamiltonians import HermitianOperator
+from .hamiltonians import HermitianOperator, check_dims
 from .states import ComponentState, kron
 
 DEGENERATE_NORM_TOL = 1e-14
@@ -66,8 +66,7 @@ def contract_reduced(block: np.ndarray, vectors: list[np.ndarray], keep: int) ->
 def partially_reduced(H: HermitianOperator, state: ComponentState, k: int) -> HermitianOperator:
     """Effective subsystem-k operator given the other subsystems' states."""
     dims = state.dims
-    if H.dims != dims:
-        raise ValueError(f"operator dims {H.dims} do not match state dims {dims}")
+    check_dims(H, dims)
     n = len(dims)
     if not 0 <= k < n:
         raise ValueError(f"subsystem index {k} out of range for {n} subsystems")

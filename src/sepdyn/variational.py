@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hamiltonians import HermitianOperator
+from .hamiltonians import HermitianOperator, check_dims
 from .propagators import check_grid
 from .states import ComponentState, kron, split_components
 
@@ -302,11 +302,11 @@ def initial_step(Ld: DiscreteLagrangian, psi0: np.ndarray):
     return newton_solve(residual, psi0)
 
 
-def del_step(Ld: DiscreteLagrangian, psi_prev: np.ndarray, psi_curr: np.ndarray,
-             guess: np.ndarray | None = None):
+def del_step(Ld: DiscreteLagrangian, psi_prev: np.ndarray, psi_curr: np.ndarray):
     """Advance the two-term discrete stationarity recursion by one point.
 
-    Returns (psi_next, newton_iterations).
+    Newton starts from the linear predictor 2 psi_curr - psi_prev, the
+    point a constant velocity would reach. Returns (psi_next, newton_iterations).
     """
     psi_prev = np.asarray(psi_prev, dtype=complex)
     psi_curr = np.asarray(psi_curr, dtype=complex)
@@ -316,7 +316,7 @@ def del_step(Ld: DiscreteLagrangian, psi_prev: np.ndarray, psi_curr: np.ndarray,
     def residual(y):
         return Ld.d1(psi_curr, bar_curr, y, np.conj(y)) + tail
 
-    return newton_solve(residual, psi_curr if guess is None else guess)
+    return newton_solve(residual, 2.0 * psi_curr - psi_prev)
 
 
 @dataclass(frozen=True)
@@ -363,9 +363,8 @@ def _run_recursion(start_Ld: DiscreteLagrangian, Ld, x0: np.ndarray, steps: int,
         return DiscreteTrajectory(start_Ld.dt, np.stack(rows), np.array(iterations))
 
     for j in range(1, steps):
-        guess = 2.0 * rows[-1] - rows[-2]
         try:
-            nxt, used = del_step(Ld, rows[-2], rows[-1], guess=guess)
+            nxt, used = del_step(Ld, rows[-2], rows[-1])
         except NewtonConvergenceError:
             if blowup_factor is None:
                 raise
@@ -389,8 +388,7 @@ def integrate_discrete(Ld: DiscreteLagrangian, psi0: np.ndarray, steps: int,
 
 def _restricted(H: HermitianOperator, alpha: float, dt: float, state0: ComponentState):
     """H's Lagrangian and its restrict-first discretization, after checking dims."""
-    if H.dims != state0.dims:
-        raise ValueError(f"operator dims {H.dims} do not match state dims {state0.dims}")
+    check_dims(H, state0.dims)
     L = se_lagrangian(H)
     return L, DiscreteLagrangian(separable_lagrangian(L, state0.dims), alpha, dt)
 

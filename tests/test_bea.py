@@ -31,8 +31,7 @@ class TestModifiedRHS:
             a, b = random_ket(rng), random_ket(rng)
             data = SwapInitialData(a, b)
             sol = bea.rk_integrate(bea.ModifiedRHS(scheme, 0, 0.1),
-                                   np.concatenate([a.amplitudes, b.amplitudes]), 0.1, 20,
-                                   tol=1e-12)
+                                   np.concatenate([a.amplitudes, b.amplitudes]), 0.1, 20)
             exact = np.stack([stacked(exact_sse_swap(data, t)) for t in times])
             assert np.max(np.abs(sol.y_eval - exact)) <= 1e-12
 
@@ -62,7 +61,7 @@ class TestTruncationOrder:
                 traj = evolve(scheme, H, ComponentState((a, b)), dt, steps)
                 sol = bea.rk_integrate(bea.ModifiedRHS(scheme, order, dt),
                                        np.concatenate([a.amplitudes, b.amplitudes]),
-                                       dt, steps, tol=1e-13)
+                                       dt, steps)
                 errors.append(np.linalg.norm(traj.components[-1] - sol.y_eval[-1]))
             assert abs(convergence_order(self.DTS, errors) - slope) < 0.1
 
@@ -78,7 +77,7 @@ class TestAgainstScipy:
         for _ in range(3):
             a, b = random_ket(rng), random_ket(rng)
             ours = bea.rk_integrate(rhs, np.concatenate([a.amplitudes, b.amplitudes]),
-                                    0.1, 30, tol=1e-12)
+                                    0.1, 30)
             reference = integrate.solve_ivp(
                 rhs, (0.0, times[-1]), stacked(ComponentState((a, b))), method="DOP853",
                 rtol=1e-12, atol=1e-12, t_eval=times)
@@ -100,13 +99,11 @@ class TestRkIntegrateInputs:
             raise AssertionError("the field was called before the grid was checked")
 
         with pytest.raises(ValueError, match=message):
-            bea.rk_integrate(rhs, np.array([1.0, 0.0, 0.6, 0.8], dtype=complex), dt, steps,
-                             tol=1e-12)
+            bea.rk_integrate(rhs, np.array([1.0, 0.0, 0.6, 0.8], dtype=complex), dt, steps)
 
     def test_samples_the_grid_of_dt_and_steps(self):
         # y' = -i y from y(0) = 1: every sample is exp(-i t_i) at t_i = i * dt.
-        sol = bea.rk_integrate(lambda t, y: -1j * y, np.array([1.0 + 0j]), 0.25, 7,
-                               tol=1e-12)
+        sol = bea.rk_integrate(lambda t, y: -1j * y, np.array([1.0 + 0j]), 0.25, 7)
         assert sol.y_eval.shape == (8, 1)
         assert np.max(np.abs(sol.y_eval[:, 0] - np.exp(-1j * 0.25 * np.arange(8)))) < 1e-11
 
@@ -125,7 +122,24 @@ class TestRkIntegrateInputs:
 
         y0 = np.array([1.0, 0.0, 0.6, 0.8], dtype=complex)
         with pytest.raises(bea.StepSizeUnderflowError):
-            bea.rk_integrate(rhs, y0, 0.1, 3, tol=1e-12)
+            bea.rk_integrate(rhs, y0, 0.1, 3)
+
+    def test_unit_scale_field_runs_at_the_cap_from_the_first_step(self):
+        # y' = -i y to t = 1.75: every step is the interpolation cap, none is
+        # rejected, and each costs six field calls after the first call.
+        sol = bea.rk_integrate(lambda t, y: -1j * y, np.array([1.0 + 0j]), 0.25, 7)
+        h_cap = (384.0 * bea.RK_TOL) ** 0.25
+        assert sol.steps == int(np.ceil(1.75 / h_cap))
+        assert sol.rejected == 0
+        assert sol.rhs_evals == 1 + 6 * sol.steps
+
+    def test_fast_field_rejects_the_first_step_and_recovers(self):
+        # y' = -1e3 i y: a first step at the cap is far too large for this
+        # field; the rejection branch shrinks it and the samples stay accurate.
+        sol = bea.rk_integrate(lambda t, y: -1e3j * y, np.array([1.0 + 0j]), 0.001, 10)
+        assert sol.rejected >= 1
+        times = 0.001 * np.arange(11)
+        assert np.max(np.abs(sol.y_eval[:, 0] - np.exp(-1e3j * times))) < 1e-9
 
     def test_rejects_non_finite_samples(self):
         with pytest.raises(ValueError, match="finite"):

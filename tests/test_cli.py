@@ -170,6 +170,17 @@ class TestConfigErrors:
     def test_malformed_field(self, tmp_path, capsys, fields, message):
         assert message in self.assert_config_error(tmp_path, capsys, **fields)
 
+    @pytest.mark.parametrize("scheme, order", [("lie_trotter", 0), ("strang", 2)])
+    @pytest.mark.parametrize("state", [[[2, 0], [0.6, 0.8]], [[1, 0], [0.6, 0.9]],
+                                       [[1, 0], [0.6, 0.8 + 1e-11]]])
+    def test_bea_needs_unit_norm_components(self, tmp_path, capsys, scheme, order, state):
+        # The modified series are those of unit components; other norms would
+        # integrate equations that no splitting run follows.
+        err = self.assert_config_error(tmp_path, capsys, integrator="bea_truncation",
+                                       bea_scheme=scheme, bea_order=order,
+                                       initial_state=state)
+        assert "unit-norm" in err
+
     @pytest.mark.parametrize("override, message", [
         ("initial_state.5.0=1", "out of range"),
         ("initial_state.x.0=1", "not a list index"),
@@ -254,9 +265,12 @@ class TestFiniteProbes:
 
     @pytest.mark.filterwarnings("error")  # a numpy warning would be a second line
     @pytest.mark.parametrize("fields, code, message", [
-        # The modified field overflows here, and the RK step size becomes NaN.
+        # The modified series hold for unit-norm components only.
         ({**BEA, "bea_order": 2, "initial_state": [[1e150, 0], [0.6, 0.8]]},
-         cli.EXIT_SOLVER, "step size underflow"),
+         cli.EXIT_CONFIG, "unit-norm"),
+        # dt² overflows the modified field, and the RK error estimate is NaN.
+        ({**BEA, "bea_order": 2, "initial_state": [[1, 0], [0.6, 0.8]], "dt": 1e155,
+          "t_final": 1e155}, cli.EXIT_SOLVER, "non-finite error estimate"),
         ({**BEA, "bea_order": 2, "initial_state": [[1e200, 0], [0.6, 0.8]]},
          cli.EXIT_CONFIG, "too large"),
         # Product states whose norm² overflows.
@@ -301,7 +315,7 @@ class TestFiniteProbes:
          cli.EXIT_SOLVER, "splitting step 1 produced a non-finite state"),
     ])
     def test_exits_with_one_line(self, tmp_path, capsys, fields, code, message):
-        got, err = run_with(tmp_path, capsys, dt=0.1, t_final=0.3, **fields)
+        got, err = run_with(tmp_path, capsys, **{"dt": 0.1, "t_final": 0.3, **fields})
         assert got == code
         assert message in err
         assert len(err.strip().splitlines()) == 1

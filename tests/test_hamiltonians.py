@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from sepdyn.hamiltonians import (
-    CouplingTensor,
     HermitianOperator,
     correlator_hamiltonian,
     ladder_operators,
     local_sum_hamiltonian,
-    r_party_eta,
     random_hermitian,
     swap_hamiltonian,
 )
@@ -127,59 +125,38 @@ class TestLadderOperators:
         assert np.array_equal(j_minus, j_plus.conj().T)
 
 
-class TestCouplingTensor:
-    @pytest.mark.parametrize(
-        "r,expected",
-        [
-            (3, {(1, 1, 1)}),
-            (2, {(1, 1, 0), (1, 0, 1), (0, 1, 1)}),
-            (1, {(1, 0, 0), (0, 1, 0), (0, 0, 1)}),
-        ],
-    )
-    def test_r_party_support(self, r, expected):
-        eta = r_party_eta(r).eta
-        support = {idx for idx in np.ndindex(2, 2, 2) if eta[idx] != 0}
-        assert support == expected
-        assert all(eta[idx] == 1.0 for idx in expected)
-
-    def test_r_out_of_range(self):
-        with pytest.raises(ValueError):
-            r_party_eta(4)
-
-    def test_shape_enforced(self):
-        with pytest.raises(ValueError):
-            CouplingTensor(np.zeros((2, 2)))
-
-
 class TestCorrelatorHamiltonian:
-    def test_constant_coupling_gives_twice_identity(self):
-        eta = np.zeros((2, 2, 2), dtype=complex)
-        eta[0, 0, 0] = 1.0
-        H = correlator_hamiltonian(CouplingTensor(eta))
-        # The (0,0,0) term contributes through both the raising and lowering sums.
-        assert np.allclose(H.entries, 2.0 * np.eye(27))
-
-    def test_single_party_structure(self):
+    @pytest.mark.parametrize("r, support", [
+        (1, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        (2, [(1, 1, 0), (1, 0, 1), (0, 1, 1)]),
+        (3, [(1, 1, 1)]),
+    ])
+    def test_r_party_structure(self, r, support):
+        # The ladder operator on exactly the qutrits of each support entry,
+        # identities elsewhere, plus the adjoint term with J- for J+.
         j_plus, j_minus = ladder_operators()
         eye = np.eye(3, dtype=complex)
-        H = correlator_hamiltonian(r_party_eta(1))
-        expected = (
-            np.kron(np.kron(j_plus, eye), eye)
-            + np.kron(np.kron(eye, j_plus), eye)
-            + np.kron(np.kron(eye, eye), j_plus)
-        )
-        expected = expected + expected.conj().T
-        assert np.allclose(H.entries, expected)
+        expected = np.zeros((27, 27), dtype=complex)
+        for exponents in support:
+            for ladder in (j_plus, j_minus):
+                f1, f2, f3 = (ladder if k else eye for k in exponents)
+                expected += np.kron(np.kron(f1, f2), f3)
+        assert np.array_equal(correlator_hamiltonian(r).entries, expected)
+
+    @pytest.mark.parametrize("r", [0, 4])
+    def test_rejects_r_outside_one_to_three(self, r):
+        with pytest.raises(ValueError, match="r_party"):
+            correlator_hamiltonian(r)
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_hermitian(self, r):
-        H = correlator_hamiltonian(r_party_eta(r)).entries
+        H = correlator_hamiltonian(r).entries
         assert np.max(np.abs(H - H.conj().T)) < 1e-14
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_shifts_total_index_sum_by_r(self, r):
         # Basis label sums change by exactly +-r under the r-party coupling.
-        H = correlator_hamiltonian(r_party_eta(r)).entries
+        H = correlator_hamiltonian(r).entries
         digit_sums = np.array([i + j + k for i in range(3) for j in range(3)
                                for k in range(3)])
         for col in range(27):

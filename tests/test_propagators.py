@@ -11,7 +11,6 @@ from sepdyn.hamiltonians import (
     HermitianOperator,
     correlator_hamiltonian,
     local_sum_hamiltonian,
-    r_party_eta,
     random_hermitian,
     swap_hamiltonian,
 )
@@ -339,7 +338,7 @@ def at_offset(arr: np.ndarray, offset: int) -> np.ndarray:
 SYSTEMS = {
     "swap": lambda: swap_hamiltonian(2),
     "random5": lambda: random_hermitian(5, seed=21),
-    "ladder": lambda: correlator_hamiltonian(r_party_eta(2)),
+    "ladder": lambda: correlator_hamiltonian(2),
 }
 
 
@@ -458,7 +457,7 @@ class TestArrayCore:
         The reduction does not depend on the contexts' scale, so the run is
         the unit-norm run scaled by 1e-10.
         """
-        H = correlator_hamiltonian(r_party_eta(2))
+        H = correlator_hamiltonian(2)
         unit = ComponentState(tuple(random_ket(rng, 3) for _ in range(3)))
         small = ComponentState(tuple(Ket(1e-10 * p.amplitudes) for p in unit.parts))
         reference = evolve(scheme, H, unit, 0.1, 10).components
@@ -531,6 +530,15 @@ class TestSeEvolve:
         for i in (0, 3, 10):
             direct = hermitian_expm_apply(H, traj.times[i], psi0.amplitudes)
             assert np.max(np.abs(traj.full[i] - direct)) < 1e-12
+
+    def test_operator_and_state_layouts_must_agree(self, rng):
+        # Equal total dimension, different tensor layout: a trajectory labelled
+        # (4, 2) would split the reduced densities at the wrong place.
+        H = random_hermitian_on(rng, (2, 4))
+        psi0 = FullState(random_ket(rng, 8).amplitudes, (4, 2))
+        with pytest.raises(ValueError,
+                           match=r"operator dims \(2, 4\) do not match state dims \(4, 2\)"):
+            se_evolve(H, psi0, 0.1, 3)
 
 
 class TestTrajectoryValidation:

@@ -9,7 +9,6 @@ from sepdyn.hamiltonians import (
     HermitianOperator,
     correlator_hamiltonian,
     local_sum_hamiltonian,
-    r_party_eta,
     random_hermitian,
     swap_hamiltonian,
 )
@@ -307,7 +306,7 @@ def stacking_cases():
     return [
         (swap_hamiltonian(2), (2, 2)),
         (random_hermitian(5, 7), (2,) * 5),
-        (correlator_hamiltonian(r_party_eta(2)), (3, 3, 3)),
+        (correlator_hamiltonian(2), (3, 3, 3)),
     ]
 
 
@@ -503,7 +502,7 @@ class TestNewtonStatistics:
         x1, first = initial_step(Ld, x0)
         rows, counts = [x0, x1], [first]
         for _ in range(1, steps):
-            nxt, used = del_step(Ld, rows[-2], rows[-1], guess=2.0 * rows[-1] - rows[-2])
+            nxt, used = del_step(Ld, rows[-2], rows[-1])
             rows.append(nxt)
             counts.append(used)
         return np.stack(rows), counts
@@ -703,7 +702,7 @@ class TestDiscretizeThenRestrict:
             L_sep = separable_lagrangian(L, (2, 2))
             y1, _ = del_step(DiscreteLagrangian(L_sep, 0.5, dt), x0, x1)
             substituted = _SubstitutedDiscreteLagrangian(DiscreteLagrangian(L, 0.5, dt), (2, 2))
-            y2, _ = del_step(substituted, x0, x1, guess=x1)
+            y2, _ = del_step(substituted, x0, x1)
             product = lambda x: np.kron(x[:2], x[2:])
             diffs.append(np.linalg.norm(product(y1) - product(y2)))
         slope = np.polyfit(np.log(dts), np.log(diffs), 1)[0]
