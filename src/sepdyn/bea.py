@@ -29,6 +29,9 @@ TROTTER_ORDERS = (0, 1, 2)
 STRANG_ORDERS = (0, 2)
 STEP_UNDERFLOW = 1e-14
 RK_TOL = 1e-12
+# Cubic Hermite remainder is h^4 |y''''| / 384; keep it at the tolerance
+# assuming order-one derivatives, as for the unit-scale fields here.
+RK_STEP_CAP = (384.0 * RK_TOL) ** 0.25
 
 
 class StepSizeUnderflowError(RuntimeError):
@@ -146,17 +149,17 @@ def rk_integrate(rhs, y0: np.ndarray, dt: float, steps: int) -> OdeSolution:
     The run starts at t = 0 and samples the grid t_i = i * dt, i = 0..steps.
     The samples are filled by piecewise cubic Hermite interpolation on the
     accepted steps, which is fourth-order accurate; the step size is capped
-    so that the interpolation remainder stays at the level of ``RK_TOL``.
-    The first step is that cap, where the controller keeps unit-scale fields
-    for the whole run; a faster field gets it rejected and shrunk.
+    at ``RK_STEP_CAP`` so that the interpolation remainder stays at the level
+    of ``RK_TOL``. A run therefore takes at least ``dt * steps / RK_STEP_CAP``
+    steps, which callers bound before they start one. The first step is that
+    cap, where the controller keeps unit-scale fields for the whole run; a
+    faster field gets it rejected and shrunk.
     """
     check_grid(dt, steps)
     t, t1 = 0.0, dt * steps
     y = np.asarray(y0, dtype=complex)
 
-    # Cubic Hermite remainder is h^4 |y''''| / 384; keep it at the tolerance
-    # assuming order-one derivatives, as for the unit-scale fields here.
-    h = h_cap = min((384.0 * RK_TOL) ** 0.25, t1)
+    h = h_cap = min(RK_STEP_CAP, t1)
 
     t_eval = dt * np.arange(steps + 1)
     y_eval = np.empty((t_eval.size, y.size), dtype=complex)

@@ -134,6 +134,8 @@ class ExperimentConfig:
             raise ConfigError("dt must be a positive number")
         if not (_is_real(self.t_final) and self.t_final > 0):
             raise ConfigError("t_final must be a positive number")
+        # One type for every grid: an integer of 2**63 or more fits no C long.
+        self.dt, self.t_final = float(self.dt), float(self.t_final)
         if self.t_final < self.dt:
             raise ConfigError("t_final must be at least dt")
         if not (math.isfinite(self.t_final / self.dt) and self.steps() <= MAX_STEPS):
@@ -156,6 +158,11 @@ class ExperimentConfig:
             if not (_is_int(self.r_party) and self.r_party in (1, 2, 3)):
                 raise ConfigError("the ladder experiment requires r_party in {1, 2, 3}")
         if self.integrator == "bea_truncation":
+            if self.t_final / bea.RK_STEP_CAP > MAX_STEPS:
+                raise ConfigError(
+                    f"bea_truncation takes steps of at most {bea.RK_STEP_CAP:.3g}, so a "
+                    f"t_final above {MAX_STEPS * bea.RK_STEP_CAP:.0f} asks for more than "
+                    f"{MAX_STEPS} steps")
             if self.bea_scheme not in ("lie_trotter", "strang"):
                 raise ConfigError("bea_scheme must be 'lie_trotter' or 'strang'")
             orders = bea.TROTTER_ORDERS if self.bea_scheme == "lie_trotter" else bea.STRANG_ORDERS
@@ -376,8 +383,12 @@ def run(config: ExperimentConfig) -> int:
         return EXIT_SOLVER
     # A state of finite norm² can still overflow a diagnostic of order norm⁴;
     # such a column is reported below, so numpy's warning would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        columns = _diagnostic_columns(config, result, H)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            columns = _diagnostic_columns(config, result, H)
+    except NonFiniteStateError as err:  # the abs_overlap reference grid
+        print(f"solver failure: {err}", file=sys.stderr)
+        return EXIT_SOLVER
     for name, values in columns.items():
         if not np.all(np.isfinite(values)):
             print(f"solver failure: diagnostic column '{name}' is not finite", file=sys.stderr)

@@ -22,6 +22,7 @@ every ``FINITE_CHECK_STEPS`` steps.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
@@ -37,7 +38,7 @@ FINITE_CHECK_STEPS = 256  # steps between finiteness tests of a splitting run
 
 
 class NonFiniteStateError(ArithmeticError):
-    """A splitting run produced inf or NaN components (the reduction overflowed)."""
+    """A splitting reduction, or the phases t * E of an exp(-i t H) grid, overflowed."""
 
 
 class SplittingScheme(enum.Enum):
@@ -119,7 +120,16 @@ class HermitianPropagator:
         self.evals, self.evecs = H.spectrum
 
     def states_on_grid(self, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """All exp(-i t H) psi0 for t in times, as a (len(times), dim) array."""
+        """All exp(-i t H) psi0 for t in times, as a (len(times), dim) array.
+
+        Raises ``NonFiniteStateError``, before any array is formed, when a
+        phase t * E overflows. Finite phases give finite states: every row
+        is a unitary image of psi0.
+        """
+        # Every |t * E| is at most this product, and rounding is monotonic.
+        if not math.isfinite(float(np.max(np.abs(times))) * float(np.max(np.abs(self.evals)))):
+            raise NonFiniteStateError(
+                f"the phases t * E of exp(-i t H) overflow on a grid up to t = {times[-1]:g}")
         coeffs = self.evecs.conj().T @ psi0
         phases = np.exp(-1j * np.outer(times, self.evals))
         return (phases * coeffs) @ self.evecs.T

@@ -9,6 +9,13 @@ pulling the Lagrangian back to the component variables, or after, by
 substituting product states into the discrete action. The two orderings
 produce different schemes, both run by one routine: start, then recursion.
 
+Every point is conjugate-consistent: a callable takes a point and its
+velocity once, and the barred copies are formed in the one place that reads
+them, ``se_lagrangian``. IEEE rounding is symmetric, so conjugation commutes
+exactly with the real-weighted sums and the Kronecker products built on the
+way: forming it last gives the values that barred copies carried through
+every layer would.
+
 There is one Newton path: real and imaginary parts of the unknown are
 independent (the stationarity equations couple a point to its conjugate),
 and the Jacobian is taken by forward differences. Residuals, and the
@@ -53,37 +60,40 @@ class BlowupError(RuntimeError):
 
 @dataclass(frozen=True)
 class FirstOrderLagrangian:
-    """Scalar function of (psi, psibar, dpsi, dpsibar) with analytic gradients.
+    """Scalar function L(psi, conj psi, dpsi, conj dpsi) with analytic gradients.
 
-    ``gradient`` returns the holomorphic partial derivatives in psi and dpsi,
-    (dL/dpsi, dL/d(dpsi)): the only two blocks the discrete stationarity
-    equations and the momentum use. The psibar blocks are their complex
-    conjugates on conjugate-consistent arguments and are never formed.
-    ``gradient`` also takes stacks of points on leading axes, row by row.
-    There are no second derivatives: Newton differences the residuals.
+    Both callables take (psi, dpsi) only; the Lagrangian forms the conjugates
+    it reads. ``gradient`` returns the holomorphic partial derivatives in psi
+    and dpsi, (dL/dpsi, dL/d(dpsi)): the only two blocks the discrete
+    stationarity equations and the momentum use. The psibar blocks are their
+    complex conjugates and are never formed. ``gradient`` also takes stacks
+    of points on leading axes, row by row. There are no second derivatives:
+    Newton differences the residuals.
     """
 
     dim: int
-    evaluate: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], complex]
-    gradient: Callable[
-        [np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        tuple[np.ndarray, np.ndarray],
-    ]
+    evaluate: Callable[[np.ndarray, np.ndarray], complex]
+    gradient: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 def se_lagrangian(H: HermitianOperator) -> FirstOrderLagrangian:
-    """The velocity-linear Lagrangian whose stationary curves solve i dpsi = H psi."""
+    """The velocity-linear Lagrangian whose stationary curves solve i dpsi = H psi.
+
+    The only place the package conjugates a variational point.
+    """
     mat = H.entries
 
-    def evaluate(psi, psibar, dpsi, dpsibar):
-        kinetic = 0.5j * (psibar @ dpsi - dpsibar @ psi)
+    def evaluate(psi, dpsi):
+        psibar = np.conj(psi)
+        kinetic = 0.5j * (psibar @ dpsi - np.conj(dpsi) @ psi)
         return complex(kinetic - psibar @ (mat @ psi))
 
-    def gradient(psi, psibar, dpsi, dpsibar):
+    def gradient(psi, dpsi):
+        psibar = np.conj(psi)
         # One matrix-vector product per row: a stacked psibar @ mat would run
         # as one matrix-matrix product, whose rounding differs from the
         # one-point call at larger dimensions.
-        g_psi = -0.5j * dpsibar - (mat.T @ psibar[..., None])[..., 0]
+        g_psi = -0.5j * np.conj(dpsi) - (mat.T @ psibar[..., None])[..., 0]
         g_dpsi = 0.5j * psibar
         return g_psi, g_dpsi
 
@@ -122,11 +132,9 @@ def separable_lagrangian(L: FirstOrderLagrangian, dims) -> FirstOrderLagrangian:
     """Pull a Lagrangian on the product space back to stacked component variables.
 
     The pulled-back ``gradient`` keeps the two-block contract: it returns
-    (dL/dx, dL/d(xdot)) in the stacked component variables, by the chain rule
-    through the product state and its velocity. ``L`` must be sesquilinear,
-    as ``se_lagrangian`` is: its two blocks read only the barred arguments,
-    so only the barred product state and velocity are formed, and the
-    unbarred components enter only through the contractions.
+    (dL/dx, dL/d(xdot)) in the stacked component variables, by the
+    holomorphic chain rule through the product state and its velocity. That
+    rule needs only L's psi and dpsi blocks, so it holds for any ``L``.
     """
     dims = tuple(dims)
     if L.dim != prod(dims):
@@ -137,17 +145,13 @@ def separable_lagrangian(L: FirstOrderLagrangian, dims) -> FirstOrderLagrangian:
         parts = split_components(x, dims)
         return kron(parts), _product_velocity(parts, split_components(xdot, dims))
 
-    def evaluate(x, xbar, xdot, xbardot):
-        psi, dpsi = product_and_velocity(x, xdot)
-        psibar, dpsibar = product_and_velocity(xbar, xbardot)
-        return L.evaluate(psi, psibar, dpsi, dpsibar)
+    def evaluate(x, xdot):
+        return L.evaluate(*product_and_velocity(x, xdot))
 
-    def gradient(x, xbar, xdot, xbardot):
+    def gradient(x, xdot):
         parts = split_components(x, dims)
         dparts = split_components(xdot, dims)
-        psibar, dpsibar = product_and_velocity(xbar, xbardot)
-        # The product space's psi blocks read only the barred arguments.
-        g_psi, g_dpsi = L.gradient(None, psibar, None, dpsibar)
+        g_psi, g_dpsi = L.gradient(kron(parts), _product_velocity(parts, dparts))
         gx, gxdot = [], []
         for k in range(n):
             # Position gradient: the product state depends on a_k directly, and
@@ -184,33 +188,27 @@ class DiscreteLagrangian:
         if self.dt <= 0:
             raise ValueError("dt must be positive")
 
-    def _interior(self, x, xbar, y, ybar):
+    def _interior(self, x, y):
         a = self.alpha
-        c = a * x + (1.0 - a) * y
-        cbar = a * xbar + (1.0 - a) * ybar
-        v = (y - x) / self.dt
-        vbar = (ybar - xbar) / self.dt
-        return c, cbar, v, vbar
+        return a * x + (1.0 - a) * y, (y - x) / self.dt
 
-    def value(self, x, xbar, y, ybar) -> complex:
-        c, cbar, v, vbar = self._interior(x, xbar, y, ybar)
-        return self.dt * self.base.evaluate(c, cbar, v, vbar)
+    def value(self, x, y) -> complex:
+        return self.dt * self.base.evaluate(*self._interior(x, y))
 
-    def d1(self, x, xbar, y, ybar):
+    def d1(self, x, y):
         """Partial in the first point x, by the chain rule."""
-        g_psi, g_dpsi = self.base.gradient(*self._interior(x, xbar, y, ybar))
+        g_psi, g_dpsi = self.base.gradient(*self._interior(x, y))
         return self.dt * self.alpha * g_psi - g_dpsi
 
-    def d3(self, x, xbar, y, ybar):
+    def d3(self, x, y):
         """Partial in the second point y, by the chain rule."""
-        g_psi, g_dpsi = self.base.gradient(*self._interior(x, xbar, y, ybar))
+        g_psi, g_dpsi = self.base.gradient(*self._interior(x, y))
         return self.dt * (1.0 - self.alpha) * g_psi + g_dpsi
 
 
 def velocity_momentum(L: FirstOrderLagrangian, x: np.ndarray) -> np.ndarray:
-    """Conjugate momentum dL/d(dpsi) at (x, conj x); position-only for linear L."""
-    zero = np.zeros_like(x)
-    return L.gradient(x, np.conj(x), zero, zero)[1]
+    """Conjugate momentum dL/d(dpsi) at x; position-only for linear L."""
+    return L.gradient(x, np.zeros_like(x))[1]
 
 
 def _complex_to_real(z: np.ndarray) -> np.ndarray:
@@ -294,10 +292,9 @@ def initial_step(Ld: DiscreteLagrangian, psi0: np.ndarray):
     """
     psi0 = np.asarray(psi0, dtype=complex)
     p0 = velocity_momentum(Ld.base, psi0)
-    bar0 = np.conj(psi0)
 
     def residual(y):
-        return p0 + Ld.d1(psi0, bar0, y, np.conj(y))
+        return p0 + Ld.d1(psi0, y)
 
     return newton_solve(residual, psi0)
 
@@ -310,11 +307,10 @@ def del_step(Ld: DiscreteLagrangian, psi_prev: np.ndarray, psi_curr: np.ndarray)
     """
     psi_prev = np.asarray(psi_prev, dtype=complex)
     psi_curr = np.asarray(psi_curr, dtype=complex)
-    tail = Ld.d3(psi_prev, np.conj(psi_prev), psi_curr, np.conj(psi_curr))
-    bar_curr = np.conj(psi_curr)
+    tail = Ld.d3(psi_prev, psi_curr)
 
     def residual(y):
-        return Ld.d1(psi_curr, bar_curr, y, np.conj(y)) + tail
+        return Ld.d1(psi_curr, y) + tail
 
     return newton_solve(residual, 2.0 * psi_curr - psi_prev)
 
@@ -420,15 +416,14 @@ class _SubstitutedDiscreteLagrangian:
         """A full-space partial at the product states of x and y, by the chain
         rule in the components of x (slot 0) or of y (slot 1)."""
         parts = (split_components(x, self.dims), split_components(y, self.dims))
-        psi_x, psi_y = kron(parts[0]), kron(parts[1])
-        full_grad = full_partial(psi_x, np.conj(psi_x), psi_y, np.conj(psi_y))
+        full_grad = full_partial(kron(parts[0]), kron(parts[1]))
         return np.concatenate([_contract_all_but(full_grad, parts[slot], k)
                                for k in range(len(self.dims))], axis=-1)
 
-    def d1(self, x, xbar, y, ybar):
+    def d1(self, x, y):
         return self._pulled_back(self.full.d1, x, y, 0)
 
-    def d3(self, x, xbar, y, ybar):
+    def d3(self, x, y):
         return self._pulled_back(self.full.d3, x, y, 1)
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sepdyn import analysis, cli, states, variational
+from sepdyn import analysis, bea, cli, states, variational
 from sepdyn.propagators import Trajectory
 
 SWAP_STATE = [[1.0, 0.0], [0.6, [0.0, 0.8]]]
@@ -137,6 +137,7 @@ BEA = {"integrator": "bea_truncation", "bea_scheme": "lie_trotter"}
 RANDOM5_SEED3 = {"experiment": "random5", "seed": 3}
 # Product norm² 1e308, just inside the double range.
 BIG_FIVE_QUBITS = [[1e154, 0], [0.6, 0.8], [1, 0], [0, 1], [1, 0]]
+MIXED_FIVE_QUBITS = [[1, 0], [0.6, 0.8], [1, 0], [0, 1], [0.6, 0.8]]
 
 
 class TestConfigErrors:
@@ -254,6 +255,26 @@ class TestRunGuards:
         assert code == cli.EXIT_CONFIG
         assert f"more than {cli.MAX_STEPS} steps" in err
 
+    @pytest.mark.parametrize("dt, t_final", [(1e150, 1e150), (1, 1e6), (0.5, 4427.0)])
+    def test_bea_step_budget_is_capped_before_running(self, tmp_path, capsys, monkeypatch,
+                                                      dt, t_final):
+        # The RK solver never steps beyond its cap, so t_final alone bounds
+        # its step count from below, however few rows the grid has.
+        def execute(*args):
+            pytest.fail("execute must not run for an over-long config")
+
+        monkeypatch.setattr(cli, "execute", execute)
+        code, err = run_with(tmp_path, capsys, **BEA, bea_order=0,
+                             initial_state=[[1, 0], [0.6, 0.8]], dt=dt, t_final=t_final)
+        assert code == cli.EXIT_CONFIG
+        assert f"more than {cli.MAX_STEPS} steps" in err
+
+    def test_bea_step_cap_admits_max_steps(self, tmp_path):
+        config = cli.ExperimentConfig.from_dict(
+            {**swap_config(tmp_path / "run", 0.5), **BEA, "bea_order": 0,
+             "initial_state": [[1, 0], [0.6, 0.8]], "t_final": 4426.0})
+        assert 0.999 * cli.MAX_STEPS < config.t_final / bea.RK_STEP_CAP <= cli.MAX_STEPS
+
     def test_step_cap_admits_max_steps(self, tmp_path):
         config = cli.ExperimentConfig.from_dict(
             {**swap_config(tmp_path / "run", 1e-6), "t_final": 1.0})
@@ -268,9 +289,9 @@ class TestFiniteProbes:
         # The modified series hold for unit-norm components only.
         ({**BEA, "bea_order": 2, "initial_state": [[1e150, 0], [0.6, 0.8]]},
          cli.EXIT_CONFIG, "unit-norm"),
-        # dt² overflows the modified field, and the RK error estimate is NaN.
+        # The RK solver's step cap would need about 2e157 steps to reach t_final.
         ({**BEA, "bea_order": 2, "initial_state": [[1, 0], [0.6, 0.8]], "dt": 1e155,
-          "t_final": 1e155}, cli.EXIT_SOLVER, "non-finite error estimate"),
+          "t_final": 1e155}, cli.EXIT_CONFIG, "asks for more than"),
         ({**BEA, "bea_order": 2, "initial_state": [[1e200, 0], [0.6, 0.8]]},
          cli.EXIT_CONFIG, "too large"),
         # Product states whose norm² overflows.
@@ -313,6 +334,16 @@ class TestFiniteProbes:
          cli.EXIT_SOLVER, "splitting step 1 produced a non-finite state"),
         ({**RANDOM5_SEED3, "integrator": "lie_trotter", "initial_state": BIG_FIVE_QUBITS},
          cli.EXIT_SOLVER, "splitting step 1 produced a non-finite state"),
+        # The phases t * E of the exact grid overflow: in the run itself, or in
+        # the abs_overlap reference of a splitting run that succeeded.
+        ({**RANDOM5_SEED3, "initial_state": FIVE_QUBITS, "dt": 1e308, "t_final": 1e308},
+         cli.EXIT_SOLVER, "phases t * E of exp(-i t H) overflow"),
+        ({**RANDOM5_SEED3, "integrator": "lie_trotter", "initial_state": MIXED_FIVE_QUBITS,
+          "dt": 3e307, "t_final": 3e307, "outputs": ["norm", "abs_overlap"]},
+         cli.EXIT_SOLVER, "phases t * E of exp(-i t H) overflow"),
+        ({**RANDOM5_SEED3, "integrator": "strang", "initial_state": MIXED_FIVE_QUBITS,
+          "dt": 3e307, "t_final": 3e307, "outputs": ["norm", "abs_overlap"]},
+         cli.EXIT_SOLVER, "phases t * E of exp(-i t H) overflow"),
     ])
     def test_exits_with_one_line(self, tmp_path, capsys, fields, code, message):
         got, err = run_with(tmp_path, capsys, **{"dt": 0.1, "t_final": 0.3, **fields})
@@ -320,6 +351,15 @@ class TestFiniteProbes:
         assert message in err
         assert len(err.strip().splitlines()) == 1
         assert list((tmp_path / "out").glob("run.*")) == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_integer_grid_beyond_a_c_long_runs(self, tmp_path, capsys):
+        # JSON integers of 2**63 or more; the config keeps them as doubles.
+        code, err = run_with(tmp_path, capsys, dt=10**19, t_final=10**19)
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert len(read_rows(tmp_path / "out" / "run.csv")) == 1 + 2
+        config = json.loads((tmp_path / "out" / "run.json").read_text())["config"]
+        assert type(config["dt"]) is type(config["t_final"]) is float
 
     def test_out_path_through_a_file(self, tmp_path, capsys):
         (tmp_path / "afile").write_text("")

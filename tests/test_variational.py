@@ -1,4 +1,5 @@
 import re
+from math import prod
 
 import numpy as np
 import pytest
@@ -41,24 +42,45 @@ def random_args(rng, dim, count=4):
             for _ in range(count)]
 
 
-def fd_gradient_check(L, rng, dim, points=10, h=1e-6, rel_tol=1e-6):
-    """Central finite differences against the analytic (psi, dpsi) gradient blocks."""
+def wirtinger_fd(f, args, arg, comp, h=1e-6):
+    """Central differences of d f / d args[arg][comp] = (d_Re - i d_Im) / 2."""
+    partials = []
+    for delta in (h, 1j * h):
+        plus = [a.copy() for a in args]
+        plus[arg][comp] += delta
+        minus = [a.copy() for a in args]
+        minus[arg][comp] -= delta
+        partials.append((f(*plus) - f(*minus)) / (2 * h))
+    return 0.5 * (partials[0] - 1j * partials[1])
+
+
+def fd_gradient_check(L, rng, dim, points=10, h=1e-6):
+    """Wirtinger central differences against the analytic (psi, dpsi) gradient blocks."""
     worst = 0.0
     for _ in range(points):
-        args = random_args(rng, dim)
+        args = random_args(rng, dim, count=2)
         grads = L.gradient(*args)
-        block = int(rng.integers(0, 2))
-        arg = 2 * block  # psi is argument 0, dpsi argument 2
+        block = int(rng.integers(0, 2))  # psi is argument 0, dpsi argument 1
         comp = int(rng.integers(0, dim))
-        for delta in (h, 1j * h):
-            plus = [a.copy() for a in args]
-            plus[arg][comp] += delta
-            minus = [a.copy() for a in args]
-            minus[arg][comp] -= delta
-            fd = (L.evaluate(*plus) - L.evaluate(*minus)) / (2 * delta)
-            scale = max(1.0, abs(grads[block][comp]))
-            worst = max(worst, abs(fd - grads[block][comp]) / scale)
+        fd = wirtinger_fd(L.evaluate, args, block, comp, h)
+        scale = max(1.0, abs(grads[block][comp]))
+        worst = max(worst, abs(fd - grads[block][comp]) / scale)
     return worst
+
+
+def quartic_lagrangian(H, eps):
+    """se_lagrangian plus eps (psibar . psi)^2, whose psi block reads psi itself."""
+    se = se_lagrangian(H)
+
+    def evaluate(psi, dpsi):
+        return se.evaluate(psi, dpsi) + eps * complex(np.conj(psi) @ psi) ** 2
+
+    def gradient(psi, dpsi):
+        g_psi, g_dpsi = se.gradient(psi, dpsi)
+        norm2 = np.sum(np.conj(psi) * psi, axis=-1, keepdims=True)
+        return g_psi + 2.0 * eps * norm2 * np.conj(psi), g_dpsi
+
+    return FirstOrderLagrangian(dim=se.dim, evaluate=evaluate, gradient=gradient)
 
 
 def stack_state(state):
@@ -76,7 +98,7 @@ class TestSeLagrangian:
         L = se_lagrangian(swap_hamiltonian(2))
         for _ in range(20):
             psi, dpsi = random_args(rng, 4, count=2)
-            value = L.evaluate(psi, np.conj(psi), dpsi, np.conj(dpsi))
+            value = L.evaluate(psi, dpsi)
             assert abs(value.imag) < 1e-12
 
     def test_gradients_match_finite_differences(self, rng):
@@ -93,7 +115,7 @@ class TestSeLagrangian:
         # The witness needs weight on both basis states: for [1, 0] the
         # value is -M[0, 0] = 0. Here it is -conj(psi_0) M[0, 1] psi_1 = -i/2.
         psi = np.array([1.0, 1j], dtype=complex) / np.sqrt(2.0)
-        value = L.evaluate(psi, psi.conj(), 0 * psi, 0 * psi)
+        value = L.evaluate(psi, 0 * psi)
         assert abs(value.imag) > 0  # loses the reality property
 
 
@@ -103,15 +125,14 @@ class TestSeparableLagrangian:
         x = np.array([1, 0, 0, 1], dtype=complex)  # |0> and |1> stacked
         zero = np.zeros(4, dtype=complex)
         # The exchange maps |01> to |10>, orthogonal to |01>: expectation zero.
-        assert L_sep.evaluate(x, np.conj(x), zero, zero) == pytest.approx(0.0)
+        assert L_sep.evaluate(x, zero) == pytest.approx(0.0)
 
     def test_velocity_linearity(self, rng):
         L_sep = separable_lagrangian(se_lagrangian(swap_hamiltonian(2)), (2, 2))
         x, xdot = random_args(rng, 4, count=2)
-        xbar = np.conj(x)
-        base = L_sep.evaluate(x, xbar, 0 * xdot, np.conj(0 * xdot))
-        one = L_sep.evaluate(x, xbar, xdot, np.conj(xdot))
-        three = L_sep.evaluate(x, xbar, 3 * xdot, np.conj(3 * xdot))
+        base = L_sep.evaluate(x, 0 * xdot)
+        one = L_sep.evaluate(x, xdot)
+        three = L_sep.evaluate(x, 3 * xdot)
         assert three - base == pytest.approx(3 * (one - base), abs=1e-10)
 
     def test_gradients_match_finite_differences(self, rng):
@@ -123,6 +144,13 @@ class TestSeparableLagrangian:
 
         L_sep = separable_lagrangian(se_lagrangian(random_hermitian(3, 5)), (2, 2, 2))
         assert fd_gradient_check(L_sep, rng, 6, points=15) < 1e-6
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2)])
+    def test_pulls_back_a_gradient_that_reads_psi(self, rng, dims):
+        L = quartic_lagrangian(random_hermitian(len(dims), 5), 0.3)
+        assert fd_gradient_check(L, rng, prod(dims), points=15) < 1e-6
+        assert fd_gradient_check(separable_lagrangian(L, dims), rng, sum(dims),
+                                 points=25) < 1e-6
 
 
 class TestDiscreteLagrangian:
@@ -137,35 +165,23 @@ class TestDiscreteLagrangian:
         L = se_lagrangian(swap_hamiltonian(2))
         Ld = DiscreteLagrangian(L, 0.3, 0.05)
         psi = random_args(rng, 4, count=1)[0]
-        value = Ld.value(psi, np.conj(psi), psi, np.conj(psi))
-        zero = np.zeros_like(psi)
-        assert value == pytest.approx(
-            0.05 * L.evaluate(psi, np.conj(psi), zero, zero), abs=1e-12
-        )
+        value = Ld.value(psi, psi)
+        assert value == pytest.approx(0.05 * L.evaluate(psi, np.zeros_like(psi)), abs=1e-12)
 
     def test_real_on_conjugate_pairs(self, rng):
         Ld = DiscreteLagrangian(se_lagrangian(swap_hamiltonian(2)), 0.5, 0.1)
         x, y = random_args(rng, 4, count=2)
-        assert abs(Ld.value(x, np.conj(x), y, np.conj(y)).imag) < 1e-12
+        assert abs(Ld.value(x, y).imag) < 1e-12
 
     def test_gradients_match_finite_differences(self, rng):
         Ld = DiscreteLagrangian(se_lagrangian(swap_hamiltonian(2)), 0.4, 0.07)
-        h = 1e-6
         for _ in range(10):
-            args = random_args(rng, 4)
+            args = random_args(rng, 4, count=2)
             grads = (Ld.d1(*args), Ld.d3(*args))
-            block = int(rng.integers(0, 2))
-            arg = 2 * block  # x is argument 0, y argument 2
+            block = int(rng.integers(0, 2))  # x is argument 0, y argument 1
             comp = int(rng.integers(0, 4))
-            for delta in (h, 1j * h):
-                plus = [a.copy() for a in args]
-                plus[arg][comp] += delta
-                minus = [a.copy() for a in args]
-                minus[arg][comp] -= delta
-                fd = (Ld.value(*plus) - Ld.value(*minus)) / (2 * delta)
-                assert abs(fd - grads[block][comp]) < 1e-6 * max(
-                    1.0, abs(grads[block][comp])
-                )
+            fd = wirtinger_fd(Ld.value, args, block, comp)
+            assert abs(fd - grads[block][comp]) < 1e-6 * max(1.0, abs(grads[block][comp]))
 
 
 def kron_all(parts):
@@ -240,7 +256,11 @@ def bit_identity_cases(rng):
 
 
 class TestResidualBitIdentity:
-    """d1/d3 equal a np.kron, four-block reference of the chain rule exactly."""
+    """d1/d3 equal a np.kron, four-block reference of the chain rule exactly.
+
+    The references carry barred copies through every layer, formed here from
+    the points; the package conjugates once, inside se_lagrangian.
+    """
 
     STEPS = [(0.5, 0.01), (0.3, 0.1)]
 
@@ -256,10 +276,10 @@ class TestResidualBitIdentity:
                     separable_lagrangian(se_lagrangian(H), dims), alpha, dt)
                 for _ in range(5):
                     x, y = random_args(rng, sum(dims), count=2)
-                    args = (x, np.conj(x), y, np.conj(y))
-                    d1, d3 = reference_discrete_partials(gradient, alpha, dt, *args)
-                    assert np.array_equal(Ld.d1(*args), d1)
-                    assert np.array_equal(Ld.d3(*args), d3)
+                    d1, d3 = reference_discrete_partials(gradient, alpha, dt, x, np.conj(x),
+                                                         y, np.conj(y))
+                    assert np.array_equal(Ld.d1(x, y), d1)
+                    assert np.array_equal(Ld.d3(x, y), d3)
 
     def test_discretize_first_partials(self, rng):
         for H, dims in bit_identity_cases(rng):
@@ -282,9 +302,8 @@ class TestResidualBitIdentity:
                                          for k in range(len(dims))])
                     d3 = np.concatenate([contract_all_but(full_d3, parts_y, k, dims)
                                          for k in range(len(dims))])
-                    args = (x, np.conj(x), y, np.conj(y))
-                    assert np.array_equal(substituted.d1(*args), d1)
-                    assert np.array_equal(substituted.d3(*args), d3)
+                    assert np.array_equal(substituted.d1(x, y), d1)
+                    assert np.array_equal(substituted.d3(x, y), d3)
 
 
 def per_column_jacobian(residual, x, r):
@@ -347,12 +366,12 @@ class TestStackedResiduals:
             for Ld in self.orderings(H, dims):
                 x = random_product_point(rng, dims)
                 stack = np.stack([random_product_point(rng, dims) for _ in range(6)])
-                d1 = Ld.d1(x, np.conj(x), stack, np.conj(stack))
-                d3 = Ld.d3(stack, np.conj(stack), x, np.conj(x))
+                d1 = Ld.d1(x, stack)
+                d3 = Ld.d3(stack, x)
                 assert d1.shape == d3.shape == stack.shape
                 for row, y in enumerate(stack):
-                    assert np.array_equal(d1[row], Ld.d1(x, np.conj(x), y, np.conj(y)))
-                    assert np.array_equal(d3[row], Ld.d3(y, np.conj(y), x, np.conj(x)))
+                    assert np.array_equal(d1[row], Ld.d1(x, y))
+                    assert np.array_equal(d3[row], Ld.d3(y, x))
 
     def test_jacobian_equals_the_per_column_loop(self, rng, monkeypatch):
         for H, dims in stacking_cases():
@@ -404,9 +423,7 @@ class TestInitialStep:
         Ld = DiscreteLagrangian(se_lagrangian(swap_hamiltonian(2)), 0.5, 0.1)
         psi0 = random_ket(rng, 4).amplitudes
         psi1, _ = initial_step(Ld, psi0)
-        residual = velocity_momentum(Ld.base, psi0) + Ld.d1(
-            psi0, np.conj(psi0), psi1, np.conj(psi1)
-        )
+        residual = velocity_momentum(Ld.base, psi0) + Ld.d1(psi0, psi1)
         assert np.linalg.norm(residual) < 1e-12
 
 
@@ -435,9 +452,7 @@ class TestDelStep:
                 assert np.max(np.abs(jac - exact)) <= 1e-6 * np.max(np.abs(exact))
             nxt, iterations = del_step(Ld, psi0, psi1)
             assert 1 <= iterations <= 2
-            residual = Ld.d1(psi1, np.conj(psi1), nxt, np.conj(nxt)) + Ld.d3(
-                psi0, np.conj(psi0), psi1, np.conj(psi1)
-            )
+            residual = Ld.d1(psi1, nxt) + Ld.d3(psi0, psi1)
             assert np.linalg.norm(residual) < 1e-12
 
     def test_two_term_recursion_reproduces_trajectory(self, rng):
