@@ -158,11 +158,11 @@ class ExperimentConfig:
             if not (_is_int(self.r_party) and self.r_party in (1, 2, 3)):
                 raise ConfigError("the ladder experiment requires r_party in {1, 2, 3}")
         if self.integrator == "bea_truncation":
-            if self.t_final / bea.RK_STEP_CAP > MAX_STEPS:
+            if self.t_final / bea.RK_FIRST_STEP > bea.RK_MAX_STEPS:
                 raise ConfigError(
-                    f"bea_truncation takes steps of at most {bea.RK_STEP_CAP:.3g}, so a "
-                    f"t_final above {MAX_STEPS * bea.RK_STEP_CAP:.0f} asks for more than "
-                    f"{MAX_STEPS} steps")
+                    f"bea_truncation starts at steps of {bea.RK_FIRST_STEP:.3g}, so a "
+                    f"t_final above {bea.RK_MAX_STEPS * bea.RK_FIRST_STEP:.1f} asks for "
+                    f"more than {bea.RK_MAX_STEPS} steps")
             if self.bea_scheme not in ("lie_trotter", "strang"):
                 raise ConfigError("bea_scheme must be 'lie_trotter' or 'strang'")
             orders = bea.TROTTER_ORDERS if self.bea_scheme == "lie_trotter" else bea.STRANG_ORDERS
@@ -276,7 +276,7 @@ def _bea_run(config, state0) -> RunResult:
     sol = bea.rk_integrate(rhs, np.concatenate(state0.vectors()), config.dt, config.steps())
     traj = Trajectory.from_components(config.dt, sol.y_eval, state0.dims)
     stats = {"kind": "runge_kutta", "steps": sol.steps, "rejected": sol.rejected,
-             "rhs_evals": sol.rhs_evals}
+             "rhs_evals": sol.rhs_evals, "min_step": sol.min_step, "max_step": sol.max_step}
     return RunResult(traj, stats)
 
 

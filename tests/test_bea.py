@@ -18,6 +18,35 @@ def stacked(state: ComponentState) -> np.ndarray:
     return np.concatenate([p.amplitudes for p in state.parts])
 
 
+def componentwise_field(scheme, order, dt, a, b):
+    """The modified series written out component by component, as a reference."""
+    q = np.vdot(a, b)
+    mod_q2 = abs(q) ** 2
+    first = 1.0 if order >= 1 else 0.0
+    second = 1.0 if order >= 2 else 0.0
+    if scheme is LIE_TROTTER:
+        quad = (1.0 / 6.0) * 1j * (dt * dt) * (mod_q2 - 1.0) * second
+        da = (-1j - 0.5 * dt * first - quad) * (b * np.vdot(b, a)) \
+            + 0.5 * dt * mod_q2 * first * a
+        db = (-1j + 0.5 * dt * first - quad) * (a * np.vdot(a, b)) \
+            - 0.5 * dt * mod_q2 * first * b
+    else:
+        da = -1j * ((1.0 - dt * dt / 24.0 * (1.0 - 4.0 * mod_q2) * second)
+                    * (b * np.vdot(b, a))
+                    - 0.125 * (dt * dt) * mod_q2 * second * a)
+        db = -1j * ((1.0 - dt * dt / 24.0 * (1.0 + 2.0 * mod_q2) * second)
+                    * (a * np.vdot(a, b))
+                    + 0.125 * (dt * dt) * mod_q2 * second * b)
+    return np.concatenate([da, db])
+
+
+def one_step(rhs, y, h):
+    """Stages of one Dormand-Prince step from t = 0, and the step's y_new."""
+    k = np.empty((7, y.size), dtype=complex)
+    k[0] = rhs(0.0, y)
+    return k, bea._dp_stages(rhs, 0.0, y, h, k)
+
+
 class TestModifiedRHS:
     @pytest.mark.parametrize("scheme, order", [(LIE_TROTTER, 3), (STRANG, 1), (STRANG, 4)])
     def test_rejects_orders_outside_the_series(self, scheme, order):
@@ -34,6 +63,19 @@ class TestModifiedRHS:
                                    np.concatenate([a.amplitudes, b.amplitudes]), 0.1, 20)
             exact = np.stack([stacked(exact_sse_swap(data, t)) for t in times])
             assert np.max(np.abs(sol.y_eval - exact)) <= 1e-12
+
+    @pytest.mark.parametrize("scheme, order", [
+        (LIE_TROTTER, 0), (LIE_TROTTER, 1), (LIE_TROTTER, 2), (STRANG, 0), (STRANG, 2),
+    ])
+    def test_coefficient_matrix_matches_the_componentwise_series(self, rng, scheme, order):
+        # Only the order of the roundings differs between the two forms.
+        for dt in (0.01, 0.3):
+            rhs = bea.ModifiedRHS(scheme, order, dt)
+            for _ in range(5):
+                a, b = random_ket(rng).amplitudes, random_ket(rng).amplitudes
+                expected = componentwise_field(scheme, order, dt, a, b)
+                got = rhs(0.0, np.concatenate([a, b]))
+                assert np.max(np.abs(got - expected)) <= 1e-15
 
 
 class TestTruncationOrder:
@@ -85,6 +127,49 @@ class TestAgainstScipy:
             assert np.max(np.abs(ours.y_eval - reference.y.T)) <= 1e-11
 
 
+class TestContinuousExtension:
+    """The quartic that fills the samples between the ends of a step."""
+
+    @pytest.mark.parametrize("theta", [0.3, 0.7])
+    def test_interior_error_falls_with_the_fifth_power_of_the_step(self, theta):
+        # y' = -i y from y(0) = 1: one step's extension against exp(-i theta h).
+        rhs = lambda t, y: -1j * y  # noqa: E731
+        y0 = np.array([1.0 + 0j])
+        hs = [0.2, 0.1, 0.05, 0.025]
+        errors = []
+        for h in hs:
+            k, _ = one_step(rhs, y0, h)
+            sample = y0 + h * (bea._dense_weights(np.array([theta])) @ k)[0]
+            errors.append(abs(sample[0] - np.exp(-1j * theta * h)))
+        assert abs(convergence_order(hs, errors) - 5.0) <= 0.2
+
+    def test_end_of_the_step_is_the_fifth_order_solution(self, rng):
+        # Every coefficient of the quartics enters at theta = 1.
+        a, b = random_ket(rng), random_ket(rng)
+        y0 = np.concatenate([a.amplitudes, b.amplitudes])
+        rhs = bea.ModifiedRHS(LIE_TROTTER, 2, 0.1)
+        for h in (0.3, 0.05):
+            k, y_new = one_step(rhs, y0, h)
+            end = y0 + h * (bea._dense_weights(np.array([1.0])) @ k)[0]
+            assert np.linalg.norm(end - y_new) <= 1e-15 * np.linalg.norm(y_new)
+
+    @pytest.mark.parametrize("scheme, order", [(LIE_TROTTER, 2), (STRANG, 2)])
+    def test_samples_between_steps_match_scipy_rk45(self, rng, scheme, order):
+        # RK45 is the same pair with the same quartic dense output.
+        integrate = pytest.importorskip("scipy.integrate")
+        rhs = bea.ModifiedRHS(scheme, order, 0.2)
+        dt, steps = 0.0005, 4000
+        a, b = random_ket(rng), random_ket(rng)
+        y0 = np.concatenate([a.amplitudes, b.amplitudes])
+        ours = bea.rk_integrate(rhs, y0, dt, steps)
+        assert ours.min_step > 5 * dt  # several samples inside each step
+        reference = integrate.solve_ivp(rhs, (0.0, dt * steps), y0, method="RK45",
+                                        rtol=1e-12, atol=1e-12, dense_output=True)
+        assert reference.success
+        times = dt * np.arange(steps + 1)
+        assert np.max(np.abs(ours.y_eval - reference.sol(times).T)) <= 1e-10
+
+
 class TestRkIntegrateInputs:
     @pytest.mark.parametrize("dt, steps, message", [
         (0.0, 10, "dt must be finite and positive"),
@@ -124,18 +209,36 @@ class TestRkIntegrateInputs:
         with pytest.raises(bea.StepSizeUnderflowError):
             bea.rk_integrate(rhs, y0, 0.1, 3)
 
-    def test_unit_scale_field_runs_at_the_cap_from_the_first_step(self):
-        # y' = -i y to t = 1.75: every step is the interpolation cap, none is
-        # rejected, and each costs six field calls after the first call.
+    def test_unit_scale_field_keeps_its_first_step(self):
+        # y' = -i y to t = 1.75: the first step, RK_TOL ** 0.2, is accepted,
+        # the controller sets every later one, and each step costs six field
+        # calls after the first call.
         sol = bea.rk_integrate(lambda t, y: -1j * y, np.array([1.0 + 0j]), 0.25, 7)
-        h_cap = (384.0 * bea.RK_TOL) ** 0.25
-        assert sol.steps == int(np.ceil(1.75 / h_cap))
+        assert bea.RK_FIRST_STEP == bea.RK_TOL ** 0.2
         assert sol.rejected == 0
-        assert sol.rhs_evals == 1 + 6 * sol.steps
+        assert sol.min_step == bea.RK_FIRST_STEP
+        assert sol.max_step > bea.RK_FIRST_STEP
+        assert sol.steps < 1.75 / bea.RK_FIRST_STEP
+        assert sol.rhs_evals == 1 + 6 * (sol.steps + sol.rejected)
+
+    def test_spent_step_budget_stops_the_solver(self):
+        # y' = -1e4 i y to t = 1 needs about 2.5e6 steps of about 4e-7; the
+        # solver stops after RK_MAX_STEPS accepted plus rejected ones.
+        calls = 0
+
+        def rhs(t, y):
+            nonlocal calls
+            calls += 1
+            return -1e4j * y
+
+        with pytest.raises(bea.StepSizeUnderflowError,
+                           match=f"step budget of {bea.RK_MAX_STEPS} steps spent"):
+            bea.rk_integrate(rhs, np.array([1.0 + 0j]), 1.0, 1)
+        assert calls == 1 + 6 * bea.RK_MAX_STEPS
 
     def test_fast_field_rejects_the_first_step_and_recovers(self):
-        # y' = -1e3 i y: a first step at the cap is far too large for this
-        # field; the rejection branch shrinks it and the samples stay accurate.
+        # y' = -1e3 i y: the first step is far too large for this field; the
+        # rejection branch shrinks it and the samples stay accurate.
         sol = bea.rk_integrate(lambda t, y: -1e3j * y, np.array([1.0 + 0j]), 0.001, 10)
         assert sol.rejected >= 1
         times = 0.001 * np.arange(11)
@@ -143,4 +246,5 @@ class TestRkIntegrateInputs:
 
     def test_rejects_non_finite_samples(self):
         with pytest.raises(ValueError, match="finite"):
-            bea.OdeSolution(np.array([[np.nan + 0j]]), steps=1, rejected=0, rhs_evals=8)
+            bea.OdeSolution(np.array([[np.nan + 0j]]), steps=1, rejected=0, rhs_evals=7,
+                            min_step=0.1, max_step=0.1)

@@ -1,10 +1,11 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
 from sepdyn import analysis, bea, cli, states, variational
-from sepdyn.propagators import Trajectory
+from sepdyn.propagators import SplittingScheme, Trajectory
 
 SWAP_STATE = [[1.0, 0.0], [0.6, [0.0, 0.8]]]
 # |0> on the first qubit, the equal superposition on the second.
@@ -217,6 +218,25 @@ class TestNewtonRecord:
         assert solver["max_newton_iterations"] == int(counts.max())
 
 
+class TestRungeKuttaRecord:
+    def test_solver_block_reports_the_step_range(self, tmp_path, capsys):
+        fields = {**BEA, "bea_order": 2, "initial_state": [[1, 0], [0.6, 0.8]],
+                  "dt": 0.01, "t_final": 2.0}
+        code, _ = run_with(tmp_path, capsys, **fields)
+        assert code == cli.EXIT_OK
+        solver = json.loads((tmp_path / "out" / "run.json").read_text())["solver"]
+        config = cli.ExperimentConfig.from_dict(
+            {**swap_config(tmp_path / "unused", 0.01), **fields})
+        sol = bea.rk_integrate(bea.ModifiedRHS(SplittingScheme.LIE_TROTTER, 2, 0.01),
+                               np.concatenate(config.initial_components.vectors()),
+                               0.01, config.steps())
+        assert solver == {"kind": "runge_kutta", "steps": sol.steps,
+                          "rejected": sol.rejected, "rhs_evals": sol.rhs_evals,
+                          "min_step": sol.min_step, "max_step": sol.max_step}
+        # The controller, not a cap, sizes the steps: they grow past the first.
+        assert solver["min_step"] == bea.RK_FIRST_STEP < solver["max_step"]
+
+
 class TestRunGuards:
     def write_configs(self, directory, out_paths):
         directory.mkdir()
@@ -255,11 +275,13 @@ class TestRunGuards:
         assert code == cli.EXIT_CONFIG
         assert f"more than {cli.MAX_STEPS} steps" in err
 
-    @pytest.mark.parametrize("dt, t_final", [(1e150, 1e150), (1, 1e6), (0.5, 4427.0)])
+    @pytest.mark.parametrize("dt, t_final", [(1e150, 1e150), (1, 1e6), (0.5, 79.7),
+                                             (1000, 4000)])
     def test_bea_step_budget_is_capped_before_running(self, tmp_path, capsys, monkeypatch,
                                                       dt, t_final):
-        # The RK solver never steps beyond its cap, so t_final alone bounds
-        # its step count from below, however few rows the grid has.
+        # The RK solver starts at RK_FIRST_STEP, so t_final alone says how many
+        # steps of that size the run would take, however few rows the grid has;
+        # past the solver's step budget the config is refused.
         def execute(*args):
             pytest.fail("execute must not run for an over-long config")
 
@@ -267,13 +289,25 @@ class TestRunGuards:
         code, err = run_with(tmp_path, capsys, **BEA, bea_order=0,
                              initial_state=[[1, 0], [0.6, 0.8]], dt=dt, t_final=t_final)
         assert code == cli.EXIT_CONFIG
-        assert f"more than {cli.MAX_STEPS} steps" in err
+        assert f"more than {bea.RK_MAX_STEPS} steps" in err
 
-    def test_bea_step_cap_admits_max_steps(self, tmp_path):
+    def test_bea_horizon_admits_the_step_budget(self, tmp_path):
         config = cli.ExperimentConfig.from_dict(
             {**swap_config(tmp_path / "run", 0.5), **BEA, "bea_order": 0,
-             "initial_state": [[1, 0], [0.6, 0.8]], "t_final": 4426.0})
-        assert 0.999 * cli.MAX_STEPS < config.t_final / bea.RK_STEP_CAP <= cli.MAX_STEPS
+             "initial_state": [[1, 0], [0.6, 0.8]], "t_final": 79.6})
+        assert 0.999 * bea.RK_MAX_STEPS < config.t_final / bea.RK_FIRST_STEP <= bea.RK_MAX_STEPS
+
+    def test_bea_run_that_spends_the_step_budget_exits_3(self, tmp_path, capsys):
+        # Order 2 at dt 79 inside the horizon: the modified field grows like
+        # dt^2, so steps of about 4e-5 spend the budget near t = 0.8.
+        start = time.perf_counter()
+        code, err = run_with(tmp_path, capsys, **BEA, bea_order=2,
+                             initial_state=[[1, 0], [0.6, 0.8]], dt=79.0, t_final=79.0)
+        assert time.perf_counter() - start < 10.0
+        assert code == cli.EXIT_SOLVER
+        assert f"step budget of {bea.RK_MAX_STEPS} steps spent" in err
+        assert len(err.strip().splitlines()) == 1
+        assert list((tmp_path / "out").glob("run.*")) == []
 
     def test_step_cap_admits_max_steps(self, tmp_path):
         config = cli.ExperimentConfig.from_dict(
@@ -289,7 +323,7 @@ class TestFiniteProbes:
         # The modified series hold for unit-norm components only.
         ({**BEA, "bea_order": 2, "initial_state": [[1e150, 0], [0.6, 0.8]]},
          cli.EXIT_CONFIG, "unit-norm"),
-        # The RK solver's step cap would need about 2e157 steps to reach t_final.
+        # At the RK solver's first step, t_final is about 2.5e157 steps away.
         ({**BEA, "bea_order": 2, "initial_state": [[1, 0], [0.6, 0.8]], "dt": 1e155,
           "t_final": 1e155}, cli.EXIT_CONFIG, "asks for more than"),
         ({**BEA, "bea_order": 2, "initial_state": [[1e200, 0], [0.6, 0.8]]},

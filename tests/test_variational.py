@@ -93,6 +93,21 @@ def projector_distance(x, y):
     return np.max(np.abs(px - py))
 
 
+def period_two_amplitude(points):
+    """p_n = |x_{n+2} - 3 x_{n+1} + 3 x_n - x_{n-1}| / 8, n = 1 .. N - 2: the
+    sign-alternating part of the second difference, in which smooth motion
+    leaks in only at O(dt^3)."""
+    stencil = points[3:] - 3.0 * points[2:-1] + 3.0 * points[1:-2] - points[:-3]
+    return np.linalg.norm(stencil, axis=1) / 8.0
+
+
+def period_two_rate(dt, amplitude):
+    """Fitted exponential rate of the period-2 amplitude over 3 < t < 8."""
+    times = dt * np.arange(1, amplitude.size + 1)
+    window = (times > 3.0) & (times < 8.0)
+    return np.polyfit(times[window], np.log(amplitude[window]), 1)[0]
+
+
 class TestSeLagrangian:
     def test_real_on_conjugate_consistent_inputs(self, rng):
         L = se_lagrangian(swap_hamiltonian(2))
@@ -612,6 +627,26 @@ class TestFullStateIntegration:
             errors.append(np.linalg.norm(traj.points[-1] - exact))
         slope = np.polyfit(np.log(dts), np.log(errors), 1)[0]
         assert abs(slope - 2.0) < 0.1
+
+    @pytest.mark.parametrize("H", [swap_hamiltonian(2), random_hermitian(3, seed=11)],
+                             ids=["swap", "random3"])
+    def test_parasitic_root_neither_grows_nor_decays(self, rng, H):
+        # At alpha 1/2 the two-step recursion's second root is exactly -1, so
+        # the period-2 amplitude keeps its size; a growing (-1)^n e^t mode
+        # added to the same points must read as growth.
+        psi0 = random_ket(rng, H.entries.shape[0]).amplitudes
+        dt = 0.02
+        points = integrate_discrete(DiscreteLagrangian(se_lagrangian(H), 0.5, dt), psi0,
+                                    400).points
+        amplitude = period_two_amplitude(points)
+        assert abs(period_two_rate(dt, amplitude)) < 1e-3
+
+        times = dt * np.arange(points.shape[0])
+        # The added mode reaches 10 times the run's largest amplitude at t = 5.
+        epsilon = 10.0 * amplitude.max() * np.exp(-5.0)
+        grown = points + epsilon * ((-1.0) ** np.arange(times.size) * np.exp(times))[:, None] \
+            * psi0
+        assert period_two_rate(dt, period_two_amplitude(grown)) > 0.5
 
     def test_stability_dichotomy_against_stiff_generator(self, rng):
         # The endpoint quadratures are conditionally stable: they explode once
