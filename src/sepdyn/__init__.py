@@ -13,14 +13,12 @@ from .states import (
     FullState,
     Ket,
     inner,
-    nuclear_norm,
     tensor_product,
 )
 from .hamiltonians import (
     HermitianOperator,
     correlator_hamiltonian,
     ladder_operators,
-    local_sum_hamiltonian,
     random_hermitian,
     swap_hamiltonian,
 )
@@ -60,8 +58,6 @@ __all__ = [
     "ladder_operators",
     "lie_trotter_step",
     "lie_trotter_swap_closed_form",
-    "local_sum_hamiltonian",
-    "nuclear_norm",
     "partially_reduced",
     "random_hermitian",
     "se_evolve",

@@ -2,11 +2,13 @@
 
 Overlap between restricted and unrestricted runs, finite-difference rate of
 change of the state projector in nuclear norm, the reduced density matrices
-of each subsystem with their purity and (generalized) Bloch vector, and a
-log-log slope estimator for convergence studies. Everything here works on
-stored trajectories, so one implementation serves all integrators. Purity
-and Bloch vectors are functions of one subsystem's reduced-density stack,
-so a caller that wants both forms the stack once.
+of each subsystem with their purity and (generalized) Bloch vector, a
+log-log slope estimator for convergence studies, and, for variational runs,
+the gauge spread of the components and the period-2 amplitude of the
+product states. Everything here works on stored trajectories, so one
+implementation serves all integrators. Purity and Bloch vectors are
+functions of one subsystem's reduced-density stack, so a caller that wants
+both forms the stack once.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from math import prod
 import numpy as np
 
 from .propagators import Trajectory
+from .states import split_components
 
 # Traceless Hermitian generators of SU(3), in the standard order: the three
 # symmetric off-diagonal pairs interleaved with their antisymmetric partners
@@ -112,6 +115,43 @@ def bloch_series(rhos: np.ndarray) -> np.ndarray:
     if d == 3:
         return np.real(np.einsum("tij,kji->tk", rhos, GELL_MANN))
     raise ValueError(f"reduced densities of dimension {d}; Bloch vectors need 2 or 3")
+
+
+def log_norm_spread(traj: Trajectory) -> np.ndarray:
+    """Per grid time, max_k log||a_k|| - min_k log||a_k|| over the components.
+
+    The gauge a_j -> l a_j, a_k -> a_k / l of a component run moves it; the
+    product state does not see it.
+    """
+    parts = split_components(traj.components, traj.dims)
+    logs = np.log(np.stack([np.linalg.norm(part, axis=1) for part in parts], axis=1))
+    return logs.max(axis=1) - logs.min(axis=1)
+
+
+def period_two_amplitude(states: np.ndarray) -> np.ndarray:
+    """p_n = ||psi_{n+2} - 3 psi_{n+1} + 3 psi_n - psi_{n-1}|| / 8, n = 1 .. T - 3.
+
+    The sign-alternating part of the second difference of a (T, D) state
+    series, in which smooth motion leaks in only at O(dt^3): the amplitude of
+    a two-step recursion's parasitic (period-2) mode. Empty below 4 rows.
+    """
+    stencil = states[3:] - 3.0 * states[2:-1] + 3.0 * states[1:-2] - states[:-3]
+    return np.linalg.norm(stencil, axis=1) / 8.0
+
+
+def period_two_rate(dt: float, amplitude: np.ndarray) -> float | None:
+    """Fitted exponential rate of ``period_two_amplitude`` over the run's second half.
+
+    The least-squares slope of log p_n against t_n = n dt, over the positive,
+    finite p_n of the later half of n; None with fewer than two of them.
+    """
+    times = dt * np.arange(1, amplitude.size + 1)
+    half = amplitude.size // 2
+    times, amplitude = times[half:], amplitude[half:]
+    kept = (amplitude > 0) & np.isfinite(amplitude)
+    if np.count_nonzero(kept) < 2:
+        return None
+    return float(np.polyfit(times[kept], np.log(amplitude[kept]), 1)[0])
 
 
 def convergence_order(dts, errors) -> float:

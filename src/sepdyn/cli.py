@@ -9,8 +9,18 @@ reproducible for a fixed config, including the random seed.
 single file is a directory of one), parsing the initial state into the
 ``ComponentState`` the run starts from; the output-prefix clash check and
 the runs share those configs, and one that fails to load, or whose output
-directory cannot be made, exits 2 while the others still run. ``--jobs``
-starts at most one worker per config and CPU.
+directory cannot be made, exits 2 while the others still run.
+
+Variational configs of one invocation that share experiment, Hamiltonian
+(``seed``/``r_party``), integrator, ``alpha`` and ``dt`` run as one batch
+(several, past ``BATCH_AMPLITUDES`` stored amplitudes): their rows are
+integrated together, each with its own initial state and step count, on
+the turn of the first of them. Every config still writes its CSV, JSON,
+exit code and output lines on its own turn, in config order, exactly as
+when run alone; its ``wall=`` is the time of its own turn, so the first
+config of a batch carries the batch's integration. ``--jobs`` hands each
+batch, and each other config, to a worker as one work unit, and starts at
+most one worker per unit and CPU.
 
 Exit codes: 0 success, 2 config validation error, 3 solver failure,
 4 variational blow-up (partial output retained); a directory exits with the
@@ -69,6 +79,9 @@ OUTPUT_NAMES = ("norm", "abs_overlap", "rate_nucl", "bloch", "purity")
 EXPERIMENT_DIMS = {"swap": (2, 2), "random5": (2,) * 5, "ladder": (3, 3, 3)}
 BLOWUP_FACTOR = 2.0
 MAX_STEPS = 10**6
+# A batch keeps every row's points until its last row ends: at most this many
+# amplitudes (160 MB) over its configs, or one config's if that is more.
+BATCH_AMPLITUDES = 10**7
 
 
 class ConfigError(ValueError):
@@ -158,11 +171,6 @@ class ExperimentConfig:
             if not (_is_int(self.r_party) and self.r_party in (1, 2, 3)):
                 raise ConfigError("the ladder experiment requires r_party in {1, 2, 3}")
         if self.integrator == "bea_truncation":
-            if self.t_final / bea.RK_FIRST_STEP > bea.RK_MAX_STEPS:
-                raise ConfigError(
-                    f"bea_truncation starts at steps of {bea.RK_FIRST_STEP:.3g}, so a "
-                    f"t_final above {bea.RK_MAX_STEPS * bea.RK_FIRST_STEP:.1f} asks for "
-                    f"more than {bea.RK_MAX_STEPS} steps")
             if self.bea_scheme not in ("lie_trotter", "strang"):
                 raise ConfigError("bea_scheme must be 'lie_trotter' or 'strang'")
             orders = bea.TROTTER_ORDERS if self.bea_scheme == "lie_trotter" else bea.STRANG_ORDERS
@@ -242,25 +250,32 @@ class RunResult:
     blowup: dict | None = None
 
 
-def _variational_run(config, H, state0) -> RunResult:
-    integrators = {
-        "var_restrict_first": variational.integrate_restrict_then_discretize,
-        "var_discretize_first": variational.integrate_discretize_then_restrict,
-    }
-    run = integrators[config.integrator]
+def _variational_rows(configs: list[ExperimentConfig], H: HermitianOperator) -> list:
+    """Variational configs of one ``_batch_key``, integrated as one batch of rows.
+
+    Returns each config's outcome from ``variational.integrate_separable_rows``.
+    """
+    first = configs[0]
+    return variational.integrate_separable_rows(
+        first.integrator.removeprefix("var_"), H, float(first.alpha), first.dt,
+        [config.steps() for config in configs],
+        [config.initial_components for config in configs], blowup_factor=BLOWUP_FACTOR)
+
+
+def _newton_result(outcome, dims) -> RunResult:
+    """The RunResult of a variational row; raises the error its start failed with."""
+    if isinstance(outcome, variational.NewtonConvergenceError):
+        raise outcome
     blowup = None
-    try:
-        discrete = run(H, float(config.alpha), config.dt, config.steps(), state0,
-                       blowup_factor=BLOWUP_FACTOR)
-    except variational.BlowupError as err:
-        discrete = err.partial
+    if isinstance(outcome, variational.BlowupError):
         blowup = {
-            "message": str(err),
-            "steps_completed": int(discrete.points.shape[0] - 1),
-            "time_reached": float(discrete.times[-1]),
+            "message": str(outcome),
+            "steps_completed": int(outcome.partial.points.shape[0] - 1),
+            "time_reached": float(outcome.partial.times[-1]),
         }
-    traj = Trajectory.from_components(discrete.dt, discrete.points, state0.dims)
-    iterations = discrete.newton_iterations
+        outcome = outcome.partial
+    traj = Trajectory.from_components(outcome.dt, outcome.points, dims)
+    iterations = outcome.newton_iterations
     stats = {
         "kind": "newton",
         "tolerance": variational.NEWTON_TOL,
@@ -269,6 +284,43 @@ def _variational_run(config, H, state0) -> RunResult:
         "max_newton_iterations": int(iterations.max()),
     }
     return RunResult(traj, stats, blowup)
+
+
+def _batch_key(config: ExperimentConfig | ConfigError) -> tuple | None:
+    """Variational configs with one key run as one batch; None for any other config.
+
+    The key holds what a batch shares: the Hamiltonian (what
+    ``build_hamiltonian`` reads), the ordering, alpha and dt. alpha enters
+    by its bits, since 0.0 and -0.0 compare equal.
+    """
+    if isinstance(config, ConfigError) or not config.integrator.startswith("var_"):
+        return None
+    seed = config.seed if config.experiment == "random5" else None
+    r_party = config.r_party if config.experiment == "ladder" else None
+    return (config.experiment, seed, r_party, config.integrator,
+            float(config.alpha).hex(), config.dt)
+
+
+class _Batch:
+    """Configs of one ``_batch_key``, integrated together when the first one runs.
+
+    Each config then takes its own row's outcome, so it writes what it would
+    write run alone; a row becomes a RunResult only on its config's turn.
+    """
+
+    def __init__(self, configs: list[ExperimentConfig]):
+        self.configs = configs
+        self.H: HermitianOperator | None = None
+        self.outcomes: dict[int, object] | None = None
+
+    def result(self, config: ExperimentConfig) -> tuple[HermitianOperator, RunResult]:
+        """H and ``config``'s RunResult; raises the error its start failed with."""
+        if self.outcomes is None:
+            self.H = build_hamiltonian(self.configs[0])
+            self.outcomes = dict(zip(map(id, self.configs),
+                                     _variational_rows(self.configs, self.H)))
+        outcome = self.outcomes.pop(id(config))
+        return self.H, _newton_result(outcome, config.initial_components.dims)
 
 
 def _bea_run(config, state0) -> RunResult:
@@ -291,7 +343,8 @@ def execute(config: ExperimentConfig, H: HermitianOperator) -> RunResult:
         return RunResult(traj, {"kind": "splitting"})
     if config.integrator == "bea_truncation":
         return _bea_run(config, state0)
-    return _variational_run(config, H, state0)
+    (outcome,) = _variational_rows([config], H)
+    return _newton_result(outcome, state0.dims)
 
 
 def _diagnostic_columns(config: ExperimentConfig, result: RunResult,
@@ -362,11 +415,38 @@ def _conservation_summary(config: ExperimentConfig, result: RunResult) -> dict:
     if config.experiment == "swap" and traj.components is not None:
         qs = np.einsum("ti,ti->t", traj.components[:, :2].conj(), traj.components[:, 2:])
         summary["max_abs_q_drift"] = float(np.max(np.abs(qs - qs[0])))
+    if config.integrator.startswith("var_"):
+        summary.update(_variational_summary(traj))
     return summary
 
 
-def run(config: ExperimentConfig) -> int:
-    """Execute one configured run; returns the process exit code."""
+def _variational_summary(traj: Trajectory) -> dict:
+    """The gauge and the parasitic mode of a variational run, at their largest and at the end.
+
+    The spread of log||a_k|| across components measures the gauge; p_n of
+    ``analysis.period_two_amplitude`` on product states, and its fitted
+    rate over the run's second half, measure the period-2 mode. Values that
+    need more rows than the run has are None.
+    """
+    # A component of norm 0 or an overflowing stencil is reported, not warned about.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        spread = analysis.log_norm_spread(traj)
+        amplitude = analysis.period_two_amplitude(traj.full)
+        rate = analysis.period_two_rate(traj.dt, amplitude)
+    return {
+        "max_log_norm_spread": float(spread.max()),
+        "final_log_norm_spread": float(spread[-1]),
+        "max_period_two": float(amplitude.max()) if amplitude.size else None,
+        "final_period_two": float(amplitude[-1]) if amplitude.size else None,
+        "period_two_rate": rate,
+    }
+
+
+def run(config: ExperimentConfig, batch: _Batch | None = None) -> int:
+    """Execute one configured run; returns the process exit code.
+
+    A config of a ``batch`` takes its integration from there.
+    """
     start = time.perf_counter()
     out_prefix = Path(config.out_path)
     try:
@@ -374,9 +454,12 @@ def run(config: ExperimentConfig) -> int:
     except OSError as err:  # a component of the path is an existing file
         print(f"config error: cannot make the directory of out_path: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    H = build_hamiltonian(config)
     try:
-        result = execute(config, H)
+        if batch is None:
+            H = build_hamiltonian(config)
+            result = execute(config, H)
+        else:
+            H, result = batch.result(config)
     except (variational.NewtonConvergenceError, bea.StepSizeUnderflowError,
             DegenerateStateError, NonFiniteStateError) as err:
         print(f"solver failure: {err}", file=sys.stderr)
@@ -505,12 +588,51 @@ def _output_clash(files: list[Path],
     return None
 
 
-def _run_file(path: Path, config: ExperimentConfig | ConfigError) -> int:
+def _run_file(path: Path, config: ExperimentConfig | ConfigError,
+              batch: _Batch | None = None) -> int:
     """Run one loaded config, or report the error it failed to load with."""
     if isinstance(config, ConfigError):
         print(f"config error in {path}: {config}", file=sys.stderr)
         return EXIT_CONFIG
-    return run(config)
+    return run(config, batch)
+
+
+def _work_units(items: list[tuple[Path, ExperimentConfig | ConfigError]]) -> list[list]:
+    """The (path, config) items grouped by ``_batch_key``; every other item alone.
+
+    A group that would store more than ``BATCH_AMPLITUDES`` amplitudes
+    continues in a new unit. Units keep config order inside and come in the
+    order of their first item.
+    """
+    units, open_units = [], {}
+    for item in items:
+        config = item[1]
+        key = _batch_key(config)
+        if key is None:
+            units.append([item])
+            continue
+        size = (config.steps() + 1) * sum(EXPERIMENT_DIMS[config.experiment])
+        unit, stored = open_units.get(key, (None, 0))
+        if unit is None or stored + size > BATCH_AMPLITUDES:
+            unit, stored = [], 0
+            units.append(unit)
+        unit.append(item)
+        open_units[key] = (unit, stored + size)
+    return units
+
+
+def _run_files(items: list[tuple[Path, ExperimentConfig | ConfigError]]) -> list[int]:
+    """Run (path, config) items in order; returns their exit codes.
+
+    The configs of one work unit of several items run as one ``_Batch``,
+    integrated on the turn of the first of them.
+    """
+    batches = {}
+    for unit in _work_units(items):
+        if len(unit) > 1:
+            batch = _Batch([config for _, config in unit])
+            batches.update((id(config), batch) for _, config in unit)
+    return [_run_file(path, config, batches.get(id(config))) for path, config in items]
 
 
 def list_experiments(as_json: bool) -> str:
@@ -596,13 +718,15 @@ def main(argv=None) -> int:
     if clash is not None:
         print(f"config error: {clash}", file=sys.stderr)
         return EXIT_CONFIG
+    items = list(zip(files, loaded))
+    units = _work_units(items)
     # The pool starts every worker at once, so never more than can be busy.
-    workers = min(args.jobs, len(files), os.cpu_count() or 1)
+    workers = min(args.jobs, len(units), os.cpu_count() or 1)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            codes = list(pool.map(_run_file, files, loaded))
+            codes = [code for unit in pool.map(_run_files, units) for code in unit]
     else:
-        codes = [_run_file(path, config) for path, config in zip(files, loaded)]
+        codes = _run_files(items)
     return max(codes)
 
 

@@ -1,4 +1,4 @@
-"""Hamiltonian constructors: exchange, seeded random, local sums, r-party correlators.
+"""Hamiltonian constructors: exchange, seeded random and r-party correlators.
 
 Operators are dense complex matrices wrapped in :class:`HermitianOperator`,
 which records the subsystem dimensions the operator acts on, enforces
@@ -118,23 +118,6 @@ def random_hermitian(n_qubits: int, seed: int) -> HermitianOperator:
     lower = np.tril_indices(n, k=-1)
     mat[lower] = mat.conj().T[lower]
     return HermitianOperator(mat, (2,) * n_qubits)
-
-
-def local_sum_hamiltonian(locals_: list[HermitianOperator]) -> HermitianOperator:
-    """Sum of one-subsystem operators embedded with identities elsewhere.
-
-    Operator j acts on subsystem j, whose dimension is the operator's side.
-    """
-    dims = tuple(op.entries.shape[0] for op in locals_)
-    side = prod(dims)
-    total = np.zeros((side, side), dtype=complex)
-    for j, op in enumerate(locals_):
-        term = np.eye(1, dtype=complex)
-        for i, d in enumerate(dims):
-            factor = op.entries if i == j else np.eye(d, dtype=complex)
-            term = np.kron(term, factor)
-        total += term
-    return HermitianOperator(total, dims)
 
 
 def ladder_operators() -> tuple[np.ndarray, np.ndarray]:

@@ -64,10 +64,6 @@ class ComponentState:
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "dims", tuple(p.dim for p in parts))
 
-    @property
-    def n_parts(self) -> int:
-        return len(self.parts)
-
     def vectors(self) -> list[np.ndarray]:
         return [p.amplitudes for p in self.parts]
 
@@ -88,9 +84,6 @@ class FullState:
             )
         object.__setattr__(self, "amplitudes", vec)
         object.__setattr__(self, "dims", dims)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 def kron(factors) -> np.ndarray:
@@ -139,11 +132,3 @@ def inner(x, y) -> complex:
     if xv.shape != yv.shape:
         raise ValueError(f"length mismatch: {xv.shape} vs {yv.shape}")
     return complex(np.vdot(xv, yv))
-
-
-def nuclear_norm(matrix) -> float:
-    """Sum of singular values."""
-    mat = np.asarray(matrix, dtype=complex)
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("matrix entries must be finite")
-    return float(np.linalg.svd(mat, compute_uv=False).sum())

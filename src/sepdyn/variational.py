@@ -8,6 +8,10 @@ only). Restricting to product states can happen before discretization, by
 pulling the Lagrangian back to the component variables, or after, by
 substituting product states into the discrete action. The two orderings
 produce different schemes, both run by one routine: start, then recursion.
+That routine advances a batch of initial states on one grid in lockstep,
+each row with its own step count and its own end (done, blown up, or a
+failed start); every row equals bit for bit the run of its state alone, and
+the one-state entry points are batches of one.
 
 Every point is conjugate-consistent: a callable takes a point and its
 velocity once, and the barred copies are formed in the one place that reads
@@ -16,13 +20,16 @@ exactly with the real-weighted sums and the Kronecker products built on the
 way: forming it last gives the values that barred copies carried through
 every layer would.
 
-There is one Newton path: real and imaginary parts of the unknown are
+There is one Newton path, a loop over the rows of a batch that masks out
+each row as it ends: real and imaginary parts of the unknown are
 independent (the stationarity equations couple a point to its conjugate),
 and the Jacobian is taken by forward differences. Residuals, and the
 gradients and partials they are built from, accept a stack of points on
 leading axes and act row by row, each row equal bit for bit to the
-one-point call; a forward-difference Jacobian is then one residual call on
-all bumped points.
+one-point call; so one residual call serves every running row, and one
+more serves all of their Jacobians' bumped points. Norms and least-squares
+updates stay one row at a time: a stacked norm rounds differently from the
+one-row norm, and ``np.linalg.lstsq`` takes no stacks.
 """
 
 from __future__ import annotations
@@ -220,69 +227,135 @@ def _real_to_complex(r: np.ndarray) -> np.ndarray:
     return r[..., :half] + 1j * r[..., half:]
 
 
-def _forward_difference_jacobian(residual: Callable[[np.ndarray], np.ndarray],
-                                 x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Real-split forward-difference Jacobian of ``residual`` at the real point x.
+def _row_data(data: np.ndarray, rows: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The entries of ``data`` for ``rows``, shaped to broadcast against ``points``.
 
-    ``r`` is the real-split residual at x. Column j is (F(x + h_j e_j) - r) / h_j
-    with h_j = sqrt(eps) * max(1, |x_j|); all bumped points go through one
-    stacked residual call, whose shape is checked.
+    ``points`` holds one point per row, (len(rows), n), or a stack of points
+    per row, (len(rows), m, n); the picked rows gain a unit axis for each
+    stack axis.
     """
-    m = x.size
+    picked = data[rows]
+    return picked.reshape(picked.shape[:1] + (1,) * (points.ndim - 2) + picked.shape[1:])
+
+
+def _forward_difference_jacobian(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                                 x: np.ndarray, r: np.ndarray,
+                                 rows: np.ndarray) -> np.ndarray:
+    """Real-split forward-difference Jacobians of ``residual`` at the real points x.
+
+    ``x`` and ``r``, the real-split residuals there, have shape (B, m), one
+    row per system in ``rows``. Column j of row b's Jacobian is
+    (F_b(x_b + h_j e_j) - r_b) / h_j with h_j = sqrt(eps) * max(1, |x_bj|); the
+    (B, m) bumped points of every row go through one stacked residual call,
+    whose shape is checked.
+    """
+    count, m = x.shape
     h = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(x))
-    # Row j of ``bumped`` is x + h_j e_j, so row j of the result is column j.
-    bumped = np.repeat(x[None, :], m, axis=0)
+    # Entry (b, j) of ``bumped`` is x_b + h_bj e_j, so entry (b, j) of the
+    # differences is column j of row b's Jacobian.
+    bumped = np.repeat(x[:, None, :], m, axis=1)
     diagonal = np.arange(m)
-    bumped[diagonal, diagonal] += h
-    values = residual(_real_to_complex(bumped))
-    if values.shape != (m, m // 2):
+    bumped[:, diagonal, diagonal] += h
+    values = residual(_real_to_complex(bumped), rows)
+    if values.shape != (count, m, m // 2):
         raise ValueError(
-            f"residual mapped a stack of shape {(m, m // 2)} to shape "
+            f"residual mapped points of shape {(count, m, m // 2)} to shape "
             f"{values.shape}; it must return one row per point"
         )
-    return ((_complex_to_real(values) - r) / h[:, None]).T
+    return ((_complex_to_real(values) - r[:, None, :]) / h[:, :, None]).transpose(0, 2, 1)
+
+
+def _newton_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 guesses: np.ndarray) -> list:
+    """Newton iteration on B complex systems at once, with real/imaginary splitting.
+
+    ``residual(points, rows)`` evaluates the systems ``rows`` (indices into
+    the B guesses) at ``points``: one point per row, shape (len(rows), n),
+    or a stack per row, (len(rows), m, n), each point's value equal to a
+    one-point call. Every iteration makes one stacked residual call on the
+    rows still running and one on their Jacobians' bumped points
+    (``_forward_difference_jacobian``); norms, finiteness tests and
+    least-squares updates, which also cover rank-deficient systems (the
+    product-state substitution leaves a rescaling direction unconstrained),
+    are taken row by row. A row leaves once its real-split residual norm is
+    at most ``NEWTON_TOL``, with (solution, iterations), or with a
+    ``NewtonConvergenceError`` for a non-finite residual or Jacobian, an
+    unsolvable update or ``NEWTON_MAXITER`` iterations. Returns one of these
+    per guess.
+    """
+    x = _complex_to_real(guesses)
+    rows = np.arange(len(x))
+    outcomes: list = [None] * len(x)
+    iteration = 0
+    while True:
+        r = _complex_to_real(residual(_real_to_complex(x), rows))
+        norms, keep = [], []
+        for i, row in enumerate(rows):
+            res_norm = float(np.linalg.norm(r[i]))
+            if not np.isfinite(res_norm):
+                outcomes[row] = NewtonConvergenceError(
+                    "Newton residual became non-finite", res_norm)
+            elif res_norm <= NEWTON_TOL:
+                outcomes[row] = (_real_to_complex(x[i]), iteration)
+            elif iteration == NEWTON_MAXITER:
+                outcomes[row] = NewtonConvergenceError(
+                    f"Newton did not reach {NEWTON_TOL} in {NEWTON_MAXITER} iterations",
+                    res_norm)
+            else:
+                norms.append(res_norm)
+                keep.append(i)
+        if not keep:
+            return outcomes
+        x, r, rows = x[keep], r[keep], rows[keep]
+        jac = _forward_difference_jacobian(residual, x, r, rows)
+        steps, keep = [], []
+        for i, row in enumerate(rows):
+            if not np.isfinite(jac[i]).all():  # LAPACK would print to stdout before failing
+                outcomes[row] = NewtonConvergenceError(
+                    "Newton Jacobian became non-finite", norms[i])
+                continue
+            try:
+                step, *_ = np.linalg.lstsq(jac[i], -r[i], rcond=None)
+            except np.linalg.LinAlgError as err:  # an SVD that does not converge
+                outcomes[row] = NewtonConvergenceError(f"Newton update failed: {err}",
+                                                       norms[i])
+                continue
+            steps.append(step)
+            keep.append(i)
+        if not keep:
+            return outcomes
+        x, rows = x[keep] + np.stack(steps), rows[keep]
+        iteration += 1
+
+
+def _solved(outcome):
+    """A row's result, or its error raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def newton_solve(residual: Callable[[np.ndarray], np.ndarray], guess: np.ndarray):
-    """Newton iteration on a complex residual with real/imaginary splitting.
+    """``_newton_rows`` on one system; returns (solution, iterations) or raises.
 
     ``residual`` maps one complex point of shape (n,) to shape (n,), and an
     (m, n) stack of points to (m, n), each row equal to the one-point call.
-    The Jacobian is always ``_forward_difference_jacobian``. Updates are
-    solved in the least-squares sense, which also covers rank-deficient
-    systems (the product-state substitution leaves a rescaling direction
-    unconstrained). Returns (solution, iterations) once the real-split
-    residual norm is at most ``NEWTON_TOL``; a non-finite residual or
-    Jacobian, an unsolvable update or ``NEWTON_MAXITER`` iterations raise
-    ``NewtonConvergenceError``.
     """
 
-    def real_residual(r_vec):
-        return _complex_to_real(residual(_real_to_complex(r_vec)))
+    def one_row(points, rows):
+        return residual(points[0])[None]
 
-    x = _complex_to_real(np.asarray(guess, dtype=complex))
-    r = real_residual(x)
-    iteration = 0
-    while True:
-        res_norm = float(np.linalg.norm(r))
-        if not np.isfinite(res_norm):
-            raise NewtonConvergenceError("Newton residual became non-finite", res_norm)
-        if res_norm <= NEWTON_TOL:
-            return _real_to_complex(x), iteration
-        if iteration == NEWTON_MAXITER:
-            raise NewtonConvergenceError(
-                f"Newton did not reach {NEWTON_TOL} in {NEWTON_MAXITER} iterations", res_norm
-            )
-        jac = _forward_difference_jacobian(residual, x, r)
-        if not np.isfinite(jac).all():  # LAPACK would print to stdout before failing
-            raise NewtonConvergenceError("Newton Jacobian became non-finite", res_norm)
-        try:
-            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        except np.linalg.LinAlgError as err:  # an SVD that does not converge
-            raise NewtonConvergenceError(f"Newton update failed: {err}", res_norm) from None
-        x = x + step
-        r = real_residual(x)
-        iteration += 1
+    return _solved(_newton_rows(one_row, np.asarray(guess, dtype=complex)[None])[0])
+
+
+def _start_rows(Ld: DiscreteLagrangian, x0: np.ndarray) -> list:
+    """``initial_step`` for each row of x0: its Newton outcome."""
+    p0 = velocity_momentum(Ld.base, x0)
+
+    def residual(points, rows):
+        return _row_data(p0, rows, points) + Ld.d1(_row_data(x0, rows, points), points)
+
+    return _newton_rows(residual, x0)
 
 
 def initial_step(Ld: DiscreteLagrangian, psi0: np.ndarray):
@@ -290,13 +363,17 @@ def initial_step(Ld: DiscreteLagrangian, psi0: np.ndarray):
 
     Returns (psi_1, newton_iterations).
     """
-    psi0 = np.asarray(psi0, dtype=complex)
-    p0 = velocity_momentum(Ld.base, psi0)
+    return _solved(_start_rows(Ld, np.asarray(psi0, dtype=complex)[None])[0])
 
-    def residual(y):
-        return p0 + Ld.d1(psi0, y)
 
-    return newton_solve(residual, psi0)
+def _del_rows(Ld, prev: np.ndarray, curr: np.ndarray) -> list:
+    """``del_step`` for each row of (prev, curr): its Newton outcome."""
+    tail = Ld.d3(prev, curr)
+
+    def residual(points, rows):
+        return Ld.d1(_row_data(curr, rows, points), points) + _row_data(tail, rows, points)
+
+    return _newton_rows(residual, 2.0 * curr - prev)
 
 
 def del_step(Ld: DiscreteLagrangian, psi_prev: np.ndarray, psi_curr: np.ndarray):
@@ -305,14 +382,8 @@ def del_step(Ld: DiscreteLagrangian, psi_prev: np.ndarray, psi_curr: np.ndarray)
     Newton starts from the linear predictor 2 psi_curr - psi_prev, the
     point a constant velocity would reach. Returns (psi_next, newton_iterations).
     """
-    psi_prev = np.asarray(psi_prev, dtype=complex)
-    psi_curr = np.asarray(psi_curr, dtype=complex)
-    tail = Ld.d3(psi_prev, psi_curr)
-
-    def residual(y):
-        return Ld.d1(psi_curr, y) + tail
-
-    return newton_solve(residual, 2.0 * psi_curr - psi_prev)
+    return _solved(_del_rows(Ld, np.asarray(psi_prev, dtype=complex)[None],
+                             np.asarray(psi_curr, dtype=complex)[None])[0])
 
 
 @dataclass(frozen=True)
@@ -341,61 +412,67 @@ class DiscreteTrajectory:
 
 # Overflow ends a run as a Newton failure, not as a numpy warning.
 @np.errstate(over="ignore", invalid="ignore")
-def _run_recursion(start_Ld: DiscreteLagrangian, Ld, x0: np.ndarray, steps: int,
-                   blowup_factor: float | None) -> DiscreteTrajectory:
+def _run_rows(start_Ld: DiscreteLagrangian, Ld, x0: np.ndarray, steps,
+              blowup_factor: float | None) -> list:
     """The one run loop: momentum matching on ``start_Ld``, then del_step on ``Ld``.
 
-    With ``blowup_factor``, a failed del_step, or an amplitude above that
-    factor times the initial largest one, ends the run as a blow-up.
+    Advances the rows of x0 in lockstep, row b for ``steps[b]`` steps; each
+    solve is one ``_newton_rows`` call on the rows still running. A row whose
+    start fails ends with its ``NewtonConvergenceError``. With
+    ``blowup_factor``, a failed del_step, or an amplitude above that factor
+    times the row's initial largest one, ends the row with a ``BlowupError``;
+    without it, a failed del_step ends the row with its error. Returns one
+    ``DiscreteTrajectory`` or error per row.
     """
-    check_grid(start_Ld.dt, steps)
-    x0 = np.asarray(x0, dtype=complex)
-    x1, first_iterations = initial_step(start_Ld, x0)
-    rows = [x0, x1]
-    iterations = [first_iterations]
-    reference = float(np.max(np.abs(x0)))
+    for count in steps:
+        check_grid(start_Ld.dt, count)
+    history = [[row] for row in x0]
+    iterations: list[list[int]] = [[] for _ in x0]
+    outcomes: list = [None] * len(x0)
 
-    def make_traj():
-        return DiscreteTrajectory(start_Ld.dt, np.stack(rows), np.array(iterations))
+    def make_traj(b):
+        return DiscreteTrajectory(start_Ld.dt, np.stack(history[b]), np.array(iterations[b]))
 
-    for j in range(1, steps):
-        try:
-            nxt, used = del_step(Ld, rows[-2], rows[-1])
-        except NewtonConvergenceError:
-            if blowup_factor is None:
-                raise
-            raise BlowupError(
-                f"solver failure at step {j + 1}, treated as blow-up", make_traj()
-            ) from None
-        rows.append(nxt)
-        iterations.append(used)
-        if blowup_factor is not None and np.max(np.abs(nxt)) > blowup_factor * reference:
-            raise BlowupError(
-                f"amplitude exceeded {blowup_factor}x initial at step {j + 1}", make_traj()
-            )
-    return make_traj()
+    def advance(rows, solved, step):
+        """Record each row's solve of ``step``; returns the rows still running."""
+        running = []
+        for b, outcome in zip(rows, solved):
+            if isinstance(outcome, NewtonConvergenceError):
+                if blowup_factor is None or step == 1:
+                    outcomes[b] = outcome
+                else:
+                    outcomes[b] = BlowupError(
+                        f"solver failure at step {step}, treated as blow-up", make_traj(b))
+                continue
+            nxt, used = outcome
+            history[b].append(nxt)
+            iterations[b].append(used)
+            if (step > 1 and blowup_factor is not None
+                    and np.max(np.abs(nxt)) > blowup_factor * references[b]):
+                outcomes[b] = BlowupError(
+                    f"amplitude exceeded {blowup_factor}x initial at step {step}",
+                    make_traj(b))
+            elif steps[b] > step:
+                running.append(b)
+        return running
+
+    references = [float(np.max(np.abs(row))) for row in x0]
+    rows = advance(range(len(x0)), _start_rows(start_Ld, x0), 1)
+    step = 1
+    while rows:
+        step += 1
+        prev = np.stack([history[b][-2] for b in rows])
+        curr = np.stack([history[b][-1] for b in rows])
+        rows = advance(rows, _del_rows(Ld, prev, curr), step)
+    return [make_traj(b) if outcome is None else outcome
+            for b, outcome in enumerate(outcomes)]
 
 
 def integrate_discrete(Ld: DiscreteLagrangian, psi0: np.ndarray, steps: int,
                        blowup_factor: float | None = None) -> DiscreteTrajectory:
     """Momentum-matching start followed by the stationarity recursion."""
-    return _run_recursion(Ld, Ld, psi0, steps, blowup_factor)
-
-
-def _restricted(H: HermitianOperator, alpha: float, dt: float, state0: ComponentState):
-    """H's Lagrangian and its restrict-first discretization, after checking dims."""
-    check_dims(H, state0.dims)
-    L = se_lagrangian(H)
-    return L, DiscreteLagrangian(separable_lagrangian(L, state0.dims), alpha, dt)
-
-
-def integrate_restrict_then_discretize(
-    H: HermitianOperator, alpha: float, dt: float, steps: int,
-    state0: ComponentState, blowup_factor: float | None = None,
-) -> DiscreteTrajectory:
-    """Restrict first: discretize the component-variable Lagrangian."""
-    _, Ld = _restricted(H, alpha, dt, state0)
-    return _run_recursion(Ld, Ld, np.concatenate(state0.vectors()), steps, blowup_factor)
+    x0 = np.asarray(psi0, dtype=complex)[None]
+    return _solved(_run_rows(Ld, Ld, x0, [steps], blowup_factor)[0])
 
 
 class _SubstitutedDiscreteLagrangian:
@@ -427,18 +504,53 @@ class _SubstitutedDiscreteLagrangian:
         return self._pulled_back(self.full.d3, x, y, 1)
 
 
+ORDERINGS = ("restrict_first", "discretize_first")
+
+
+def integrate_separable_rows(ordering: str, H: HermitianOperator, alpha: float, dt: float,
+                             steps, states, blowup_factor: float | None = None) -> list:
+    """Either ordering from a batch of product states on one grid.
+
+    Row b starts from ``states[b]`` and runs ``steps[b]`` steps; all rows
+    advance together through ``_run_rows``, each row's points, Newton counts
+    and outcome equal bit for bit to a run of that state alone. Returns one
+    ``DiscreteTrajectory``, ``BlowupError`` or ``NewtonConvergenceError``
+    (a failed start) per row.
+
+    Restrict first discretizes the component-variable Lagrangian.
+    Discretize first substitutes product states into the discrete action; its
+    recursion is seeded with the restrict-first momentum-matching point,
+    since its own projected momentum-matching system is overdetermined (the
+    unknown appears only through its tensor product), and a shared,
+    consistent start keeps the comparison between the orderings clean.
+    """
+    if ordering not in ORDERINGS:
+        raise ValueError(f"unknown ordering '{ordering}'; choose from {ORDERINGS}")
+    dims = states[0].dims
+    for state in states:
+        check_dims(H, state.dims)
+    L = se_lagrangian(H)
+    start = DiscreteLagrangian(separable_lagrangian(L, dims), alpha, dt)
+    recursion = start
+    if ordering == "discretize_first":
+        recursion = _SubstitutedDiscreteLagrangian(DiscreteLagrangian(L, alpha, dt), dims)
+    x0 = np.stack([np.concatenate(state.vectors()) for state in states])
+    return _run_rows(start, recursion, x0, steps, blowup_factor)
+
+
+def integrate_restrict_then_discretize(
+    H: HermitianOperator, alpha: float, dt: float, steps: int,
+    state0: ComponentState, blowup_factor: float | None = None,
+) -> DiscreteTrajectory:
+    """Restrict first: discretize the component-variable Lagrangian."""
+    return _solved(integrate_separable_rows("restrict_first", H, alpha, dt, [steps],
+                                            [state0], blowup_factor)[0])
+
+
 def integrate_discretize_then_restrict(
     H: HermitianOperator, alpha: float, dt: float, steps: int,
     state0: ComponentState, blowup_factor: float | None = None,
 ) -> DiscreteTrajectory:
-    """Discretize first: substitute product states into the discrete action.
-
-    The recursion is seeded with the restrict-first momentum-matching point;
-    the projected momentum-matching system of this ordering is overdetermined
-    (the unknown appears only through its tensor product), so a shared,
-    consistent start keeps the comparison between the orderings clean.
-    """
-    L, start = _restricted(H, alpha, dt, state0)
-    substituted = _SubstitutedDiscreteLagrangian(DiscreteLagrangian(L, alpha, dt), state0.dims)
-    return _run_recursion(start, substituted, np.concatenate(state0.vectors()), steps,
-                          blowup_factor)
+    """Discretize first: substitute product states into the discrete action."""
+    return _solved(integrate_separable_rows("discretize_first", H, alpha, dt, [steps],
+                                            [state0], blowup_factor)[0])

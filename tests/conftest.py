@@ -1,6 +1,9 @@
+from math import prod
+
 import numpy as np
 import pytest
 
+from sepdyn.hamiltonians import HermitianOperator
 from sepdyn.states import ComponentState, Ket
 
 
@@ -15,6 +18,33 @@ def random_unitary(rng, dim):
     mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(mat)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def nuclear_norm(matrix) -> float:
+    """Sum of singular values: the SVD oracle of the closed-form nuclear norms."""
+    mat = np.asarray(matrix, dtype=complex)
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("matrix entries must be finite")
+    return float(np.linalg.svd(mat, compute_uv=False).sum())
+
+
+def local_sum_hamiltonian(locals_: list[HermitianOperator]) -> HermitianOperator:
+    """Sum of one-subsystem operators embedded with identities elsewhere.
+
+    Operator j acts on subsystem j, whose dimension is the operator's side;
+    each term is built with chained ``np.kron``, independently of the slot
+    blocks the package reduces through.
+    """
+    dims = tuple(op.entries.shape[0] for op in locals_)
+    side = prod(dims)
+    total = np.zeros((side, side), dtype=complex)
+    for j, op in enumerate(locals_):
+        term = np.eye(1, dtype=complex)
+        for i, d in enumerate(dims):
+            factor = op.entries if i == j else np.eye(d, dtype=complex)
+            term = np.kron(term, factor)
+        total += term
+    return HermitianOperator(total, dims)
 
 
 @pytest.fixture

@@ -5,17 +5,20 @@ import pytest
 
 from sepdyn.analysis import (
     convergence_order,
+    log_norm_spread,
     overlap_series,
+    period_two_amplitude,
+    period_two_rate,
     purity_series,
     rate_of_change_nuclear,
     reduced_density_series,
 )
 from sepdyn.exact_swap import SwapInitialData, exact_se_swap, exact_sse_swap
-from sepdyn.hamiltonians import local_sum_hamiltonian, random_hermitian, swap_hamiltonian
+from sepdyn.hamiltonians import random_hermitian, swap_hamiltonian
 from sepdyn.propagators import SplittingScheme, Trajectory, evolve, se_evolve
-from sepdyn.states import ComponentState, nuclear_norm, tensor_product
+from sepdyn.states import ComponentState, tensor_product
 
-from conftest import random_ket
+from conftest import local_sum_hamiltonian, nuclear_norm, random_ket
 from test_reduced import random_local
 
 
@@ -202,6 +205,38 @@ class TestPuritySeries:
         traj = Trajectory(0.1, (2, 2),
                           full=tensor_product(fig1_state).amplitudes[None, :])
         assert purity_series(reduced_density_series(traj, 0))[0] == pytest.approx(1.0)
+
+
+class TestVariationalSummaries:
+    def test_log_norm_spread_reads_the_gauge_only(self, rng):
+        # a -> l a, b -> b / l leaves every product state as it is and moves
+        # the spread by |2 log l| from equal norms.
+        a = np.stack([random_ket(rng).amplitudes for _ in range(5)])
+        b = np.stack([random_ket(rng).amplitudes for _ in range(5)])
+        scales = np.array([1.0, 2.0, 0.5, 10.0, 1.0])
+        gauged = Trajectory.from_components(
+            0.1, np.hstack([a * scales[:, None], b / scales[:, None]]), (2, 2))
+        plain = Trajectory.from_components(0.1, np.hstack([a, b]), (2, 2))
+        assert np.allclose(gauged.full, plain.full, rtol=0, atol=1e-15)
+        assert np.allclose(log_norm_spread(plain), 0.0, atol=1e-15)
+        assert np.allclose(log_norm_spread(gauged), np.abs(2.0 * np.log(scales)), atol=1e-14)
+
+    def test_period_two_amplitude_of_an_alternating_mode(self, rng):
+        # psi_n = (-1)^n v gives a stencil of 8 (-1)^(n+1) v, so p_n = ||v||.
+        v = random_ket(rng, 4).amplitudes * 3.0
+        states = ((-1.0) ** np.arange(7))[:, None] * v
+        assert np.allclose(period_two_amplitude(states), 3.0, rtol=1e-15)
+        assert period_two_amplitude(states[:3]).shape == (0,)
+
+    def test_period_two_rate_fits_the_second_half(self):
+        dt = 0.1
+        amplitude = np.exp(0.7 * dt * np.arange(1, 41))
+        amplitude[:20] = 1.0  # the first half is not fitted
+        assert period_two_rate(dt, amplitude) == pytest.approx(0.7, rel=1e-12)
+
+    @pytest.mark.parametrize("amplitude", [[], [1.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0, 0.0]])
+    def test_period_two_rate_needs_two_positive_values(self, amplitude):
+        assert period_two_rate(0.1, np.array(amplitude)) is None
 
 
 class TestConvergenceOrder:

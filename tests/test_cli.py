@@ -1,4 +1,6 @@
 import json
+import re
+import shutil
 import time
 
 import numpy as np
@@ -275,27 +277,27 @@ class TestRunGuards:
         assert code == cli.EXIT_CONFIG
         assert f"more than {cli.MAX_STEPS} steps" in err
 
-    @pytest.mark.parametrize("dt, t_final", [(1e150, 1e150), (1, 1e6), (0.5, 79.7),
-                                             (1000, 4000)])
-    def test_bea_step_budget_is_capped_before_running(self, tmp_path, capsys, monkeypatch,
-                                                      dt, t_final):
-        # The RK solver starts at RK_FIRST_STEP, so t_final alone says how many
-        # steps of that size the run would take, however few rows the grid has;
-        # past the solver's step budget the config is refused.
-        def execute(*args):
-            pytest.fail("execute must not run for an over-long config")
-
-        monkeypatch.setattr(cli, "execute", execute)
-        code, err = run_with(tmp_path, capsys, **BEA, bea_order=0,
+    @pytest.mark.parametrize("order, dt, t_final", [(1, 1000, 4000), (0, 1e150, 1e150)])
+    def test_bea_step_budget_ends_a_long_horizon(self, tmp_path, capsys, order, dt,
+                                                  t_final):
+        # No horizon is refused at load: the solver's step budget ends the run.
+        code, err = run_with(tmp_path, capsys, **BEA, bea_order=order,
                              initial_state=[[1, 0], [0.6, 0.8]], dt=dt, t_final=t_final)
-        assert code == cli.EXIT_CONFIG
-        assert f"more than {bea.RK_MAX_STEPS} steps" in err
+        assert code == cli.EXIT_SOLVER
+        assert f"step budget of {bea.RK_MAX_STEPS} steps spent" in err
+        assert len(err.strip().splitlines()) == 1
+        assert list((tmp_path / "out").glob("run.*")) == []
 
-    def test_bea_horizon_admits_the_step_budget(self, tmp_path):
-        config = cli.ExperimentConfig.from_dict(
-            {**swap_config(tmp_path / "run", 0.5), **BEA, "bea_order": 0,
-             "initial_state": [[1, 0], [0.6, 0.8]], "t_final": 79.6})
-        assert 0.999 * bea.RK_MAX_STEPS < config.t_final / bea.RK_FIRST_STEP <= bea.RK_MAX_STEPS
+    @pytest.mark.parametrize("t_final", [150.0, 260.0])
+    def test_bea_horizon_admits_the_step_budget(self, tmp_path, capsys, t_final):
+        # The controller's steps outgrow the first one, so horizons far past
+        # t_final / RK_FIRST_STEP = RK_MAX_STEPS (t = 79.6) still complete.
+        code, err = run_with(tmp_path, capsys, **BEA, bea_order=0,
+                             initial_state=[[1, 0], [0.6, 0.8]], dt=0.5, t_final=t_final)
+        assert (code, err) == (cli.EXIT_OK, "")
+        solver = json.loads((tmp_path / "out" / "run.json").read_text())["solver"]
+        assert t_final / bea.RK_FIRST_STEP > bea.RK_MAX_STEPS > solver["steps"]
+        assert len(read_rows(tmp_path / "out" / "run.csv")) == 1 + 1 + int(2 * t_final)
 
     def test_bea_run_that_spends_the_step_budget_exits_3(self, tmp_path, capsys):
         # Order 2 at dt 79 inside the horizon: the modified field grows like
@@ -323,9 +325,9 @@ class TestFiniteProbes:
         # The modified series hold for unit-norm components only.
         ({**BEA, "bea_order": 2, "initial_state": [[1e150, 0], [0.6, 0.8]]},
          cli.EXIT_CONFIG, "unit-norm"),
-        # At the RK solver's first step, t_final is about 2.5e157 steps away.
+        # The order-2 series at dt 1e155 overflow in the first step.
         ({**BEA, "bea_order": 2, "initial_state": [[1, 0], [0.6, 0.8]], "dt": 1e155,
-          "t_final": 1e155}, cli.EXIT_CONFIG, "asks for more than"),
+          "t_final": 1e155}, cli.EXIT_SOLVER, "non-finite error estimate"),
         ({**BEA, "bea_order": 2, "initial_state": [[1e200, 0], [0.6, 0.8]]},
          cli.EXIT_CONFIG, "too large"),
         # Product states whose norm² overflows.
@@ -586,20 +588,21 @@ class TestExitCodesEndToEnd:
             config = {**swap_config(out / name, 0.02), "t_final": 0.2, **fields}
             (configs / f"{name}.json").write_text(json.dumps(config))
 
-        solve = variational.newton_solve
+        solve = variational._newton_rows
 
-        def failing_on_ladder(residual, guess, **kwargs):
+        def failing_on_ladder(residual, guesses):
             # The ladder's stacked components have nine amplitudes.
-            if np.size(guess) == 9:
-                raise variational.NewtonConvergenceError("forced failure", 1.0)
-            return solve(residual, guess, **kwargs)
+            if np.shape(guesses)[-1] == 9:
+                return [variational.NewtonConvergenceError("forced failure", 1.0)
+                        for _ in guesses]
+            return solve(residual, guesses)
 
-        monkeypatch.setattr(variational, "newton_solve", failing_on_ladder)
+        monkeypatch.setattr(variational, "_newton_rows", failing_on_ladder)
         codes = []
         run_file = cli._run_file
 
-        def recording(path, config):
-            codes.append(run_file(path, config))
+        def recording(path, config, batch=None):
+            codes.append(run_file(path, config, batch))
             return codes[-1]
 
         monkeypatch.setattr(cli, "_run_file", recording)
@@ -619,6 +622,174 @@ class TestExitCodesEndToEnd:
         first = {p.name: p.read_bytes() for p in out.iterdir()}
         assert cli.main(["run", "--config", str(configs)]) == cli.EXIT_BLOWUP
         assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+
+class TestBatches:
+    """Variational configs that share a grid run as one batch, and each writes
+    what it writes run alone."""
+
+    VARIATIONAL = {"integrator": "var_discretize_first", "alpha": 0.5, "dt": 0.1}
+    CONFIGS = {
+        # One batch of four rows: a blow-up, a run of every output, a start
+        # whose Newton residual overflows, and a run too short for p_n.
+        "a_blowup": {**VARIATIONAL, "t_final": 3.0, "initial_state": FIG1_STATE},
+        "b_split": {"integrator": "strang", "dt": 0.1, "t_final": 1.0},
+        "c_ok": {**VARIATIONAL, "t_final": 1.0, "outputs": list(cli.OUTPUT_NAMES)},
+        "d_other_dt": {**VARIATIONAL, "dt": 0.05, "t_final": 1.0},
+        "e_failed_start": {**VARIATIONAL, "t_final": 1.0,
+                           "initial_state": [[1e150, 0], [0.6, 0.8]]},
+        "f_short": {**VARIATIONAL, "t_final": 0.2},
+    }
+    BATCH = ["a_blowup.json", "c_ok.json", "e_failed_start.json", "f_short.json"]
+
+    def write_configs(self, tmp_path):
+        configs = tmp_path / "configs"
+        configs.mkdir()
+        for name, fields in self.CONFIGS.items():
+            config = {**swap_config(tmp_path / "out" / name, 0.1), **fields}
+            (configs / f"{name}.json").write_text(json.dumps(config))
+        return configs
+
+    @staticmethod
+    def outputs(tmp_path):
+        return {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+
+    def test_each_config_writes_what_it_writes_alone(self, tmp_path, capsys, monkeypatch):
+        configs = self.write_configs(tmp_path)
+        rows = variational.integrate_separable_rows
+        batch_sizes = []
+
+        def recording_rows(ordering, H, alpha, dt, steps, states, **kwargs):
+            batch_sizes.append(len(states))
+            return rows(ordering, H, alpha, dt, steps, states, **kwargs)
+
+        monkeypatch.setattr(variational, "integrate_separable_rows", recording_rows)
+        codes = []
+        run_file = cli._run_file
+
+        def recording(path, config, batch=None):
+            codes.append(run_file(path, config, batch))
+            return codes[-1]
+
+        monkeypatch.setattr(cli, "_run_file", recording)
+        code = cli.main(["run", "--config", str(configs)])
+        together = capsys.readouterr()
+        outputs = self.outputs(tmp_path)
+        assert batch_sizes == [4, 1]
+        monkeypatch.undo()
+
+        shutil.rmtree(tmp_path / "out")
+        solo_codes, solo_out, solo_err = [], [], []
+        for path in sorted(configs.iterdir()):
+            solo_codes.append(cli.main(["run", "--config", str(path)]))
+            captured = capsys.readouterr()
+            solo_out.append(captured.out)
+            solo_err.append(captured.err)
+        assert codes == solo_codes == [cli.EXIT_BLOWUP, cli.EXIT_OK, cli.EXIT_OK, cli.EXIT_OK,
+                                       cli.EXIT_SOLVER, cli.EXIT_OK]
+        assert code == cli.EXIT_BLOWUP
+        assert self.outputs(tmp_path) == outputs
+        assert "e_failed_start.csv" not in outputs
+        assert together.err == "".join(solo_err) != ""
+
+        def masked(text):
+            return re.sub(r"wall=\S+s", "wall=", text)
+
+        assert masked(together.out) == masked("".join(solo_out))
+        assert [line.split(" -> ")[1] for line in together.out.splitlines()] == [
+            str(tmp_path / "out" / f"{name}.csv")
+            for name in ("a_blowup", "b_split", "c_ok", "d_other_dt", "f_short")]
+
+    def test_a_batch_is_one_work_unit(self, tmp_path, capsys, monkeypatch):
+        configs = self.write_configs(tmp_path)
+        assert cli.main(["run", "--config", str(configs)]) == cli.EXIT_BLOWUP
+        serial = self.outputs(tmp_path)
+        shutil.rmtree(tmp_path / "out")
+        started, units = [], []
+
+        class InlineExecutor:
+            """Records the pool size and the work units, and runs them here."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                units.extend(items)
+                return map(fn, units)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        assert cli.main(["run", "--config", str(configs), "--jobs", "2"]) == cli.EXIT_BLOWUP
+        assert started == [2]
+        assert [[path.name for path, _ in unit] for unit in units] == [
+            self.BATCH, ["b_split.json"], ["d_other_dt.json"]]
+        assert self.outputs(tmp_path) == serial
+
+    def test_a_group_past_the_amplitude_budget_splits(self, tmp_path, capsys, monkeypatch):
+        configs = self.write_configs(tmp_path)
+        assert cli.main(["run", "--config", str(configs)]) == cli.EXIT_BLOWUP
+        whole = self.outputs(tmp_path)
+        shutil.rmtree(tmp_path / "out")
+        # Rows stored per config: (steps + 1) * 4 = 124, 44, 44 and 12.
+        monkeypatch.setattr(cli, "BATCH_AMPLITUDES", 170)
+        items = [(path, cli.load_config(path, [])) for path in sorted(configs.iterdir())]
+        assert [[path.stem for path, _ in unit] for unit in cli._work_units(items)] == [
+            ["a_blowup", "c_ok"], ["b_split"], ["d_other_dt"], ["e_failed_start", "f_short"]]
+        assert cli.main(["run", "--config", str(configs)]) == cli.EXIT_BLOWUP
+        assert self.outputs(tmp_path) == whole
+
+
+class TestVariationalRecord:
+    """Each variational run JSON summarizes the gauge and the period-2 mode."""
+
+    KEYS = {"max_log_norm_spread", "final_log_norm_spread", "max_period_two",
+            "final_period_two", "period_two_rate"}
+
+    def summary(self, tmp_path, capsys, **fields):
+        code, _ = run_with(tmp_path, capsys, **fields)
+        return code, json.loads((tmp_path / "out" / "run.json").read_text())["summary"]
+
+    def test_summaries_match_the_written_rows(self, tmp_path, capsys):
+        code, summary = self.summary(tmp_path, capsys, integrator="var_discretize_first",
+                                     alpha=0.5, dt=0.1, t_final=3.0,
+                                     initial_state=FIG1_STATE)
+        assert code == cli.EXIT_BLOWUP
+        columns = csv_columns(tmp_path / "out" / "run.csv")
+        a = np.stack([columns[f"re_a1_{i}"] + 1j * columns[f"im_a1_{i}"] for i in range(2)], 1)
+        b = np.stack([columns[f"re_a2_{i}"] + 1j * columns[f"im_a2_{i}"] for i in range(2)], 1)
+        spread = np.abs(np.log(np.linalg.norm(a, axis=1) / np.linalg.norm(b, axis=1)))
+        assert summary["max_log_norm_spread"] == pytest.approx(spread.max(), rel=1e-12)
+        assert summary["final_log_norm_spread"] == pytest.approx(spread[-1], rel=1e-12)
+        psi = np.stack([np.kron(x, y) for x, y in zip(a, b)])
+        p = [np.linalg.norm(psi[n + 2] - 3 * psi[n + 1] + 3 * psi[n] - psi[n - 1]) / 8
+             for n in range(1, len(psi) - 2)]
+        assert summary["max_period_two"] == pytest.approx(max(p), rel=1e-12)
+        assert summary["final_period_two"] == pytest.approx(p[-1], rel=1e-12)
+        half = len(p) // 2
+        times = 0.1 * np.arange(1, len(p) + 1)
+        gamma = np.polyfit(times[half:], np.log(p[half:]), 1)[0]
+        assert summary["period_two_rate"] == pytest.approx(gamma, rel=1e-9)
+        # The blow-up is the parasitic mode growing.
+        assert summary["period_two_rate"] > 0
+
+    def test_too_few_rows_give_null(self, tmp_path, capsys):
+        code, summary = self.summary(tmp_path, capsys, integrator="var_restrict_first",
+                                     alpha=0.5, dt=0.1, t_final=0.2)
+        assert code == cli.EXIT_OK
+        assert summary["max_period_two"] is summary["final_period_two"] is None
+        assert summary["period_two_rate"] is None
+        assert summary["max_log_norm_spread"] >= summary["final_log_norm_spread"] >= 0
+
+    def test_other_integrators_have_no_variational_keys(self, tmp_path, capsys):
+        code, summary = self.summary(tmp_path, capsys, integrator="strang")
+        assert code == cli.EXIT_OK
+        assert not self.KEYS & set(summary)
 
 
 def csv_columns(path) -> dict[str, np.ndarray]:

@@ -5,10 +5,11 @@ from sepdyn.hamiltonians import (
     HermitianOperator,
     correlator_hamiltonian,
     ladder_operators,
-    local_sum_hamiltonian,
     random_hermitian,
     swap_hamiltonian,
 )
+
+from conftest import local_sum_hamiltonian
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 

@@ -10,7 +10,6 @@ from sepdyn.exact_swap import SwapInitialData, exact_sse_swap, lie_trotter_swap_
 from sepdyn.hamiltonians import (
     HermitianOperator,
     correlator_hamiltonian,
-    local_sum_hamiltonian,
     random_hermitian,
     swap_hamiltonian,
 )
@@ -35,7 +34,7 @@ from sepdyn.states import (
     tensor_product,
 )
 
-from conftest import random_ket
+from conftest import local_sum_hamiltonian, random_ket
 from test_reduced import random_hermitian_matrix, random_local
 
 SIGMA_Z = HermitianOperator(np.diag([1.0, -1.0]), (2,))
@@ -307,7 +306,7 @@ def object_path_rows(scheme, H, state0, dt, steps) -> np.ndarray:
     ``partially_reduced`` and applies ``hermitian_expm_apply`` to a Ket, in
     the splitting order each scheme documents.
     """
-    n = state0.n_parts
+    n = len(state0.parts)
     if scheme is SplittingScheme.LIE_TROTTER:
         sequence = [(l, dt) for l in range(n)]
     elif n == 2:

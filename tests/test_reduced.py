@@ -3,14 +3,13 @@ import pytest
 
 from sepdyn.hamiltonians import (
     HermitianOperator,
-    local_sum_hamiltonian,
     random_hermitian,
     swap_hamiltonian,
 )
 from sepdyn.reduced import DegenerateStateError, contract_reduced, partially_reduced
 from sepdyn.states import ComponentState, Ket
 
-from conftest import random_ket
+from conftest import local_sum_hamiltonian, random_ket
 
 
 def random_local(rng, d=2):

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from sepdyn import variational
+from sepdyn.analysis import period_two_amplitude, period_two_rate
 from sepdyn.exact_swap import SwapInitialData, exact_sse_swap
 from sepdyn.hamiltonians import (
     HermitianOperator,
     correlator_hamiltonian,
-    local_sum_hamiltonian,
     random_hermitian,
     swap_hamiltonian,
 )
@@ -21,11 +21,13 @@ from sepdyn.variational import (
     DiscreteTrajectory,
     FirstOrderLagrangian,
     NewtonConvergenceError,
+    ORDERINGS,
     del_step,
     initial_step,
     integrate_discrete,
     integrate_discretize_then_restrict,
     integrate_restrict_then_discretize,
+    integrate_separable_rows,
     newton_solve,
     se_lagrangian,
     separable_lagrangian,
@@ -33,7 +35,7 @@ from sepdyn.variational import (
 )
 from sepdyn.variational import _SubstitutedDiscreteLagrangian, _forward_difference_jacobian
 
-from conftest import random_ket
+from conftest import local_sum_hamiltonian, random_ket
 from test_reduced import random_local
 
 
@@ -91,21 +93,6 @@ def projector_distance(x, y):
     px = np.outer(x, x.conj()) / max(np.linalg.norm(x) ** 2, 1e-300)
     py = np.outer(y, y.conj()) / max(np.linalg.norm(y) ** 2, 1e-300)
     return np.max(np.abs(px - py))
-
-
-def period_two_amplitude(points):
-    """p_n = |x_{n+2} - 3 x_{n+1} + 3 x_n - x_{n-1}| / 8, n = 1 .. N - 2: the
-    sign-alternating part of the second difference, in which smooth motion
-    leaks in only at O(dt^3)."""
-    stencil = points[3:] - 3.0 * points[2:-1] + 3.0 * points[1:-2] - points[:-3]
-    return np.linalg.norm(stencil, axis=1) / 8.0
-
-
-def period_two_rate(dt, amplitude):
-    """Fitted exponential rate of the period-2 amplitude over 3 < t < 8."""
-    times = dt * np.arange(1, amplitude.size + 1)
-    window = (times > 3.0) & (times < 8.0)
-    return np.polyfit(times[window], np.log(amplitude[window]), 1)[0]
 
 
 class TestSeLagrangian:
@@ -349,17 +336,31 @@ def random_product_point(rng, dims):
 
 
 def captured_residual(monkeypatch, solve):
-    """The residual ``solve`` hands to newton_solve, and its guess."""
+    """The row residual ``solve`` hands to the Newton loop, and its guesses."""
     seen = {}
 
-    def capture(residual, guess):
-        seen.update(residual=residual, guess=np.asarray(guess, dtype=complex))
-        return seen["guess"], 0
+    def capture(residual, guesses):
+        seen.update(residual=residual, guesses=np.asarray(guesses, dtype=complex))
+        return [(guess, 0) for guess in seen["guesses"]]
 
-    monkeypatch.setattr(variational, "newton_solve", capture)
+    monkeypatch.setattr(variational, "_newton_rows", capture)
     solve()
     monkeypatch.undo()
-    return seen["residual"], seen["guess"]
+    return seen["residual"], seen["guesses"]
+
+
+def one_row(residual, row=0):
+    """A row residual as a residual of one system: a point, or a stack of them."""
+    return lambda y: residual(y[None], np.array([row]))[0]
+
+
+def jacobian_at(residual, point):
+    """``_forward_difference_jacobian`` of row 0 of ``residual`` at ``point``,
+    with the real-split point and residual it was taken at."""
+    x = np.concatenate([point.real, point.imag])
+    values = one_row(residual)(point)
+    r = np.concatenate([values.real, values.imag])
+    return _forward_difference_jacobian(residual, x[None], r[None], np.array([0]))[0], x, r
 
 
 class TestStackedResiduals:
@@ -399,19 +400,34 @@ class TestStackedResiduals:
                 lambda: del_step(discretize_first, x_prev, x_curr),
             ]
             for solve in solves:
-                residual, guess = captured_residual(monkeypatch, solve)
+                residual, (guess,) = captured_residual(monkeypatch, solve)
                 for point in (guess, guess + 0.01 * random_product_point(rng, dims)):
-                    x = np.concatenate([point.real, point.imag])
-                    values = residual(point)
-                    r = np.concatenate([values.real, values.imag])
-                    assert np.array_equal(_forward_difference_jacobian(residual, x, r),
-                                          per_column_jacobian(residual, x, r))
+                    jac, x, r = jacobian_at(residual, point)
+                    assert np.array_equal(jac, per_column_jacobian(one_row(residual), x, r))
+
+    def test_row_jacobians_equal_the_per_column_loop(self, rng, monkeypatch):
+        # Several rows at once, each with its own data: every row's Jacobian is
+        # the one its system alone gives, bit for bit.
+        for H, dims in stacking_cases():
+            for Ld in self.orderings(H, dims):
+                prev = np.stack([random_product_point(rng, dims) for _ in range(3)])
+                curr = prev + 0.01 * np.stack([random_product_point(rng, dims)
+                                               for _ in range(3)])
+                residual, guesses = captured_residual(
+                    monkeypatch, lambda: variational._del_rows(Ld, prev, curr))
+                x = np.concatenate([guesses.real, guesses.imag], axis=1)
+                values = residual(guesses, np.arange(3))
+                r = np.concatenate([values.real, values.imag], axis=1)
+                jacs = _forward_difference_jacobian(residual, x, r, np.arange(3))
+                for row in range(3):
+                    assert np.array_equal(
+                        jacs[row], per_column_jacobian(one_row(residual, row), x[row], r[row]))
 
     def test_newton_rejects_a_residual_that_ignores_the_stack(self):
         def first_row_only(y):
             return np.atleast_2d(y)[0] ** 2 - 1.0
 
-        with pytest.raises(ValueError, match=r"to shape \(2,\)"):
+        with pytest.raises(ValueError, match=r"to shape \(1, 2\)"):
             newton_solve(first_row_only, np.array([2.0 + 0j, 0.5 + 0j]))
 
 
@@ -458,12 +474,10 @@ class TestDelStep:
             # [[Re J, Im J], [Im J, -Re J]].
             J = -0.5j * np.eye(4) - alpha * (1.0 - alpha) * dt * H.entries.T
             exact = np.block([[J.real, J.imag], [J.imag, -J.real]])
-            residual, guess = captured_residual(monkeypatch, lambda: del_step(Ld, psi0, psi1))
+            residual, (guess,) = captured_residual(monkeypatch,
+                                                   lambda: del_step(Ld, psi0, psi1))
             for point in (guess, guess + 0.1 * random_ket(rng, 4).amplitudes):
-                x = np.concatenate([point.real, point.imag])
-                values = residual(point)
-                jac = _forward_difference_jacobian(
-                    residual, x, np.concatenate([values.real, values.imag]))
+                jac, _, _ = jacobian_at(residual, point)
                 assert np.max(np.abs(jac - exact)) <= 1e-6 * np.max(np.abs(exact))
             nxt, iterations = del_step(Ld, psi0, psi1)
             assert 1 <= iterations <= 2
@@ -593,10 +607,10 @@ class TestEntryPoints:
                                       "discretize_first"])
     @pytest.mark.parametrize("steps", [0, -3])
     def test_steps_below_one_rejected_before_any_solve(self, monkeypatch, name, steps):
-        def no_solve(residual, guess):
+        def no_solve(residual, guesses):
             raise AssertionError("a Newton solve ran")
 
-        monkeypatch.setattr(variational, "newton_solve", no_solve)
+        monkeypatch.setattr(variational, "_newton_rows", no_solve)
         with pytest.raises(ValueError, match="steps must be at least 1"):
             self.entry_points(steps)[name]()
 
@@ -611,6 +625,78 @@ class TestEntryPoints:
         with pytest.raises(ValueError, match=re.escape(
                 "operator dims (2, 4) do not match state dims (4, 2)")):
             run(H, 0.5, 0.1, 3, state0)
+
+
+class TestRowBatches:
+    """Rows advanced together equal, bit for bit, the same states run one at a time."""
+
+    @staticmethod
+    def outcome_bits(outcome):
+        """Kind, message, points as uint64 and Newton counts of one row's outcome."""
+        if isinstance(outcome, NewtonConvergenceError):
+            return ("failed start", str(outcome), outcome.residual)
+        kind, message = "ok", None
+        if isinstance(outcome, BlowupError):
+            kind, message, outcome = "blow-up", str(outcome), outcome.partial
+        return (kind, message, outcome.points.view(np.uint64).tobytes(),
+                outcome.newton_iterations.tolist())
+
+    @pytest.mark.parametrize("ordering", ORDERINGS)
+    @pytest.mark.parametrize("system", ["swap", "random5"])
+    def test_rows_equal_one_row_runs(self, rng, fig1_state, ordering, system):
+        if system == "swap":
+            H, dims, dt, steps = swap_hamiltonian(2), (2, 2), 0.1, [40, 25, 40, 40, 10]
+            # Discretize first blows up from fig1_state within 30 steps; the
+            # first Newton residual of the last state overflows.
+            extra = [fig1_state, ComponentState((Ket(np.array([1e150, 0.0])),
+                                                 Ket(np.array([0.6, 0.8]))))]
+        else:
+            H, dims, dt, steps = random_hermitian(5, 3), (2,) * 5, 0.05, [12, 5, 8]
+            extra = []
+        states = [ComponentState(tuple(random_ket(rng, d) for d in dims))
+                  for _ in range(3)] + extra
+        rows = integrate_separable_rows(ordering, H, 0.5, dt, steps, states,
+                                        blowup_factor=2.0)
+        alone = {"restrict_first": integrate_restrict_then_discretize,
+                 "discretize_first": integrate_discretize_then_restrict}[ordering]
+        kinds, lengths = [], []
+        for state, count, row in zip(states, steps, rows):
+            try:
+                single = alone(H, 0.5, dt, count, state, blowup_factor=2.0)
+            except (BlowupError, NewtonConvergenceError) as err:
+                single = err
+            assert self.outcome_bits(row) == self.outcome_bits(single)
+            kinds.append(self.outcome_bits(row)[0])
+            if not isinstance(row, NewtonConvergenceError):
+                lengths.append(len(getattr(row, "partial", row).points))
+        if system == "swap":
+            assert kinds[1] == "ok" and lengths[1] == 26  # a row of 25 of 40 steps
+            assert kinds[-1] == "failed start"
+        if (system, ordering) == ("swap", "discretize_first"):
+            # A row blows up mid-run while another keeps going.
+            blown = [n for kind, n in zip(kinds, lengths) if kind == "blow-up"]
+            assert blown and min(blown) < max(lengths)
+
+    def test_a_failing_row_leaves_the_others(self):
+        targets = np.array([[4.0 + 0j], [np.nan], [9.0 + 0j]])
+
+        def residual(points, rows):
+            return points**2 - variational._row_data(targets, rows, points)
+
+        outcomes = variational._newton_rows(residual, np.ones((3, 1), dtype=complex))
+        assert isinstance(outcomes[1], NewtonConvergenceError)
+        assert "non-finite" in str(outcomes[1])
+        for row in (0, 2):
+            solution, iterations = newton_solve(lambda y: y**2 - targets[row],
+                                                np.ones(1, dtype=complex))
+            assert outcomes[row][0].view(np.uint64).tolist() == \
+                solution.view(np.uint64).tolist()
+            assert outcomes[row][1] == iterations
+
+    def test_unknown_ordering_is_rejected(self, fig1_state):
+        with pytest.raises(ValueError, match="unknown ordering"):
+            integrate_separable_rows("restrict_last", swap_hamiltonian(2), 0.5, 0.1, [3],
+                                     [fig1_state])
 
 
 class TestFullStateIntegration:
