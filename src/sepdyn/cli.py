@@ -282,6 +282,8 @@ def _newton_result(outcome, dims) -> RunResult:
         "newton_solves": int(iterations.size),
         "newton_iterations": int(iterations.sum()),
         "max_newton_iterations": int(iterations.max()),
+        "min_lstsq_rank": outcome.min_lstsq_rank,
+        "max_final_newton_residual": float(outcome.newton_residuals.max()),
     }
     return RunResult(traj, stats, blowup)
 

@@ -27,19 +27,22 @@ and the Jacobian is taken by forward differences. Residuals, and the
 gradients and partials they are built from, accept a stack of points on
 leading axes and act row by row, each row equal bit for bit to the
 one-point call; so one residual call serves every running row, and one
-more serves all of their Jacobians' bumped points. Norms and least-squares
-updates stay one row at a time: a stacked norm rounds differently from the
-one-row norm, and ``np.linalg.lstsq`` takes no stacks.
+more serves all of their Jacobians' bumped points. The least-squares updates
+of all running rows are one call to the LAPACK gelsd gufunc that
+``np.linalg.lstsq`` wraps, which solves each matrix of a stack as it would
+solve it alone. Norms stay one dot product per row: a stacked norm rounds
+differently from the one-row norm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
+from math import prod, sqrt
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .hamiltonians import HermitianOperator, check_dims
 from .propagators import check_grid
@@ -265,6 +268,22 @@ def _forward_difference_jacobian(residual: Callable[[np.ndarray, np.ndarray], np
     return ((_complex_to_real(values) - r[:, None, :]) / h[:, :, None]).transpose(0, 2, 1)
 
 
+def _least_squares(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-norm least-squares solutions of a[i] y = b[i] for a (B, m, n) stack.
+
+    One call to the gelsd gufunc that ``np.linalg.lstsq`` wraps, with its
+    default rcond; row i equals ``np.linalg.lstsq(a[i], b[i], rcond=None)``
+    bit for bit. Returns the (B, n) solutions and the (B,) ranks. Where
+    ``np.linalg.lstsq`` would raise, the gufunc marks the row by rank -1 (and
+    NaN solutions) and raises the invalid flag, ignored here so that the other
+    rows keep their results.
+    """
+    rcond = np.finfo(float).eps * max(a.shape[-2:])
+    with np.errstate(all="ignore"):
+        x, _, rank, _ = _umath_linalg.lstsq(a, b[..., None], rcond, signature="ddd->ddid")
+    return x[..., 0], rank
+
+
 def _newton_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
                  guesses: np.ndarray) -> list:
     """Newton iteration on B complex systems at once, with real/imaginary splitting.
@@ -273,59 +292,57 @@ def _newton_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
     the B guesses) at ``points``: one point per row, shape (len(rows), n),
     or a stack per row, (len(rows), m, n), each point's value equal to a
     one-point call. Every iteration makes one stacked residual call on the
-    rows still running and one on their Jacobians' bumped points
-    (``_forward_difference_jacobian``); norms, finiteness tests and
-    least-squares updates, which also cover rank-deficient systems (the
-    product-state substitution leaves a rescaling direction unconstrained),
-    are taken row by row. A row leaves once its real-split residual norm is
-    at most ``NEWTON_TOL``, with (solution, iterations), or with a
-    ``NewtonConvergenceError`` for a non-finite residual or Jacobian, an
-    unsolvable update or ``NEWTON_MAXITER`` iterations. Returns one of these
-    per guess.
+    rows still running, one on their Jacobians' bumped points
+    (``_forward_difference_jacobian``) and one stacked least-squares update
+    (``_least_squares``), which also covers rank-deficient systems (the
+    product-state substitution leaves a rescaling direction unconstrained).
+    A row leaves once its real-split residual norm is at most ``NEWTON_TOL``,
+    with (solution, iterations, that norm, the lowest update rank or None
+    without an update), or with a ``NewtonConvergenceError`` for a non-finite
+    residual or Jacobian, a failed update or ``NEWTON_MAXITER`` iterations.
+    Returns one of these per guess.
     """
     x = _complex_to_real(guesses)
     rows = np.arange(len(x))
+    lowest = np.full(len(x), x.shape[1])
     outcomes: list = [None] * len(x)
     iteration = 0
-    while True:
-        r = _complex_to_real(residual(_real_to_complex(x), rows))
-        norms, keep = [], []
-        for i, row in enumerate(rows):
-            res_norm = float(np.linalg.norm(r[i]))
+    while len(rows):
+        z = _real_to_complex(x)
+        r = _complex_to_real(residual(z, rows))
+        # np.linalg.norm's formula for a real vector, without its wrapper.
+        norms = np.array([sqrt(v @ v) for v in r])
+        running = np.isfinite(norms) & (norms > NEWTON_TOL) & (iteration < NEWTON_MAXITER)
+        for i in np.flatnonzero(~running):
+            res_norm = float(norms[i])
             if not np.isfinite(res_norm):
-                outcomes[row] = NewtonConvergenceError(
+                outcomes[rows[i]] = NewtonConvergenceError(
                     "Newton residual became non-finite", res_norm)
             elif res_norm <= NEWTON_TOL:
-                outcomes[row] = (_real_to_complex(x[i]), iteration)
-            elif iteration == NEWTON_MAXITER:
-                outcomes[row] = NewtonConvergenceError(
+                outcomes[rows[i]] = (z[i], iteration, res_norm,
+                                     int(lowest[rows[i]]) if iteration else None)
+            else:
+                outcomes[rows[i]] = NewtonConvergenceError(
                     f"Newton did not reach {NEWTON_TOL} in {NEWTON_MAXITER} iterations",
                     res_norm)
-            else:
-                norms.append(res_norm)
-                keep.append(i)
-        if not keep:
-            return outcomes
-        x, r, rows = x[keep], r[keep], rows[keep]
+        x, r, rows, norms = x[running], r[running], rows[running], norms[running]
+        if not len(rows):
+            break
         jac = _forward_difference_jacobian(residual, x, r, rows)
-        steps, keep = [], []
-        for i, row in enumerate(rows):
-            if not np.isfinite(jac[i]).all():  # LAPACK would print to stdout before failing
-                outcomes[row] = NewtonConvergenceError(
-                    "Newton Jacobian became non-finite", norms[i])
-                continue
-            try:
-                step, *_ = np.linalg.lstsq(jac[i], -r[i], rcond=None)
-            except np.linalg.LinAlgError as err:  # an SVD that does not converge
-                outcomes[row] = NewtonConvergenceError(f"Newton update failed: {err}",
-                                                       norms[i])
-                continue
-            steps.append(step)
-            keep.append(i)
-        if not keep:
-            return outcomes
-        x, rows = x[keep] + np.stack(steps), rows[keep]
+        # gelsd prints to stdout on a non-finite matrix: such rows solve zeros.
+        finite = np.isfinite(jac).all(axis=(1, 2))
+        jac[~finite] = 0.0
+        steps, ranks = _least_squares(jac, -r)
+        running = finite & (ranks >= 0)
+        for i in np.flatnonzero(~running):
+            reason = ("update failed: SVD did not converge in Linear Least Squares"
+                      if finite[i] else "Jacobian became non-finite")
+            outcomes[rows[i]] = NewtonConvergenceError(f"Newton {reason}", float(norms[i]))
+        rows = rows[running]
+        lowest[rows] = np.minimum(lowest[rows], ranks[running])
+        x = x[running] + steps[running]
         iteration += 1
+    return outcomes
 
 
 def _solved(outcome):
@@ -345,7 +362,7 @@ def newton_solve(residual: Callable[[np.ndarray], np.ndarray], guess: np.ndarray
     def one_row(points, rows):
         return residual(points[0])[None]
 
-    return _solved(_newton_rows(one_row, np.asarray(guess, dtype=complex)[None])[0])
+    return _solved(_newton_rows(one_row, np.asarray(guess, dtype=complex)[None])[0])[:2]
 
 
 def _start_rows(Ld: DiscreteLagrangian, x0: np.ndarray) -> list:
@@ -363,7 +380,7 @@ def initial_step(Ld: DiscreteLagrangian, psi0: np.ndarray):
 
     Returns (psi_1, newton_iterations).
     """
-    return _solved(_start_rows(Ld, np.asarray(psi0, dtype=complex)[None])[0])
+    return _solved(_start_rows(Ld, np.asarray(psi0, dtype=complex)[None])[0])[:2]
 
 
 def _del_rows(Ld, prev: np.ndarray, curr: np.ndarray) -> list:
@@ -383,7 +400,7 @@ def del_step(Ld: DiscreteLagrangian, psi_prev: np.ndarray, psi_curr: np.ndarray)
     point a constant velocity would reach. Returns (psi_next, newton_iterations).
     """
     return _solved(_del_rows(Ld, np.asarray(psi_prev, dtype=complex)[None],
-                             np.asarray(psi_curr, dtype=complex)[None])[0])
+                             np.asarray(psi_curr, dtype=complex)[None])[0])[:2]
 
 
 @dataclass(frozen=True)
@@ -391,17 +408,23 @@ class DiscreteTrajectory:
     """Points of a discrete variational run on the uniform grid t_i = i * dt.
 
     ``points`` has shape (n_times, dim); for separable runs the rows are
-    stacked component vectors. ``newton_iterations[i]`` is the Newton
-    iteration count of the solve that produced ``points[i + 1]``.
+    stacked component vectors. ``newton_iterations[i]`` and
+    ``newton_residuals[i]`` are the Newton iteration count and final residual
+    norm of the solve that produced ``points[i + 1]``; ``min_lstsq_rank`` is
+    the lowest rank of the run's least-squares updates (None without one).
     """
 
     dt: float
     points: np.ndarray
     newton_iterations: np.ndarray
+    newton_residuals: np.ndarray
+    min_lstsq_rank: int | None
 
     def __post_init__(self):
-        if np.shape(self.newton_iterations) != (len(self.points) - 1,):
-            raise ValueError("newton_iterations needs one count per point after the first")
+        solves = (len(self.points) - 1,)
+        if np.shape(self.newton_iterations) != solves or np.shape(self.newton_residuals) != solves:
+            raise ValueError("newton_iterations and newton_residuals need one entry per "
+                             "point after the first")
 
     @cached_property
     def times(self) -> np.ndarray:
@@ -427,11 +450,15 @@ def _run_rows(start_Ld: DiscreteLagrangian, Ld, x0: np.ndarray, steps,
     for count in steps:
         check_grid(start_Ld.dt, count)
     history = [[row] for row in x0]
-    iterations: list[list[int]] = [[] for _ in x0]
+    solves: list[list[tuple]] = [[] for _ in x0]
     outcomes: list = [None] * len(x0)
 
     def make_traj(b):
-        return DiscreteTrajectory(start_Ld.dt, np.stack(history[b]), np.array(iterations[b]))
+        _, iterations, residuals, ranks = zip(*solves[b])
+        return DiscreteTrajectory(start_Ld.dt, np.stack(history[b]), np.array(iterations),
+                                  np.array(residuals),
+                                  min((rank for rank in ranks if rank is not None),
+                                      default=None))
 
     def advance(rows, solved, step):
         """Record each row's solve of ``step``; returns the rows still running."""
@@ -444,11 +471,11 @@ def _run_rows(start_Ld: DiscreteLagrangian, Ld, x0: np.ndarray, steps,
                     outcomes[b] = BlowupError(
                         f"solver failure at step {step}, treated as blow-up", make_traj(b))
                 continue
-            nxt, used = outcome
+            nxt = outcome[0]
             history[b].append(nxt)
-            iterations[b].append(used)
+            solves[b].append(outcome)
             if (step > 1 and blowup_factor is not None
-                    and np.max(np.abs(nxt)) > blowup_factor * references[b]):
+                    and np.abs(nxt).max() > blowup_factor * references[b]):
                 outcomes[b] = BlowupError(
                     f"amplitude exceeded {blowup_factor}x initial at step {step}",
                     make_traj(b))

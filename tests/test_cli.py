@@ -218,6 +218,12 @@ class TestNewtonRecord:
         assert solver["newton_solves"] == config.steps() == counts.size
         assert solver["newton_iterations"] == int(counts.sum())
         assert solver["max_newton_iterations"] == int(counts.max())
+        assert solver["min_lstsq_rank"] == discrete.min_lstsq_rank
+        assert solver["max_final_newton_residual"] == discrete.newton_residuals.max()
+        assert 0 < solver["max_final_newton_residual"] <= solver["tolerance"]
+        # Eight real unknowns on swap; the free rescaling of the components is
+        # not exactly null in a forward-difference Jacobian.
+        assert 1 <= solver["min_lstsq_rank"] <= 8
 
 
 class TestRungeKuttaRecord:

@@ -34,6 +34,7 @@ from sepdyn.variational import (
     velocity_momentum,
 )
 from sepdyn.variational import _SubstitutedDiscreteLagrangian, _forward_difference_jacobian
+from sepdyn.variational import _least_squares as real_least_squares
 
 from conftest import local_sum_hamiltonian, random_ket
 from test_reduced import random_local
@@ -431,6 +432,53 @@ class TestStackedResiduals:
             newton_solve(first_row_only, np.array([2.0 + 0j, 0.5 + 0j]))
 
 
+class TestStackedLeastSquares:
+    """The Newton update calls numpy's private gelsd gufunc on a stack of matrices.
+
+    Pinned to ``np.linalg.lstsq`` row by row, so that a numpy release that
+    moves or changes the gufunc fails here instead of changing results.
+    """
+
+    NUMPY = f"numpy {np.__version__}"
+
+    def test_the_gufunc_is_where_lstsq_finds_it(self):
+        gufunc = getattr(np.linalg._umath_linalg, "lstsq", None)
+        assert gufunc is not None, f"{self.NUMPY} has no linalg._umath_linalg.lstsq"
+        assert gufunc.signature == "(m,n),(m,nrhs),()->(n,nrhs),(nrhs),(),(p)", \
+            f"{self.NUMPY}: lstsq gufunc signature {gufunc.signature}"
+        assert "ddd->ddid" in gufunc.types, f"{self.NUMPY}: lstsq loops {gufunc.types}"
+
+    @pytest.mark.parametrize("m", [8, 20], ids=["swap", "random5"])
+    def test_rows_equal_np_linalg_lstsq(self, rng, m):
+        # Two full-rank matrices, two short of rank by one gauge direction (a
+        # column that is a scaled copy of another) and two with a zero row.
+        a = rng.standard_normal((6, m, m))
+        a[2:4, :, m - 1] = 2.0 * a[2:4, :, 0]
+        a[4:, m // 2] = 0.0
+        b = rng.standard_normal((6, m))
+        steps, ranks = real_least_squares(a, b)
+        assert ranks.tolist() == [m, m] + [m - 1] * 4, self.NUMPY
+        for i in range(6):
+            step, _, rank, _ = np.linalg.lstsq(a[i], b[i], rcond=None)
+            assert steps[i].view(np.uint64).tolist() == step.view(np.uint64).tolist(), \
+                f"{self.NUMPY}: row {i} differs from np.linalg.lstsq"
+            assert ranks[i] == rank, self.NUMPY
+
+    def test_a_failed_row_reads_rank_minus_one(self, rng):
+        # Where np.linalg.lstsq raises, the stacked call marks the row and
+        # solves the others; a NaN entry makes gelsd fail (and print to fd 1).
+        a = rng.standard_normal((3, 8, 8))
+        a[1, 0, 0] = np.nan
+        b = rng.standard_normal((3, 8))
+        steps, ranks = real_least_squares(a, b)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.lstsq(a[1], b[1], rcond=None)
+        assert ranks[1] == -1 and np.isnan(steps[1]).all(), self.NUMPY
+        for i in (0, 2):
+            step = np.linalg.lstsq(a[i], b[i], rcond=None)[0]
+            assert steps[i].view(np.uint64).tolist() == step.view(np.uint64).tolist()
+
+
 class TestInitialStep:
     def test_free_evolution_keeps_the_point(self, rng):
         H0 = HermitianOperator(np.zeros((4, 4)), (2, 2))
@@ -533,10 +581,12 @@ class TestDelStep:
         assert capfd.readouterr().out == ""
 
     def test_failed_update_is_a_convergence_failure(self, monkeypatch):
-        def no_update(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+        def no_update(a, b):
+            # What gelsd returns for a row whose SVD does not converge.
+            steps, ranks = real_least_squares(a, b)
+            return np.full_like(steps, np.nan), np.full_like(ranks, -1)
 
-        monkeypatch.setattr(np.linalg, "lstsq", no_update)
+        monkeypatch.setattr(variational, "_least_squares", no_update)
         with pytest.raises(NewtonConvergenceError, match="Newton update failed: SVD"):
             newton_solve(lambda y: y - 1.0, np.array([0.5 + 0j]))
 
@@ -577,7 +627,28 @@ class TestNewtonStatistics:
 
     def test_count_length_is_validated(self):
         with pytest.raises(ValueError):
-            DiscreteTrajectory(1.0, np.zeros((3, 2)), newton_iterations=np.ones(3))
+            DiscreteTrajectory(1.0, np.zeros((3, 2)), newton_iterations=np.ones(3),
+                               newton_residuals=np.ones(2), min_lstsq_rank=None)
+        with pytest.raises(ValueError):
+            DiscreteTrajectory(1.0, np.zeros((3, 2)), newton_iterations=np.ones(2),
+                               newton_residuals=np.ones(3), min_lstsq_rank=None)
+
+    def test_final_residuals_and_ranks_are_recorded(self, fig1_state):
+        H = swap_hamiltonian(2)
+        traj = integrate_restrict_then_discretize(H, 0.5, 0.05, 10, fig1_state)
+        # The start's residual, evaluated again at the point it accepted.
+        Ld = DiscreteLagrangian(separable_lagrangian(se_lagrangian(H), (2, 2)), 0.5, 0.05)
+        x0, x1 = traj.points[:2]
+        start = velocity_momentum(Ld.base, x0) + Ld.d1(x0, x1)
+        assert traj.newton_residuals[0] == np.linalg.norm(np.concatenate([start.real,
+                                                                          start.imag]))
+        assert np.all(traj.newton_residuals <= variational.NEWTON_TOL)
+        assert 1 <= traj.min_lstsq_rank <= 8
+        # A run whose every solve converges at its guess makes no update.
+        H0 = HermitianOperator(np.zeros((4, 4)), (2, 2))
+        free = integrate_restrict_then_discretize(H0, 0.5, 0.05, 3, fig1_state)
+        assert free.newton_iterations.tolist() == [0, 0, 0]
+        assert free.min_lstsq_rank is None
 
     def test_times_are_derived_and_read_only(self, fig1_state):
         traj = integrate_restrict_then_discretize(swap_hamiltonian(2), 0.5, 0.05, 12, fig1_state)
@@ -692,6 +763,40 @@ class TestRowBatches:
             assert outcomes[row][0].view(np.uint64).tolist() == \
                 solution.view(np.uint64).tolist()
             assert outcomes[row][1] == iterations
+
+    def test_row_failures_leave_the_other_rows(self, monkeypatch, capfd):
+        # Row 1's update fails (gelsd's failure is faked for its steep
+        # Jacobian), row 3's Jacobian is infinite, and rows 0, 2 and 4 solve
+        # as they do alone.
+        targets = np.array([[4.0], [2.0], [9.0], [3.0], [0.25]], dtype=complex)
+        scales = np.array([[1.0], [100.0], [1.0], [1.0], [1.0]])
+
+        def residual(points, rows):
+            values = variational._row_data(scales, rows, points) * (
+                points**2 - variational._row_data(targets, rows, points))
+            if points.ndim == 3:  # the Jacobians' bumped points
+                values[rows == 3] = np.inf
+            return values
+
+        def fail_steep_rows(a, b):
+            steps, ranks = real_least_squares(a, b)
+            steep = np.abs(a).max(axis=(1, 2)) > 50.0
+            steps[steep], ranks[steep] = np.nan, -1
+            return steps, ranks
+
+        monkeypatch.setattr(variational, "_least_squares", fail_steep_rows)
+        outcomes = variational._newton_rows(residual, np.ones((5, 1), dtype=complex))
+        monkeypatch.undo()
+        assert "Newton update failed: SVD" in str(outcomes[1])
+        assert "Newton Jacobian became non-finite" in str(outcomes[3])
+        for row in (0, 2, 4):
+            alone = variational._newton_rows(lambda y, _: y**2 - targets[row],
+                                             np.ones((1, 1), dtype=complex))[0]
+            assert outcomes[row][0].view(np.uint64).tolist() == \
+                alone[0].view(np.uint64).tolist()
+            assert outcomes[row][1:] == alone[1:]
+        # The infinite Jacobian never reached gelsd, which would print to fd 1.
+        assert capfd.readouterr().out == ""
 
     def test_unknown_ordering_is_rejected(self, fig1_state):
         with pytest.raises(ValueError, match="unknown ordering"):
@@ -855,6 +960,66 @@ class TestDiscretizeThenRestrict:
             assert np.all(np.isfinite(err.partial.points))
         else:
             pytest.fail("expected a blow-up")
+
+
+def two_qubit_products(points):
+    """Product states a (x) b of a (T, 4) series of stacked two-qubit components."""
+    return np.einsum("ti,tj->tij", points[:, :2], points[:, 2:]).reshape(len(points), 4)
+
+
+class TestPeriodTwoRate:
+    """Oracles for the parasitic root: restrict first has no growing period-2
+    mode, and discretize first has one at a rate gamma = O(1) that does not
+    depend on dt (p grows like dt^2 e^(gamma t))."""
+
+    DTS = (0.04, 0.02, 0.01, 0.005)
+    T_FINAL = 5.0
+
+    @staticmethod
+    def fixed_state():
+        a = np.array([0.21 + 0.2j, 0.51 - 0.81j])
+        b = np.array([0.71 - 0.42j, 0.35 + 0.45j])
+        return ComponentState((Ket(a / np.linalg.norm(a)), Ket(b / np.linalg.norm(b))))
+
+    def products(self, run, dt):
+        traj = run(swap_hamiltonian(2), 0.5, dt, int(round(self.T_FINAL / dt)),
+                   self.fixed_state())
+        return two_qubit_products(traj.points)
+
+    @staticmethod
+    def rate(dt, products, mode_rate=None):
+        """period_two_rate of the products; with ``mode_rate``, of the products
+        plus a (-1)^n e^(mode_rate t) mode 100 times the run's largest p from
+        the fit window on."""
+        if mode_rate is not None:
+            n = np.arange(len(products))
+            size = 100.0 * period_two_amplitude(products).max() * np.exp(
+                -mode_rate * dt * len(products) / 2)
+            products = products + size * ((-1.0) ** n * np.exp(mode_rate * dt * n))[:, None] \
+                * products[0]
+        return period_two_rate(dt, period_two_amplitude(products))
+
+    def test_restrict_first_rate_is_at_most_about_zero(self):
+        for dt in self.DTS[:2]:
+            products = self.products(integrate_restrict_then_discretize, dt)
+            assert self.rate(dt, products) < 0.1
+            # Counter-case: a growing period-2 mode added to the same points.
+            assert self.rate(dt, products, mode_rate=0.5) > 0.1
+
+    def test_discretize_first_rate_agrees_across_dt(self):
+        products = {dt: self.products(integrate_discretize_then_restrict, dt)
+                    for dt in self.DTS}
+
+        def spread(rates):
+            return (max(rates) - min(rates)) / min(rates)
+
+        rates = [self.rate(dt, products[dt]) for dt in self.DTS]
+        # A growth rate of order one, the same at every dt.
+        assert min(rates) > 0.5
+        assert spread(rates) < 0.02
+        # Counter-case: a mode whose rate moves with dt.
+        assert spread([self.rate(dt, products[dt], mode_rate=1.0 + 20.0 * dt)
+                       for dt in self.DTS]) > 0.02
 
 
 class TestComponentLayout:
