@@ -3,20 +3,15 @@
 Every exp(-i t H) in the package, unrestricted or of a one-component
 reduced operator, is ``spectral_apply`` (``HermitianPropagator`` for a
 whole time grid) on an eigendecomposition: the one a
-:class:`HermitianOperator` computes once and keeps, or the ``eigh`` of a
-reduced matrix in a splitting sub-step. The restricted equations are
-integrated by composing the exactly-solvable one-component flows:
-sequentially for the first-order scheme, palindromically for the
-second-order one. The step maps work on plain stacked (sum(dims),)
-component arrays laid out by ``H.dims``; each sub-step reduces H through
-its slot block (``H.slot_blocks``, prepared once per operator) and builds
-no state or operator object. ``evolve`` validates the operator, the initial
-state, every component's norm as a context, and the step size once, at the
-API boundary. Every sub-step is norm preserving per component, so no
-context norm falls below that check later, and the reconstructed product
-state keeps its norm to machine precision. The reduction is of order ‖H‖
-norm², so a finite norm² can still overflow; ``evolve`` tests the rows
-every ``FINITE_CHECK_STEPS`` steps.
+:class:`HermitianOperator` computes once and keeps, or that of a reduced
+matrix in a splitting sub-step. The restricted equations are integrated by
+composing the exactly-solvable one-component flows, sequentially (first
+order) or palindromically (second order), each step in one ``_flow`` over
+a list of component arrays. ``evolve`` checks the operator, the initial
+state, every context norm and the step size once; sub-steps are unitary
+per component, so no context norm falls later. The reduction, of order
+‖H‖ norm², can overflow, and a non-finite reduced matrix decomposes to
+NaN without raising; ``evolve`` tests rows each ``FINITE_CHECK_STEPS`` steps.
 """
 
 from __future__ import annotations
@@ -28,6 +23,7 @@ from functools import cached_property
 from math import prod
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .hamiltonians import HermitianOperator, check_dims
 from .reduced import check_contexts, contract_reduced
@@ -140,31 +136,37 @@ def hermitian_expm_apply(H: HermitianOperator, t: float, vec: np.ndarray) -> np.
     return spectral_apply(*H.spectrum, t, vec)
 
 
+def _flow(H: HermitianOperator, x: np.ndarray, sequence) -> np.ndarray:
+    """Stacked components ``x`` flowed through the (k, tau) sub-steps in order.
+
+    ``x`` is split once into a list and not written. Sub-step (k, tau)
+    rebinds entry k to its flow by tau under ``H.slot_blocks[k]``'s
+    reduction, decomposed by the eigh gufunc that ``np.linalg.eigh`` wraps.
+    """
+    parts = split_components(np.asarray(x, dtype=complex), H.dims)
+    for k, tau in sequence:
+        reduced = contract_reduced(H.slot_blocks[k], parts, k)
+        evals, evecs = _umath_linalg.eigh_lo(reduced, signature="D->dD")
+        parts[k] = spectral_apply(evals, evecs, tau, parts[k])
+    return np.concatenate(parts)
+
+
 def sse_component_flow(H: HermitianOperator, x: np.ndarray, k: int, t: float) -> np.ndarray:
     """Flow of the k-th restricted equation with the other components frozen.
 
     ``x`` is the stacked components concat(a_0, ..., a_{N-1}) laid out by
-    ``H.dims``; returns a new stacked array whose block k is flowed by t
-    under the operator that ``H.slot_blocks[k]`` reduces to.
+    ``H.dims``; the result is ``_flow`` over the one sub-step (k, t).
     """
-    dims = H.dims
-    parts = split_components(x, dims)
-    evals, evecs = np.linalg.eigh(contract_reduced(H.slot_blocks[k], parts, k))
-    out = x.astype(complex)
-    offset = sum(dims[:k])
-    out[offset : offset + dims[k]] = spectral_apply(evals, evecs, t, parts[k])
-    return out
+    return _flow(H, x, [(k, t)])
 
 
 def lie_trotter_step(H: HermitianOperator, x: np.ndarray, dt: float) -> np.ndarray:
     """One first-order splitting step on stacked components: one component at a time.
 
     Component l sees components 0..l-1 already updated and l+1..N-1 still at
-    their previous values.
+    their previous values: one ``_flow`` over (0, dt), ..., (N-1, dt).
     """
-    for l in range(len(H.dims)):
-        x = sse_component_flow(H, x, l, dt)
-    return x
+    return _flow(H, x, [(l, dt) for l in range(len(H.dims))])
 
 
 def strang_step(H: HermitianOperator, x: np.ndarray, dt: float) -> np.ndarray:
@@ -173,17 +175,14 @@ def strang_step(H: HermitianOperator, x: np.ndarray, dt: float) -> np.ndarray:
     For two components the composition is: half-step on component 1, full
     step on component 0, half-step on component 1. For more components:
     half-steps on 0..N-2 ascending, a full step on N-1, then half-steps on
-    N-2..0 descending. Every sub-step sees the most recently updated context.
+    N-2..0 descending, in one ``_flow``. Every sub-step sees the most
+    recently updated context.
     """
     n = len(H.dims)
     if n == 2:
-        sequence = [(1, 0.5 * dt), (0, dt), (1, 0.5 * dt)]
-    else:
-        ascending = [(l, 0.5 * dt) for l in range(n - 1)]
-        sequence = ascending + [(n - 1, dt)] + ascending[::-1]
-    for l, tau in sequence:
-        x = sse_component_flow(H, x, l, tau)
-    return x
+        return _flow(H, x, [(1, 0.5 * dt), (0, dt), (1, 0.5 * dt)])
+    ascending = [(l, 0.5 * dt) for l in range(n - 1)]
+    return _flow(H, x, ascending + [(n - 1, dt)] + ascending[::-1])
 
 
 _STEP_MAPS = {

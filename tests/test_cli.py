@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from sepdyn import analysis, bea, cli, states, variational
+from sepdyn import analysis, bea, cli, propagators, states, variational
 from sepdyn.propagators import SplittingScheme, Trajectory
 
 SWAP_STATE = [[1.0, 0.0], [0.6, [0.0, 0.8]]]
@@ -391,6 +391,27 @@ class TestFiniteProbes:
         got, err = run_with(tmp_path, capsys, **{"dt": 0.1, "t_final": 0.3, **fields})
         assert got == code
         assert message in err
+        assert len(err.strip().splitlines()) == 1
+        assert list((tmp_path / "out").glob("run.*")) == []
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("integrator, per_step", [("lie_trotter", 2), ("strang", 3)])
+    def test_a_nan_decomposition_exits_3(self, tmp_path, capsys, monkeypatch, integrator,
+                                         per_step):
+        # Sub-steps call the eigh gufunc without np.linalg.eigh's wrapper, so a
+        # decomposition that fails gives NaN, not LinAlgError. From step 3 on,
+        # every sub-step's reduction here is NaN.
+        calls = []
+
+        def nan_from_step_3(block, vectors, keep, _kernel=propagators.contract_reduced):
+            calls.append(keep)
+            reduced = _kernel(block, vectors, keep)
+            return reduced if len(calls) <= 2 * per_step else np.full_like(reduced, np.nan)
+
+        monkeypatch.setattr(propagators, "contract_reduced", nan_from_step_3)
+        code, err = run_with(tmp_path, capsys, integrator=integrator, dt=0.1, t_final=0.5)
+        assert code == cli.EXIT_SOLVER
+        assert "splitting step 3 produced a non-finite state" in err
         assert len(err.strip().splitlines()) == 1
         assert list((tmp_path / "out").glob("run.*")) == []
 

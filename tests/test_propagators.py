@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 
 from sepdyn import propagators
 from sepdyn.exact_swap import SwapInitialData, exact_sse_swap, lie_trotter_swap_closed_form
@@ -21,10 +22,11 @@ from sepdyn.propagators import (
     hermitian_expm_apply,
     lie_trotter_step,
     se_evolve,
+    spectral_apply,
     sse_component_flow,
     strang_step,
 )
-from sepdyn.reduced import DegenerateStateError, partially_reduced
+from sepdyn.reduced import DegenerateStateError, contract_reduced, partially_reduced
 from sepdyn.states import (
     ComponentState,
     FullState,
@@ -93,6 +95,51 @@ class TestHermitianExpmApply:
         assert len(calls) == 1
         assert np.array_equal(first, again)
         assert np.max(np.abs(grid.full[3] - first)) < 1e-12
+
+
+class TestEighGufunc:
+    """Splitting sub-steps call numpy's private eigh gufunc on the reduced operators.
+
+    Pinned to ``np.linalg.eigh``, which wraps it, bit for bit, so that a numpy
+    release that moves or changes the gufunc fails here instead of changing
+    trajectories.
+    """
+
+    NUMPY = f"numpy {np.__version__}"
+
+    def assert_decomposes_as_eigh(self, h):
+        evals, evecs = _umath_linalg.eigh_lo(h, signature="D->dD")
+        expected = np.linalg.eigh(h)
+        assert evals.dtype == np.float64 and evecs.dtype == np.complex128, self.NUMPY
+        assert evals.tobytes() == expected.eigenvalues.tobytes(), \
+            f"{self.NUMPY}: eigenvalues differ from np.linalg.eigh"
+        assert evecs.tobytes() == expected.eigenvectors.tobytes(), \
+            f"{self.NUMPY}: eigenvectors differ from np.linalg.eigh"
+        return evals
+
+    def test_the_gufunc_is_where_eigh_finds_it(self):
+        gufunc = getattr(_umath_linalg, "eigh_lo", None)
+        assert gufunc is not None, f"{self.NUMPY} has no linalg._umath_linalg.eigh_lo"
+        assert gufunc.signature == "(m,m)->(m),(m,m)", \
+            f"{self.NUMPY}: eigh_lo gufunc signature {gufunc.signature}"
+        assert "D->dD" in gufunc.types, f"{self.NUMPY}: eigh_lo loops {gufunc.types}"
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3, 2)])
+    def test_reduced_operators_decompose_as_np_linalg_eigh(self, rng, dims):
+        H = random_hermitian_on(rng, dims)
+        for _ in range(4):
+            vectors = [random_ket(rng, d, normalize=False).amplitudes for d in dims]
+            for k in range(len(dims)):
+                self.assert_decomposes_as_eigh(contract_reduced(H.slot_blocks[k], vectors, k))
+
+    def test_a_degenerate_spectrum_decomposes_as_np_linalg_eigh(self, rng):
+        # Swap on qutrits at a product context b reduces to |b><b| / |b|²,
+        # whose eigenvalue 0 is double.
+        b = random_ket(rng, 3, normalize=False).amplitudes
+        for context in (b, np.array([1.0, 0.0, 0.0], dtype=complex)):
+            reduced = contract_reduced(swap_hamiltonian(3).slot_blocks[0], [b, context], 0)
+            evals = self.assert_decomposes_as_eigh(reduced)
+            assert np.max(np.abs(evals - [0.0, 0.0, 1.0])) < 1e-15
 
 
 class TestSeFlow:
@@ -299,6 +346,30 @@ class TestEvolve:
             assert np.max(np.abs(p_num - p_exa)) < 1e-10
 
 
+def scheme_sequence(scheme, n, dt) -> list[tuple[int, float]]:
+    """The (component, time) sub-steps of one step, in the order each scheme documents."""
+    if scheme is SplittingScheme.LIE_TROTTER:
+        return [(l, dt) for l in range(n)]
+    if n == 2:
+        return [(1, 0.5 * dt), (0, dt), (1, 0.5 * dt)]
+    ascending = [(l, 0.5 * dt) for l in range(n - 1)]
+    return ascending + [(n - 1, dt)] + ascending[::-1]
+
+
+def stacked_sub_step(H, x, k, tau) -> np.ndarray:
+    """One sub-step on stacked components, written out with public calls.
+
+    ``np.linalg.eigh`` of the slot-block reduction, and the flowed block
+    written into a copy of ``x``: the oracle of the step maps' kernel.
+    """
+    parts = split_components(x, H.dims)
+    evals, evecs = np.linalg.eigh(contract_reduced(H.slot_blocks[k], parts, k))
+    out = x.copy()
+    offset = sum(H.dims[:k])
+    out[offset : offset + H.dims[k]] = spectral_apply(evals, evecs, tau, parts[k])
+    return out
+
+
 def object_path_rows(scheme, H, state0, dt, steps) -> np.ndarray:
     """Reference trajectory of stacked components built from validated objects.
 
@@ -306,18 +377,10 @@ def object_path_rows(scheme, H, state0, dt, steps) -> np.ndarray:
     ``partially_reduced`` and applies ``hermitian_expm_apply`` to a Ket, in
     the splitting order each scheme documents.
     """
-    n = len(state0.parts)
-    if scheme is SplittingScheme.LIE_TROTTER:
-        sequence = [(l, dt) for l in range(n)]
-    elif n == 2:
-        sequence = [(1, 0.5 * dt), (0, dt), (1, 0.5 * dt)]
-    else:
-        ascending = [(l, 0.5 * dt) for l in range(n - 1)]
-        sequence = ascending + [(n - 1, dt)] + ascending[::-1]
     parts = list(state0.parts)
     rows = [stacked(state0)]
     for _ in range(steps):
-        for l, tau in sequence:
+        for l, tau in scheme_sequence(scheme, len(parts), dt):
             reduced = partially_reduced(H, ComponentState(tuple(parts)), l)
             parts[l] = Ket(hermitian_expm_apply(reduced, tau, parts[l].amplitudes))
         rows.append(stacked(ComponentState(tuple(parts))))
@@ -353,6 +416,56 @@ class TestArrayCore:
         traj = evolve(scheme, H, state, dt, steps)
         reference = object_path_rows(scheme, H, state, dt, steps)
         assert np.max(np.abs(traj.components - reference)) < 1e-12
+
+    @pytest.mark.parametrize("scheme", list(SplittingScheme))
+    @pytest.mark.parametrize("system", ["random5", "ladder"])
+    def test_rows_equal_the_fold_of_stacked_sub_steps(self, rng, system, scheme):
+        """Every row is, bit for bit, the previous row flowed by one sub-step
+        at a time through ``np.linalg.eigh`` into a copy of the stack."""
+        H = SYSTEMS[system]()
+        state = ComponentState(tuple(random_ket(rng, d) for d in H.dims))
+        dt, steps = 0.05, 30
+        rows = evolve(scheme, H, state, dt, steps).components
+        x = stacked(state)
+        assert rows[0].tobytes() == x.tobytes()
+        for i in range(1, steps + 1):
+            for k, tau in scheme_sequence(scheme, len(H.dims), dt):
+                x = stacked_sub_step(H, x, k, tau)
+            assert rows[i].tobytes() == x.tobytes(), f"row {i}"
+
+    @pytest.mark.parametrize("step", [
+        lie_trotter_step, strang_step, lambda H, x, dt: sse_component_flow(H, x, 1, dt)],
+        ids=["lie_trotter", "strang", "sse_component_flow"])
+    def test_step_maps_leave_a_read_only_x_unchanged(self, rng, step):
+        H = random_hermitian_on(rng, (2, 3, 2))
+        x = np.concatenate([random_ket(rng, d).amplitudes for d in H.dims])
+        before = x.copy()
+        x.setflags(write=False)
+        out = step(H, x, 0.1)
+        assert x.tobytes() == before.tobytes()
+        assert not np.shares_memory(out, x)
+        assert out.shape == x.shape and not np.array_equal(out, x)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scheme", list(SplittingScheme))
+    @pytest.mark.parametrize("j", [1, 2, 300])
+    def test_a_nan_decomposition_ends_as_a_non_finite_state(self, monkeypatch, fig1_state,
+                                                            scheme, j):
+        """The eigh gufunc decomposes a NaN matrix to NaN and raises nothing,
+        so the run ends at its next finiteness test, naming step j."""
+        per_step = len(scheme_sequence(scheme, 2, 0.1))
+        calls = []
+
+        def nan_from_step_j(block, vectors, keep, _kernel=propagators.contract_reduced):
+            calls.append(keep)
+            reduced = _kernel(block, vectors, keep)
+            return reduced if len(calls) <= (j - 1) * per_step else np.full_like(reduced, np.nan)
+
+        monkeypatch.setattr(propagators, "contract_reduced", nan_from_step_j)
+        with pytest.raises(NonFiniteStateError, match=f"splitting step {j} "):
+            evolve(scheme, swap_hamiltonian(2), fig1_state, 0.01, 600)
+        block = propagators.FINITE_CHECK_STEPS
+        assert len(calls) == -(-j // block) * block * per_step
 
     @pytest.mark.parametrize("scheme", list(SplittingScheme))
     def test_dims_mismatch_rejected_before_any_step(self, rng, monkeypatch, scheme):

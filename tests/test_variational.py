@@ -839,6 +839,52 @@ class TestFullStateIntegration:
             * psi0
         assert period_two_rate(dt, period_two_amplitude(grown)) > 0.5
 
+    @staticmethod
+    def two_step_eigenvalues(step, prev, curr, h=1e-5):
+        """Eigenvalues of the forward-difference Jacobian of the two-step map
+        (prev, curr) -> (curr, step(prev, curr)), in the real coordinates
+        (Re, Im) of the pair."""
+        dim = prev.size
+
+        def pair_map(z):
+            pair = z[: 2 * dim] + 1j * z[2 * dim :]
+            out = np.concatenate([pair[dim:], step(pair[:dim], pair[dim:])])
+            return np.concatenate([out.real, out.imag])
+
+        z0 = np.concatenate([prev.real, curr.real, prev.imag, curr.imag])
+        f0 = pair_map(z0)
+        jac = np.stack([(pair_map(z0 + h * e) - f0) / h for e in np.eye(z0.size)], axis=1)
+        return np.linalg.eigvals(jac)
+
+    @pytest.mark.parametrize("H", [swap_hamiltonian(2), random_hermitian(3, seed=11)],
+                             ids=["swap", "random3"])
+    def test_two_step_map_has_its_spectrum_on_the_unit_circle(self, rng, H):
+        # At alpha 1/2 each eigenvalue of H gives the recursion a Cayley root
+        # and the root -1, both of modulus 1: in real coordinates 2D of the 4D
+        # eigenvalues are -1. The map is linear, so the forward differences
+        # are exact up to the Newton tolerance over h.
+        dim = H.entries.shape[0]
+        dt, gamma, tol = 0.05, 1.0, 1e-6
+        Ld = DiscreteLagrangian(se_lagrangian(H), 0.5, dt)
+        prev = random_ket(rng, dim).amplitudes
+        curr = initial_step(Ld, prev)[0]
+
+        def step(p, c):
+            return del_step(Ld, p, c)[0]
+
+        mu = self.two_step_eigenvalues(step, prev, curr)
+        assert np.max(np.abs(np.abs(mu) - 1.0)) < tol
+        assert np.sum(np.abs(mu + 1.0) < tol) == 2 * dim
+
+        # Counter-case: the same map with an added (-1)^n mode that grows by
+        # gamma dt per step; (n - 2c + p) / 4 is that mode's part of n.
+        def grown(p, c):
+            n = step(p, c)
+            return n + gamma * dt * (n - 2.0 * c + p) / 4.0
+
+        mu = self.two_step_eigenvalues(grown, prev, curr)
+        assert np.max(np.abs(np.abs(mu) - 1.0)) > 0.5 * gamma * dt
+
     def test_stability_dichotomy_against_stiff_generator(self, rng):
         # The endpoint quadratures are conditionally stable: they explode once
         # an eigenvalue crosses 1/dt, while the midpoint rule holds the norm
