@@ -22,6 +22,10 @@ config of a batch carries the batch's integration. ``--jobs`` hands each
 batch, and each other config, to a worker as one work unit, and starts at
 most one worker per unit and CPU.
 
+The CSV holds every value as ``format(v, ".17g")``, byte for byte; a numpy
+kernel (``write_csv``) produces that text in blocks of rows, and formats
+with ``%.17g`` itself only the cells its error certificate does not cover.
+
 Exit codes: 0 success, 2 config validation error, 3 solver failure,
 4 variational blow-up (partial output retained); a directory exits with the
 largest code of its configs.
@@ -82,6 +86,8 @@ MAX_STEPS = 10**6
 # A batch keeps every row's points until its last row ends: at most this many
 # amplitudes (160 MB) over its configs, or one config's if that is more.
 BATCH_AMPLITUDES = 10**7
+# write_csv formats whole rows of at most about this many cells at a time.
+CSV_BLOCK_CELLS = 2**15
 
 
 class ConfigError(ValueError):
@@ -382,8 +388,16 @@ def _diagnostic_columns(config: ExperimentConfig, result: RunResult,
 def write_csv(path: Path, result: RunResult, columns: dict[str, np.ndarray]):
     """Time, the real and imaginary part of every stored amplitude, then ``columns``.
 
-    Component runs write the stacked components, others the full state. Every
-    value is written as ``format(v, ".17g")``, which round-trips a double.
+    Component runs write the stacked components, others the full state. The
+    file is byte for byte a header line, then per row every value as
+    ``format(v, ".17g")`` (which round-trips a double) joined by ``,`` and
+    ended by ``\\n``. Whole rows of at most ``CSV_BLOCK_CELLS`` cells (or
+    one row) at a time go through the numpy kernel of ``sepdyn._csvtext``. It
+    certifies a cell's 17 digits when the computed remainder of
+    |v| * 10^(16 - X), whose error is at most 4.3e-15, lies farther than
+    1e-14 from a half-integer and the digits do not round to a power of ten.
+    Every other cell, and every zero, non-finite value or |v| outside
+    [1e-280, 1e280), is formatted by ``%.17g`` itself.
     """
     traj = result.trajectory
     if traj.components is not None:
@@ -395,25 +409,44 @@ def write_csv(path: Path, result: RunResult, columns: dict[str, np.ndarray]):
     headers = ["t"] + [f"{part}_{label}" for label in labels for part in ("re", "im")]
     headers += list(columns)
     width = 2 * states.shape[1]
-    table = np.empty((traj.times.size, len(headers)))
-    table[:, 0] = traj.times
-    table[:, 1 : 1 + width : 2] = states.real
-    table[:, 2 : 2 + width : 2] = states.imag
-    for offset, values in enumerate(columns.values(), start=1 + width):
-        table[:, offset] = values
-    row_format = ",".join(["%.17g"] * len(headers)) + "\n"
-    with path.open("w", newline="") as handle:
-        handle.write(",".join(headers) + "\n")
-        handle.writelines(row_format % tuple(row) for row in table.tolist())
+    block_rows = max(1, CSV_BLOCK_CELLS // len(headers))
+    # Imported here, not with the module, so that a process that never writes a
+    # CSV (setup, validation) does not compile the kernel.
+    from ._csvtext import csv_rows
+
+    with path.open("wb") as handle:
+        handle.write((",".join(headers) + "\n").encode())
+        for start in range(0, traj.times.size, block_rows):
+            stop = min(start + block_rows, traj.times.size)
+            block = np.empty((stop - start, len(headers)))
+            block[:, 0] = traj.times[start:stop]
+            block[:, 1 : 1 + width : 2] = states[start:stop].real
+            block[:, 2 : 2 + width : 2] = states[start:stop].imag
+            for offset, values in enumerate(columns.values(), start=1 + width):
+                block[:, offset] = values[start:stop]
+            handle.write(csv_rows(block))
 
 
-def _conservation_summary(config: ExperimentConfig, result: RunResult) -> dict:
+def _conservation_summary(config: ExperimentConfig, result: RunResult,
+                          columns: dict[str, np.ndarray]) -> dict:
+    """The run JSON's summary: drifts, extremes of the diagnostic ``columns``, gauge.
+
+    With ``abs_overlap``: its minimum and the first time it is reached. With
+    ``purity``: the largest linear entropy 1 - tr rho^2 over subsystems and rows.
+    """
     traj = result.trajectory
     norms = traj.norm
     summary = {
         "max_abs_norm_drift": float(np.max(np.abs(norms - norms[0]))),
         "final_norm": float(norms[-1]),
     }
+    if "abs_overlap" in columns:
+        lowest = int(np.argmin(columns["abs_overlap"]))
+        summary["min_abs_overlap"] = float(columns["abs_overlap"][lowest])
+        summary["min_abs_overlap_time"] = float(traj.times[lowest])
+    if "purity" in config.outputs:
+        lowest_purity = min(columns[f"purity{j + 1}"].min() for j in range(len(traj.dims)))
+        summary["max_linear_entropy"] = float(1.0 - lowest_purity)
     if config.experiment == "swap" and traj.components is not None:
         qs = np.einsum("ti,ti->t", traj.components[:, :2].conj(), traj.components[:, 2:])
         summary["max_abs_q_drift"] = float(np.max(np.abs(qs - qs[0])))
@@ -486,7 +519,7 @@ def run(config: ExperimentConfig, batch: _Batch | None = None) -> int:
 
     payload = {
         "config": asdict(config),
-        "summary": _conservation_summary(config, result),
+        "summary": _conservation_summary(config, result, columns),
         "solver": result.solver_stats,
         "rows_written": int(result.trajectory.times.size),
     }

@@ -1,10 +1,17 @@
+import os
 from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sepdyn.hamiltonians import HermitianOperator
 from sepdyn.states import ComponentState, Ket
+
+# CI runs HYPOTHESIS_PROFILE=ci: the same examples on every run, and a failure
+# prints the blob that reproduces it. Local runs keep random exploration.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def random_ket(rng, dim=2, normalize=True):

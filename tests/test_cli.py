@@ -123,6 +123,43 @@ class TestWriteCsv:
         assert rows[1][6] == "4.9406564584124654e-324"
 
 
+def row_format_csv(headers, table) -> bytes:
+    """A CSV written one row at a time with ``%.17g`` per cell: the reference bytes."""
+    row_format = ",".join(["%.17g"] * len(headers)) + "\n"
+    return (",".join(headers) + "\n"
+            + "".join(row_format % tuple(row) for row in table.tolist())).encode()
+
+
+class TestWriteCsvBlocks:
+    """Blocks of rows give the bytes of the row-by-row ``%.17g`` writer."""
+
+    def mixed_run(self, rows):
+        rng = np.random.default_rng(7)
+        scale = 10.0 ** rng.integers(-9, 3, (rows, 4))
+        full = (rng.standard_normal((rows, 4)) + 1j * rng.standard_normal((rows, 4))) * scale
+        full[::5, 1] = complex(-0.0, 0.0)
+        full[::7, 2] = complex(0.0, -0.0)
+        full[-1, 3] = 1e300 - 1e-300j
+        columns = {"norm": 1 + rng.integers(-3, 4, rows) * 2.0**-52,
+                   "rate_nucl": rng.standard_normal(rows) * 1e-6,
+                   "purity1": np.where(np.arange(rows) % 3, -0.0, 0.5)}
+        traj = Trajectory(0.001, (2, 2), full=full)
+        headers = ["t"] + [f"{p}_psi_{i}" for i in range(4) for p in ("re", "im")]
+        headers += list(columns)
+        table = np.column_stack([traj.times, full.view(float), *columns.values()])
+        return traj, columns, headers, table
+
+    # 12 columns a row; the row counts are not multiples of the block.
+    @pytest.mark.parametrize("block_cells, rows", [
+        (cli.CSV_BLOCK_CELLS, 2 * (cli.CSV_BLOCK_CELLS // 12) + 5), (25, 9), (25, 1)])
+    def test_same_bytes_as_row_by_row(self, tmp_path, monkeypatch, block_cells, rows):
+        monkeypatch.setattr(cli, "CSV_BLOCK_CELLS", block_cells)
+        traj, columns, headers, table = self.mixed_run(rows)
+        path = tmp_path / "run.csv"
+        cli.write_csv(path, cli.RunResult(traj, {}), columns)
+        assert path.read_bytes() == row_format_csv(headers, table)
+
+
 def run_with(tmp_path, capsys, overrides=(), **fields):
     config = {**swap_config(tmp_path / "out" / "run", 0.02), **fields}
     path = tmp_path / "run.config.json"
@@ -899,3 +936,40 @@ class TestDiagnosticColumns:
         monkeypatch.setattr(np.linalg, "eigh", counting)
         self.run_columns(tmp_path, capsys, outputs=["abs_overlap"])
         assert sides == [4]
+
+
+class TestAnswerRecord:
+    """The summary records the smallest overlap and the largest linear entropy."""
+
+    KEYS = {"min_abs_overlap", "min_abs_overlap_time", "max_linear_entropy"}
+
+    def run_summary(self, tmp_path, capsys, **fields):
+        code, _ = run_with(tmp_path, capsys, **fields)
+        assert code == cli.EXIT_OK
+        out = tmp_path / "out"
+        return json.loads((out / "run.json").read_text())["summary"], csv_columns(out / "run.csv")
+
+    def test_swap_from_a_product_basis_state_reaches_half(self, tmp_path, capsys):
+        # From |0>|1>, each qubit's linear entropy is sin^2(2t) / 2.
+        summary, columns = self.run_summary(
+            tmp_path, capsys, dt=0.01, t_final=1.0, initial_state=[[1, 0], [0, 1]],
+            outputs=["abs_overlap", "purity"])
+        assert abs(summary["max_linear_entropy"] - 0.5) < 1e-4
+        assert summary["max_linear_entropy"] == 1 - min(columns["purity1"].min(),
+                                                        columns["purity2"].min())
+        expected = np.sin(2 * columns["t"]) ** 2 / 2
+        assert np.max(np.abs(1 - columns["purity1"] - expected)) < 1e-12
+        assert abs(summary["min_abs_overlap"] - 1) < 1e-12
+
+    def test_restricted_run_stays_a_product_state(self, tmp_path, capsys):
+        summary, columns = self.run_summary(
+            tmp_path, capsys, integrator="lie_trotter", dt=0.01, t_final=1.0,
+            outputs=["abs_overlap", "purity"])
+        assert summary["max_linear_entropy"] <= 1e-12
+        lowest = int(np.argmin(columns["abs_overlap"]))
+        assert summary["min_abs_overlap"] == columns["abs_overlap"][lowest] < 1
+        assert summary["min_abs_overlap_time"] == columns["t"][lowest]
+
+    def test_keys_only_with_their_columns(self, tmp_path, capsys):
+        summary, _ = self.run_summary(tmp_path, capsys, outputs=["norm", "bloch"])
+        assert not self.KEYS & set(summary)
