@@ -40,7 +40,7 @@ RK_MAX_STEPS = 20_000
 
 
 class StepSizeUnderflowError(RuntimeError):
-    """A step size below 1e-14, or a step size or error estimate that is not finite."""
+    """A step size below 1e-14, a non-finite step or error estimate, or a field overflow."""
 
 
 def _trotter_matrix(order: int, dt: float, q: complex) -> list:
@@ -95,10 +95,11 @@ class ModifiedRHS:
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
         pair = y.reshape(2, -1)  # rows a and b
         q = complex(np.vdot(pair[0], pair[1]))
-        if self.scheme is SplittingScheme.LIE_TROTTER:
-            matrix = _trotter_matrix(self.truncation_order, self.dt, q)
-        else:
-            matrix = _strang_matrix(self.truncation_order, self.dt, q)
+        build = _trotter_matrix if self.scheme is SplittingScheme.LIE_TROTTER else _strang_matrix
+        try:
+            matrix = build(self.truncation_order, self.dt, q)
+        except OverflowError:  # |q|² beyond the double range, from the float power
+            raise StepSizeUnderflowError(f"modified field overflowed at t={t}") from None
         return np.dot(np.array(matrix), pair).reshape(-1)
 
 

@@ -15,12 +15,12 @@ Variational configs of one invocation that share experiment, Hamiltonian
 (``seed``/``r_party``), integrator, ``alpha`` and ``dt`` run as one batch
 (several, past ``BATCH_AMPLITUDES`` stored amplitudes): their rows are
 integrated together, each with its own initial state and step count, on
-the turn of the first of them. Every config still writes its CSV, JSON,
-exit code and output lines on its own turn, in config order, exactly as
-when run alone; its ``wall=`` is the time of its own turn, so the first
-config of a batch carries the batch's integration. ``--jobs`` hands each
-batch, and each other config, to a worker as one work unit, and starts at
-most one worker per unit and CPU.
+the turn of the first of them, into one buffer allocated up front. Every
+config still writes its CSV, JSON, exit code and output lines on its own
+turn, in config order, exactly as when run alone; its ``wall=`` is the
+time of its own turn, so the first config of a batch carries the batch's
+integration. ``--jobs`` hands each batch, and each other config, to a
+worker as one work unit, and starts at most one worker per unit and CPU.
 
 The CSV holds every value as ``format(v, ".17g")``, byte for byte; a numpy
 kernel (``write_csv``) produces that text in blocks of rows, and formats
@@ -83,8 +83,9 @@ OUTPUT_NAMES = ("norm", "abs_overlap", "rate_nucl", "bloch", "purity")
 EXPERIMENT_DIMS = {"swap": (2, 2), "random5": (2,) * 5, "ladder": (3, 3, 3)}
 BLOWUP_FACTOR = 2.0
 MAX_STEPS = 10**6
-# A batch keeps every row's points until its last row ends: at most this many
-# amplitudes (160 MB) over its configs, or one config's if that is more.
+# A batch allocates (steps + 1) * sum(dims) amplitudes a config, plus 16 bytes
+# a point of Newton records, and keeps them until its last config is written:
+# at most this many amplitudes (160 MB) over its configs, or one config's if more.
 BATCH_AMPLITUDES = 10**7
 # write_csv formats whole rows of at most about this many cells at a time.
 CSV_BLOCK_CELLS = 2**15
@@ -288,7 +289,6 @@ def _newton_result(outcome, dims) -> RunResult:
         "newton_solves": int(iterations.size),
         "newton_iterations": int(iterations.sum()),
         "max_newton_iterations": int(iterations.max()),
-        "min_lstsq_rank": outcome.min_lstsq_rank,
         "max_final_newton_residual": float(outcome.newton_residuals.max()),
     }
     return RunResult(traj, stats, blowup)

@@ -11,7 +11,9 @@ produce different schemes, both run by one routine: start, then recursion.
 That routine advances a batch of initial states on one grid in lockstep,
 each row with its own step count and its own end (done, blown up, or a
 failed start); every row equals bit for bit the run of its state alone, and
-the one-state entry points are batches of one.
+a run of one state is a batch of one. A batch allocates its Σ (steps + 1)
+points up front, the count ``cli`` caps it by, in one buffer that its
+trajectories are slices of.
 
 Every point is conjugate-consistent: a callable takes a point and its
 velocity once, and the barred copies are formed in the one place that reads
@@ -46,7 +48,7 @@ from numpy.linalg import _umath_linalg
 
 from .hamiltonians import HermitianOperator, check_dims
 from .propagators import check_grid
-from .states import ComponentState, kron, split_components
+from .states import kron, split_components
 
 NEWTON_TOL = 1e-12
 NEWTON_MAXITER = 50
@@ -273,10 +275,10 @@ def _least_squares(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     One call to the gelsd gufunc that ``np.linalg.lstsq`` wraps, with its
     default rcond; row i equals ``np.linalg.lstsq(a[i], b[i], rcond=None)``
-    bit for bit. Returns the (B, n) solutions and the (B,) ranks. Where
-    ``np.linalg.lstsq`` would raise, the gufunc marks the row by rank -1 (and
-    NaN solutions) and raises the invalid flag, ignored here so that the other
-    rows keep their results.
+    bit for bit. Returns the (B, n) solutions and the (B,) ranks, read only
+    as a failure flag: where ``np.linalg.lstsq`` would raise, the gufunc marks
+    the row by rank -1 (and NaN solutions) and raises the invalid flag,
+    ignored here so that the other rows keep their results.
     """
     rcond = np.finfo(float).eps * max(a.shape[-2:])
     with np.errstate(all="ignore"):
@@ -297,14 +299,12 @@ def _newton_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
     (``_least_squares``), which also covers rank-deficient systems (the
     product-state substitution leaves a rescaling direction unconstrained).
     A row leaves once its real-split residual norm is at most ``NEWTON_TOL``,
-    with (solution, iterations, that norm, the lowest update rank or None
-    without an update), or with a ``NewtonConvergenceError`` for a non-finite
-    residual or Jacobian, a failed update or ``NEWTON_MAXITER`` iterations.
-    Returns one of these per guess.
+    with (solution, iterations, that norm), or with a
+    ``NewtonConvergenceError`` for a non-finite residual or Jacobian, a failed
+    update or ``NEWTON_MAXITER`` iterations. Returns one of these per guess.
     """
     x = _complex_to_real(guesses)
     rows = np.arange(len(x))
-    lowest = np.full(len(x), x.shape[1])
     outcomes: list = [None] * len(x)
     iteration = 0
     while len(rows):
@@ -319,8 +319,7 @@ def _newton_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
                 outcomes[rows[i]] = NewtonConvergenceError(
                     "Newton residual became non-finite", res_norm)
             elif res_norm <= NEWTON_TOL:
-                outcomes[rows[i]] = (z[i], iteration, res_norm,
-                                     int(lowest[rows[i]]) if iteration else None)
+                outcomes[rows[i]] = (z[i], iteration, res_norm)
             else:
                 outcomes[rows[i]] = NewtonConvergenceError(
                     f"Newton did not reach {NEWTON_TOL} in {NEWTON_MAXITER} iterations",
@@ -339,7 +338,6 @@ def _newton_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
                       if finite[i] else "Jacobian became non-finite")
             outcomes[rows[i]] = NewtonConvergenceError(f"Newton {reason}", float(norms[i]))
         rows = rows[running]
-        lowest[rows] = np.minimum(lowest[rows], ranks[running])
         x = x[running] + steps[running]
         iteration += 1
     return outcomes
@@ -410,15 +408,14 @@ class DiscreteTrajectory:
     ``points`` has shape (n_times, dim); for separable runs the rows are
     stacked component vectors. ``newton_iterations[i]`` and
     ``newton_residuals[i]`` are the Newton iteration count and final residual
-    norm of the solve that produced ``points[i + 1]``; ``min_lstsq_rank`` is
-    the lowest rank of the run's least-squares updates (None without one).
+    norm of the solve that produced ``points[i + 1]``. The arrays of a run
+    from ``_run_rows`` are views of its batch's buffers.
     """
 
     dt: float
     points: np.ndarray
     newton_iterations: np.ndarray
     newton_residuals: np.ndarray
-    min_lstsq_rank: int | None
 
     def __post_init__(self):
         solves = (len(self.points) - 1,)
@@ -446,22 +443,34 @@ def _run_rows(start_Ld: DiscreteLagrangian, Ld, x0: np.ndarray, steps,
     times the row's initial largest one, ends the row with a ``BlowupError``;
     without it, a failed del_step ends the row with its error. Returns one
     ``DiscreteTrajectory`` or error per row.
+
+    The points live in one complex buffer of shape (Σ_b (steps[b] + 1), n),
+    allocated up front: row b's point i at starts[b] + i, and the Newton
+    count and final residual of the solve that produced it at the same index
+    of two more arrays. A step gathers the running rows' last two points with
+    one fancy index and writes their solved points in place; a trajectory is
+    a slice of the three. So a batch stores what ``cli._work_units`` counts,
+    (steps + 1) * n amplitudes a row, and 16 bytes a point besides.
     """
     for count in steps:
         check_grid(start_Ld.dt, count)
-    history = [[row] for row in x0]
-    solves: list[list[tuple]] = [[] for _ in x0]
+    lengths = np.add(steps, 1)
+    starts = np.cumsum(lengths) - lengths
+    points = np.empty((lengths.sum(), x0.shape[1]), dtype=complex)
+    iterations = np.empty(len(points), dtype=int)
+    residuals = np.empty(len(points))
+    points[starts] = x0
+    references = np.abs(x0).max(axis=1)
     outcomes: list = [None] * len(x0)
 
-    def make_traj(b):
-        _, iterations, residuals, ranks = zip(*solves[b])
-        return DiscreteTrajectory(start_Ld.dt, np.stack(history[b]), np.array(iterations),
-                                  np.array(residuals),
-                                  min((rank for rank in ranks if rank is not None),
-                                      default=None))
+    def make_traj(b, last):
+        """Row b through its point ``last``, as views of the buffers."""
+        span = slice(starts[b], starts[b] + last + 1)
+        return DiscreteTrajectory(start_Ld.dt, points[span], iterations[span][1:],
+                                  residuals[span][1:])
 
     def advance(rows, solved, step):
-        """Record each row's solve of ``step``; returns the rows still running."""
+        """Store each row's solve of ``step``; returns the rows still running."""
         running = []
         for b, outcome in zip(rows, solved):
             if isinstance(outcome, NewtonConvergenceError):
@@ -469,30 +478,29 @@ def _run_rows(start_Ld: DiscreteLagrangian, Ld, x0: np.ndarray, steps,
                     outcomes[b] = outcome
                 else:
                     outcomes[b] = BlowupError(
-                        f"solver failure at step {step}, treated as blow-up", make_traj(b))
+                        f"solver failure at step {step}, treated as blow-up",
+                        make_traj(b, step - 1))
                 continue
-            nxt = outcome[0]
-            history[b].append(nxt)
-            solves[b].append(outcome)
+            at = starts[b] + step
+            points[at], iterations[at], residuals[at] = outcome
             if (step > 1 and blowup_factor is not None
-                    and np.abs(nxt).max() > blowup_factor * references[b]):
+                    and np.abs(points[at]).max() > blowup_factor * references[b]):
                 outcomes[b] = BlowupError(
                     f"amplitude exceeded {blowup_factor}x initial at step {step}",
-                    make_traj(b))
+                    make_traj(b, step))
             elif steps[b] > step:
                 running.append(b)
+            else:
+                outcomes[b] = make_traj(b, step)
         return running
 
-    references = [float(np.max(np.abs(row))) for row in x0]
     rows = advance(range(len(x0)), _start_rows(start_Ld, x0), 1)
     step = 1
     while rows:
         step += 1
-        prev = np.stack([history[b][-2] for b in rows])
-        curr = np.stack([history[b][-1] for b in rows])
+        prev, curr = points[starts[rows] + [[step - 2], [step - 1]]]
         rows = advance(rows, _del_rows(Ld, prev, curr), step)
-    return [make_traj(b) if outcome is None else outcome
-            for b, outcome in enumerate(outcomes)]
+    return outcomes
 
 
 def integrate_discrete(Ld: DiscreteLagrangian, psi0: np.ndarray, steps: int,
@@ -553,6 +561,8 @@ def integrate_separable_rows(ordering: str, H: HermitianOperator, alpha: float, 
     """
     if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering '{ordering}'; choose from {ORDERINGS}")
+    if len(steps) != len(states):
+        raise ValueError(f"{len(steps)} step counts for {len(states)} states")
     dims = states[0].dims
     for state in states:
         check_dims(H, state.dims)
@@ -563,21 +573,3 @@ def integrate_separable_rows(ordering: str, H: HermitianOperator, alpha: float, 
         recursion = _SubstitutedDiscreteLagrangian(DiscreteLagrangian(L, alpha, dt), dims)
     x0 = np.stack([np.concatenate(state.vectors()) for state in states])
     return _run_rows(start, recursion, x0, steps, blowup_factor)
-
-
-def integrate_restrict_then_discretize(
-    H: HermitianOperator, alpha: float, dt: float, steps: int,
-    state0: ComponentState, blowup_factor: float | None = None,
-) -> DiscreteTrajectory:
-    """Restrict first: discretize the component-variable Lagrangian."""
-    return _solved(integrate_separable_rows("restrict_first", H, alpha, dt, [steps],
-                                            [state0], blowup_factor)[0])
-
-
-def integrate_discretize_then_restrict(
-    H: HermitianOperator, alpha: float, dt: float, steps: int,
-    state0: ComponentState, blowup_factor: float | None = None,
-) -> DiscreteTrajectory:
-    """Discretize first: substitute product states into the discrete action."""
-    return _solved(integrate_separable_rows("discretize_first", H, alpha, dt, [steps],
-                                            [state0], blowup_factor)[0])

@@ -1,7 +1,11 @@
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,19 +252,17 @@ class TestNewtonRecord:
             {**swap_config(tmp_path / "unused", 0.02),
              "integrator": "var_restrict_first", "alpha": 0.5})
         state0 = config.initial_components
-        discrete = variational.integrate_restrict_then_discretize(
-            cli.build_hamiltonian(config), 0.5, 0.02, config.steps(), state0,
-            blowup_factor=cli.BLOWUP_FACTOR)
+        (discrete,) = variational.integrate_separable_rows(
+            "restrict_first", cli.build_hamiltonian(config), 0.5, 0.02, [config.steps()],
+            [state0], blowup_factor=cli.BLOWUP_FACTOR)
         counts = discrete.newton_iterations
         assert solver["newton_solves"] == config.steps() == counts.size
         assert solver["newton_iterations"] == int(counts.sum())
         assert solver["max_newton_iterations"] == int(counts.max())
-        assert solver["min_lstsq_rank"] == discrete.min_lstsq_rank
         assert solver["max_final_newton_residual"] == discrete.newton_residuals.max()
         assert 0 < solver["max_final_newton_residual"] <= solver["tolerance"]
-        # Eight real unknowns on swap; the free rescaling of the components is
-        # not exactly null in a forward-difference Jacobian.
-        assert 1 <= solver["min_lstsq_rank"] <= 8
+        assert set(solver) == {"kind", "tolerance", "newton_solves", "newton_iterations",
+                               "max_newton_iterations", "max_final_newton_residual"}
 
 
 class TestRungeKuttaRecord:
@@ -460,6 +462,23 @@ class TestFiniteProbes:
         assert len(read_rows(tmp_path / "out" / "run.csv")) == 1 + 2
         config = json.loads((tmp_path / "out" / "run.json").read_text())["config"]
         assert type(config["dt"]) is type(config["t_final"]) is float
+
+    @pytest.mark.parametrize("scheme", ["lie_trotter", "strang"])
+    def test_an_overflowing_field_exits_3_without_a_traceback(self, tmp_path, scheme):
+        # At dt 1000 the order-2 field drives |<a|b>| past 1e154 within the
+        # first step, where the float power |q|**2 raises OverflowError.
+        config = {**swap_config(tmp_path / "out" / "run", 1000.0), **BEA, "t_final": 1000.0,
+                  "bea_scheme": scheme, "bea_order": 2, "initial_state": [[1, 0], [0.6, 0.8]]}
+        path = tmp_path / "run.config.json"
+        path.write_text(json.dumps(config))
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-m", "sepdyn.cli", "run", "--config", str(path)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == cli.EXIT_SOLVER
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("solver failure: modified field overflowed at t=")
+        assert len(done.stderr.strip().splitlines()) == 1
+        assert list((tmp_path / "out").glob("run.*")) == []
 
     def test_out_path_through_a_file(self, tmp_path, capsys):
         (tmp_path / "afile").write_text("")
@@ -807,6 +826,22 @@ class TestBatches:
             ["a_blowup", "c_ok"], ["b_split"], ["d_other_dt"], ["e_failed_start", "f_short"]]
         assert cli.main(["run", "--config", str(configs)]) == cli.EXIT_BLOWUP
         assert self.outputs(tmp_path) == whole
+
+    def test_the_budget_counts_what_a_batch_allocates(self, tmp_path, monkeypatch):
+        configs = self.write_configs(tmp_path)
+        items = [(path, cli.load_config(path, [])) for path in sorted(configs.iterdir())]
+        batch = [config for path, config in items if path.name in self.BATCH]
+        outcomes = cli._variational_rows(batch, cli.build_hamiltonian(batch[0]))
+        runs = [getattr(outcome, "partial", outcome) for outcome in outcomes
+                if not isinstance(outcome, variational.NewtonConvergenceError)]
+        # Every row has its place in one buffer, the failed start's included.
+        buffer = runs[0].points.base
+        assert all(run.points.base is buffer for run in runs)
+        assert buffer.size == 124 + 44 + 44 + 12
+        monkeypatch.setattr(cli, "BATCH_AMPLITUDES", buffer.size)
+        assert [path.name for path, _ in cli._work_units(items)[0]] == self.BATCH
+        monkeypatch.setattr(cli, "BATCH_AMPLITUDES", buffer.size - 1)
+        assert [path.name for path, _ in cli._work_units(items)[0]] == self.BATCH[:-1]
 
 
 class TestVariationalRecord:

@@ -1,4 +1,6 @@
 import re
+import tracemalloc
+from functools import partial
 from math import prod
 
 import numpy as np
@@ -25,8 +27,6 @@ from sepdyn.variational import (
     del_step,
     initial_step,
     integrate_discrete,
-    integrate_discretize_then_restrict,
-    integrate_restrict_then_discretize,
     integrate_separable_rows,
     newton_solve,
     se_lagrangian,
@@ -38,6 +38,19 @@ from sepdyn.variational import _least_squares as real_least_squares
 
 from conftest import local_sum_hamiltonian, random_ket
 from test_reduced import random_local
+
+
+def run_alone(ordering, H, alpha, dt, steps, state0, blowup_factor=None):
+    """``integrate_separable_rows`` on one state: its trajectory, or its error raised."""
+    (outcome,) = integrate_separable_rows(ordering, H, alpha, dt, [steps], [state0],
+                                          blowup_factor)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+restrict_first = partial(run_alone, "restrict_first")
+discretize_first = partial(run_alone, "discretize_first")
 
 
 def random_args(rng, dim, count=4):
@@ -603,7 +616,7 @@ class TestNewtonStatistics:
 
     def test_counts_match_a_direct_del_step_loop(self, fig1_state):
         H = swap_hamiltonian(2)
-        traj = integrate_restrict_then_discretize(H, 0.5, 0.05, 40, fig1_state)
+        traj = restrict_first(H, 0.5, 0.05, 40, fig1_state)
         Ld = DiscreteLagrangian(separable_lagrangian(se_lagrangian(H), (2, 2)), 0.5, 0.05)
         rows, counts = self.direct_counts(Ld, stack_state(fig1_state), 40)
         assert np.array_equal(traj.points, rows)
@@ -619,8 +632,8 @@ class TestNewtonStatistics:
 
     def test_blowup_partial_carries_one_count_per_step(self, fig1_state):
         with pytest.raises(BlowupError) as info:
-            integrate_discretize_then_restrict(swap_hamiltonian(2), 0.5, 0.1, 300,
-                                               fig1_state, blowup_factor=2.0)
+            discretize_first(swap_hamiltonian(2), 0.5, 0.1, 300, fig1_state,
+                             blowup_factor=2.0)
         partial = info.value.partial
         assert partial.newton_iterations.shape == (partial.points.shape[0] - 1,)
         assert np.all(partial.newton_iterations >= 1)
@@ -628,14 +641,14 @@ class TestNewtonStatistics:
     def test_count_length_is_validated(self):
         with pytest.raises(ValueError):
             DiscreteTrajectory(1.0, np.zeros((3, 2)), newton_iterations=np.ones(3),
-                               newton_residuals=np.ones(2), min_lstsq_rank=None)
+                               newton_residuals=np.ones(2))
         with pytest.raises(ValueError):
             DiscreteTrajectory(1.0, np.zeros((3, 2)), newton_iterations=np.ones(2),
-                               newton_residuals=np.ones(3), min_lstsq_rank=None)
+                               newton_residuals=np.ones(3))
 
-    def test_final_residuals_and_ranks_are_recorded(self, fig1_state):
+    def test_final_residuals_are_recorded(self, fig1_state):
         H = swap_hamiltonian(2)
-        traj = integrate_restrict_then_discretize(H, 0.5, 0.05, 10, fig1_state)
+        traj = restrict_first(H, 0.5, 0.05, 10, fig1_state)
         # The start's residual, evaluated again at the point it accepted.
         Ld = DiscreteLagrangian(separable_lagrangian(se_lagrangian(H), (2, 2)), 0.5, 0.05)
         x0, x1 = traj.points[:2]
@@ -643,22 +656,20 @@ class TestNewtonStatistics:
         assert traj.newton_residuals[0] == np.linalg.norm(np.concatenate([start.real,
                                                                           start.imag]))
         assert np.all(traj.newton_residuals <= variational.NEWTON_TOL)
-        assert 1 <= traj.min_lstsq_rank <= 8
         # A run whose every solve converges at its guess makes no update.
         H0 = HermitianOperator(np.zeros((4, 4)), (2, 2))
-        free = integrate_restrict_then_discretize(H0, 0.5, 0.05, 3, fig1_state)
+        free = restrict_first(H0, 0.5, 0.05, 3, fig1_state)
         assert free.newton_iterations.tolist() == [0, 0, 0]
-        assert free.min_lstsq_rank is None
 
     def test_times_are_derived_and_read_only(self, fig1_state):
-        traj = integrate_restrict_then_discretize(swap_hamiltonian(2), 0.5, 0.05, 12, fig1_state)
+        traj = restrict_first(swap_hamiltonian(2), 0.5, 0.05, 12, fig1_state)
         assert traj.dt == 0.05
         assert np.array_equal(traj.times, 0.05 * np.arange(13))
         assert not traj.times.flags.writeable
 
 
 class TestEntryPoints:
-    """The three integrate_* functions share one run loop and its checks."""
+    """Both integrate_* functions share one run loop and its checks."""
 
     @staticmethod
     def entry_points(steps):
@@ -668,10 +679,8 @@ class TestEntryPoints:
         return {
             "integrate_discrete": lambda: integrate_discrete(
                 Ld, np.kron([1.0, 0.0], [0.6, 0.8]), steps),
-            "restrict_first": lambda: integrate_restrict_then_discretize(
-                H, 0.5, 0.1, steps, state0),
-            "discretize_first": lambda: integrate_discretize_then_restrict(
-                H, 0.5, 0.1, steps, state0),
+            "restrict_first": lambda: restrict_first(H, 0.5, 0.1, steps, state0),
+            "discretize_first": lambda: discretize_first(H, 0.5, 0.1, steps, state0),
         }
 
     @pytest.mark.parametrize("name", ["integrate_discrete", "restrict_first",
@@ -685,17 +694,25 @@ class TestEntryPoints:
         with pytest.raises(ValueError, match="steps must be at least 1"):
             self.entry_points(steps)[name]()
 
-    @pytest.mark.parametrize("run", [integrate_restrict_then_discretize,
-                                     integrate_discretize_then_restrict],
-                             ids=["restrict_first", "discretize_first"])
-    def test_operator_and_state_layouts_must_agree(self, rng, run):
+    @pytest.mark.parametrize("ordering", ORDERINGS)
+    def test_operator_and_state_layouts_must_agree(self, rng, ordering):
         # Equal total dimension, different tensor layout.
         mat = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         H = HermitianOperator(mat + mat.conj().T, (2, 4))
         state0 = ComponentState((random_ket(rng, 4), random_ket(rng, 2)))
         with pytest.raises(ValueError, match=re.escape(
                 "operator dims (2, 4) do not match state dims (4, 2)")):
-            run(H, 0.5, 0.1, 3, state0)
+            integrate_separable_rows(ordering, H, 0.5, 0.1, [3], [state0])
+
+    def test_one_step_count_per_state(self, fig1_state, monkeypatch):
+        def no_solve(residual, guesses):
+            raise AssertionError("a Newton solve ran")
+
+        monkeypatch.setattr(variational, "_newton_rows", no_solve)
+        for steps in ([3], [3, 3, 3]):
+            with pytest.raises(ValueError, match=f"{len(steps)} step counts for 2 states"):
+                integrate_separable_rows("restrict_first", swap_hamiltonian(2), 0.5, 0.1,
+                                         steps, [fig1_state, fig1_state])
 
 
 class TestRowBatches:
@@ -703,14 +720,15 @@ class TestRowBatches:
 
     @staticmethod
     def outcome_bits(outcome):
-        """Kind, message, points as uint64 and Newton counts of one row's outcome."""
+        """Kind, message, and the bytes of the points, Newton counts and residuals
+        of one row's outcome."""
         if isinstance(outcome, NewtonConvergenceError):
             return ("failed start", str(outcome), outcome.residual)
         kind, message = "ok", None
         if isinstance(outcome, BlowupError):
             kind, message, outcome = "blow-up", str(outcome), outcome.partial
-        return (kind, message, outcome.points.view(np.uint64).tobytes(),
-                outcome.newton_iterations.tolist())
+        return (kind, message, outcome.points.tobytes(), outcome.newton_iterations.tobytes(),
+                outcome.newton_residuals.tobytes())
 
     @pytest.mark.parametrize("ordering", ORDERINGS)
     @pytest.mark.parametrize("system", ["swap", "random5"])
@@ -728,12 +746,10 @@ class TestRowBatches:
                   for _ in range(3)] + extra
         rows = integrate_separable_rows(ordering, H, 0.5, dt, steps, states,
                                         blowup_factor=2.0)
-        alone = {"restrict_first": integrate_restrict_then_discretize,
-                 "discretize_first": integrate_discretize_then_restrict}[ordering]
         kinds, lengths = [], []
         for state, count, row in zip(states, steps, rows):
             try:
-                single = alone(H, 0.5, dt, count, state, blowup_factor=2.0)
+                single = run_alone(ordering, H, 0.5, dt, count, state, blowup_factor=2.0)
             except (BlowupError, NewtonConvergenceError) as err:
                 single = err
             assert self.outcome_bits(row) == self.outcome_bits(single)
@@ -797,6 +813,24 @@ class TestRowBatches:
             assert outcomes[row][1:] == alone[1:]
         # The infinite Jacobian never reached gelsd, which would print to fd 1.
         assert capfd.readouterr().out == ""
+
+    def test_a_batch_stores_each_point_once(self, rng):
+        # ``cli`` caps a batch by (steps + 1) * sum(dims) amplitudes a row. The
+        # buffer adds 16 bytes a point for the Newton counts and residuals, and
+        # a Newton iteration's temporaries take a few kB a row.
+        batch, steps = 8, 250
+        states = [ComponentState((random_ket(rng, 2), random_ket(rng, 2)))
+                  for _ in range(batch)]
+        counted = batch * (steps + 1) * 4 * 16
+        tracemalloc.start()
+        try:
+            rows = integrate_separable_rows("restrict_first", swap_hamiltonian(2), 0.5, 0.01,
+                                            [steps] * batch, states)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(isinstance(row, DiscreteTrajectory) for row in rows)
+        assert counted <= peak <= 2 * counted
 
     def test_unknown_ordering_is_rejected(self, fig1_state):
         with pytest.raises(ValueError, match="unknown ordering"):
@@ -908,9 +942,7 @@ class TestRestrictThenDiscretize:
         dts = [0.1, 0.05, 0.02]
         errors = []
         for dt in dts:
-            traj = integrate_restrict_then_discretize(
-                H, 0.5, dt, int(round(1.0 / dt)), fig1_state
-            )
+            traj = restrict_first(H, 0.5, dt, int(round(1.0 / dt)), fig1_state)
             exact = exact_sse_swap(data, 1.0)
             dev = max(
                 projector_distance(traj.points[-1][:2], exact.parts[0].amplitudes),
@@ -922,7 +954,7 @@ class TestRestrictThenDiscretize:
 
     def test_component_norms_stay_near_one(self, fig1_state):
         H = swap_hamiltonian(2)
-        traj = integrate_restrict_then_discretize(H, 0.5, 0.1, 300, fig1_state)
+        traj = restrict_first(H, 0.5, 0.1, 300, fig1_state)
         norms_a = np.linalg.norm(traj.points[:, :2], axis=1)
         norms_b = np.linalg.norm(traj.points[:, 2:], axis=1)
         assert np.max(np.abs(norms_a - 1.0)) < 0.05
@@ -941,7 +973,7 @@ class TestRestrictThenDiscretize:
         dts = [0.1, 0.05, 0.025]
         for dt in dts:
             steps = int(round(2.0 / dt))
-            traj = integrate_restrict_then_discretize(H, 0.5, dt, steps, state0)
+            traj = restrict_first(H, 0.5, dt, steps, state0)
             gen_a = HermitianOperator(h1.entries + shift_a * np.eye(2), (2,))
             gen_b = HermitianOperator(h2.entries + shift_b * np.eye(2), (2,))
             ta = integrate_discrete(
@@ -963,14 +995,13 @@ class TestDiscretizeThenRestrict:
     def test_blows_up_on_the_exchange_system(self, fig1_state):
         H = swap_hamiltonian(2)
         with pytest.raises(BlowupError) as info:
-            integrate_discretize_then_restrict(H, 0.5, 0.1, 300, fig1_state,
-                                               blowup_factor=2.0)
+            discretize_first(H, 0.5, 0.1, 300, fig1_state, blowup_factor=2.0)
         assert info.value.partial.times[-1] <= 30.0
 
     def test_free_evolution_matches_other_ordering(self, fig1_state):
         H0 = HermitianOperator(np.zeros((4, 4)), (2, 2))
-        t1 = integrate_restrict_then_discretize(H0, 0.5, 0.1, 10, fig1_state)
-        t2 = integrate_discretize_then_restrict(H0, 0.5, 0.1, 10, fig1_state)
+        t1 = restrict_first(H0, 0.5, 0.1, 10, fig1_state)
+        t2 = discretize_first(H0, 0.5, 0.1, 10, fig1_state)
         assert np.max(np.abs(t1.points - t2.points)) < 1e-12
 
     def test_single_step_differs_at_second_order(self, fig1_state):
@@ -998,8 +1029,7 @@ class TestDiscretizeThenRestrict:
     def test_partial_trajectory_is_retained(self, fig1_state):
         H = swap_hamiltonian(2)
         try:
-            integrate_discretize_then_restrict(H, 0.5, 0.1, 300, fig1_state,
-                                               blowup_factor=2.0)
+            discretize_first(H, 0.5, 0.1, 300, fig1_state, blowup_factor=2.0)
         except BlowupError as err:
             assert err.partial.points.shape[0] >= 2
             assert err.partial.points.shape[1] == 4
@@ -1047,13 +1077,13 @@ class TestPeriodTwoRate:
 
     def test_restrict_first_rate_is_at_most_about_zero(self):
         for dt in self.DTS[:2]:
-            products = self.products(integrate_restrict_then_discretize, dt)
+            products = self.products(restrict_first, dt)
             assert self.rate(dt, products) < 0.1
             # Counter-case: a growing period-2 mode added to the same points.
             assert self.rate(dt, products, mode_rate=0.5) > 0.1
 
     def test_discretize_first_rate_agrees_across_dt(self):
-        products = {dt: self.products(integrate_discretize_then_restrict, dt)
+        products = {dt: self.products(discretize_first, dt)
                     for dt in self.DTS}
 
         def spread(rates):
