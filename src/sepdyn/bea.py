@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .propagators import SplittingScheme, check_grid
+from .states import SolverFailure
 
 TROTTER_ORDERS = (0, 1, 2)
 STRANG_ORDERS = (0, 2)
@@ -39,7 +40,7 @@ RK_FIRST_STEP = RK_TOL ** 0.2
 RK_MAX_STEPS = 20_000
 
 
-class StepSizeUnderflowError(RuntimeError):
+class StepSizeUnderflowError(SolverFailure, RuntimeError):
     """A step size below 1e-14, a non-finite step or error estimate, or a field overflow."""
 
 

@@ -13,7 +13,7 @@ directory cannot be made, exits 2 while the others still run.
 
 Variational configs of one invocation that share experiment, Hamiltonian
 (``seed``/``r_party``), integrator, ``alpha`` and ``dt`` run as one batch
-(several, past ``BATCH_AMPLITUDES`` stored amplitudes): their rows are
+(several, past ``BATCH_AMPLITUDES`` amplitudes): their rows are
 integrated together, each with its own initial state and step count, on
 the turn of the first of them, into one buffer allocated up front. Every
 config still writes its CSV, JSON, exit code and output lines on its own
@@ -26,15 +26,18 @@ The CSV holds every value as ``format(v, ".17g")``, byte for byte; a numpy
 kernel (``write_csv``) produces that text in blocks of rows, and formats
 with ``%.17g`` itself only the cells its error certificate does not cover.
 
-Exit codes: 0 success, 2 config validation error, 3 solver failure,
-4 variational blow-up (partial output retained); a directory exits with the
-largest code of its configs.
+Exit codes: 0 success, 2 config validation error, 3 solver failure (any
+``SolverFailure``), 4 variational blow-up (partial output retained); a
+directory exits with the largest code of its configs.
+
+``variational``, ``bea`` and ``concurrent.futures`` are imported on the
+paths that use them, so that a process that validates configs or runs
+only splitting and exact configs does not load them.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -46,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, bea, variational
+from . import __version__, analysis
 from .exact_swap import SwapInitialData
 from .hamiltonians import (
     HermitianOperator,
@@ -62,8 +65,7 @@ from .propagators import (
     evolve,
     se_evolve,
 )
-from .states import ComponentState, Ket, tensor_product
-from .reduced import DegenerateStateError
+from .states import ComponentState, Ket, SolverFailure, tensor_product
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -84,9 +86,14 @@ EXPERIMENT_DIMS = {"swap": (2, 2), "random5": (2,) * 5, "ladder": (3, 3, 3)}
 BLOWUP_FACTOR = 2.0
 MAX_STEPS = 10**6
 # A batch allocates (steps + 1) * sum(dims) amplitudes a config, plus 16 bytes
-# a point of Newton records, and keeps them until its last config is written:
-# at most this many amplitudes (160 MB) over its configs, or one config's if more.
+# a point of Newton records, and keeps them until its last config is written.
+# Each Newton iteration adds, per running row, the 2 * sum(dims) bumped points
+# of its forward-difference Jacobian as product states, prod(dims) amplitudes
+# each, and the residual's temporaries on them: NEWTON_COPIES such arrays in
+# all (tracemalloc reads 7-8 on random5 and ladder). A batch counts both, at
+# most BATCH_AMPLITUDES (160 MB) over its configs, or one config's if more.
 BATCH_AMPLITUDES = 10**7
+NEWTON_COPIES = 8
 # write_csv formats whole rows of at most about this many cells at a time.
 CSV_BLOCK_CELLS = 2**15
 
@@ -178,6 +185,8 @@ class ExperimentConfig:
             if not (_is_int(self.r_party) and self.r_party in (1, 2, 3)):
                 raise ConfigError("the ladder experiment requires r_party in {1, 2, 3}")
         if self.integrator == "bea_truncation":
+            from . import bea
+
             if self.bea_scheme not in ("lie_trotter", "strang"):
                 raise ConfigError("bea_scheme must be 'lie_trotter' or 'strang'")
             orders = bea.TROTTER_ORDERS if self.bea_scheme == "lie_trotter" else bea.STRANG_ORDERS
@@ -262,6 +271,8 @@ def _variational_rows(configs: list[ExperimentConfig], H: HermitianOperator) -> 
 
     Returns each config's outcome from ``variational.integrate_separable_rows``.
     """
+    from . import variational
+
     first = configs[0]
     return variational.integrate_separable_rows(
         first.integrator.removeprefix("var_"), H, float(first.alpha), first.dt,
@@ -271,6 +282,8 @@ def _variational_rows(configs: list[ExperimentConfig], H: HermitianOperator) -> 
 
 def _newton_result(outcome, dims) -> RunResult:
     """The RunResult of a variational row; raises the error its start failed with."""
+    from . import variational
+
     if isinstance(outcome, variational.NewtonConvergenceError):
         raise outcome
     blowup = None
@@ -332,6 +345,8 @@ class _Batch:
 
 
 def _bea_run(config, state0) -> RunResult:
+    from . import bea
+
     rhs = bea.ModifiedRHS(SplittingScheme(config.bea_scheme), config.bea_order, config.dt)
     sol = bea.rk_integrate(rhs, np.concatenate(state0.vectors()), config.dt, config.steps())
     traj = Trajectory.from_components(config.dt, sol.y_eval, state0.dims)
@@ -495,8 +510,7 @@ def run(config: ExperimentConfig, batch: _Batch | None = None) -> int:
             result = execute(config, H)
         else:
             H, result = batch.result(config)
-    except (variational.NewtonConvergenceError, bea.StepSizeUnderflowError,
-            DegenerateStateError, NonFiniteStateError) as err:
+    except SolverFailure as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return EXIT_SOLVER
     # A state of finite norm² can still overflow a diagnostic of order norm⁴;
@@ -632,10 +646,17 @@ def _run_file(path: Path, config: ExperimentConfig | ConfigError,
     return run(config, batch)
 
 
+def _batch_amplitudes(config: ExperimentConfig) -> int:
+    """Amplitudes a variational config takes in a batch: its stored points and
+    ``NEWTON_COPIES`` arrays of its row's bumped product states."""
+    dims = EXPERIMENT_DIMS[config.experiment]
+    return (config.steps() + 1) * sum(dims) + NEWTON_COPIES * 2 * sum(dims) * math.prod(dims)
+
+
 def _work_units(items: list[tuple[Path, ExperimentConfig | ConfigError]]) -> list[list]:
     """The (path, config) items grouped by ``_batch_key``; every other item alone.
 
-    A group that would store more than ``BATCH_AMPLITUDES`` amplitudes
+    A group whose ``_batch_amplitudes`` would pass ``BATCH_AMPLITUDES``
     continues in a new unit. Units keep config order inside and come in the
     order of their first item.
     """
@@ -646,13 +667,13 @@ def _work_units(items: list[tuple[Path, ExperimentConfig | ConfigError]]) -> lis
         if key is None:
             units.append([item])
             continue
-        size = (config.steps() + 1) * sum(EXPERIMENT_DIMS[config.experiment])
-        unit, stored = open_units.get(key, (None, 0))
-        if unit is None or stored + size > BATCH_AMPLITUDES:
-            unit, stored = [], 0
+        size = _batch_amplitudes(config)
+        unit, counted = open_units.get(key, (None, 0))
+        if unit is None or counted + size > BATCH_AMPLITUDES:
+            unit, counted = [], 0
             units.append(unit)
         unit.append(item)
-        open_units[key] = (unit, stored + size)
+        open_units[key] = (unit, counted + size)
     return units
 
 
@@ -758,6 +779,8 @@ def main(argv=None) -> int:
     # The pool starts every worker at once, so never more than can be busy.
     workers = min(args.jobs, len(units), os.cpu_count() or 1)
     if workers > 1:
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             codes = [code for unit in pool.map(_run_files, units) for code in unit]
     else:

@@ -6,12 +6,23 @@ whole time grid) on an eigendecomposition: the one a
 :class:`HermitianOperator` computes once and keeps, or that of a reduced
 matrix in a splitting sub-step. The restricted equations are integrated by
 composing the exactly-solvable one-component flows, sequentially (first
-order) or palindromically (second order), each step in one ``_flow`` over
-a list of component arrays. ``evolve`` checks the operator, the initial
-state, every context norm and the step size once; sub-steps are unitary
-per component, so no context norm falls later. The reduction, of order
-‖H‖ norm², can overflow, and a non-finite reduced matrix decomposes to
-NaN without raising; ``evolve`` tests rows each ``FINITE_CHECK_STEPS`` steps.
+order) or palindromically (second order). One loop, ``_run``, does every
+splitting step: ``evolve`` runs a whole trajectory through it on one list
+of component arrays, and the one-step maps are runs of one row.
+
+A sub-step on component k decomposes the sandwich S = c^H B c of
+``reduced.contract_reduced`` as it comes, unscaled and unsymmetrized (the
+eigh gufunc reads its lower triangle), and folds the context norm² into
+the phase: exp(-i (tau / |c|²) S). A sub-step on the component of the
+sub-step just before it reuses that decomposition, since its contexts have
+not moved; so Strang's last half-step of a step and the first one of the
+next share one reduction, bit for bit what recomputing it gives.
+
+``evolve`` checks the operator, the initial state, every context norm and
+the step size once; sub-steps are unitary per component, so no context
+norm falls later. The reduction, of order ‖H‖ norm², can overflow, and a
+non-finite reduced matrix decomposes to NaN without raising; ``evolve``
+tests rows each ``FINITE_CHECK_STEPS`` steps.
 """
 
 from __future__ import annotations
@@ -27,13 +38,19 @@ from numpy.linalg import _umath_linalg
 
 from .hamiltonians import HermitianOperator, check_dims
 from .reduced import check_contexts, contract_reduced
-from .states import ComponentState, FullState, split_components, tensor_product_rows
+from .states import (
+    ComponentState,
+    FullState,
+    SolverFailure,
+    split_components,
+    tensor_product_rows,
+)
 
 
 FINITE_CHECK_STEPS = 256  # steps between finiteness tests of a splitting run
 
 
-class NonFiniteStateError(ArithmeticError):
+class NonFiniteStateError(SolverFailure, ArithmeticError):
     """A splitting reduction, or the phases t * E of an exp(-i t H) grid, overflowed."""
 
 
@@ -136,82 +153,105 @@ def hermitian_expm_apply(H: HermitianOperator, t: float, vec: np.ndarray) -> np.
     return spectral_apply(*H.spectrum, t, vec)
 
 
-def _flow(H: HermitianOperator, x: np.ndarray, sequence) -> np.ndarray:
-    """Stacked components ``x`` flowed through the (k, tau) sub-steps in order.
+def _lie_trotter_sequence(n: int, dt: float) -> list[tuple[int, float]]:
+    """One first-order step's sub-steps: (0, dt), ..., (n-1, dt).
 
-    ``x`` is split once into a list and not written. Sub-step (k, tau)
-    rebinds entry k to its flow by tau under ``H.slot_blocks[k]``'s
-    reduction, decomposed by the eigh gufunc that ``np.linalg.eigh`` wraps.
+    Component l sees components 0..l-1 already updated and l+1..n-1 still at
+    their previous values.
     """
-    parts = split_components(np.asarray(x, dtype=complex), H.dims)
-    for k, tau in sequence:
-        reduced = contract_reduced(H.slot_blocks[k], parts, k)
-        evals, evecs = _umath_linalg.eigh_lo(reduced, signature="D->dD")
-        parts[k] = spectral_apply(evals, evecs, tau, parts[k])
-    return np.concatenate(parts)
+    return [(l, dt) for l in range(n)]
+
+
+def _strang_sequence(n: int, dt: float) -> list[tuple[int, float]]:
+    """One palindromic second-order step's sub-steps.
+
+    For two components: half-step on component 1, full step on component 0,
+    half-step on component 1. For more: half-steps on 0..n-2 ascending, a
+    full step on n-1, then half-steps on n-2..0 descending. Every sub-step
+    sees the most recently updated context.
+    """
+    if n == 2:
+        return [(1, 0.5 * dt), (0, dt), (1, 0.5 * dt)]
+    ascending = [(l, 0.5 * dt) for l in range(n - 1)]
+    return ascending + [(n - 1, dt)] + ascending[::-1]
+
+
+_SEQUENCES = {
+    SplittingScheme.LIE_TROTTER: _lie_trotter_sequence,
+    SplittingScheme.STRANG: _strang_sequence,
+}
+
+
+def _run(H: HermitianOperator, parts: list[np.ndarray], sequence, rows: np.ndarray):
+    """Flow the component list ``parts`` through ``sequence`` once per row of ``rows``.
+
+    Sub-step (k, tau) rebinds ``parts[k]`` to exp(-i (tau / |c|²) S) parts[k],
+    decomposing S with the eigh gufunc that ``np.linalg.eigh`` wraps, or
+    reusing the decomposition of the sub-step before when that one was on
+    component k too. Each row receives the concatenated components; no
+    entry of ``parts`` is written.
+    """
+    blocks = H.slot_blocks
+    held = None  # the component whose decomposition evals, evecs, norm2 hold
+    for row in rows:
+        for k, tau in sequence:
+            if k != held:
+                sandwich, norm2 = contract_reduced(blocks[k], parts, k)
+                evals, evecs = _umath_linalg.eigh_lo(sandwich, signature="D->dD")
+                held = k
+            parts[k] = spectral_apply(evals, evecs, tau / norm2, parts[k])
+        np.concatenate(parts, out=row)
+
+
+def _step(H: HermitianOperator, x: np.ndarray, sequence) -> np.ndarray:
+    """``_run`` over one row from the stacked components ``x``, which it does not write."""
+    x = np.asarray(x, dtype=complex)
+    out = np.empty((1, x.size), dtype=complex)
+    _run(H, split_components(x, H.dims), sequence, out)
+    return out[0]
 
 
 def sse_component_flow(H: HermitianOperator, x: np.ndarray, k: int, t: float) -> np.ndarray:
     """Flow of the k-th restricted equation with the other components frozen.
 
     ``x`` is the stacked components concat(a_0, ..., a_{N-1}) laid out by
-    ``H.dims``; the result is ``_flow`` over the one sub-step (k, t).
+    ``H.dims``; the result is the one sub-step (k, t).
     """
-    return _flow(H, x, [(k, t)])
+    return _step(H, x, [(k, t)])
 
 
 def lie_trotter_step(H: HermitianOperator, x: np.ndarray, dt: float) -> np.ndarray:
-    """One first-order splitting step on stacked components: one component at a time.
-
-    Component l sees components 0..l-1 already updated and l+1..N-1 still at
-    their previous values: one ``_flow`` over (0, dt), ..., (N-1, dt).
-    """
-    return _flow(H, x, [(l, dt) for l in range(len(H.dims))])
+    """One first-order splitting step on stacked components, one component at a time."""
+    return _step(H, x, _lie_trotter_sequence(len(H.dims), dt))
 
 
 def strang_step(H: HermitianOperator, x: np.ndarray, dt: float) -> np.ndarray:
-    """One palindromic second-order splitting step on stacked components.
-
-    For two components the composition is: half-step on component 1, full
-    step on component 0, half-step on component 1. For more components:
-    half-steps on 0..N-2 ascending, a full step on N-1, then half-steps on
-    N-2..0 descending, in one ``_flow``. Every sub-step sees the most
-    recently updated context.
-    """
-    n = len(H.dims)
-    if n == 2:
-        return _flow(H, x, [(1, 0.5 * dt), (0, dt), (1, 0.5 * dt)])
-    ascending = [(l, 0.5 * dt) for l in range(n - 1)]
-    return _flow(H, x, ascending + [(n - 1, dt)] + ascending[::-1])
-
-
-_STEP_MAPS = {
-    SplittingScheme.LIE_TROTTER: lie_trotter_step,
-    SplittingScheme.STRANG: strang_step,
-}
+    """One palindromic second-order splitting step on stacked components."""
+    return _step(H, x, _strang_sequence(len(H.dims), dt))
 
 
 def evolve(scheme: SplittingScheme, H: HermitianOperator, state0: ComponentState,
            dt: float, steps: int) -> Trajectory:
-    """Iterate a splitting step map and record the trajectory.
+    """Run a splitting scheme for ``steps`` steps and record the trajectory.
 
     The operator, the state and its context norms, ``dt`` and ``steps``
-    are checked here, once; the step maps then run on plain stacked arrays.
-    Stores the stacked components and their tensor-product reconstructions.
-    An overflow ends the run within ``FINITE_CHECK_STEPS`` steps, as
-    ``NonFiniteStateError`` naming the first non-finite step.
+    are checked here, once; the run then keeps one list of component arrays
+    and writes each step's row in place. Stores the stacked components and
+    their tensor-product reconstructions. An overflow ends the run within
+    ``FINITE_CHECK_STEPS`` steps, as ``NonFiniteStateError`` naming the
+    first non-finite step.
     """
     check_grid(dt, steps)
     check_dims(H, state0.dims)
     check_contexts(state0.vectors())
-    step_map = _STEP_MAPS[scheme]
+    sequence = _SEQUENCES[scheme](len(state0.dims), dt)
+    parts = state0.vectors()
     rows = np.empty((steps + 1, sum(state0.dims)), dtype=complex)
-    rows[0] = x = np.concatenate(state0.vectors())
+    np.concatenate(parts, out=rows[0])
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(1, steps + 1, FINITE_CHECK_STEPS):
             stop = min(start + FINITE_CHECK_STEPS, steps + 1)
-            for i in range(start, stop):
-                x = rows[i] = step_map(H, x, dt)
+            _run(H, parts, sequence, rows[start:stop])
             finite = np.isfinite(rows[start:stop]).all(axis=1)
             if not finite.all():
                 raise NonFiniteStateError(

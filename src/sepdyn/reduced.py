@@ -6,17 +6,22 @@ H's slot-k block (``HermitianOperator.slot_blocks``): H's tensor with slot k
 leading on the ket and the bra side, reshaped to (d_k m d_k, m) with
 m = D / d_k. With c the Kronecker product of the contexts, ``block @ c``
 contracts the bra context and ``c^H`` the ket context, one matrix-vector
-product and one small batched product. Dividing by the context norm²
-|c|² makes unnormalized contexts give the same result as normalized ones.
+product and one small batched product.
+
+``contract_reduced`` is the one kernel, on plain arrays. It returns the
+unnormalized sandwich c^H B c and the context norm² |c|², and leaves the
+division to its caller: the splitting sub-steps fold 1/|c|² into the phase
+of exp(-i (tau / |c|²) c^H B c), and their eigh gufunc reads only the lower
+triangle, so the sandwich is neither scaled nor symmetrized there.
+``partially_reduced`` divides by |c|² and symmetrizes against rounding
+skew, so that unnormalized contexts give the same Hermitian operator as
+normalized ones.
 
 Context norms are checked once, at the boundary: ``partially_reduced``
 checks its state, and ``propagators.evolve`` the initial one; splitting
 sub-steps are unitary per component, so no norm falls later. The kernel
 itself only rejects a numerically zero |c|², which it computes anyway, at
 a bound that contexts passing the boundary check stay above.
-``contract_reduced`` is the one kernel, on plain arrays; the splitting
-step maps call it directly and ``partially_reduced`` wraps it for validated
-operators and states.
 """
 
 from __future__ import annotations
@@ -24,12 +29,12 @@ from __future__ import annotations
 import numpy as np
 
 from .hamiltonians import HermitianOperator, check_dims
-from .states import ComponentState, kron
+from .states import ComponentState, SolverFailure, kron
 
 DEGENERATE_NORM_TOL = 1e-14
 
 
-class DegenerateStateError(ValueError):
+class DegenerateStateError(SolverFailure, ValueError):
     """A context state has numerically zero norm, so reduction is undefined."""
 
 
@@ -44,23 +49,24 @@ def check_contexts(vectors, keep: int | None = None):
             raise DegenerateStateError(f"context state {j} has norm below 1e-14")
 
 
-def contract_reduced(block: np.ndarray, vectors: list[np.ndarray], keep: int) -> np.ndarray:
-    """Hermitian operator that H induces on subsystem ``keep``.
+def contract_reduced(block: np.ndarray, vectors: list[np.ndarray],
+                     keep: int) -> tuple[np.ndarray, float]:
+    """The sandwich c^H B c that H induces on subsystem ``keep``, and |c|².
 
     ``block`` is ``H.slot_blocks[keep]``; ``vectors`` holds one amplitude
     vector per subsystem, and of entry ``keep`` only the length is read.
-    Returns <e_i ⊗ c| H |e_j ⊗ c> / |c|², symmetrized against rounding skew,
-    where c is the Kronecker product of the other vectors in order. Raises
+    c is the Kronecker product of the other vectors in order, and entry
+    (i, j) of the sandwich is <e_i ⊗ c| H |e_j ⊗ c>, Hermitian up to
+    rounding; divided by |c|² it is the reduced operator. Raises
     DegenerateStateError when |c|² is below 1e-28 per context, the bound
     that contexts which pass ``check_contexts`` never reach.
     """
     c = kron(vectors[:keep] + vectors[keep + 1 :])
-    denom = np.vdot(c, c).real
-    if denom < DEGENERATE_NORM_TOL ** (2 * len(vectors) - 2):
+    norm2 = np.vdot(c, c).real
+    if norm2 < DEGENERATE_NORM_TOL ** (2 * len(vectors) - 2):
         raise DegenerateStateError(f"the contexts of subsystem {keep} have zero norm")
     d = vectors[keep].size
-    reduced = c.conj() @ (block @ c).reshape(d, c.size, d)
-    return (reduced + reduced.conj().T) * (0.5 / denom)
+    return c.conj() @ (block @ c).reshape(d, c.size, d), norm2
 
 
 def partially_reduced(H: HermitianOperator, state: ComponentState, k: int) -> HermitianOperator:
@@ -72,4 +78,5 @@ def partially_reduced(H: HermitianOperator, state: ComponentState, k: int) -> He
         raise ValueError(f"subsystem index {k} out of range for {n} subsystems")
     vectors = state.vectors()
     check_contexts(vectors, k)
-    return HermitianOperator(contract_reduced(H.slot_blocks[k], vectors, k), (dims[k],))
+    sandwich, norm2 = contract_reduced(H.slot_blocks[k], vectors, k)
+    return HermitianOperator((sandwich + sandwich.conj().T) * (0.5 / norm2), (dims[k],))

@@ -5,6 +5,11 @@ product and the component split that move between them. The flattening
 convention throughout the package is row-major with subsystem 0 as the
 slowest-varying index, so state and operator tensor products compose via the
 ordinary Kronecker product. Reduced density matrices live in ``analysis``.
+
+``SolverFailure`` is the base of every error with which an integrator gives
+up on a state it cannot advance; it lives here, in the module every other
+one imports, so that a caller can catch all of them without importing the
+integrators.
 """
 
 from __future__ import annotations
@@ -15,6 +20,10 @@ from math import prod
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
+
+
+class SolverFailure(Exception):
+    """An integrator could not advance a state: the run ends without a trajectory."""
 
 
 def _as_complex_vector(values) -> np.ndarray:

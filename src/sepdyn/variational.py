@@ -48,13 +48,13 @@ from numpy.linalg import _umath_linalg
 
 from .hamiltonians import HermitianOperator, check_dims
 from .propagators import check_grid
-from .states import kron, split_components
+from .states import SolverFailure, kron, split_components
 
 NEWTON_TOL = 1e-12
 NEWTON_MAXITER = 50
 
 
-class NewtonConvergenceError(RuntimeError):
+class NewtonConvergenceError(SolverFailure, RuntimeError):
     """Newton iteration failed to reach the residual tolerance."""
 
     def __init__(self, message: str, residual: float):
@@ -449,8 +449,9 @@ def _run_rows(start_Ld: DiscreteLagrangian, Ld, x0: np.ndarray, steps,
     count and final residual of the solve that produced it at the same index
     of two more arrays. A step gathers the running rows' last two points with
     one fancy index and writes their solved points in place; a trajectory is
-    a slice of the three. So a batch stores what ``cli._work_units`` counts,
-    (steps + 1) * n amplitudes a row, and 16 bytes a point besides.
+    a slice of the three. So a batch stores (steps + 1) * n amplitudes a row,
+    and 16 bytes a point besides; ``cli._batch_amplitudes`` counts these and
+    each row's Newton temporaries.
     """
     for count in steps:
         check_grid(start_Ld.dt, count)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import re
@@ -5,12 +6,13 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sepdyn import analysis, bea, cli, propagators, states, variational
+from sepdyn import analysis, bea, cli, propagators, reduced, states, variational
 from sepdyn.propagators import SplittingScheme, Trajectory
 
 SWAP_STATE = [[1.0, 0.0], [0.6, [0.0, 0.8]]]
@@ -181,6 +183,9 @@ BEA = {"integrator": "bea_truncation", "bea_scheme": "lie_trotter"}
 RANDOM5_SEED3 = {"experiment": "random5", "seed": 3}
 # Product norm² 1e308, just inside the double range.
 BIG_FIVE_QUBITS = [[1e154, 0], [0.6, 0.8], [1, 0], [0, 1], [1, 0]]
+# norm² 1e308, with ‖H‖ = 6 on r_party 1.
+BIG_LADDER = {"experiment": "ladder", "r_party": 1,
+              "initial_state": [[1e154, 0, 0], [0.6, 0.8, 0], [1, 0, 0]]}
 MIXED_FIVE_QUBITS = [[1, 0], [0.6, 0.8], [1, 0], [0, 1], [0.6, 0.8]]
 
 
@@ -407,9 +412,9 @@ class TestFiniteProbes:
         ({**RANDOM5_SEED3, "integrator": "var_discretize_first", "alpha": 0.5,
           "initial_state": BIG_FIVE_QUBITS}, cli.EXIT_SOLVER, "non-finite"),
         # The splitting reduction c^H H c is of order ‖H‖ norm² and overflows.
-        ({"integrator": "strang", "initial_state": [[1.2e154, 0], [0.6, 0.8]]},
+        ({**BIG_LADDER, "integrator": "strang"},
          cli.EXIT_SOLVER, "splitting step 1 produced a non-finite state"),
-        ({"integrator": "lie_trotter", "initial_state": [[1.2e154, 0], [0.6, 0.8]]},
+        ({**BIG_LADDER, "integrator": "lie_trotter"},
          cli.EXIT_SOLVER, "splitting step 1 produced a non-finite state"),
         ({**RANDOM5_SEED3, "integrator": "strang", "initial_state": BIG_FIVE_QUBITS},
          cli.EXIT_SOLVER, "splitting step 1 produced a non-finite state"),
@@ -434,9 +439,11 @@ class TestFiniteProbes:
         assert list((tmp_path / "out").glob("run.*")) == []
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("integrator, per_step", [("lie_trotter", 2), ("strang", 3)])
+    # Reductions in steps 1 and 2 on swap: two a step for Lie-Trotter; for
+    # Strang three, then two, as step 2 reuses step 1's last decomposition.
+    @pytest.mark.parametrize("integrator, before", [("lie_trotter", 4), ("strang", 5)])
     def test_a_nan_decomposition_exits_3(self, tmp_path, capsys, monkeypatch, integrator,
-                                         per_step):
+                                         before):
         # Sub-steps call the eigh gufunc without np.linalg.eigh's wrapper, so a
         # decomposition that fails gives NaN, not LinAlgError. From step 3 on,
         # every sub-step's reduction here is NaN.
@@ -444,8 +451,10 @@ class TestFiniteProbes:
 
         def nan_from_step_3(block, vectors, keep, _kernel=propagators.contract_reduced):
             calls.append(keep)
-            reduced = _kernel(block, vectors, keep)
-            return reduced if len(calls) <= 2 * per_step else np.full_like(reduced, np.nan)
+            sandwich, norm2 = _kernel(block, vectors, keep)
+            if len(calls) > before:
+                sandwich = np.full_like(sandwich, np.nan)
+            return sandwich, norm2
 
         monkeypatch.setattr(propagators, "contract_reduced", nan_from_step_3)
         code, err = run_with(tmp_path, capsys, integrator=integrator, dt=0.1, t_final=0.5)
@@ -564,7 +573,7 @@ class TestConfigPass:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         self.write_configs(tmp_path / "configs", 3)
         argv = ["run", "--config", str(tmp_path / "configs"), "--jobs", str(jobs)]
@@ -579,6 +588,37 @@ class TestConfigPass:
         columns = csv_columns(tmp_path / "out" / "run.csv")
         assert columns["t"].tolist() == [0.0, 0.1]
         assert columns["rate_nucl"][0] == columns["rate_nucl"][1] > 0
+
+
+class TestColdStart:
+    """Setting up a run loads only the modules that the run needs."""
+
+    LAZY = ("sepdyn.variational", "sepdyn.bea", "concurrent.futures")
+    # What the benchmark's set-up probe does: import the CLI, load each
+    # config, build its Hamiltonian; then report which LAZY modules loaded.
+    PROBE = """
+import json, sys
+from pathlib import Path
+from sepdyn import cli
+cli.build_hamiltonian(cli.load_config(Path(sys.argv[1]), []))
+print(json.dumps([name for name in sys.argv[2:] if name in sys.modules]))
+"""
+
+    def test_setup_of_a_splitting_config_imports_no_lazy_module(self, tmp_path):
+        path = tmp_path / "strang.json"
+        config = {**swap_config(tmp_path / "out" / "run", 0.1), "integrator": "strang"}
+        path.write_text(json.dumps(config))
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", self.PROBE, str(path), *self.LAZY],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == []
+
+    @pytest.mark.parametrize("error", [
+        variational.NewtonConvergenceError, bea.StepSizeUnderflowError,
+        propagators.NonFiniteStateError, reduced.DegenerateStateError])
+    def test_every_solver_error_is_one_failure(self, error):
+        assert issubclass(error, states.SolverFailure)
 
 
 class TestList:
@@ -806,7 +846,7 @@ class TestBatches:
                 units.extend(items)
                 return map(fn, units)
 
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
         assert cli.main(["run", "--config", str(configs), "--jobs", "2"]) == cli.EXIT_BLOWUP
         assert started == [2]
@@ -819,8 +859,9 @@ class TestBatches:
         assert cli.main(["run", "--config", str(configs)]) == cli.EXIT_BLOWUP
         whole = self.outputs(tmp_path)
         shutil.rmtree(tmp_path / "out")
-        # Rows stored per config: (steps + 1) * 4 = 124, 44, 44 and 12.
-        monkeypatch.setattr(cli, "BATCH_AMPLITUDES", 170)
+        # Rows stored per config: (steps + 1) * 4 = 124, 44, 44 and 12, each
+        # plus NEWTON_COPIES * 2 * 4 * 4 = 256 of Newton temporaries.
+        monkeypatch.setattr(cli, "BATCH_AMPLITUDES", 700)
         items = [(path, cli.load_config(path, [])) for path in sorted(configs.iterdir())]
         assert [[path.stem for path, _ in unit] for unit in cli._work_units(items)] == [
             ["a_blowup", "c_ok"], ["b_split"], ["d_other_dt"], ["e_failed_start", "f_short"]]
@@ -838,10 +879,37 @@ class TestBatches:
         buffer = runs[0].points.base
         assert all(run.points.base is buffer for run in runs)
         assert buffer.size == 124 + 44 + 44 + 12
-        monkeypatch.setattr(cli, "BATCH_AMPLITUDES", buffer.size)
+        # Each row also counts its Newton temporaries: 2 * 4 bumped points of 4.
+        temporaries = len(batch) * cli.NEWTON_COPIES * 2 * 4 * 4
+        monkeypatch.setattr(cli, "BATCH_AMPLITUDES", buffer.size + temporaries)
         assert [path.name for path, _ in cli._work_units(items)[0]] == self.BATCH
-        monkeypatch.setattr(cli, "BATCH_AMPLITUDES", buffer.size - 1)
+        monkeypatch.setattr(cli, "BATCH_AMPLITUDES", buffer.size + temporaries - 1)
         assert [path.name for path, _ in cli._work_units(items)[0]] == self.BATCH[:-1]
+
+    @pytest.mark.parametrize("ordering", ["var_restrict_first", "var_discretize_first"])
+    def test_a_random5_batch_peaks_near_what_it_counts(self, tmp_path, ordering):
+        """Short random5 rows store little, but each Newton iteration holds
+        about 70 kB of temporaries a row; the count covers them."""
+        configs = []
+        for j in range(16):
+            path = tmp_path / f"r{j:02d}.json"
+            state = [[np.cos(0.1 * j + l), np.sin(0.1 * j + l)] for l in range(5)]
+            path.write_text(json.dumps({
+                **swap_config(tmp_path / "out" / f"r{j:02d}", 0.01), **RANDOM5_SEED3,
+                "integrator": ordering, "alpha": 0.5, "t_final": 0.02,
+                "initial_state": state}))
+            configs.append(cli.load_config(path, []))
+        H = cli.build_hamiltonian(configs[0])
+        H.slot_blocks, H.spectrum  # built once per batch, outside the count
+        counted = 16 * sum(map(cli._batch_amplitudes, configs))
+        tracemalloc.start()
+        try:
+            outcomes = cli._variational_rows(configs, H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(isinstance(outcome, variational.DiscreteTrajectory) for outcome in outcomes)
+        assert counted / 2 <= peak <= 2 * counted
 
 
 class TestVariationalRecord:

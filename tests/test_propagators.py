@@ -130,16 +130,17 @@ class TestEighGufunc:
         for _ in range(4):
             vectors = [random_ket(rng, d, normalize=False).amplitudes for d in dims]
             for k in range(len(dims)):
-                self.assert_decomposes_as_eigh(contract_reduced(H.slot_blocks[k], vectors, k))
+                self.assert_decomposes_as_eigh(contract_reduced(H.slot_blocks[k], vectors, k)[0])
 
     def test_a_degenerate_spectrum_decomposes_as_np_linalg_eigh(self, rng):
         # Swap on qutrits at a product context b reduces to |b><b| / |b|²,
         # whose eigenvalue 0 is double.
         b = random_ket(rng, 3, normalize=False).amplitudes
         for context in (b, np.array([1.0, 0.0, 0.0], dtype=complex)):
-            reduced = contract_reduced(swap_hamiltonian(3).slot_blocks[0], [b, context], 0)
-            evals = self.assert_decomposes_as_eigh(reduced)
-            assert np.max(np.abs(evals - [0.0, 0.0, 1.0])) < 1e-15
+            sandwich, norm2 = contract_reduced(swap_hamiltonian(3).slot_blocks[0],
+                                               [b, context], 0)
+            evals = self.assert_decomposes_as_eigh(sandwich)
+            assert np.max(np.abs(evals / norm2 - [0.0, 0.0, 1.0])) < 1e-15
 
 
 class TestSeFlow:
@@ -359,15 +360,60 @@ def scheme_sequence(scheme, n, dt) -> list[tuple[int, float]]:
 def stacked_sub_step(H, x, k, tau) -> np.ndarray:
     """One sub-step on stacked components, written out with public calls.
 
-    ``np.linalg.eigh`` of the slot-block reduction, and the flowed block
-    written into a copy of ``x``: the oracle of the step maps' kernel.
+    ``np.linalg.eigh`` of the slot-block sandwich S, recomputed at every
+    sub-step, and exp(-i (tau / |c|²) S) of the block written into a copy of
+    ``x``: the oracle of the splitting kernel.
     """
     parts = split_components(x, H.dims)
-    evals, evecs = np.linalg.eigh(contract_reduced(H.slot_blocks[k], parts, k))
+    sandwich, norm2 = contract_reduced(H.slot_blocks[k], parts, k)
+    evals, evecs = np.linalg.eigh(sandwich)
     out = x.copy()
     offset = sum(H.dims[:k])
-    out[offset : offset + H.dims[k]] = spectral_apply(evals, evecs, tau, parts[k])
+    out[offset : offset + H.dims[k]] = spectral_apply(evals, evecs, tau / norm2, parts[k])
     return out
+
+
+def run_reductions(scheme, n, steps) -> int:
+    """Reductions in an ``evolve`` run of ``steps`` steps on n components.
+
+    Lie-Trotter reduces n times a step. Strang's last half-step of a step
+    and the first one of the next share a decomposition inside a
+    finiteness block: 2n - 1 reductions on a block's first step, 2n - 2 after.
+    """
+    block = propagators.FINITE_CHECK_STEPS
+    if scheme is SplittingScheme.LIE_TROTTER:
+        return n * steps
+    blocks = -(-steps // block)
+    return (2 * n - 2) * steps + blocks
+
+
+def record_reductions(monkeypatch, nan_from=np.inf) -> list:
+    """Record the component of every reduction ``propagators`` makes.
+
+    Counted where ``propagators`` looks the kernel up, as a tracer would.
+    From reduction ``nan_from`` on (counting from 1), the sandwich is NaN.
+    """
+    calls = []
+
+    def poisoned(block, vectors, keep, _kernel=propagators.contract_reduced):
+        calls.append(keep)
+        sandwich, norm2 = _kernel(block, vectors, keep)
+        return (sandwich if len(calls) < nan_from else np.full_like(sandwich, np.nan)), norm2
+
+    monkeypatch.setattr(propagators, "contract_reduced", poisoned)
+    return calls
+
+
+def count_steps(monkeypatch) -> list:
+    """Record the number of steps of every call of the run loop."""
+    steps = []
+
+    def counted(H, parts, sequence, rows, _run=propagators._run):
+        steps.append(len(rows))
+        return _run(H, parts, sequence, rows)
+
+    monkeypatch.setattr(propagators, "_run", counted)
+    return steps
 
 
 def object_path_rows(scheme, H, state0, dt, steps) -> np.ndarray:
@@ -453,25 +499,15 @@ class TestArrayCore:
                                                             scheme, j):
         """The eigh gufunc decomposes a NaN matrix to NaN and raises nothing,
         so the run ends at its next finiteness test, naming step j."""
-        per_step = len(scheme_sequence(scheme, 2, 0.1))
-        calls = []
-
-        def nan_from_step_j(block, vectors, keep, _kernel=propagators.contract_reduced):
-            calls.append(keep)
-            reduced = _kernel(block, vectors, keep)
-            return reduced if len(calls) <= (j - 1) * per_step else np.full_like(reduced, np.nan)
-
-        monkeypatch.setattr(propagators, "contract_reduced", nan_from_step_j)
+        calls = record_reductions(monkeypatch, run_reductions(scheme, 2, j - 1) + 1)
         with pytest.raises(NonFiniteStateError, match=f"splitting step {j} "):
             evolve(scheme, swap_hamiltonian(2), fig1_state, 0.01, 600)
         block = propagators.FINITE_CHECK_STEPS
-        assert len(calls) == -(-j // block) * block * per_step
+        assert len(calls) == run_reductions(scheme, 2, -(-j // block) * block)
 
     @pytest.mark.parametrize("scheme", list(SplittingScheme))
     def test_dims_mismatch_rejected_before_any_step(self, rng, monkeypatch, scheme):
-        calls = []
-        monkeypatch.setitem(propagators._STEP_MAPS, scheme,
-                            lambda *args: calls.append(args))
+        calls = count_steps(monkeypatch)
         H = random_hermitian_on(rng, (2, 3))
         state = ComponentState((random_ket(rng, 3), random_ket(rng, 2)))
         with pytest.raises(ValueError, match="do not match"):
@@ -480,9 +516,7 @@ class TestArrayCore:
 
     @pytest.mark.parametrize("scheme", list(SplittingScheme))
     def test_zero_norm_component_rejected(self, rng, monkeypatch, scheme):
-        calls = []
-        monkeypatch.setitem(propagators._STEP_MAPS, scheme,
-                            lambda *args: calls.append(args))
+        calls = count_steps(monkeypatch)
         H = random_hermitian(2, seed=4)
         state = ComponentState((random_ket(rng), Ket(np.zeros(2, dtype=complex))))
         with pytest.raises(DegenerateStateError, match="context state 1"):
@@ -492,7 +526,7 @@ class TestArrayCore:
     @pytest.mark.filterwarnings("error")  # the overflow raises no numpy warning
     @pytest.mark.parametrize("scheme", list(SplittingScheme))
     @pytest.mark.parametrize("system, big", [
-        ("swap", [[1.2e154, 0.0], [0.6, 0.8]]),
+        ("ladder", [[1e154, 0.0, 0.0], [0.6, 0.8, 0.0], [1.0, 0.0, 0.0]]),
         ("random5", [[1e154, 0.0], [0.6, 0.8], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]),
     ])
     def test_overflow_is_reported_once_after_the_run(self, monkeypatch, scheme, system, big):
@@ -501,19 +535,12 @@ class TestArrayCore:
         A run shorter than ``FINITE_CHECK_STEPS`` runs every step and is
         tested for non-finite values once, at its end.
         """
-        H = swap_hamiltonian(2) if system == "swap" else random_hermitian(5, seed=3)
+        H = correlator_hamiltonian(1) if system == "ladder" else random_hermitian(5, seed=3)
         state = ComponentState(tuple(Ket(np.array(v, dtype=complex)) for v in big))
-        step_map = propagators._STEP_MAPS[scheme]
-        calls = []
-
-        def counted(*args):
-            calls.append(None)
-            return step_map(*args)
-
-        monkeypatch.setitem(propagators._STEP_MAPS, scheme, counted)
+        steps = count_steps(monkeypatch)
         with pytest.raises(NonFiniteStateError, match="splitting step 1 "):
             evolve(scheme, H, state, 0.1, 3)
-        assert len(calls) == 3
+        assert steps == [3]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scheme", list(SplittingScheme))
@@ -522,34 +549,22 @@ class TestArrayCore:
         instead of taking all 2000 steps on NaN, and still names step 1."""
         big = [[1e154, 0.0], [0.6, 0.8], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
         state = ComponentState(tuple(Ket(np.array(v, dtype=complex)) for v in big))
-        step_map = propagators._STEP_MAPS[scheme]
-        calls = []
-
-        def counted(*args):
-            calls.append(None)
-            return step_map(*args)
-
-        monkeypatch.setitem(propagators._STEP_MAPS, scheme, counted)
+        steps = count_steps(monkeypatch)
         with pytest.raises(NonFiniteStateError, match="splitting step 1 "):
             evolve(scheme, random_hermitian(5, seed=3), state, 0.001, 2000)
-        assert len(calls) == propagators.FINITE_CHECK_STEPS == 256
+        assert steps == [propagators.FINITE_CHECK_STEPS] == [256]
 
     @pytest.mark.parametrize("steps", [255, 256, 257, 600])
     def test_overflow_after_the_first_block_names_its_step(self, monkeypatch, fig1_state,
                                                            steps):
         """A state that turns non-finite in a later block is caught in that block."""
-        step_map = propagators._STEP_MAPS[SplittingScheme.LIE_TROTTER]
-        calls = []
-
-        def poisoned(H, x, dt):
-            calls.append(None)
-            return x * np.nan if len(calls) >= steps - 1 else step_map(H, x, dt)
-
-        monkeypatch.setitem(propagators._STEP_MAPS, SplittingScheme.LIE_TROTTER, poisoned)
+        scheme = SplittingScheme.LIE_TROTTER
+        record_reductions(monkeypatch, run_reductions(scheme, 2, steps - 2) + 1)
+        counted = count_steps(monkeypatch)
         with pytest.raises(NonFiniteStateError, match=f"splitting step {steps - 1} "):
-            evolve(SplittingScheme.LIE_TROTTER, swap_hamiltonian(2), fig1_state, 0.01, steps)
+            evolve(scheme, swap_hamiltonian(2), fig1_state, 0.01, steps)
         block = propagators.FINITE_CHECK_STEPS
-        assert len(calls) == min(steps, -(-(steps - 1) // block) * block)
+        assert sum(counted) == min(steps, -(-(steps - 1) // block) * block)
 
     @pytest.mark.parametrize("step", [lie_trotter_step, strang_step])
     @pytest.mark.parametrize("zero", [0, 1, 2])
@@ -581,21 +596,30 @@ class TestArrayCore:
                              ids=["lie_trotter", "strang"])
     @pytest.mark.parametrize("system", list(SYSTEMS))
     def test_one_reduction_per_sub_step(self, rng, monkeypatch, step, per_step, system):
-        """One step reduces H n times (Lie-Trotter) or 2n - 1 times (Strang).
-
-        Counted where ``propagators`` looks the kernel up, as a tracer would.
-        """
-        calls = []
-
-        def counting(*args, _kernel=propagators.contract_reduced):
-            calls.append(args[2])
-            return _kernel(*args)
-
-        monkeypatch.setattr(propagators, "contract_reduced", counting)
+        """One step reduces H n times (Lie-Trotter) or 2n - 1 times (Strang)."""
+        calls = record_reductions(monkeypatch)
         H = SYSTEMS[system]()
         x = np.concatenate([random_ket(rng, d).amplitudes for d in H.dims])
         step(H, x, 0.05)
         assert len(calls) == per_step(len(H.dims))
+
+    @pytest.mark.parametrize("scheme", list(SplittingScheme))
+    @pytest.mark.parametrize("system", list(SYSTEMS))
+    @pytest.mark.parametrize("steps", [1, 2, 256, 600])
+    def test_reductions_in_one_run(self, rng, monkeypatch, scheme, system, steps):
+        """Lie-Trotter reduces n times a step; Strang 2n - 1 times on the
+        first step of each finiteness block and 2n - 2 times after, since a
+        step's last half-step and the next one's first share a decomposition."""
+        calls = record_reductions(monkeypatch)
+        H = SYSTEMS[system]()
+        state = ComponentState(tuple(random_ket(rng, d) for d in H.dims))
+        evolve(scheme, H, state, 0.05, steps)
+        n = len(H.dims)
+        block = propagators.FINITE_CHECK_STEPS
+        per_step = n if scheme is SplittingScheme.LIE_TROTTER else 2 * n - 2
+        first = n if scheme is SplittingScheme.LIE_TROTTER else 2 * n - 1
+        blocks = -(-steps // block)
+        assert len(calls) == blocks * first + (steps - blocks) * per_step
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 2), (3, 3, 3), (2,) * 5])
     def test_sub_step_bits_do_not_depend_on_alignment(self, rng, dims):

@@ -164,11 +164,18 @@ class TestContractReducedKernel:
         vectors = [rng.uniform(0.1, 10.0) * random_ket(rng, d, normalize=False).amplitudes
                    for d in dims]
         for k in range(len(dims)):
-            kernel = contract_reduced(H.slot_blocks[k], vectors, k)
+            sandwich, norm2 = contract_reduced(H.slot_blocks[k], vectors, k)
             oracle = einsum_reduction(matrix, vectors, k, dims)
-            assert kernel.shape == (dims[k], dims[k])
+            assert sandwich.shape == (dims[k], dims[k])
+            contexts = np.prod([np.vdot(v, v).real for j, v in enumerate(vectors) if j != k])
+            assert norm2 == pytest.approx(contexts, rel=1e-14)
+            kernel = sandwich / norm2
             assert np.max(np.abs(kernel - oracle)) <= 1e-13 * np.max(np.abs(oracle))
-            assert np.array_equal(kernel, kernel.conj().T)
+            # Not symmetrized: Hermitian up to rounding only.
+            assert np.max(np.abs(kernel - kernel.conj().T)) <= 1e-13 * np.max(np.abs(oracle))
+            reduced = partially_reduced(H, ComponentState(tuple(map(Ket, vectors))), k)
+            assert np.array_equal(reduced.entries, (sandwich + sandwich.conj().T) * (0.5 / norm2))
+            assert np.array_equal(reduced.entries, reduced.entries.conj().T)
 
     def test_zero_context_rejected(self, rng):
         H = HermitianOperator(random_hermitian_matrix(rng, (2, 3)), (2, 3))

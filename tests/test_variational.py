@@ -815,9 +815,9 @@ class TestRowBatches:
         assert capfd.readouterr().out == ""
 
     def test_a_batch_stores_each_point_once(self, rng):
-        # ``cli`` caps a batch by (steps + 1) * sum(dims) amplitudes a row. The
-        # buffer adds 16 bytes a point for the Newton counts and residuals, and
-        # a Newton iteration's temporaries take a few kB a row.
+        # A batch stores (steps + 1) * sum(dims) amplitudes a row. The buffer
+        # adds 16 bytes a point for the Newton counts and residuals, and a
+        # Newton iteration's temporaries take a few kB a swap row.
         batch, steps = 8, 250
         states = [ComponentState((random_ket(rng, 2), random_ket(rng, 2)))
                   for _ in range(batch)]
