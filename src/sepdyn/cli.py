@@ -87,11 +87,13 @@ BLOWUP_FACTOR = 2.0
 MAX_STEPS = 10**6
 # A batch allocates (steps + 1) * sum(dims) amplitudes a config, plus 16 bytes
 # a point of Newton records, and keeps them until its last config is written.
-# Each Newton iteration adds, per running row, the 2 * sum(dims) bumped points
-# of its forward-difference Jacobian as product states, prod(dims) amplitudes
-# each, and the residual's temporaries on them: NEWTON_COPIES such arrays in
-# all (tracemalloc reads 7-8 on random5 and ladder). A batch counts both, at
-# most BATCH_AMPLITUDES (160 MB) over its configs, or one config's if more.
+# Each Newton iteration adds, per running row, one residual call on a stack of
+# 2 * sum(dims) + 1 points (the iterate and the bumped points of its
+# forward-difference Jacobian) as product states, prod(dims) amplitudes each,
+# and the residual's temporaries on them: about NEWTON_COPIES arrays of
+# 2 * sum(dims) such states in all (tracemalloc reads 8.9-9.3 on random5 and
+# ladder). A batch counts both, at most BATCH_AMPLITUDES (160 MB) over its
+# configs, or one config's if more.
 BATCH_AMPLITUDES = 10**7
 NEWTON_COPIES = 8
 # write_csv formats whole rows of at most about this many cells at a time.
@@ -764,6 +766,9 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG
 
+    if args.jobs < 1:
+        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_CONFIG
     config_path = Path(args.config)
     files = sorted(config_path.glob("*.json")) if config_path.is_dir() else [config_path]
     if not files:

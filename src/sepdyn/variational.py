@@ -28,12 +28,12 @@ independent (the stationarity equations couple a point to its conjugate),
 and the Jacobian is taken by forward differences. Residuals, and the
 gradients and partials they are built from, accept a stack of points on
 leading axes and act row by row, each row equal bit for bit to the
-one-point call; so one residual call serves every running row, and one
-more serves all of their Jacobians' bumped points. The least-squares updates
-of all running rows are one call to the LAPACK gelsd gufunc that
-``np.linalg.lstsq`` wraps, which solves each matrix of a stack as it would
-solve it alone. Norms stay one dot product per row: a stacked norm rounds
-differently from the one-row norm.
+one-point call; so each iteration makes one residual call, on a stack
+that holds every running row's iterate and its Jacobian's bumped points.
+The least-squares updates of all running rows are one call to the LAPACK
+gelsd gufunc that ``np.linalg.lstsq`` wraps, which solves each matrix of a
+stack as it would solve it alone. Norms stay one dot product per row: a
+stacked norm rounds differently from the one-row norm.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from math import prod, sqrt
 from typing import Callable
 
 import numpy as np
+from numpy._core.multiarray import c_einsum
 from numpy.linalg import _umath_linalg
 
 from .hamiltonians import HermitianOperator, check_dims
@@ -52,6 +53,7 @@ from .states import SolverFailure, kron, split_components
 
 NEWTON_TOL = 1e-12
 NEWTON_MAXITER = 50
+_SQRT_EPS = sqrt(np.finfo(float).eps)
 
 
 class NewtonConvergenceError(SolverFailure, RuntimeError):
@@ -128,7 +130,9 @@ def _contract_all_but(g: np.ndarray, vectors, k: int) -> np.ndarray:
     The vectors' last axes give the slot sizes (entry k is read for its size
     only). Plain dot products, no conjugation: the transpose of the linear
     slot-k embedding map, as needed for holomorphic chain rules. Leading axes
-    of g and of the vectors are stack axes and broadcast.
+    of g and of the vectors are stack axes and broadcast. Calls the C
+    contraction that ``np.einsum`` (``optimize=False``) forwards to, without
+    its Python wrapper.
     """
     shape = g.shape[:-1]
     operands = [None, [Ellipsis, *range(len(vectors))]]
@@ -137,7 +141,7 @@ def _contract_all_but(g: np.ndarray, vectors, k: int) -> np.ndarray:
         if j != k:
             operands += [vec, [Ellipsis, j]]
     operands[0] = g.reshape(shape)
-    return np.einsum(*operands, [Ellipsis, k])
+    return c_einsum(*operands, [Ellipsis, k])
 
 
 def separable_lagrangian(L: FirstOrderLagrangian, dims) -> FirstOrderLagrangian:
@@ -243,33 +247,6 @@ def _row_data(data: np.ndarray, rows: np.ndarray, points: np.ndarray) -> np.ndar
     return picked.reshape(picked.shape[:1] + (1,) * (points.ndim - 2) + picked.shape[1:])
 
 
-def _forward_difference_jacobian(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                                 x: np.ndarray, r: np.ndarray,
-                                 rows: np.ndarray) -> np.ndarray:
-    """Real-split forward-difference Jacobians of ``residual`` at the real points x.
-
-    ``x`` and ``r``, the real-split residuals there, have shape (B, m), one
-    row per system in ``rows``. Column j of row b's Jacobian is
-    (F_b(x_b + h_j e_j) - r_b) / h_j with h_j = sqrt(eps) * max(1, |x_bj|); the
-    (B, m) bumped points of every row go through one stacked residual call,
-    whose shape is checked.
-    """
-    count, m = x.shape
-    h = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(x))
-    # Entry (b, j) of ``bumped`` is x_b + h_bj e_j, so entry (b, j) of the
-    # differences is column j of row b's Jacobian.
-    bumped = np.repeat(x[:, None, :], m, axis=1)
-    diagonal = np.arange(m)
-    bumped[:, diagonal, diagonal] += h
-    values = residual(_real_to_complex(bumped), rows)
-    if values.shape != (count, m, m // 2):
-        raise ValueError(
-            f"residual mapped points of shape {(count, m, m // 2)} to shape "
-            f"{values.shape}; it must return one row per point"
-        )
-    return ((_complex_to_real(values) - r[:, None, :]) / h[:, :, None]).transpose(0, 2, 1)
-
-
 def _least_squares(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-norm least-squares solutions of a[i] y = b[i] for a (B, m, n) stack.
 
@@ -291,54 +268,75 @@ def _newton_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
     """Newton iteration on B complex systems at once, with real/imaginary splitting.
 
     ``residual(points, rows)`` evaluates the systems ``rows`` (indices into
-    the B guesses) at ``points``: one point per row, shape (len(rows), n),
-    or a stack per row, (len(rows), m, n), each point's value equal to a
-    one-point call. Every iteration makes one stacked residual call on the
-    rows still running, one on their Jacobians' bumped points
-    (``_forward_difference_jacobian``) and one stacked least-squares update
-    (``_least_squares``), which also covers rank-deficient systems (the
-    product-state substitution leaves a rescaling direction unconstrained).
-    A row leaves once its real-split residual norm is at most ``NEWTON_TOL``,
-    with (solution, iterations, that norm), or with a
-    ``NewtonConvergenceError`` for a non-finite residual or Jacobian, a failed
-    update or ``NEWTON_MAXITER`` iterations. Returns one of these per guess.
+    the B guesses) at a stack of points per row, shape (len(rows), k, n),
+    each point's value equal to a one-point call. Every iteration makes one
+    residual call, whose shape is checked, on the rows still running: k =
+    2n + 1 points a row, the iterate and its 2n forward-difference bumps.
+    With x the iterate's real and imaginary parts, point 1 + j is
+    x + h_j e_j, h_j = sqrt(eps) * max(1, |x_j|), so the call gives the
+    residual r at x and column j of the Jacobian, (F(x + h_j e_j) - r) / h_j.
+    A row leaves once its real-split residual norm is at most
+    ``NEWTON_TOL``, with (solution, iterations,
+    that norm), or with a ``NewtonConvergenceError`` for a non-finite
+    residual or ``NEWTON_MAXITER`` iterations. The others take one stacked
+    least-squares update (``_least_squares``), the minimum-norm step where
+    gelsd finds a Jacobian rank-deficient; a row whose Jacobian is not
+    finite, or whose update fails, leaves with a ``NewtonConvergenceError``.
+    Returns one of these outcomes per guess.
     """
     x = _complex_to_real(guesses)
-    rows = np.arange(len(x))
-    outcomes: list = [None] * len(x)
+    count, m = x.shape
+    rows = np.arange(count)
+    outcomes: list = [None] * count
+    diagonal = np.arange(m)
     iteration = 0
     while len(rows):
-        z = _real_to_complex(x)
-        r = _complex_to_real(residual(z, rows))
+        h = _SQRT_EPS * np.maximum(1.0, np.abs(x))
+        stack = np.repeat(x[:, None, :], m + 1, axis=1)
+        stack[:, diagonal + 1, diagonal] += h
+        points = _real_to_complex(stack)
+        values = residual(points, rows)
+        if values.shape != points.shape:
+            raise ValueError(
+                f"residual mapped points of shape {points.shape} to shape "
+                f"{values.shape}; it must return one row per point"
+            )
+        values = _complex_to_real(values)
         # np.linalg.norm's formula for a real vector, without its wrapper.
-        norms = np.array([sqrt(v @ v) for v in r])
+        norms = np.array([sqrt(v @ v) for v in values[:, 0]])
         running = np.isfinite(norms) & (norms > NEWTON_TOL) & (iteration < NEWTON_MAXITER)
-        for i in np.flatnonzero(~running):
-            res_norm = float(norms[i])
-            if not np.isfinite(res_norm):
-                outcomes[rows[i]] = NewtonConvergenceError(
-                    "Newton residual became non-finite", res_norm)
-            elif res_norm <= NEWTON_TOL:
-                outcomes[rows[i]] = (z[i], iteration, res_norm)
-            else:
-                outcomes[rows[i]] = NewtonConvergenceError(
-                    f"Newton did not reach {NEWTON_TOL} in {NEWTON_MAXITER} iterations",
-                    res_norm)
-        x, r, rows, norms = x[running], r[running], rows[running], norms[running]
-        if not len(rows):
-            break
-        jac = _forward_difference_jacobian(residual, x, r, rows)
+        if not running.all():
+            for i in np.flatnonzero(~running):
+                res_norm = float(norms[i])
+                if not np.isfinite(res_norm):
+                    outcomes[rows[i]] = NewtonConvergenceError(
+                        "Newton residual became non-finite", res_norm)
+                elif res_norm <= NEWTON_TOL:
+                    outcomes[rows[i]] = (points[i, 0], iteration, res_norm)
+                else:
+                    outcomes[rows[i]] = NewtonConvergenceError(
+                        f"Newton did not reach {NEWTON_TOL} in {NEWTON_MAXITER} iterations",
+                        res_norm)
+            rows, x, h, values, norms = (rows[running], x[running], h[running],
+                                         values[running], norms[running])
+            if not len(rows):
+                break
+        r = values[:, 0]
+        # Entry (b, j) of the differences is column j of row b's Jacobian.
+        jac = ((values[:, 1:] - r[:, None, :]) / h[:, :, None]).transpose(0, 2, 1)
         # gelsd prints to stdout on a non-finite matrix: such rows solve zeros.
         finite = np.isfinite(jac).all(axis=(1, 2))
         jac[~finite] = 0.0
         steps, ranks = _least_squares(jac, -r)
+        x = x + steps
         running = finite & (ranks >= 0)
-        for i in np.flatnonzero(~running):
-            reason = ("update failed: SVD did not converge in Linear Least Squares"
-                      if finite[i] else "Jacobian became non-finite")
-            outcomes[rows[i]] = NewtonConvergenceError(f"Newton {reason}", float(norms[i]))
-        rows = rows[running]
-        x = x[running] + steps[running]
+        if not running.all():
+            for i in np.flatnonzero(~running):
+                reason = ("update failed: SVD did not converge in Linear Least Squares"
+                          if finite[i] else "Jacobian became non-finite")
+                outcomes[rows[i]] = NewtonConvergenceError(f"Newton {reason}",
+                                                           float(norms[i]))
+            rows, x = rows[running], x[running]
         iteration += 1
     return outcomes
 
@@ -353,8 +351,9 @@ def _solved(outcome):
 def newton_solve(residual: Callable[[np.ndarray], np.ndarray], guess: np.ndarray):
     """``_newton_rows`` on one system; returns (solution, iterations) or raises.
 
-    ``residual`` maps one complex point of shape (n,) to shape (n,), and an
-    (m, n) stack of points to (m, n), each row equal to the one-point call.
+    ``residual`` maps an (m, n) stack of complex points to (m, n), each row
+    equal to its one-point call; each iteration calls it once, on 2n + 1
+    points.
     """
 
     def one_row(points, rows):
@@ -516,9 +515,11 @@ class _SubstitutedDiscreteLagrangian:
 
     The full-space discrete Lagrangian is evaluated on product states and
     differentiated with respect to the component variables; the unknown
-    enters only through its tensor product, so the resulting equations are
-    rank-deficient along component rescalings (handled by the least-squares
-    Newton update).
+    enters only through its tensor product, so the exact equations are
+    rank-deficient along component rescalings. The Newton update does not
+    see that: forward-difference noise usually lifts those singular values
+    of the Jacobian above gelsd's cutoff, which then counts them as rank and
+    steps along them instead of taking the minimum-norm step.
     """
 
     def __init__(self, Ld_full: DiscreteLagrangian, dims):

@@ -581,6 +581,21 @@ class TestConfigPass:
         assert started == ([] if workers is None else [workers])
         assert len(list((tmp_path / "out").iterdir())) == 6
 
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_exit_2_before_any_load(self, tmp_path, capsys, monkeypatch,
+                                                   jobs):
+        def load_config(path, overrides):
+            pytest.fail("no config may load with --jobs below 1")
+
+        monkeypatch.setattr(cli, "load_config", load_config)
+        self.write_configs(tmp_path / "configs", 2)
+        argv = ["run", "--config", str(tmp_path / "configs"), "--jobs", str(jobs)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"--jobs must be at least 1, got {jobs}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_one_step_run_writes_rate_of_change(self, tmp_path, capsys):
         code, _ = run_with(tmp_path, capsys, integrator="strang", dt=0.1, t_final=0.1,
                            outputs=["rate_nucl"])

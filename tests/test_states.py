@@ -10,6 +10,7 @@ from sepdyn.states import (
     FullState,
     Ket,
     inner,
+    kron,
     split_components,
     tensor_product,
     tensor_product_rows,
@@ -93,6 +94,24 @@ class TestTensorProduct:
         for row, stacked in zip(full, components):
             a, b, c = np.split(stacked, np.cumsum(dims)[:-1])
             assert np.array_equal(row, np.kron(np.kron(a, b), c))
+
+    def test_one_dimensional_factors_equal_the_broadcast_path(self, rng):
+        # 1-D factors take a shorter path; strided views, as split_components
+        # gives, and a 1-D factor beside a stacked one included.
+        components = (rng.standard_normal((3, 14)) + 1j * rng.standard_normal((3, 14)))
+        a, b, c = components[0, 0:4:2], components[0, 4:7], components[0, 7:14]
+
+        def broadcast(factors):
+            out = factors[0]
+            for factor in factors[1:]:
+                out = out[..., :, None] * factor[..., None, :]
+                out = out.reshape(out.shape[:-2] + (-1,))
+            return out
+
+        for factors in ([a, b], [a, b, c], [a, components[:, 4:7], c],
+                        [components[:, 0:2], b]):
+            assert np.array_equal(kron(factors).view(np.uint64),
+                                  broadcast(factors).view(np.uint64))
 
     @given(a=unit_qubit, b=unit_qubit)
     @settings(max_examples=50, deadline=None)

@@ -1,7 +1,7 @@
 import re
 import tracemalloc
 from functools import partial
-from math import prod
+from math import prod, sqrt
 
 import numpy as np
 import pytest
@@ -33,7 +33,7 @@ from sepdyn.variational import (
     separable_lagrangian,
     velocity_momentum,
 )
-from sepdyn.variational import _SubstitutedDiscreteLagrangian, _forward_difference_jacobian
+from sepdyn.variational import _SubstitutedDiscreteLagrangian
 from sepdyn.variational import _least_squares as real_least_squares
 
 from conftest import local_sum_hamiltonian, random_ket
@@ -368,13 +368,31 @@ def one_row(residual, row=0):
     return lambda y: residual(y[None], np.array([row]))[0]
 
 
-def jacobian_at(residual, point):
-    """``_forward_difference_jacobian`` of row 0 of ``residual`` at ``point``,
-    with the real-split point and residual it was taken at."""
+def newton_jacobians(monkeypatch, residual, points):
+    """The real-split Jacobians and residuals that ``_newton_rows`` hands to its
+    first least-squares update, started at the rows of ``points``."""
+    seen = {}
+
+    def record(a, b):
+        seen.update(jacobians=a.copy(), residuals=-b)
+        return np.full_like(b, np.nan), np.full(len(b), -1)
+
+    monkeypatch.setattr(variational, "_least_squares", record)
+    variational._newton_rows(residual, points)
+    monkeypatch.undo()
+    return seen["jacobians"], seen["residuals"]
+
+
+def jacobian_at(monkeypatch, residual, point):
+    """The Newton Jacobian of row 0 of ``residual`` at ``point``, with the
+    real-split point and the one-point residual there."""
     x = np.concatenate([point.real, point.imag])
     values = one_row(residual)(point)
     r = np.concatenate([values.real, values.imag])
-    return _forward_difference_jacobian(residual, x[None], r[None], np.array([0]))[0], x, r
+    jacobians, residuals = newton_jacobians(monkeypatch, residual, point[None])
+    # The stacked call's point 0 is the one-point call, bit for bit.
+    assert np.array_equal(residuals[0], r)
+    return jacobians[0], x, r
 
 
 class TestStackedResiduals:
@@ -416,7 +434,7 @@ class TestStackedResiduals:
             for solve in solves:
                 residual, (guess,) = captured_residual(monkeypatch, solve)
                 for point in (guess, guess + 0.01 * random_product_point(rng, dims)):
-                    jac, x, r = jacobian_at(residual, point)
+                    jac, x, r = jacobian_at(monkeypatch, residual, point)
                     assert np.array_equal(jac, per_column_jacobian(one_row(residual), x, r))
 
     def test_row_jacobians_equal_the_per_column_loop(self, rng, monkeypatch):
@@ -432,7 +450,8 @@ class TestStackedResiduals:
                 x = np.concatenate([guesses.real, guesses.imag], axis=1)
                 values = residual(guesses, np.arange(3))
                 r = np.concatenate([values.real, values.imag], axis=1)
-                jacs = _forward_difference_jacobian(residual, x, r, np.arange(3))
+                jacs, residuals = newton_jacobians(monkeypatch, residual, guesses)
+                assert np.array_equal(residuals, r)
                 for row in range(3):
                     assert np.array_equal(
                         jacs[row], per_column_jacobian(one_row(residual, row), x[row], r[row]))
@@ -441,7 +460,8 @@ class TestStackedResiduals:
         def first_row_only(y):
             return np.atleast_2d(y)[0] ** 2 - 1.0
 
-        with pytest.raises(ValueError, match=r"to shape \(1, 2\)"):
+        # One row of 2 unknowns: its iterate and 4 bumped points.
+        with pytest.raises(ValueError, match=r"points of shape \(1, 5, 2\) to shape \(1, 2\)"):
             newton_solve(first_row_only, np.array([2.0 + 0j, 0.5 + 0j]))
 
 
@@ -492,6 +512,256 @@ class TestStackedLeastSquares:
             assert steps[i].view(np.uint64).tolist() == step.view(np.uint64).tolist()
 
 
+def two_call_newton_rows(residual, guesses):
+    """The Newton loop as it ran with two residual calls an iteration, the
+    oracle of the merged loop: one call at the iterates, then one at all of
+    their forward-difference bumps, column j of row b's Jacobian being
+    (F_b(x_b + h_bj e_j) - r_b) / h_bj with h_bj = sqrt(eps) * max(1, |x_bj|).
+    """
+
+    def to_real(z):
+        return np.concatenate([z.real, z.imag], axis=-1)
+
+    def to_complex(r):
+        half = r.shape[-1] // 2
+        return r[..., :half] + 1j * r[..., half:]
+
+    x = to_real(guesses)
+    rows = np.arange(len(x))
+    outcomes = [None] * len(x)
+    iteration = 0
+    while len(rows):
+        z = to_complex(x)
+        r = to_real(residual(z, rows))
+        norms = np.array([sqrt(v @ v) for v in r])
+        running = (np.isfinite(norms) & (norms > variational.NEWTON_TOL)
+                   & (iteration < variational.NEWTON_MAXITER))
+        for i in np.flatnonzero(~running):
+            res_norm = float(norms[i])
+            if not np.isfinite(res_norm):
+                outcomes[rows[i]] = NewtonConvergenceError(
+                    "Newton residual became non-finite", res_norm)
+            elif res_norm <= variational.NEWTON_TOL:
+                outcomes[rows[i]] = (z[i], iteration, res_norm)
+            else:
+                outcomes[rows[i]] = NewtonConvergenceError(
+                    f"Newton did not reach {variational.NEWTON_TOL} in "
+                    f"{variational.NEWTON_MAXITER} iterations", res_norm)
+        x, r, rows, norms = x[running], r[running], rows[running], norms[running]
+        if not len(rows):
+            break
+        m = x.shape[1]
+        h = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(x))
+        bumped = np.repeat(x[:, None, :], m, axis=1)
+        diagonal = np.arange(m)
+        bumped[:, diagonal, diagonal] += h
+        values = residual(to_complex(bumped), rows)
+        jac = ((to_real(values) - r[:, None, :]) / h[:, :, None]).transpose(0, 2, 1)
+        finite = np.isfinite(jac).all(axis=(1, 2))
+        jac[~finite] = 0.0
+        steps, ranks = variational._least_squares(jac, -r)
+        running = finite & (ranks >= 0)
+        for i in np.flatnonzero(~running):
+            reason = ("update failed: SVD did not converge in Linear Least Squares"
+                      if finite[i] else "Jacobian became non-finite")
+            outcomes[rows[i]] = NewtonConvergenceError(f"Newton {reason}", float(norms[i]))
+        rows = rows[running]
+        x = x[running] + steps[running]
+        iteration += 1
+    return outcomes
+
+
+def newton_outcome_bits(outcome):
+    """Message and residual of a failed row; bytes of a solved row's point,
+    its iteration count and its residual norm."""
+    if isinstance(outcome, NewtonConvergenceError):
+        return ("failed", str(outcome), np.float64(outcome.residual).tobytes())
+    solution, iterations, res_norm = outcome
+    return ("solved", solution.shape, solution.tobytes(), iterations,
+            np.float64(res_norm).tobytes())
+
+
+def fail_steep_rows(a, b):
+    """The stacked update, with gelsd's failure faked for Jacobians above 1e10."""
+    steps, ranks = real_least_squares(a, b)
+    steep = np.abs(a).max(axis=(1, 2)) > 1e10
+    steps[steep], ranks[steep] = np.nan, -1
+    return steps, ranks
+
+
+class TestMergedNewtonOracle:
+    """One residual call an iteration, on the iterates and their bumps, gives
+    every row the outcome of the two-call loop, bit for bit."""
+
+    ALPHA, DT = 0.5, 0.05
+
+    @staticmethod
+    def same_outcomes(residual, guesses):
+        with np.errstate(over="ignore", invalid="ignore"):
+            merged = variational._newton_rows(residual, guesses)
+            oracle = two_call_newton_rows(residual, guesses)
+        for row, (one, two) in enumerate(zip(merged, oracle)):
+            assert newton_outcome_bits(one) == newton_outcome_bits(two), row
+            if not isinstance(one, Exception):
+                assert np.array_equal(one[0], two[0])
+        return merged
+
+    @pytest.mark.parametrize("ordering", ORDERINGS)
+    @pytest.mark.parametrize("system", [0, 1, 2], ids=["swap", "random5", "ladder"])
+    def test_experiment_systems(self, rng, monkeypatch, ordering, system):
+        H, dims = stacking_cases()[system]
+        L = se_lagrangian(H)
+        start = DiscreteLagrangian(separable_lagrangian(L, dims), self.ALPHA, self.DT)
+        recursion = start
+        if ordering == "discretize_first":
+            recursion = _SubstitutedDiscreteLagrangian(
+                DiscreteLagrangian(L, self.ALPHA, self.DT), dims)
+        prev = np.stack([random_product_point(rng, dims) for _ in range(4)])
+        curr = prev + 0.01 * np.stack([random_product_point(rng, dims) for _ in range(4)])
+        # Row 3's product states overflow, so its first residual is not finite.
+        prev[3] *= 1e200
+        curr[3] *= 1e200
+        for solve in (lambda: variational._start_rows(start, prev),
+                      lambda: variational._del_rows(recursion, prev, curr)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                residual, guesses = captured_residual(monkeypatch, solve)
+            outcomes = self.same_outcomes(residual, guesses)
+            assert str(outcomes[3]) == "Newton residual became non-finite"
+            assert any(not isinstance(outcome, Exception) for outcome in outcomes[:3])
+
+    def test_every_way_a_row_ends(self, monkeypatch, capfd):
+        # Row 0 solves, row 1's target is NaN, row 2's steep Jacobian fails its
+        # update, row 3 (|y|^2 + 1, no root) runs out of iterations, and row 4
+        # is finite at its guess and infinite at every bumped point.
+        targets = np.array([[4.0], [np.nan], [2.0], [0.0], [0.0]], dtype=complex)
+        scales = np.array([[1.0], [1.0], [1e12], [1.0], [1.0]])
+
+        def residual(points, rows):
+            values = variational._row_data(scales, rows, points) * (
+                points**2 - variational._row_data(targets, rows, points))
+            values[rows == 3] = np.abs(points[rows == 3]) ** 2 + 1.0
+            values[rows == 4] = np.where(points[rows == 4] == 1.0, 0.5, np.inf)
+            return values
+
+        monkeypatch.setattr(variational, "_least_squares", fail_steep_rows)
+        outcomes = self.same_outcomes(residual, np.ones((5, 1), dtype=complex))
+        assert outcomes[0][1] >= 1
+        assert [str(outcome) for outcome in outcomes[1:]] == [
+            "Newton residual became non-finite",
+            "Newton update failed: SVD did not converge in Linear Least Squares",
+            f"Newton did not reach {variational.NEWTON_TOL} in "
+            f"{variational.NEWTON_MAXITER} iterations",
+            "Newton Jacobian became non-finite",
+        ]
+        assert capfd.readouterr().out == ""
+
+
+class TestOneResidualCallPerIteration:
+    """A solve of k iterations makes k + 1 residual calls, each on the
+    iterates and their 2n bumped points, n complex unknowns a row."""
+
+    @staticmethod
+    def counting_newton(monkeypatch):
+        calls = []
+        newton_rows = variational._newton_rows
+
+        def counting(residual, guesses):
+            def counted(points, rows):
+                calls.append(points.shape)
+                return residual(points, rows)
+
+            return newton_rows(counted, guesses)
+
+        monkeypatch.setattr(variational, "_newton_rows", counting)
+        return calls
+
+    def test_newton_solve(self, rng):
+        Ld = DiscreteLagrangian(se_lagrangian(swap_hamiltonian(2)), 0.5, 0.1)
+        psi0 = random_ket(rng, 4).amplitudes
+        psi1, _ = initial_step(Ld, psi0)
+        tail = Ld.d3(psi0, psi1)
+        calls = []
+
+        def residual(y):
+            calls.append(np.shape(y))
+            return Ld.d1(psi1, y) + tail
+
+        _, iterations = newton_solve(residual, 2.0 * psi1 - psi0)
+        assert iterations >= 1
+        assert calls == [(9, 4)] * (iterations + 1)
+
+    @pytest.mark.parametrize("ordering", ORDERINGS)
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_start_and_del_rows(self, rng, monkeypatch, ordering, rows):
+        H, dims = correlator_hamiltonian(2), (3, 3, 3)
+        n = sum(dims)
+        L = se_lagrangian(H)
+        start = DiscreteLagrangian(separable_lagrangian(L, dims), 0.5, 0.02)
+        recursion = start
+        if ordering == "discretize_first":
+            recursion = _SubstitutedDiscreteLagrangian(DiscreteLagrangian(L, 0.5, 0.02), dims)
+        prev = np.stack([random_product_point(rng, dims) for _ in range(rows)])
+        calls = self.counting_newton(monkeypatch)
+        started = variational._start_rows(start, prev)
+        curr = np.stack([outcome[0] for outcome in started])
+        solved = variational._del_rows(recursion, prev, curr)
+        for outcomes in (started, solved):
+            iterations = [outcome[1] for outcome in outcomes]
+            assert min(iterations) >= 1
+            solve_calls, calls[:] = calls[:max(iterations) + 1], calls[max(iterations) + 1:]
+            # Row b runs in the first iterations[b] + 1 calls.
+            assert solve_calls == [(sum(k < count + 1 for count in iterations), 2 * n + 1, n)
+                                   for k in range(max(iterations) + 1)]
+        assert calls == []
+
+
+class TestContractionKernel:
+    """The residuals contract through numpy's private C einsum, which
+    ``np.einsum`` forwards to when it does not optimize. Pinned to
+    ``np.einsum`` bit for bit on every contraction the residuals make, so that
+    a numpy release that moves or changes it fails here instead of changing
+    results."""
+
+    NUMPY = f"numpy {np.__version__}"
+
+    def test_c_einsum_is_what_np_einsum_calls(self):
+        from numpy._core import einsumfunc
+
+        assert variational.c_einsum is einsumfunc.c_einsum, \
+            f"{self.NUMPY}: np.einsum no longer forwards to numpy._core.multiarray.c_einsum"
+
+    def test_every_contraction_equals_np_einsum(self, rng, monkeypatch):
+        seen = {}
+        contract = variational._contract_all_but
+
+        def record(g, vectors, k):
+            seen.setdefault((g.shape, tuple(vec.shape for vec in vectors), k),
+                            (g, list(vectors), k))
+            return contract(g, vectors, k)
+
+        monkeypatch.setattr(variational, "_contract_all_but", record)
+        for H, dims in stacking_cases():
+            states = [ComponentState(tuple(random_ket(rng, d) for d in dims))
+                      for _ in range(2)]
+            for ordering in ORDERINGS:
+                integrate_separable_rows(ordering, H, 0.5, 0.02, [3, 2], states)
+        monkeypatch.undo()
+        # One point, a row per system, and stacks of bumped points, some
+        # broadcast against one point a row.
+        assert {len(g_shape) for g_shape, _, _ in seen} == {2, 3}
+        assert any(g_shape[:-1] != shapes[0][:-1] for g_shape, shapes, _ in seen)
+        for g, vectors, k in seen.values():
+            operands = [g.reshape(g.shape[:-1] + tuple(vec.shape[-1] for vec in vectors)),
+                        [Ellipsis, *range(len(vectors))]]
+            for j, vec in enumerate(vectors):
+                if j != k:
+                    operands += [vec, [Ellipsis, j]]
+            expected = np.einsum(*operands, [Ellipsis, k])
+            got = contract(g, vectors, k)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), \
+                f"{self.NUMPY}: c_einsum differs from np.einsum on {g.shape}, slot {k}"
+
+
 class TestInitialStep:
     def test_free_evolution_keeps_the_point(self, rng):
         H0 = HermitianOperator(np.zeros((4, 4)), (2, 2))
@@ -538,7 +808,7 @@ class TestDelStep:
             residual, (guess,) = captured_residual(monkeypatch,
                                                    lambda: del_step(Ld, psi0, psi1))
             for point in (guess, guess + 0.1 * random_ket(rng, 4).amplitudes):
-                jac, _, _ = jacobian_at(residual, point)
+                jac, _, _ = jacobian_at(monkeypatch, residual, point)
                 assert np.max(np.abs(jac - exact)) <= 1e-6 * np.max(np.abs(exact))
             nxt, iterations = del_step(Ld, psi0, psi1)
             assert 1 <= iterations <= 2
@@ -571,22 +841,32 @@ class TestDelStep:
         assert info.value.residual > 0
 
     @pytest.mark.filterwarnings("error")
-    def test_non_finite_first_residual_stops_before_a_jacobian(self):
-        calls = []
+    def test_non_finite_first_residual_stops_before_a_jacobian(self, monkeypatch):
+        calls, updates = [], []
 
         def overflowing(y):
             calls.append(np.shape(y))
             return np.full(np.shape(y), np.nan, dtype=complex)
 
-        with pytest.raises(NewtonConvergenceError, match="non-finite"):
+        def least_squares(a, b):
+            updates.append(a.shape)
+            return real_least_squares(a, b)
+
+        monkeypatch.setattr(variational, "_least_squares", least_squares)
+        with pytest.raises(NewtonConvergenceError,
+                           match="^Newton residual became non-finite$"):
             newton_solve(overflowing, np.array([1.0 + 0j, 2.0 + 0j]))
-        assert calls == [(2,)]
+        # One call, the iterate and its 4 bumped points, and no update.
+        assert calls == [(5, 2)]
+        assert updates == []
 
     def test_non_finite_jacobian_is_a_convergence_failure(self, capfd):
         # Finite at the guess, infinite at every bumped point: handed to
         # lstsq, such a Jacobian makes LAPACK print to fd 1 before it fails.
         def steep(y):
-            return np.full(np.shape(y), np.inf if np.ndim(y) == 2 else 1.0, dtype=complex)
+            values = np.full(np.shape(y), np.inf, dtype=complex)
+            values[0] = 1.0
+            return values
 
         with pytest.raises(NewtonConvergenceError, match="Jacobian became non-finite") as info:
             newton_solve(steep, np.array([1.0 + 0j, 2.0 + 0j]))
@@ -790,8 +1070,7 @@ class TestRowBatches:
         def residual(points, rows):
             values = variational._row_data(scales, rows, points) * (
                 points**2 - variational._row_data(targets, rows, points))
-            if points.ndim == 3:  # the Jacobians' bumped points
-                values[rows == 3] = np.inf
+            values[rows == 3, 1:] = np.inf  # the Jacobian's bumped points
             return values
 
         def fail_steep_rows(a, b):
