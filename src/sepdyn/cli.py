@@ -11,11 +11,14 @@ single file is a directory of one), parsing the initial state into the
 the runs share those configs, and one that fails to load, or whose output
 directory cannot be made, exits 2 while the others still run.
 
-Variational configs of one invocation that share experiment, Hamiltonian
-(``seed``/``r_party``), integrator, ``alpha`` and ``dt`` run as one batch
-(several, past ``BATCH_AMPLITUDES`` amplitudes): their rows are
-integrated together, each with its own initial state and step count, on
-the turn of the first of them, into one buffer allocated up front. Every
+Configs of one invocation run as one batch (several, past
+``BATCH_AMPLITUDES`` amplitudes) when they share the experiment and its
+Hamiltonian (``seed``/``r_party``), and either are all splitting configs,
+of either scheme and any ``dt`` (``propagators.evolve_rows``), or are
+variational configs that also share integrator, ``alpha`` and ``dt``
+(``variational.integrate_separable_rows``, into one buffer allocated up
+front). A batch's rows are integrated together, each with its own initial
+state and step count, on the turn of the first of its configs. Every
 config still writes its CSV, JSON, exit code and output lines on its own
 turn, in config order, exactly as when run alone; its ``wall=`` is the
 time of its own turn, so the first config of a batch carries the batch's
@@ -63,6 +66,7 @@ from .propagators import (
     SplittingScheme,
     Trajectory,
     evolve,
+    evolve_rows,
     se_evolve,
 )
 from .states import ComponentState, Ket, SolverFailure, tensor_product
@@ -85,17 +89,19 @@ OUTPUT_NAMES = ("norm", "abs_overlap", "rate_nucl", "bloch", "purity")
 EXPERIMENT_DIMS = {"swap": (2, 2), "random5": (2,) * 5, "ladder": (3, 3, 3)}
 BLOWUP_FACTOR = 2.0
 MAX_STEPS = 10**6
-# A batch allocates (steps + 1) * sum(dims) amplitudes a config, plus 16 bytes
-# a point of Newton records, and keeps them until its last config is written.
-# Each Newton iteration adds, per running row, one residual call on a stack of
-# 2 * sum(dims) + 1 points (the iterate and the bumped points of its
+# A variational batch allocates (steps + 1) * sum(dims) amplitudes a config,
+# plus 16 bytes a point of Newton records, and keeps them until its last config
+# is written. Each Newton iteration adds, per running row, one residual call on
+# a stack of 2 * sum(dims) + 1 points (the iterate and the bumped points of its
 # forward-difference Jacobian) as product states, prod(dims) amplitudes each,
-# and the residual's temporaries on them: about NEWTON_COPIES arrays of
+# and the residual's temporaries on them: at most NEWTON_COPIES arrays of
 # 2 * sum(dims) such states in all (tracemalloc reads 8.9-9.3 on random5 and
-# ladder). A batch counts both, at most BATCH_AMPLITUDES (160 MB) over its
-# configs, or one config's if more.
+# ladder). A splitting batch keeps each config's trajectory, (steps + 1) rows
+# of sum(dims) components and of their prod(dims) product state. A batch
+# counts these, at most BATCH_AMPLITUDES (160 MB) over its configs, or one
+# config's if more.
 BATCH_AMPLITUDES = 10**7
-NEWTON_COPIES = 8
+NEWTON_COPIES = 10
 # write_csv formats whole rows of at most about this many cells at a time.
 CSV_BLOCK_CELLS = 2**15
 
@@ -309,17 +315,38 @@ def _newton_result(outcome, dims) -> RunResult:
     return RunResult(traj, stats, blowup)
 
 
+def _is_splitting(config: ExperimentConfig) -> bool:
+    return config.integrator in ("lie_trotter", "strang")
+
+
+def _splitting_rows(configs: list[ExperimentConfig], H: HermitianOperator) -> list:
+    """Splitting configs of one ``_batch_key``, integrated as one batch of rows.
+
+    Returns each config's outcome from ``propagators.evolve_rows``.
+    """
+    return evolve_rows(H, [SplittingScheme(config.integrator) for config in configs],
+                       [config.initial_components for config in configs],
+                       [config.dt for config in configs],
+                       [config.steps() for config in configs])
+
+
 def _batch_key(config: ExperimentConfig | ConfigError) -> tuple | None:
-    """Variational configs with one key run as one batch; None for any other config.
+    """Configs with one key run as one batch; None for a config that runs alone.
 
     The key holds what a batch shares: the Hamiltonian (what
-    ``build_hamiltonian`` reads), the ordering, alpha and dt. alpha enters
-    by its bits, since 0.0 and -0.0 compare equal.
+    ``build_hamiltonian`` reads), and for variational configs also the
+    ordering, alpha and dt. alpha enters by its bits, since 0.0 and -0.0
+    compare equal. Splitting configs of either scheme and any dt share a
+    batch.
     """
-    if isinstance(config, ConfigError) or not config.integrator.startswith("var_"):
+    if isinstance(config, ConfigError):
         return None
     seed = config.seed if config.experiment == "random5" else None
     r_party = config.r_party if config.experiment == "ladder" else None
+    if _is_splitting(config):
+        return (config.experiment, seed, r_party, "splitting")
+    if not config.integrator.startswith("var_"):
+        return None
     return (config.experiment, seed, r_party, config.integrator,
             float(config.alpha).hex(), config.dt)
 
@@ -337,13 +364,17 @@ class _Batch:
         self.outcomes: dict[int, object] | None = None
 
     def result(self, config: ExperimentConfig) -> tuple[HermitianOperator, RunResult]:
-        """H and ``config``'s RunResult; raises the error its start failed with."""
+        """H and ``config``'s RunResult; raises the error its row ended with."""
         if self.outcomes is None:
             self.H = build_hamiltonian(self.configs[0])
-            self.outcomes = dict(zip(map(id, self.configs),
-                                     _variational_rows(self.configs, self.H)))
+            integrate = _splitting_rows if _is_splitting(config) else _variational_rows
+            self.outcomes = dict(zip(map(id, self.configs), integrate(self.configs, self.H)))
         outcome = self.outcomes.pop(id(config))
-        return self.H, _newton_result(outcome, config.initial_components.dims)
+        if not _is_splitting(config):
+            return self.H, _newton_result(outcome, config.initial_components.dims)
+        if isinstance(outcome, NonFiniteStateError):
+            raise outcome
+        return self.H, RunResult(outcome, {"kind": "splitting"})
 
 
 def _bea_run(config, state0) -> RunResult:
@@ -363,7 +394,7 @@ def execute(config: ExperimentConfig, H: HermitianOperator) -> RunResult:
     if config.integrator == "se_exact":
         traj = se_evolve(H, tensor_product(state0), config.dt, steps)
         return RunResult(traj, {"kind": "eigendecomposition"})
-    if config.integrator in ("lie_trotter", "strang"):
+    if _is_splitting(config):
         traj = evolve(SplittingScheme(config.integrator), H, state0, config.dt, steps)
         return RunResult(traj, {"kind": "splitting"})
     if config.integrator == "bea_truncation":
@@ -649,10 +680,14 @@ def _run_file(path: Path, config: ExperimentConfig | ConfigError,
 
 
 def _batch_amplitudes(config: ExperimentConfig) -> int:
-    """Amplitudes a variational config takes in a batch: its stored points and
-    ``NEWTON_COPIES`` arrays of its row's bumped product states."""
+    """Amplitudes a config takes in a batch: its stored points, and then
+    ``NEWTON_COPIES`` arrays of its row's bumped product states (variational)
+    or its trajectory's product states (splitting)."""
     dims = EXPERIMENT_DIMS[config.experiment]
-    return (config.steps() + 1) * sum(dims) + NEWTON_COPIES * 2 * sum(dims) * math.prod(dims)
+    rows = config.steps() + 1
+    if _is_splitting(config):
+        return rows * (sum(dims) + math.prod(dims))
+    return rows * sum(dims) + NEWTON_COPIES * 2 * sum(dims) * math.prod(dims)
 
 
 def _work_units(items: list[tuple[Path, ExperimentConfig | ConfigError]]) -> list[list]:

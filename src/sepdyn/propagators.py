@@ -7,8 +7,8 @@ whole time grid) on an eigendecomposition: the one a
 matrix in a splitting sub-step. The restricted equations are integrated by
 composing the exactly-solvable one-component flows, sequentially (first
 order) or palindromically (second order). One loop, ``_run``, does every
-splitting step: ``evolve`` runs a whole trajectory through it on one list
-of component arrays, and the one-step maps are runs of one row.
+splitting step of one run: ``evolve`` runs a whole trajectory through it on
+one list of component arrays, and the one-step maps are runs of one row.
 
 A sub-step on component k decomposes the sandwich S = c^H B c of
 ``reduced.contract_reduced`` as it comes, unscaled and unsymmetrized (the
@@ -18,11 +18,23 @@ sub-step just before it reuses that decomposition, since its contexts have
 not moved; so Strang's last half-step of a step and the first one of the
 next share one reduction, bit for bit what recomputing it gives.
 
-``evolve`` checks the operator, the initial state, every context norm and
-the step size once; sub-steps are unitary per component, so no context
-norm falls later. The reduction, of order ‖H‖ norm², can overflow, and a
-non-finite reduced matrix decomposes to NaN without raising; ``evolve``
-tests rows each ``FINITE_CHECK_STEPS`` steps.
+``evolve_rows`` runs several rows on one H, each with its own scheme,
+state, dt and step count, as one batch: ``_run_rows`` does for a stack of
+rows what ``_run`` does for one, in stacked forms that give each row the
+bits of its run alone. The rows share one order of sub-steps, Strang's
+(``0..n-1..0``, or ``1, 0, 1`` for n = 2) if any row is Strang, else
+Lie–Trotter's. Each row's own sequence sits in that order as a
+subsequence, with its time there and a hold at every other position: a
+Lie–Trotter row flows on the ascending half and holds on the way back. A
+position at which every row holds is skipped. Rows leave the batch as they
+end; the last one left finishes in ``_run``. ``evolve`` is that one-row run.
+
+``evolve_rows`` checks the operator, the initial states, every context
+norm and the step sizes once; sub-steps are unitary per component, so no
+context norm falls later. The reduction, of order ‖H‖ norm², can overflow,
+and a non-finite reduced matrix decomposes to NaN without raising; the
+rows are tested each ``FINITE_CHECK_STEPS`` steps, and a non-finite row
+ends alone.
 """
 
 from __future__ import annotations
@@ -42,6 +54,7 @@ from .states import (
     ComponentState,
     FullState,
     SolverFailure,
+    kron,
     split_components,
     tensor_product_rows,
 )
@@ -203,6 +216,89 @@ def _run(H: HermitianOperator, parts: list[np.ndarray], sequence, rows: np.ndarr
         np.concatenate(parts, out=row)
 
 
+def _run_checked(H: HermitianOperator, parts: list[np.ndarray], sequence, rows: np.ndarray,
+                 start: int):
+    """``_run`` into ``rows[start:]``, testing each block of ``FINITE_CHECK_STEPS`` rows.
+
+    Raises ``NonFiniteStateError`` naming the first non-finite row.
+    """
+    for block in range(start, len(rows), FINITE_CHECK_STEPS):
+        stop = min(block + FINITE_CHECK_STEPS, len(rows))
+        _run(H, parts, sequence, rows[block:stop])
+        finite = np.isfinite(rows[block:stop]).all(axis=1)
+        if not finite.all():
+            raise NonFiniteStateError(
+                f"splitting step {block + finite.argmin()} produced a non-finite state")
+
+
+def _shared_order(schemes, n: int) -> list[int]:
+    """The components of a batch step's sub-steps: Strang's if any row is Strang."""
+    scheme = (SplittingScheme.STRANG if SplittingScheme.STRANG in schemes
+              else SplittingScheme.LIE_TROTTER)
+    return [k for k, _ in _SEQUENCES[scheme](n, 1.0)]
+
+
+def _embed(sequence, order: list[int]) -> list[float | None]:
+    """A row's ``sequence`` as a subsequence of ``order``, taken first-fit:
+    its time at each position it flows at, None at each one it holds at."""
+    taus: list[float | None] = [None] * len(order)
+    position = 0
+    for k, tau in sequence:
+        position = order.index(k, position)
+        taus[position] = tau
+        position += 1
+    return taus
+
+
+def _plan(order: list[int], taus: list[list[float | None]]) -> list[tuple]:
+    """The sub-steps (k, tau, flows) of a batch step over rows with ``_embed`` times ``taus``.
+
+    ``tau`` holds each row's time, 0 where it holds; ``flows`` is the
+    (rows, 1) mask of the rows that move, or None when all of them do. A
+    position at which every row holds is left out.
+    """
+    plan = []
+    for position, k in enumerate(order):
+        times = [row[position] for row in taus]
+        flows = np.array([t is not None for t in times])
+        if flows.any():
+            tau = np.array([0.0 if t is None else t for t in times])
+            plan.append((k, tau, None if flows.all() else flows[:, None]))
+    return plan
+
+
+def _run_rows(H: HermitianOperator, parts: list[np.ndarray], plan, rows: np.ndarray):
+    """``_run`` for a batch: ``parts[k]`` is (B, d_k), ``rows`` is (steps, B, sum(dims)).
+
+    Each row of the batch goes through the arithmetic ``_run`` does on it
+    alone, in stacked forms that keep its bits: a GEMV of the slot block
+    against each row's context, a vector-matrix product per row and slot,
+    the eigh gufunc on a (B, d, d) stack and a matrix-vector product per row.
+    A 2-D GEMM across rows would round differently. A row that holds at a
+    sub-step keeps its component by selection, since a zero-time flow would
+    move its bits.
+    """
+    blocks = H.slot_blocks
+    batch = len(parts[0])
+    held = None  # the component whose decompositions evals, evecs, norm2 hold
+    for row in rows:
+        for k, tau, flows in plan:
+            if k != held:
+                c = kron(parts[:k] + parts[k + 1 :])
+                norm2 = np.vecdot(c, c).real
+                d, m = parts[k].shape[1], c.shape[1]
+                products = (blocks[k] @ c[:, :, None]).reshape(batch, d, m, d)
+                sandwich = (c.conj()[:, None, None, :] @ products).reshape(batch, d, d)
+                evals, evecs = _umath_linalg.eigh_lo(sandwich, signature="D->dD")
+                evecs_h = evecs.conj().swapaxes(1, 2)
+                held = k
+            phases = np.exp(-1j * (tau / norm2)[:, None] * evals)
+            coeffs = phases * (evecs_h @ parts[k][:, :, None])[:, :, 0]
+            moved = (evecs @ coeffs[:, :, None])[:, :, 0]
+            parts[k] = moved if flows is None else np.where(flows, moved, parts[k])
+        np.concatenate(parts, axis=1, out=row)
+
+
 def _step(H: HermitianOperator, x: np.ndarray, sequence) -> np.ndarray:
     """``_run`` over one row from the stacked components ``x``, which it does not write."""
     x = np.asarray(x, dtype=complex)
@@ -230,33 +326,76 @@ def strang_step(H: HermitianOperator, x: np.ndarray, dt: float) -> np.ndarray:
     return _step(H, x, _strang_sequence(len(H.dims), dt))
 
 
+def evolve_rows(H: HermitianOperator, schemes, states, dts, steps) -> list:
+    """``evolve`` of each row (scheme, state, dt, steps), the rows advanced as one batch.
+
+    Returns per row its ``Trajectory``, or the ``NonFiniteStateError`` that
+    ended it, bit for bit what ``evolve`` returns or raises for the row
+    alone. Every row is checked as ``evolve`` checks it, before any step.
+    The rows share the sub-step order of ``_shared_order``, each holding at
+    the positions its own sequence skips. Every ``FINITE_CHECK_STEPS``
+    steps, and when a row ends, the rows are tested; a row ends at its last
+    step or at its first non-finite one, and leaves the batch. The last row
+    left finishes in ``_run``.
+    """
+    for state, dt, count in zip(states, dts, steps, strict=True):
+        check_grid(dt, count)
+        check_dims(H, state.dims)
+        check_contexts(state.vectors())
+    n, width = len(H.dims), sum(H.dims)
+    sequences = [_SEQUENCES[scheme](n, dt) for scheme, dt in zip(schemes, dts, strict=True)]
+    order = _shared_order(schemes, n)
+    taus = [_embed(sequence, order) for sequence in sequences]
+    outs = [np.empty((count + 1, width), dtype=complex) for count in steps]
+    for out, state in zip(outs, states):
+        np.concatenate(state.vectors(), out=out[0])
+    outcomes = [None] * len(states)
+    live = list(range(len(states)))
+    parts = [np.stack(column) for column in zip(*(state.vectors() for state in states))]
+    start = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(live) > 1:
+            stop = min(start + FINITE_CHECK_STEPS, min(steps[i] for i in live) + 1)
+            block = np.empty((stop - start, len(live), width), dtype=complex)
+            _run_rows(H, parts, _plan(order, [taus[i] for i in live]), block)
+            finite = np.isfinite(block).all(axis=2)
+            going = []
+            for j, i in enumerate(live):
+                outs[i][start:stop] = block[:, j]
+                if not finite[:, j].all():
+                    outcomes[i] = NonFiniteStateError(
+                        f"splitting step {start + finite[:, j].argmin()} produced a "
+                        "non-finite state")
+                elif steps[i] >= stop:
+                    going.append(j)
+            if len(going) < len(live):  # re-indexed only when a row ends
+                live = [live[j] for j in going]
+                parts = [p[going] for p in parts]
+            start = stop
+        for i in live:
+            try:
+                _run_checked(H, [p[0] for p in parts], sequences[i], outs[i], start)
+            except NonFiniteStateError as err:
+                outcomes[i] = err
+    return [Trajectory.from_components(dt, out, state.dims) if outcome is None else outcome
+            for outcome, dt, out, state in zip(outcomes, dts, outs, states)]
+
+
 def evolve(scheme: SplittingScheme, H: HermitianOperator, state0: ComponentState,
            dt: float, steps: int) -> Trajectory:
     """Run a splitting scheme for ``steps`` steps and record the trajectory.
 
     The operator, the state and its context norms, ``dt`` and ``steps``
     are checked here, once; the run then keeps one list of component arrays
-    and writes each step's row in place. Stores the stacked components and
-    their tensor-product reconstructions. An overflow ends the run within
-    ``FINITE_CHECK_STEPS`` steps, as ``NonFiniteStateError`` naming the
-    first non-finite step.
+    and writes each step's row in place, through ``_run``. Stores the
+    stacked components and their tensor-product reconstructions. An overflow
+    ends the run within ``FINITE_CHECK_STEPS`` steps, as
+    ``NonFiniteStateError`` naming the first non-finite step.
     """
-    check_grid(dt, steps)
-    check_dims(H, state0.dims)
-    check_contexts(state0.vectors())
-    sequence = _SEQUENCES[scheme](len(state0.dims), dt)
-    parts = state0.vectors()
-    rows = np.empty((steps + 1, sum(state0.dims)), dtype=complex)
-    np.concatenate(parts, out=rows[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(1, steps + 1, FINITE_CHECK_STEPS):
-            stop = min(start + FINITE_CHECK_STEPS, steps + 1)
-            _run(H, parts, sequence, rows[start:stop])
-            finite = np.isfinite(rows[start:stop]).all(axis=1)
-            if not finite.all():
-                raise NonFiniteStateError(
-                    f"splitting step {start + finite.argmin()} produced a non-finite state")
-    return Trajectory.from_components(dt, rows, state0.dims)
+    (outcome,) = evolve_rows(H, [scheme], [state0], [dt], [steps])
+    if isinstance(outcome, NonFiniteStateError):
+        raise outcome
+    return outcome
 
 
 def se_evolve(H: HermitianOperator, psi0: FullState, dt: float, steps: int) -> Trajectory:

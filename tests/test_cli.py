@@ -875,8 +875,10 @@ class TestBatches:
         whole = self.outputs(tmp_path)
         shutil.rmtree(tmp_path / "out")
         # Rows stored per config: (steps + 1) * 4 = 124, 44, 44 and 12, each
-        # plus NEWTON_COPIES * 2 * 4 * 4 = 256 of Newton temporaries.
-        monkeypatch.setattr(cli, "BATCH_AMPLITUDES", 700)
+        # plus NEWTON_COPIES * 2 * 4 * 4 = 320 of Newton temporaries: 444, 364,
+        # 364 and 332. The first two fill 808 of 850; the last two fill 696.
+        assert cli.NEWTON_COPIES == 10
+        monkeypatch.setattr(cli, "BATCH_AMPLITUDES", 850)
         items = [(path, cli.load_config(path, [])) for path in sorted(configs.iterdir())]
         assert [[path.stem for path, _ in unit] for unit in cli._work_units(items)] == [
             ["a_blowup", "c_ok"], ["b_split"], ["d_other_dt"], ["e_failed_start", "f_short"]]
@@ -925,6 +927,122 @@ class TestBatches:
             tracemalloc.stop()
         assert all(isinstance(outcome, variational.DiscreteTrajectory) for outcome in outcomes)
         assert counted / 2 <= peak <= 2 * counted
+
+
+class TestSplittingBatches:
+    """Lie-Trotter and Strang configs on one Hamiltonian run as one batch of
+    rows, whatever their dt, and each writes what it writes run alone."""
+
+    SWAP = {"experiment": "swap"}
+    RANDOM5 = {**RANDOM5_SEED3, "initial_state": MIXED_FIVE_QUBITS}
+    CONFIGS = {
+        "a_swap_lie": {**SWAP, "integrator": "lie_trotter", "dt": 0.1, "t_final": 1.0,
+                       "outputs": ["norm", "abs_overlap"]},
+        # The reduction overflows in step 1: exit 3, inside the random5 batch.
+        "b_random5_big": {**RANDOM5, "integrator": "lie_trotter", "dt": 0.1, "t_final": 0.3,
+                          "initial_state": BIG_FIVE_QUBITS},
+        "c_swap_var": {**SWAP, "integrator": "var_restrict_first", "alpha": 0.5, "dt": 0.1,
+                       "t_final": 0.5},
+        "d_random5_strang": {**RANDOM5, "integrator": "strang", "dt": 0.05, "t_final": 0.5,
+                             "outputs": list(cli.OUTPUT_NAMES)},
+        "e_swap_strang": {**SWAP, "integrator": "strang", "dt": 0.05, "t_final": 1.0,
+                          "outputs": list(cli.OUTPUT_NAMES)},
+        "f_swap_se": {**SWAP, "integrator": "se_exact", "dt": 0.1, "t_final": 0.5},
+        "g_random5_lie": {**RANDOM5, "integrator": "lie_trotter", "dt": 0.02, "t_final": 0.3},
+        "h_swap_strang": {**SWAP, "integrator": "strang", "dt": 0.1, "t_final": 0.3,
+                          "initial_state": FIG1_STATE},
+    }
+    UNITS = [["a_swap_lie", "e_swap_strang", "h_swap_strang"],
+             ["b_random5_big", "d_random5_strang", "g_random5_lie"],
+             ["c_swap_var"], ["f_swap_se"]]
+
+    def write_configs(self, tmp_path):
+        configs = tmp_path / "configs"
+        configs.mkdir()
+        for name, fields in self.CONFIGS.items():
+            config = {**swap_config(tmp_path / "out" / name, 0.1), **fields}
+            (configs / f"{name}.json").write_text(json.dumps(config))
+        return configs
+
+    @staticmethod
+    def outputs(tmp_path):
+        return {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+
+    def test_each_config_writes_what_it_writes_alone(self, tmp_path, capsys, monkeypatch):
+        configs = self.write_configs(tmp_path)
+        rows = cli.evolve_rows
+        batch_sizes = []
+
+        def recording_rows(H, schemes, states, dts, steps):
+            batch_sizes.append(len(states))
+            return rows(H, schemes, states, dts, steps)
+
+        monkeypatch.setattr(cli, "evolve_rows", recording_rows)
+        codes = []
+        run_file = cli._run_file
+
+        def recording(path, config, batch=None):
+            codes.append(run_file(path, config, batch))
+            return codes[-1]
+
+        monkeypatch.setattr(cli, "_run_file", recording)
+        code = cli.main(["run", "--config", str(configs)])
+        together = capsys.readouterr()
+        outputs = self.outputs(tmp_path)
+        assert batch_sizes == [3, 3]
+        monkeypatch.undo()
+
+        shutil.rmtree(tmp_path / "out")
+        solo_codes, solo_out, solo_err = [], [], []
+        for path in sorted(configs.iterdir()):
+            solo_codes.append(cli.main(["run", "--config", str(path)]))
+            captured = capsys.readouterr()
+            solo_out.append(captured.out)
+            solo_err.append(captured.err)
+        assert codes == solo_codes
+        assert solo_codes[1] == cli.EXIT_SOLVER
+        assert code == max(solo_codes) == cli.EXIT_SOLVER
+        assert self.outputs(tmp_path) == outputs
+        assert sorted(outputs) == sorted(
+            f"{name}.{suffix}" for name in self.CONFIGS if name != "b_random5_big"
+            for suffix in ("csv", "json"))
+        assert together.err == "".join(solo_err) == (
+            "solver failure: splitting step 1 produced a non-finite state\n")
+
+        def masked(text):
+            return re.sub(r"wall=\S+s", "wall=", text)
+
+        assert masked(together.out) == masked("".join(solo_out))
+        assert [line.split(" -> ")[1] for line in together.out.splitlines()] == [
+            str(tmp_path / "out" / f"{name}.csv")
+            for name in self.CONFIGS if name != "b_random5_big"]
+
+    def test_jobs_give_the_same_files(self, tmp_path, capsys):
+        configs = self.write_configs(tmp_path)
+        code = cli.main(["run", "--config", str(configs)])
+        serial = self.outputs(tmp_path)
+        shutil.rmtree(tmp_path / "out")
+        assert cli.main(["run", "--config", str(configs), "--jobs", "2"]) == code
+        assert self.outputs(tmp_path) == serial
+
+    def test_work_units_group_splitting_configs_per_hamiltonian(self, tmp_path, monkeypatch):
+        configs = self.write_configs(tmp_path)
+        items = [(path, cli.load_config(path, [])) for path in sorted(configs.iterdir())]
+        assert [[path.stem for path, _ in unit] for unit in cli._work_units(items)] == self.UNITS
+        # A splitting row keeps (steps + 1) rows of its 4 components and of its
+        # 4 product amplitudes: 11 * 8, 21 * 8 and 4 * 8 on swap.
+        swap = {path.stem: config for path, config in items
+                if path.stem in self.UNITS[0]}
+        assert [cli._batch_amplitudes(swap[name]) for name in self.UNITS[0]] == [88, 168, 32]
+
+        def swap_units():
+            units = [[path.stem for path, _ in unit] for unit in cli._work_units(items)]
+            return [unit for unit in units if unit[0] in swap]
+
+        monkeypatch.setattr(cli, "BATCH_AMPLITUDES", 88 + 168)
+        assert swap_units() == [["a_swap_lie", "e_swap_strang"], ["h_swap_strang"]]
+        monkeypatch.setattr(cli, "BATCH_AMPLITUDES", 88 + 168 - 1)
+        assert swap_units() == [["a_swap_lie"], ["e_swap_strang", "h_swap_strang"]]
 
 
 class TestVariationalRecord:

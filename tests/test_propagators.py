@@ -1,4 +1,5 @@
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from sepdyn.propagators import (
     SplittingScheme,
     Trajectory,
     evolve,
+    evolve_rows,
     hermitian_expm_apply,
     lie_trotter_step,
     se_evolve,
@@ -656,6 +658,189 @@ class TestArrayCore:
             evolve(SplittingScheme.STRANG, H, state, 0.01, steps)
             built[steps] = dict(counts)
         assert built[10] == built[50]
+
+
+LT, STRANG = SplittingScheme.LIE_TROTTER, SplittingScheme.STRANG
+ROW_SYSTEMS = {**SYSTEMS, "232": lambda: random_hermitian_on(np.random.default_rng(7), (2, 3, 2))}
+# (scheme, dt, steps) of each row: both schemes, four step sizes and five
+# lengths. The 300-step row crosses a finiteness block and finishes alone.
+MIXED_ROWS = [(LT, 0.04, 7), (STRANG, 0.02, 30), (LT, 0.01, 30), (STRANG, 0.1, 3),
+              (STRANG, 0.04, 300), (LT, 0.02, 12)]
+
+
+def random_states(rng, dims, count) -> list[ComponentState]:
+    return [ComponentState(tuple(random_ket(rng, d, normalize=False) for d in dims))
+            for _ in range(count)]
+
+
+def run_batch(H, rows, states) -> list:
+    schemes, dts, steps = zip(*rows)
+    return evolve_rows(H, schemes, states, dts, steps)
+
+
+def assert_rows_equal_evolve(H, rows, states, outcomes):
+    for (scheme, dt, steps), state, traj in zip(rows, states, outcomes):
+        alone = evolve(scheme, H, state, dt, steps)
+        assert traj.dt == dt and traj.dims == alone.dims
+        assert traj.components.tobytes() == alone.components.tobytes()
+        assert traj.full.tobytes() == alone.full.tobytes()
+
+
+def record_loops(monkeypatch) -> list:
+    """Record ("batch", rows, steps) of every batch loop call and ("alone", 1,
+    steps) of every ``_run`` call."""
+    calls = []
+
+    def batch(H, parts, plan, rows, _run_rows=propagators._run_rows):
+        calls.append(("batch", len(parts[0]), len(rows)))
+        return _run_rows(H, parts, plan, rows)
+
+    def alone(H, parts, sequence, rows, _run=propagators._run):
+        calls.append(("alone", 1, len(rows)))
+        return _run(H, parts, sequence, rows)
+
+    monkeypatch.setattr(propagators, "_run_rows", batch)
+    monkeypatch.setattr(propagators, "_run", alone)
+    return calls
+
+
+def record_decompositions(monkeypatch, poison=None) -> list:
+    """Record the shape of every stack the eigh gufunc decomposes.
+
+    ``poison`` maps a call number (from 1) to the row of that call's stack
+    whose matrix is replaced by NaN.
+    """
+    shapes = []
+    poison = poison or {}
+
+    def eigh_lo(matrices, signature, _eigh=_umath_linalg.eigh_lo):
+        shapes.append(matrices.shape)
+        if len(shapes) in poison:
+            matrices = matrices.copy()
+            matrices[poison[len(shapes)]] = np.nan
+        return _eigh(matrices, signature=signature)
+
+    monkeypatch.setattr(propagators, "_umath_linalg", SimpleNamespace(eigh_lo=eigh_lo))
+    return shapes
+
+
+class TestEvolveRows:
+    """``evolve_rows`` runs rows of both schemes on one H as one batch, each
+    row bit for bit its ``evolve`` run alone."""
+
+    @pytest.mark.parametrize("system", list(ROW_SYSTEMS))
+    def test_rows_equal_evolve_alone(self, rng, system):
+        H = ROW_SYSTEMS[system]()
+        states = random_states(rng, H.dims, len(MIXED_ROWS))
+        assert_rows_equal_evolve(H, MIXED_ROWS, states, run_batch(H, MIXED_ROWS, states))
+
+    @pytest.mark.parametrize("system", list(ROW_SYSTEMS))
+    def test_rows_leave_as_they_end_and_the_last_one_finishes_alone(self, rng, monkeypatch,
+                                                                    system):
+        """The batch shrinks as rows end, and runs at most a finiteness block
+        at a time; the last row left runs on in ``_run``, in blocks from there."""
+        calls = record_loops(monkeypatch)
+        H = ROW_SYSTEMS[system]()
+        rows = [(LT, 0.05, 3), (STRANG, 0.05, 5), (LT, 0.02, 300), (STRANG, 0.02, 600)]
+        states = random_states(rng, H.dims, len(rows))
+        outcomes = run_batch(H, rows, states)
+        assert calls == [("batch", 4, 3), ("batch", 3, 2), ("batch", 2, 256),
+                         ("batch", 2, 39), ("alone", 1, 256), ("alone", 1, 44)]
+        monkeypatch.undo()
+        assert_rows_equal_evolve(H, rows, states, outcomes)
+
+    @pytest.mark.parametrize("system", list(ROW_SYSTEMS))
+    def test_a_zero_time_flow_would_move_the_rows_that_hold(self, rng, monkeypatch, system):
+        """The counter-case of holding by selection: rows that flow for time 0
+        where they hold come out with other bits, which the equality tests
+        would catch. Lie-Trotter rows hold on Strang's way back; Strang rows
+        never hold."""
+
+        def flowing(order, taus, _plan=propagators._plan):
+            return [(k, tau, None) for k, tau, _ in _plan(order, taus)]
+
+        monkeypatch.setattr(propagators, "_plan", flowing)
+        H = ROW_SYSTEMS[system]()
+        states = random_states(rng, H.dims, len(MIXED_ROWS))
+        outcomes = run_batch(H, MIXED_ROWS, states)
+        monkeypatch.undo()
+        moved = [traj.components.tobytes() != evolve(scheme, H, state, dt, steps)
+                 .components.tobytes()
+                 for (scheme, dt, steps), state, traj in zip(MIXED_ROWS, states, outcomes)]
+        assert moved == [scheme is LT for scheme, _, _ in MIXED_ROWS]
+
+    @pytest.mark.parametrize("system", list(ROW_SYSTEMS))
+    @pytest.mark.parametrize("schemes", [(LT, LT), (LT, STRANG), (STRANG, STRANG)],
+                             ids=["lie_trotter", "mixed", "strang"])
+    def test_one_stacked_decomposition_per_sub_step_of_the_shared_order(
+            self, rng, monkeypatch, system, schemes):
+        """Lie-Trotter rows alone take Lie-Trotter's order, n sub-steps a step.
+        With a Strang row the batch takes Strang's 2n - 1, and a step's last
+        sub-step and the next one's first share a decomposition."""
+        shapes = record_decompositions(monkeypatch)
+        H = ROW_SYSTEMS[system]()
+        n, steps = len(H.dims), 10
+        run_batch(H, [(scheme, 0.05, steps) for scheme in schemes],
+                  random_states(rng, H.dims, 2))
+        first, per_step = (n, n) if STRANG not in schemes else (2 * n - 1, 2 * n - 2)
+        assert len(shapes) == first + (steps - 1) * per_step
+        assert {shape[0] for shape in shapes} == {2}
+
+    @pytest.mark.filterwarnings("error")  # the overflow raises no numpy warning
+    @pytest.mark.parametrize("system, big", [
+        ("ladder", [[1e154, 0.0, 0.0], [0.6, 0.8, 0.0], [1.0, 0.0, 0.0]]),
+        ("random5", [[1e154, 0.0], [0.6, 0.8], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]),
+    ])
+    def test_an_overflowing_row_ends_alone(self, rng, system, big):
+        """The states of ``test_overflow_is_reported_once_after_the_run`` end
+        with their own error, naming step 1; the other rows do not move."""
+        H = correlator_hamiltonian(1) if system == "ladder" else random_hermitian(5, seed=3)
+        overflowing = ComponentState(tuple(Ket(np.array(v, dtype=complex)) for v in big))
+        rows = [(LT, 0.1, 3), (STRANG, 0.05, 40), (STRANG, 0.1, 3), (LT, 0.02, 20)]
+        fine = random_states(rng, H.dims, 2)
+        states = [overflowing, fine[0], overflowing, fine[1]]
+        outcomes = run_batch(H, rows, states)
+        for j in (0, 2):
+            assert isinstance(outcomes[j], NonFiniteStateError)
+            assert str(outcomes[j]) == "splitting step 1 produced a non-finite state"
+        assert_rows_equal_evolve(H, rows[1::2], states[1::2], outcomes[1::2])
+
+    def test_a_row_that_turns_non_finite_later_names_its_step(self, rng, monkeypatch):
+        """A NaN decomposition of row 0 in step 300, in the second finiteness
+        block, ends row 0 there; row 1 goes on and finishes alone, unmoved.
+
+        On swap the shared order is Strang's (1, 0, 1): 3 decompositions in
+        the first step of each block, then 2 a step, so decomposition
+        513 + 3 + 2 * 42 + 1 = 601 is step 300's first flow of the
+        Lie-Trotter row.
+        """
+        shapes = record_decompositions(monkeypatch, poison={601: 0})
+        calls = record_loops(monkeypatch)
+        H = swap_hamiltonian(2)
+        rows = [(LT, 0.01, 600), (STRANG, 0.005, 700)]
+        states = random_states(rng, H.dims, 2)
+        outcomes = run_batch(H, rows, states)
+        assert shapes[600] == (2, 2, 2)
+        assert isinstance(outcomes[0], NonFiniteStateError)
+        assert str(outcomes[0]) == "splitting step 300 produced a non-finite state"
+        assert calls[:2] == [("batch", 2, 256), ("batch", 2, 256)]
+        assert calls[2:] == [("alone", 1, 188)]
+        monkeypatch.undo()
+        assert_rows_equal_evolve(H, rows[1:], states[1:], outcomes[1:])
+
+    def test_inputs_are_checked_before_any_step(self, rng, monkeypatch):
+        calls = record_loops(monkeypatch)
+        H = random_hermitian(2, seed=4)
+        states = random_states(rng, H.dims, 2)
+        states[1] = ComponentState((random_ket(rng), Ket(np.zeros(2, dtype=complex))))
+        with pytest.raises(DegenerateStateError, match="context state 1"):
+            run_batch(H, [(LT, 0.1, 5), (STRANG, 0.1, 5)], states)
+        with pytest.raises(ValueError, match="steps must be at least 1"):
+            run_batch(H, [(LT, 0.1, 5), (STRANG, 0.1, 0)], states[:1] * 2)
+        with pytest.raises(ValueError):
+            evolve_rows(H, [LT, STRANG], states[:1], [0.1, 0.1], [5, 5])
+        assert calls == []
+        assert evolve_rows(H, [], [], [], []) == []
 
 
 class TestSeEvolve:
