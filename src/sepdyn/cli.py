@@ -374,7 +374,8 @@ class _Batch:
             return self.H, _newton_result(outcome, config.initial_components.dims)
         if isinstance(outcome, NonFiniteStateError):
             raise outcome
-        return self.H, RunResult(outcome, {"kind": "splitting"})
+        traj = Trajectory.from_components(config.dt, outcome, config.initial_components.dims)
+        return self.H, RunResult(traj, {"kind": "splitting"})
 
 
 def _bea_run(config, state0) -> RunResult:
@@ -680,13 +681,14 @@ def _run_file(path: Path, config: ExperimentConfig | ConfigError,
 
 
 def _batch_amplitudes(config: ExperimentConfig) -> int:
-    """Amplitudes a config takes in a batch: its stored points, and then
-    ``NEWTON_COPIES`` arrays of its row's bumped product states (variational)
-    or its trajectory's product states (splitting)."""
+    """Amplitudes a config takes in a batch: its stored points, and for a
+    variational row ``NEWTON_COPIES`` arrays of its bumped product states.
+    A splitting row's product states are formed on its config's turn, so
+    the batch holds only its components."""
     dims = EXPERIMENT_DIMS[config.experiment]
     rows = config.steps() + 1
     if _is_splitting(config):
-        return rows * (sum(dims) + math.prod(dims))
+        return rows * sum(dims)
     return rows * sum(dims) + NEWTON_COPIES * 2 * sum(dims) * math.prod(dims)
 
 

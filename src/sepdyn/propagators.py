@@ -6,35 +6,46 @@ whole time grid) on an eigendecomposition: the one a
 :class:`HermitianOperator` computes once and keeps, or that of a reduced
 matrix in a splitting sub-step. The restricted equations are integrated by
 composing the exactly-solvable one-component flows, sequentially (first
-order) or palindromically (second order). One loop, ``_run``, does every
-splitting step of one run: ``evolve`` runs a whole trajectory through it on
-one list of component arrays, and the one-step maps are runs of one row.
+order) or palindromically (second order).
 
-A sub-step on component k decomposes the sandwich S = c^H B c of
-``reduced.contract_reduced`` as it comes, unscaled and unsymmetrized (the
-eigh gufunc reads its lower triangle), and folds the context norm² into
-the phase: exp(-i (tau / |c|²) S). A sub-step on the component of the
-sub-step just before it reuses that decomposition, since its contexts have
-not moved; so Strang's last half-step of a step and the first one of the
-next share one reduction, bit for bit what recomputing it gives.
+One loop, ``_run_rows``, does every splitting step, for a stack of one or
+more rows on one H, each with its own scheme, state, dt and step count.
+``evolve_rows`` runs whole trajectories through it, ``evolve`` is
+``evolve_rows`` of one row, and the step maps are one step of one row.
+The rows share one order of sub-steps, Strang's (``0..n-1..0``, or
+``1, 0, 1`` for n = 2) if any row is Strang, else Lie–Trotter's. Each
+row's own sequence sits in that order as a subsequence, with its time
+there and a hold at every other position: a Lie–Trotter row flows on the
+ascending half and holds on the way back. A position at which every row
+holds is skipped, and rows leave the batch as they end.
 
-``evolve_rows`` runs several rows on one H, each with its own scheme,
-state, dt and step count, as one batch: ``_run_rows`` does for a stack of
-rows what ``_run`` does for one, in stacked forms that give each row the
-bits of its run alone. The rows share one order of sub-steps, Strang's
-(``0..n-1..0``, or ``1, 0, 1`` for n = 2) if any row is Strang, else
-Lie–Trotter's. Each row's own sequence sits in that order as a
-subsequence, with its time there and a hold at every other position: a
-Lie–Trotter row flows on the ascending half and holds on the way back. A
-position at which every row holds is skipped. Rows leave the batch as they
-end; the last one left finishes in ``_run``. ``evolve`` is that one-row run.
+A sub-step on component k decomposes the sandwiches S = c^H B c of
+``reduced.contract_reduced`` as they come, unscaled and unsymmetrized (the
+eigh gufunc reads the lower triangle), and folds the context norm² into
+the phase: exp(-i (tau / |c|²) S). Each stacked form gives a row the bits
+it gets alone: one matrix-vector product per row, never a GEMM across
+rows; a row that holds keeps its component by selection, since a
+zero-time flow would move its bits. A sub-step on the component of the
+sub-step just before it reuses that decomposition, since its contexts
+have not moved; so Strang's last half-step of a step and the first one of
+the next share one reduction, bit for bit what recomputing it gives.
+
+Phase convention: each sub-step flows its component under the full mean
+field, energy included, so every component picks up the phase of ⟨H⟩,
+where the Dirac–Frenkel (variational) equations count it once. A
+splitting product state is therefore the variational one times the
+global phase e^{-i(N-1)⟨H⟩t}, to the order of the scheme, with ⟨H⟩
+conserved by the restricted flow. ``abs_overlap``, purity, Bloch vectors
+and ``rate_nucl`` read only |overlaps| and densities and do not see it;
+the amplitude columns of splitting and variational CSVs differ by it.
 
 ``evolve_rows`` checks the operator, the initial states, every context
-norm and the step sizes once; sub-steps are unitary per component, so no
-context norm falls later. The reduction, of order ‖H‖ norm², can overflow,
-and a non-finite reduced matrix decomposes to NaN without raising; the
-rows are tested each ``FINITE_CHECK_STEPS`` steps, and a non-finite row
-ends alone.
+norm and the step sizes once, and the step maps check their stacked
+components, times and contexts; sub-steps are unitary per component, so
+no context norm falls later. The reduction, of order ‖H‖ norm², can
+overflow, and a non-finite reduced matrix decomposes to NaN without
+raising; ``evolve_rows`` tests the rows each ``FINITE_CHECK_STEPS`` steps,
+and a non-finite row ends alone.
 """
 
 from __future__ import annotations
@@ -54,7 +65,6 @@ from .states import (
     ComponentState,
     FullState,
     SolverFailure,
-    kron,
     split_components,
     tensor_product_rows,
 )
@@ -195,42 +205,6 @@ _SEQUENCES = {
 }
 
 
-def _run(H: HermitianOperator, parts: list[np.ndarray], sequence, rows: np.ndarray):
-    """Flow the component list ``parts`` through ``sequence`` once per row of ``rows``.
-
-    Sub-step (k, tau) rebinds ``parts[k]`` to exp(-i (tau / |c|²) S) parts[k],
-    decomposing S with the eigh gufunc that ``np.linalg.eigh`` wraps, or
-    reusing the decomposition of the sub-step before when that one was on
-    component k too. Each row receives the concatenated components; no
-    entry of ``parts`` is written.
-    """
-    blocks = H.slot_blocks
-    held = None  # the component whose decomposition evals, evecs, norm2 hold
-    for row in rows:
-        for k, tau in sequence:
-            if k != held:
-                sandwich, norm2 = contract_reduced(blocks[k], parts, k)
-                evals, evecs = _umath_linalg.eigh_lo(sandwich, signature="D->dD")
-                held = k
-            parts[k] = spectral_apply(evals, evecs, tau / norm2, parts[k])
-        np.concatenate(parts, out=row)
-
-
-def _run_checked(H: HermitianOperator, parts: list[np.ndarray], sequence, rows: np.ndarray,
-                 start: int):
-    """``_run`` into ``rows[start:]``, testing each block of ``FINITE_CHECK_STEPS`` rows.
-
-    Raises ``NonFiniteStateError`` naming the first non-finite row.
-    """
-    for block in range(start, len(rows), FINITE_CHECK_STEPS):
-        stop = min(block + FINITE_CHECK_STEPS, len(rows))
-        _run(H, parts, sequence, rows[block:stop])
-        finite = np.isfinite(rows[block:stop]).all(axis=1)
-        if not finite.all():
-            raise NonFiniteStateError(
-                f"splitting step {block + finite.argmin()} produced a non-finite state")
-
-
 def _shared_order(schemes, n: int) -> list[int]:
     """The components of a batch step's sub-steps: Strang's if any row is Strang."""
     scheme = (SplittingScheme.STRANG if SplittingScheme.STRANG in schemes
@@ -268,27 +242,22 @@ def _plan(order: list[int], taus: list[list[float | None]]) -> list[tuple]:
 
 
 def _run_rows(H: HermitianOperator, parts: list[np.ndarray], plan, rows: np.ndarray):
-    """``_run`` for a batch: ``parts[k]`` is (B, d_k), ``rows`` is (steps, B, sum(dims)).
+    """Flow the stacked components ``parts`` through ``plan`` once per step of ``rows``.
 
-    Each row of the batch goes through the arithmetic ``_run`` does on it
-    alone, in stacked forms that keep its bits: a GEMV of the slot block
-    against each row's context, a vector-matrix product per row and slot,
-    the eigh gufunc on a (B, d, d) stack and a matrix-vector product per row.
-    A 2-D GEMM across rows would round differently. A row that holds at a
-    sub-step keeps its component by selection, since a zero-time flow would
-    move its bits.
+    ``parts[k]`` is (B, d_k) and ``rows`` is (steps, B, sum(dims)); each
+    step receives the concatenated components, and no array of ``parts`` is
+    written. Sub-step (k, tau, flows) of ``_plan`` rebinds ``parts[k]`` to
+    exp(-i (tau / |c|²) S) parts[k] row by row, decomposing the stack of
+    sandwiches S with the eigh gufunc that ``np.linalg.eigh`` wraps, or
+    reusing the decompositions of the sub-step before when that one was on
+    component k too.
     """
     blocks = H.slot_blocks
-    batch = len(parts[0])
     held = None  # the component whose decompositions evals, evecs, norm2 hold
     for row in rows:
         for k, tau, flows in plan:
             if k != held:
-                c = kron(parts[:k] + parts[k + 1 :])
-                norm2 = np.vecdot(c, c).real
-                d, m = parts[k].shape[1], c.shape[1]
-                products = (blocks[k] @ c[:, :, None]).reshape(batch, d, m, d)
-                sandwich = (c.conj()[:, None, None, :] @ products).reshape(batch, d, d)
+                sandwich, norm2 = contract_reduced(blocks[k], parts, k)
                 evals, evecs = _umath_linalg.eigh_lo(sandwich, signature="D->dD")
                 evecs_h = evecs.conj().swapaxes(1, 2)
                 held = k
@@ -299,12 +268,29 @@ def _run_rows(H: HermitianOperator, parts: list[np.ndarray], plan, rows: np.ndar
         np.concatenate(parts, axis=1, out=row)
 
 
-def _step(H: HermitianOperator, x: np.ndarray, sequence) -> np.ndarray:
-    """``_run`` over one row from the stacked components ``x``, which it does not write."""
+def _step(H: HermitianOperator, x, sequence, keep: int | None = None) -> np.ndarray:
+    """One step of one row through ``_run_rows`` from the stacked components ``x``.
+
+    The step maps' boundary: ``x`` must hold sum(H.dims) finite amplitudes,
+    every time of ``sequence`` must be finite (zero and negative times
+    flow), and every context but ``keep`` must pass ``check_contexts``.
+    ``x`` is not written.
+    """
     x = np.asarray(x, dtype=complex)
-    out = np.empty((1, x.size), dtype=complex)
-    _run(H, split_components(x, H.dims), sequence, out)
-    return out[0]
+    width = sum(H.dims)
+    if x.shape != (width,):
+        raise ValueError(f"x has shape {x.shape}, expected ({width},), sum(H.dims) "
+                         f"for dims {H.dims}")
+    if not np.isfinite(x).all():
+        raise ValueError("amplitudes must be finite")
+    if not all(math.isfinite(tau) for _, tau in sequence):
+        raise ValueError("the step time must be finite")
+    parts = split_components(x, H.dims)
+    check_contexts(parts, keep)
+    out = np.empty((1, 1, width), dtype=complex)
+    _run_rows(H, [part[None] for part in parts],
+              [(k, np.array([tau]), None) for k, tau in sequence], out)
+    return out[0, 0]
 
 
 def sse_component_flow(H: HermitianOperator, x: np.ndarray, k: int, t: float) -> np.ndarray:
@@ -313,7 +299,9 @@ def sse_component_flow(H: HermitianOperator, x: np.ndarray, k: int, t: float) ->
     ``x`` is the stacked components concat(a_0, ..., a_{N-1}) laid out by
     ``H.dims``; the result is the one sub-step (k, t).
     """
-    return _step(H, x, [(k, t)])
+    if not 0 <= k < len(H.dims):
+        raise ValueError(f"subsystem index {k} out of range for {len(H.dims)} subsystems")
+    return _step(H, x, [(k, t)], keep=k)
 
 
 def lie_trotter_step(H: HermitianOperator, x: np.ndarray, dt: float) -> np.ndarray:
@@ -327,34 +315,34 @@ def strang_step(H: HermitianOperator, x: np.ndarray, dt: float) -> np.ndarray:
 
 
 def evolve_rows(H: HermitianOperator, schemes, states, dts, steps) -> list:
-    """``evolve`` of each row (scheme, state, dt, steps), the rows advanced as one batch.
+    """Splitting runs of the rows (scheme, state, dt, steps), advanced as one batch.
 
-    Returns per row its ``Trajectory``, or the ``NonFiniteStateError`` that
-    ended it, bit for bit what ``evolve`` returns or raises for the row
-    alone. Every row is checked as ``evolve`` checks it, before any step.
-    The rows share the sub-step order of ``_shared_order``, each holding at
-    the positions its own sequence skips. Every ``FINITE_CHECK_STEPS``
-    steps, and when a row ends, the rows are tested; a row ends at its last
-    step or at its first non-finite one, and leaves the batch. The last row
-    left finishes in ``_run``.
+    Returns per row its stacked components, a (steps + 1, sum(dims)) array
+    whose row i is the state at time i * dt, or the
+    ``NonFiniteStateError`` that ended it; the components of each row are
+    bit for bit those of the row run alone. Every row is checked before any
+    step. The rows share the sub-step order of ``_shared_order``, each
+    holding at the positions its own sequence skips. Every
+    ``FINITE_CHECK_STEPS`` steps, and when a row ends, the rows are tested;
+    a row ends at its last step or at its first non-finite one, and leaves
+    the batch, down to the last row.
     """
     for state, dt, count in zip(states, dts, steps, strict=True):
         check_grid(dt, count)
         check_dims(H, state.dims)
         check_contexts(state.vectors())
     n, width = len(H.dims), sum(H.dims)
-    sequences = [_SEQUENCES[scheme](n, dt) for scheme, dt in zip(schemes, dts, strict=True)]
     order = _shared_order(schemes, n)
-    taus = [_embed(sequence, order) for sequence in sequences]
+    taus = [_embed(_SEQUENCES[scheme](n, dt), order)
+            for scheme, dt in zip(schemes, dts, strict=True)]
     outs = [np.empty((count + 1, width), dtype=complex) for count in steps]
     for out, state in zip(outs, states):
         np.concatenate(state.vectors(), out=out[0])
-    outcomes = [None] * len(states)
     live = list(range(len(states)))
     parts = [np.stack(column) for column in zip(*(state.vectors() for state in states))]
     start = 1
     with np.errstate(over="ignore", invalid="ignore"):
-        while len(live) > 1:
+        while live:
             stop = min(start + FINITE_CHECK_STEPS, min(steps[i] for i in live) + 1)
             block = np.empty((stop - start, len(live), width), dtype=complex)
             _run_rows(H, parts, _plan(order, [taus[i] for i in live]), block)
@@ -363,7 +351,7 @@ def evolve_rows(H: HermitianOperator, schemes, states, dts, steps) -> list:
             for j, i in enumerate(live):
                 outs[i][start:stop] = block[:, j]
                 if not finite[:, j].all():
-                    outcomes[i] = NonFiniteStateError(
+                    outs[i] = NonFiniteStateError(
                         f"splitting step {start + finite[:, j].argmin()} produced a "
                         "non-finite state")
                 elif steps[i] >= stop:
@@ -372,30 +360,24 @@ def evolve_rows(H: HermitianOperator, schemes, states, dts, steps) -> list:
                 live = [live[j] for j in going]
                 parts = [p[going] for p in parts]
             start = stop
-        for i in live:
-            try:
-                _run_checked(H, [p[0] for p in parts], sequences[i], outs[i], start)
-            except NonFiniteStateError as err:
-                outcomes[i] = err
-    return [Trajectory.from_components(dt, out, state.dims) if outcome is None else outcome
-            for outcome, dt, out, state in zip(outcomes, dts, outs, states)]
+    return outs
 
 
 def evolve(scheme: SplittingScheme, H: HermitianOperator, state0: ComponentState,
            dt: float, steps: int) -> Trajectory:
     """Run a splitting scheme for ``steps`` steps and record the trajectory.
 
-    The operator, the state and its context norms, ``dt`` and ``steps``
-    are checked here, once; the run then keeps one list of component arrays
-    and writes each step's row in place, through ``_run``. Stores the
-    stacked components and their tensor-product reconstructions. An overflow
-    ends the run within ``FINITE_CHECK_STEPS`` steps, as
-    ``NonFiniteStateError`` naming the first non-finite step.
+    ``evolve_rows`` of one row: the operator, the state and its context
+    norms, ``dt`` and ``steps`` are checked there, once, and the row runs
+    through ``_run_rows``. Stores the stacked components and their
+    tensor-product reconstructions. An overflow ends the run within
+    ``FINITE_CHECK_STEPS`` steps, as ``NonFiniteStateError`` naming the
+    first non-finite step.
     """
     (outcome,) = evolve_rows(H, [scheme], [state0], [dt], [steps])
     if isinstance(outcome, NonFiniteStateError):
         raise outcome
-    return outcome
+    return Trajectory.from_components(dt, outcome, state0.dims)
 
 
 def se_evolve(H: HermitianOperator, psi0: FullState, dt: float, steps: int) -> Trajectory:

@@ -8,20 +8,22 @@ m = D / d_k. With c the Kronecker product of the contexts, ``block @ c``
 contracts the bra context and ``c^H`` the ket context, one matrix-vector
 product and one small batched product.
 
-``contract_reduced`` is the one kernel, on plain arrays. It returns the
-unnormalized sandwich c^H B c and the context norm² |c|², and leaves the
-division to its caller: the splitting sub-steps fold 1/|c|² into the phase
-of exp(-i (tau / |c|²) c^H B c), and their eigh gufunc reads only the lower
-triangle, so the sandwich is neither scaled nor symmetrized there.
-``partially_reduced`` divides by |c|² and symmetrizes against rounding
-skew, so that unnormalized contexts give the same Hermitian operator as
-normalized ones.
+``contract_reduced`` is the one kernel, on plain arrays, for one set of
+vectors or for a (B, d_j) stack of them, one row per splitting row: a
+stack takes one matrix-vector product per row, so each row gets the bits
+of its call alone. It returns the unnormalized sandwich c^H B c and the
+context norm² |c|², and leaves the division to its caller: the splitting
+sub-steps fold 1/|c|² into the phase of exp(-i (tau / |c|²) c^H B c), and
+their eigh gufunc reads only the lower triangle, so the sandwich is
+neither scaled nor symmetrized there. ``partially_reduced`` divides by
+|c|² and symmetrizes against rounding skew, so that unnormalized contexts
+give the same Hermitian operator as normalized ones.
 
 Context norms are checked once, at the boundary: ``partially_reduced``
-checks its state, and ``propagators.evolve`` the initial one; splitting
-sub-steps are unitary per component, so no norm falls later. The kernel
-itself only rejects a numerically zero |c|², which it computes anyway, at
-a bound that contexts passing the boundary check stay above.
+checks its state, and ``propagators.evolve_rows`` and the step maps theirs;
+splitting sub-steps are unitary per component, so no norm falls later. The
+kernel itself only rejects a numerically zero |c|², which it computes
+anyway, at a bound that contexts passing the boundary check stay above.
 """
 
 from __future__ import annotations
@@ -50,23 +52,26 @@ def check_contexts(vectors, keep: int | None = None):
 
 
 def contract_reduced(block: np.ndarray, vectors: list[np.ndarray],
-                     keep: int) -> tuple[np.ndarray, float]:
+                     keep: int) -> tuple[np.ndarray, np.ndarray]:
     """The sandwich c^H B c that H induces on subsystem ``keep``, and |c|².
 
     ``block`` is ``H.slot_blocks[keep]``; ``vectors`` holds one amplitude
     vector per subsystem, and of entry ``keep`` only the length is read.
     c is the Kronecker product of the other vectors in order, and entry
     (i, j) of the sandwich is <e_i ⊗ c| H |e_j ⊗ c>, Hermitian up to
-    rounding; divided by |c|² it is the reduced operator. Raises
-    DegenerateStateError when |c|² is below 1e-28 per context, the bound
-    that contexts which pass ``check_contexts`` never reach.
+    rounding; divided by |c|² it is the reduced operator. Vectors stacked
+    as (B, d_j) give a (B, d, d) stack of sandwiches and B norms², each row
+    bit for bit its call alone. Raises DegenerateStateError when any |c|²
+    is below 1e-28 per context, the bound that contexts which pass
+    ``check_contexts`` never reach.
     """
     c = kron(vectors[:keep] + vectors[keep + 1 :])
-    norm2 = np.vdot(c, c).real
-    if norm2 < DEGENERATE_NORM_TOL ** (2 * len(vectors) - 2):
+    norm2 = np.vecdot(c, c).real
+    if norm2.min() < DEGENERATE_NORM_TOL ** (2 * len(vectors) - 2):
         raise DegenerateStateError(f"the contexts of subsystem {keep} have zero norm")
-    d = vectors[keep].size
-    return c.conj() @ (block @ c).reshape(d, c.size, d), norm2
+    d, m = vectors[keep].shape[-1], c.shape[-1]
+    products = (block @ c[..., :, None]).reshape(c.shape[:-1] + (d, m, d))
+    return (c.conj()[..., None, None, :] @ products).reshape(c.shape[:-1] + (d, d)), norm2
 
 
 def partially_reduced(H: HermitianOperator, state: ComponentState, k: int) -> HermitianOperator:

@@ -1029,19 +1029,20 @@ class TestSplittingBatches:
         configs = self.write_configs(tmp_path)
         items = [(path, cli.load_config(path, [])) for path in sorted(configs.iterdir())]
         assert [[path.stem for path, _ in unit] for unit in cli._work_units(items)] == self.UNITS
-        # A splitting row keeps (steps + 1) rows of its 4 components and of its
-        # 4 product amplitudes: 11 * 8, 21 * 8 and 4 * 8 on swap.
+        # A splitting row keeps (steps + 1) rows of its 4 components; its
+        # product states are formed on its config's turn: 11 * 4, 21 * 4 and
+        # 4 * 4 on swap.
         swap = {path.stem: config for path, config in items
                 if path.stem in self.UNITS[0]}
-        assert [cli._batch_amplitudes(swap[name]) for name in self.UNITS[0]] == [88, 168, 32]
+        assert [cli._batch_amplitudes(swap[name]) for name in self.UNITS[0]] == [44, 84, 16]
 
         def swap_units():
             units = [[path.stem for path, _ in unit] for unit in cli._work_units(items)]
             return [unit for unit in units if unit[0] in swap]
 
-        monkeypatch.setattr(cli, "BATCH_AMPLITUDES", 88 + 168)
+        monkeypatch.setattr(cli, "BATCH_AMPLITUDES", 44 + 84)
         assert swap_units() == [["a_swap_lie", "e_swap_strang"], ["h_swap_strang"]]
-        monkeypatch.setattr(cli, "BATCH_AMPLITUDES", 88 + 168 - 1)
+        monkeypatch.setattr(cli, "BATCH_AMPLITUDES", 44 + 84 - 1)
         assert swap_units() == [["a_swap_lie"], ["e_swap_strang", "h_swap_strang"]]
 
 

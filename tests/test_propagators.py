@@ -410,11 +410,11 @@ def count_steps(monkeypatch) -> list:
     """Record the number of steps of every call of the run loop."""
     steps = []
 
-    def counted(H, parts, sequence, rows, _run=propagators._run):
+    def counted(H, parts, plan, rows, _run_rows=propagators._run_rows):
         steps.append(len(rows))
-        return _run(H, parts, sequence, rows)
+        return _run_rows(H, parts, plan, rows)
 
-    monkeypatch.setattr(propagators, "_run", counted)
+    monkeypatch.setattr(propagators, "_run_rows", counted)
     return steps
 
 
@@ -444,6 +444,11 @@ def at_offset(arr: np.ndarray, offset: int) -> np.ndarray:
     assert out.ctypes.data % 64 == offset
     return out
 
+
+# The three step maps as functions of (H, x, dt); sse_component_flow flows component 1.
+STEP_MAPS = pytest.mark.parametrize(
+    "step", [lie_trotter_step, strang_step, lambda H, x, dt: sse_component_flow(H, x, 1, dt)],
+    ids=["lie_trotter", "strang", "sse_component_flow"])
 
 SYSTEMS = {
     "swap": lambda: swap_hamiltonian(2),
@@ -481,9 +486,7 @@ class TestArrayCore:
                 x = stacked_sub_step(H, x, k, tau)
             assert rows[i].tobytes() == x.tobytes(), f"row {i}"
 
-    @pytest.mark.parametrize("step", [
-        lie_trotter_step, strang_step, lambda H, x, dt: sse_component_flow(H, x, 1, dt)],
-        ids=["lie_trotter", "strang", "sse_component_flow"])
+    @STEP_MAPS
     def test_step_maps_leave_a_read_only_x_unchanged(self, rng, step):
         H = random_hermitian_on(rng, (2, 3, 2))
         x = np.concatenate([random_ket(rng, d).amplitudes for d in H.dims])
@@ -493,6 +496,55 @@ class TestArrayCore:
         assert x.tobytes() == before.tobytes()
         assert not np.shares_memory(out, x)
         assert out.shape == x.shape and not np.array_equal(out, x)
+
+    @STEP_MAPS
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 2)])
+    def test_step_maps_reject_a_wrong_length_non_finite_amplitudes_and_time(self, rng, step,
+                                                                               dims):
+        """The step maps check x and the time at their boundary, as ``evolve``
+        checks its state and dt, instead of returning NaN or failing in numpy."""
+        H = random_hermitian_on(rng, dims)
+        x = np.concatenate([random_ket(rng, d).amplitudes for d in dims])
+        width = sum(dims)
+        for wrong in (x[:-1], np.concatenate([x, x]), x.reshape(1, -1)):
+            with pytest.raises(ValueError, match=rf"expected \({width},\), sum\(H.dims\)"):
+                step(H, wrong, 0.1)
+        for position in (0, width - 1):
+            bad = x.copy()
+            bad[position] = np.nan
+            with pytest.raises(ValueError, match="amplitudes must be finite"):
+                step(H, bad, 0.1)
+        for t in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="step time must be finite"):
+                step(H, x, t)
+        assert np.isfinite(step(H, x, -0.1)).all()
+
+    @pytest.mark.parametrize("k", [-1, 3])
+    def test_sse_component_flow_rejects_a_subsystem_out_of_range(self, rng, k):
+        H = random_hermitian_on(rng, (2, 3, 2))
+        x = np.concatenate([random_ket(rng, d).amplitudes for d in H.dims])
+        with pytest.raises(ValueError, match=f"subsystem index {k} out of range for 3"):
+            sse_component_flow(H, x, k, 0.1)
+
+    @pytest.mark.parametrize("tiny", [0, 1, 2])
+    def test_step_maps_check_contexts_as_evolve_does(self, rng, tiny):
+        """A context of norm 1e-15 fails ``check_contexts`` in every step map,
+        though |c|² stays above the kernel's own bound; ``sse_component_flow``
+        does not check the component it flows."""
+        dims = (2, 3, 2)
+        H = random_hermitian_on(rng, dims)
+        parts = [random_ket(rng, d).amplitudes for d in dims]
+        parts[tiny] = 1e-15 * parts[tiny]
+        x = np.concatenate(parts)
+        for step in (lie_trotter_step, strang_step):
+            with pytest.raises(DegenerateStateError, match=f"context state {tiny} "):
+                step(H, x, 0.1)
+        for k in range(len(dims)):
+            if k == tiny:
+                assert np.isfinite(sse_component_flow(H, x, k, 0.1)).all()
+            else:
+                with pytest.raises(DegenerateStateError, match=f"context state {tiny} "):
+                    sse_component_flow(H, x, k, 0.1)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scheme", list(SplittingScheme))
@@ -679,28 +731,21 @@ def run_batch(H, rows, states) -> list:
 
 
 def assert_rows_equal_evolve(H, rows, states, outcomes):
-    for (scheme, dt, steps), state, traj in zip(rows, states, outcomes):
+    for (scheme, dt, steps), state, components in zip(rows, states, outcomes):
         alone = evolve(scheme, H, state, dt, steps)
-        assert traj.dt == dt and traj.dims == alone.dims
-        assert traj.components.tobytes() == alone.components.tobytes()
-        assert traj.full.tobytes() == alone.full.tobytes()
+        assert components.shape == alone.components.shape
+        assert components.tobytes() == alone.components.tobytes()
 
 
 def record_loops(monkeypatch) -> list:
-    """Record ("batch", rows, steps) of every batch loop call and ("alone", 1,
-    steps) of every ``_run`` call."""
+    """Record (rows, steps) of every call of the run loop."""
     calls = []
 
     def batch(H, parts, plan, rows, _run_rows=propagators._run_rows):
-        calls.append(("batch", len(parts[0]), len(rows)))
+        calls.append((len(parts[0]), len(rows)))
         return _run_rows(H, parts, plan, rows)
 
-    def alone(H, parts, sequence, rows, _run=propagators._run):
-        calls.append(("alone", 1, len(rows)))
-        return _run(H, parts, sequence, rows)
-
     monkeypatch.setattr(propagators, "_run_rows", batch)
-    monkeypatch.setattr(propagators, "_run", alone)
     return calls
 
 
@@ -738,14 +783,14 @@ class TestEvolveRows:
     def test_rows_leave_as_they_end_and_the_last_one_finishes_alone(self, rng, monkeypatch,
                                                                     system):
         """The batch shrinks as rows end, and runs at most a finiteness block
-        at a time; the last row left runs on in ``_run``, in blocks from there."""
+        at a time; the last row left runs on alone, a batch of one, in blocks
+        from there."""
         calls = record_loops(monkeypatch)
         H = ROW_SYSTEMS[system]()
         rows = [(LT, 0.05, 3), (STRANG, 0.05, 5), (LT, 0.02, 300), (STRANG, 0.02, 600)]
         states = random_states(rng, H.dims, len(rows))
         outcomes = run_batch(H, rows, states)
-        assert calls == [("batch", 4, 3), ("batch", 3, 2), ("batch", 2, 256),
-                         ("batch", 2, 39), ("alone", 1, 256), ("alone", 1, 44)]
+        assert calls == [(4, 3), (3, 2), (2, 256), (2, 39), (1, 256), (1, 44)]
         monkeypatch.undo()
         assert_rows_equal_evolve(H, rows, states, outcomes)
 
@@ -764,9 +809,9 @@ class TestEvolveRows:
         states = random_states(rng, H.dims, len(MIXED_ROWS))
         outcomes = run_batch(H, MIXED_ROWS, states)
         monkeypatch.undo()
-        moved = [traj.components.tobytes() != evolve(scheme, H, state, dt, steps)
+        moved = [components.tobytes() != evolve(scheme, H, state, dt, steps)
                  .components.tobytes()
-                 for (scheme, dt, steps), state, traj in zip(MIXED_ROWS, states, outcomes)]
+                 for (scheme, dt, steps), state, components in zip(MIXED_ROWS, states, outcomes)]
         assert moved == [scheme is LT for scheme, _, _ in MIXED_ROWS]
 
     @pytest.mark.parametrize("system", list(ROW_SYSTEMS))
@@ -823,8 +868,7 @@ class TestEvolveRows:
         assert shapes[600] == (2, 2, 2)
         assert isinstance(outcomes[0], NonFiniteStateError)
         assert str(outcomes[0]) == "splitting step 300 produced a non-finite state"
-        assert calls[:2] == [("batch", 2, 256), ("batch", 2, 256)]
-        assert calls[2:] == [("alone", 1, 188)]
+        assert calls == [(2, 256), (2, 256), (1, 188)]
         monkeypatch.undo()
         assert_rows_equal_evolve(H, rows[1:], states[1:], outcomes[1:])
 

@@ -3,6 +3,7 @@ import pytest
 
 from sepdyn.hamiltonians import (
     HermitianOperator,
+    correlator_hamiltonian,
     random_hermitian,
     swap_hamiltonian,
 )
@@ -182,6 +183,32 @@ class TestContractReducedKernel:
         vectors = [random_ket(rng).amplitudes, np.zeros(3, dtype=complex)]
         with pytest.raises(DegenerateStateError):
             contract_reduced(H.slot_blocks[0], vectors, 0)
+
+    @pytest.mark.parametrize("system", ["swap", "random5", "ladder", "232"])
+    def test_a_stack_is_its_rows_alone(self, rng, system):
+        """(B, d_j) stacks give a (B, d, d) stack of sandwiches and B norms²,
+        each row bit for bit the call on that row alone; a zero context in
+        one row of a stack is rejected."""
+        H = {"swap": lambda: swap_hamiltonian(2),
+             "random5": lambda: random_hermitian(5, seed=21),
+             "ladder": lambda: correlator_hamiltonian(2),
+             "232": lambda: HermitianOperator(random_hermitian_matrix(rng, (2, 3, 2)),
+                                              (2, 3, 2))}[system]()
+        batch = 5
+        stacks = [rng.uniform(0.1, 10.0, (batch, 1))
+                  * np.stack([random_ket(rng, d, normalize=False).amplitudes
+                              for _ in range(batch)]) for d in H.dims]
+        for k, d in enumerate(H.dims):
+            sandwiches, norms2 = contract_reduced(H.slot_blocks[k], stacks, k)
+            assert sandwiches.shape == (batch, d, d) and norms2.shape == (batch,)
+            for b in range(batch):
+                sandwich, norm2 = contract_reduced(H.slot_blocks[k], [s[b] for s in stacks], k)
+                assert sandwiches[b].tobytes() == sandwich.tobytes()
+                assert norms2[b].tobytes() == np.float64(norm2).tobytes()
+        stacks[0][3] = 0.0
+        for k in range(1, len(H.dims)):
+            with pytest.raises(DegenerateStateError):
+                contract_reduced(H.slot_blocks[k], stacks, k)
 
     @pytest.mark.parametrize("dims, zero", [((2, 3, 2), 1), ((3, 2, 2), 0), ((4, 2, 3), 2)])
     def test_zero_context_rejected_in_any_slot(self, rng, dims, zero):
