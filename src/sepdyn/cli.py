@@ -11,19 +11,21 @@ single file is a directory of one), parsing the initial state into the
 the runs share those configs, and one that fails to load, or whose output
 directory cannot be made, exits 2 while the others still run.
 
-Configs of one invocation run as one batch (several, past
-``BATCH_AMPLITUDES`` amplitudes) when they share the experiment and its
-Hamiltonian (``seed``/``r_party``), and either are all splitting configs,
-of either scheme and any ``dt`` (``propagators.evolve_rows``), or are
-variational configs that also share integrator, ``alpha`` and ``dt``
-(``variational.integrate_separable_rows``, into one buffer allocated up
-front). A batch's rows are integrated together, each with its own initial
-state and step count, on the turn of the first of its configs. Every
-config still writes its CSV, JSON, exit code and output lines on its own
-turn, in config order, exactly as when run alone; its ``wall=`` is the
-time of its own turn, so the first config of a batch carries the batch's
-integration. ``--jobs`` hands each batch, and each other config, to a
-worker as one work unit, and starts at most one worker per unit and CPU.
+Every splitting and variational config runs as a row of a batch
+(``_Batch``), a batch of one when it is alone. Configs of one invocation
+share a batch (several, past ``BATCH_AMPLITUDES`` stored amplitudes) when
+they share the experiment and its Hamiltonian (``seed``/``r_party``), and
+either are all splitting configs, of either scheme and any ``dt``
+(``propagators.evolve_rows``), or are variational configs that also share
+integrator, ``alpha`` and ``dt`` (``variational.integrate_separable_rows``,
+into one buffer allocated up front). A batch's rows are integrated
+together, each with its own initial state and step count, on the turn of
+the first of its configs. ``se_exact`` and ``bea_truncation`` configs run
+alone, through ``execute``. Every config still writes its CSV, JSON, exit
+code and output lines on its own turn, in config order, exactly as when
+run alone; its ``wall=`` is the time of its own turn, so the first config
+of a batch carries the batch's integration. ``--jobs`` hands each batch to
+a worker as one work unit, and starts at most one worker per unit and CPU.
 
 The CSV holds every value as ``format(v, ".17g")``, byte for byte; a numpy
 kernel (``write_csv``) produces that text in blocks of rows, and formats
@@ -65,7 +67,6 @@ from .propagators import (
     NonFiniteStateError,
     SplittingScheme,
     Trajectory,
-    evolve,
     evolve_rows,
     se_evolve,
 )
@@ -89,19 +90,13 @@ OUTPUT_NAMES = ("norm", "abs_overlap", "rate_nucl", "bloch", "purity")
 EXPERIMENT_DIMS = {"swap": (2, 2), "random5": (2,) * 5, "ladder": (3, 3, 3)}
 BLOWUP_FACTOR = 2.0
 MAX_STEPS = 10**6
-# A variational batch allocates (steps + 1) * sum(dims) amplitudes a config,
-# plus 16 bytes a point of Newton records, and keeps them until its last config
-# is written. Each Newton iteration adds, per running row, one residual call on
-# a stack of 2 * sum(dims) + 1 points (the iterate and the bumped points of its
-# forward-difference Jacobian) as product states, prod(dims) amplitudes each,
-# and the residual's temporaries on them: at most NEWTON_COPIES arrays of
-# 2 * sum(dims) such states in all (tracemalloc reads 8.9-9.3 on random5 and
-# ladder). A splitting batch keeps each config's trajectory, (steps + 1) rows
-# of sum(dims) components and of their prod(dims) product state. A batch
-# counts these, at most BATCH_AMPLITUDES (160 MB) over its configs, or one
-# config's if more.
+# A batch stores each config's points, (steps + 1) rows of sum(dims)
+# components (a variational row adds 16 bytes a point of Newton records), and
+# keeps them until its last config is written; a row's product states are
+# formed on its config's turn. A batch counts the stored amplitudes, at most
+# BATCH_AMPLITUDES (160 MB) over its configs, or one config's if more. Newton
+# bounds its own working set by variational.NEWTON_CHUNK_POINTS.
 BATCH_AMPLITUDES = 10**7
-NEWTON_COPIES = 10
 # write_csv formats whole rows of at most about this many cells at a time.
 CSV_BLOCK_CELLS = 2**15
 
@@ -352,10 +347,11 @@ def _batch_key(config: ExperimentConfig | ConfigError) -> tuple | None:
 
 
 class _Batch:
-    """Configs of one ``_batch_key``, integrated together when the first one runs.
+    """The configs of one work unit, integrated together when the first one runs.
 
     Each config then takes its own row's outcome, so it writes what it would
-    write run alone; a row becomes a RunResult only on its config's turn.
+    write run alone; a row becomes a RunResult only on its config's turn. A
+    config with no ``_batch_key`` is a unit of one, run by ``execute``.
     """
 
     def __init__(self, configs: list[ExperimentConfig]):
@@ -367,6 +363,8 @@ class _Batch:
         """H and ``config``'s RunResult; raises the error its row ended with."""
         if self.outcomes is None:
             self.H = build_hamiltonian(self.configs[0])
+            if _batch_key(config) is None:
+                return self.H, execute(config, self.H)
             integrate = _splitting_rows if _is_splitting(config) else _variational_rows
             self.outcomes = dict(zip(map(id, self.configs), integrate(self.configs, self.H)))
         outcome = self.outcomes.pop(id(config))
@@ -378,7 +376,12 @@ class _Batch:
         return self.H, RunResult(traj, {"kind": "splitting"})
 
 
-def _bea_run(config, state0) -> RunResult:
+def execute(config: ExperimentConfig, H: HermitianOperator) -> RunResult:
+    """An ``se_exact`` or ``bea_truncation`` run; every other integrator runs in a ``_Batch``."""
+    state0 = config.initial_components
+    if config.integrator == "se_exact":
+        traj = se_evolve(H, tensor_product(state0), config.dt, config.steps())
+        return RunResult(traj, {"kind": "eigendecomposition"})
     from . import bea
 
     rhs = bea.ModifiedRHS(SplittingScheme(config.bea_scheme), config.bea_order, config.dt)
@@ -387,21 +390,6 @@ def _bea_run(config, state0) -> RunResult:
     stats = {"kind": "runge_kutta", "steps": sol.steps, "rejected": sol.rejected,
              "rhs_evals": sol.rhs_evals, "min_step": sol.min_step, "max_step": sol.max_step}
     return RunResult(traj, stats)
-
-
-def execute(config: ExperimentConfig, H: HermitianOperator) -> RunResult:
-    state0 = config.initial_components
-    steps = config.steps()
-    if config.integrator == "se_exact":
-        traj = se_evolve(H, tensor_product(state0), config.dt, steps)
-        return RunResult(traj, {"kind": "eigendecomposition"})
-    if _is_splitting(config):
-        traj = evolve(SplittingScheme(config.integrator), H, state0, config.dt, steps)
-        return RunResult(traj, {"kind": "splitting"})
-    if config.integrator == "bea_truncation":
-        return _bea_run(config, state0)
-    (outcome,) = _variational_rows([config], H)
-    return _newton_result(outcome, state0.dims)
 
 
 def _diagnostic_columns(config: ExperimentConfig, result: RunResult,
@@ -526,10 +514,10 @@ def _variational_summary(traj: Trajectory) -> dict:
     }
 
 
-def run(config: ExperimentConfig, batch: _Batch | None = None) -> int:
+def run(config: ExperimentConfig, batch: _Batch) -> int:
     """Execute one configured run; returns the process exit code.
 
-    A config of a ``batch`` takes its integration from there.
+    The config takes its integration from ``batch``, its work unit.
     """
     start = time.perf_counter()
     out_prefix = Path(config.out_path)
@@ -539,11 +527,7 @@ def run(config: ExperimentConfig, batch: _Batch | None = None) -> int:
         print(f"config error: cannot make the directory of out_path: {err}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        if batch is None:
-            H = build_hamiltonian(config)
-            result = execute(config, H)
-        else:
-            H, result = batch.result(config)
+        H, result = batch.result(config)
     except SolverFailure as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return EXIT_SOLVER
@@ -671,8 +655,7 @@ def _output_clash(files: list[Path],
     return None
 
 
-def _run_file(path: Path, config: ExperimentConfig | ConfigError,
-              batch: _Batch | None = None) -> int:
+def _run_file(path: Path, config: ExperimentConfig | ConfigError, batch: _Batch) -> int:
     """Run one loaded config, or report the error it failed to load with."""
     if isinstance(config, ConfigError):
         print(f"config error in {path}: {config}", file=sys.stderr)
@@ -681,15 +664,8 @@ def _run_file(path: Path, config: ExperimentConfig | ConfigError,
 
 
 def _batch_amplitudes(config: ExperimentConfig) -> int:
-    """Amplitudes a config takes in a batch: its stored points, and for a
-    variational row ``NEWTON_COPIES`` arrays of its bumped product states.
-    A splitting row's product states are formed on its config's turn, so
-    the batch holds only its components."""
-    dims = EXPERIMENT_DIMS[config.experiment]
-    rows = config.steps() + 1
-    if _is_splitting(config):
-        return rows * sum(dims)
-    return rows * sum(dims) + NEWTON_COPIES * 2 * sum(dims) * math.prod(dims)
+    """Amplitudes a config stores in a batch: (steps + 1) points of sum(dims)."""
+    return (config.steps() + 1) * sum(EXPERIMENT_DIMS[config.experiment])
 
 
 def _work_units(items: list[tuple[Path, ExperimentConfig | ConfigError]]) -> list[list]:
@@ -719,15 +695,14 @@ def _work_units(items: list[tuple[Path, ExperimentConfig | ConfigError]]) -> lis
 def _run_files(items: list[tuple[Path, ExperimentConfig | ConfigError]]) -> list[int]:
     """Run (path, config) items in order; returns their exit codes.
 
-    The configs of one work unit of several items run as one ``_Batch``,
-    integrated on the turn of the first of them.
+    The configs of each work unit run as one ``_Batch``, integrated on the
+    turn of the first of them.
     """
     batches = {}
     for unit in _work_units(items):
-        if len(unit) > 1:
-            batch = _Batch([config for _, config in unit])
-            batches.update((id(config), batch) for _, config in unit)
-    return [_run_file(path, config, batches.get(id(config))) for path, config in items]
+        batch = _Batch([config for _, config in unit])
+        batches.update((id(config), batch) for _, config in unit)
+    return [_run_file(path, config, batches[id(config)]) for path, config in items]
 
 
 def list_experiments(as_json: bool) -> str:

@@ -19,11 +19,10 @@ neither scaled nor symmetrized there. ``partially_reduced`` divides by
 |c|² and symmetrizes against rounding skew, so that unnormalized contexts
 give the same Hermitian operator as normalized ones.
 
-Context norms are checked once, at the boundary: ``partially_reduced``
-checks its state, and ``propagators.evolve_rows`` and the step maps theirs;
-splitting sub-steps are unitary per component, so no norm falls later. The
-kernel itself only rejects a numerically zero |c|², which it computes
-anyway, at a bound that contexts passing the boundary check stay above.
+Context norms are checked once, at the boundary, by ``check_contexts``:
+``partially_reduced`` checks its state, and ``propagators.evolve_rows`` and
+the step maps theirs; splitting sub-steps are unitary per component, so no
+norm falls later. The kernel is arithmetic only and checks nothing.
 """
 
 from __future__ import annotations
@@ -61,14 +60,11 @@ def contract_reduced(block: np.ndarray, vectors: list[np.ndarray],
     (i, j) of the sandwich is <e_i ⊗ c| H |e_j ⊗ c>, Hermitian up to
     rounding; divided by |c|² it is the reduced operator. Vectors stacked
     as (B, d_j) give a (B, d, d) stack of sandwiches and B norms², each row
-    bit for bit its call alone. Raises DegenerateStateError when any |c|²
-    is below 1e-28 per context, the bound that contexts which pass
-    ``check_contexts`` never reach.
+    bit for bit its call alone. The contexts must have passed
+    ``check_contexts``: a zero one gives |c|² = 0.
     """
     c = kron(vectors[:keep] + vectors[keep + 1 :])
     norm2 = np.vecdot(c, c).real
-    if norm2.min() < DEGENERATE_NORM_TOL ** (2 * len(vectors) - 2):
-        raise DegenerateStateError(f"the contexts of subsystem {keep} have zero norm")
     d, m = vectors[keep].shape[-1], c.shape[-1]
     products = (block @ c[..., :, None]).reshape(c.shape[:-1] + (d, m, d))
     return (c.conj()[..., None, None, :] @ products).reshape(c.shape[:-1] + (d, d)), norm2

@@ -13,7 +13,9 @@ each row with its own step count and its own end (done, blown up, or a
 failed start); every row equals bit for bit the run of its state alone, and
 a run of one state is a batch of one. A batch allocates its Σ (steps + 1)
 points up front, the count ``cli`` caps it by, in one buffer that its
-trajectories are slices of.
+trajectories are slices of. Every stacked call on product states takes
+whole rows of at most ``NEWTON_CHUNK_POINTS`` points (or one row), so the
+product-state temporaries beside the buffer do not grow with the batch.
 
 Every point is conjugate-consistent: a callable takes a point and its
 velocity once, and the barred copies are formed in the one place that reads
@@ -28,9 +30,10 @@ independent (the stationarity equations couple a point to its conjugate),
 and the Jacobian is taken by forward differences. Residuals, and the
 gradients and partials they are built from, accept a stack of points on
 leading axes and act row by row, each row equal bit for bit to the
-one-point call; so each iteration makes one residual call, on a stack
-that holds every running row's iterate and its Jacobian's bumped points.
-The least-squares updates of all running rows are one call to the LAPACK
+one-point call, so a row's bits do not depend on which rows share a call.
+Each iteration makes one residual call per chunk of rows, on a stack that
+holds every running row's iterate and its Jacobian's bumped points. The
+least-squares updates of a chunk's running rows are one call to the LAPACK
 gelsd gufunc that ``np.linalg.lstsq`` wraps, which solves each matrix of a
 stack as it would solve it alone. Norms stay one dot product per row: a
 stacked norm rounds differently from the one-row norm.
@@ -54,6 +57,8 @@ from .states import SolverFailure, kron, split_components
 NEWTON_TOL = 1e-12
 NEWTON_MAXITER = 50
 _SQRT_EPS = sqrt(np.finfo(float).eps)
+# Points a stacked call on product states takes at most (or one row's).
+NEWTON_CHUNK_POINTS = 2**12
 
 
 class NewtonConvergenceError(SolverFailure, RuntimeError):
@@ -247,6 +252,13 @@ def _row_data(data: np.ndarray, rows: np.ndarray, points: np.ndarray) -> np.ndar
     return picked.reshape(picked.shape[:1] + (1,) * (points.ndim - 2) + picked.shape[1:])
 
 
+def _chunks(count: int, points_per_row: int) -> list[slice]:
+    """Slices of whole rows of a batch of ``count``, each of at most
+    ``NEWTON_CHUNK_POINTS`` points of ``points_per_row``, or of one row."""
+    per_call = max(1, NEWTON_CHUNK_POINTS // points_per_row)
+    return [slice(start, start + per_call) for start in range(0, count, per_call)]
+
+
 def _least_squares(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-norm least-squares solutions of a[i] y = b[i] for a (B, m, n) stack.
 
@@ -269,9 +281,12 @@ def _newton_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
     ``residual(points, rows)`` evaluates the systems ``rows`` (indices into
     the B guesses) at a stack of points per row, shape (len(rows), k, n),
-    each point's value equal to a one-point call. Every iteration makes one
-    residual call, whose shape is checked, on the rows still running: k =
-    2n + 1 points a row, the iterate and its 2n forward-difference bumps.
+    each point's value equal to a one-point call. The guesses are solved in
+    chunks of whole rows, one after the other, each of at most
+    ``NEWTON_CHUNK_POINTS`` points of a residual call (or one row): all B
+    at once when they fit. Every iteration makes one residual call, whose
+    shape is checked, on the chunk's rows still running: k = 2n + 1 points
+    a row, the iterate and its 2n forward-difference bumps.
     With x the iterate's real and imaginary parts, point 1 + j is
     x + h_j e_j, h_j = sqrt(eps) * max(1, |x_j|), so the call gives the
     residual r at x and column j of the Jacobian, (F(x + h_j e_j) - r) / h_j.
@@ -284,60 +299,62 @@ def _newton_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
     finite, or whose update fails, leaves with a ``NewtonConvergenceError``.
     Returns one of these outcomes per guess.
     """
-    x = _complex_to_real(guesses)
-    count, m = x.shape
-    rows = np.arange(count)
+    count, m = guesses.shape[0], 2 * guesses.shape[1]
     outcomes: list = [None] * count
     diagonal = np.arange(m)
-    iteration = 0
-    while len(rows):
-        h = _SQRT_EPS * np.maximum(1.0, np.abs(x))
-        stack = np.repeat(x[:, None, :], m + 1, axis=1)
-        stack[:, diagonal + 1, diagonal] += h
-        points = _real_to_complex(stack)
-        values = residual(points, rows)
-        if values.shape != points.shape:
-            raise ValueError(
-                f"residual mapped points of shape {points.shape} to shape "
-                f"{values.shape}; it must return one row per point"
-            )
-        values = _complex_to_real(values)
-        # np.linalg.norm's formula for a real vector, without its wrapper.
-        norms = np.array([sqrt(v @ v) for v in values[:, 0]])
-        running = np.isfinite(norms) & (norms > NEWTON_TOL) & (iteration < NEWTON_MAXITER)
-        if not running.all():
-            for i in np.flatnonzero(~running):
-                res_norm = float(norms[i])
-                if not np.isfinite(res_norm):
-                    outcomes[rows[i]] = NewtonConvergenceError(
-                        "Newton residual became non-finite", res_norm)
-                elif res_norm <= NEWTON_TOL:
-                    outcomes[rows[i]] = (points[i, 0], iteration, res_norm)
-                else:
-                    outcomes[rows[i]] = NewtonConvergenceError(
-                        f"Newton did not reach {NEWTON_TOL} in {NEWTON_MAXITER} iterations",
-                        res_norm)
-            rows, x, h, values, norms = (rows[running], x[running], h[running],
-                                         values[running], norms[running])
-            if not len(rows):
-                break
-        r = values[:, 0]
-        # Entry (b, j) of the differences is column j of row b's Jacobian.
-        jac = ((values[:, 1:] - r[:, None, :]) / h[:, :, None]).transpose(0, 2, 1)
-        # gelsd prints to stdout on a non-finite matrix: such rows solve zeros.
-        finite = np.isfinite(jac).all(axis=(1, 2))
-        jac[~finite] = 0.0
-        steps, ranks = _least_squares(jac, -r)
-        x = x + steps
-        running = finite & (ranks >= 0)
-        if not running.all():
-            for i in np.flatnonzero(~running):
-                reason = ("update failed: SVD did not converge in Linear Least Squares"
-                          if finite[i] else "Jacobian became non-finite")
-                outcomes[rows[i]] = NewtonConvergenceError(f"Newton {reason}",
-                                                           float(norms[i]))
-            rows, x = rows[running], x[running]
-        iteration += 1
+    for chunk in _chunks(count, m + 1):
+        rows = np.arange(count)[chunk]
+        x = _complex_to_real(guesses[chunk])
+        iteration = 0
+        while len(rows):
+            h = _SQRT_EPS * np.maximum(1.0, np.abs(x))
+            stack = np.repeat(x[:, None, :], m + 1, axis=1)
+            stack[:, diagonal + 1, diagonal] += h
+            points = _real_to_complex(stack)
+            values = residual(points, rows)
+            if values.shape != points.shape:
+                raise ValueError(
+                    f"residual mapped points of shape {points.shape} to shape "
+                    f"{values.shape}; it must return one row per point"
+                )
+            values = _complex_to_real(values)
+            # np.linalg.norm's formula for a real vector, without its wrapper.
+            norms = np.array([sqrt(v @ v) for v in values[:, 0]])
+            running = np.isfinite(norms) & (norms > NEWTON_TOL) & (iteration < NEWTON_MAXITER)
+            if not running.all():
+                for i in np.flatnonzero(~running):
+                    res_norm = float(norms[i])
+                    if not np.isfinite(res_norm):
+                        outcomes[rows[i]] = NewtonConvergenceError(
+                            "Newton residual became non-finite", res_norm)
+                    elif res_norm <= NEWTON_TOL:
+                        # A copy: a view would keep the whole stack of points.
+                        outcomes[rows[i]] = (points[i, 0].copy(), iteration, res_norm)
+                    else:
+                        outcomes[rows[i]] = NewtonConvergenceError(
+                            f"Newton did not reach {NEWTON_TOL} in {NEWTON_MAXITER} "
+                            "iterations", res_norm)
+                rows, x, h, values, norms = (rows[running], x[running], h[running],
+                                             values[running], norms[running])
+                if not len(rows):
+                    break
+            r = values[:, 0]
+            # Entry (b, j) of the differences is column j of row b's Jacobian.
+            jac = ((values[:, 1:] - r[:, None, :]) / h[:, :, None]).transpose(0, 2, 1)
+            # gelsd prints to stdout on a non-finite matrix: such rows solve zeros.
+            finite = np.isfinite(jac).all(axis=(1, 2))
+            jac[~finite] = 0.0
+            steps, ranks = _least_squares(jac, -r)
+            x = x + steps
+            running = finite & (ranks >= 0)
+            if not running.all():
+                for i in np.flatnonzero(~running):
+                    reason = ("update failed: SVD did not converge in Linear Least Squares"
+                              if finite[i] else "Jacobian became non-finite")
+                    outcomes[rows[i]] = NewtonConvergenceError(f"Newton {reason}",
+                                                               float(norms[i]))
+                rows, x = rows[running], x[running]
+            iteration += 1
     return outcomes
 
 
@@ -364,7 +381,8 @@ def newton_solve(residual: Callable[[np.ndarray], np.ndarray], guess: np.ndarray
 
 def _start_rows(Ld: DiscreteLagrangian, x0: np.ndarray) -> list:
     """``initial_step`` for each row of x0: its Newton outcome."""
-    p0 = velocity_momentum(Ld.base, x0)
+    p0 = np.concatenate([velocity_momentum(Ld.base, x0[chunk])
+                         for chunk in _chunks(len(x0), 1)])
 
     def residual(points, rows):
         return _row_data(p0, rows, points) + Ld.d1(_row_data(x0, rows, points), points)
@@ -382,7 +400,7 @@ def initial_step(Ld: DiscreteLagrangian, psi0: np.ndarray):
 
 def _del_rows(Ld, prev: np.ndarray, curr: np.ndarray) -> list:
     """``del_step`` for each row of (prev, curr): its Newton outcome."""
-    tail = Ld.d3(prev, curr)
+    tail = np.concatenate([Ld.d3(prev[chunk], curr[chunk]) for chunk in _chunks(len(prev), 1)])
 
     def residual(points, rows):
         return Ld.d1(_row_data(curr, rows, points), points) + _row_data(tail, rows, points)
@@ -449,8 +467,10 @@ def _run_rows(start_Ld: DiscreteLagrangian, Ld, x0: np.ndarray, steps,
     of two more arrays. A step gathers the running rows' last two points with
     one fancy index and writes their solved points in place; a trajectory is
     a slice of the three. So a batch stores (steps + 1) * n amplitudes a row,
-    and 16 bytes a point besides; ``cli._batch_amplitudes`` counts these and
-    each row's Newton temporaries.
+    and 16 bytes a point besides; ``cli._batch_amplitudes`` counts these. The
+    solves, start momenta and del_step tails work on chunks of whole rows,
+    at most ``NEWTON_CHUNK_POINTS`` points a call, so beside the buffers a
+    batch holds one chunk's product states and a few points a row.
     """
     for count in steps:
         check_grid(start_Ld.dt, count)

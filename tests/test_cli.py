@@ -874,11 +874,9 @@ class TestBatches:
         assert cli.main(["run", "--config", str(configs)]) == cli.EXIT_BLOWUP
         whole = self.outputs(tmp_path)
         shutil.rmtree(tmp_path / "out")
-        # Rows stored per config: (steps + 1) * 4 = 124, 44, 44 and 12, each
-        # plus NEWTON_COPIES * 2 * 4 * 4 = 320 of Newton temporaries: 444, 364,
-        # 364 and 332. The first two fill 808 of 850; the last two fill 696.
-        assert cli.NEWTON_COPIES == 10
-        monkeypatch.setattr(cli, "BATCH_AMPLITUDES", 850)
+        # Amplitudes stored per config: (steps + 1) * 4 = 124, 44, 44 and 12.
+        # The first two fill 168 of 170; the last two fill 56.
+        monkeypatch.setattr(cli, "BATCH_AMPLITUDES", 170)
         items = [(path, cli.load_config(path, [])) for path in sorted(configs.iterdir())]
         assert [[path.stem for path, _ in unit] for unit in cli._work_units(items)] == [
             ["a_blowup", "c_ok"], ["b_split"], ["d_other_dt"], ["e_failed_start", "f_short"]]
@@ -892,21 +890,24 @@ class TestBatches:
         outcomes = cli._variational_rows(batch, cli.build_hamiltonian(batch[0]))
         runs = [getattr(outcome, "partial", outcome) for outcome in outcomes
                 if not isinstance(outcome, variational.NewtonConvergenceError)]
-        # Every row has its place in one buffer, the failed start's included.
+        # Every row has its place in one buffer, the failed start's included,
+        # and the budget counts that buffer, one formula for every row.
         buffer = runs[0].points.base
         assert all(run.points.base is buffer for run in runs)
-        assert buffer.size == 124 + 44 + 44 + 12
-        # Each row also counts its Newton temporaries: 2 * 4 bumped points of 4.
-        temporaries = len(batch) * cli.NEWTON_COPIES * 2 * 4 * 4
-        monkeypatch.setattr(cli, "BATCH_AMPLITUDES", buffer.size + temporaries)
+        assert buffer.size == 124 + 44 + 44 + 12 == sum(map(cli._batch_amplitudes, batch))
+        monkeypatch.setattr(cli, "BATCH_AMPLITUDES", buffer.size)
         assert [path.name for path, _ in cli._work_units(items)[0]] == self.BATCH
-        monkeypatch.setattr(cli, "BATCH_AMPLITUDES", buffer.size + temporaries - 1)
+        monkeypatch.setattr(cli, "BATCH_AMPLITUDES", buffer.size - 1)
         assert [path.name for path, _ in cli._work_units(items)[0]] == self.BATCH[:-1]
 
     @pytest.mark.parametrize("ordering", ["var_restrict_first", "var_discretize_first"])
-    def test_a_random5_batch_peaks_near_what_it_counts(self, tmp_path, ordering):
-        """Short random5 rows store little, but each Newton iteration holds
-        about 70 kB of temporaries a row; the count covers them."""
+    def test_a_random5_batch_peaks_within_the_chunk_bound(self, tmp_path, monkeypatch,
+                                                         ordering):
+        """Short random5 rows store little, but a Newton residual call holds
+        its points as product states of 32 amplitudes, with the residual's
+        temporaries on them. Chunks of one row keep a batch of 16 rows within
+        its stored points plus sixteen arrays of one chunk's product states,
+        as a batch of one; the same 16 rows in one chunk go past that."""
         configs = []
         for j in range(16):
             path = tmp_path / f"r{j:02d}.json"
@@ -918,15 +919,61 @@ class TestBatches:
             configs.append(cli.load_config(path, []))
         H = cli.build_hamiltonian(configs[0])
         H.slot_blocks, H.spectrum  # built once per batch, outside the count
-        counted = 16 * sum(map(cli._batch_amplitudes, configs))
-        tracemalloc.start()
-        try:
-            outcomes = cli._variational_rows(configs, H)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert all(isinstance(outcome, variational.DiscreteTrajectory) for outcome in outcomes)
-        assert counted / 2 <= peak <= 2 * counted
+        row_points = 2 * 10 + 1  # the iterate and its bumps, of 10 components
+        bound = 16 * row_points * 32 * 16
+
+        def peak(rows):
+            tracemalloc.start()
+            try:
+                outcomes = cli._variational_rows(configs[:rows], H)
+                top = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert all(isinstance(outcome, variational.DiscreteTrajectory)
+                       for outcome in outcomes)
+            return top - 16 * sum(map(cli._batch_amplitudes, configs[:rows]))
+
+        assert peak(16) > bound
+        monkeypatch.setattr(variational, "NEWTON_CHUNK_POINTS", row_points)
+        assert peak(1) <= bound
+        assert peak(16) <= bound
+
+
+class TestLoneRows:
+    """A splitting or variational config alone is a batch of one: it never
+    reaches ``execute``, and writes what it writes inside a directory."""
+
+    VARIATIONAL = {"alpha": 0.5, "dt": 0.1, "t_final": 1.0}
+    CONFIGS = {
+        "a_lie": {"integrator": "lie_trotter"},
+        "b_strang": {"integrator": "strang", "dt": 0.05, "initial_state": FIG1_STATE},
+        "c_restrict": {**VARIATIONAL, "integrator": "var_restrict_first"},
+        "d_restrict": {**VARIATIONAL, "integrator": "var_restrict_first",
+                       "initial_state": FIG1_STATE},
+        # Discretize first blows up from FIG1_STATE: exit 4.
+        "e_discretize": {**VARIATIONAL, "integrator": "var_discretize_first", "t_final": 3.0,
+                         "initial_state": FIG1_STATE, "outputs": list(cli.OUTPUT_NAMES)},
+        "f_discretize": {**VARIATIONAL, "integrator": "var_discretize_first"},
+    }
+
+    def test_each_runs_without_execute_as_in_a_directory(self, tmp_path, capsys, monkeypatch):
+        configs = tmp_path / "configs"
+        configs.mkdir()
+        for name, fields in self.CONFIGS.items():
+            config = {**swap_config(tmp_path / "out" / name, 0.1), **fields}
+            (configs / f"{name}.json").write_text(json.dumps(config))
+        assert cli.main(["run", "--config", str(configs)]) == cli.EXIT_BLOWUP
+        together = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+        assert len(together) == 2 * len(self.CONFIGS)
+        shutil.rmtree(tmp_path / "out")
+
+        def execute(*args):
+            pytest.fail("a splitting or variational config reached execute")
+
+        monkeypatch.setattr(cli, "execute", execute)
+        codes = [cli.main(["run", "--config", str(path)]) for path in sorted(configs.iterdir())]
+        assert codes == [cli.EXIT_OK] * 4 + [cli.EXIT_BLOWUP, cli.EXIT_OK]
+        assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == together
 
 
 class TestSplittingBatches:

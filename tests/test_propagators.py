@@ -529,8 +529,8 @@ class TestArrayCore:
     @pytest.mark.parametrize("tiny", [0, 1, 2])
     def test_step_maps_check_contexts_as_evolve_does(self, rng, tiny):
         """A context of norm 1e-15 fails ``check_contexts`` in every step map,
-        though |c|² stays above the kernel's own bound; ``sse_component_flow``
-        does not check the component it flows."""
+        though its reduction would be finite; ``sse_component_flow`` does not
+        check the component it flows."""
         dims = (2, 3, 2)
         H = random_hermitian_on(rng, dims)
         parts = [random_ket(rng, d).amplitudes for d in dims]
@@ -623,7 +623,7 @@ class TestArrayCore:
     @pytest.mark.parametrize("step", [lie_trotter_step, strang_step])
     @pytest.mark.parametrize("zero", [0, 1, 2])
     def test_step_maps_raise_on_a_zero_context(self, rng, step, zero):
-        """The kernel rejects |c|² = 0 itself, so a step map never returns NaN."""
+        """The step maps' boundary rejects |c|² = 0, so a step map never returns NaN."""
         dims = (2, 3, 2)
         H = random_hermitian_on(rng, dims)
         parts = [random_ket(rng, d).amplitudes for d in dims]

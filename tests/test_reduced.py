@@ -7,6 +7,14 @@ from sepdyn.hamiltonians import (
     random_hermitian,
     swap_hamiltonian,
 )
+from sepdyn import propagators
+from sepdyn.propagators import (
+    SplittingScheme,
+    evolve_rows,
+    lie_trotter_step,
+    sse_component_flow,
+    strang_step,
+)
 from sepdyn.reduced import DegenerateStateError, contract_reduced, partially_reduced
 from sepdyn.states import ComponentState, Ket
 
@@ -178,17 +186,10 @@ class TestContractReducedKernel:
             assert np.array_equal(reduced.entries, (sandwich + sandwich.conj().T) * (0.5 / norm2))
             assert np.array_equal(reduced.entries, reduced.entries.conj().T)
 
-    def test_zero_context_rejected(self, rng):
-        H = HermitianOperator(random_hermitian_matrix(rng, (2, 3)), (2, 3))
-        vectors = [random_ket(rng).amplitudes, np.zeros(3, dtype=complex)]
-        with pytest.raises(DegenerateStateError):
-            contract_reduced(H.slot_blocks[0], vectors, 0)
-
     @pytest.mark.parametrize("system", ["swap", "random5", "ladder", "232"])
     def test_a_stack_is_its_rows_alone(self, rng, system):
         """(B, d_j) stacks give a (B, d, d) stack of sandwiches and B norms²,
-        each row bit for bit the call on that row alone; a zero context in
-        one row of a stack is rejected."""
+        each row bit for bit the call on that row alone."""
         H = {"swap": lambda: swap_hamiltonian(2),
              "random5": lambda: random_hermitian(5, seed=21),
              "ladder": lambda: correlator_hamiltonian(2),
@@ -205,20 +206,69 @@ class TestContractReducedKernel:
                 sandwich, norm2 = contract_reduced(H.slot_blocks[k], [s[b] for s in stacks], k)
                 assert sandwiches[b].tobytes() == sandwich.tobytes()
                 assert norms2[b].tobytes() == np.float64(norm2).tobytes()
-        stacks[0][3] = 0.0
-        for k in range(1, len(H.dims)):
-            with pytest.raises(DegenerateStateError):
-                contract_reduced(H.slot_blocks[k], stacks, k)
 
-    @pytest.mark.parametrize("dims, zero", [((2, 3, 2), 1), ((3, 2, 2), 0), ((4, 2, 3), 2)])
-    def test_zero_context_rejected_in_any_slot(self, rng, dims, zero):
+
+class TestZeroContextsAtTheBoundary:
+    """The kernel checks nothing; every caller of it rejects a zero context
+    in any slot, before any reduction, by ``check_contexts``."""
+
+    CASES = [((2, 3), 1), ((2, 3, 2), 1), ((3, 2, 2), 0), ((4, 2, 3), 2), ((2,) * 5, 4)]
+
+    @staticmethod
+    def kernel_calls(monkeypatch):
+        calls = []
+
+        def counting(*args, _kernel=propagators.contract_reduced):
+            calls.append(args[2])
+            return _kernel(*args)
+
+        monkeypatch.setattr(propagators, "contract_reduced", counting)
+        return calls
+
+    @pytest.mark.parametrize("dims, zero", CASES)
+    def test_partially_reduced(self, rng, dims, zero):
         H = HermitianOperator(random_hermitian_matrix(rng, dims), dims)
-        vectors = [random_ket(rng, d).amplitudes for d in dims]
-        vectors[zero] = np.zeros(dims[zero], dtype=complex)
+        parts = [random_ket(rng, d) for d in dims]
+        parts[zero] = Ket(np.zeros(dims[zero], dtype=complex))
+        state = ComponentState(tuple(parts))
+        for k in range(len(dims)):
+            if k == zero:  # the reduced subsystem's own vector is not a context
+                assert partially_reduced(H, state, k).dims == (dims[k],)
+            else:
+                with pytest.raises(DegenerateStateError, match=f"context state {zero} "):
+                    partially_reduced(H, state, k)
+
+    @pytest.mark.parametrize("dims, zero", CASES)
+    def test_step_maps(self, rng, monkeypatch, dims, zero):
+        H = HermitianOperator(random_hermitian_matrix(rng, dims), dims)
+        parts = [random_ket(rng, d).amplitudes for d in dims]
+        parts[zero] = np.zeros(dims[zero], dtype=complex)
+        x = np.concatenate(parts)
+        calls = self.kernel_calls(monkeypatch)
+        for step in (lie_trotter_step, strang_step):
+            with pytest.raises(DegenerateStateError, match=f"context state {zero} "):
+                step(H, x, 0.1)
         for k in range(len(dims)):
             if k != zero:
-                with pytest.raises(DegenerateStateError):
-                    contract_reduced(H.slot_blocks[k], vectors, k)
+                with pytest.raises(DegenerateStateError, match=f"context state {zero} "):
+                    sse_component_flow(H, x, k, 0.1)
+        assert calls == []
+        # Flowing the zero component itself is defined: it stays zero.
+        assert np.array_equal(sse_component_flow(H, x, zero, 0.1), x)
+
+    @pytest.mark.parametrize("dims, zero", CASES)
+    def test_a_zero_context_in_one_row_of_a_batch(self, rng, monkeypatch, dims, zero):
+        H = HermitianOperator(random_hermitian_matrix(rng, dims), dims)
+        states = [ComponentState(tuple(random_ket(rng, d) for d in dims)) for _ in range(5)]
+        parts = list(states[3].parts)
+        parts[zero] = Ket(np.zeros(dims[zero], dtype=complex))
+        states[3] = ComponentState(tuple(parts))
+        calls = self.kernel_calls(monkeypatch)
+        schemes = [SplittingScheme.LIE_TROTTER, SplittingScheme.STRANG] * 2
+        schemes.append(SplittingScheme.STRANG)
+        with pytest.raises(DegenerateStateError, match=f"context state {zero} "):
+            evolve_rows(H, schemes, states, [0.1] * 5, [3] * 5)
+        assert calls == []
 
 
 def basis_product(dims, k, a, context):

@@ -658,7 +658,18 @@ class TestMergedNewtonOracle:
 
 class TestOneResidualCallPerIteration:
     """A solve of k iterations makes k + 1 residual calls, each on the
-    iterates and their 2n bumped points, n complex unknowns a row."""
+    iterates and their 2n bumped points, n complex unknowns a row; rows
+    past ``NEWTON_CHUNK_POINTS`` points solve in chunks, one after another."""
+
+    @staticmethod
+    def expected_calls(iterations, per_call, n):
+        """Row b of a chunk runs in the chunk's first iterations[b] + 1 calls."""
+        calls = []
+        for start in range(0, len(iterations), per_call):
+            counts = iterations[start:start + per_call]
+            calls += [(sum(k < count + 1 for count in counts), 2 * n + 1, n)
+                      for k in range(max(counts) + 1)]
+        return calls
 
     @staticmethod
     def counting_newton(monkeypatch):
@@ -693,6 +704,16 @@ class TestOneResidualCallPerIteration:
     @pytest.mark.parametrize("ordering", ORDERINGS)
     @pytest.mark.parametrize("rows", [1, 3])
     def test_start_and_del_rows(self, rng, monkeypatch, ordering, rows):
+        self.check_calls(rng, monkeypatch, ordering, rows, rows)
+
+    @pytest.mark.parametrize("ordering", ORDERINGS)
+    @pytest.mark.parametrize("rows, per_call", [(3, 1), (5, 2)])
+    def test_one_call_per_chunk_and_iteration(self, rng, monkeypatch, ordering, rows, per_call):
+        monkeypatch.setattr(variational, "NEWTON_CHUNK_POINTS", per_call * (2 * 9 + 1) + 1)
+        self.check_calls(rng, monkeypatch, ordering, rows, per_call)
+
+    def check_calls(self, rng, monkeypatch, ordering, rows, per_call):
+        """A start and a del step of ``rows`` ladder rows, ``per_call`` rows a chunk."""
         H, dims = correlator_hamiltonian(2), (3, 3, 3)
         n = sum(dims)
         L = se_lagrangian(H)
@@ -708,10 +729,9 @@ class TestOneResidualCallPerIteration:
         for outcomes in (started, solved):
             iterations = [outcome[1] for outcome in outcomes]
             assert min(iterations) >= 1
-            solve_calls, calls[:] = calls[:max(iterations) + 1], calls[max(iterations) + 1:]
-            # Row b runs in the first iterations[b] + 1 calls.
-            assert solve_calls == [(sum(k < count + 1 for count in iterations), 2 * n + 1, n)
-                                   for k in range(max(iterations) + 1)]
+            expected = self.expected_calls(iterations, per_call, n)
+            solve_calls, calls[:] = calls[:len(expected)], calls[len(expected):]
+            assert solve_calls == expected
         assert calls == []
 
 
@@ -1043,6 +1063,72 @@ class TestRowBatches:
             # A row blows up mid-run while another keeps going.
             blown = [n for kind, n in zip(kinds, lengths) if kind == "blow-up"]
             assert blown and min(blown) < max(lengths)
+
+    @pytest.mark.parametrize("ordering", ORDERINGS)
+    @pytest.mark.parametrize("system", ["swap", "ladder", "random5"])
+    @pytest.mark.parametrize("chunk", ["one row", "one point"])
+    def test_chunks_give_the_bits_of_one_call(self, rng, monkeypatch, fig1_state, ordering,
+                                              system, chunk):
+        """Newton in chunks of one row (and at one point a chunk, the tails and
+        momenta too) gives every row the bits of one stacked call."""
+        if system == "swap":
+            H, dims, dt, steps = swap_hamiltonian(2), (2, 2), 0.1, [40, 25, 40, 40, 10]
+            extra = [fig1_state, ComponentState((Ket(np.array([1e150, 0.0])),
+                                                 Ket(np.array([0.6, 0.8]))))]
+        elif system == "ladder":
+            H, dims, dt, steps = correlator_hamiltonian(2), (3, 3, 3), 0.05, [8, 5, 8]
+            extra = []
+        else:
+            H, dims, dt, steps = random_hermitian(5, 3), (2,) * 5, 0.05, [12, 5, 8]
+            extra = []
+        states = [ComponentState(tuple(random_ket(rng, d) for d in dims))
+                  for _ in range(3)] + extra
+        shapes = []
+        newton_rows = variational._newton_rows
+
+        def recording(residual, guesses):
+            def recorded(points, rows):
+                shapes.append(points.shape)
+                return residual(points, rows)
+
+            return newton_rows(recorded, guesses)
+
+        monkeypatch.setattr(variational, "_newton_rows", recording)
+
+        def run():
+            shapes.clear()
+            rows = integrate_separable_rows(ordering, H, 0.5, dt, steps, states,
+                                            blowup_factor=2.0)
+            return [self.outcome_bits(row) for row in rows], max(shape[0] for shape in shapes)
+
+        whole, widest = run()
+        assert widest == len(states)
+        points = 2 * sum(dims) + 1 if chunk == "one row" else 1
+        monkeypatch.setattr(variational, "NEWTON_CHUNK_POINTS", points)
+        assert run() == (whole, 1)
+
+    @pytest.mark.parametrize("ordering", ORDERINGS)
+    def test_every_product_state_call_fits_a_chunk(self, rng, monkeypatch, ordering):
+        """Residuals, start momenta and del_step tails form product states
+        (``kron``) of at most ``NEWTON_CHUNK_POINTS`` points a call, or of
+        one row's 2n + 1: here 12 swap rows, against chunks of 9 points."""
+        sizes = []
+
+        def recording(factors, _kron=variational.kron):
+            sizes.append(prod(np.shape(factors[0])[:-1]))
+            return _kron(factors)
+
+        monkeypatch.setattr(variational, "kron", recording)
+        states = [ComponentState((random_ket(rng), random_ket(rng))) for _ in range(12)]
+
+        def widest():
+            sizes.clear()
+            integrate_separable_rows(ordering, swap_hamiltonian(2), 0.5, 0.1, [3] * 12, states)
+            return max(sizes)
+
+        assert widest() == 12 * 9
+        monkeypatch.setattr(variational, "NEWTON_CHUNK_POINTS", 9)
+        assert widest() == 9
 
     def test_a_failing_row_leaves_the_others(self):
         targets = np.array([[4.0 + 0j], [np.nan], [9.0 + 0j]])
