@@ -26,12 +26,19 @@ would overflow or lose bits), and the few cells whose y lies within the
 bound of a half-integer, rounds to 10^17, or lies just below 10^16.
 
 Layout. The digits of a cell are five 4-byte chunks from a table of the
-10^4 four-digit strings. Cells are sorted by the small key (X, kept
-digits) with one stable radix argsort; in the sorted order each group is
-one slice that takes a fixed template (decimal point, leading zeros,
-exponent) and fixed digit columns. The 32-byte records (sign, at most 23
-text bytes, separator; unused bytes 0) go back to cell order as whole
-rows, and one boolean compress of the nonzero bytes leaves the text.
+10^4 four-digit strings, a 20-byte record. Cells are sorted by the small
+key (X, kept digits) with one stable radix argsort; in the sorted order
+each group is one slice that takes a fixed template (decimal point,
+leading zeros, exponent) and fixed digit columns. The 25-byte text records
+(sign, at most 23 text bytes, separator; unused bytes 0) go back to cell
+order as whole rows, and one boolean compress of the nonzero bytes leaves
+the text.
+
+Memory. Every cell-sized temporary is freed, or overwritten in place, as
+soon as it is read for the last time. A block of n cells holds at most
+about 73 n bytes beyond its input: nine 8-byte arrays at once in
+``_round17``'s two-product, and in the final compress the text records,
+their mask and the text.
 """
 
 from __future__ import annotations
@@ -48,8 +55,8 @@ _KEYS = 18  # sort keys per exponent: kept digits 1..17
 _FALLBACK_KEY = 0xFFFF  # sorts after every (X, K) key
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
 _BOUND = 1e-14  # above the 4.3e-15 error of the remainder
-_RECORD = 32  # bytes per cell; np.take moves 32-byte rows fast
-_SEPARATOR = 24  # the record's separator byte, after the sign and 23 text bytes
+_RECORD = 25  # text bytes per cell: the sign, 23 text bytes and the separator
+_SEPARATOR = _RECORD - 1
 _E16, _E17 = 10**16, 10**17
 
 
@@ -84,9 +91,11 @@ def _pow10(k: int) -> tuple[float, float]:
 
 def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Veltkamp's split of x into two 26-bit halves, x = high + low exactly."""
-    c = x * _SPLIT
-    high = c - (c - x)
-    return high, x - high
+    high = x * _SPLIT
+    low = high - x
+    high -= low  # c - (c - x)
+    np.subtract(x, high, out=low)
+    return high, low
 
 
 def _round17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -95,18 +104,34 @@ def _round17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``a`` must lie in [_LOW, _HIGH). The certificate is False where the cell
     must be formatted by ``%.17g`` itself.
     """
-    X = np.floor(np.log10(a)).astype(np.int64)
+    X = np.log10(a)
+    np.floor(X, out=X)
+    X = X.astype(np.int64)
     low_x = int(X.min())
     his, los = np.array([_pow10(16 - x) for x in range(low_x, int(X.max()) + 1)]).T
-    hi = his[X - low_x]
-    p = a * hi
+    index = X - low_x
+    p = a * his[index]
+    r = a * los[index]  # |v| lo, the last term of the remainder
+    hi_high, hi_low = (half[index] for half in _split(his))
+    del index
     a_high, a_low = _split(a)
-    hi_high, hi_low = _split(hi)
-    e = ((a_high * hi_high - p) + a_high * hi_low + a_low * hi_high) + a_low * hi_low
-    r = e + a * los[X - low_x]
+    # e = ((a_high hi_high - p) + a_high hi_low + a_low hi_high) + a_low hi_low,
+    # each product formed over a factor that is not read again.
+    e = a_high * hi_high
+    e -= p
+    e += np.multiply(a_high, hi_low, out=a_high)
+    e += np.multiply(a_low, hi_high, out=hi_high)
+    e += np.multiply(a_low, hi_low, out=hi_low)
+    del a_high, a_low, hi_high, hi_low
+    r += e  # r = e + |v| lo
+    del e
     whole = np.rint(r)
-    N = p.astype(np.int64) + whole.astype(np.int64)
-    fraction = r - whole
+    N = p.astype(np.int64)
+    del p
+    N += whole.astype(np.int64)
+    fraction = r
+    fraction -= whole
+    del r, whole
     certified = ((np.abs(fraction) < 0.5 - _BOUND) & (N < _E17)
                  & ((N > _E16) | ((N == _E16) & (fraction > _BOUND - 0.05))))
     return X, N, certified
@@ -115,7 +140,7 @@ def _round17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _digit_records(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Kept digits K and digit records of 17-digit integers N.
 
-    Row i of the (n, 32) uint8 records holds the digits of N[i] at bytes
+    Row i of the (n, 20) uint8 records holds the digits of N[i] at bytes
     3..19; K counts them up to the last nonzero one.
     """
     top = N // 10**8  # nine digits, then eight
@@ -123,10 +148,12 @@ def _digit_records(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     top = top.astype(np.int32)
     lead = top // 10**8
     mid = top - lead * 10**8
+    del top
     high_chunk, low_chunk = mid // 10**4, low // 10**4
     chunks = [lead, high_chunk, mid - high_chunk * 10**4, low_chunk, low - low_chunk * 10**4]
+    del mid, low
     text, kept = _chunk_tables()
-    records = np.empty((N.size, _RECORD // 4), dtype=np.uint32)
+    records = np.empty((N.size, len(chunks)), dtype=np.uint32)
     for j, chunk in enumerate(chunks):
         records[:, j] = text[chunk]
     K = 13 + kept[chunks[4]]
@@ -169,12 +196,18 @@ def csv_rows(block: np.ndarray) -> np.ndarray:
     n = values.size
     a = np.abs(values)
     fast = (a >= _LOW) & (a < _HIGH)
-    X, N, certified = _round17(np.where(fast, a, 1.0))
-    K, digits = _digit_records(N)
-    digits[:, 0] = np.signbit(values).view(np.uint8) * ord("-")
+    a[~fast] = 1.0
+    X, N, certified = _round17(a)
+    del a
     fast &= certified
+    del certified
+    K, digits = _digit_records(N)
+    del N
+    digits[:, 0] = np.signbit(values).view(np.uint8) * ord("-")
     key = ((X - _XMIN) * _KEYS + K).astype(np.uint16)
+    del X, K
     key[~fast] = _FALLBACK_KEY
+    del fast
     order = np.argsort(key, kind="stable")
     key = key[order]
     digits = np.take(digits, order, axis=0)  # rebound, so the unsorted rows are freed
@@ -194,10 +227,12 @@ def csv_rows(block: np.ndarray) -> np.ndarray:
         for at, first, length in runs:
             text[start:stop, 1 + at : 1 + at + length] = digits[start:stop, 3 + first : 3 + first + length]
 
-    del digits  # peak memory: at most two (n, 32) arrays at a time
+    del digits, key
     inverse = np.empty(n, dtype=np.intp)
     inverse[order] = np.arange(n)
+    del order
     text = np.take(text, inverse, axis=0)
+    del inverse
     separators = np.full(cols, ord(","), dtype=np.uint8)
     separators[-1] = ord("\n")
     text.reshape(rows, cols, _RECORD)[:, :, _SEPARATOR] = separators

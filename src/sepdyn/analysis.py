@@ -9,6 +9,11 @@ product states. Everything here works on stored trajectories, so one
 implementation serves all integrators. Purity and Bloch vectors are
 functions of one subsystem's reduced-density stack, so a caller that wants
 both forms the stack once.
+
+Each pass over (T, D) states reads them in ``propagators.row_blocks``, and
+inner products go through ``np.vecdot``, which conjugates its first argument
+without a copy: what a pass allocates beyond its inputs and its output is
+one row block.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from math import prod
 
 import numpy as np
 
-from .propagators import Trajectory
+from .propagators import Trajectory, row_blocks
 from .states import split_components
 
 # Traceless Hermitian generators of SU(3), in the standard order: the three
@@ -43,18 +48,21 @@ def overlap_series(traj_se: Trajectory, traj_sse: Trajectory) -> np.ndarray:
     """Pointwise inner product <psi_se(t)|psi_sse(t)> on a grid of shared dt and length."""
     if traj_se.dt != traj_sse.dt or len(traj_se.full) != len(traj_sse.full):
         raise ValueError("trajectories are not on the same time grid")
-    return np.einsum("ti,ti->t", traj_se.full.conj(), traj_sse.full)
+    return np.vecdot(traj_se.full, traj_sse.full)
 
 
 def _projector_difference_nuclear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise || |a><a| - |b><b| ||_1 for (n, dim) arrays a and b."""
-    delta = a - b
-    b_delta = np.einsum("ti,ti->t", b.conj(), delta)
-    b_sq = np.einsum("ti,ti->t", b.conj(), b).real
-    delta_sq = np.einsum("ti,ti->t", delta.conj(), delta).real
-    gram = np.maximum(b_sq * delta_sq - np.abs(b_delta) ** 2, 0.0)
-    trace = 2.0 * b_delta.real + delta_sq
-    return np.sqrt(trace**2 + 4.0 * gram)
+    """Row-wise || |a><a| - |b><b| ||_1 for (n, dim) arrays a and b, a row block at a time."""
+    norms = np.empty(len(a))
+    for rows in row_blocks(*a.shape):
+        delta = a[rows] - b[rows]
+        b_delta = np.vecdot(b[rows], delta)
+        b_sq = np.vecdot(b[rows], b[rows]).real
+        delta_sq = np.vecdot(delta, delta).real
+        gram = np.maximum(b_sq * delta_sq - np.abs(b_delta) ** 2, 0.0)
+        trace = 2.0 * b_delta.real + delta_sq
+        norms[rows] = np.sqrt(trace**2 + 4.0 * gram)
+    return norms
 
 
 def rate_of_change_nuclear(traj: Trajectory) -> np.ndarray:
@@ -86,20 +94,21 @@ def rate_of_change_nuclear(traj: Trajectory) -> np.ndarray:
 
 
 def reduced_density_series(traj: Trajectory, k: int) -> np.ndarray:
-    """Partial trace of the projector series onto subsystem k, batched."""
+    """Partial trace of the projector series onto subsystem k, a (T, d_k, d_k) stack."""
     dims = traj.dims
     if not 0 <= k < len(dims):
         raise ValueError(f"subsystem index {k} out of range")
     states = traj.full
-    before = prod(dims[:k])
-    after = prod(dims[k + 1 :])
-    shaped = states.reshape(-1, before, dims[k], after)
-    return np.einsum("tamb,tanb->tmn", shaped, shaped.conj())
+    shaped = states.reshape(-1, prod(dims[:k]), dims[k], prod(dims[k + 1 :]))
+    rhos = np.empty((len(states), dims[k], dims[k]), dtype=complex)
+    for rows in row_blocks(*states.shape):
+        np.einsum("tamb,tanb->tmn", shaped[rows], shaped[rows].conj(), out=rhos[rows])
+    return rhos
 
 
 def purity_series(rhos: np.ndarray) -> np.ndarray:
     """tr(rho(t)^2) of a (n_times, d, d) stack of reduced density matrices."""
-    return np.real(np.einsum("tij,tji->t", rhos, rhos))
+    return np.einsum("tij,tji->t", rhos, rhos).real.copy()  # not a view holding the complex traces
 
 
 def bloch_series(rhos: np.ndarray) -> np.ndarray:
@@ -135,8 +144,13 @@ def period_two_amplitude(states: np.ndarray) -> np.ndarray:
     series, in which smooth motion leaks in only at O(dt^3): the amplitude of
     a two-step recursion's parasitic (period-2) mode. Empty below 4 rows.
     """
-    stencil = states[3:] - 3.0 * states[2:-1] + 3.0 * states[1:-2] - states[:-3]
-    return np.linalg.norm(stencil, axis=1) / 8.0
+    amplitude = np.empty(max(len(states) - 3, 0))
+    for rows in row_blocks(amplitude.size, states.shape[1]):
+        start, stop = rows.start, rows.stop
+        stencil = (states[start + 3 : stop + 3] - 3.0 * states[start + 2 : stop + 2]
+                   + 3.0 * states[start + 1 : stop + 1] - states[start:stop])
+        amplitude[rows] = np.linalg.norm(stencil, axis=1) / 8.0
+    return amplitude
 
 
 def period_two_rate(dt: float, amplitude: np.ndarray) -> float | None:

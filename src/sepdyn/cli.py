@@ -31,6 +31,14 @@ The CSV holds every value as ``format(v, ".17g")``, byte for byte; a numpy
 kernel (``write_csv``) produces that text in blocks of rows, and formats
 with ``%.17g`` itself only the cells its error certificate does not cover.
 
+A run's memory is its stored states and columns, plus a row block: the
+exact-flow grid, every diagnostic and the CSV text each pass over the
+(T, D) rows in ``propagators.row_blocks`` of at most
+``propagators.BLOCK_CELLS`` cells, and the reduced densities are held one
+subsystem at a time. An ``se_exact`` run is its own ``abs_overlap``
+reference; every other integrator is compared with the exact flow from its
+first state.
+
 Exit codes: 0 success, 2 config validation error, 3 solver failure (any
 ``SolverFailure``), 4 variational blow-up (partial output retained); a
 directory exits with the largest code of its configs.
@@ -68,6 +76,7 @@ from .propagators import (
     SplittingScheme,
     Trajectory,
     evolve_rows,
+    row_blocks,
     se_evolve,
 )
 from .states import ComponentState, Ket, SolverFailure, tensor_product
@@ -97,8 +106,6 @@ MAX_STEPS = 10**6
 # BATCH_AMPLITUDES (160 MB) over its configs, or one config's if more. Newton
 # bounds its own working set by variational.NEWTON_CHUNK_POINTS.
 BATCH_AMPLITUDES = 10**7
-# write_csv formats whole rows of at most about this many cells at a time.
-CSV_BLOCK_CELLS = 2**15
 
 
 class ConfigError(ValueError):
@@ -396,30 +403,43 @@ def _diagnostic_columns(config: ExperimentConfig, result: RunResult,
                         H: HermitianOperator) -> dict[str, np.ndarray]:
     traj = result.trajectory
     columns: dict[str, np.ndarray] = {}
-    rhos = None
+    densities = None
     for name in config.outputs:
         if name == "norm":
             columns["norm"] = traj.norm
         elif name == "abs_overlap":
-            reference = HermitianPropagator(H).states_on_grid(traj.full[0], traj.times)
-            columns["abs_overlap"] = np.abs(analysis.overlap_series(
-                Trajectory(traj.dt, traj.dims, full=reference), traj))
+            reference = traj  # an se_exact run is the exact flow itself
+            if config.integrator != "se_exact":
+                reference = Trajectory(traj.dt, traj.dims, full=HermitianPropagator(H)
+                                       .states_on_grid(traj.full[0], traj.times))
+            columns["abs_overlap"] = np.abs(analysis.overlap_series(reference, traj))
         elif name == "rate_nucl":
             columns["rate_nucl"] = analysis.rate_of_change_nuclear(traj)
         elif name in ("purity", "bloch"):
-            if rhos is None:  # each subsystem's reduced densities, formed once for both
-                rhos = [analysis.reduced_density_series(traj, j)
-                        for j in range(len(traj.dims))]
-            for j, (d, rho) in enumerate(zip(traj.dims, rhos)):
-                if name == "purity":
-                    columns[f"purity{j + 1}"] = analysis.purity_series(rho)
-                    continue
-                # Qutrits keep the three configured Gell-Mann components.
-                picks = (0, 1, 2) if d == 2 else config.gellmann_projection
-                vectors = analysis.bloch_series(rho)
-                for axis, idx in zip("xyz", picks):
-                    columns[f"bloch_{axis}{j + 1}"] = vectors[:, idx]
+            if densities is None:
+                densities = _density_columns(config, traj)
+            columns.update(densities[name])
     return columns
+
+
+def _density_columns(config: ExperimentConfig, traj: Trajectory) -> dict[str, dict]:
+    """The configured ``purity`` and ``bloch`` columns, by output name.
+
+    Each subsystem's reduced densities are formed once for both, and only
+    one subsystem's stack is held at a time.
+    """
+    found: dict[str, dict] = {"purity": {}, "bloch": {}}
+    for j, d in enumerate(traj.dims):
+        rho = analysis.reduced_density_series(traj, j)
+        if "purity" in config.outputs:
+            found["purity"][f"purity{j + 1}"] = analysis.purity_series(rho)
+        if "bloch" in config.outputs:
+            # Qutrits keep the three configured Gell-Mann components.
+            picks = [0, 1, 2] if d == 2 else config.gellmann_projection
+            vectors = analysis.bloch_series(rho)[:, picks]
+            for i, axis in enumerate("xyz"):
+                found["bloch"][f"bloch_{axis}{j + 1}"] = vectors[:, i]
+    return found
 
 
 def write_csv(path: Path, result: RunResult, columns: dict[str, np.ndarray]):
@@ -428,9 +448,10 @@ def write_csv(path: Path, result: RunResult, columns: dict[str, np.ndarray]):
     Component runs write the stacked components, others the full state. The
     file is byte for byte a header line, then per row every value as
     ``format(v, ".17g")`` (which round-trips a double) joined by ``,`` and
-    ended by ``\\n``. Whole rows of at most ``CSV_BLOCK_CELLS`` cells (or
-    one row) at a time go through the numpy kernel of ``sepdyn._csvtext``. It
-    certifies a cell's 17 digits when the computed remainder of
+    ended by ``\\n``. Whole rows of at most ``propagators.BLOCK_CELLS``
+    cells (or one row), the row blocks of every pass of a run, are copied into
+    one reused buffer and go through the numpy kernel of ``sepdyn._csvtext``.
+    It certifies a cell's 17 digits when the computed remainder of
     |v| * 10^(16 - X), whose error is at most 4.3e-15, lies farther than
     1e-14 from a half-integer and the digits do not round to a power of ten.
     Every other cell, and every zero, non-finite value or |v| outside
@@ -446,21 +467,21 @@ def write_csv(path: Path, result: RunResult, columns: dict[str, np.ndarray]):
     headers = ["t"] + [f"{part}_{label}" for label in labels for part in ("re", "im")]
     headers += list(columns)
     width = 2 * states.shape[1]
-    block_rows = max(1, CSV_BLOCK_CELLS // len(headers))
+    blocks = row_blocks(traj.times.size, len(headers))
+    table = np.empty((blocks[0].stop, len(headers)))
     # Imported here, not with the module, so that a process that never writes a
     # CSV (setup, validation) does not compile the kernel.
     from ._csvtext import csv_rows
 
     with path.open("wb") as handle:
         handle.write((",".join(headers) + "\n").encode())
-        for start in range(0, traj.times.size, block_rows):
-            stop = min(start + block_rows, traj.times.size)
-            block = np.empty((stop - start, len(headers)))
-            block[:, 0] = traj.times[start:stop]
-            block[:, 1 : 1 + width : 2] = states[start:stop].real
-            block[:, 2 : 2 + width : 2] = states[start:stop].imag
+        for rows in blocks:
+            block = table[: rows.stop - rows.start]
+            block[:, 0] = traj.times[rows]
+            block[:, 1 : 1 + width : 2] = states[rows].real
+            block[:, 2 : 2 + width : 2] = states[rows].imag
             for offset, values in enumerate(columns.values(), start=1 + width):
-                block[:, offset] = values[start:stop]
+                block[:, offset] = values[rows]
             handle.write(csv_rows(block))
 
 

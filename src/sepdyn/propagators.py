@@ -71,6 +71,11 @@ from .states import (
 
 
 FINITE_CHECK_STEPS = 256  # steps between finiteness tests of a splitting run
+# Every pass over a run's rows, whether the (T, D) states, the diagnostics or
+# the CSV text, takes whole rows of at most about this many cells (amplitudes,
+# or CSV values) at a time; what it allocates beyond its inputs and outputs is
+# one such block.
+BLOCK_CELLS = 2**15
 
 
 class NonFiniteStateError(SolverFailure, ArithmeticError):
@@ -80,6 +85,13 @@ class NonFiniteStateError(SolverFailure, ArithmeticError):
 class SplittingScheme(enum.Enum):
     LIE_TROTTER = "lie_trotter"
     STRANG = "strang"
+
+
+def row_blocks(rows: int, width: int) -> list[slice]:
+    """Consecutive slices over ``rows`` rows of ``width`` cells, each of at most
+    ``BLOCK_CELLS`` cells or one row."""
+    step = max(1, BLOCK_CELLS // width)
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
 def check_grid(dt: float, steps: int):
@@ -98,7 +110,9 @@ class Trajectory:
     (n_times, prod(dims)). Component runs also keep ``components``, the
     stacked subsystem kets concat(a_1, ..., a_N), shape (n_times, sum(dims)).
     Either may be omitted, not both. Both are stored read-only; ``times`` and
-    ``norm``, the full state's norm per time, are derived on first use.
+    ``norm``, the full state's norm per time, are derived on first use. The
+    finiteness check and ``from_components``'s tensor products run in
+    ``row_blocks``.
     """
 
     dt: float
@@ -120,7 +134,7 @@ class Trajectory:
             stored = np.asarray(stored, dtype=complex)
             if stored.shape != (rows, width):
                 raise ValueError(f"{name} has shape {stored.shape}, expected {(rows, width)}")
-            if not np.all(np.isfinite(stored)):
+            if not all(np.isfinite(stored[block]).all() for block in row_blocks(rows, width)):
                 raise ValueError(f"{name} amplitudes must be finite")
             stored.setflags(write=False)
             object.__setattr__(self, name, stored)
@@ -129,8 +143,10 @@ class Trajectory:
     @classmethod
     def from_components(cls, dt: float, components: np.ndarray, dims) -> "Trajectory":
         """A component run: its rows and their tensor products."""
-        return cls(dt, dims, full=tensor_product_rows(components, dims),
-                   components=components)
+        full = np.empty((len(components), prod(dims)), dtype=complex)
+        for rows in row_blocks(*full.shape):
+            full[rows] = tensor_product_rows(components[rows], dims)
+        return cls(dt, dims, full=full, components=components)
 
     @cached_property
     def times(self) -> np.ndarray:
@@ -140,7 +156,7 @@ class Trajectory:
 
     @cached_property
     def norm(self) -> np.ndarray:
-        return np.linalg.norm(self.full, axis=1)
+        return np.sqrt(np.vecdot(self.full, self.full).real)  # vecdot conjugates without a copy
 
 
 def spectral_apply(evals: np.ndarray, evecs: np.ndarray, t: float,
@@ -150,7 +166,11 @@ def spectral_apply(evals: np.ndarray, evecs: np.ndarray, t: float,
 
 
 class HermitianPropagator:
-    """exp(-i t H) psi0 on a time grid, from the eigendecomposition H computes once."""
+    """exp(-i t H) psi0 on a time grid, from the eigendecomposition H computes once.
+
+    The grid is filled in ``row_blocks``: beyond the (len(times), dim) result,
+    a call holds one block of phases.
+    """
 
     def __init__(self, H: HermitianOperator):
         self.evals, self.evecs = H.spectrum
@@ -160,15 +180,26 @@ class HermitianPropagator:
 
         Raises ``NonFiniteStateError``, before any array is formed, when a
         phase t * E overflows. Finite phases give finite states: every row
-        is a unitary image of psi0.
+        is a unitary image of psi0. Row i is (exp(-i t_i E) * c) @ V^T with
+        c = V^H psi0, block by block.
         """
+        times = np.asarray(times, dtype=float)
         # Every |t * E| is at most this product, and rounding is monotonic.
         if not math.isfinite(float(np.max(np.abs(times))) * float(np.max(np.abs(self.evals)))):
             raise NonFiniteStateError(
                 f"the phases t * E of exp(-i t H) overflow on a grid up to t = {times[-1]:g}")
         coeffs = self.evecs.conj().T @ psi0
-        phases = np.exp(-1j * np.outer(times, self.evals))
-        return (phases * coeffs) @ self.evecs.T
+        grid = np.empty((times.size, self.evals.size), dtype=complex)
+        blocks = row_blocks(*grid.shape)
+        phases = np.empty((blocks[0].stop, grid.shape[1]), dtype=complex)
+        for rows in blocks:
+            block = phases[: rows.stop - rows.start]
+            np.multiply.outer(times[rows], self.evals, out=block)
+            np.multiply(-1j, block, out=block)
+            np.exp(block, out=block)
+            np.multiply(block, coeffs, out=block)
+            np.matmul(block, self.evecs.T, out=grid[rows])
+        return grid
 
 
 def hermitian_expm_apply(H: HermitianOperator, t: float, vec: np.ndarray) -> np.ndarray:

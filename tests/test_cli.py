@@ -155,11 +155,13 @@ class TestWriteCsvBlocks:
         table = np.column_stack([traj.times, full.view(float), *columns.values()])
         return traj, columns, headers, table
 
-    # 12 columns a row; the row counts are not multiples of the block.
+    # 12 columns a row, in blocks of the default size or of 1, 2 or 7 rows; the
+    # row counts are not multiples of the block.
     @pytest.mark.parametrize("block_cells, rows", [
-        (cli.CSV_BLOCK_CELLS, 2 * (cli.CSV_BLOCK_CELLS // 12) + 5), (25, 9), (25, 1)])
+        (propagators.BLOCK_CELLS, 2 * (propagators.BLOCK_CELLS // 12) + 5),
+        (12, 23), (25, 9), (7 * 12, 23), (25, 1)])
     def test_same_bytes_as_row_by_row(self, tmp_path, monkeypatch, block_cells, rows):
-        monkeypatch.setattr(cli, "CSV_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(propagators, "BLOCK_CELLS", block_cells)
         traj, columns, headers, table = self.mixed_run(rows)
         path = tmp_path / "run.csv"
         cli.write_csv(path, cli.RunResult(traj, {}), columns)
@@ -1209,6 +1211,38 @@ class TestDiagnosticColumns:
                                    outputs=["abs_overlap", "bloch"])
         assert np.max(np.abs(columns["abs_overlap"] - 1.0)) < 1e-12
 
+    def diagnostic_columns(self, **fields):
+        """The trajectory, H and diagnostic columns of a swap run changed by ``fields``."""
+        config = cli.ExperimentConfig.from_dict({**swap_config("run", 0.02), **fields})
+        H, result = cli._Batch([config]).result(config)
+        return result.trajectory, H, cli._diagnostic_columns(config, result, H)
+
+    def test_se_exact_is_its_own_overlap_reference(self, monkeypatch):
+        grids = []
+        states_on_grid = propagators.HermitianPropagator.states_on_grid
+
+        def counting(self, psi0, times):
+            grids.append(len(times))
+            return states_on_grid(self, psi0, times)
+
+        monkeypatch.setattr(propagators.HermitianPropagator, "states_on_grid", counting)
+        traj, _, columns = self.diagnostic_columns(
+            **RANDOM5_SEED3, initial_state=MIXED_FIVE_QUBITS, t_final=1.0,
+            outputs=["norm", "abs_overlap"])
+        assert grids == [51]  # the run's own grid, and no second one
+        assert np.max(np.abs(columns["abs_overlap"] - traj.norm**2)) <= 1e-15
+
+    def test_restricted_runs_keep_the_exact_flow_reference(self):
+        traj, H, columns = self.diagnostic_columns(integrator="strang", t_final=1.0,
+                                                   outputs=["abs_overlap"])
+        assert columns["abs_overlap"].min() < 1 - 1e-6
+        # An independent reference: the whole grid at once, and the overlap by einsum.
+        evals, evecs = H.spectrum
+        coeffs = evecs.conj().T @ traj.full[0]
+        reference = (np.exp(-1j * np.outer(traj.times, evals)) * coeffs) @ evecs.T
+        expected = np.abs(np.einsum("ti,ti->t", reference.conj(), traj.full))
+        assert np.max(np.abs(columns["abs_overlap"] - expected)) < 1e-13
+
     def test_se_exact_overlap_decomposes_h_once(self, tmp_path, capsys, monkeypatch):
         eigh = np.linalg.eigh
         sides = []
@@ -1220,6 +1254,53 @@ class TestDiagnosticColumns:
         monkeypatch.setattr(np.linalg, "eigh", counting)
         self.run_columns(tmp_path, capsys, outputs=["abs_overlap"])
         assert sides == [4]
+
+
+def owner(array: np.ndarray) -> np.ndarray:
+    """The array that holds ``array``'s memory."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+class TestDenseOutputMemory:
+    """A dense run holds its states and columns, and each pass a row block
+    beyond its inputs and outputs: the rest does not grow with the grid."""
+
+    def beyond_stored(self, tmp_path, monkeypatch, rows) -> int:
+        """Traced peak of a random5 se_exact run with every output, less what it stores."""
+        path = tmp_path / f"rows{rows}.json"
+        path.write_text(json.dumps({
+            **swap_config(tmp_path / "out" / f"rows{rows}", 0.001), **RANDOM5_SEED3,
+            "t_final": 0.001 * (rows - 1), "initial_state": MIXED_FIVE_QUBITS,
+            "outputs": list(cli.OUTPUT_NAMES)}))
+        stored = []
+        write_csv = cli.write_csv
+
+        def recording(csv_path, result, columns):
+            traj = result.trajectory
+            owners = {id(owner(a)): owner(a) for a in (traj.full, traj.times, *columns.values())}
+            stored.append(sum(a.nbytes for a in owners.values()))
+            write_csv(csv_path, result, columns)
+
+        monkeypatch.setattr(cli, "write_csv", recording)
+        tracemalloc.start()
+        try:
+            assert cli.main(["run", "--config", str(path)]) == cli.EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(stored) == 1 and stored[0] > 32 * 16 * rows
+        return peak - stored[0]
+
+    def test_what_a_run_holds_beyond_its_output_does_not_grow(self, tmp_path, monkeypatch,
+                                                             capsys):
+        """Up to about 9000 rows the CSV text of a block, with the columns, can
+        outweigh one more (T, D) array, so the longest grid shows such a copy."""
+        self.beyond_stored(tmp_path, monkeypatch, 3)  # the CSV kernel's import and tables
+        base = self.beyond_stored(tmp_path, monkeypatch, 2001)
+        for rows in (8001, 16001):
+            assert self.beyond_stored(tmp_path, monkeypatch, rows) - base < 0.5e6
 
 
 class TestAnswerRecord:
