@@ -8,8 +8,8 @@ reproducible for a fixed config, including the random seed.
 ``sepdyn run`` loads and validates each config once, before any run (a
 single file is a directory of one), parsing the initial state into the
 ``ComponentState`` the run starts from; the output-prefix clash check and
-the runs share those configs, and one that fails to load, or whose output
-directory cannot be made, exits 2 while the others still run.
+the runs share those configs, and one that fails to load, or whose outputs
+cannot be written, exits 2 while the others still run.
 
 Every splitting and variational config runs as a row of a batch
 (``_Batch``), a batch of one when it is alone. Configs of one invocation
@@ -104,7 +104,7 @@ MAX_STEPS = 10**6
 # keeps them until its last config is written; a row's product states are
 # formed on its config's turn. A batch counts the stored amplitudes, at most
 # BATCH_AMPLITUDES (160 MB) over its configs, or one config's if more. Newton
-# bounds its own working set by variational.NEWTON_CHUNK_POINTS.
+# and the momenta bound their own working set by propagators.BLOCK_CELLS.
 BATCH_AMPLITUDES = 10**7
 
 
@@ -568,19 +568,22 @@ def run(config: ExperimentConfig, batch: _Batch) -> int:
     # Appended, not with_suffix: a dotted stem such as "v0.02" is kept whole.
     csv_path = out_prefix.with_name(out_prefix.name + ".csv")
     json_path = out_prefix.with_name(out_prefix.name + ".json")
-    write_csv(csv_path, result, columns)
-
-    payload = {
-        "config": asdict(config),
-        "summary": _conservation_summary(config, result, columns),
-        "solver": result.solver_stats,
-        "rows_written": int(result.trajectory.times.size),
-    }
-    if result.blowup is not None:
-        payload["blowup"] = result.blowup
-    with json_path.open("w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    try:
+        write_csv(csv_path, result, columns)
+        payload = {
+            "config": asdict(config),
+            "summary": _conservation_summary(config, result, columns),
+            "solver": result.solver_stats,
+            "rows_written": int(result.trajectory.times.size),
+        }
+        if result.blowup is not None:
+            payload["blowup"] = result.blowup
+        with json_path.open("w") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+    except OSError as err:  # an output is an existing directory, or not writable
+        print(f"config error: cannot write the output: {err}", file=sys.stderr)
+        return EXIT_CONFIG
 
     elapsed = time.perf_counter() - start
     norms = result.trajectory.norm
@@ -637,7 +640,7 @@ def _list_index(items: list, part: str, key: str) -> int:
 def load_config(path: Path, overrides: list[str]) -> ExperimentConfig:
     try:
         raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")

@@ -1,21 +1,21 @@
 """Variational integrators for Lagrangians linear in velocities.
 
 A one-parameter quadrature family turns a continuous first-order Lagrangian
-into a discrete one; stationarity of the discrete action gives a two-term
-recursion, started by matching the continuous momentum (well defined here
-because the Lagrangian is degenerate: the momentum depends on positions
-only). Restricting to product states can happen before discretization, by
-pulling the Lagrangian back to the component variables, or after, by
-substituting product states into the discrete action. The two orderings
-produce different schemes, both run by one routine: start, then recursion.
-That routine advances a batch of initial states on one grid in lockstep,
-each row with its own step count and its own end (done, blown up, or a
-failed start); every row equals bit for bit the run of its state alone, and
-a run of one state is a batch of one. A batch allocates its Σ (steps + 1)
-points up front, the count ``cli`` caps it by, in one buffer that its
-trajectories are slices of. Every stacked call on product states takes
-whole rows of at most ``NEWTON_CHUNK_POINTS`` points (or one row), so the
-product-state temporaries beside the buffer do not grow with the batch.
+into a discrete one. The start and every step of its two-term recursion are
+one discrete Euler–Lagrange equation, D1 L_d(x_n, x_{n+1}) + p_n = 0, with
+p_n = D2 L_d(x_{n-1}, x_n) and p_0 the continuous momentum (well defined
+here because the Lagrangian is degenerate: p depends on positions only).
+Restricting to product states can happen before discretization, by pulling
+the Lagrangian back to the component variables, or after, by substituting
+product states into the discrete action. The two orderings produce
+different schemes, both run by one routine. It advances a batch of initial
+states on one grid in lockstep, each row with its own step count and its
+own end (done, blown up, or a failed start); every row equals bit for bit
+the run of its state alone, and a run of one state is a batch of one. A
+batch allocates its Σ (steps + 1) points up front, the count ``cli`` caps
+it by, in one buffer that its trajectories are slices of. Every stacked
+call on product states takes whole rows of ``propagators.row_blocks``, so
+the product-state temporaries beside the buffer do not grow with the batch.
 
 Every point is conjugate-consistent: a callable takes a point and its
 velocity once, and the barred copies are formed in the one place that reads
@@ -31,9 +31,9 @@ and the Jacobian is taken by forward differences. Residuals, and the
 gradients and partials they are built from, accept a stack of points on
 leading axes and act row by row, each row equal bit for bit to the
 one-point call, so a row's bits do not depend on which rows share a call.
-Each iteration makes one residual call per chunk of rows, on a stack that
+Each iteration makes one residual call per block of rows, on a stack that
 holds every running row's iterate and its Jacobian's bumped points. The
-least-squares updates of a chunk's running rows are one call to the LAPACK
+least-squares updates of a block's running rows are one call to the LAPACK
 gelsd gufunc that ``np.linalg.lstsq`` wraps, which solves each matrix of a
 stack as it would solve it alone. Norms stay one dot product per row: a
 stacked norm rounds differently from the one-row norm.
@@ -51,14 +51,12 @@ from numpy._core.multiarray import c_einsum
 from numpy.linalg import _umath_linalg
 
 from .hamiltonians import HermitianOperator, check_dims
-from .propagators import check_grid
+from .propagators import check_grid, row_blocks
 from .states import SolverFailure, kron, split_components
 
 NEWTON_TOL = 1e-12
 NEWTON_MAXITER = 50
 _SQRT_EPS = sqrt(np.finfo(float).eps)
-# Points a stacked call on product states takes at most (or one row's).
-NEWTON_CHUNK_POINTS = 2**12
 
 
 class NewtonConvergenceError(SolverFailure, RuntimeError):
@@ -252,13 +250,6 @@ def _row_data(data: np.ndarray, rows: np.ndarray, points: np.ndarray) -> np.ndar
     return picked.reshape(picked.shape[:1] + (1,) * (points.ndim - 2) + picked.shape[1:])
 
 
-def _chunks(count: int, points_per_row: int) -> list[slice]:
-    """Slices of whole rows of a batch of ``count``, each of at most
-    ``NEWTON_CHUNK_POINTS`` points of ``points_per_row``, or of one row."""
-    per_call = max(1, NEWTON_CHUNK_POINTS // points_per_row)
-    return [slice(start, start + per_call) for start in range(0, count, per_call)]
-
-
 def _least_squares(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-norm least-squares solutions of a[i] y = b[i] for a (B, m, n) stack.
 
@@ -282,11 +273,12 @@ def _newton_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
     ``residual(points, rows)`` evaluates the systems ``rows`` (indices into
     the B guesses) at a stack of points per row, shape (len(rows), k, n),
     each point's value equal to a one-point call. The guesses are solved in
-    chunks of whole rows, one after the other, each of at most
-    ``NEWTON_CHUNK_POINTS`` points of a residual call (or one row): all B
-    at once when they fit. Every iteration makes one residual call, whose
-    shape is checked, on the chunk's rows still running: k = 2n + 1 points
-    a row, the iterate and its 2n forward-difference bumps.
+    the ``row_blocks`` of rows of (2n + 1) n amplitudes, one block after the
+    other, each of at most ``BLOCK_CELLS`` amplitudes of a residual call (or
+    one row): all B at once when they fit. Every iteration makes one
+    residual call, whose shape is checked, on the block's rows still
+    running: k = 2n + 1 points a row, the iterate and its 2n
+    forward-difference bumps.
     With x the iterate's real and imaginary parts, point 1 + j is
     x + h_j e_j, h_j = sqrt(eps) * max(1, |x_j|), so the call gives the
     residual r at x and column j of the Jacobian, (F(x + h_j e_j) - r) / h_j.
@@ -302,9 +294,9 @@ def _newton_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
     count, m = guesses.shape[0], 2 * guesses.shape[1]
     outcomes: list = [None] * count
     diagonal = np.arange(m)
-    for chunk in _chunks(count, m + 1):
-        rows = np.arange(count)[chunk]
-        x = _complex_to_real(guesses[chunk])
+    for block in row_blocks(count, (m + 1) * guesses.shape[1]):
+        rows = np.arange(count)[block]
+        x = _complex_to_real(guesses[block])
         iteration = 0
         while len(rows):
             h = _SQRT_EPS * np.maximum(1.0, np.abs(x))
@@ -379,15 +371,13 @@ def newton_solve(residual: Callable[[np.ndarray], np.ndarray], guess: np.ndarray
     return _solved(_newton_rows(one_row, np.asarray(guess, dtype=complex)[None])[0])[:2]
 
 
-def _start_rows(Ld: DiscreteLagrangian, x0: np.ndarray) -> list:
-    """``initial_step`` for each row of x0: its Newton outcome."""
-    p0 = np.concatenate([velocity_momentum(Ld.base, x0[chunk])
-                         for chunk in _chunks(len(x0), 1)])
+def _step_rows(Ld, curr: np.ndarray, momentum: np.ndarray, guess: np.ndarray) -> list:
+    """Newton's outcome per row for y in D1 L_d(curr, y) + momentum = 0, from ``guess``."""
 
     def residual(points, rows):
-        return _row_data(p0, rows, points) + Ld.d1(_row_data(x0, rows, points), points)
+        return Ld.d1(_row_data(curr, rows, points), points) + _row_data(momentum, rows, points)
 
-    return _newton_rows(residual, x0)
+    return _newton_rows(residual, guess)
 
 
 def initial_step(Ld: DiscreteLagrangian, psi0: np.ndarray):
@@ -395,17 +385,8 @@ def initial_step(Ld: DiscreteLagrangian, psi0: np.ndarray):
 
     Returns (psi_1, newton_iterations).
     """
-    return _solved(_start_rows(Ld, np.asarray(psi0, dtype=complex)[None])[0])[:2]
-
-
-def _del_rows(Ld, prev: np.ndarray, curr: np.ndarray) -> list:
-    """``del_step`` for each row of (prev, curr): its Newton outcome."""
-    tail = np.concatenate([Ld.d3(prev[chunk], curr[chunk]) for chunk in _chunks(len(prev), 1)])
-
-    def residual(points, rows):
-        return Ld.d1(_row_data(curr, rows, points), points) + _row_data(tail, rows, points)
-
-    return _newton_rows(residual, 2.0 * curr - prev)
+    x0 = np.asarray(psi0, dtype=complex)[None]
+    return _solved(_step_rows(Ld, x0, velocity_momentum(Ld.base, x0), x0)[0])[:2]
 
 
 def del_step(Ld: DiscreteLagrangian, psi_prev: np.ndarray, psi_curr: np.ndarray):
@@ -414,8 +395,8 @@ def del_step(Ld: DiscreteLagrangian, psi_prev: np.ndarray, psi_curr: np.ndarray)
     Newton starts from the linear predictor 2 psi_curr - psi_prev, the
     point a constant velocity would reach. Returns (psi_next, newton_iterations).
     """
-    return _solved(_del_rows(Ld, np.asarray(psi_prev, dtype=complex)[None],
-                             np.asarray(psi_curr, dtype=complex)[None])[0])[:2]
+    prev, curr = (np.asarray(psi, dtype=complex)[None] for psi in (psi_prev, psi_curr))
+    return _solved(_step_rows(Ld, curr, Ld.d3(prev, curr), 2.0 * curr - prev)[0])[:2]
 
 
 @dataclass(frozen=True)
@@ -451,15 +432,15 @@ class DiscreteTrajectory:
 @np.errstate(over="ignore", invalid="ignore")
 def _run_rows(start_Ld: DiscreteLagrangian, Ld, x0: np.ndarray, steps,
               blowup_factor: float | None) -> list:
-    """The one run loop: momentum matching on ``start_Ld``, then del_step on ``Ld``.
+    """The one run loop: each step is one ``_step_rows`` solve of the rows still running.
 
-    Advances the rows of x0 in lockstep, row b for ``steps[b]`` steps; each
-    solve is one ``_newton_rows`` call on the rows still running. A row whose
-    start fails ends with its ``NewtonConvergenceError``. With
-    ``blowup_factor``, a failed del_step, or an amplitude above that factor
-    times the row's initial largest one, ends the row with a ``BlowupError``;
-    without it, a failed del_step ends the row with its error. Returns one
-    ``DiscreteTrajectory`` or error per row.
+    Step 1 is ``initial_step`` on ``start_Ld``, every later one ``del_step``
+    on ``Ld``. Advances the rows of x0 in lockstep, row b for ``steps[b]``
+    steps. A row whose start fails ends with its ``NewtonConvergenceError``.
+    With ``blowup_factor``, a failed del_step, or an amplitude above that
+    factor times the row's initial largest one, ends the row with a
+    ``BlowupError``; without it, a failed del_step ends the row with its
+    error. Returns one ``DiscreteTrajectory`` or error per row.
 
     The points live in one complex buffer of shape (Σ_b (steps[b] + 1), n),
     allocated up front: row b's point i at starts[b] + i, and the Newton
@@ -468,9 +449,9 @@ def _run_rows(start_Ld: DiscreteLagrangian, Ld, x0: np.ndarray, steps,
     one fancy index and writes their solved points in place; a trajectory is
     a slice of the three. So a batch stores (steps + 1) * n amplitudes a row,
     and 16 bytes a point besides; ``cli._batch_amplitudes`` counts these. The
-    solves, start momenta and del_step tails work on chunks of whole rows,
-    at most ``NEWTON_CHUNK_POINTS`` points a call, so beside the buffers a
-    batch holds one chunk's product states and a few points a row.
+    solves and the momenta p_n work on the ``row_blocks`` of whole rows, at
+    most ``BLOCK_CELLS`` stacked amplitudes a call, so beside the buffers a
+    batch holds one block's product states and a few points a row.
     """
     for count in steps:
         check_grid(start_Ld.dt, count)
@@ -514,12 +495,16 @@ def _run_rows(start_Ld: DiscreteLagrangian, Ld, x0: np.ndarray, steps,
                 outcomes[b] = make_traj(b, step)
         return running
 
-    rows = advance(range(len(x0)), _start_rows(start_Ld, x0), 1)
+    p0 = np.concatenate([velocity_momentum(start_Ld.base, x0[block])
+                         for block in row_blocks(*x0.shape)])
+    rows = advance(range(len(x0)), _step_rows(start_Ld, x0, p0, x0), 1)
     step = 1
     while rows:
         step += 1
         prev, curr = points[starts[rows] + [[step - 2], [step - 1]]]
-        rows = advance(rows, _del_rows(Ld, prev, curr), step)
+        pn = np.concatenate([Ld.d3(prev[block], curr[block])
+                             for block in row_blocks(*curr.shape)])
+        rows = advance(rows, _step_rows(Ld, curr, pn, 2.0 * curr - prev), step)
     return outcomes
 
 

@@ -551,6 +551,31 @@ class TestConfigPass:
             "run0.csv", "run0.json", "run1.csv", "run1.json",
         ]
 
+    def test_a_config_that_is_not_utf8_exits_2_while_the_others_run(self, tmp_path, capsys):
+        self.write_configs(tmp_path / "configs", 2)
+        (tmp_path / "configs" / "c2.json").write_bytes("{}".encode("utf-16"))  # \xff\xfe...
+        assert cli.main(["run", "--config", str(tmp_path / "configs")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cannot read config" in err and "c2.json" in err
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "run0.csv", "run0.json", "run1.csv", "run1.json",
+        ]
+
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_an_output_that_cannot_be_written_exits_2_while_the_others_run(
+            self, tmp_path, capsys, suffix):
+        self.write_configs(tmp_path / "configs", 2)
+        cli.main(["run", "--config", str(tmp_path / "configs" / "c1.json")])
+        alone = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+        shutil.rmtree(tmp_path / "out")
+        (tmp_path / "out" / f"run0{suffix}").mkdir(parents=True)  # in the way of c0's output
+        assert cli.main(["run", "--config", str(tmp_path / "configs")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: cannot write")
+        assert f"run0{suffix}" in err
+        assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()
+                if p.name.startswith("run1")} == alone
+
     @pytest.mark.parametrize("jobs, cpus, workers", [
         (1000, 64, 3),   # no more workers than configs
         (8, 2, 2),       # no more workers than CPUs
@@ -936,7 +961,7 @@ class TestBatches:
             return top - 16 * sum(map(cli._batch_amplitudes, configs[:rows]))
 
         assert peak(16) > bound
-        monkeypatch.setattr(variational, "NEWTON_CHUNK_POINTS", row_points)
+        monkeypatch.setattr(propagators, "BLOCK_CELLS", row_points * 10)
         assert peak(1) <= bound
         assert peak(16) <= bound
 
@@ -1301,6 +1326,78 @@ class TestDenseOutputMemory:
         base = self.beyond_stored(tmp_path, monkeypatch, 2001)
         for rows in (8001, 16001):
             assert self.beyond_stored(tmp_path, monkeypatch, rows) - base < 0.5e6
+
+
+class TestOneBlockConstant:
+    """``propagators.BLOCK_CELLS`` sizes every blocked pass and stacked call:
+    the exact-flow grid, the diagnostics, the CSV text, and the Newton blocks
+    and momenta of a variational batch. No size of it moves a byte, but for
+    the exact-flow grid's: a matrix product over a block of rows rounds some
+    rows by the block's row count, so that pass runs at the default size here
+    (``tests/test_blocks.py`` holds it to the flow at each time)."""
+
+    OUTPUTS = list(cli.OUTPUT_NAMES)
+    LADDER_ROW_CELLS = (2 * 9 + 1) * 9  # one Newton row of 9 stacked amplitudes
+
+    def write_configs(self, directory):
+        directory.mkdir()
+        configs = {integrator: {"integrator": integrator}
+                   for integrator in ("se_exact", "lie_trotter", "strang",
+                                      "var_discretize_first", "bea_truncation")}
+        configs["var_discretize_first"]["alpha"] = 0.5
+        configs["bea_truncation"].update(BEA, bea_order=2)
+        # Two restrict-first rows share a batch, and so its Newton blocks.
+        configs["var_restrict_a"] = {"integrator": "var_restrict_first", "alpha": 0.5}
+        configs["var_restrict_b"] = {"integrator": "var_restrict_first", "alpha": 0.5,
+                                     "initial_state": [[0.6, 0.8], [1.0, 0.0]]}
+        configs["ladder_discretize"] = {
+            "experiment": "ladder", "r_party": 2, "integrator": "var_discretize_first",
+            "alpha": 0.5, "dt": 0.05, "t_final": 0.2,
+            "initial_state": [[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [0.0, 0.6, 0.8]]}
+        configs["random5_exact"] = {**RANDOM5_SEED3, "integrator": "se_exact", "dt": 0.01,
+                                    "t_final": 0.2, "initial_state": MIXED_FIVE_QUBITS}
+        for name, fields in configs.items():
+            config = {**swap_config(directory.parent / "out" / name, 0.05),
+                      "initial_state": [[1.0, 0.0], [0.6, 0.8]], "t_final": 0.3,
+                      "outputs": self.OUTPUTS, **fields}
+            (directory / f"{name}.json").write_text(json.dumps(config))
+
+    @pytest.mark.parametrize("cells", [1, 9 * 4, LADDER_ROW_CELLS],
+                             ids=["one cell", "one swap Newton row", "one ladder Newton row"])
+    def test_every_size_writes_the_default_bytes(self, tmp_path, capsys, monkeypatch, cells):
+        self.write_configs(tmp_path / "configs")
+        widths = []
+        newton_rows = variational._newton_rows
+
+        def recording(residual, guesses):
+            def recorded(points, rows):
+                widths.append(len(rows))
+                return residual(points, rows)
+
+            return newton_rows(recorded, guesses)
+
+        monkeypatch.setattr(variational, "_newton_rows", recording)
+        states_on_grid = propagators.HermitianPropagator.states_on_grid
+        default_cells = propagators.BLOCK_CELLS
+
+        def default_grid(self, psi0, times):
+            with monkeypatch.context() as patch:
+                patch.setattr(propagators, "BLOCK_CELLS", default_cells)
+                return states_on_grid(self, psi0, times)
+
+        monkeypatch.setattr(propagators.HermitianPropagator, "states_on_grid", default_grid)
+
+        def outputs():
+            widths.clear()
+            shutil.rmtree(tmp_path / "out", ignore_errors=True)
+            assert cli.main(["run", "--config", str(tmp_path / "configs")]) == cli.EXIT_OK
+            return {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+
+        default = outputs()
+        assert len(default) == 2 * 9 and max(widths) == 2
+        monkeypatch.setattr(propagators, "BLOCK_CELLS", cells)
+        assert outputs() == default
+        assert max(widths) == (2 if cells == self.LADDER_ROW_CELLS else 1)
 
 
 class TestAnswerRecord:

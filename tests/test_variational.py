@@ -6,7 +6,7 @@ from math import prod, sqrt
 import numpy as np
 import pytest
 
-from sepdyn import variational
+from sepdyn import propagators, variational
 from sepdyn.analysis import period_two_amplitude, period_two_rate
 from sepdyn.exact_swap import SwapInitialData, exact_sse_swap
 from sepdyn.hamiltonians import (
@@ -363,6 +363,18 @@ def captured_residual(monkeypatch, solve):
     return seen["residual"], seen["guesses"]
 
 
+def start_rows(Ld, x0):
+    """Step 1 of ``_run_rows`` on the rows of x0: the row solve from the
+    continuous momentum p_0, started at x0."""
+    return variational._step_rows(Ld, x0, velocity_momentum(Ld.base, x0), x0)
+
+
+def del_rows(Ld, prev, curr):
+    """A later step of ``_run_rows``: the row solve with p_n = D2 L_d(prev, curr),
+    started at the linear predictor."""
+    return variational._step_rows(Ld, curr, Ld.d3(prev, curr), 2.0 * curr - prev)
+
+
 def one_row(residual, row=0):
     """A row residual as a residual of one system: a point, or a stack of them."""
     return lambda y: residual(y[None], np.array([row]))[0]
@@ -446,7 +458,7 @@ class TestStackedResiduals:
                 curr = prev + 0.01 * np.stack([random_product_point(rng, dims)
                                                for _ in range(3)])
                 residual, guesses = captured_residual(
-                    monkeypatch, lambda: variational._del_rows(Ld, prev, curr))
+                    monkeypatch, lambda: del_rows(Ld, prev, curr))
                 x = np.concatenate([guesses.real, guesses.imag], axis=1)
                 values = residual(guesses, np.arange(3))
                 r = np.concatenate([values.real, values.imag], axis=1)
@@ -621,8 +633,8 @@ class TestMergedNewtonOracle:
         # Row 3's product states overflow, so its first residual is not finite.
         prev[3] *= 1e200
         curr[3] *= 1e200
-        for solve in (lambda: variational._start_rows(start, prev),
-                      lambda: variational._del_rows(recursion, prev, curr)):
+        for solve in (lambda: start_rows(start, prev),
+                      lambda: del_rows(recursion, prev, curr)):
             with np.errstate(over="ignore", invalid="ignore"):
                 residual, guesses = captured_residual(monkeypatch, solve)
             outcomes = self.same_outcomes(residual, guesses)
@@ -659,7 +671,8 @@ class TestMergedNewtonOracle:
 class TestOneResidualCallPerIteration:
     """A solve of k iterations makes k + 1 residual calls, each on the
     iterates and their 2n bumped points, n complex unknowns a row; rows
-    past ``NEWTON_CHUNK_POINTS`` points solve in chunks, one after another."""
+    past ``BLOCK_CELLS`` amplitudes of those points solve in ``row_blocks``,
+    one after another."""
 
     @staticmethod
     def expected_calls(iterations, per_call, n):
@@ -709,7 +722,7 @@ class TestOneResidualCallPerIteration:
     @pytest.mark.parametrize("ordering", ORDERINGS)
     @pytest.mark.parametrize("rows, per_call", [(3, 1), (5, 2)])
     def test_one_call_per_chunk_and_iteration(self, rng, monkeypatch, ordering, rows, per_call):
-        monkeypatch.setattr(variational, "NEWTON_CHUNK_POINTS", per_call * (2 * 9 + 1) + 1)
+        monkeypatch.setattr(propagators, "BLOCK_CELLS", per_call * (2 * 9 + 1) * 9 + 1)
         self.check_calls(rng, monkeypatch, ordering, rows, per_call)
 
     def check_calls(self, rng, monkeypatch, ordering, rows, per_call):
@@ -723,9 +736,9 @@ class TestOneResidualCallPerIteration:
             recursion = _SubstitutedDiscreteLagrangian(DiscreteLagrangian(L, 0.5, 0.02), dims)
         prev = np.stack([random_product_point(rng, dims) for _ in range(rows)])
         calls = self.counting_newton(monkeypatch)
-        started = variational._start_rows(start, prev)
+        started = start_rows(start, prev)
         curr = np.stack([outcome[0] for outcome in started])
-        solved = variational._del_rows(recursion, prev, curr)
+        solved = del_rows(recursion, prev, curr)
         for outcomes in (started, solved):
             iterations = [outcome[1] for outcome in outcomes]
             assert min(iterations) >= 1
@@ -1069,8 +1082,9 @@ class TestRowBatches:
     @pytest.mark.parametrize("chunk", ["one row", "one point"])
     def test_chunks_give_the_bits_of_one_call(self, rng, monkeypatch, fig1_state, ordering,
                                               system, chunk):
-        """Newton in chunks of one row (and at one point a chunk, the tails and
-        momenta too) gives every row the bits of one stacked call."""
+        """Newton in blocks of one row (and at one cell a block, the momenta
+        p_n in blocks of one point too) gives every row the bits of one
+        stacked call."""
         if system == "swap":
             H, dims, dt, steps = swap_hamiltonian(2), (2, 2), 0.1, [40, 25, 40, 40, 10]
             extra = [fig1_state, ComponentState((Ket(np.array([1e150, 0.0])),
@@ -1103,15 +1117,17 @@ class TestRowBatches:
 
         whole, widest = run()
         assert widest == len(states)
-        points = 2 * sum(dims) + 1 if chunk == "one row" else 1
-        monkeypatch.setattr(variational, "NEWTON_CHUNK_POINTS", points)
+        n = sum(dims)
+        cells = (2 * n + 1) * n if chunk == "one row" else 1
+        monkeypatch.setattr(propagators, "BLOCK_CELLS", cells)
         assert run() == (whole, 1)
 
     @pytest.mark.parametrize("ordering", ORDERINGS)
     def test_every_product_state_call_fits_a_chunk(self, rng, monkeypatch, ordering):
-        """Residuals, start momenta and del_step tails form product states
-        (``kron``) of at most ``NEWTON_CHUNK_POINTS`` points a call, or of
-        one row's 2n + 1: here 12 swap rows, against chunks of 9 points."""
+        """Residuals and the momenta p_n form product states (``kron``) of at
+        most ``BLOCK_CELLS`` stacked amplitudes a call, or of one row's
+        2n + 1 points: here 12 swap rows of n = 4, against blocks of 9 points
+        of 4 amplitudes."""
         sizes = []
 
         def recording(factors, _kron=variational.kron):
@@ -1127,7 +1143,7 @@ class TestRowBatches:
             return max(sizes)
 
         assert widest() == 12 * 9
-        monkeypatch.setattr(variational, "NEWTON_CHUNK_POINTS", 9)
+        monkeypatch.setattr(propagators, "BLOCK_CELLS", 9 * 4)
         assert widest() == 9
 
     def test_a_failing_row_leaves_the_others(self):
