@@ -13,7 +13,10 @@ both forms the stack once.
 Each pass over (T, D) states reads them in ``propagators.row_blocks``, and
 inner products go through ``np.vecdot``, which conjugates its first argument
 without a copy: what a pass allocates beyond its inputs and its output is
-one row block.
+one row block. A reduced density is the Gram matrix of the rows of the
+state's subsystem-leading (d_k, D / d_k) matrix, its purity the squared
+norm of the flattened matrix, and a qutrit's Bloch vector one matrix
+product against the flattened Gell-Mann generators.
 """
 
 from __future__ import annotations
@@ -94,21 +97,32 @@ def rate_of_change_nuclear(traj: Trajectory) -> np.ndarray:
 
 
 def reduced_density_series(traj: Trajectory, k: int) -> np.ndarray:
-    """Partial trace of the projector series onto subsystem k, a (T, d_k, d_k) stack."""
+    """Partial trace of the projector series onto subsystem k, a (T, d_k, d_k) stack.
+
+    rho = M M^H per row, with M the (d_k, D / d_k) matrix of the row's
+    amplitudes with subsystem k's index first: rho_mn = <M_n|M_m>. Each row
+    block takes one ``np.vecdot`` over the d_k^2 pairs of M's rows, a dot
+    product per entry, so a row's bits do not depend on its block. M is a
+    view of the states when k is the first or last subsystem, else one block
+    copy.
+    """
     dims = traj.dims
     if not 0 <= k < len(dims):
         raise ValueError(f"subsystem index {k} out of range")
     states = traj.full
-    shaped = states.reshape(-1, prod(dims[:k]), dims[k], prod(dims[k + 1 :]))
-    rhos = np.empty((len(states), dims[k], dims[k]), dtype=complex)
+    left, d, right = prod(dims[:k]), dims[k], prod(dims[k + 1 :])
+    shaped = states.reshape(-1, left, d, right)
+    rhos = np.empty((len(states), d, d), dtype=complex)
     for rows in row_blocks(*states.shape):
-        np.einsum("tamb,tanb->tmn", shaped[rows], shaped[rows].conj(), out=rhos[rows])
+        leading = shaped[rows].transpose(0, 2, 1, 3).reshape(-1, d, left * right)
+        np.vecdot(leading[:, None], leading[:, :, None], out=rhos[rows])
     return rhos
 
 
 def purity_series(rhos: np.ndarray) -> np.ndarray:
-    """tr(rho(t)^2) of a (n_times, d, d) stack of reduced density matrices."""
-    return np.einsum("tij,tji->t", rhos, rhos).real.copy()  # not a view holding the complex traces
+    """tr(rho(t)^2) = sum_ij |rho_ij|^2 of a (n_times, d, d) stack of Hermitian matrices."""
+    flat = rhos.reshape(len(rhos), rhos.shape[-1] ** 2)
+    return np.vecdot(flat, flat).real.copy()  # not a view holding the complex sums
 
 
 def bloch_series(rhos: np.ndarray) -> np.ndarray:
@@ -116,13 +130,16 @@ def bloch_series(rhos: np.ndarray) -> np.ndarray:
 
     (n_times, 3) Cartesian coordinates for a qubit, (n_times, 8) components
     tr(rho G_i) over ``GELL_MANN`` for a qutrit; other dimensions raise.
+    tr(rho G) = sum_mn rho_mn G_nm, so a qutrit stack is one (n_times, 9)
+    by (9, 8) product against the transposed generators.
     """
     d = rhos.shape[-1]
     if d == 2:
         return np.stack([2.0 * rhos[:, 0, 1].real, 2.0 * rhos[:, 1, 0].imag,
                          (rhos[:, 0, 0] - rhos[:, 1, 1]).real], axis=1)
     if d == 3:
-        return np.real(np.einsum("tij,kji->tk", rhos, GELL_MANN))
+        generators = GELL_MANN.transpose(0, 2, 1).reshape(len(GELL_MANN), d * d)
+        return np.real(rhos.reshape(len(rhos), d * d) @ generators.T)
     raise ValueError(f"reduced densities of dimension {d}; Bloch vectors need 2 or 3")
 
 

@@ -455,7 +455,8 @@ def write_csv(path: Path, result: RunResult, columns: dict[str, np.ndarray]):
     |v| * 10^(16 - X), whose error is at most 4.3e-15, lies farther than
     1e-14 from a half-integer and the digits do not round to a power of ten.
     Every other cell, and every zero, non-finite value or |v| outside
-    [1e-280, 1e280), is formatted by ``%.17g`` itself.
+    [1e-280, 1e280), is formatted by ``%.17g`` itself. A write that fails
+    after the file is opened removes the file.
     """
     traj = result.trajectory
     if traj.components is not None:
@@ -473,16 +474,21 @@ def write_csv(path: Path, result: RunResult, columns: dict[str, np.ndarray]):
     # CSV (setup, validation) does not compile the kernel.
     from ._csvtext import csv_rows
 
-    with path.open("wb") as handle:
-        handle.write((",".join(headers) + "\n").encode())
-        for rows in blocks:
-            block = table[: rows.stop - rows.start]
-            block[:, 0] = traj.times[rows]
-            block[:, 1 : 1 + width : 2] = states[rows].real
-            block[:, 2 : 2 + width : 2] = states[rows].imag
-            for offset, values in enumerate(columns.values(), start=1 + width):
-                block[:, offset] = values[rows]
-            handle.write(csv_rows(block))
+    handle = path.open("wb")
+    try:
+        with handle:
+            handle.write((",".join(headers) + "\n").encode())
+            for rows in blocks:
+                block = table[: rows.stop - rows.start]
+                block[:, 0] = traj.times[rows]
+                block[:, 1 : 1 + width : 2] = states[rows].real
+                block[:, 2 : 2 + width : 2] = states[rows].imag
+                for offset, values in enumerate(columns.values(), start=1 + width):
+                    block[:, offset] = values[rows]
+                handle.write(csv_rows(block))
+    except BaseException:
+        path.unlink()
+        raise
 
 
 def _conservation_summary(config: ExperimentConfig, result: RunResult,
@@ -568,8 +574,10 @@ def run(config: ExperimentConfig, batch: _Batch) -> int:
     # Appended, not with_suffix: a dotted stem such as "v0.02" is kept whole.
     csv_path = out_prefix.with_name(out_prefix.name + ".csv")
     json_path = out_prefix.with_name(out_prefix.name + ".json")
+    written = []  # a failed write removes what this run wrote: both outputs or neither
     try:
         write_csv(csv_path, result, columns)
+        written.append(csv_path)
         payload = {
             "config": asdict(config),
             "summary": _conservation_summary(config, result, columns),
@@ -579,9 +587,12 @@ def run(config: ExperimentConfig, batch: _Batch) -> int:
         if result.blowup is not None:
             payload["blowup"] = result.blowup
         with json_path.open("w") as handle:
+            written.append(json_path)
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
     except OSError as err:  # an output is an existing directory, or not writable
+        for path in written:
+            path.unlink()
         print(f"config error: cannot write the output: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

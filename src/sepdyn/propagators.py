@@ -185,7 +185,10 @@ class HermitianPropagator:
         Raises ``NonFiniteStateError``, before any array is formed, when a
         phase t * E overflows. Finite phases give finite states: every row
         is a unitary image of psi0. Row i is (exp(-i t_i E) * c) @ V^T with
-        c = V^H psi0, block by block.
+        c = V^H psi0, block by block. A one-row product would take numpy's
+        vector-matrix path, which rounds unlike the matrix product, so a block
+        of one row is formed with the row before it: on two or more times, a
+        row's bits do not depend on the length of the grid.
         """
         times = np.asarray(times, dtype=float)
         # Every |t * E| is at most this product, and rounding is monotonic.
@@ -194,8 +197,9 @@ class HermitianPropagator:
                 f"the phases t * E of exp(-i t H) overflow on a grid up to t = {times[-1]:g}")
         coeffs = self.evecs.conj().T @ psi0
         grid = np.empty((times.size, self.evals.size), dtype=complex)
-        blocks = row_blocks(*grid.shape)
-        phases = np.empty((blocks[0].stop, grid.shape[1]), dtype=complex)
+        blocks = [slice(max(0, min(rows.start, rows.stop - 2)), rows.stop)
+                  for rows in row_blocks(*grid.shape)]
+        phases = np.empty((max(2, blocks[0].stop), grid.shape[1]), dtype=complex)
         for rows in blocks:
             block = phases[: rows.stop - rows.start]
             np.multiply.outer(times[rows], self.evals, out=block)

@@ -1,9 +1,12 @@
 import tracemalloc
+from math import prod
 
 import numpy as np
 import pytest
 
 from sepdyn.analysis import (
+    GELL_MANN,
+    bloch_series,
     convergence_order,
     log_norm_spread,
     overlap_series,
@@ -205,6 +208,44 @@ class TestPuritySeries:
         traj = Trajectory(0.1, (2, 2),
                           full=tensor_product(fig1_state).amplitudes[None, :])
         assert purity_series(reduced_density_series(traj, 0))[0] == pytest.approx(1.0)
+
+
+def einsum_density_diagnostics(traj, k):
+    """Reduced densities, purities and Bloch vectors by the einsum formulas
+    that the Gram kernels replaced, kept as an oracle."""
+    dims = traj.dims
+    shaped = traj.full.reshape(-1, prod(dims[:k]), dims[k], prod(dims[k + 1 :]))
+    rhos = np.einsum("tamb,tanb->tmn", shaped, shaped.conj())
+    purity = np.einsum("tij,tji->t", rhos, rhos).real
+    if dims[k] == 2:
+        bloch = np.stack([2.0 * rhos[:, 0, 1].real, 2.0 * rhos[:, 1, 0].imag,
+                          (rhos[:, 0, 0] - rhos[:, 1, 1]).real], axis=1)
+    else:
+        bloch = np.real(np.einsum("tij,kji->tk", rhos, GELL_MANN))
+    return rhos, purity, bloch
+
+
+def random_trajectory(rng, dims, rows):
+    states = np.stack([random_ket(rng, prod(dims)).amplitudes for _ in range(rows)])
+    return Trajectory(0.1, dims, full=states)
+
+
+class TestDensityKernels:
+    @pytest.mark.parametrize("dims", [(2,) * 5, (3, 3, 3), (2, 3, 2), (2, 2)],
+                             ids=["2x5", "3x3x3", "2x3x2", "2x2"])
+    def test_the_einsum_formulas_agree(self, rng, dims):
+        traj = random_trajectory(rng, dims, 64)
+        for k in range(len(dims)):
+            rhos = reduced_density_series(traj, k)
+            expected = einsum_density_diagnostics(traj, k)
+            for got, want in zip((rhos, purity_series(rhos), bloch_series(rhos)), expected):
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 2e-15
+
+    def test_qutrit_bloch_vectors_are_traces_against_the_generators(self, rng):
+        rhos = reduced_density_series(random_trajectory(rng, (3, 3, 3), 16), 1)
+        expected = [[np.trace(rho @ g).real for g in GELL_MANN] for rho in rhos]
+        assert np.max(np.abs(bloch_series(rhos) - expected)) <= 2e-15
 
 
 class TestVariationalSummaries:

@@ -12,7 +12,12 @@ import numpy as np
 import pytest
 
 from sepdyn import propagators
-from sepdyn.analysis import rate_of_change_nuclear, reduced_density_series
+from sepdyn.analysis import (
+    bloch_series,
+    purity_series,
+    rate_of_change_nuclear,
+    reduced_density_series,
+)
 from sepdyn.hamiltonians import random_hermitian
 from sepdyn.propagators import HermitianPropagator, Trajectory, spectral_apply
 
@@ -55,6 +60,21 @@ def test_states_on_grid_is_the_flow_at_each_time(rng, block_rows):
     assert np.max(np.abs(grid - expected)) < 1e-13
 
 
+def test_a_row_does_not_depend_on_the_length_of_the_grid(rng, block_rows):
+    # Grids one, two and three rows past a whole number of blocks: the first
+    # ends in a one-row block.
+    block_rows(32)
+    H = random_hermitian(5, seed=4)
+    step = max(1, propagators.BLOCK_CELLS // 32)
+    psi0 = random_rows(rng, 1, 32)[0]
+    psi0 /= np.linalg.norm(psi0)
+    times = 0.013 * np.arange(step + 3)
+    longest = HermitianPropagator(H).states_on_grid(psi0, times)
+    for rows in (step + 1, step + 2):
+        assert np.array_equal(HermitianPropagator(H).states_on_grid(psi0, times[:rows]),
+                              longest[:rows])
+
+
 def partial_trace(psi, dims, k) -> np.ndarray:
     """Tr over every subsystem but k of |psi><psi|, one subsystem at a time."""
     rho = np.outer(psi, psi.conj()).reshape(dims + dims)
@@ -88,3 +108,30 @@ def test_rate_is_the_spectrum_of_the_projector_difference(rng, block_rows):
         expected = np.abs(np.linalg.eigvalsh(difference)).sum() / ((later - earlier) * dt)
         assert rates[i] == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 3, 3)])
+def test_purity_is_the_trace_of_the_squared_partial_trace(rng, dims):
+    traj = Trajectory(0.1, dims, full=random_rows(rng, 23, prod(dims)))
+    for k in range(len(dims)):
+        expected = [np.trace(rho @ rho).real
+                    for rho in (partial_trace(psi, dims, k) for psi in traj.full)]
+        assert np.allclose(purity_series(reduced_density_series(traj, k)), expected,
+                           rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("dims", [(2,) * 5, (3, 3, 3), (2, 3, 2), (2, 2)],
+                         ids=["2x5", "3x3x3", "2x3x2", "2x2"])
+def test_density_diagnostics_do_not_depend_on_the_block(rng, monkeypatch, dims):
+    width = prod(dims)
+    rows = 2 * (propagators.BLOCK_CELLS // width) + 5
+    traj = Trajectory(0.1, dims, full=random_rows(rng, rows, width))
+
+    def diagnostics():
+        rhos = [reduced_density_series(traj, k) for k in range(len(dims))]
+        return [(rho, purity_series(rho), bloch_series(rho)) for rho in rhos]
+
+    default = diagnostics()
+    for block in (1, 7):
+        monkeypatch.setattr(propagators, "BLOCK_CELLS", block * width)
+        for blocked, expected in zip(diagnostics(), default):
+            assert all(np.array_equal(a, b) for a, b in zip(blocked, expected))

@@ -1,4 +1,5 @@
 import concurrent.futures
+import errno
 import json
 import os
 import re
@@ -573,8 +574,36 @@ class TestConfigPass:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error: cannot write")
         assert f"run0{suffix}" in err
+        assert (tmp_path / "out" / f"run0{suffix}").is_dir()  # what was in the way stays
+        other = {".csv": ".json", ".json": ".csv"}[suffix]
+        assert not (tmp_path / "out" / f"run0{other}").exists()  # both outputs or neither
         assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()
                 if p.name.startswith("run1")} == alone
+
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    def test_a_write_that_fails_part_way_leaves_neither_output(
+            self, tmp_path, capsys, monkeypatch, output):
+        from sepdyn import _csvtext
+
+        failed = []
+
+        def fail_once(write):
+            def fails_the_first_time(*args, **kwargs):
+                if not failed:
+                    failed.append(output)
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return write(*args, **kwargs)
+            return fails_the_first_time
+
+        if output == "csv":  # after the header is written
+            monkeypatch.setattr(_csvtext, "csv_rows", fail_once(_csvtext.csv_rows))
+        else:  # once the file is open
+            monkeypatch.setattr(cli.json, "dump", fail_once(cli.json.dump))
+        self.write_configs(tmp_path / "configs", 2)
+        assert cli.main(["run", "--config", str(tmp_path / "configs")]) == cli.EXIT_CONFIG
+        assert failed == [output]
+        assert "No space left on device" in capsys.readouterr().err
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["run1.csv", "run1.json"]
 
     @pytest.mark.parametrize("jobs, cpus, workers", [
         (1000, 64, 3),   # no more workers than configs
@@ -1331,10 +1360,7 @@ class TestDenseOutputMemory:
 class TestOneBlockConstant:
     """``propagators.BLOCK_CELLS`` sizes every blocked pass and stacked call:
     the exact-flow grid, the diagnostics, the CSV text, and the Newton blocks
-    and momenta of a variational batch. No size of it moves a byte, but for
-    the exact-flow grid's: a matrix product over a block of rows rounds some
-    rows by the block's row count, so that pass runs at the default size here
-    (``tests/test_blocks.py`` holds it to the flow at each time)."""
+    and momenta of a variational batch. No size of it moves a byte."""
 
     OUTPUTS = list(cli.OUTPUT_NAMES)
     LADDER_ROW_CELLS = (2 * 9 + 1) * 9  # one Newton row of 9 stacked amplitudes
@@ -1377,15 +1403,6 @@ class TestOneBlockConstant:
             return newton_rows(recorded, guesses)
 
         monkeypatch.setattr(variational, "_newton_rows", recording)
-        states_on_grid = propagators.HermitianPropagator.states_on_grid
-        default_cells = propagators.BLOCK_CELLS
-
-        def default_grid(self, psi0, times):
-            with monkeypatch.context() as patch:
-                patch.setattr(propagators, "BLOCK_CELLS", default_cells)
-                return states_on_grid(self, psi0, times)
-
-        monkeypatch.setattr(propagators.HermitianPropagator, "states_on_grid", default_grid)
 
         def outputs():
             widths.clear()
