@@ -16,7 +16,7 @@ Every splitting and variational config runs as a row of a batch
 share a batch (several, past ``BATCH_AMPLITUDES`` stored amplitudes) when
 they share the experiment and its Hamiltonian (``seed``/``r_party``), and
 either are all splitting configs, of either scheme and any ``dt``
-(``propagators.evolve_rows``), or are variational configs that also share
+(``propagators.evolve``), or are variational configs that also share
 integrator, ``alpha`` and ``dt`` (``variational.integrate_separable_rows``,
 into one buffer allocated up front). A batch's rows are integrated
 together, each with its own initial state and step count, on the turn of
@@ -71,15 +71,14 @@ from .hamiltonians import (
     swap_hamiltonian,
 )
 from .propagators import (
-    HermitianPropagator,
     NonFiniteStateError,
     SplittingScheme,
     Trajectory,
-    evolve_rows,
+    evolve,
     row_blocks,
     se_evolve,
 )
-from .states import ComponentState, Ket, SolverFailure, tensor_product
+from .states import ComponentState, FullState, Ket, SolverFailure, tensor_product
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -324,12 +323,12 @@ def _is_splitting(config: ExperimentConfig) -> bool:
 def _splitting_rows(configs: list[ExperimentConfig], H: HermitianOperator) -> list:
     """Splitting configs of one ``_batch_key``, integrated as one batch of rows.
 
-    Returns each config's outcome from ``propagators.evolve_rows``.
+    Returns each config's outcome from ``propagators.evolve``.
     """
-    return evolve_rows(H, [SplittingScheme(config.integrator) for config in configs],
-                       [config.initial_components for config in configs],
-                       [config.dt for config in configs],
-                       [config.steps() for config in configs])
+    return evolve(H, [SplittingScheme(config.integrator) for config in configs],
+                  [config.initial_components for config in configs],
+                  [config.dt for config in configs],
+                  [config.steps() for config in configs])
 
 
 def _batch_key(config: ExperimentConfig | ConfigError) -> tuple | None:
@@ -410,8 +409,8 @@ def _diagnostic_columns(config: ExperimentConfig, result: RunResult,
         elif name == "abs_overlap":
             reference = traj  # an se_exact run is the exact flow itself
             if config.integrator != "se_exact":
-                reference = Trajectory(traj.dt, traj.dims, full=HermitianPropagator(H)
-                                       .states_on_grid(traj.full[0], traj.times))
+                reference = se_evolve(H, FullState(traj.full[0], traj.dims), traj.dt,
+                                      traj.times.size - 1)
             columns["abs_overlap"] = np.abs(analysis.overlap_series(reference, traj))
         elif name == "rate_nucl":
             columns["rate_nucl"] = analysis.rate_of_change_nuclear(traj)
@@ -495,7 +494,9 @@ def _conservation_summary(config: ExperimentConfig, result: RunResult,
                           columns: dict[str, np.ndarray]) -> dict:
     """The run JSON's summary: drifts, extremes of the diagnostic ``columns``, gauge.
 
-    With ``abs_overlap``: its minimum and the first time it is reached. With
+    With ``abs_overlap``: its minimum and the first time it is reached; an
+    ``se_exact`` run is its own reference, so its column is 1 to rounding,
+    and the time of that rounding minimum is left out. With
     ``purity``: the largest linear entropy 1 - tr rho^2 over subsystems and rows.
     """
     traj = result.trajectory
@@ -507,7 +508,8 @@ def _conservation_summary(config: ExperimentConfig, result: RunResult,
     if "abs_overlap" in columns:
         lowest = int(np.argmin(columns["abs_overlap"]))
         summary["min_abs_overlap"] = float(columns["abs_overlap"][lowest])
-        summary["min_abs_overlap_time"] = float(traj.times[lowest])
+        if config.integrator != "se_exact":
+            summary["min_abs_overlap_time"] = float(traj.times[lowest])
     if "purity" in config.outputs:
         lowest_purity = min(columns[f"purity{j + 1}"].min() for j in range(len(traj.dims)))
         summary["max_linear_entropy"] = float(1.0 - lowest_purity)

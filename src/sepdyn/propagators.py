@@ -10,8 +10,8 @@ order) or palindromically (second order).
 
 One loop, ``_run_rows``, does every splitting step, for a stack of one or
 more rows on one H, each with its own scheme, state, dt and step count.
-``evolve_rows`` runs whole trajectories through it, ``evolve`` is
-``evolve_rows`` of one row, and the step maps are one step of one row.
+``evolve`` runs whole trajectories through it, a run alone being a batch
+of one row, and the step maps are one step of one row.
 The rows share one order of sub-steps, Strang's (``0..n-1..0``, or
 ``1, 0, 1`` for n = 2) if any row is Strang, else Lie–Trotter's. Each
 row's own sequence sits in that order as a subsequence, with its time
@@ -39,12 +39,12 @@ conserved by the restricted flow. ``abs_overlap``, purity, Bloch vectors
 and ``rate_nucl`` read only |overlaps| and densities and do not see it;
 the amplitude columns of splitting and variational CSVs differ by it.
 
-``evolve_rows`` checks the operator, the initial states, every context
+``evolve`` checks the operator, the initial states, every context
 norm and the step sizes once, and the step maps check their stacked
 components, times and contexts; sub-steps are unitary per component, so
 no context norm falls later. The reduction, of order ‖H‖ norm², can
 overflow, and a non-finite reduced matrix decomposes to NaN without
-raising; ``evolve_rows`` tests the rows each ``FINITE_CHECK_STEPS`` steps,
+raising; ``evolve`` tests the rows each ``FINITE_CHECK_STEPS`` steps,
 and a non-finite row ends alone.
 """
 
@@ -62,11 +62,10 @@ from numpy.linalg import _umath_linalg
 from .hamiltonians import HermitianOperator, check_dims
 from .reduced import check_contexts, contract_reduced
 from .states import (
-    ComponentState,
     FullState,
     SolverFailure,
+    kron,
     split_components,
-    tensor_product_rows,
 )
 
 
@@ -149,7 +148,7 @@ class Trajectory:
         """A component run: its rows and their tensor products."""
         full = np.empty((len(components), prod(dims)), dtype=complex)
         for rows in row_blocks(*full.shape):
-            full[rows] = tensor_product_rows(components[rows], dims)
+            full[rows] = kron(split_components(components[rows], dims))
         return cls(dt, dims, full=full, components=components)
 
     @cached_property
@@ -187,10 +186,13 @@ class HermitianPropagator:
         is a unitary image of psi0. Row i is (exp(-i t_i E) * c) @ V^T with
         c = V^H psi0, block by block. A one-row product would take numpy's
         vector-matrix path, which rounds unlike the matrix product, so a block
-        of one row is formed with the row before it: on two or more times, a
-        row's bits do not depend on the length of the grid.
+        of one row is formed with the row before it, and a grid of one time
+        as two rows of that time: a row's bits do not depend on the length
+        of the grid.
         """
         times = np.asarray(times, dtype=float)
+        count = times.size
+        times = np.resize(times, max(2, count))
         # Every |t * E| is at most this product, and rounding is monotonic.
         if not math.isfinite(float(np.max(np.abs(times))) * float(np.max(np.abs(self.evals)))):
             raise NonFiniteStateError(
@@ -207,7 +209,7 @@ class HermitianPropagator:
             np.exp(block, out=block)
             np.multiply(block, coeffs, out=block)
             np.matmul(block, self.evecs.T, out=grid[rows])
-        return grid
+        return grid[:count]
 
 
 def hermitian_expm_apply(H: HermitianOperator, t: float, vec: np.ndarray) -> np.ndarray:
@@ -353,18 +355,19 @@ def strang_step(H: HermitianOperator, x: np.ndarray, dt: float) -> np.ndarray:
     return _step(H, x, _strang_sequence(len(H.dims), dt))
 
 
-def evolve_rows(H: HermitianOperator, schemes, states, dts, steps) -> list:
+def evolve(H: HermitianOperator, schemes, states, dts, steps) -> list:
     """Splitting runs of the rows (scheme, state, dt, steps), advanced as one batch.
 
     Returns per row its stacked components, a (steps + 1, sum(dims)) array
-    whose row i is the state at time i * dt, or the
-    ``NonFiniteStateError`` that ended it; the components of each row are
-    bit for bit those of the row run alone. Every row is checked before any
-    step. The rows share the sub-step order of ``_shared_order``, each
-    holding at the positions its own sequence skips. Every
-    ``FINITE_CHECK_STEPS`` steps, and when a row ends, the rows are tested;
-    a row ends at its last step or at its first non-finite one, and leaves
-    the batch, down to the last row.
+    whose row i is the state at time i * dt, or the ``NonFiniteStateError``
+    that ended it, naming the first non-finite step;
+    ``Trajectory.from_components`` forms a row's trajectory. The components
+    of each row are bit for bit those of the row run alone, a batch of one.
+    Every row is checked before any step. The rows share the sub-step order
+    of ``_shared_order``, each holding at the positions its own sequence
+    skips. Every ``FINITE_CHECK_STEPS`` steps, and when a row ends, the rows
+    are tested; a row ends at its last step or at its first non-finite one,
+    and leaves the batch, down to the last row.
     """
     for state, dt, count in zip(states, dts, steps, strict=True):
         check_grid(dt, count)
@@ -400,23 +403,6 @@ def evolve_rows(H: HermitianOperator, schemes, states, dts, steps) -> list:
                 parts = [p[going] for p in parts]
             start = stop
     return outs
-
-
-def evolve(scheme: SplittingScheme, H: HermitianOperator, state0: ComponentState,
-           dt: float, steps: int) -> Trajectory:
-    """Run a splitting scheme for ``steps`` steps and record the trajectory.
-
-    ``evolve_rows`` of one row: the operator, the state and its context
-    norms, ``dt`` and ``steps`` are checked there, once, and the row runs
-    through ``_run_rows``. Stores the stacked components and their
-    tensor-product reconstructions. An overflow ends the run within
-    ``FINITE_CHECK_STEPS`` steps, as ``NonFiniteStateError`` naming the
-    first non-finite step.
-    """
-    (outcome,) = evolve_rows(H, [scheme], [state0], [dt], [steps])
-    if isinstance(outcome, NonFiniteStateError):
-        raise outcome
-    return Trajectory.from_components(dt, outcome, state0.dims)
 
 
 def se_evolve(H: HermitianOperator, psi0: FullState, dt: float, steps: int) -> Trajectory:

@@ -20,7 +20,7 @@ neither scaled nor symmetrized there. ``partially_reduced`` divides by
 give the same Hermitian operator as normalized ones.
 
 Context norms are checked once, at the boundary, by ``check_contexts``:
-``partially_reduced`` checks its state, and ``propagators.evolve_rows`` and
+``partially_reduced`` checks its state, and ``propagators.evolve`` and
 the step maps theirs; splitting sub-steps are unitary per component, so no
 norm falls later. The kernel is arithmetic only and checks nothing.
 """

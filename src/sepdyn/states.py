@@ -100,16 +100,12 @@ def kron(factors) -> np.ndarray:
 
     One broadcast multiply per factor, which is the same complex product
     ``np.kron`` forms for each entry, so the result matches chained
-    ``np.kron`` bit for bit, without its per-call Python overhead. Two 1-D
-    operands take a shorter path to the same products.
+    ``np.kron`` bit for bit, without its per-call Python overhead.
     """
     out = factors[0]
     for factor in factors[1:]:
-        if out.ndim == factor.ndim == 1:
-            out = (out[:, None] * factor).ravel()
-        else:
-            out = out[..., :, None] * factor[..., None, :]
-            out = out.reshape(out.shape[:-2] + (-1,))
+        out = out[..., :, None] * factor[..., None, :]
+        out = out.reshape(out.shape[:-2] + (-1,))
     return out
 
 
@@ -131,11 +127,6 @@ def split_components(x: np.ndarray, dims) -> list[np.ndarray]:
         parts.append(x[..., offset : offset + d])
         offset += d
     return parts
-
-
-def tensor_product_rows(components: np.ndarray, dims) -> np.ndarray:
-    """Row-wise ``tensor_product`` of stacked components, (T, sum(dims)) -> (T, prod(dims))."""
-    return kron(split_components(components, dims))
 
 
 def inner(x, y) -> complex:

@@ -5,6 +5,8 @@ into a discrete one. The start and every step of its two-term recursion are
 one discrete Euler–Lagrange equation, D1 L_d(x_n, x_{n+1}) + p_n = 0, with
 p_n = D2 L_d(x_{n-1}, x_n) and p_0 the continuous momentum (well defined
 here because the Lagrangian is degenerate: p depends on positions only).
+``initial_step`` and ``del_step`` solve it for a stack of rows; a run calls
+them once a step on the rows still running.
 Restricting to product states can happen before discretization, by pulling
 the Lagrangian back to the component variables, or after, by substituting
 product states into the discrete action. The two orderings produce
@@ -380,23 +382,30 @@ def _step_rows(Ld, curr: np.ndarray, momentum: np.ndarray, guess: np.ndarray) ->
     return _newton_rows(residual, guess)
 
 
-def initial_step(Ld: DiscreteLagrangian, psi0: np.ndarray):
-    """First grid point from momentum matching at the initial time.
+def initial_step(Ld: DiscreteLagrangian, x0: np.ndarray) -> list:
+    """First grid point of each row of the (B, n) stack x0, by momentum matching.
 
-    Returns (psi_1, newton_iterations).
+    Solves D1 L_d(x0, x1) + p_0 = 0 with p_0 the continuous momentum at x0,
+    formed in ``row_blocks``, and Newton started at x0. Returns one
+    ``_newton_rows`` outcome per row: (x1, iterations, residual norm) or a
+    ``NewtonConvergenceError``.
     """
-    x0 = np.asarray(psi0, dtype=complex)[None]
-    return _solved(_step_rows(Ld, x0, velocity_momentum(Ld.base, x0), x0)[0])[:2]
+    p0 = np.concatenate([velocity_momentum(Ld.base, x0[block])
+                         for block in row_blocks(*x0.shape)])
+    return _step_rows(Ld, x0, p0, x0)
 
 
-def del_step(Ld: DiscreteLagrangian, psi_prev: np.ndarray, psi_curr: np.ndarray):
-    """Advance the two-term discrete stationarity recursion by one point.
+def del_step(Ld, prev: np.ndarray, curr: np.ndarray) -> list:
+    """Advance the two-term discrete stationarity recursion of each row by one point.
 
-    Newton starts from the linear predictor 2 psi_curr - psi_prev, the
-    point a constant velocity would reach. Returns (psi_next, newton_iterations).
+    Solves D1 L_d(curr, y) + p_n = 0 with p_n = D2 L_d(prev, curr), formed
+    in ``row_blocks``, for (B, n) stacks prev and curr. Newton starts from
+    the linear predictor 2 curr - prev, the point a constant velocity would
+    reach. Returns one ``_newton_rows`` outcome per row, as ``initial_step``.
     """
-    prev, curr = (np.asarray(psi, dtype=complex)[None] for psi in (psi_prev, psi_curr))
-    return _solved(_step_rows(Ld, curr, Ld.d3(prev, curr), 2.0 * curr - prev)[0])[:2]
+    pn = np.concatenate([Ld.d3(prev[block], curr[block])
+                         for block in row_blocks(*curr.shape)])
+    return _step_rows(Ld, curr, pn, 2.0 * curr - prev)
 
 
 @dataclass(frozen=True)
@@ -432,15 +441,16 @@ class DiscreteTrajectory:
 @np.errstate(over="ignore", invalid="ignore")
 def _run_rows(start_Ld: DiscreteLagrangian, Ld, x0: np.ndarray, steps,
               blowup_factor: float | None) -> list:
-    """The one run loop: each step is one ``_step_rows`` solve of the rows still running.
+    """The one run loop: each step is one row solve of the rows still running.
 
     Step 1 is ``initial_step`` on ``start_Ld``, every later one ``del_step``
-    on ``Ld``. Advances the rows of x0 in lockstep, row b for ``steps[b]``
-    steps. A row whose start fails ends with its ``NewtonConvergenceError``.
-    With ``blowup_factor``, a failed del_step, or an amplitude above that
-    factor times the row's initial largest one, ends the row with a
-    ``BlowupError``; without it, a failed del_step ends the row with its
-    error. Returns one ``DiscreteTrajectory`` or error per row.
+    on ``Ld``, each on the stack of the running rows. Advances the rows of
+    x0 in lockstep, row b for ``steps[b]`` steps. A row whose start fails
+    ends with its ``NewtonConvergenceError``. With ``blowup_factor``, a
+    failed del_step, or an amplitude above that factor times the row's
+    initial largest one, ends the row with a ``BlowupError``; without it, a
+    failed del_step ends the row with its error. Returns one
+    ``DiscreteTrajectory`` or error per row.
 
     The points live in one complex buffer of shape (Σ_b (steps[b] + 1), n),
     allocated up front: row b's point i at starts[b] + i, and the Newton
@@ -449,9 +459,9 @@ def _run_rows(start_Ld: DiscreteLagrangian, Ld, x0: np.ndarray, steps,
     one fancy index and writes their solved points in place; a trajectory is
     a slice of the three. So a batch stores (steps + 1) * n amplitudes a row,
     and 16 bytes a point besides; ``cli._batch_amplitudes`` counts these. The
-    solves and the momenta p_n work on the ``row_blocks`` of whole rows, at
-    most ``BLOCK_CELLS`` stacked amplitudes a call, so beside the buffers a
-    batch holds one block's product states and a few points a row.
+    solves and the momenta p_0 and p_n work on the ``row_blocks`` of whole
+    rows, at most ``BLOCK_CELLS`` stacked amplitudes a call, so beside the
+    buffers a batch holds one block's product states and a few points a row.
     """
     for count in steps:
         check_grid(start_Ld.dt, count)
@@ -495,16 +505,12 @@ def _run_rows(start_Ld: DiscreteLagrangian, Ld, x0: np.ndarray, steps,
                 outcomes[b] = make_traj(b, step)
         return running
 
-    p0 = np.concatenate([velocity_momentum(start_Ld.base, x0[block])
-                         for block in row_blocks(*x0.shape)])
-    rows = advance(range(len(x0)), _step_rows(start_Ld, x0, p0, x0), 1)
+    rows = advance(range(len(x0)), initial_step(start_Ld, x0), 1)
     step = 1
     while rows:
         step += 1
         prev, curr = points[starts[rows] + [[step - 2], [step - 1]]]
-        pn = np.concatenate([Ld.d3(prev[block], curr[block])
-                             for block in row_blocks(*curr.shape)])
-        rows = advance(rows, _step_rows(Ld, curr, pn, 2.0 * curr - prev), step)
+        rows = advance(rows, del_step(Ld, prev, curr), step)
     return outcomes
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 from sepdyn.hamiltonians import HermitianOperator
+from sepdyn.propagators import Trajectory, evolve
 from sepdyn.states import ComponentState, Ket
 
 # CI runs HYPOTHESIS_PROFILE=ci: the same examples on every run, and a failure
@@ -52,6 +53,14 @@ def local_sum_hamiltonian(locals_: list[HermitianOperator]) -> HermitianOperator
             term = np.kron(term, factor)
         total += term
     return HermitianOperator(total, dims)
+
+
+def splitting_run(scheme, H, state, dt, steps) -> Trajectory:
+    """``evolve`` on a batch of one row, as a Trajectory; raises the error the row ended with."""
+    (outcome,) = evolve(H, [scheme], [state], [dt], [steps])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return Trajectory.from_components(dt, outcome, state.dims)
 
 
 @pytest.fixture

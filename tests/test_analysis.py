@@ -18,16 +18,16 @@ from sepdyn.analysis import (
 )
 from sepdyn.exact_swap import SwapInitialData, exact_se_swap, exact_sse_swap
 from sepdyn.hamiltonians import random_hermitian, swap_hamiltonian
-from sepdyn.propagators import SplittingScheme, Trajectory, evolve, se_evolve
+from sepdyn.propagators import SplittingScheme, Trajectory, se_evolve
 from sepdyn.states import ComponentState, tensor_product
 
-from conftest import local_sum_hamiltonian, nuclear_norm, random_ket
+from conftest import local_sum_hamiltonian, nuclear_norm, random_ket, splitting_run
 from test_reduced import random_local
 
 
 def swap_trajectories(fig1_state, dt=0.01, steps=100):
     H = swap_hamiltonian(2)
-    sse = evolve(SplittingScheme.LIE_TROTTER, H, fig1_state, dt, steps)
+    sse = splitting_run(SplittingScheme.LIE_TROTTER, H, fig1_state, dt, steps)
     se = se_evolve(H, tensor_product(fig1_state), dt, steps)
     return se, sse
 
@@ -86,7 +86,7 @@ class TestOverlapSeries:
     def test_decoupled_hamiltonian_keeps_unit_modulus(self, rng):
         H = local_sum_hamiltonian([random_local(rng), random_local(rng)])
         state = ComponentState((random_ket(rng), random_ket(rng)))
-        sse = evolve(SplittingScheme.LIE_TROTTER, H, state, 0.05, 80)
+        sse = splitting_run(SplittingScheme.LIE_TROTTER, H, state, 0.05, 80)
         se = se_evolve(H, tensor_product(state), 0.05, 80)
         overlap = overlap_series(se, sse)
         # Equal up to a running global phase, so the modulus pins to one.
@@ -95,7 +95,7 @@ class TestOverlapSeries:
     def test_cauchy_schwarz_bound(self, rng):
         H = random_hermitian(2, seed=20)
         state = ComponentState((random_ket(rng), random_ket(rng)))
-        sse = evolve(SplittingScheme.STRANG, H, state, 0.02, 200)
+        sse = splitting_run(SplittingScheme.STRANG, H, state, 0.02, 200)
         se = se_evolve(H, tensor_product(state), 0.02, 200)
         assert np.max(np.abs(overlap_series(se, sse))) <= 1 + 1e-10
 
@@ -294,8 +294,8 @@ class TestConvergenceOrder:
         dts = [0.1, 0.05, 0.02]
         errors = []
         for dt in dts:
-            traj = evolve(SplittingScheme.LIE_TROTTER, H, fig1_state, dt,
-                          int(round(1.0 / dt)))
+            traj = splitting_run(SplittingScheme.LIE_TROTTER, H, fig1_state, dt,
+                                 int(round(1.0 / dt)))
             vec = traj.components[-1]
             errors.append(np.linalg.norm(vec - exact_vec))
         assert convergence_order(dts, errors) == pytest.approx(1.0, abs=0.1)

@@ -5,10 +5,10 @@ from sepdyn import bea
 from sepdyn.analysis import convergence_order
 from sepdyn.exact_swap import SwapInitialData, exact_sse_swap
 from sepdyn.hamiltonians import swap_hamiltonian
-from sepdyn.propagators import SplittingScheme, evolve
+from sepdyn.propagators import SplittingScheme
 from sepdyn.states import ComponentState
 
-from conftest import random_ket
+from conftest import random_ket, splitting_run
 
 LIE_TROTTER = SplittingScheme.LIE_TROTTER
 STRANG = SplittingScheme.STRANG
@@ -100,7 +100,7 @@ class TestTruncationOrder:
             errors = []
             for dt in self.DTS:
                 steps = int(round(1.0 / dt))
-                traj = evolve(scheme, H, ComponentState((a, b)), dt, steps)
+                traj = splitting_run(scheme, H, ComponentState((a, b)), dt, steps)
                 sol = bea.rk_integrate(bea.ModifiedRHS(scheme, order, dt),
                                        np.concatenate([a.amplitudes, b.amplitudes]),
                                        dt, steps)

@@ -75,6 +75,20 @@ def test_a_row_does_not_depend_on_the_length_of_the_grid(rng, block_rows):
                               longest[:rows])
 
 
+@pytest.mark.parametrize("t", [0.0, 0.7])
+def test_grids_of_one_two_and_three_times_agree_bit_for_bit(rng, t):
+    # random5 seed 3: on one time, a one-row product would round row 0
+    # differently from the grids of two and three times.
+    H = random_hermitian(5, seed=3)
+    psi0 = random_rows(rng, 1, 32)[0]
+    psi0 /= np.linalg.norm(psi0)
+    times = np.array([t, t, t + 0.3])
+    grids = [HermitianPropagator(H).states_on_grid(psi0, times[:rows]) for rows in (1, 2, 3)]
+    for grid, rows in zip(grids, (1, 2, 3)):
+        assert grid.shape == (rows, 32)
+        assert np.array_equal(grid, grids[-1][:rows])
+
+
 def partial_trace(psi, dims, k) -> np.ndarray:
     """Tr over every subsystem but k of |psi><psi|, one subsystem at a time."""
     rho = np.outer(psi, psi.conj()).reshape(dims + dims)

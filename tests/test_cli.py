@@ -1073,14 +1073,14 @@ class TestSplittingBatches:
 
     def test_each_config_writes_what_it_writes_alone(self, tmp_path, capsys, monkeypatch):
         configs = self.write_configs(tmp_path)
-        rows = cli.evolve_rows
+        rows = cli.evolve
         batch_sizes = []
 
         def recording_rows(H, schemes, states, dts, steps):
             batch_sizes.append(len(states))
             return rows(H, schemes, states, dts, steps)
 
-        monkeypatch.setattr(cli, "evolve_rows", recording_rows)
+        monkeypatch.setattr(cli, "evolve", recording_rows)
         codes = []
         run_file = cli._run_file
 
@@ -1418,7 +1418,9 @@ class TestOneBlockConstant:
 
 
 class TestAnswerRecord:
-    """The summary records the smallest overlap and the largest linear entropy."""
+    """The summary records the smallest overlap and the largest linear entropy,
+    and the time of the smallest overlap for every integrator but ``se_exact``,
+    whose overlap with itself is 1 up to rounding."""
 
     KEYS = {"min_abs_overlap", "min_abs_overlap_time", "max_linear_entropy"}
 
@@ -1439,6 +1441,7 @@ class TestAnswerRecord:
         expected = np.sin(2 * columns["t"]) ** 2 / 2
         assert np.max(np.abs(1 - columns["purity1"] - expected)) < 1e-12
         assert abs(summary["min_abs_overlap"] - 1) < 1e-12
+        assert "min_abs_overlap_time" not in summary
 
     def test_restricted_run_stays_a_product_state(self, tmp_path, capsys):
         summary, columns = self.run_summary(

@@ -20,7 +20,6 @@ from sepdyn.propagators import (
     SplittingScheme,
     Trajectory,
     evolve,
-    evolve_rows,
     hermitian_expm_apply,
     lie_trotter_step,
     se_evolve,
@@ -38,7 +37,7 @@ from sepdyn.states import (
     tensor_product,
 )
 
-from conftest import local_sum_hamiltonian, random_ket
+from conftest import local_sum_hamiltonian, random_ket, splitting_run
 from test_reduced import random_hermitian_matrix, random_local
 
 SIGMA_Z = HermitianOperator(np.diag([1.0, -1.0]), (2,))
@@ -228,7 +227,7 @@ class TestLieTrotterStep:
         H = local_sum_hamiltonian([h1, h2])
         state = ComponentState((random_ket(rng), random_ket(rng)))
         dt, steps = 0.25, 40
-        traj = evolve(SplittingScheme.LIE_TROTTER, H, state, dt, steps)
+        traj = splitting_run(SplittingScheme.LIE_TROTTER, H, state, dt, steps)
         # Phases differ by the partner expectation shift; projectors match.
         for j, local in enumerate((h1, h2)):
             flow = HermitianOperator(local.entries, (2,))
@@ -288,7 +287,7 @@ class TestEvolve:
         H = swap_hamiltonian(2)
         data = SwapInitialData(fig1_state.parts[0], fig1_state.parts[1])
         dt, steps = 0.001, 2000
-        traj = evolve(SplittingScheme.LIE_TROTTER, H, fig1_state, dt, steps)
+        traj = splitting_run(SplittingScheme.LIE_TROTTER, H, fig1_state, dt, steps)
         worst = 0.0
         for i in (0, 500, 1000, 2000):
             exact = exact_sse_swap(data, traj.times[i])
@@ -298,13 +297,13 @@ class TestEvolve:
 
     def test_rejects_zero_steps(self, fig1_state):
         with pytest.raises(ValueError):
-            evolve(SplittingScheme.LIE_TROTTER, swap_hamiltonian(2), fig1_state,
-                   0.1, 0)
+            splitting_run(SplittingScheme.LIE_TROTTER, swap_hamiltonian(2), fig1_state,
+                          0.1, 0)
 
     def test_zero_hamiltonian_constant(self, rng):
         H = HermitianOperator(np.zeros((4, 4)), (2, 2))
         state = ComponentState((random_ket(rng), random_ket(rng)))
-        traj = evolve(SplittingScheme.STRANG, H, state, 0.5, 8)
+        traj = splitting_run(SplittingScheme.STRANG, H, state, 0.5, 8)
         for recorded in traj.components:
             assert np.allclose(recorded, stacked(state))
 
@@ -312,7 +311,7 @@ class TestEvolve:
         H = swap_hamiltonian(2)
         a, b = random_ket(rng), random_ket(rng)
         state = ComponentState((a, b))
-        traj = evolve(SplittingScheme.LIE_TROTTER, H, state, 0.01, 400)
+        traj = splitting_run(SplittingScheme.LIE_TROTTER, H, state, 0.01, 400)
         q0 = inner(a, b)
         for recorded in traj.components[::50]:
             assert abs(np.linalg.norm(recorded[:2]) - 1) < 1e-12
@@ -331,7 +330,7 @@ class TestEvolve:
         dts = [0.1, 0.02, 0.005]
         errors = []
         for dt in dts:
-            traj = evolve(scheme, H, fig1_state, dt, int(round(1.0 / dt)))
+            traj = splitting_run(scheme, H, fig1_state, dt, int(round(1.0 / dt)))
             errors.append(np.linalg.norm(traj.components[-1] - exact))
         slope = np.polyfit(np.log(dts), np.log(errors), 1)[0]
         assert abs(slope - order) < 0.1
@@ -340,7 +339,7 @@ class TestEvolve:
         h1, h2 = random_local(rng), random_local(rng)
         H = local_sum_hamiltonian([h1, h2])
         state = ComponentState((random_ket(rng), random_ket(rng)))
-        traj = evolve(SplittingScheme.STRANG, H, state, 0.3, 20)
+        traj = splitting_run(SplittingScheme.STRANG, H, state, 0.3, 20)
         for j, local in enumerate((h1, h2)):
             exact = hermitian_expm_apply(local, 0.3 * 20, state.parts[j].amplitudes)
             num = traj.components[-1, 2 * j : 2 * j + 2]
@@ -466,7 +465,7 @@ class TestArrayCore:
         H = SYSTEMS[system]()
         state = ComponentState(tuple(random_ket(rng, d) for d in H.dims))
         dt, steps = 0.05, 40
-        traj = evolve(scheme, H, state, dt, steps)
+        traj = splitting_run(scheme, H, state, dt, steps)
         reference = object_path_rows(scheme, H, state, dt, steps)
         assert np.max(np.abs(traj.components - reference)) < 1e-12
 
@@ -478,7 +477,7 @@ class TestArrayCore:
         H = SYSTEMS[system]()
         state = ComponentState(tuple(random_ket(rng, d) for d in H.dims))
         dt, steps = 0.05, 30
-        rows = evolve(scheme, H, state, dt, steps).components
+        rows = splitting_run(scheme, H, state, dt, steps).components
         x = stacked(state)
         assert rows[0].tobytes() == x.tobytes()
         for i in range(1, steps + 1):
@@ -555,7 +554,7 @@ class TestArrayCore:
         so the run ends at its next finiteness test, naming step j."""
         calls = record_reductions(monkeypatch, run_reductions(scheme, 2, j - 1) + 1)
         with pytest.raises(NonFiniteStateError, match=f"splitting step {j} "):
-            evolve(scheme, swap_hamiltonian(2), fig1_state, 0.01, 600)
+            splitting_run(scheme, swap_hamiltonian(2), fig1_state, 0.01, 600)
         block = propagators.FINITE_CHECK_STEPS
         assert len(calls) == run_reductions(scheme, 2, -(-j // block) * block)
 
@@ -565,7 +564,7 @@ class TestArrayCore:
         H = random_hermitian_on(rng, (2, 3))
         state = ComponentState((random_ket(rng, 3), random_ket(rng, 2)))
         with pytest.raises(ValueError, match="do not match"):
-            evolve(scheme, H, state, 0.1, 5)
+            splitting_run(scheme, H, state, 0.1, 5)
         assert calls == []
 
     @pytest.mark.parametrize("scheme", list(SplittingScheme))
@@ -574,7 +573,7 @@ class TestArrayCore:
         H = random_hermitian(2, seed=4)
         state = ComponentState((random_ket(rng), Ket(np.zeros(2, dtype=complex))))
         with pytest.raises(DegenerateStateError, match="context state 1"):
-            evolve(scheme, H, state, 0.1, 5)
+            splitting_run(scheme, H, state, 0.1, 5)
         assert calls == []
 
     @pytest.mark.filterwarnings("error")  # the overflow raises no numpy warning
@@ -593,7 +592,7 @@ class TestArrayCore:
         state = ComponentState(tuple(Ket(np.array(v, dtype=complex)) for v in big))
         steps = count_steps(monkeypatch)
         with pytest.raises(NonFiniteStateError, match="splitting step 1 "):
-            evolve(scheme, H, state, 0.1, 3)
+            splitting_run(scheme, H, state, 0.1, 3)
         assert steps == [3]
 
     @pytest.mark.filterwarnings("error")
@@ -605,7 +604,7 @@ class TestArrayCore:
         state = ComponentState(tuple(Ket(np.array(v, dtype=complex)) for v in big))
         steps = count_steps(monkeypatch)
         with pytest.raises(NonFiniteStateError, match="splitting step 1 "):
-            evolve(scheme, random_hermitian(5, seed=3), state, 0.001, 2000)
+            splitting_run(scheme, random_hermitian(5, seed=3), state, 0.001, 2000)
         assert steps == [propagators.FINITE_CHECK_STEPS] == [256]
 
     @pytest.mark.parametrize("steps", [255, 256, 257, 600])
@@ -616,7 +615,7 @@ class TestArrayCore:
         record_reductions(monkeypatch, run_reductions(scheme, 2, steps - 2) + 1)
         counted = count_steps(monkeypatch)
         with pytest.raises(NonFiniteStateError, match=f"splitting step {steps - 1} "):
-            evolve(scheme, swap_hamiltonian(2), fig1_state, 0.01, steps)
+            splitting_run(scheme, swap_hamiltonian(2), fig1_state, 0.01, steps)
         block = propagators.FINITE_CHECK_STEPS
         assert sum(counted) == min(steps, -(-(steps - 1) // block) * block)
 
@@ -641,8 +640,8 @@ class TestArrayCore:
         H = correlator_hamiltonian(2)
         unit = ComponentState(tuple(random_ket(rng, 3) for _ in range(3)))
         small = ComponentState(tuple(Ket(1e-10 * p.amplitudes) for p in unit.parts))
-        reference = evolve(scheme, H, unit, 0.1, 10).components
-        scaled = evolve(scheme, H, small, 0.1, 10).components
+        reference = splitting_run(scheme, H, unit, 0.1, 10).components
+        scaled = splitting_run(scheme, H, small, 0.1, 10).components
         assert np.max(np.abs(1e10 * scaled - reference)) < 1e-12
 
     @pytest.mark.parametrize("step, per_step", [(lie_trotter_step, lambda n: n),
@@ -667,7 +666,7 @@ class TestArrayCore:
         calls = record_reductions(monkeypatch)
         H = SYSTEMS[system]()
         state = ComponentState(tuple(random_ket(rng, d) for d in H.dims))
-        evolve(scheme, H, state, 0.05, steps)
+        splitting_run(scheme, H, state, 0.05, steps)
         n = len(H.dims)
         block = propagators.FINITE_CHECK_STEPS
         per_step = n if scheme is SplittingScheme.LIE_TROTTER else 2 * n - 2
@@ -707,7 +706,7 @@ class TestArrayCore:
         built = {}
         for steps in (10, 50):
             counts.clear()
-            evolve(SplittingScheme.STRANG, H, state, 0.01, steps)
+            splitting_run(SplittingScheme.STRANG, H, state, 0.01, steps)
             built[steps] = dict(counts)
         assert built[10] == built[50]
 
@@ -727,12 +726,12 @@ def random_states(rng, dims, count) -> list[ComponentState]:
 
 def run_batch(H, rows, states) -> list:
     schemes, dts, steps = zip(*rows)
-    return evolve_rows(H, schemes, states, dts, steps)
+    return evolve(H, schemes, states, dts, steps)
 
 
 def assert_rows_equal_evolve(H, rows, states, outcomes):
     for (scheme, dt, steps), state, components in zip(rows, states, outcomes):
-        alone = evolve(scheme, H, state, dt, steps)
+        alone = splitting_run(scheme, H, state, dt, steps)
         assert components.shape == alone.components.shape
         assert components.tobytes() == alone.components.tobytes()
 
@@ -770,7 +769,7 @@ def record_decompositions(monkeypatch, poison=None) -> list:
 
 
 class TestEvolveRows:
-    """``evolve_rows`` runs rows of both schemes on one H as one batch, each
+    """``evolve`` runs rows of both schemes on one H as one batch, each
     row bit for bit its ``evolve`` run alone."""
 
     @pytest.mark.parametrize("system", list(ROW_SYSTEMS))
@@ -809,7 +808,7 @@ class TestEvolveRows:
         states = random_states(rng, H.dims, len(MIXED_ROWS))
         outcomes = run_batch(H, MIXED_ROWS, states)
         monkeypatch.undo()
-        moved = [components.tobytes() != evolve(scheme, H, state, dt, steps)
+        moved = [components.tobytes() != splitting_run(scheme, H, state, dt, steps)
                  .components.tobytes()
                  for (scheme, dt, steps), state, components in zip(MIXED_ROWS, states, outcomes)]
         assert moved == [scheme is LT for scheme, _, _ in MIXED_ROWS]
@@ -882,9 +881,9 @@ class TestEvolveRows:
         with pytest.raises(ValueError, match="steps must be at least 1"):
             run_batch(H, [(LT, 0.1, 5), (STRANG, 0.1, 0)], states[:1] * 2)
         with pytest.raises(ValueError):
-            evolve_rows(H, [LT, STRANG], states[:1], [0.1, 0.1], [5, 5])
+            evolve(H, [LT, STRANG], states[:1], [0.1, 0.1], [5, 5])
         assert calls == []
-        assert evolve_rows(H, [], [], [], []) == []
+        assert evolve(H, [], [], [], []) == []
 
 
 class TestSeEvolve:
@@ -938,7 +937,7 @@ class TestTrajectoryValidation:
 
     def test_runs_keep_the_grid_they_were_given(self, fig1_state):
         H = swap_hamiltonian(2)
-        for traj in (evolve(SplittingScheme.STRANG, H, fig1_state, 0.1, 7),
+        for traj in (splitting_run(SplittingScheme.STRANG, H, fig1_state, 0.1, 7),
                      se_evolve(H, tensor_product(fig1_state), 0.1, 7)):
             assert traj.dt == 0.1
             assert np.array_equal(traj.times, 0.1 * np.arange(8))

@@ -10,7 +10,7 @@ from sepdyn.hamiltonians import (
 from sepdyn import propagators
 from sepdyn.propagators import (
     SplittingScheme,
-    evolve_rows,
+    evolve,
     lie_trotter_step,
     sse_component_flow,
     strang_step,
@@ -267,7 +267,7 @@ class TestZeroContextsAtTheBoundary:
         schemes = [SplittingScheme.LIE_TROTTER, SplittingScheme.STRANG] * 2
         schemes.append(SplittingScheme.STRANG)
         with pytest.raises(DegenerateStateError, match=f"context state {zero} "):
-            evolve_rows(H, schemes, states, [0.1] * 5, [3] * 5)
+            evolve(H, schemes, states, [0.1] * 5, [3] * 5)
         assert calls == []
 
 

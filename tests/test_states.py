@@ -13,7 +13,6 @@ from sepdyn.states import (
     kron,
     split_components,
     tensor_product,
-    tensor_product_rows,
 )
 
 from conftest import nuclear_norm, random_ket, random_unitary
@@ -90,28 +89,26 @@ class TestTensorProduct:
         dims = (2, 3, 2)
         components = (rng.standard_normal((6, sum(dims)))
                       + 1j * rng.standard_normal((6, sum(dims))))
-        full = tensor_product_rows(components, dims)
+        full = kron(split_components(components, dims))
         for row, stacked in zip(full, components):
             a, b, c = np.split(stacked, np.cumsum(dims)[:-1])
             assert np.array_equal(row, np.kron(np.kron(a, b), c))
 
-    def test_one_dimensional_factors_equal_the_broadcast_path(self, rng):
-        # 1-D factors take a shorter path; strided views, as split_components
-        # gives, and a 1-D factor beside a stacked one included.
+    def test_one_dimensional_and_mixed_factors_equal_np_kron(self, rng):
+        # Strided views, as split_components gives, and 1-D factors beside
+        # stacked ones: each row is chained np.kron of its factors, bit for bit.
         components = (rng.standard_normal((3, 14)) + 1j * rng.standard_normal((3, 14)))
         a, b, c = components[0, 0:4:2], components[0, 4:7], components[0, 7:14]
-
-        def broadcast(factors):
-            out = factors[0]
-            for factor in factors[1:]:
-                out = out[..., :, None] * factor[..., None, :]
-                out = out.reshape(out.shape[:-2] + (-1,))
-            return out
-
         for factors in ([a, b], [a, b, c], [a, components[:, 4:7], c],
                         [components[:, 0:2], b]):
-            assert np.array_equal(kron(factors).view(np.uint64),
-                                  broadcast(factors).view(np.uint64))
+            out = kron(factors)
+            rows = out if out.ndim == 2 else out[None]
+            for r, row in enumerate(rows):
+                picked = [factor[r] if factor.ndim == 2 else factor for factor in factors]
+                expected = picked[0]
+                for factor in picked[1:]:
+                    expected = np.kron(expected, factor)
+                assert np.array_equal(row.view(np.uint64), expected.view(np.uint64))
 
     @given(a=unit_qubit, b=unit_qubit)
     @settings(max_examples=50, deadline=None)

@@ -46,19 +46,17 @@ def test_traced_target_resolves(span, module, path, kind):
     assert callable(owner)
 
 
-# Spans that no ``sepdyn run`` reaches: ``cli`` runs every splitting config
-# through ``evolve_rows`` and every variational config through ``_run_rows``,
-# and nothing in the product calls the one-vector propagator or
-# ``partially_reduced``. Retiring or retargeting these is the benchmark's
-# change to make; every other span must see a call.
+# Spans that no ``sepdyn run`` reaches: a splitting run calls ``evolve``, not
+# the one-step maps or the one-component flow; nothing in the product calls
+# the one-vector propagator or ``partially_reduced``; and the variational
+# steps solve through ``_newton_rows``, not the one-system ``newton_solve``.
+# Retiring or retargeting these is the benchmark's change to make; every
+# other span must see a call.
 DARK = {
-    "propagators.evolve",
     "propagators.step",
     "propagators.sse_component_flow",
     "propagators.hermitian_expm_apply",
     "reduced.partially_reduced",
-    "variational.initial_step",
-    "variational.del_step",
     "variational.newton_solve",
 }
 UNIT_SWAP_STATE = [[1.0, 0.0], [0.6, 0.8]]  # bea_truncation needs unit-norm components

@@ -363,16 +363,13 @@ def captured_residual(monkeypatch, solve):
     return seen["residual"], seen["guesses"]
 
 
-def start_rows(Ld, x0):
-    """Step 1 of ``_run_rows`` on the rows of x0: the row solve from the
-    continuous momentum p_0, started at x0."""
-    return variational._step_rows(Ld, x0, velocity_momentum(Ld.base, x0), x0)
-
-
-def del_rows(Ld, prev, curr):
-    """A later step of ``_run_rows``: the row solve with p_n = D2 L_d(prev, curr),
-    started at the linear predictor."""
-    return variational._step_rows(Ld, curr, Ld.d3(prev, curr), 2.0 * curr - prev)
+def one_point(step, Ld, *points):
+    """``initial_step`` or ``del_step`` on one-row stacks of ``points``: the
+    row's (solution, iterations), or the error it ended with, raised."""
+    (outcome,) = step(Ld, *(point[None] for point in points))
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome[:2]
 
 
 def one_row(residual, row=0):
@@ -439,9 +436,9 @@ class TestStackedResiduals:
             x_prev = random_product_point(rng, dims)
             x_curr = x_prev + 0.01 * random_product_point(rng, dims)
             solves = [
-                lambda: initial_step(restrict_first, x_prev),
-                lambda: del_step(restrict_first, x_prev, x_curr),
-                lambda: del_step(discretize_first, x_prev, x_curr),
+                lambda: one_point(initial_step, restrict_first, x_prev),
+                lambda: one_point(del_step, restrict_first, x_prev, x_curr),
+                lambda: one_point(del_step, discretize_first, x_prev, x_curr),
             ]
             for solve in solves:
                 residual, (guess,) = captured_residual(monkeypatch, solve)
@@ -458,7 +455,7 @@ class TestStackedResiduals:
                 curr = prev + 0.01 * np.stack([random_product_point(rng, dims)
                                                for _ in range(3)])
                 residual, guesses = captured_residual(
-                    monkeypatch, lambda: del_rows(Ld, prev, curr))
+                    monkeypatch, lambda: del_step(Ld, prev, curr))
                 x = np.concatenate([guesses.real, guesses.imag], axis=1)
                 values = residual(guesses, np.arange(3))
                 r = np.concatenate([values.real, values.imag], axis=1)
@@ -633,8 +630,8 @@ class TestMergedNewtonOracle:
         # Row 3's product states overflow, so its first residual is not finite.
         prev[3] *= 1e200
         curr[3] *= 1e200
-        for solve in (lambda: start_rows(start, prev),
-                      lambda: del_rows(recursion, prev, curr)):
+        for solve in (lambda: initial_step(start, prev),
+                      lambda: del_step(recursion, prev, curr)):
             with np.errstate(over="ignore", invalid="ignore"):
                 residual, guesses = captured_residual(monkeypatch, solve)
             outcomes = self.same_outcomes(residual, guesses)
@@ -702,7 +699,7 @@ class TestOneResidualCallPerIteration:
     def test_newton_solve(self, rng):
         Ld = DiscreteLagrangian(se_lagrangian(swap_hamiltonian(2)), 0.5, 0.1)
         psi0 = random_ket(rng, 4).amplitudes
-        psi1, _ = initial_step(Ld, psi0)
+        psi1, _ = one_point(initial_step, Ld, psi0)
         tail = Ld.d3(psi0, psi1)
         calls = []
 
@@ -736,9 +733,9 @@ class TestOneResidualCallPerIteration:
             recursion = _SubstitutedDiscreteLagrangian(DiscreteLagrangian(L, 0.5, 0.02), dims)
         prev = np.stack([random_product_point(rng, dims) for _ in range(rows)])
         calls = self.counting_newton(monkeypatch)
-        started = start_rows(start, prev)
+        started = initial_step(start, prev)
         curr = np.stack([outcome[0] for outcome in started])
-        solved = del_rows(recursion, prev, curr)
+        solved = del_step(recursion, prev, curr)
         for outcomes in (started, solved):
             iterations = [outcome[1] for outcome in outcomes]
             assert min(iterations) >= 1
@@ -800,7 +797,7 @@ class TestInitialStep:
         H0 = HermitianOperator(np.zeros((4, 4)), (2, 2))
         Ld = DiscreteLagrangian(se_lagrangian(H0), 0.5, 0.1)
         psi0 = random_args(rng, 4, count=1)[0]
-        psi1, _ = initial_step(Ld, psi0)
+        psi1, _ = one_point(initial_step, Ld, psi0)
         assert np.allclose(psi1, psi0)
 
     def test_midpoint_start_is_third_order_accurate(self, rng):
@@ -809,7 +806,7 @@ class TestInitialStep:
         psi0 = random_ket(rng, 4).amplitudes
         ratios = []
         for dt in (0.1, 0.05, 0.025):
-            psi1, _ = initial_step(DiscreteLagrangian(L, 0.5, dt), psi0)
+            psi1, _ = one_point(initial_step, DiscreteLagrangian(L, 0.5, dt), psi0)
             exact = hermitian_expm_apply(H, dt, psi0)
             ratios.append(np.linalg.norm(psi1 - exact) / dt**3)
         assert max(ratios) / min(ratios) < 1.5
@@ -817,7 +814,7 @@ class TestInitialStep:
     def test_residual_below_tolerance(self, rng):
         Ld = DiscreteLagrangian(se_lagrangian(swap_hamiltonian(2)), 0.5, 0.1)
         psi0 = random_ket(rng, 4).amplitudes
-        psi1, _ = initial_step(Ld, psi0)
+        psi1, _ = one_point(initial_step, Ld, psi0)
         residual = velocity_momentum(Ld.base, psi0) + Ld.d1(psi0, psi1)
         assert np.linalg.norm(residual) < 1e-12
 
@@ -830,7 +827,7 @@ class TestDelStep:
                          (random_hermitian(2, 11), 0.3)]:
             Ld = DiscreteLagrangian(se_lagrangian(H), alpha, dt)
             psi0 = random_ket(rng, 4).amplitudes
-            psi1, _ = initial_step(Ld, psi0)
+            psi1, _ = one_point(initial_step, Ld, psi0)
             # The full-space residual d1(psi1, y) + d3(psi0, psi1) reads y only
             # through conj(y), in c = alpha psi1 + (1 - alpha) y and
             # v = (y - psi1)/dt, so it is affine with the constant
@@ -839,11 +836,11 @@ class TestDelStep:
             J = -0.5j * np.eye(4) - alpha * (1.0 - alpha) * dt * H.entries.T
             exact = np.block([[J.real, J.imag], [J.imag, -J.real]])
             residual, (guess,) = captured_residual(monkeypatch,
-                                                   lambda: del_step(Ld, psi0, psi1))
+                                                   lambda: one_point(del_step, Ld, psi0, psi1))
             for point in (guess, guess + 0.1 * random_ket(rng, 4).amplitudes):
                 jac, _, _ = jacobian_at(monkeypatch, residual, point)
                 assert np.max(np.abs(jac - exact)) <= 1e-6 * np.max(np.abs(exact))
-            nxt, iterations = del_step(Ld, psi0, psi1)
+            nxt, iterations = one_point(del_step, Ld, psi0, psi1)
             assert 1 <= iterations <= 2
             residual = Ld.d1(psi1, nxt) + Ld.d3(psi0, psi1)
             assert np.linalg.norm(residual) < 1e-12
@@ -854,7 +851,7 @@ class TestDelStep:
         traj = integrate_discrete(Ld, psi0, 20)
         rebuilt = [traj.points[0], traj.points[1]]
         for _ in range(19):
-            nxt, _ = del_step(Ld, rebuilt[-2], rebuilt[-1])
+            nxt, _ = one_point(del_step, Ld, rebuilt[-2], rebuilt[-1])
             rebuilt.append(nxt)
         assert np.max(np.abs(np.stack(rebuilt) - traj.points)) < 1e-10
 
@@ -862,7 +859,7 @@ class TestDelStep:
         H0 = HermitianOperator(np.zeros((4, 4)), (2, 2))
         Ld = DiscreteLagrangian(se_lagrangian(H0), 0.5, 0.1)
         psi0 = random_args(rng, 4, count=1)[0]
-        nxt, _ = del_step(Ld, psi0, psi0)
+        nxt, _ = one_point(del_step, Ld, psi0, psi0)
         assert np.allclose(nxt, psi0)
 
     def test_newton_reports_nonconvergence(self):
@@ -919,10 +916,10 @@ class TestDelStep:
 
 class TestNewtonStatistics:
     def direct_counts(self, Ld, x0, steps):
-        x1, first = initial_step(Ld, x0)
+        x1, first = one_point(initial_step, Ld, x0)
         rows, counts = [x0, x1], [first]
         for _ in range(1, steps):
-            nxt, used = del_step(Ld, rows[-2], rows[-1])
+            nxt, used = one_point(del_step, Ld, rows[-2], rows[-1])
             rows.append(nxt)
             counts.append(used)
         return np.stack(rows), counts
@@ -941,7 +938,7 @@ class TestNewtonStatistics:
         psi0 = random_ket(rng, 4).amplitudes
         traj = integrate_discrete(Ld, psi0, 1)
         assert traj.points.shape[0] == 2
-        assert traj.newton_iterations.tolist() == [initial_step(Ld, psi0)[1]]
+        assert traj.newton_iterations.tolist() == [one_point(initial_step, Ld, psi0)[1]]
 
     def test_blowup_partial_carries_one_count_per_step(self, fig1_state):
         with pytest.raises(BlowupError) as info:
@@ -1076,6 +1073,24 @@ class TestRowBatches:
             # A row blows up mid-run while another keeps going.
             blown = [n for kind, n in zip(kinds, lengths) if kind == "blow-up"]
             assert blown and min(blown) < max(lengths)
+
+    @pytest.mark.parametrize("ordering", ORDERINGS)
+    def test_each_step_is_one_call_on_the_running_rows(self, rng, monkeypatch, ordering):
+        """A batch makes one ``initial_step`` call on every row, then one
+        ``del_step`` call a step on the rows still running."""
+        calls = []
+        for name in ("initial_step", "del_step"):
+            def recording(Ld, *points, step=getattr(variational, name), name=name):
+                calls.append((name, len(points[-1])))
+                return step(Ld, *points)
+
+            monkeypatch.setattr(variational, name, recording)
+        states = [ComponentState((random_ket(rng), random_ket(rng))) for _ in range(3)]
+        rows = integrate_separable_rows(ordering, swap_hamiltonian(2), 0.5, 0.1, [2, 4, 5],
+                                        states)
+        assert calls == [("initial_step", 3), ("del_step", 3), ("del_step", 2),
+                         ("del_step", 2), ("del_step", 1)]
+        assert [len(row.points) for row in rows] == [3, 5, 6]
 
     @pytest.mark.parametrize("ordering", ORDERINGS)
     @pytest.mark.parametrize("system", ["swap", "ladder", "random5"])
@@ -1282,10 +1297,10 @@ class TestFullStateIntegration:
         dt, gamma, tol = 0.05, 1.0, 1e-6
         Ld = DiscreteLagrangian(se_lagrangian(H), 0.5, dt)
         prev = random_ket(rng, dim).amplitudes
-        curr = initial_step(Ld, prev)[0]
+        curr = one_point(initial_step, Ld, prev)[0]
 
         def step(p, c):
-            return del_step(Ld, p, c)[0]
+            return one_point(del_step, Ld, p, c)[0]
 
         mu = self.two_step_eigenvalues(step, prev, curr)
         assert np.max(np.abs(np.abs(mu) - 1.0)) < tol
@@ -1399,9 +1414,9 @@ class TestDiscretizeThenRestrict:
             x0 = stack_state(e0)
             x1 = stack_state(e1)
             L_sep = separable_lagrangian(L, (2, 2))
-            y1, _ = del_step(DiscreteLagrangian(L_sep, 0.5, dt), x0, x1)
+            y1, _ = one_point(del_step, DiscreteLagrangian(L_sep, 0.5, dt), x0, x1)
             substituted = _SubstitutedDiscreteLagrangian(DiscreteLagrangian(L, 0.5, dt), (2, 2))
-            y2, _ = del_step(substituted, x0, x1)
+            y2, _ = one_point(del_step, substituted, x0, x1)
             product = lambda x: np.kron(x[:2], x[2:])
             diffs.append(np.linalg.norm(product(y1) - product(y2)))
         slope = np.polyfit(np.log(dts), np.log(diffs), 1)[0]
