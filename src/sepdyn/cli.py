@@ -11,21 +11,22 @@ single file is a directory of one), parsing the initial state into the
 the runs share those configs, and one that fails to load, or whose outputs
 cannot be written, exits 2 while the others still run.
 
-Every splitting and variational config runs as a row of a batch
-(``_Batch``), a batch of one when it is alone. Configs of one invocation
-share a batch (several, past ``BATCH_AMPLITUDES`` stored amplitudes) when
-they share the experiment and its Hamiltonian (``seed``/``r_party``), and
-either are all splitting configs, of either scheme and any ``dt``
+Every config runs in a work unit (``_Batch``), and every unit takes one
+path: one ``_integrate`` call on the turn of its first config returns an
+outcome per config, and ``_run_result`` turns each outcome into the
+config's ``RunResult`` on its own turn. Configs of one invocation share a
+unit (several, past ``BATCH_AMPLITUDES`` stored amplitudes) when they share
+the experiment and its Hamiltonian (``seed``/``r_party``), and either are
+all splitting configs, of either scheme and any ``dt``
 (``propagators.evolve``), or are variational configs that also share
 integrator, ``alpha`` and ``dt`` (``variational.integrate_separable_rows``,
-into one buffer allocated up front). A batch's rows are integrated
-together, each with its own initial state and step count, on the turn of
-the first of its configs. ``se_exact`` and ``bea_truncation`` configs run
-alone, through ``execute``. Every config still writes its CSV, JSON, exit
-code and output lines on its own turn, in config order, exactly as when
-run alone; its ``wall=`` is the time of its own turn, so the first config
-of a batch carries the batch's integration. ``--jobs`` hands each batch to
-a worker as one work unit, and starts at most one worker per unit and CPU.
+into one buffer allocated up front); each is a row, with its own initial
+state and step count. An ``se_exact`` or ``bea_truncation`` config is a
+unit of one, integrated by ``execute``. Every config still writes its CSV,
+JSON, exit code and output lines on its own turn, in config order, exactly
+as when run alone; its ``wall=`` is the time of its own turn, so the first
+config of a unit carries the unit's integration. ``--jobs`` hands each unit
+to a worker, and starts at most one worker per unit and CPU.
 
 The CSV holds every value as ``format(v, ".17g")``, byte for byte; a numpy
 kernel (``write_csv``) produces that text in blocks of rows, and formats
@@ -71,7 +72,6 @@ from .hamiltonians import (
     swap_hamiltonian,
 )
 from .propagators import (
-    NonFiniteStateError,
     SplittingScheme,
     Trajectory,
     evolve,
@@ -94,6 +94,7 @@ INTEGRATORS = (
     "var_discretize_first",
     "bea_truncation",
 )
+REQUIRED_KEYS = ("experiment", "integrator", "dt", "t_final", "initial_state", "out_path")
 OUTPUT_NAMES = ("norm", "abs_overlap", "rate_nucl", "bloch", "purity")
 EXPERIMENT_DIMS = {"swap": (2, 2), "random5": (2,) * 5, "ladder": (3, 3, 3)}
 BLOWUP_FACTOR = 2.0
@@ -148,8 +149,7 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        missing = {"experiment", "integrator", "dt", "t_final", "initial_state",
-                   "out_path"} - set(raw)
+        missing = set(REQUIRED_KEYS) - set(raw)
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
         config = cls(**raw)
@@ -178,7 +178,7 @@ class ExperimentConfig:
             raise ConfigError(f"t_final / dt asks for more than {MAX_STEPS} steps")
         if not isinstance(self.out_path, str):
             raise ConfigError("out_path must be a string")
-        if not Path(self.out_path).name:
+        if Path(self.out_path).name in ("", ".."):
             raise ConfigError("out_path must end in a file name")
         if self.integrator.startswith("var_"):
             if self.alpha is None:
@@ -275,26 +275,50 @@ class RunResult:
     blowup: dict | None = None
 
 
-def _variational_rows(configs: list[ExperimentConfig], H: HermitianOperator) -> list:
-    """Variational configs of one ``_batch_key``, integrated as one batch of rows.
+def _is_splitting(config: ExperimentConfig) -> bool:
+    return config.integrator in ("lie_trotter", "strang")
 
-    Returns each config's outcome from ``variational.integrate_separable_rows``.
+
+def _integrate(configs: list[ExperimentConfig], H: HermitianOperator) -> list:
+    """One outcome per config of a work unit, all integrated in one call.
+
+    A splitting unit's rows come from ``propagators.evolve``, a variational
+    unit's from ``variational.integrate_separable_rows``; a unit of one
+    ``se_exact`` or ``bea_truncation`` config is ``[execute(config, H)]``.
     """
+    first = configs[0]
+    if _is_splitting(first):
+        return evolve(H, [SplittingScheme(config.integrator) for config in configs],
+                      [config.initial_components for config in configs],
+                      [config.dt for config in configs],
+                      [config.steps() for config in configs])
+    if not first.integrator.startswith("var_"):
+        return [execute(first, H)]
     from . import variational
 
-    first = configs[0]
     return variational.integrate_separable_rows(
         first.integrator.removeprefix("var_"), H, float(first.alpha), first.dt,
         [config.steps() for config in configs],
         [config.initial_components for config in configs], blowup_factor=BLOWUP_FACTOR)
 
 
-def _newton_result(outcome, dims) -> RunResult:
-    """The RunResult of a variational row; raises the error its start failed with."""
+def _run_result(config: ExperimentConfig, outcome) -> RunResult:
+    """``config``'s RunResult from its ``_integrate`` outcome; raises an outcome
+    that is a ``SolverFailure``.
+
+    Splitting components become a trajectory; a variational row, finished
+    or ended by a blow-up, also records its Newton stats and the blow-up.
+    """
+    if isinstance(outcome, RunResult):
+        return outcome
+    if isinstance(outcome, SolverFailure):
+        raise outcome
+    dims = config.initial_components.dims
+    if isinstance(outcome, np.ndarray):
+        return RunResult(Trajectory.from_components(config.dt, outcome, dims),
+                         {"kind": "splitting"})
     from . import variational
 
-    if isinstance(outcome, variational.NewtonConvergenceError):
-        raise outcome
     blowup = None
     if isinstance(outcome, variational.BlowupError):
         blowup = {
@@ -314,21 +338,6 @@ def _newton_result(outcome, dims) -> RunResult:
         "max_final_newton_residual": float(outcome.newton_residuals.max()),
     }
     return RunResult(traj, stats, blowup)
-
-
-def _is_splitting(config: ExperimentConfig) -> bool:
-    return config.integrator in ("lie_trotter", "strang")
-
-
-def _splitting_rows(configs: list[ExperimentConfig], H: HermitianOperator) -> list:
-    """Splitting configs of one ``_batch_key``, integrated as one batch of rows.
-
-    Returns each config's outcome from ``propagators.evolve``.
-    """
-    return evolve(H, [SplittingScheme(config.integrator) for config in configs],
-                  [config.initial_components for config in configs],
-                  [config.dt for config in configs],
-                  [config.steps() for config in configs])
 
 
 def _batch_key(config: ExperimentConfig | ConfigError) -> tuple | None:
@@ -355,9 +364,10 @@ def _batch_key(config: ExperimentConfig | ConfigError) -> tuple | None:
 class _Batch:
     """The configs of one work unit, integrated together when the first one runs.
 
-    Each config then takes its own row's outcome, so it writes what it would
-    write run alone; a row becomes a RunResult only on its config's turn. A
-    config with no ``_batch_key`` is a unit of one, run by ``execute``.
+    The first ``result`` call builds H and integrates the whole unit through
+    ``_integrate``; each config then takes its own outcome, so it writes what
+    it would write run alone, and an outcome becomes a RunResult
+    (``_run_result``) only on its config's turn.
     """
 
     def __init__(self, configs: list[ExperimentConfig]):
@@ -366,20 +376,11 @@ class _Batch:
         self.outcomes: dict[int, object] | None = None
 
     def result(self, config: ExperimentConfig) -> tuple[HermitianOperator, RunResult]:
-        """H and ``config``'s RunResult; raises the error its row ended with."""
+        """H and ``config``'s RunResult; raises the ``SolverFailure`` its row ended with."""
         if self.outcomes is None:
             self.H = build_hamiltonian(self.configs[0])
-            if _batch_key(config) is None:
-                return self.H, execute(config, self.H)
-            integrate = _splitting_rows if _is_splitting(config) else _variational_rows
-            self.outcomes = dict(zip(map(id, self.configs), integrate(self.configs, self.H)))
-        outcome = self.outcomes.pop(id(config))
-        if not _is_splitting(config):
-            return self.H, _newton_result(outcome, config.initial_components.dims)
-        if isinstance(outcome, NonFiniteStateError):
-            raise outcome
-        traj = Trajectory.from_components(config.dt, outcome, config.initial_components.dims)
-        return self.H, RunResult(traj, {"kind": "splitting"})
+            self.outcomes = dict(zip(map(id, self.configs), _integrate(self.configs, self.H)))
+        return self.H, _run_result(config, self.outcomes.pop(id(config)))
 
 
 def execute(config: ExperimentConfig, H: HermitianOperator) -> RunResult:
@@ -398,9 +399,8 @@ def execute(config: ExperimentConfig, H: HermitianOperator) -> RunResult:
     return RunResult(traj, stats)
 
 
-def _diagnostic_columns(config: ExperimentConfig, result: RunResult,
+def _diagnostic_columns(config: ExperimentConfig, traj: Trajectory,
                         H: HermitianOperator) -> dict[str, np.ndarray]:
-    traj = result.trajectory
     columns: dict[str, np.ndarray] = {}
     densities = None
     for name in config.outputs:
@@ -441,7 +441,7 @@ def _density_columns(config: ExperimentConfig, traj: Trajectory) -> dict[str, di
     return found
 
 
-def write_csv(path: Path, result: RunResult, columns: dict[str, np.ndarray]):
+def write_csv(path: Path, traj: Trajectory, columns: dict[str, np.ndarray]):
     """Time, the real and imaginary part of every stored amplitude, then ``columns``.
 
     Component runs write the stacked components, others the full state. The
@@ -457,7 +457,6 @@ def write_csv(path: Path, result: RunResult, columns: dict[str, np.ndarray]):
     [1e-280, 1e280), is formatted by ``%.17g`` itself. A write that fails
     after the file is opened removes the file.
     """
-    traj = result.trajectory
     if traj.components is not None:
         states = traj.components
         labels = [f"a{j + 1}_{i}" for j, d in enumerate(traj.dims) for i in range(d)]
@@ -490,7 +489,7 @@ def write_csv(path: Path, result: RunResult, columns: dict[str, np.ndarray]):
         raise
 
 
-def _conservation_summary(config: ExperimentConfig, result: RunResult,
+def _conservation_summary(config: ExperimentConfig, traj: Trajectory,
                           columns: dict[str, np.ndarray]) -> dict:
     """The run JSON's summary: drifts, extremes of the diagnostic ``columns``, gauge.
 
@@ -499,7 +498,6 @@ def _conservation_summary(config: ExperimentConfig, result: RunResult,
     and the time of that rounding minimum is left out. With
     ``purity``: the largest linear entropy 1 - tr rho^2 over subsystems and rows.
     """
-    traj = result.trajectory
     norms = traj.norm
     summary = {
         "max_abs_norm_drift": float(np.max(np.abs(norms - norms[0]))),
@@ -543,6 +541,15 @@ def _variational_summary(traj: Trajectory) -> dict:
     }
 
 
+def _outputs(out_prefix: Path) -> tuple[Path, Path]:
+    """The CSV and JSON paths of an ``out_path``.
+
+    Appended, not ``with_suffix``: a dotted stem such as "v0.02" is kept whole.
+    """
+    return (out_prefix.with_name(out_prefix.name + ".csv"),
+            out_prefix.with_name(out_prefix.name + ".json"))
+
+
 def run(config: ExperimentConfig, batch: _Batch) -> int:
     """Execute one configured run; returns the process exit code.
 
@@ -555,34 +562,29 @@ def run(config: ExperimentConfig, batch: _Batch) -> int:
     except OSError as err:  # a component of the path is an existing file
         print(f"config error: cannot make the directory of out_path: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    # The row's own failure, a non-finite abs_overlap reference grid and a
+    # non-finite column all end the run as a solver failure.
     try:
         H, result = batch.result(config)
+        # A state of finite norm² can still overflow a diagnostic of order norm⁴;
+        # such a column is reported below, so numpy's warning would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            columns = _diagnostic_columns(config, result.trajectory, H)
+        for name, values in columns.items():
+            if not np.all(np.isfinite(values)):
+                raise SolverFailure(f"diagnostic column '{name}' is not finite")
     except SolverFailure as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return EXIT_SOLVER
-    # A state of finite norm² can still overflow a diagnostic of order norm⁴;
-    # such a column is reported below, so numpy's warning would only repeat it.
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            columns = _diagnostic_columns(config, result, H)
-    except NonFiniteStateError as err:  # the abs_overlap reference grid
-        print(f"solver failure: {err}", file=sys.stderr)
-        return EXIT_SOLVER
-    for name, values in columns.items():
-        if not np.all(np.isfinite(values)):
-            print(f"solver failure: diagnostic column '{name}' is not finite", file=sys.stderr)
-            return EXIT_SOLVER
 
-    # Appended, not with_suffix: a dotted stem such as "v0.02" is kept whole.
-    csv_path = out_prefix.with_name(out_prefix.name + ".csv")
-    json_path = out_prefix.with_name(out_prefix.name + ".json")
+    csv_path, json_path = _outputs(out_prefix)
     written = []  # a failed write removes what this run wrote: both outputs or neither
     try:
-        write_csv(csv_path, result, columns)
+        write_csv(csv_path, result.trajectory, columns)
         written.append(csv_path)
         payload = {
             "config": asdict(config),
-            "summary": _conservation_summary(config, result, columns),
+            "summary": _conservation_summary(config, result.trajectory, columns),
             "solver": result.solver_stats,
             "rows_written": int(result.trajectory.times.size),
         }
@@ -685,8 +687,7 @@ def _output_clash(files: list[Path],
         if prefix in owners:
             return f"{owners[prefix]} and {path} both write to {prefix}"
         owners[prefix] = path
-        for suffix in (".csv", ".json"):
-            output = out.with_name(out.name + suffix).resolve()
+        for output in map(Path.resolve, _outputs(out)):
             if output in inputs:
                 return f"{path} would write its output over the config {inputs[output]}"
     return None
@@ -762,8 +763,7 @@ def list_experiments(as_json: bool) -> str:
                 for exp in EXPERIMENTS
             },
             "required_fields": {
-                "common": ["experiment", "integrator", "dt", "t_final",
-                           "initial_state", "out_path"],
+                "common": list(REQUIRED_KEYS),
                 "per_experiment": required,
                 "per_integrator": integrator_fields,
             },
@@ -775,10 +775,9 @@ def list_experiments(as_json: bool) -> str:
     lines.append(header.rstrip())
     for exp in EXPERIMENTS:
         marks = ["yes" if compatible(exp, integ) else "no" for integ in INTEGRATORS]
-        lines.append(f"{exp:<{width}}" + "  ".join(f"{m:<20}" for m in marks))
+        lines.append((f"{exp:<{width}}" + "  ".join(f"{m:<20}" for m in marks)).rstrip())
     lines.append("")
-    lines.append("required fields: experiment, integrator, dt, t_final, "
-                 "initial_state, out_path")
+    lines.append(f"required fields: {', '.join(REQUIRED_KEYS)}")
     for exp, extras in required.items():
         lines.append(f"  {exp}: {', '.join(extras)}")
     for integ, extras in integrator_fields.items():

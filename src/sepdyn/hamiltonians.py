@@ -17,7 +17,7 @@ from math import prod
 
 import numpy as np
 
-from .states import HERMITIAN_TOL
+HERMITIAN_TOL = 1e-12
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,6 @@ from math import prod
 
 import numpy as np
 
-HERMITIAN_TOL = 1e-12
-
 
 class SolverFailure(Exception):
     """An integrator could not advance a state: the run ends without a trajectory."""

@@ -102,7 +102,7 @@ class TestWriteCsv:
         traj = Trajectory(0.1, (2, 2), full=full)
         columns = {"norm": values[:2], "rate_nucl": values[-2:]}
         path = tmp_path / "run.csv"
-        cli.write_csv(path, cli.RunResult(traj, {}), columns)
+        cli.write_csv(path, traj, columns)
         rows = read_rows(path)
         assert rows[0] == (["t"] + [f"{p}_psi_{i}" for i in range(4) for p in ("re", "im")]
                            + ["norm", "rate_nucl"])
@@ -117,7 +117,7 @@ class TestWriteCsv:
         components = np.array([[1.0, -0.0, 5e-324j, 1e300], [0.5, 0.5j, -0.25, 0.75]])
         traj = Trajectory(0.5, (2, 2), components=components)
         path = tmp_path / "run.csv"
-        cli.write_csv(path, cli.RunResult(traj, {}), {})
+        cli.write_csv(path, traj, {})
         rows = read_rows(path)
         assert rows[0] == ["t", "re_a1_0", "im_a1_0", "re_a1_1", "im_a1_1",
                            "re_a2_0", "im_a2_0", "re_a2_1", "im_a2_1"]
@@ -165,7 +165,7 @@ class TestWriteCsvBlocks:
         monkeypatch.setattr(propagators, "BLOCK_CELLS", block_cells)
         traj, columns, headers, table = self.mixed_run(rows)
         path = tmp_path / "run.csv"
-        cli.write_csv(path, cli.RunResult(traj, {}), columns)
+        cli.write_csv(path, traj, columns)
         assert path.read_bytes() == row_format_csv(headers, table)
 
 
@@ -396,6 +396,8 @@ class TestFiniteProbes:
         ({"out_path": ""}, cli.EXIT_CONFIG, "out_path"),
         ({"out_path": "."}, cli.EXIT_CONFIG, "out_path"),
         ({"out_path": "/"}, cli.EXIT_CONFIG, "out_path"),
+        ({"out_path": ".."}, cli.EXIT_CONFIG, "out_path"),
+        ({"out_path": "a/.."}, cli.EXIT_CONFIG, "out_path"),
         # Finite norm², but the diagnostics are of order norm⁴ and overflow.
         ({"initial_state": [[1e150, 0], [0.6, 0.8]], "outputs": list(cli.OUTPUT_NAMES)},
          cli.EXIT_SOLVER, "diagnostic column 'rate_nucl' is not finite"),
@@ -759,6 +761,7 @@ class TestList:
         text = capsys.readouterr().out
         for name in cli.EXPERIMENTS + cli.INTEGRATORS:
             assert name in text
+        assert all(line == line.rstrip() for line in text.splitlines())
 
 
 class TestExitCodesEndToEnd:
@@ -943,7 +946,7 @@ class TestBatches:
         configs = self.write_configs(tmp_path)
         items = [(path, cli.load_config(path, [])) for path in sorted(configs.iterdir())]
         batch = [config for path, config in items if path.name in self.BATCH]
-        outcomes = cli._variational_rows(batch, cli.build_hamiltonian(batch[0]))
+        outcomes = cli._integrate(batch, cli.build_hamiltonian(batch[0]))
         runs = [getattr(outcome, "partial", outcome) for outcome in outcomes
                 if not isinstance(outcome, variational.NewtonConvergenceError)]
         # Every row has its place in one buffer, the failed start's included,
@@ -981,7 +984,7 @@ class TestBatches:
         def peak(rows):
             tracemalloc.start()
             try:
-                outcomes = cli._variational_rows(configs[:rows], H)
+                outcomes = cli._integrate(configs[:rows], H)
                 top = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -1269,7 +1272,7 @@ class TestDiagnosticColumns:
         """The trajectory, H and diagnostic columns of a swap run changed by ``fields``."""
         config = cli.ExperimentConfig.from_dict({**swap_config("run", 0.02), **fields})
         H, result = cli._Batch([config]).result(config)
-        return result.trajectory, H, cli._diagnostic_columns(config, result, H)
+        return result.trajectory, H, cli._diagnostic_columns(config, result.trajectory, H)
 
     def test_se_exact_is_its_own_overlap_reference(self, monkeypatch):
         grids = []
@@ -1331,11 +1334,10 @@ class TestDenseOutputMemory:
         stored = []
         write_csv = cli.write_csv
 
-        def recording(csv_path, result, columns):
-            traj = result.trajectory
+        def recording(csv_path, traj, columns):
             owners = {id(owner(a)): owner(a) for a in (traj.full, traj.times, *columns.values())}
             stored.append(sum(a.nbytes for a in owners.values()))
-            write_csv(csv_path, result, columns)
+            write_csv(csv_path, traj, columns)
 
         monkeypatch.setattr(cli, "write_csv", recording)
         tracemalloc.start()

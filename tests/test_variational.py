@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sepdyn import propagators, variational
-from sepdyn.analysis import period_two_amplitude, period_two_rate
+from sepdyn.analysis import convergence_order, period_two_amplitude, period_two_rate
 from sepdyn.exact_swap import SwapInitialData, exact_sse_swap
 from sepdyn.hamiltonians import (
     HermitianOperator,
@@ -15,8 +15,8 @@ from sepdyn.hamiltonians import (
     random_hermitian,
     swap_hamiltonian,
 )
-from sepdyn.propagators import hermitian_expm_apply
-from sepdyn.states import ComponentState, Ket, split_components
+from sepdyn.propagators import SplittingScheme, Trajectory, hermitian_expm_apply
+from sepdyn.states import ComponentState, Ket, kron, split_components
 from sepdyn.variational import (
     BlowupError,
     DiscreteLagrangian,
@@ -36,7 +36,7 @@ from sepdyn.variational import (
 from sepdyn.variational import _SubstitutedDiscreteLagrangian
 from sepdyn.variational import _least_squares as real_least_squares
 
-from conftest import local_sum_hamiltonian, random_ket
+from conftest import local_sum_hamiltonian, random_ket, splitting_run
 from test_reduced import random_local
 
 
@@ -1500,3 +1500,54 @@ class TestComponentLayout:
         x = stack_state(state)
         back = ComponentState(tuple(Ket(p) for p in split_components(x, (2, 3))))
         assert np.allclose(stack_state(back), x)
+
+
+class TestPhaseConvention:
+    """Strang and restrict-first approximate one restricted flow, and differ by
+    the global phase e^{-i(N-1)<H>t} of the ``propagators`` docstring: with it
+    the product states agree to order dt², and without it they do not agree.
+
+    Every step count is even, so the restrict-first error is read at one
+    parity of its period-2 component. The states are pinned: the slope of a
+    three-point ladder of another state can sit farther from 2.
+    """
+
+    T = 0.4
+    DTS = (0.02, 0.01, 0.005)
+    SYSTEMS = {
+        "swap": (lambda: swap_hamiltonian(2), [[1, 0], [0.8, 0.6j]]),
+        "random5": (lambda: random_hermitian(5, 3),
+                    [[0.6, 0.8], [1, 0.5], [0.3, 1j], [1, 1], [0.8, -0.6]]),
+        "ladder": (lambda: correlator_hamiltonian(2), [[1, 1, 0], [0, 1, 1], [1, 0, 1j]]),
+    }
+
+    def differences(self, system, scheme=SplittingScheme.STRANG):
+        """|splitting - restrict-first| at T, each dt, with and without the phase."""
+        make_H, vectors = self.SYSTEMS[system]
+        H = make_H()
+        state = ComponentState(tuple(Ket(np.asarray(v, dtype=complex) / np.linalg.norm(v))
+                                     for v in vectors))
+        psi0 = kron(state.vectors())
+        phase = np.exp(-1j * (len(H.dims) - 1) * np.vdot(psi0, H.entries @ psi0).real * self.T)
+        with_phase, without = [], []
+        for dt in self.DTS:
+            steps = round(self.T / dt)
+            assert steps % 2 == 0
+            split = splitting_run(scheme, H, state, dt, steps).full[-1]
+            run = restrict_first(H, 0.5, dt, steps, state)
+            var = Trajectory.from_components(dt, run.points, state.dims).full[-1]
+            with_phase.append(np.linalg.norm(split - phase * var))
+            without.append(np.linalg.norm(split - var))
+        return with_phase, without
+
+    @pytest.mark.parametrize("system", list(SYSTEMS))
+    def test_strang_is_restrict_first_times_the_phase(self, system):
+        with_phase, without = self.differences(system)
+        assert abs(convergence_order(self.DTS, with_phase) - 2.0) < 0.3
+        # Counter-case: without the phase the two stay apart at every dt.
+        assert all(0.18 <= d <= 2.0 for d in without)
+
+    def test_a_first_order_splitting_reads_slope_one(self):
+        """Counter-case: Lie-Trotter in Strang's place fails the slope check."""
+        with_phase, _ = self.differences("swap", SplittingScheme.LIE_TROTTER)
+        assert abs(convergence_order(self.DTS, with_phase) - 1.0) < 0.3
