@@ -3,20 +3,20 @@ system, and an adaptive Runge-Kutta solver for their truncations.
 
 The modified right-hand sides are formal power series in the step size; the
 truncation order selects how many correction terms beyond the restricted
-equations are kept. ``ModifiedRHS`` checks the order once, when it is
-built; each call then applies the series' 2x2 coefficient matrix to the
-rows a and b of the stacked state, since the solver calls it six times per
-step. The series are written for unit-norm components a and b, as the
-exchange system's restricted equations are; for other norms they are not
-the modified equations of the splitting, so callers check the norms first.
-Truncations are solved with an embedded Dormand-Prince 5(4) pair at the
-fixed tolerance ``RK_TOL``, so the reference solutions sit far below the
-deviations being measured; the solver takes the stacked state [a; b], a
-step dt and a step count, and returns the samples on the grid t_i = i * dt
-and its step statistics only. The samples come from the pair's fourth-order
-continuous extension, so no step is capped for their sake: the step
-controller alone sizes every step, within a budget of ``RK_MAX_STEPS``
-accepted plus rejected steps per solve.
+equations are kept; ``SERIES`` holds each scheme's orders and 2x2 matrix.
+``ModifiedRHS`` checks the scheme and order once, when it is built; each
+call applies the matrix to the rows a and b of the stacked state, since the
+solver calls it six times per step. The series are written for unit-norm
+components a and b, as the exchange system's restricted equations are; for
+other norms they are not the modified equations of the splitting, so
+callers check the norms first. Truncations are solved with an embedded
+Dormand-Prince 5(4) pair at the fixed tolerance ``RK_TOL``, so the
+reference solutions sit far below the deviations being measured; the solver
+takes the stacked state [a; b], a step dt and a step count, and returns the
+samples on the grid t_i = i * dt and its step statistics only. The samples
+come from the pair's fourth-order continuous extension, so no step is
+capped for their sake: the step controller alone sizes every step, within a
+budget of ``RK_MAX_STEPS`` accepted plus rejected steps per solve.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ import numpy as np
 from .propagators import SplittingScheme, check_grid
 from .states import SolverFailure
 
-TROTTER_ORDERS = (0, 1, 2)
-STRANG_ORDERS = (0, 2)
 STEP_UNDERFLOW = 1e-14
 RK_TOL = 1e-12
 # The step a unit-scale field takes at RK_TOL; no field call is spent on it.
@@ -78,27 +76,32 @@ def _strang_matrix(order: int, dt: float, q: complex) -> list:
             [-1j * (1.0 - dt * dt / 24.0 * (1.0 + 2.0 * mod_q2) * second) * q, -own]]
 
 
+SERIES = {SplittingScheme.LIE_TROTTER: ((0, 1, 2), _trotter_matrix),
+          SplittingScheme.STRANG: ((0, 2), _strang_matrix)}
+
+
 @dataclass(frozen=True)
 class ModifiedRHS:
-    """Callable modified vector field on the stacked complex pair y = [a; b]."""
+    """Callable modified vector field on the stacked pair y = [a; b]; ``scheme`` may be a name."""
 
     scheme: SplittingScheme
     truncation_order: int
     dt: float
 
     def __post_init__(self):
-        valid = TROTTER_ORDERS if self.scheme is SplittingScheme.LIE_TROTTER else STRANG_ORDERS
-        if self.truncation_order not in valid:
-            raise ValueError(
-                f"truncation order {self.truncation_order} invalid for {self.scheme}"
-            )
+        try:
+            object.__setattr__(self, "scheme", SplittingScheme(self.scheme))
+            orders = SERIES[self.scheme][0]
+        except (ValueError, KeyError):
+            raise ValueError(f"no modified series for the scheme {self.scheme!r}") from None
+        if self.truncation_order not in orders:
+            raise ValueError(f"truncation order {self.truncation_order} invalid for {self.scheme}")
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
         pair = y.reshape(2, -1)  # rows a and b
         q = complex(np.vdot(pair[0], pair[1]))
-        build = _trotter_matrix if self.scheme is SplittingScheme.LIE_TROTTER else _strang_matrix
         try:
-            matrix = build(self.truncation_order, self.dt, q)
+            matrix = SERIES[self.scheme][1](self.truncation_order, self.dt, q)
         except OverflowError:  # |q|² beyond the double range, from the float power
             raise StepSizeUnderflowError(f"modified field overflowed at t={t}") from None
         return np.dot(np.array(matrix), pair).reshape(-1)

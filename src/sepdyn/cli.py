@@ -1,9 +1,9 @@
 """Experiment runner: named systems, JSON configs, CSV/JSON trajectory export.
 
-A run picks one of three experiment Hamiltonians (two-qubit exchange,
-seeded random five-qubit, three-qutrit correlator) and one integrator, then
-writes the trajectory as CSV plus a diagnostics JSON. Runs are byte-for-byte
-reproducible for a fixed config, including the random seed.
+A run picks an experiment of ``SYSTEMS`` (two-qubit exchange, seeded random
+five-qubit, three-qutrit correlator) and an integrator of ``INTEGRATORS``,
+then writes the trajectory as CSV plus a diagnostics JSON. Runs are
+byte-for-byte reproducible for a fixed config, including the random seed.
 
 ``sepdyn run`` loads and validates each config once, before any run (a
 single file is a directory of one), parsing the initial state into the
@@ -16,8 +16,8 @@ path: one ``_integrate`` call on the turn of its first config returns an
 outcome per config, and ``_run_result`` turns each outcome into the
 config's ``RunResult`` on its own turn. Configs of one invocation share a
 unit (several, past ``BATCH_AMPLITUDES`` stored amplitudes) when they share
-the experiment and its Hamiltonian (``seed``/``r_party``), and either are
-all splitting configs, of either scheme and any ``dt``
+the experiment and its Hamiltonian (the values of its ``SYSTEMS`` keys), and
+either are all splitting configs, of any scheme and ``dt``
 (``propagators.evolve``), or are variational configs that also share
 integrator, ``alpha`` and ``dt`` (``variational.integrate_separable_rows``,
 into one buffer allocated up front); each is a row, with its own initial
@@ -60,6 +60,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -85,18 +86,20 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_BLOWUP = 4
 
-EXPERIMENTS = ("swap", "random5", "ladder")
-INTEGRATORS = (
-    "se_exact",
-    "lie_trotter",
-    "strang",
-    "var_restrict_first",
-    "var_discretize_first",
-    "bea_truncation",
-)
+# An experiment's subsystem dims, the config keys selecting its Hamiltonian, and its constructor.
+System = NamedTuple("System", [("dims", tuple), ("keys", tuple), ("hamiltonian", Callable)])
+SYSTEMS = {
+    "swap": System((2, 2), (), lambda: swap_hamiltonian(2)),
+    "random5": System((2,) * 5, ("seed",), lambda seed: random_hermitian(5, seed)),
+    "ladder": System((3, 3, 3), ("r_party",), correlator_hamiltonian),
+}
+EXPERIMENTS = tuple(SYSTEMS)
+SPLITTING = tuple(scheme.value for scheme in SplittingScheme)
+# Each variational integrator and the ``variational.ORDERINGS`` entry it runs.
+VARIATIONAL = {"var_restrict_first": "restrict_first", "var_discretize_first": "discretize_first"}
+INTEGRATORS = ("se_exact", *SPLITTING, *VARIATIONAL, "bea_truncation")
 REQUIRED_KEYS = ("experiment", "integrator", "dt", "t_final", "initial_state", "out_path")
 OUTPUT_NAMES = ("norm", "abs_overlap", "rate_nucl", "bloch", "purity")
-EXPERIMENT_DIMS = {"swap": (2, 2), "random5": (2,) * 5, "ladder": (3, 3, 3)}
 BLOWUP_FACTOR = 2.0
 MAX_STEPS = 10**6
 # A batch stores each config's points, (steps + 1) rows of sum(dims)
@@ -180,7 +183,7 @@ class ExperimentConfig:
             raise ConfigError("out_path must be a string")
         if Path(self.out_path).name in ("", ".."):
             raise ConfigError("out_path must end in a file name")
-        if self.integrator.startswith("var_"):
+        if self.integrator in VARIATIONAL:
             if self.alpha is None:
                 raise ConfigError("variational runs require 'alpha'")
             if not (_is_real(self.alpha) and 0.0 <= self.alpha <= 1.0):
@@ -196,9 +199,10 @@ class ExperimentConfig:
         if self.integrator == "bea_truncation":
             from . import bea
 
-            if self.bea_scheme not in ("lie_trotter", "strang"):
-                raise ConfigError("bea_scheme must be 'lie_trotter' or 'strang'")
-            orders = bea.TROTTER_ORDERS if self.bea_scheme == "lie_trotter" else bea.STRANG_ORDERS
+            schemes = tuple(scheme.value for scheme in bea.SERIES)
+            if self.bea_scheme not in schemes:
+                raise ConfigError("bea_scheme must be " + " or ".join(map(repr, schemes)))
+            orders = bea.SERIES[SplittingScheme(self.bea_scheme)][0]
             if not (_is_int(self.bea_order) and self.bea_order in orders):
                 raise ConfigError(f"bea_order must be one of {orders} for {self.bea_scheme}")
         if not isinstance(self.outputs, list):
@@ -220,7 +224,7 @@ class ExperimentConfig:
     @cached_property
     def initial_components(self) -> ComponentState:
         """The one parse of ``initial_state``; not a field, so not in ``asdict``."""
-        dims = EXPERIMENT_DIMS[self.experiment]
+        dims = SYSTEMS[self.experiment].dims
         if not isinstance(self.initial_state, list) or len(self.initial_state) != len(dims):
             raise ConfigError(
                 f"initial_state must list {len(dims)} subsystem amplitude vectors"
@@ -260,12 +264,13 @@ def compatible(experiment: str, integrator: str) -> bool:
     return True
 
 
+def _hamiltonian_args(config: ExperimentConfig) -> tuple:
+    """The values of the config keys that select ``config``'s Hamiltonian."""
+    return tuple(getattr(config, key) for key in SYSTEMS[config.experiment].keys)
+
+
 def build_hamiltonian(config: ExperimentConfig) -> HermitianOperator:
-    if config.experiment == "swap":
-        return swap_hamiltonian(2)
-    if config.experiment == "random5":
-        return random_hermitian(5, config.seed)
-    return correlator_hamiltonian(config.r_party)
+    return SYSTEMS[config.experiment].hamiltonian(*_hamiltonian_args(config))
 
 
 @dataclass
@@ -273,10 +278,6 @@ class RunResult:
     trajectory: Trajectory
     solver_stats: dict
     blowup: dict | None = None
-
-
-def _is_splitting(config: ExperimentConfig) -> bool:
-    return config.integrator in ("lie_trotter", "strang")
 
 
 def _integrate(configs: list[ExperimentConfig], H: HermitianOperator) -> list:
@@ -287,17 +288,17 @@ def _integrate(configs: list[ExperimentConfig], H: HermitianOperator) -> list:
     ``se_exact`` or ``bea_truncation`` config is ``[execute(config, H)]``.
     """
     first = configs[0]
-    if _is_splitting(first):
+    if first.integrator in SPLITTING:
         return evolve(H, [SplittingScheme(config.integrator) for config in configs],
                       [config.initial_components for config in configs],
                       [config.dt for config in configs],
                       [config.steps() for config in configs])
-    if not first.integrator.startswith("var_"):
+    if first.integrator not in VARIATIONAL:
         return [execute(first, H)]
     from . import variational
 
     return variational.integrate_separable_rows(
-        first.integrator.removeprefix("var_"), H, float(first.alpha), first.dt,
+        VARIATIONAL[first.integrator], H, float(first.alpha), first.dt,
         [config.steps() for config in configs],
         [config.initial_components for config in configs], blowup_factor=BLOWUP_FACTOR)
 
@@ -346,19 +347,17 @@ def _batch_key(config: ExperimentConfig | ConfigError) -> tuple | None:
     The key holds what a batch shares: the Hamiltonian (what
     ``build_hamiltonian`` reads), and for variational configs also the
     ordering, alpha and dt. alpha enters by its bits, since 0.0 and -0.0
-    compare equal. Splitting configs of either scheme and any dt share a
+    compare equal. Splitting configs of every scheme and any dt share a
     batch.
     """
     if isinstance(config, ConfigError):
         return None
-    seed = config.seed if config.experiment == "random5" else None
-    r_party = config.r_party if config.experiment == "ladder" else None
-    if _is_splitting(config):
-        return (config.experiment, seed, r_party, "splitting")
-    if not config.integrator.startswith("var_"):
+    system = (config.experiment, _hamiltonian_args(config))
+    if config.integrator in SPLITTING:
+        return (*system, "splitting")
+    if config.integrator not in VARIATIONAL:
         return None
-    return (config.experiment, seed, r_party, config.integrator,
-            float(config.alpha).hex(), config.dt)
+    return (*system, config.integrator, float(config.alpha).hex(), config.dt)
 
 
 class _Batch:
@@ -514,7 +513,7 @@ def _conservation_summary(config: ExperimentConfig, traj: Trajectory,
     if config.experiment == "swap" and traj.components is not None:
         qs = np.einsum("ti,ti->t", traj.components[:, :2].conj(), traj.components[:, 2:])
         summary["max_abs_q_drift"] = float(np.max(np.abs(qs - qs[0])))
-    if config.integrator.startswith("var_"):
+    if config.integrator in VARIATIONAL:
         summary.update(_variational_summary(traj))
     return summary
 
@@ -703,7 +702,7 @@ def _run_file(path: Path, config: ExperimentConfig | ConfigError, batch: _Batch)
 
 def _batch_amplitudes(config: ExperimentConfig) -> int:
     """Amplitudes a config stores in a batch: (steps + 1) points of sum(dims)."""
-    return (config.steps() + 1) * sum(EXPERIMENT_DIMS[config.experiment])
+    return (config.steps() + 1) * sum(SYSTEMS[config.experiment].dims)
 
 
 def _work_units(items: list[tuple[Path, ExperimentConfig | ConfigError]]) -> list[list]:
@@ -744,14 +743,11 @@ def _run_files(items: list[tuple[Path, ExperimentConfig | ConfigError]]) -> list
 
 
 def list_experiments(as_json: bool) -> str:
-    required = {
-        "swap": ["initial_state (2 qubits)"],
-        "random5": ["initial_state (5 qubits)", "seed"],
-        "ladder": ["initial_state (3 qutrits)", "r_party"],
-    }
+    parts = {2: "qubits", 3: "qutrits"}
+    required = {exp: [f"initial_state ({len(dims)} {parts[dims[0]]})", *keys]
+                for exp, (dims, keys, _) in SYSTEMS.items()}
     integrator_fields = {
-        "var_restrict_first": ["alpha"],
-        "var_discretize_first": ["alpha"],
+        **{integ: ["alpha"] for integ in VARIATIONAL},
         "bea_truncation": ["bea_order", "bea_scheme (optional)"],
     }
     if as_json:

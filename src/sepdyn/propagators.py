@@ -12,12 +12,13 @@ One loop, ``_run_rows``, does every splitting step, for a stack of one or
 more rows on one H, each with its own scheme, state, dt and step count.
 ``evolve`` runs whole trajectories through it, a run alone being a batch
 of one row, and the step maps are one step of one row.
-The rows share one order of sub-steps, Strang's (``0..n-1..0``, or
-``1, 0, 1`` for n = 2) if any row is Strang, else Lie–Trotter's. Each
-row's own sequence sits in that order as a subsequence, with its time
-there and a hold at every other position: a Lie–Trotter row flows on the
-ascending half and holds on the way back. A position at which every row
-holds is skipped, and rows leave the batch as they end.
+``SplittingScheme`` lists the schemes and ``_SEQUENCES`` their sub-steps.
+The rows share the order of the longest sequence among their schemes:
+Strang's (``0..n-1..0``, or ``1, 0, 1`` for n = 2) if any row is Strang,
+else Lie–Trotter's. Each row's own sequence sits in that order as a
+subsequence, with its time there and a hold at every other position: a
+Lie–Trotter row flows on the ascending half and holds on the way back. A
+position where every row holds is skipped; rows leave as they end.
 
 A sub-step on component k decomposes the sandwiches S = c^H B c of
 ``reduced.contract_reduced`` as they come, unscaled and unsymmetrized (the
@@ -247,10 +248,9 @@ _SEQUENCES = {
 
 
 def _shared_order(schemes, n: int) -> list[int]:
-    """The components of a batch step's sub-steps: Strang's if any row is Strang."""
-    scheme = (SplittingScheme.STRANG if SplittingScheme.STRANG in schemes
-              else SplittingScheme.LIE_TROTTER)
-    return [k for k, _ in _SEQUENCES[scheme](n, 1.0)]
+    """The components of a batch step's sub-steps: the longest sequence's of its schemes."""
+    sequences = [_SEQUENCES[scheme](n, 1.0) for scheme in SplittingScheme if scheme in schemes]
+    return [k for k, _ in max(sequences, key=len, default=[])]
 
 
 def _embed(sequence, order: list[int]) -> list[float | None]:

@@ -53,6 +53,22 @@ class TestModifiedRHS:
         with pytest.raises(ValueError):
             bea.ModifiedRHS(scheme, order, 0.1)
 
+    @pytest.mark.parametrize("scheme, order", [
+        (LIE_TROTTER, 0), (LIE_TROTTER, 1), (LIE_TROTTER, 2), (STRANG, 0), (STRANG, 2),
+    ])
+    def test_a_scheme_name_gives_its_member_series(self, rng, scheme, order):
+        by_name = bea.ModifiedRHS(scheme.value, order, 0.1)
+        assert by_name.scheme is scheme
+        assert by_name == bea.ModifiedRHS(scheme, order, 0.1)
+        for _ in range(3):
+            y = np.concatenate([random_ket(rng).amplitudes, random_ket(rng).amplitudes])
+            assert np.array_equal(by_name(0.0, y), bea.ModifiedRHS(scheme, order, 0.1)(0.0, y))
+
+    @pytest.mark.parametrize("scheme", ["yoshida", "", "LIE_TROTTER", None, ["strang"]])
+    def test_rejects_a_scheme_without_a_series(self, scheme):
+        with pytest.raises(ValueError, match="no modified series"):
+            bea.ModifiedRHS(scheme, 0, 0.1)
+
     @pytest.mark.parametrize("scheme", [LIE_TROTTER, STRANG])
     def test_order_zero_is_the_restricted_swap_flow(self, rng, scheme):
         times = 0.1 * np.arange(21)

@@ -1,5 +1,6 @@
 import concurrent.futures
 import errno
+import itertools
 import json
 import os
 import re
@@ -398,6 +399,11 @@ class TestFiniteProbes:
         ({"out_path": "/"}, cli.EXIT_CONFIG, "out_path"),
         ({"out_path": ".."}, cli.EXIT_CONFIG, "out_path"),
         ({"out_path": "a/.."}, cli.EXIT_CONFIG, "out_path"),
+        # Names given as JSON lists or objects fail the name checks.
+        ({"experiment": ["swap"]}, cli.EXIT_CONFIG, "unknown experiment"),
+        ({"integrator": {"a": 1}}, cli.EXIT_CONFIG, "unknown integrator"),
+        ({"integrator": "bea_truncation", "bea_order": 2, "bea_scheme": ["strang"]},
+         cli.EXIT_CONFIG, "bea_scheme must be 'lie_trotter' or 'strang'"),
         # Finite norm², but the diagnostics are of order norm⁴ and overflow.
         ({"initial_state": [[1e150, 0], [0.6, 0.8]], "outputs": list(cli.OUTPUT_NAMES)},
          cli.EXIT_SOLVER, "diagnostic column 'rate_nucl' is not finite"),
@@ -762,6 +768,54 @@ class TestList:
         for name in cli.EXPERIMENTS + cli.INTEGRATORS:
             assert name in text
         assert all(line == line.rstrip() for line in text.splitlines())
+
+
+class TestNameTables:
+    """Each integrator family and system is named once, and every reader agrees."""
+
+    def test_splitting_integrators_are_the_splitting_schemes(self):
+        assert cli.SPLITTING == tuple(scheme.value for scheme in SplittingScheme)
+        assert set(cli.SPLITTING) <= set(cli.INTEGRATORS)
+
+    def test_variational_integrators_run_the_orderings(self):
+        assert tuple(cli.VARIATIONAL.values()) == variational.ORDERINGS
+        assert set(cli.VARIATIONAL) <= set(cli.INTEGRATORS)
+
+    def test_bea_schemes_are_the_schemes_with_a_series(self, tmp_path):
+        for scheme in SplittingScheme:
+            for order in range(4):
+                config = {**swap_config(tmp_path / "run", 0.1), "integrator": "bea_truncation",
+                          "bea_scheme": scheme.value, "bea_order": order}
+                valid = scheme in bea.SERIES and order in bea.SERIES[scheme][0]
+                try:
+                    cli.ExperimentConfig.from_dict(config)
+                except cli.ConfigError:
+                    assert not valid, (scheme, order)
+                else:
+                    assert valid, (scheme, order)
+
+    def test_a_batch_key_is_shared_exactly_by_configs_of_one_hamiltonian(self, tmp_path):
+        systems = [
+            {"experiment": "swap"},
+            {"experiment": "swap", "seed": 4, "r_party": 2},
+            {"experiment": "random5", "seed": 3, "initial_state": FIVE_QUBITS},
+            {"experiment": "random5", "seed": 4, "initial_state": FIVE_QUBITS},
+            {"experiment": "random5", "seed": 3, "r_party": 2, "initial_state": FIVE_QUBITS},
+            {"experiment": "ladder", "r_party": 1, "initial_state": THREE_QUTRITS},
+            {"experiment": "ladder", "r_party": 2, "initial_state": THREE_QUTRITS},
+            {"experiment": "ladder", "r_party": 2, "seed": 3, "initial_state": THREE_QUTRITS},
+        ]
+        configs = [cli.ExperimentConfig.from_dict(
+            {**swap_config(tmp_path / "run", 0.1), "integrator": integrator, "alpha": 0.5,
+             **fields})
+            for fields in systems for integrator in ("strang", "var_restrict_first")]
+        entries = [cli.build_hamiltonian(config).entries for config in configs]
+        for i, j in itertools.product(range(len(configs)), repeat=2):
+            same_family = configs[i].integrator == configs[j].integrator
+            same_h = (entries[i].shape == entries[j].shape
+                      and np.array_equal(entries[i], entries[j]))
+            assert (cli._batch_key(configs[i]) == cli._batch_key(configs[j])) == (
+                same_family and same_h), (systems[i // 2], systems[j // 2])
 
 
 class TestExitCodesEndToEnd:

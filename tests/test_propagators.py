@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 from types import SimpleNamespace
 
@@ -884,6 +885,39 @@ class TestEvolveRows:
             evolve(H, [LT, STRANG], states[:1], [0.1, 0.1], [5, 5])
         assert calls == []
         assert evolve(H, [], [], [], []) == []
+
+
+class TestSharedOrder:
+    """``_shared_order`` and ``_embed`` over every mix of ``SplittingScheme``
+    members: each scheme's sequence sits in the shared order, in order."""
+
+    @staticmethod
+    def mixes():
+        members = list(SplittingScheme)
+        for size in range(1, len(members) + 1):
+            for mix in itertools.combinations(members, size):
+                yield list(mix)
+                yield list(reversed(mix)) * 2  # order and repeats do not matter
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_sequence_of_a_mix_embeds_in_its_order(self, n):
+        for mix in self.mixes():
+            order = propagators._shared_order(mix, n)
+            for scheme in mix:
+                sequence = propagators._SEQUENCES[scheme](n, 0.1)
+                taus = propagators._embed(sequence, order)
+                assert [(k, tau) for k, tau in zip(order, taus) if tau is not None] == sequence
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_strang_sets_the_order_of_a_mix_that_holds_it(self, n):
+        def components(scheme):
+            return [k for k, _ in propagators._SEQUENCES[scheme](n, 1.0)]
+
+        for mix in self.mixes():
+            if set(mix) <= {LT, STRANG}:
+                expected = STRANG if STRANG in mix else LT
+                assert propagators._shared_order(mix, n) == components(expected)
+        assert propagators._shared_order([], n) == []
 
 
 class TestSeEvolve:

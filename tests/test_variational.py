@@ -1551,3 +1551,82 @@ class TestPhaseConvention:
         """Counter-case: Lie-Trotter in Strang's place fails the slope check."""
         with_phase, _ = self.differences("swap", SplittingScheme.LIE_TROTTER)
         assert abs(convergence_order(self.DTS, with_phase) - 1.0) < 0.3
+
+
+def noether_charges(Ld, points: np.ndarray, dims) -> np.ndarray:
+    """The discrete Noether charges J_xi(n) = 2 Re p_n . xi(x_n), n = 1..steps,
+    one row per direction xi, with p_n = D2 L_d(x_{n-1}, x_n) of ``Ld``.
+
+    The directions are i a_k on each slot k (a phase of one component), then
+    (a_0, -a_k) on slots 0 and k for k >= 1 (the gauge a_0 -> lambda a_0,
+    a_k -> a_k / lambda for real lambda): 2N - 1 charges.
+    """
+    momenta = Ld.d3(points[:-1], points[1:])
+    parts = split_components(points[1:], dims)
+    directions = []
+    for k in range(len(dims)):
+        xi = [np.zeros_like(part) for part in parts]
+        xi[k] = 1j * parts[k]
+        directions.append(xi)
+    for k in range(1, len(dims)):
+        xi = [np.zeros_like(part) for part in parts]
+        xi[0], xi[k] = parts[0], -parts[k]
+        directions.append(xi)
+    return np.array([2.0 * np.sum(momenta * np.concatenate(xi, axis=-1), axis=-1).real
+                     for xi in directions])
+
+
+class TestNoetherCharges:
+    """Both orderings conserve their discrete Noether charges to Newton's tolerance.
+
+    The discrete Lagrangian each recursion solves with is invariant under a
+    phase of one component and under the gauge of ``noether_charges``, so
+    the discrete Euler-Lagrange equations conserve each charge exactly, and
+    only the solves' residuals move it. That holds whatever the gauge and
+    the norm do, which the other variational checks read. The recursion's
+    L_d is the separable ``DiscreteLagrangian`` for restrict-first, and
+    ``_SubstitutedDiscreteLagrangian`` for discretize-first, whose momentum
+    p_1 is taken at the shared restrict-first start. The states are pinned:
+    with N >= 3 many discretize-first runs end in a Newton failure before
+    step 50.
+    """
+
+    ALPHA, DT, STEPS = 0.5, 0.02, 50
+    SYSTEMS = {
+        "swap": (lambda: swap_hamiltonian(2), [[1, 0], [0.8, 0.6j]]),
+        "random5": (lambda: random_hermitian(5, 3),
+                    [[0.1 - 1j, 0.3 - 1.1j], [0.2 + 0.2j, -0.5 + 0.8j], [-1.6 + 1.2j, 0.3 - 0.3j],
+                     [-0.8 + 0.3j, 0.8 + 0.9j], [-0.3 - 0.1j, -1.5 - 0.4j]]),
+        "ladder": (lambda: correlator_hamiltonian(2),
+                   [[0.3 + 1.4j, -1.2 + 0.3j, -1.1 + 0.1j], [-1j, 0.4 + 1.3j, -1.2 + 0.2j],
+                    [0.9 + 0.3j, -0.6 + 0.5j, 1.4 + 0.5j]]),
+    }
+    CASES = [(system, ordering) for system in SYSTEMS for ordering in ORDERINGS]
+
+    def largest_drift(self, system, ordering) -> float:
+        """max over xi and n of |J_xi(n) - J_xi(1)| on the pinned run."""
+        make_H, vectors = self.SYSTEMS[system]
+        H = make_H()
+        state = ComponentState(tuple(Ket(np.asarray(v, dtype=complex) / np.linalg.norm(v))
+                                     for v in vectors))
+        L = se_lagrangian(H)
+        Ld = DiscreteLagrangian(separable_lagrangian(L, state.dims), self.ALPHA, self.DT)
+        if ordering == "discretize_first":
+            Ld = _SubstitutedDiscreteLagrangian(DiscreteLagrangian(L, self.ALPHA, self.DT),
+                                                state.dims)
+        run = run_alone(ordering, H, self.ALPHA, self.DT, self.STEPS, state)
+        assert run.points.shape[0] == self.STEPS + 1
+        charges = noether_charges(Ld, run.points, state.dims)
+        assert charges.shape == (2 * len(state.dims) - 1, self.STEPS)
+        return float(np.abs(charges - charges[:, :1]).max())
+
+    @pytest.mark.parametrize("system, ordering", CASES)
+    def test_every_charge_is_conserved(self, system, ordering):
+        assert self.largest_drift(system, ordering) <= 1e-9
+
+    @pytest.mark.parametrize("system, ordering", CASES)
+    def test_a_loose_newton_tolerance_breaks_conservation(self, monkeypatch, system,
+                                                          ordering):
+        """Counter-case: solves stopped at 1e-6 move the charges past the bound."""
+        monkeypatch.setattr(variational, "NEWTON_TOL", 1e-6)
+        assert self.largest_drift(system, ordering) > 1e-9
