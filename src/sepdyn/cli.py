@@ -40,6 +40,13 @@ subsystem at a time. An ``se_exact`` run is its own ``abs_overlap``
 reference; every other integrator is compared with the exact flow from its
 first state.
 
+A variational run's JSON ``solver`` block counts its Newton solves (one a
+step), their iterations in total and at most, and gives the largest final
+residual, ``max_final_newton_residual``. A solve that stopped on the
+contraction estimate (``variational._newton_rows``: restrict-first steps
+and every start) records that estimate as its final residual, and
+``solves_stopped_on_estimate`` counts those solves.
+
 Exit codes: 0 success, 2 config validation error, 3 solver failure (any
 ``SolverFailure``), 4 variational blow-up (partial output retained); a
 directory exits with the largest code of its configs.
@@ -103,7 +110,7 @@ OUTPUT_NAMES = ("norm", "abs_overlap", "rate_nucl", "bloch", "purity")
 BLOWUP_FACTOR = 2.0
 MAX_STEPS = 10**6
 # A batch stores each config's points, (steps + 1) rows of sum(dims)
-# components (a variational row adds 16 bytes a point of Newton records), and
+# components (a variational row adds 17 bytes a point of Newton records), and
 # keeps them until its last config is written; a row's product states are
 # formed on its config's turn. A batch counts the stored amplitudes, at most
 # BATCH_AMPLITUDES (160 MB) over its configs, or one config's if more. Newton
@@ -183,25 +190,27 @@ class ExperimentConfig:
             raise ConfigError("out_path must be a string")
         if Path(self.out_path).name in ("", ".."):
             raise ConfigError("out_path must end in a file name")
-        if self.integrator in VARIATIONAL:
-            if self.alpha is None:
-                raise ConfigError("variational runs require 'alpha'")
-            if not (_is_real(self.alpha) and 0.0 <= self.alpha <= 1.0):
-                raise ConfigError("alpha must be a number in [0, 1]")
-        if self.experiment == "random5":
-            if self.seed is None:
-                raise ConfigError("the random5 experiment requires 'seed'")
-            if not (_is_int(self.seed) and self.seed >= 0):
-                raise ConfigError("seed must be a non-negative integer")
-        if self.experiment == "ladder":
-            if not (_is_int(self.r_party) and self.r_party in (1, 2, 3)):
-                raise ConfigError("the ladder experiment requires r_party in {1, 2, 3}")
-        if self.integrator == "bea_truncation":
+        # A key is checked wherever it is present, by the rule of the run that
+        # reads it: a run that does not read it still records it.
+        if self.integrator in VARIATIONAL and self.alpha is None:
+            raise ConfigError("variational runs require 'alpha'")
+        if self.alpha is not None and not (_is_real(self.alpha) and 0.0 <= self.alpha <= 1.0):
+            raise ConfigError("alpha must be a number in [0, 1]")
+        if self.experiment == "random5" and self.seed is None:
+            raise ConfigError("the random5 experiment requires 'seed'")
+        if self.seed is not None and not (_is_int(self.seed) and self.seed >= 0):
+            raise ConfigError("seed must be a non-negative integer")
+        if self.experiment == "ladder" and self.r_party is None:
+            raise ConfigError("the ladder experiment requires 'r_party'")
+        if self.r_party is not None and not (_is_int(self.r_party) and self.r_party in (1, 2, 3)):
+            raise ConfigError("r_party must be 1, 2 or 3")
+        if self.bea_scheme not in SPLITTING:
+            raise ConfigError("bea_scheme must be " + " or ".join(map(repr, SPLITTING)))
+        if self.integrator == "bea_truncation" and self.bea_order is None:
+            raise ConfigError("bea_truncation runs require 'bea_order'")
+        if self.bea_order is not None:
             from . import bea
 
-            schemes = tuple(scheme.value for scheme in bea.SERIES)
-            if self.bea_scheme not in schemes:
-                raise ConfigError("bea_scheme must be " + " or ".join(map(repr, schemes)))
             orders = bea.SERIES[SplittingScheme(self.bea_scheme)][0]
             if not (_is_int(self.bea_order) and self.bea_order in orders):
                 raise ConfigError(f"bea_order must be one of {orders} for {self.bea_scheme}")
@@ -337,6 +346,7 @@ def _run_result(config: ExperimentConfig, outcome) -> RunResult:
         "newton_iterations": int(iterations.sum()),
         "max_newton_iterations": int(iterations.max()),
         "max_final_newton_residual": float(outcome.newton_residuals.max()),
+        "solves_stopped_on_estimate": int(outcome.newton_estimated.sum()),
     }
     return RunResult(traj, stats, blowup)
 

@@ -37,8 +37,15 @@ Each iteration makes one residual call per block of rows, on a stack that
 holds every running row's iterate and its Jacobian's bumped points. The
 least-squares updates of a block's running rows are one call to the LAPACK
 gelsd gufunc that ``np.linalg.lstsq`` wraps, which solves each matrix of a
-stack as it would solve it alone. Norms stay one dot product per row: a
-stacked norm rounds differently from the one-row norm.
+stack as it would solve it alone. Norms stay one dot product per row, all
+of an iteration's in one ``np.vecdot`` call, which rounds each row as
+``sqrt(v @ v)`` does; ``np.linalg.norm`` along an axis rounds differently.
+A restrict-first solve, and every start, stops on Deuflhard's contraction
+estimate once it has two residuals and the estimate is a tenth of the
+tolerance, accepting its last update without evaluating it: the point is
+the one the evaluated stop accepts, one residual call sooner, and the run
+records the estimate as its final residual. Discretize-first steps keep
+the evaluated stop until their gauge is fixed (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -58,6 +65,10 @@ from .states import SolverFailure, kron, split_components
 
 NEWTON_TOL = 1e-12
 NEWTON_MAXITER = 50
+# A solve stops on the contraction estimate only at a tenth of NEWTON_TOL
+# (Hairer & Wanner's kappa): on N >= 3 restrict-first rows the residual at the
+# accepted point read up to 4.6 times the estimate.
+_ESTIMATE_SAFETY = 0.1
 _SQRT_EPS = sqrt(np.finfo(float).eps)
 
 
@@ -269,7 +280,7 @@ def _least_squares(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _newton_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                 guesses: np.ndarray) -> list:
+                 guesses: np.ndarray, contraction_stop: bool = False) -> list:
     """Newton iteration on B complex systems at once, with real/imaginary splitting.
 
     ``residual(points, rows)`` evaluates the systems ``rows`` (indices into
@@ -285,12 +296,22 @@ def _newton_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
     x + h_j e_j, h_j = sqrt(eps) * max(1, |x_j|), so the call gives the
     residual r at x and column j of the Jacobian, (F(x + h_j e_j) - r) / h_j.
     A row leaves once its real-split residual norm is at most
-    ``NEWTON_TOL``, with (solution, iterations,
-    that norm), or with a ``NewtonConvergenceError`` for a non-finite
-    residual or ``NEWTON_MAXITER`` iterations. The others take one stacked
-    least-squares update (``_least_squares``), the minimum-norm step where
-    gelsd finds a Jacobian rank-deficient; a row whose Jacobian is not
-    finite, or whose update fails, leaves with a ``NewtonConvergenceError``.
+    ``NEWTON_TOL``, with (solution, iterations, that norm, False), or with a
+    ``NewtonConvergenceError`` for a non-finite residual or
+    ``NEWTON_MAXITER`` iterations. The others take one stacked least-squares
+    update (``_least_squares``), the minimum-norm step where gelsd finds a
+    Jacobian rank-deficient; a row whose Jacobian is not finite, or whose
+    update fails, leaves with a ``NewtonConvergenceError``.
+
+    With ``contraction_stop``, a row whose update of iteration k >= 1 is
+    made leaves at once when Deuflhard's contraction estimate
+    ||r_k||^2 / ||r_{k-1}|| is at most ``_ESTIMATE_SAFETY * NEWTON_TOL``,
+    with (x_k + dx_k, k + 1, the estimate, True); x_{k+1} is never
+    evaluated. Wherever the evaluated stop would also accept x_{k+1}, that
+    is the same point bit for bit, one residual call sooner. The estimate
+    is no bound: it assumes the contraction does not slow, and with
+    forward-difference Jacobians it can, hence the safety factor. It needs
+    two residuals, so no row stops on it at k = 0.
     Returns one of these outcomes per guess.
     """
     count, m = guesses.shape[0], 2 * guesses.shape[1]
@@ -312,8 +333,8 @@ def _newton_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
                     f"{values.shape}; it must return one row per point"
                 )
             values = _complex_to_real(values)
-            # np.linalg.norm's formula for a real vector, without its wrapper.
-            norms = np.array([sqrt(v @ v) for v in values[:, 0]])
+            # np.linalg.norm's sqrt(v @ v) of each row's residual, in one call.
+            norms = np.sqrt(np.vecdot(values[:, 0], values[:, 0]))
             running = np.isfinite(norms) & (norms > NEWTON_TOL) & (iteration < NEWTON_MAXITER)
             if not running.all():
                 for i in np.flatnonzero(~running):
@@ -323,13 +344,15 @@ def _newton_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
                             "Newton residual became non-finite", res_norm)
                     elif res_norm <= NEWTON_TOL:
                         # A copy: a view would keep the whole stack of points.
-                        outcomes[rows[i]] = (points[i, 0].copy(), iteration, res_norm)
+                        outcomes[rows[i]] = (points[i, 0].copy(), iteration, res_norm, False)
                     else:
                         outcomes[rows[i]] = NewtonConvergenceError(
                             f"Newton did not reach {NEWTON_TOL} in {NEWTON_MAXITER} "
                             "iterations", res_norm)
                 rows, x, h, values, norms = (rows[running], x[running], h[running],
                                              values[running], norms[running])
+                if iteration:
+                    previous = previous[running]
                 if not len(rows):
                     break
             r = values[:, 0]
@@ -340,14 +363,23 @@ def _newton_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
             jac[~finite] = 0.0
             steps, ranks = _least_squares(jac, -r)
             x = x + steps
-            running = finite & (ranks >= 0)
-            if not running.all():
-                for i in np.flatnonzero(~running):
+            updated = finite & (ranks >= 0)
+            leaving = ~updated
+            if contraction_stop and iteration:
+                estimates = norms * norms / previous
+                leaving |= updated & (estimates <= _ESTIMATE_SAFETY * NEWTON_TOL)
+            if leaving.any():
+                for i in np.flatnonzero(leaving):
+                    if updated[i]:
+                        outcomes[rows[i]] = (_real_to_complex(x[i]), iteration + 1,
+                                             float(estimates[i]), True)
+                        continue
                     reason = ("update failed: SVD did not converge in Linear Least Squares"
                               if finite[i] else "Jacobian became non-finite")
                     outcomes[rows[i]] = NewtonConvergenceError(f"Newton {reason}",
                                                                float(norms[i]))
-                rows, x = rows[running], x[running]
+                rows, x, norms = rows[~leaving], x[~leaving], norms[~leaving]
+            previous = norms
             iteration += 1
     return outcomes
 
@@ -374,12 +406,18 @@ def newton_solve(residual: Callable[[np.ndarray], np.ndarray], guess: np.ndarray
 
 
 def _step_rows(Ld, curr: np.ndarray, momentum: np.ndarray, guess: np.ndarray) -> list:
-    """Newton's outcome per row for y in D1 L_d(curr, y) + momentum = 0, from ``guess``."""
+    """Newton's outcome per row for y in D1 L_d(curr, y) + momentum = 0, from ``guess``.
+
+    A ``DiscreteLagrangian``'s rows (every restrict-first step and every
+    start) stop on the contraction estimate. The substituted equations keep
+    the evaluated stop until their gauge (ROADMAP F1) is fixed: along it the
+    estimate moved their outputs.
+    """
 
     def residual(points, rows):
         return Ld.d1(_row_data(curr, rows, points), points) + _row_data(momentum, rows, points)
 
-    return _newton_rows(residual, guess)
+    return _newton_rows(residual, guess, contraction_stop=isinstance(Ld, DiscreteLagrangian))
 
 
 def initial_step(Ld: DiscreteLagrangian, x0: np.ndarray) -> list:
@@ -387,7 +425,8 @@ def initial_step(Ld: DiscreteLagrangian, x0: np.ndarray) -> list:
 
     Solves D1 L_d(x0, x1) + p_0 = 0 with p_0 the continuous momentum at x0,
     formed in ``row_blocks``, and Newton started at x0. Returns one
-    ``_newton_rows`` outcome per row: (x1, iterations, residual norm) or a
+    ``_newton_rows`` outcome per row: (x1, iterations, final residual,
+    whether that residual is the contraction estimate) or a
     ``NewtonConvergenceError``.
     """
     p0 = np.concatenate([velocity_momentum(Ld.base, x0[block])
@@ -415,20 +454,24 @@ class DiscreteTrajectory:
     ``points`` has shape (n_times, dim); for separable runs the rows are
     stacked component vectors. ``newton_iterations[i]`` and
     ``newton_residuals[i]`` are the Newton iteration count and final residual
-    norm of the solve that produced ``points[i + 1]``. The arrays of a run
-    from ``_run_rows`` are views of its batch's buffers.
+    norm of the solve that produced ``points[i + 1]``; ``newton_estimated[i]``
+    is True where that residual is the contraction estimate the solve
+    stopped on, not an evaluated norm. The arrays of a run from
+    ``_run_rows`` are views of its batch's buffers.
     """
 
     dt: float
     points: np.ndarray
     newton_iterations: np.ndarray
     newton_residuals: np.ndarray
+    newton_estimated: np.ndarray
 
     def __post_init__(self):
         solves = (len(self.points) - 1,)
-        if np.shape(self.newton_iterations) != solves or np.shape(self.newton_residuals) != solves:
-            raise ValueError("newton_iterations and newton_residuals need one entry per "
-                             "point after the first")
+        records = (self.newton_iterations, self.newton_residuals, self.newton_estimated)
+        if any(np.shape(record) != solves for record in records):
+            raise ValueError("newton_iterations, newton_residuals and newton_estimated need "
+                             "one entry per point after the first")
 
     @cached_property
     def times(self) -> np.ndarray:
@@ -454,11 +497,12 @@ def _run_rows(start_Ld: DiscreteLagrangian, Ld, x0: np.ndarray, steps,
 
     The points live in one complex buffer of shape (Σ_b (steps[b] + 1), n),
     allocated up front: row b's point i at starts[b] + i, and the Newton
-    count and final residual of the solve that produced it at the same index
-    of two more arrays. A step gathers the running rows' last two points with
-    one fancy index and writes their solved points in place; a trajectory is
-    a slice of the three. So a batch stores (steps + 1) * n amplitudes a row,
-    and 16 bytes a point besides; ``cli._batch_amplitudes`` counts these. The
+    count, final residual and estimate flag of the solve that produced it at
+    the same index of three more arrays. A step gathers the running rows'
+    last two points with one fancy index and writes their solved points in
+    place; a trajectory is a slice of the four. So a batch stores
+    (steps + 1) * n amplitudes a row, and 17 bytes a point besides;
+    ``cli._batch_amplitudes`` counts these. The
     solves and the momenta p_0 and p_n work on the ``row_blocks`` of whole
     rows, at most ``BLOCK_CELLS`` stacked amplitudes a call, so beside the
     buffers a batch holds one block's product states and a few points a row.
@@ -470,6 +514,7 @@ def _run_rows(start_Ld: DiscreteLagrangian, Ld, x0: np.ndarray, steps,
     points = np.empty((lengths.sum(), x0.shape[1]), dtype=complex)
     iterations = np.empty(len(points), dtype=int)
     residuals = np.empty(len(points))
+    estimated = np.empty(len(points), dtype=bool)
     points[starts] = x0
     references = np.abs(x0).max(axis=1)
     outcomes: list = [None] * len(x0)
@@ -478,7 +523,7 @@ def _run_rows(start_Ld: DiscreteLagrangian, Ld, x0: np.ndarray, steps,
         """Row b through its point ``last``, as views of the buffers."""
         span = slice(starts[b], starts[b] + last + 1)
         return DiscreteTrajectory(start_Ld.dt, points[span], iterations[span][1:],
-                                  residuals[span][1:])
+                                  residuals[span][1:], estimated[span][1:])
 
     def advance(rows, solved, step):
         """Store each row's solve of ``step``; returns the rows still running."""
@@ -493,7 +538,7 @@ def _run_rows(start_Ld: DiscreteLagrangian, Ld, x0: np.ndarray, steps,
                         make_traj(b, step - 1))
                 continue
             at = starts[b] + step
-            points[at], iterations[at], residuals[at] = outcome
+            points[at], iterations[at], residuals[at], estimated[at] = outcome
             if (step > 1 and blowup_factor is not None
                     and np.abs(points[at]).max() > blowup_factor * references[b]):
                 outcomes[b] = BlowupError(

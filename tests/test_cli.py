@@ -224,6 +224,40 @@ class TestConfigErrors:
     def test_malformed_field(self, tmp_path, capsys, fields, message):
         assert message in self.assert_config_error(tmp_path, capsys, **fields)
 
+    # A key is checked wherever it is present, by the rule of the run that
+    # reads it, also in a swap strang run, which reads none of these.
+    @pytest.mark.parametrize("fields, message", [
+        ({"alpha": "x", "seed": [1], "r_party": {"a": 1}, "bea_scheme": 7},
+         "alpha must be a number in [0, 1]"),
+        ({"alpha": 1.5}, "alpha must be a number in [0, 1]"),
+        ({"seed": [1]}, "seed must be a non-negative integer"),
+        ({"seed": -1}, "seed must be a non-negative integer"),
+        ({"r_party": {"a": 1}}, "r_party must be 1, 2 or 3"),
+        ({"r_party": 4}, "r_party must be 1, 2 or 3"),
+        ({"bea_scheme": 7}, "bea_scheme must be 'lie_trotter' or 'strang'"),
+        ({"bea_order": "x"}, "bea_order must be one of (0, 1, 2) for lie_trotter"),
+        ({"bea_scheme": "strang", "bea_order": 1}, "bea_order must be one of (0, 2) for strang"),
+    ])
+    def test_a_key_the_run_does_not_read_is_checked(self, tmp_path, capsys, fields, message):
+        assert message in self.assert_config_error(tmp_path, capsys, integrator="strang",
+                                                    **fields)
+
+    def test_a_valid_key_the_run_does_not_read_is_recorded(self, tmp_path, capsys):
+        unread = {"alpha": 0.5, "seed": 3, "r_party": 2, "bea_scheme": "strang",
+                  "bea_order": 2}
+        outputs = []
+        for name, fields in [("plain", {}), ("alpha", {"alpha": 0.5}), ("all", unread)]:
+            (tmp_path / name).mkdir()
+            code, err = run_with(tmp_path / name, capsys, integrator="strang", **fields)
+            assert (code, err) == (cli.EXIT_OK, "")
+            out = tmp_path / name / "out"
+            record = json.loads((out / "run.json").read_text())
+            assert record["config"] | fields == record["config"]
+            record["config"] = {key: value for key, value in record["config"].items()
+                                if key not in unread and key != "out_path"}
+            outputs.append(((out / "run.csv").read_bytes(), record))
+        assert outputs[0] == outputs[1] == outputs[2]
+
     @pytest.mark.parametrize("scheme, order", [("lie_trotter", 0), ("strang", 2)])
     @pytest.mark.parametrize("state", [[[2, 0], [0.6, 0.8]], [[1, 0], [0.6, 0.9]],
                                        [[1, 0], [0.6, 0.8 + 1e-11]]])
@@ -270,8 +304,11 @@ class TestNewtonRecord:
         assert solver["max_newton_iterations"] == int(counts.max())
         assert solver["max_final_newton_residual"] == discrete.newton_residuals.max()
         assert 0 < solver["max_final_newton_residual"] <= solver["tolerance"]
+        # Restrict-first swap solves stop on the contraction estimate.
+        assert solver["solves_stopped_on_estimate"] == int(discrete.newton_estimated.sum()) > 0
         assert set(solver) == {"kind", "tolerance", "newton_solves", "newton_iterations",
-                               "max_newton_iterations", "max_final_newton_residual"}
+                               "max_newton_iterations", "max_final_newton_residual",
+                               "solves_stopped_on_estimate"}
 
 
 class TestRungeKuttaRecord:
@@ -841,12 +878,12 @@ class TestExitCodesEndToEnd:
 
         solve = variational._newton_rows
 
-        def failing_on_ladder(residual, guesses):
+        def failing_on_ladder(residual, guesses, **options):
             # The ladder's stacked components have nine amplitudes.
             if np.shape(guesses)[-1] == 9:
                 return [variational.NewtonConvergenceError("forced failure", 1.0)
                         for _ in guesses]
-            return solve(residual, guesses)
+            return solve(residual, guesses, **options)
 
         monkeypatch.setattr(variational, "_newton_rows", failing_on_ladder)
         codes = []
@@ -1451,12 +1488,12 @@ class TestOneBlockConstant:
         widths = []
         newton_rows = variational._newton_rows
 
-        def recording(residual, guesses):
+        def recording(residual, guesses, **options):
             def recorded(points, rows):
                 widths.append(len(rows))
                 return residual(points, rows)
 
-            return newton_rows(recorded, guesses)
+            return newton_rows(recorded, guesses, **options)
 
         monkeypatch.setattr(variational, "_newton_rows", recording)
 

@@ -353,7 +353,7 @@ def captured_residual(monkeypatch, solve):
     """The row residual ``solve`` hands to the Newton loop, and its guesses."""
     seen = {}
 
-    def capture(residual, guesses):
+    def capture(residual, guesses, **options):
         seen.update(residual=residual, guesses=np.asarray(guesses, dtype=complex))
         return [(guess, 0) for guess in seen["guesses"]]
 
@@ -551,7 +551,7 @@ def two_call_newton_rows(residual, guesses):
                 outcomes[rows[i]] = NewtonConvergenceError(
                     "Newton residual became non-finite", res_norm)
             elif res_norm <= variational.NEWTON_TOL:
-                outcomes[rows[i]] = (z[i], iteration, res_norm)
+                outcomes[rows[i]] = (z[i], iteration, res_norm, False)
             else:
                 outcomes[rows[i]] = NewtonConvergenceError(
                     f"Newton did not reach {variational.NEWTON_TOL} in "
@@ -582,12 +582,13 @@ def two_call_newton_rows(residual, guesses):
 
 def newton_outcome_bits(outcome):
     """Message and residual of a failed row; bytes of a solved row's point,
-    its iteration count and its residual norm."""
+    its iteration count and its residual norm, and whether that norm is the
+    contraction estimate."""
     if isinstance(outcome, NewtonConvergenceError):
         return ("failed", str(outcome), np.float64(outcome.residual).tobytes())
-    solution, iterations, res_norm = outcome
+    solution, iterations, res_norm, estimated = outcome
     return ("solved", solution.shape, solution.tobytes(), iterations,
-            np.float64(res_norm).tobytes())
+            np.float64(res_norm).tobytes(), estimated)
 
 
 def fail_steep_rows(a, b):
@@ -665,20 +666,203 @@ class TestMergedNewtonOracle:
         assert capfd.readouterr().out == ""
 
 
-class TestOneResidualCallPerIteration:
-    """A solve of k iterations makes k + 1 residual calls, each on the
-    iterates and their 2n bumped points, n complex unknowns a row; rows
-    past ``BLOCK_CELLS`` amplitudes of those points solve in ``row_blocks``,
-    one after another."""
+class TestStackedNorms:
+    """An iteration's residual norms are one ``np.vecdot`` call, pinned bit for
+    bit to the one-row ``sqrt(v @ v)`` it replaced, so that a numpy release
+    that rounds the stacked dot product differently fails here."""
+
+    NUMPY = f"numpy {np.__version__}"
 
     @staticmethod
-    def expected_calls(iterations, per_call, n):
-        """Row b of a chunk runs in the chunk's first iterations[b] + 1 calls."""
+    def same_bits(stack):
+        stacked = np.sqrt(np.vecdot(stack, stack))
+        rows = np.array([sqrt(v @ v) for v in stack])
+        return stacked.tobytes() == rows.tobytes()
+
+    def test_random_stacks(self, rng):
+        for _ in range(2000):
+            rows, m = rng.integers(1, 40), rng.integers(1, 60)
+            stack = rng.standard_normal((rows, m)) * 10.0 ** rng.uniform(-150, 150)
+            assert self.same_bits(stack), f"{self.NUMPY}: ({rows}, {m})"
+
+    @pytest.mark.parametrize("m", [8, 18, 20], ids=["swap", "ladder", "random5"])
+    def test_the_strided_view_of_the_loop(self, rng, m):
+        # The loop reads the iterates' residuals, point 0 of each row's stack
+        # of 2n + 1 = m + 1 points.
+        for rows in (1, 3, 12):
+            values = rng.standard_normal((rows, m + 1, m))
+            assert values[:, 0].strides == ((m + 1) * m * 8, 8)
+            assert self.same_bits(values[:, 0]), f"{self.NUMPY}: ({rows}, {m})"
+
+
+def evaluated_norm(residual, row, point):
+    """The real-split residual norm of system ``row`` at ``point``, one call."""
+    value = one_row(residual, row)(point[None])[0]
+    r = np.concatenate([value.real, value.imag])
+    return sqrt(r @ r)
+
+
+def assert_estimates_hold(residual, outcomes):
+    """(a) Every row stopped on the estimate has an evaluated residual of at
+    most ``NEWTON_TOL`` at its accepted point."""
+    for row, outcome in enumerate(outcomes):
+        if not isinstance(outcome, Exception) and outcome[3]:
+            assert evaluated_norm(residual, row, outcome[0]) <= variational.NEWTON_TOL, row
+
+
+def assert_points_of_the_two_call_loop(residual, guesses, outcomes):
+    """(b) Every row ends as in the two-call loop, which stops on evaluated
+    residuals only: the same point and iteration count, bit for bit, and on
+    the evaluated stop the same residual too."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        oracle = two_call_newton_rows(residual, guesses)
+    for row, (one, two) in enumerate(zip(outcomes, oracle)):
+        if isinstance(two, Exception):
+            assert str(one) == str(two), row
+            continue
+        assert not isinstance(one, Exception), row
+        assert one[0].tobytes() == two[0].tobytes() and one[1] == two[1], row
+        if not one[3]:
+            assert np.float64(one[2]).tobytes() == np.float64(two[2]).tobytes(), row
+
+
+def first_update_rows(residual, guesses):
+    """A counter-case: the estimate read at k = 0, from one residual, with the
+    missing ||r_{-1}|| taken as infinite, so that every row is accepted after
+    its first update."""
+    half = guesses.shape[1]
+    outcomes = []
+    for row, guess in enumerate(guesses):
+        x = np.concatenate([guess.real, guess.imag])
+        value = one_row(residual, row)(guess)
+        r = np.concatenate([value.real, value.imag])
+        jac = per_column_jacobian(one_row(residual, row), x, r)
+        y = x + np.linalg.lstsq(jac, -r, rcond=None)[0]
+        outcomes.append((y[:half] + 1j * y[half:], 1, 0.0, True))
+    return outcomes
+
+
+class TestContractionStop:
+    """Restrict-first solves, and every start, stop on the contraction estimate
+    ||r_k||^2 / ||r_{k-1}||; discretize-first steps stop on evaluated
+    residuals."""
+
+    ALPHA, DT, STEPS = 0.5, 0.02, 20
+
+    @staticmethod
+    def systems():
+        """Swap, random5 (seed 3) and ladder (r_party 2)."""
+        return {"swap": (swap_hamiltonian(2), (2, 2)),
+                "random5": (random_hermitian(5, 3), (2,) * 5),
+                "ladder": (correlator_hamiltonian(2), (3, 3, 3))}
+
+    @staticmethod
+    def recorded_solves(monkeypatch, ordering, H, states, steps):
+        """Each ``_newton_rows`` call of a run of ``states``: its residual,
+        guesses, options and outcomes; and the run's rows."""
+        solves = []
+        newton_rows = variational._newton_rows
+
+        def recording(residual, guesses, **options):
+            outcomes = newton_rows(residual, guesses, **options)
+            solves.append((residual, np.array(guesses), options, outcomes))
+            return outcomes
+
+        monkeypatch.setattr(variational, "_newton_rows", recording)
+        rows = integrate_separable_rows(ordering, H, TestContractionStop.ALPHA,
+                                        TestContractionStop.DT, [steps] * len(states), states)
+        monkeypatch.undo()
+        return solves, rows
+
+    def solves(self, rng, monkeypatch, ordering, system):
+        """The ``recorded_solves`` of a 3-row run. Restrict-first rows all
+        complete; discretize-first rows may end early, on gauge (ROADMAP F3)."""
+        H, dims = self.systems()[system]
+        states = [ComponentState(tuple(random_ket(rng, d) for d in dims)) for _ in range(3)]
+        solves, rows = self.recorded_solves(monkeypatch, ordering, H, states, self.STEPS)
+        if ordering == "restrict_first":
+            assert all(isinstance(row, DiscreteTrajectory) for row in rows)
+            assert len(solves) == self.STEPS
+        return solves
+
+    @staticmethod
+    def check_restrict_first(solves):
+        """(a) and (b) on every solve; returns how many rows stopped on the estimate."""
+        stopped = 0
+        for residual, guesses, options, outcomes in solves:
+            assert options == {"contraction_stop": True}
+            assert_estimates_hold(residual, outcomes)
+            assert_points_of_the_two_call_loop(residual, guesses, outcomes)
+            stopped += sum(outcome[3] for outcome in outcomes)
+        return stopped
+
+    @pytest.mark.parametrize("system", ["swap", "random5", "ladder"])
+    def test_restrict_first_rows(self, rng, monkeypatch, system):
+        assert self.check_restrict_first(self.solves(rng, monkeypatch, "restrict_first",
+                                                     system)) > 0
+
+    def test_a_contraction_that_slows_is_not_trusted_at_the_tolerance(self, monkeypatch):
+        # On this ladder row every other solve contracts more slowly at its
+        # second update than at its first: estimates of 5e-13 to 9e-13 meet
+        # residuals of 1e-12 to 2e-12 at the accepted points. The stop's
+        # safety factor keeps them running; without it, the checks fail.
+        amplitudes = [[-0.31 + 0.54j, 0.09 + 0.25j, -0.73 - 0.11j],
+                      [-0.3 - 0.22j, 0.29 + 0.69j, -0.26 + 0.49j],
+                      [-0.07 - 0.66j, -0.09 - 0.43j, 0.17 + 0.59j]]
+        state = ComponentState(tuple(Ket(np.array(vec)) for vec in amplitudes))
+        H = self.systems()["ladder"][0]
+        solves, _ = self.recorded_solves(monkeypatch, "restrict_first", H, [state], 12)
+        assert self.check_restrict_first(solves) > 0
+        monkeypatch.setattr(variational, "_ESTIMATE_SAFETY", 1.0)
+        solves, _ = self.recorded_solves(monkeypatch, "restrict_first", H, [state], 12)
+        with pytest.raises(AssertionError):
+            self.check_restrict_first(solves)
+
+    @pytest.mark.parametrize("system", ["swap", "random5", "ladder"])
+    def test_the_checks_refuse_an_estimate_at_the_first_update(self, rng, monkeypatch,
+                                                             system):
+        (residual, guesses, _, _), *_ = self.solves(rng, monkeypatch, "restrict_first",
+                                                    system)
+        eager = first_update_rows(residual, guesses)
+        with pytest.raises(AssertionError):
+            assert_estimates_hold(residual, eager)
+        with pytest.raises(AssertionError):
+            assert_points_of_the_two_call_loop(residual, guesses, eager)
+
+    @pytest.mark.parametrize("system", ["swap", "random5", "ladder"])
+    def test_discretize_first_steps_end_on_an_evaluated_residual(self, rng, monkeypatch,
+                                                                 system):
+        (start, *steps) = self.solves(rng, monkeypatch, "discretize_first", system)
+        # The start is the restrict-first one that both orderings share.
+        assert start[2] == {"contraction_stop": True}
+        solved = 0
+        for residual, guesses, options, outcomes in steps:
+            assert options == {"contraction_stop": False}
+            assert_points_of_the_two_call_loop(residual, guesses, outcomes)
+            for row, outcome in enumerate(outcomes):
+                if isinstance(outcome, Exception):
+                    continue
+                point, _, res_norm, estimated = outcome
+                assert not estimated
+                assert res_norm == evaluated_norm(residual, row, point)
+                solved += 1
+        assert solved > 0
+
+
+class TestOneResidualCallPerIteration:
+    """A solve of k iterations makes k + 1 residual calls, or k when it
+    stopped on the contraction estimate, each on the iterates and their 2n
+    bumped points, n complex unknowns a row; rows past ``BLOCK_CELLS``
+    amplitudes of those points solve in ``row_blocks``, one after another."""
+
+    @staticmethod
+    def expected_calls(made, per_call, n):
+        """Row b of a chunk runs in the chunk's first made[b] calls."""
         calls = []
-        for start in range(0, len(iterations), per_call):
-            counts = iterations[start:start + per_call]
-            calls += [(sum(k < count + 1 for count in counts), 2 * n + 1, n)
-                      for k in range(max(counts) + 1)]
+        for start in range(0, len(made), per_call):
+            counts = made[start:start + per_call]
+            calls += [(sum(k < count for count in counts), 2 * n + 1, n)
+                      for k in range(max(counts))]
         return calls
 
     @staticmethod
@@ -686,12 +870,12 @@ class TestOneResidualCallPerIteration:
         calls = []
         newton_rows = variational._newton_rows
 
-        def counting(residual, guesses):
+        def counting(residual, guesses, **options):
             def counted(points, rows):
                 calls.append(points.shape)
                 return residual(points, rows)
 
-            return newton_rows(counted, guesses)
+            return newton_rows(counted, guesses, **options)
 
         monkeypatch.setattr(variational, "_newton_rows", counting)
         return calls
@@ -736,10 +920,12 @@ class TestOneResidualCallPerIteration:
         started = initial_step(start, prev)
         curr = np.stack([outcome[0] for outcome in started])
         solved = del_step(recursion, prev, curr)
+        if ordering == "discretize_first":
+            assert not any(outcome[3] for outcome in solved)
         for outcomes in (started, solved):
-            iterations = [outcome[1] for outcome in outcomes]
-            assert min(iterations) >= 1
-            expected = self.expected_calls(iterations, per_call, n)
+            assert min(outcome[1] for outcome in outcomes) >= 1
+            made = [outcome[1] + 1 - outcome[3] for outcome in outcomes]
+            expected = self.expected_calls(made, per_call, n)
             solve_calls, calls[:] = calls[:len(expected)], calls[len(expected):]
             assert solve_calls == expected
         assert calls == []
@@ -949,22 +1135,54 @@ class TestNewtonStatistics:
         assert np.all(partial.newton_iterations >= 1)
 
     def test_count_length_is_validated(self):
+        flags = np.zeros(2, dtype=bool)
         with pytest.raises(ValueError):
             DiscreteTrajectory(1.0, np.zeros((3, 2)), newton_iterations=np.ones(3),
-                               newton_residuals=np.ones(2))
+                               newton_residuals=np.ones(2), newton_estimated=flags)
         with pytest.raises(ValueError):
             DiscreteTrajectory(1.0, np.zeros((3, 2)), newton_iterations=np.ones(2),
-                               newton_residuals=np.ones(3))
+                               newton_residuals=np.ones(3), newton_estimated=flags)
+        with pytest.raises(ValueError):
+            DiscreteTrajectory(1.0, np.zeros((3, 2)), newton_iterations=np.ones(2),
+                               newton_residuals=np.ones(2), newton_estimated=flags[:1])
 
-    def test_final_residuals_are_recorded(self, fig1_state):
+    def test_final_residuals_are_recorded(self, fig1_state, monkeypatch):
         H = swap_hamiltonian(2)
-        traj = restrict_first(H, 0.5, 0.05, 10, fig1_state)
-        # The start's residual, evaluated again at the point it accepted.
-        Ld = DiscreteLagrangian(separable_lagrangian(se_lagrangian(H), (2, 2)), 0.5, 0.05)
-        x0, x1 = traj.points[:2]
-        start = velocity_momentum(Ld.base, x0) + Ld.d1(x0, x1)
-        assert traj.newton_residuals[0] == np.linalg.norm(np.concatenate([start.real,
-                                                                          start.imag]))
+        norms = []  # a list a solve: the residual norm at each of its iterates
+        newton_rows = variational._newton_rows
+
+        def recording(residual, guesses, **options):
+            seen = []
+            norms.append(seen)
+
+            def recorded(points, rows):
+                values = residual(points, rows)
+                r = np.concatenate([values[0, 0].real, values[0, 0].imag])
+                seen.append(sqrt(r @ r))
+                return values
+
+            return newton_rows(recorded, guesses, **options)
+
+        monkeypatch.setattr(variational, "_newton_rows", recording)
+        # At dt 0.1 the start ends on an evaluated residual and later steps on
+        # the estimate, so both records are checked.
+        traj = restrict_first(H, 0.5, 0.1, 10, fig1_state)
+        monkeypatch.undo()
+        assert len(norms) == 10
+        assert not traj.newton_estimated[0] and traj.newton_estimated[1:].any()
+        Ld = DiscreteLagrangian(separable_lagrangian(se_lagrangian(H), (2, 2)), 0.5, 0.1)
+        x = traj.points
+        for i, seen in enumerate(norms):
+            # The solve's residual, evaluated again at the point it accepted.
+            momentum = velocity_momentum(Ld.base, x[0]) if i == 0 else Ld.d3(x[i - 1], x[i])
+            value = Ld.d1(x[i], x[i + 1]) + momentum
+            evaluated = np.linalg.norm(np.concatenate([value.real, value.imag]))
+            assert evaluated <= variational.NEWTON_TOL
+            if traj.newton_estimated[i]:
+                # The contraction estimate ||r_k||^2 / ||r_{k-1}|| it stopped on.
+                assert traj.newton_residuals[i] == seen[-1] * seen[-1] / seen[-2]
+            else:
+                assert traj.newton_residuals[i] == seen[-1] == evaluated
         assert np.all(traj.newton_residuals <= variational.NEWTON_TOL)
         # A run whose every solve converges at its guess makes no update.
         H0 = HermitianOperator(np.zeros((4, 4)), (2, 2))
@@ -1115,12 +1333,12 @@ class TestRowBatches:
         shapes = []
         newton_rows = variational._newton_rows
 
-        def recording(residual, guesses):
+        def recording(residual, guesses, **options):
             def recorded(points, rows):
                 shapes.append(points.shape)
                 return residual(points, rows)
 
-            return newton_rows(recorded, guesses)
+            return newton_rows(recorded, guesses, **options)
 
         monkeypatch.setattr(variational, "_newton_rows", recording)
 
@@ -1212,7 +1430,8 @@ class TestRowBatches:
 
     def test_a_batch_stores_each_point_once(self, rng):
         # A batch stores (steps + 1) * sum(dims) amplitudes a row. The buffer
-        # adds 16 bytes a point for the Newton counts and residuals, and a
+        # adds 17 bytes a point for the Newton counts, residuals and estimate
+        # flags, and a
         # Newton iteration's temporaries take a few kB a swap row.
         batch, steps = 8, 250
         states = [ComponentState((random_ket(rng, 2), random_ket(rng, 2)))
