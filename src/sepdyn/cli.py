@@ -12,21 +12,22 @@ the runs share those configs, and one that fails to load, or whose outputs
 cannot be written, exits 2 while the others still run.
 
 Every config runs in a work unit (``_Batch``), and every unit takes one
-path: one ``_integrate`` call on the turn of its first config returns an
-outcome per config, and ``_run_result`` turns each outcome into the
-config's ``RunResult`` on its own turn. Configs of one invocation share a
-unit (several, past ``BATCH_AMPLITUDES`` stored amplitudes) when they share
-the experiment and its Hamiltonian (the values of its ``SYSTEMS`` keys), and
-either are all splitting configs, of any scheme and ``dt``
-(``propagators.evolve``), or are variational configs that also share
-integrator, ``alpha`` and ``dt`` (``variational.integrate_separable_rows``,
-into one buffer allocated up front); each is a row, with its own initial
-state and step count. An ``se_exact`` or ``bea_truncation`` config is a
-unit of one, integrated by ``execute``. Every config still writes its CSV,
-JSON, exit code and output lines on its own turn, in config order, exactly
-as when run alone; its ``wall=`` is the time of its own turn, so the first
-config of a unit carries the unit's integration. ``--jobs`` hands each unit
-to a worker, and starts at most one worker per unit and CPU.
+path: ``execute``, the one integration call of the unit, runs on the turn
+of its first config and returns an outcome per config, and ``_run_result``
+turns each outcome into the config's ``RunResult`` on its own turn.
+Configs of one invocation share a unit (several, past ``BATCH_AMPLITUDES``
+stored amplitudes) when they share the experiment and its Hamiltonian (the
+values of its ``SYSTEMS`` keys), and either are all splitting configs, of
+any scheme and ``dt`` (``propagators.evolve``), or are variational configs
+that also share integrator, ``alpha`` and ``dt``
+(``variational.integrate_separable_rows``, into one buffer allocated up
+front); each is a row, with its own initial state and step count. An
+``se_exact`` or ``bea_truncation`` config is a unit of one. Every config
+still writes its CSV, JSON, exit code and output lines on its own turn, in
+config order, exactly as when run alone; its ``wall=`` is the time of its
+own turn, so the first config of a unit carries the unit's integration.
+``--jobs`` hands each unit to a worker, and starts at most one worker per
+unit and CPU.
 
 The CSV holds every value as ``format(v, ".17g")``, byte for byte; a numpy
 kernel (``write_csv``) produces that text in blocks of rows, and formats
@@ -105,6 +106,11 @@ SPLITTING = tuple(scheme.value for scheme in SplittingScheme)
 # Each variational integrator and the ``variational.ORDERINGS`` entry it runs.
 VARIATIONAL = {"var_restrict_first": "restrict_first", "var_discretize_first": "discretize_first"}
 INTEGRATORS = ("se_exact", *SPLITTING, *VARIATIONAL, "bea_truncation")
+# The config keys an integrator requires, and those it reads when present.
+INTEGRATOR_KEYS = {
+    **{integrator: (("alpha",), ()) for integrator in VARIATIONAL},
+    "bea_truncation": (("bea_order",), ("bea_scheme",)),
+}
 REQUIRED_KEYS = ("experiment", "integrator", "dt", "t_final", "initial_state", "out_path")
 OUTPUT_NAMES = ("norm", "abs_overlap", "rate_nucl", "bloch", "purity")
 BLOWUP_FACTOR = 2.0
@@ -190,24 +196,23 @@ class ExperimentConfig:
             raise ConfigError("out_path must be a string")
         if Path(self.out_path).name in ("", ".."):
             raise ConfigError("out_path must end in a file name")
+        for key in SYSTEMS[self.experiment].keys:
+            if getattr(self, key) is None:
+                raise ConfigError(f"the {self.experiment} experiment requires '{key}'")
+        runs = "variational" if self.integrator in VARIATIONAL else self.integrator
+        for key in INTEGRATOR_KEYS.get(self.integrator, ((), ()))[0]:
+            if getattr(self, key) is None:
+                raise ConfigError(f"{runs} runs require '{key}'")
         # A key is checked wherever it is present, by the rule of the run that
         # reads it: a run that does not read it still records it.
-        if self.integrator in VARIATIONAL and self.alpha is None:
-            raise ConfigError("variational runs require 'alpha'")
         if self.alpha is not None and not (_is_real(self.alpha) and 0.0 <= self.alpha <= 1.0):
             raise ConfigError("alpha must be a number in [0, 1]")
-        if self.experiment == "random5" and self.seed is None:
-            raise ConfigError("the random5 experiment requires 'seed'")
         if self.seed is not None and not (_is_int(self.seed) and self.seed >= 0):
             raise ConfigError("seed must be a non-negative integer")
-        if self.experiment == "ladder" and self.r_party is None:
-            raise ConfigError("the ladder experiment requires 'r_party'")
         if self.r_party is not None and not (_is_int(self.r_party) and self.r_party in (1, 2, 3)):
             raise ConfigError("r_party must be 1, 2 or 3")
         if self.bea_scheme not in SPLITTING:
             raise ConfigError("bea_scheme must be " + " or ".join(map(repr, SPLITTING)))
-        if self.integrator == "bea_truncation" and self.bea_order is None:
-            raise ConfigError("bea_truncation runs require 'bea_order'")
         if self.bea_order is not None:
             from . import bea
 
@@ -289,12 +294,12 @@ class RunResult:
     blowup: dict | None = None
 
 
-def _integrate(configs: list[ExperimentConfig], H: HermitianOperator) -> list:
-    """One outcome per config of a work unit, all integrated in one call.
+def execute(configs: list[ExperimentConfig], H: HermitianOperator) -> list:
+    """The one integration call of a work unit: one outcome per config.
 
     A splitting unit's rows come from ``propagators.evolve``, a variational
     unit's from ``variational.integrate_separable_rows``; a unit of one
-    ``se_exact`` or ``bea_truncation`` config is ``[execute(config, H)]``.
+    ``se_exact`` or ``bea_truncation`` config is ``[RunResult]``.
     """
     first = configs[0]
     if first.integrator in SPLITTING:
@@ -302,18 +307,29 @@ def _integrate(configs: list[ExperimentConfig], H: HermitianOperator) -> list:
                       [config.initial_components for config in configs],
                       [config.dt for config in configs],
                       [config.steps() for config in configs])
-    if first.integrator not in VARIATIONAL:
-        return [execute(first, H)]
-    from . import variational
+    if first.integrator in VARIATIONAL:
+        from . import variational
 
-    return variational.integrate_separable_rows(
-        VARIATIONAL[first.integrator], H, float(first.alpha), first.dt,
-        [config.steps() for config in configs],
-        [config.initial_components for config in configs], blowup_factor=BLOWUP_FACTOR)
+        return variational.integrate_separable_rows(
+            VARIATIONAL[first.integrator], H, float(first.alpha), first.dt,
+            [config.steps() for config in configs],
+            [config.initial_components for config in configs], blowup_factor=BLOWUP_FACTOR)
+    state0 = first.initial_components
+    if first.integrator == "se_exact":
+        traj = se_evolve(H, tensor_product(state0), first.dt, first.steps())
+        return [RunResult(traj, {"kind": "eigendecomposition"})]
+    from . import bea
+
+    rhs = bea.ModifiedRHS(SplittingScheme(first.bea_scheme), first.bea_order, first.dt)
+    sol = bea.rk_integrate(rhs, np.concatenate(state0.vectors()), first.dt, first.steps())
+    traj = Trajectory.from_components(first.dt, sol.y_eval, state0.dims)
+    stats = {"kind": "runge_kutta", "steps": sol.steps, "rejected": sol.rejected,
+             "rhs_evals": sol.rhs_evals, "min_step": sol.min_step, "max_step": sol.max_step}
+    return [RunResult(traj, stats)]
 
 
 def _run_result(config: ExperimentConfig, outcome) -> RunResult:
-    """``config``'s RunResult from its ``_integrate`` outcome; raises an outcome
+    """``config``'s RunResult from its ``execute`` outcome; raises an outcome
     that is a ``SolverFailure``.
 
     Splitting components become a trajectory; a variational row, finished
@@ -373,8 +389,8 @@ def _batch_key(config: ExperimentConfig | ConfigError) -> tuple | None:
 class _Batch:
     """The configs of one work unit, integrated together when the first one runs.
 
-    The first ``result`` call builds H and integrates the whole unit through
-    ``_integrate``; each config then takes its own outcome, so it writes what
+    The first ``result`` call builds H and integrates the whole unit in one
+    ``execute`` call; each config then takes its own outcome, so it writes what
     it would write run alone, and an outcome becomes a RunResult
     (``_run_result``) only on its config's turn.
     """
@@ -388,24 +404,8 @@ class _Batch:
         """H and ``config``'s RunResult; raises the ``SolverFailure`` its row ended with."""
         if self.outcomes is None:
             self.H = build_hamiltonian(self.configs[0])
-            self.outcomes = dict(zip(map(id, self.configs), _integrate(self.configs, self.H)))
+            self.outcomes = dict(zip(map(id, self.configs), execute(self.configs, self.H)))
         return self.H, _run_result(config, self.outcomes.pop(id(config)))
-
-
-def execute(config: ExperimentConfig, H: HermitianOperator) -> RunResult:
-    """An ``se_exact`` or ``bea_truncation`` run; every other integrator runs in a ``_Batch``."""
-    state0 = config.initial_components
-    if config.integrator == "se_exact":
-        traj = se_evolve(H, tensor_product(state0), config.dt, config.steps())
-        return RunResult(traj, {"kind": "eigendecomposition"})
-    from . import bea
-
-    rhs = bea.ModifiedRHS(SplittingScheme(config.bea_scheme), config.bea_order, config.dt)
-    sol = bea.rk_integrate(rhs, np.concatenate(state0.vectors()), config.dt, config.steps())
-    traj = Trajectory.from_components(config.dt, sol.y_eval, state0.dims)
-    stats = {"kind": "runge_kutta", "steps": sol.steps, "rejected": sol.rejected,
-             "rhs_evals": sol.rhs_evals, "min_step": sol.min_step, "max_step": sol.max_step}
-    return RunResult(traj, stats)
 
 
 def _diagnostic_columns(config: ExperimentConfig, traj: Trajectory,
@@ -754,12 +754,10 @@ def _run_files(items: list[tuple[Path, ExperimentConfig | ConfigError]]) -> list
 
 def list_experiments(as_json: bool) -> str:
     parts = {2: "qubits", 3: "qutrits"}
-    required = {exp: [f"initial_state ({len(dims)} {parts[dims[0]]})", *keys]
-                for exp, (dims, keys, _) in SYSTEMS.items()}
-    integrator_fields = {
-        **{integ: ["alpha"] for integ in VARIATIONAL},
-        "bea_truncation": ["bea_order", "bea_scheme (optional)"],
-    }
+    per_experiment = {exp: [f"initial_state ({len(dims)} {parts[dims[0]]})", *keys]
+                      for exp, (dims, keys, _) in SYSTEMS.items()}
+    per_integrator = {integ: [*keys, *(f"{key} (optional)" for key in optional)]
+                      for integ, (keys, optional) in INTEGRATOR_KEYS.items()}
     if as_json:
         data = {
             "experiments": list(EXPERIMENTS),
@@ -770,8 +768,8 @@ def list_experiments(as_json: bool) -> str:
             },
             "required_fields": {
                 "common": list(REQUIRED_KEYS),
-                "per_experiment": required,
-                "per_integrator": integrator_fields,
+                "per_experiment": per_experiment,
+                "per_integrator": per_integrator,
             },
         }
         return json.dumps(data, indent=2, sort_keys=True)
@@ -784,10 +782,8 @@ def list_experiments(as_json: bool) -> str:
         lines.append((f"{exp:<{width}}" + "  ".join(f"{m:<20}" for m in marks)).rstrip())
     lines.append("")
     lines.append(f"required fields: {', '.join(REQUIRED_KEYS)}")
-    for exp, extras in required.items():
-        lines.append(f"  {exp}: {', '.join(extras)}")
-    for integ, extras in integrator_fields.items():
-        lines.append(f"  {integ}: {', '.join(extras)}")
+    for name, extras in (per_experiment | per_integrator).items():
+        lines.append(f"  {name}: {', '.join(extras)}")
     return "\n".join(lines)
 
 

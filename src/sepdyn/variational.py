@@ -217,8 +217,8 @@ class DiscreteLagrangian:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be finite and positive")
 
     def _interior(self, x, y):
         a = self.alpha

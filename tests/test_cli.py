@@ -15,11 +15,15 @@ import numpy as np
 import pytest
 
 from sepdyn import analysis, bea, cli, propagators, reduced, states, variational
+from sepdyn.hamiltonians import random_hermitian
 from sepdyn.propagators import SplittingScheme, Trajectory
 
 SWAP_STATE = [[1.0, 0.0], [0.6, [0.0, 0.8]]]
 # |0> on the first qubit, the equal superposition on the second.
 FIG1_STATE = [[1.0, 0.0], [2**-0.5, 2**-0.5]]
+
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def swap_config(out_path, dt):
@@ -799,6 +803,12 @@ class TestList:
             assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, golden", [(["list"], "sepdyn_list.txt"),
+                                              (["list", "--json"], "sepdyn_list.json")])
+    def test_listing_is_unchanged(self, capsys, argv, golden):
+        assert cli.main(argv) == cli.EXIT_OK
+        assert capsys.readouterr().out == (DATA / golden).read_text()
+
     def test_text_listing_names_every_pair(self, capsys):
         assert cli.main(["list"]) == cli.EXIT_OK
         text = capsys.readouterr().out
@@ -853,6 +863,38 @@ class TestNameTables:
                       and np.array_equal(entries[i], entries[j]))
             assert (cli._batch_key(configs[i]) == cli._batch_key(configs[j])) == (
                 same_family and same_h), (systems[i // 2], systems[j // 2])
+
+
+class TestKeyTables:
+    """``validate`` requires the keys that ``SYSTEMS`` and ``INTEGRATOR_KEYS``
+    name, and nothing else does."""
+
+    def listed(self, part) -> dict:
+        return json.loads(cli.list_experiments(True))["required_fields"][part]
+
+    def test_integrator_keys_are_config_fields(self):
+        assert set(cli.INTEGRATOR_KEYS) <= set(cli.INTEGRATORS)
+        fields = set(cli.ExperimentConfig.__dataclass_fields__)
+        for required, optional in cli.INTEGRATOR_KEYS.values():
+            assert set(required) | set(optional) <= fields
+
+    def test_a_new_system_requires_its_key(self, tmp_path, capsys, monkeypatch):
+        system = cli.System((2, 2), ("seed",), lambda seed: random_hermitian(2, seed))
+        monkeypatch.setitem(cli.SYSTEMS, "seeded_pair", system)
+        monkeypatch.setattr(cli, "EXPERIMENTS", (*cli.EXPERIMENTS, "seeded_pair"))
+        code, err = run_with(tmp_path, capsys, experiment="seeded_pair")
+        assert code == cli.EXIT_CONFIG
+        assert "the seeded_pair experiment requires 'seed'" in err
+        assert run_with(tmp_path, capsys, experiment="seeded_pair", seed=4)[0] == cli.EXIT_OK
+        assert self.listed("per_experiment")["seeded_pair"] == ["initial_state (2 qubits)", "seed"]
+
+    def test_a_new_integrator_key_is_required(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(cli.INTEGRATOR_KEYS, "strang", (("r_party",), ()))
+        code, err = run_with(tmp_path, capsys, integrator="strang")
+        assert code == cli.EXIT_CONFIG
+        assert "strang runs require 'r_party'" in err
+        assert run_with(tmp_path, capsys, integrator="strang", r_party=1)[0] == cli.EXIT_OK
+        assert self.listed("per_integrator")["strang"] == ["r_party"]
 
 
 class TestExitCodesEndToEnd:
@@ -1037,7 +1079,7 @@ class TestBatches:
         configs = self.write_configs(tmp_path)
         items = [(path, cli.load_config(path, [])) for path in sorted(configs.iterdir())]
         batch = [config for path, config in items if path.name in self.BATCH]
-        outcomes = cli._integrate(batch, cli.build_hamiltonian(batch[0]))
+        outcomes = cli.execute(batch, cli.build_hamiltonian(batch[0]))
         runs = [getattr(outcome, "partial", outcome) for outcome in outcomes
                 if not isinstance(outcome, variational.NewtonConvergenceError)]
         # Every row has its place in one buffer, the failed start's included,
@@ -1075,7 +1117,7 @@ class TestBatches:
         def peak(rows):
             tracemalloc.start()
             try:
-                outcomes = cli._integrate(configs[:rows], H)
+                outcomes = cli.execute(configs[:rows], H)
                 top = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -1089,9 +1131,25 @@ class TestBatches:
         assert peak(16) <= bound
 
 
+def record_execute(monkeypatch, out: Path) -> list:
+    """Each ``cli.execute`` call from now on, as (CSVs under ``out`` when it
+    starts, its configs' out_path names)."""
+    calls = []
+    execute = cli.execute
+
+    def recording(configs, H):
+        written = len(list(out.glob("*.csv"))) if out.is_dir() else 0
+        calls.append((written, [Path(config.out_path).name for config in configs]))
+        return execute(configs, H)
+
+    monkeypatch.setattr(cli, "execute", recording)
+    return calls
+
+
 class TestLoneRows:
-    """A splitting or variational config alone is a batch of one: it never
-    reaches ``execute``, and writes what it writes inside a directory."""
+    """Every work unit integrates in one ``execute`` call: a splitting or
+    variational config alone is a unit of one, and writes what it writes
+    inside a directory."""
 
     VARIATIONAL = {"alpha": 0.5, "dt": 0.1, "t_final": 1.0}
     CONFIGS = {
@@ -1105,25 +1163,60 @@ class TestLoneRows:
                          "initial_state": FIG1_STATE, "outputs": list(cli.OUTPUT_NAMES)},
         "f_discretize": {**VARIATIONAL, "integrator": "var_discretize_first"},
     }
+    # Swap units interleaved in config order: splitting, exact, variational
+    # and bea, each integrated on the turn of its first config.
+    INTERLEAVED = {
+        "a_lie": {"integrator": "lie_trotter"},
+        "b_exact": {"integrator": "se_exact"},
+        "c_strang": {"integrator": "strang", "initial_state": FIG1_STATE},
+        "d_restrict": {**VARIATIONAL, "integrator": "var_restrict_first"},
+        "e_bea": {"integrator": "bea_truncation", "bea_order": 2},
+        "f_restrict": {**VARIATIONAL, "integrator": "var_restrict_first",
+                       "initial_state": FIG1_STATE},
+    }
 
-    def test_each_runs_without_execute_as_in_a_directory(self, tmp_path, capsys, monkeypatch):
-        configs = tmp_path / "configs"
-        configs.mkdir()
-        for name, fields in self.CONFIGS.items():
+    def write_configs(self, tmp_path, configs) -> Path:
+        directory = tmp_path / "configs"
+        directory.mkdir()
+        for name, fields in configs.items():
             config = {**swap_config(tmp_path / "out" / name, 0.1), **fields}
-            (configs / f"{name}.json").write_text(json.dumps(config))
+            (directory / f"{name}.json").write_text(json.dumps(config))
+        return directory
+
+    def test_each_runs_in_one_execute_call_as_in_a_directory(self, tmp_path, capsys,
+                                                             monkeypatch):
+        configs = self.write_configs(tmp_path, self.CONFIGS)
+        out = tmp_path / "out"
+        calls = record_execute(monkeypatch, out)
         assert cli.main(["run", "--config", str(configs)]) == cli.EXIT_BLOWUP
-        together = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+        assert [names for _, names in calls] == [
+            ["a_lie", "b_strang"], ["c_restrict", "d_restrict"], ["e_discretize", "f_discretize"]]
+        together = {p.name: p.read_bytes() for p in out.iterdir()}
         assert len(together) == 2 * len(self.CONFIGS)
-        shutil.rmtree(tmp_path / "out")
+        shutil.rmtree(out)
 
-        def execute(*args):
-            pytest.fail("a splitting or variational config reached execute")
-
-        monkeypatch.setattr(cli, "execute", execute)
+        calls.clear()
         codes = [cli.main(["run", "--config", str(path)]) for path in sorted(configs.iterdir())]
         assert codes == [cli.EXIT_OK] * 4 + [cli.EXIT_BLOWUP, cli.EXIT_OK]
-        assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == together
+        assert [names for _, names in calls] == [[name] for name in self.CONFIGS]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == together
+
+    def test_interleaved_units_integrate_on_their_first_turn(self, tmp_path, capsys,
+                                                             monkeypatch):
+        configs = self.write_configs(tmp_path, self.INTERLEAVED)
+        out = tmp_path / "out"
+        calls = record_execute(monkeypatch, out)
+        assert cli.main(["run", "--config", str(configs)]) == cli.EXIT_OK
+        # A unit's call starts once every config before its first is written.
+        assert calls == [(0, ["a_lie", "c_strang"]), (1, ["b_exact"]),
+                         (3, ["d_restrict", "f_restrict"]), (4, ["e_bea"])]
+        lines = capsys.readouterr().out.splitlines()
+        assert [Path(line.split(" -> ")[1]).stem for line in lines] == list(self.INTERLEAVED)
+        together = {p.name: p.read_bytes() for p in out.iterdir()}
+        shutil.rmtree(out)
+        for path in sorted(configs.iterdir()):
+            assert cli.main(["run", "--config", str(path)]) == cli.EXIT_OK
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == together
 
 
 class TestSplittingBatches:

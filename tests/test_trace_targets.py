@@ -64,7 +64,8 @@ UNIT_SWAP_STATE = [[1.0, 0.0], [0.6, 0.8]]  # bea_truncation needs unit-norm com
 
 def test_every_span_outside_the_dark_set_sees_a_call(tmp_path):
     """A traced ``sepdyn run`` of one swap config per integrator, every output
-    on, calls every wrapped target but the dark ones at least once."""
+    on, calls every wrapped target but the dark ones at least once, and
+    ``cli.execute`` once per work unit."""
     configs = tmp_path / "configs"
     configs.mkdir()
     fields = {"var_restrict_first": {"alpha": 0.5}, "var_discretize_first": {"alpha": 0.5},
@@ -93,3 +94,5 @@ def test_every_span_outside_the_dark_set_sees_a_call(tmp_path):
     calls = result["metrics"]
     assert DARK <= set(spans)
     assert [span for span in spans if span not in DARK and calls[f"{span}.calls"] < 1] == []
+    # Lie-Trotter and Strang share a unit; every other config is a unit of one.
+    assert calls["cli.execute.calls"] == 5

@@ -177,6 +177,16 @@ class TestDiscreteLagrangian:
         with pytest.raises(ValueError):
             DiscreteLagrangian(L, 0.5, -0.1)
 
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -0.1])
+    def test_dt_must_be_finite_and_positive(self, dt):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            DiscreteLagrangian(se_lagrangian(swap_hamiltonian(2)), 0.5, dt)
+
+    def test_every_test_dt_constructs(self):
+        L = se_lagrangian(swap_hamiltonian(2))
+        for dt in (0.2, 0.1, 0.08, 0.07, 0.05, 0.04, 0.025, 0.02, 0.01, 0.005, 0.001):
+            assert DiscreteLagrangian(L, 0.5, dt).dt == dt
+
     def test_stationary_arguments_reduce_to_scaled_lagrangian(self, rng):
         L = se_lagrangian(swap_hamiltonian(2))
         Ld = DiscreteLagrangian(L, 0.3, 0.05)
